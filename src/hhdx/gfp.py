@@ -258,8 +258,8 @@ def fitting_decomposition(f):
     nil_rows = m.kernel_basis()
     semi_rows = m.image_basis()
 
-    nil = linalg.Subspace(f.p, n, nil_rows)
-    semi = linalg.Subspace(f.p, n, semi_rows)
+    nil = linalg.Subspace._from_rref(f.p, n, nil_rows)
+    semi = linalg.Subspace._from_rref(f.p, n, semi_rows)
     if nil.dim + semi.dim != n or nil.intersect(semi).dim != 0:
         raise AssertionError("nilpotent and semisimple parts are not complementary")
     for row in nil_rows:

@@ -623,13 +623,8 @@ def _surjective_onto_window(p, image_matrix, target_module, a_lo, a_hi, b_max):
     """Does the image of the matrix contain every basis operator x^a D^(b)
     of the target window with a in [a_lo, a_hi] and b <= b_max?"""
     space = Subspace(p, image_matrix.rows, image_matrix.transpose().a)
-    for k, ((a,), (b,)) in enumerate(target_module.basis):
-        if a_lo <= a <= a_hi and b <= b_max:
-            vec = np.zeros(target_module.dim, dtype=np.int64)
-            vec[k] = 1
-            if not space.contains(vec):
-                return False
-    return True
+    return space.contains_units([k for k, ((a,), (b,)) in enumerate(target_module.basis)
+                                 if a_lo <= a <= a_hi and b <= b_max])
 
 
 def _structure_window_diagram(p, du):

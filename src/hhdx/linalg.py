@@ -7,6 +7,13 @@ On top of the matrix layer sit bounded cochain complexes, first-quadrant
 double complexes (sign convention: d = d_h + (-1)^i d_v on column i), and
 the spectral sequence of the column filtration computed through explicit
 subquotient bases.
+
+Each complex memoizes what it eliminates: a CochainComplex its kernels,
+images and cohomology, a DoubleComplex its total differentials, filtered
+cycle spaces, totalization and spectral pages.  The memo lives on the object
+(nothing is shared between complexes, so nothing outlives a report).  A
+complex's matrices must not be mutated after construction, and a complex is
+not shared between threads.
 """
 
 from __future__ import annotations
@@ -139,14 +146,12 @@ class FpMatrix:
     def kernel_basis(self):
         """Rows spanning the right kernel {v : M v = 0}, in RREF."""
         red, pivots = _rref(self.a, self.p)
-        free = [c for c in range(self.cols) if c not in pivots]
-        if not free:
+        free = np.setdiff1d(np.arange(self.cols), pivots)
+        if not free.size:
             return np.zeros((0, self.cols), dtype=np.int64)
-        basis = np.zeros((len(free), self.cols), dtype=np.int64)
-        for k, c in enumerate(free):
-            basis[k, c] = 1
-            for r, pc in enumerate(pivots):
-                basis[k, pc] = (-int(red[r, c])) % self.p
+        basis = np.zeros((free.size, self.cols), dtype=np.int64)
+        basis[np.arange(free.size), free] = 1
+        basis[:, list(pivots)] = (-red[:, free].T) % self.p
         return _rref(basis, self.p)[0]
 
     def image_basis(self):
@@ -155,11 +160,6 @@ class FpMatrix:
 
     def tolist(self):
         return [[int(x) for x in row] for row in self.a]
-
-
-def rank_kernel_image(m):
-    """Rank, kernel basis rows and image basis rows of an FpMatrix."""
-    return m.rank(), m.kernel_basis(), m.image_basis()
 
 
 class Subspace:
@@ -177,8 +177,17 @@ class Subspace:
             self.rows, self.pivots = _rref(np.asarray(rows, dtype=np.int64).reshape(-1, n), p)
 
     @classmethod
+    def _from_rref(cls, p, n, rows):
+        """Wrap rows already in RREF (no elimination); pivots are the leading
+        nonzeros."""
+        out = cls.__new__(cls)
+        out.p, out.n, out.rows = p, n, rows
+        out.pivots = tuple(int(c) for c in (rows != 0).argmax(axis=1)) if rows.size else ()
+        return out
+
+    @classmethod
     def full(cls, p, n):
-        return cls(p, n, np.eye(n, dtype=np.int64))
+        return cls._from_rref(p, n, np.eye(n, dtype=np.int64))
 
     @property
     def dim(self):
@@ -205,7 +214,16 @@ class Subspace:
         return not self.reduce(v).any()
 
     def contains_space(self, other):
-        return all(self.contains(row) for row in other.rows)
+        return not self.reduce_rows(other.rows).any()
+
+    def contains_units(self, indices):
+        """Whether every unit vector e_k, k in indices, lies in this subspace.
+
+        e_k lies in an RREF span iff k is a pivot whose row is exactly e_k.
+        """
+        units = np.count_nonzero(self.rows, axis=1) == 1
+        unit_pivots = {c for c, unit in zip(self.pivots, units) if unit}
+        return all(int(k) in unit_pivots for k in indices)
 
     def express(self, v):
         """Coordinates of v in the RREF basis rows; None if not contained."""
@@ -235,6 +253,13 @@ class Subspace:
 
     def quotient_reps(self, sub):
         """Canonical transversal rows for self/sub (sub must be contained)."""
+        if sub.dim == 0:
+            return self
+        if self.dim == self.n:  # F_p^n / sub: the unit vectors off sub's pivots
+            free = np.setdiff1d(np.arange(self.n), sub.pivots)
+            reps = np.zeros((free.size, self.n), dtype=np.int64)
+            reps[np.arange(free.size), free] = 1
+            return Subspace._from_rref(self.p, self.n, reps)
         reduced = sub.reduce_rows(self.rows)
         return Subspace(self.p, self.n, reduced)
 
@@ -251,21 +276,23 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.n}, p={self.p})"
 
 
+def _kernel_space(d, p, dim):
+    """ker d as a Subspace of F_p^dim; everything when d is None."""
+    return Subspace.full(p, dim) if d is None else Subspace._from_rref(p, dim, d.kernel_basis())
+
+
+def _image_space(d, p, dim):
+    """im d as a Subspace of F_p^dim; zero when d is None."""
+    return Subspace(p, dim) if d is None else Subspace._from_rref(p, dim, d.image_basis())
+
+
 def cohomology_at(d_in, d_out, p, dim):
     """(dimension, representative rows) of ker(d_out)/im(d_in).
 
     d_in maps into the space (may be None), d_out maps out of it (may be None).
     Representatives are kernel vectors reduced modulo the image, re-echelonized.
     """
-    if d_out is None:
-        kernel = Subspace.full(p, dim)
-    else:
-        kernel = Subspace(p, dim, d_out.kernel_basis())
-    if d_in is None:
-        image = Subspace(p, dim)
-    else:
-        image = Subspace(p, dim, d_in.image_basis())
-    reps = kernel.quotient_reps(image)
+    reps = _kernel_space(d_out, p, dim).quotient_reps(_image_space(d_in, p, dim))
     return reps.dim, reps.rows
 
 
@@ -292,6 +319,9 @@ class CochainComplex:
             for m in range(self.lo, self.hi - 1):
                 if not (self.diffs[m + 1] @ self.diffs[m]).is_zero():
                     raise ValueError(f"d∘d != 0 at degree {m}")
+        self._kernels = {}
+        self._images = {}
+        self._cohomology = {}
 
     def differential(self, m):
         if m in self.diffs:
@@ -300,13 +330,27 @@ class CochainComplex:
         cols = self.dims.get(m, 0)
         return FpMatrix.zeros(self.p, rows, cols)
 
+    def kernel(self, m):
+        """ker d^m as a Subspace of C^m."""
+        if m not in self._kernels:
+            self._kernels[m] = _kernel_space(self.diffs.get(m), self.p, self.dims[m])
+        return self._kernels[m]
+
+    def image(self, m):
+        """im d^(m-1) as a Subspace of C^m."""
+        if m not in self._images:
+            self._images[m] = _image_space(self.diffs.get(m - 1), self.p, self.dims[m])
+        return self._images[m]
+
     def cohomology(self, m):
-        """(dimension, representative basis rows) at degree m."""
-        if m < self.lo or m > self.hi:
-            raise ValueError(f"degree {m} outside complex range [{self.lo}, {self.hi}]")
-        d_out = self.diffs.get(m)
-        d_in = self.diffs.get(m - 1)
-        return cohomology_at(d_in, d_out, self.p, self.dims[m])
+        """(dimension, representative basis rows, read-only) at degree m."""
+        if m not in self._cohomology:
+            if m < self.lo or m > self.hi:
+                raise ValueError(f"degree {m} outside complex range [{self.lo}, {self.hi}]")
+            reps = self.kernel(m).quotient_reps(self.image(m))
+            reps.rows.flags.writeable = False
+            self._cohomology[m] = (reps.dim, reps.rows)
+        return self._cohomology[m]
 
     def betti(self):
         return {m: self.cohomology(m)[0] for m in range(self.lo, self.hi + 1)}
@@ -342,6 +386,10 @@ class DoubleComplex:
         self.d_h = {k: m for k, m in d_h.items() if not m.is_zero()}
         self.d_v = {k: m for k, m in d_v.items() if not m.is_zero()}
         self._tot_cache = {}
+        self._cycles = {}
+        self._total = None
+        self._subquotients = {}
+        self._pages = []
         if check:
             self._check()
 
@@ -419,10 +467,12 @@ class DoubleComplex:
         return out
 
     def totalize(self):
-        top = self.max_i + self.max_j
-        dims = {n: self.total_dim(n) for n in range(0, top + 1)}
-        diffs = {n: self.total_differential(n) for n in range(0, top)}
-        return CochainComplex(self.p, dims, diffs)
+        if self._total is None:
+            top = self.max_i + self.max_j
+            dims = {n: self.total_dim(n) for n in range(0, top + 1)}
+            diffs = {n: self.total_differential(n) for n in range(0, top)}
+            self._total = CochainComplex(self.p, dims, diffs)
+        return self._total
 
     # -- spectral sequence of the column filtration ------------------------
 
@@ -430,37 +480,37 @@ class DoubleComplex:
         """A_r = {x in F^f T^n : dx in F^{f+r} T^{n+1}} as a Subspace of T^n."""
         blocks = self.total_blocks(n)
         total = sum(b[3] for b in blocks)
-        sel = [np.arange(off, off + d) for i, j, off, d in blocks if i >= f]
-        if not sel:
-            return Subspace(self.p, total)
-        cols = np.concatenate(sel)
-        tgt_blocks = self.total_blocks(n + 1)
-        tgt_total = sum(b[3] for b in tgt_blocks)
-        low = [np.arange(off, off + d) for i, j, off, d in tgt_blocks if i < f + r]
-        d_mat = self.total_differential(n).a
-        sub = d_mat[:, cols]
-        if low:
-            rows_low = np.concatenate(low)
-            restricted = FpMatrix(self.p, sub[rows_low, :]) if tgt_total else None
-            ker = restricted.kernel_basis() if restricted is not None else np.eye(len(cols), dtype=np.int64)
-        else:
-            ker = np.eye(len(cols), dtype=np.int64)
-        lift = np.zeros((ker.shape[0], total), dtype=np.int64)
-        lift[:, cols] = ker
-        return Subspace(self.p, total, lift)
+        cols = [c for i, _, off, d in blocks if i >= f for c in range(off, off + d)]
+        low = [c for i, _, off, d in self.total_blocks(n + 1) if i < f + r
+               for c in range(off, off + d)]
+        if len(cols) == total and len(low) == self.total_dim(n + 1):
+            return self.totalize().kernel(n)  # no filtration condition left
+        # cols is a tail of T^n and low a head of T^{n+1}: their sizes fix them
+        key = (n, len(cols), len(low))
+        if key not in self._cycles:
+            if cols and low:
+                d_mat = self.total_differential(n).a
+                ker = FpMatrix(self.p, d_mat[np.ix_(low, cols)]).kernel_basis()
+            else:
+                ker = np.eye(len(cols), dtype=np.int64)
+            lift = np.zeros((ker.shape[0], total), dtype=np.int64)
+            lift[:, cols] = ker  # cols ascend, so the lifted rows stay in RREF
+            self._cycles[key] = Subspace._from_rref(self.p, total, lift)
+        return self._cycles[key]
 
     def spectral_sequence(self, max_page=None):
         """Pages E_1 .. E_maxpage of the column filtration spectral sequence.
 
         Each page carries dims, differentials between canonical representative
         bases, and the machinery asserts E_{r+1} = H(E_r, d_r) internally.
+        Pages are built once per complex; each call returns a new list.
         """
         stab = self.max_i + self.max_j + 2
         if max_page is None:
             max_page = stab
-        pages = []
+        pages = self._pages
         positions = [(i, j) for i in range(self.max_i + 1) for j in range(self.max_j + 1)]
-        for r in range(1, max_page + 1):
+        for r in range(len(pages) + 1, max_page + 1):
             reps = {}
             denoms = {}
             dims = {}
@@ -470,14 +520,19 @@ class DoubleComplex:
                 num = self._approx_cycles(n, i, r)
                 upper = self._approx_cycles(n, i + 1, max(r - 1, 0))
                 prev = self._approx_cycles(n - 1, i - r + 1, r - 1) if n >= 1 else None
-                if prev is not None and prev.dim and total:
-                    d_prev = self.total_differential(n - 1).a
-                    bound = (prev.rows @ d_prev.T) % self.p
-                    den = upper.sum(Subspace(self.p, total, bound))
-                else:
-                    den = upper
+                # the cycle spaces are memoized objects, so equal ids mean an
+                # earlier page already built this subquotient
+                key = (id(num), id(upper), id(prev))
+                if key not in self._subquotients:
+                    if prev is not None and prev.dim and total:
+                        d_prev = self.total_differential(n - 1).a
+                        bound = (prev.rows @ d_prev.T) % self.p
+                        den = Subspace(self.p, total, np.vstack([upper.rows, bound]))
+                    else:
+                        den = upper
+                    self._subquotients[key] = (den, num.quotient_reps(den))
+                den, rep = self._subquotients[key]
                 denoms[(i, j)] = den
-                rep = num.quotient_reps(den)
                 reps[(i, j)] = rep
                 if rep.dim:
                     dims[(i, j)] = rep.dim
@@ -493,27 +548,23 @@ class DoubleComplex:
                 tgt_den = denoms[(ti, tj)]
                 n = i + j
                 d_mat = self.total_differential(n).a
-                cols = []
-                for v in src.rows:
-                    w = (d_mat @ v) % self.p
-                    w = tgt_den.reduce(w)
-                    coord = tgt_rep.express(w)
-                    if coord is None:
-                        raise AssertionError("spectral differential left the page")
-                    cols.append(coord)
-                mat = FpMatrix(self.p, np.array(cols, dtype=np.int64).T)
+                w = tgt_den.reduce_rows((src.rows @ d_mat.T) % self.p)
+                coords = w[:, list(tgt_rep.pivots)]
+                if ((w - coords @ tgt_rep.rows) % self.p).any():
+                    raise AssertionError("spectral differential left the page")
+                mat = FpMatrix(self.p, coords.T)
                 if not mat.is_zero():
                     diffs[(i, j)] = mat
-            pages.append(SpectralSequencePage(r, dims, diffs, reps))
-            if len(pages) >= 2:
-                prev_page = pages[-2]
+            if pages:
+                prev_page = pages[-1]
                 for (i, j) in positions:
                     expect = prev_page.homology_dim(i, j)
                     got = dims.get((i, j), 0)
                     if expect != got:
                         raise AssertionError(
                             f"page {r} at {(i, j)}: dim {got} != H(previous page) {expect}")
-        return pages
+            pages.append(SpectralSequencePage(r, dims, diffs, reps))
+        return pages[:max(max_page, 0)]
 
     def infinity_page(self):
         pages = self.spectral_sequence(self.max_i + self.max_j + 2)
@@ -560,8 +611,3 @@ class SpectralSequencePage:
     def __repr__(self):
         cells = {k: v for k, v in sorted(self.dims.items())}
         return f"E_{self.r}{cells}"
-
-
-def spectral_sequence(double_complex, max_page):
-    """Pages E_1 .. E_maxpage of a DoubleComplex (column filtration)."""
-    return double_complex.spectral_sequence(max_page)

@@ -686,7 +686,7 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
             stacked.append(dom.commutator_matrix(alg.divided_power(0, q),
                                                  target=target).a)
         mat = FpMatrix(p, np.concatenate(stacked, axis=0))
-        return Subspace(p, dom.dim, mat.kernel_basis())
+        return Subspace._from_rref(p, dom.dim, mat.kernel_basis())
 
     models = {}
     spaces = {}

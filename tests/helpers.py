@@ -1,8 +1,9 @@
-"""Shared builders for tests: known complexes and random double complexes."""
+"""Shared builders for tests: known complexes and random double complexes,
+plus the uncached linear algebra the memoized complexes are tested against."""
 
 import numpy as np
 
-from hhdx.linalg import CochainComplex, DoubleComplex, FpMatrix
+from hhdx.linalg import CochainComplex, DoubleComplex, FpMatrix, SpectralSequencePage, Subspace
 
 
 def staircase(p, length):
@@ -47,7 +48,6 @@ def random_complex(p, rng, max_len=3, max_dim=3):
             img = prev.image_basis()
             if img.shape[0]:
                 # replace m by m composed with projection killing img
-                from hhdx.linalg import Subspace
                 sub = Subspace(p, dims[i], img)
                 cols = []
                 for c in range(dims[i]):
@@ -122,3 +122,110 @@ def random_double_complex(p, rng):
     for piece in pieces[1:]:
         out = direct_sum_double(p, out, piece)
     return out
+
+
+# -- uncached oracles -------------------------------------------------------------
+#
+# The library memoizes kernels, images, cohomology and spectral pages on each
+# complex and skips eliminations whose result it already knows.  The functions
+# below are the reference: they recompute everything from scratch with a
+# per-column kernel loop, a re-eliminating Subspace(...) around every basis and
+# per-vector reduce/express for the page differentials.
+
+
+def oracle_kernel_basis(m):
+    """RREF rows spanning {v : M v = 0}, built column by column."""
+    red, pivots = m.rref()
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = np.zeros((len(free), m.cols), dtype=np.int64)
+    for k, c in enumerate(free):
+        basis[k, c] = 1
+        for r, pc in enumerate(pivots):
+            basis[k, pc] = (-int(red.a[r, c])) % m.p
+    return Subspace(m.p, m.cols, basis).rows
+
+
+def oracle_cohomology(d_in, d_out, p, dim):
+    """(kernel, image, (dim, reps)) of ker(d_out)/im(d_in), uncached."""
+    if d_out is None:
+        kernel = Subspace(p, dim, np.eye(dim, dtype=np.int64))
+    else:
+        kernel = Subspace(p, dim, oracle_kernel_basis(d_out))
+    image = Subspace(p, dim) if d_in is None else Subspace(p, dim, d_in.image_basis())
+    reps = Subspace(p, dim, image.reduce_rows(kernel.rows))
+    return kernel, image, (reps.dim, reps.rows)
+
+
+def fresh_copy(dc):
+    """The same double complex with empty caches."""
+    return DoubleComplex(dc.p, dc.dims, dc.d_h, dc.d_v)
+
+
+def oracle_spectral_sequence(dc, max_page):
+    """Pages E_1 .. E_max_page of the column filtration, rebuilt from
+    explicit subquotients with nothing reused between positions or pages."""
+    p = dc.p
+    dc = fresh_copy(dc)
+
+    def approx_cycles(n, f, r):
+        blocks = dc.total_blocks(n)
+        total = sum(b[3] for b in blocks)
+        cols = [c for i, _, off, d in blocks if i >= f for c in range(off, off + d)]
+        low = [c for i, _, off, d in dc.total_blocks(n + 1) if i < f + r
+               for c in range(off, off + d)]
+        if not cols:
+            return Subspace(p, total)
+        if low:
+            sub = dc.total_differential(n).a[:, cols][low, :]
+            ker = oracle_kernel_basis(FpMatrix(p, sub))
+        else:
+            ker = np.eye(len(cols), dtype=np.int64)
+        lift = np.zeros((ker.shape[0], total), dtype=np.int64)
+        lift[:, cols] = ker
+        return Subspace(p, total, lift)
+
+    pages = []
+    positions = [(i, j) for i in range(dc.max_i + 1) for j in range(dc.max_j + 1)]
+    for r in range(1, max_page + 1):
+        reps, denoms, dims = {}, {}, {}
+        for (i, j) in positions:
+            n = i + j
+            total = dc.total_dim(n)
+            num = approx_cycles(n, i, r)
+            den = approx_cycles(n, i + 1, max(r - 1, 0))
+            prev = approx_cycles(n - 1, i - r + 1, r - 1) if n >= 1 else None
+            if prev is not None and prev.dim and total:
+                bound = (prev.rows @ dc.total_differential(n - 1).a.T) % p
+                den = den.sum(Subspace(p, total, bound))
+            denoms[(i, j)] = den
+            rep = Subspace(p, total, den.reduce_rows(num.rows))
+            reps[(i, j)] = rep
+            if rep.dim:
+                dims[(i, j)] = rep.dim
+        diffs = {}
+        for (i, j) in positions:
+            tgt = (i + r, j - r + 1)
+            if reps[(i, j)].dim == 0 or tgt not in reps or reps[tgt].dim == 0:
+                continue
+            d_mat = dc.total_differential(i + j).a
+            cols = []
+            for v in reps[(i, j)].rows:
+                coord = reps[tgt].express(denoms[tgt].reduce((d_mat @ v) % p))
+                assert coord is not None, "spectral differential left the page"
+                cols.append(coord)
+            mat = FpMatrix(p, np.array(cols, dtype=np.int64).T)
+            if not mat.is_zero():
+                diffs[(i, j)] = mat
+        pages.append(SpectralSequencePage(r, dims, diffs, reps))
+    return pages
+
+
+def assert_same_pages(got, want):
+    """Pages agree in dims, d_r matrices and representative rows."""
+    assert [page.r for page in got] == [page.r for page in want]
+    for g, w in zip(got, want):
+        assert g.dims == w.dims, g.r
+        assert g.diffs.keys() == w.diffs.keys(), g.r
+        assert all(g.diffs[k] == w.diffs[k] for k in w.diffs), g.r
+        for (i, j) in w._reps:
+            assert np.array_equal(g.representatives(i, j), w.representatives(i, j)), (g.r, i, j)

@@ -1,12 +1,15 @@
 """Console entry point: golden outputs, schema conformance, exit codes."""
 
+import collections
 import importlib.resources
 import json
 import pathlib
 
 import jsonschema
+import numpy as np
 import pytest
 
+from hhdx import linalg
 from hhdx.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -123,3 +126,38 @@ def test_schema_rejects_tampered_report():
     report["assertions"][0]["status"] = "maybe"
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, SCHEMA)
+
+
+# Exact eliminations (calls of linalg._rref) per report: a rise means some
+# kernel, image, cohomology group or spectral page is eliminated again.
+ELIMINATIONS = [
+    (["--scenario", "pd-derham", "--prime", "2"], 13),
+    (["--scenario", "p1-cover", "--prime", "2", "--depth", "1"], 30),
+]
+
+
+@pytest.mark.parametrize("argv,expected", ELIMINATIONS, ids=["pd-derham", "p1-cover"])
+def test_each_differential_is_eliminated_once_per_report(argv, expected, capsys, monkeypatch):
+    monkeypatch.delenv("HHDX_THREADS", raising=False)
+    eliminations = []
+    solved = collections.Counter()
+    rref, kernel_basis, image_basis = (linalg._rref, linalg.FpMatrix.kernel_basis,
+                                       linalg.FpMatrix.image_basis)
+
+    def counting_rref(a, p):
+        eliminations.append(np.shape(a))
+        return rref(a, p)
+
+    def counting(kind, method):
+        def wrapper(m):
+            solved[(kind, m.shape, m.a.tobytes())] += 1
+            return method(m)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_rref", counting_rref)
+    monkeypatch.setattr(linalg.FpMatrix, "kernel_basis", counting("kernel", kernel_basis))
+    monkeypatch.setattr(linalg.FpMatrix, "image_basis", counting("image", image_basis))
+    assert main([*argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert solved and max(solved.values()) == 1
+    assert len(eliminations) == expected

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assert_same_pages,
     direct_sum_double,
+    fresh_copy,
+    oracle_cohomology,
+    oracle_kernel_basis,
+    oracle_spectral_sequence,
     random_complex,
     random_double_complex,
     staircase,
@@ -19,7 +24,6 @@ from hhdx.linalg import (
     FpMatrix,
     Subspace,
     cohomology_at,
-    rank_kernel_image,
 )
 
 
@@ -45,7 +49,7 @@ def test_rank_nullity_random():
         for _ in range(25):
             rows, cols = rng.integers(1, 7, size=2)
             m = FpMatrix(p, rng.integers(0, p, size=(rows, cols)))
-            rank, ker, img = rank_kernel_image(m)
+            rank, ker, img = m.rank(), m.kernel_basis(), m.image_basis()
             assert rank + ker.shape[0] == cols
             assert img.shape[0] == rank
             for v in ker:
@@ -231,3 +235,105 @@ def test_first_page_is_vertical_cohomology():
                 d_in = dc.vertical(i, j - 1) if j else None
                 dim, _ = cohomology_at(d_in, d_out, p, dc.dim(i, j))
                 assert page1.dim(i, j) == dim, (i, j)
+
+
+# -- memoized complexes against the uncached oracles in helpers.py ----------------
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 6), st.integers(0, 6), st.integers(0, 10 ** 6))
+def test_kernel_basis_matches_column_loop(p, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    m = FpMatrix(p, rng.integers(0, p, size=(rows, cols)))
+    ker = m.kernel_basis()
+    assert np.array_equal(ker, oracle_kernel_basis(m))
+    assert Subspace._from_rref(p, cols, ker) == Subspace(p, cols, ker)
+    img = m.image_basis()
+    assert Subspace._from_rref(p, rows, img) == Subspace(p, rows, img)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 7), st.integers(0, 10 ** 6))
+def test_batched_unit_vector_test_equals_per_vector_contains(p, n, seed):
+    rng = np.random.default_rng(seed)
+    # mix random rows with unit rows so that both answers occur
+    units = np.eye(n, dtype=np.int64)[rng.integers(0, n, size=rng.integers(0, n + 1))]
+    noise = rng.integers(0, p, size=(rng.integers(0, n), n))
+    space = Subspace(p, n, np.vstack([units, noise]))
+    for k in range(n):
+        assert space.contains_units([k]) == space.contains(np.eye(n, dtype=np.int64)[k])
+    ks = sorted(set(rng.integers(0, n, size=rng.integers(0, n + 1)).tolist()))
+    expected = all(space.contains(np.eye(n, dtype=np.int64)[k]) for k in ks)
+    assert space.contains_units(ks) == expected
+    other = Subspace(p, n, rng.integers(0, p, size=(rng.integers(0, n + 1), n)))
+    assert space.contains_space(other) == all(space.contains(row) for row in other.rows)
+
+
+def test_cached_cohomology_matches_uncached_oracle():
+    rng = np.random.default_rng(77)
+    for p in (2, 3, 5):
+        for _ in range(30):
+            cx = random_complex(p, rng, max_len=4, max_dim=5)
+            degrees = list(range(cx.lo, cx.hi + 1))
+            for m in [*rng.permutation(degrees), *degrees]:
+                m = int(m)
+                d_in, d_out = cx.diffs.get(m - 1), cx.diffs.get(m)
+                kernel, image, (dim, reps) = oracle_cohomology(d_in, d_out, p, cx.dims[m])
+                assert cx.kernel(m) == kernel
+                assert cx.kernel(m).pivots == kernel.pivots
+                assert cx.image(m) == image
+                assert cx.image(m).pivots == image.pivots
+                got_dim, got_reps = cx.cohomology(m)
+                assert got_dim == dim and np.array_equal(got_reps, reps)
+                at_dim, at_reps = cohomology_at(d_in, d_out, p, cx.dims[m])
+                assert at_dim == dim and np.array_equal(at_reps, reps)
+
+
+def test_cached_cohomology_is_read_only():
+    cx = CochainComplex(3, {0: 3, 1: 3}, {0: FpMatrix(3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])})
+    _, reps = cx.cohomology(0)
+    with pytest.raises(ValueError):
+        reps[0, 0] = 2
+    assert cx.cohomology(0)[1] is reps
+
+
+def _staircases_and_random_doubles():
+    yield from (staircase(p, length) for p in (2, 3) for length in (1, 2, 3, 4))
+    rng = np.random.default_rng(808)  # the 50 random double complexes of criterion 8
+    for _ in range(50):
+        yield random_double_complex(int(rng.choice([2, 3, 5])), rng)
+
+
+def test_cached_pages_match_uncached_oracle():
+    for dc in _staircases_and_random_doubles():
+        stab = dc.max_i + dc.max_j + 2
+        want = oracle_spectral_sequence(dc, stab + 1)
+        assert_same_pages(dc.spectral_sequence(2), want[:2])
+        ok, table = dc.convergence_check()
+        assert ok, table
+        assert_same_pages(dc.spectral_sequence(), want[:stab])
+        assert_same_pages([dc.infinity_page()], want[stab - 1:stab])
+        assert_same_pages(dc.spectral_sequence(stab + 1), want)
+        assert_same_pages(dc.spectral_sequence(1), want[:1])
+        # a fresh complex asked for the infinity page first agrees too
+        fresh = fresh_copy(dc)
+        assert_same_pages([fresh.infinity_page()], want[stab - 1:stab])
+        assert_same_pages(fresh.spectral_sequence(), want[:stab])
+        tot = dc.totalize()
+        assert tot is dc.totalize()
+        for m in range(tot.lo, tot.hi + 1):
+            _, _, (dim, reps) = oracle_cohomology(tot.diffs.get(m - 1), tot.diffs.get(m),
+                                                  dc.p, tot.dims[m])
+            assert tot.cohomology(m)[0] == dim and np.array_equal(tot.cohomology(m)[1], reps)
+
+
+def test_mutating_a_returned_page_list_leaves_later_calls_alone():
+    dc = staircase(3, 3)
+    pages = dc.spectral_sequence()
+    before = [repr(page) for page in pages]
+    pages.pop()
+    pages.reverse()
+    pages.append(None)
+    assert [repr(page) for page in dc.spectral_sequence()] == before
+    assert dc.spectral_sequence(2) is not dc.spectral_sequence(2)
+    assert repr(dc.infinity_page()) == before[-1]
