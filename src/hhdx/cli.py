@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,19 +42,6 @@ from .tower import (
 
 SCHEMA_ID = "hhdx-report/1"
 CUP_SEED = 20260816
-
-
-def parallel_map(func, items):
-    """Order-preserving map; HHDX_THREADS > 1 switches to a thread pool."""
-    items = list(items)
-    try:
-        threads = int(os.environ.get("HHDX_THREADS", "1"))
-    except ValueError:
-        threads = 1
-    if threads <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
 
 
 def _plain(value):
@@ -131,10 +116,8 @@ def _point_complex(bimodule):
 def _scenario_a1_hh(args):
     p, r, d, q = args.prime, args.depth, args.degree_bound, args.dp_cap
     config = {"prime": p, "depth": r, "degree_bound": d, "dp_cap": q}
-    twisted, filtered = parallel_map(lambda task: task(), [
-        lambda: hh_of_pair(p, r, d, q),
-        lambda: filtered_hh_sequence("a1", p, r, d, q),
-    ])
+    twisted = hh_of_pair(p, r, d, q)
+    filtered = filtered_hh_sequence("a1", p, r, d, q)
     filtered = {k: v for k, v in filtered.items() if k not in ("graded", "quotient")}
     assertions = []
     _check(assertions, "depth-window-h0-certified", twisted["h0_certified"],
@@ -167,14 +150,14 @@ def _scenario_pd_derham(args):
     config = {"prime": p, "degree_bound": d, "dp_cap": q,
               "plane_degree_bound": plane_d, "plane_dp_cap": plane_q}
 
-    def table(spec):
-        n, db, qb = spec
+    def table(n, db, qb):
         cx, _module, rep = operator_window_koszul(p, n, db, qb)
         rep = dict(rep)
         rep["h_dims"] = {j: cx.cohomology(j)[0] for j in range(n + 1)}
         return rep
 
-    line, plane = parallel_map(table, [(1, d, q), (2, plane_d, plane_q)])
+    line = table(1, d, q)
+    plane = table(2, plane_d, plane_q)
     assertions = []
     _check(assertions, "line-h0-is-multiplication-window",
            line["h0"]["certified_multiplication_operators"],

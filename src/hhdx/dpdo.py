@@ -24,8 +24,6 @@ from __future__ import annotations
 import itertools
 import re
 
-import numpy as np
-
 from . import linalg
 from .errors import CapacityError, DepthError, WindowError
 from .gfp import binomial_mod, require_prime
@@ -636,7 +634,7 @@ class TruncatedOperatorModule:
         """Matrix (over the target window) of a linear map given on basis
         operators.  Raises WindowError if any image leaves the target."""
         target = target or self
-        mat = np.zeros((target.dim, self.dim), dtype=np.int64)
+        mat = linalg.zeros(target.dim, self.dim)
         for col, ab in enumerate(self.basis):
             img = func(DPDOperator(self.algebra, {ab: 1}))
             mat[:, col] = target.vectorize(img)

@@ -34,7 +34,34 @@ from .dpdo import OperatorAlgebra, TruncatedOperatorModule, invert_variable
 from .errors import CapacityError, WindowError
 from .gfp import require_prime
 from .hochschild import Bimodule, bar_differential_matrix
-from .linalg import CochainComplex, DoubleComplex, FpMatrix, Subspace
+from .linalg import CochainComplex, DoubleComplex, Subspace, block_matrix
+
+
+def _face_sum(p, lower, upper, dim, face):
+    """Alternating face-sum matrix from cochains on `lower` to cochains on `upper`.
+
+    Cells are vertex tuples; cell s carries a coefficient space of size
+    dim(s).  The block from tau to sigma is sum_k (-1)^k face(sigma, k) over
+    the faces tau = sigma minus vertex k that lie in `lower`.
+    """
+    col = {tau: c for c, tau in enumerate(lower)}
+    blocks = []
+    for row, sigma in enumerate(upper):
+        for k in range(len(sigma)):
+            tau = sigma[:k] + sigma[k + 1:]
+            if tau in col:
+                blocks.append(((row, col[tau]), (-1) ** k * face(sigma, k)))
+    return block_matrix(p, [dim(s) for s in upper], [dim(t) for t in lower], blocks)
+
+
+def _face_complex(p, cells, dim, face):
+    """Cochain complex over the cell lists cells[0], cells[1], ... whose
+    differentials are the alternating face sums (no cells: zero in degree 0)."""
+    cells = cells or [[]]
+    dims = {q: sum(dim(s) for s in level) for q, level in enumerate(cells)}
+    diffs = {q: _face_sum(p, cells[q], cells[q + 1], dim, face)
+             for q in range(len(cells) - 1)}
+    return CochainComplex(p, dims, diffs)
 
 
 class Poset:
@@ -142,44 +169,21 @@ class SpaceDiagram:
         Dropping the minimal vertex restricts along F(new min) -> F(min);
         all other faces keep the coefficient space.
         """
-        chain_lists = {}
-        i = 0
-        while True:
-            chain_lists[i] = self.poset.chains(i)
-            if not chain_lists[i] or (top is not None and i == top):
+        cells = []
+        for j in itertools.count():
+            chains = self.poset.chains(j)
+            if not chains:
                 break
-            i += 1
-        maxdeg = max(i for i in chain_lists if chain_lists[i]) if chain_lists[0] else 0
-        dims = {}
-        offsets = {}
-        for j in range(0, maxdeg + 1):
-            off = {}
-            total = 0
-            for sigma in chain_lists.get(j, []):
-                off[sigma] = total
-                total += self.dims[sigma[0]]
-            dims[j] = total
-            offsets[j] = off
-        diffs = {}
-        for j in range(0, maxdeg):
-            mat = np.zeros((dims[j + 1], dims[j]), dtype=np.int64)
-            for sigma in chain_lists[j + 1]:
-                row = offsets[j + 1][sigma]
-                for k in range(len(sigma)):
-                    tau = sigma[:k] + sigma[k + 1:]
-                    if tau not in offsets[j]:
-                        continue
-                    col = offsets[j][tau]
-                    if k == 0:
-                        block = self.restriction(sigma[1], sigma[0])
-                    else:
-                        block = np.eye(self.dims[sigma[0]], dtype=np.int64)
-                    sign = -1 if k % 2 else 1
-                    r, c = block.shape
-                    mat[row:row + r, col:col + c] = (mat[row:row + r, col:col + c]
-                                                     + sign * block) % self.p
-            diffs[j] = FpMatrix(self.p, mat)
-        return CochainComplex(self.p, dims, diffs)
+            cells.append(chains)
+            if j == top:
+                break
+
+        def face(sigma, k):
+            if k == 0:
+                return self.restriction(sigma[1], sigma[0])
+            return np.eye(self.dims[sigma[0]], dtype=np.int64)
+
+        return _face_complex(self.p, cells, lambda s: self.dims[s[0]], face)
 
     def nerve_betti(self):
         return self.nerve_complex().betti()
@@ -196,45 +200,18 @@ class SpaceDiagram:
         order = {c: k for k, c in enumerate(cover)}
         if len(order) != len(cover):
             raise ValueError("cover has repeated elements")
-        tuples = {}
-        q = 0
-        while True:
-            ts = [t for t in itertools.combinations(cover, q + 1)
-                  if self.poset.meet(t) is not None]
-            tuples[q] = ts
-            if not ts:
-                break
-            q += 1
-        maxdeg = max((q for q in tuples if tuples[q]), default=0)
-        dims = {}
-        offsets = {}
         meets = {}
-        for q in range(0, maxdeg + 1):
-            off = {}
-            total = 0
-            for t in tuples.get(q, []):
-                meets[t] = self.poset.meet(t)
-                off[t] = total
-                total += self.dims[meets[t]]
-            dims[q] = total
-            offsets[q] = off
-        diffs = {}
-        for q in range(0, maxdeg):
-            mat = np.zeros((dims[q + 1], dims[q]), dtype=np.int64)
-            for t in tuples[q + 1]:
-                row = offsets[q + 1][t]
-                for k in range(len(t)):
-                    s = t[:k] + t[k + 1:]
-                    if s not in offsets[q]:
-                        continue
-                    col = offsets[q][s]
-                    block = self.restriction(meets[s], meets[t])
-                    sign = -1 if k % 2 else 1
-                    r, c = block.shape
-                    mat[row:row + r, col:col + c] = (mat[row:row + r, col:col + c]
-                                                     + sign * block) % self.p
-            diffs[q] = FpMatrix(self.p, mat)
-        return CochainComplex(self.p, dims, diffs)
+        cells = []
+        for q in range(len(cover)):
+            level = {t: m for t in itertools.combinations(cover, q + 1)
+                     if (m := self.poset.meet(t)) is not None}
+            if not level:
+                break
+            meets.update(level)
+            cells.append(list(level))
+        return _face_complex(
+            self.p, cells, lambda t: self.dims[meets[t]],
+            lambda t, k: self.restriction(meets[t[:k] + t[k + 1:]], meets[t]))
 
     def cech_betti(self, cover):
         return self.cech_complex(cover).betti()
@@ -453,17 +430,11 @@ class GSComplex:
                 * self.diagram.bimodules[sigma[0]].dim)
 
     def _vertical(self, i, j):
-        blocks = [bar_differential_matrix(self._pulled[sigma], j).a
-                  for sigma in self.chains[i]]
-        total_rows = sum(b.shape[0] for b in blocks)
-        total_cols = sum(b.shape[1] for b in blocks)
-        mat = np.zeros((total_rows, total_cols), dtype=np.int64)
-        r = c = 0
-        for b in blocks:
-            mat[r:r + b.shape[0], c:c + b.shape[1]] = b
-            r += b.shape[0]
-            c += b.shape[1]
-        return FpMatrix(self.p, mat)
+        cs = self.chains[i]
+        return block_matrix(self.p, [self.block_dim(s, j + 1) for s in cs],
+                            [self.block_dim(s, j) for s in cs],
+                            {(k, k): bar_differential_matrix(self._pulled[s], j)
+                             for k, s in enumerate(cs)})
 
     def _face_matrix(self, sigma, k, j):
         """Matrix of the k-th face map C^j(face) -> C^j(sigma)."""
@@ -482,22 +453,9 @@ class GSComplex:
         return np.eye(n_sigma ** j * m_sigma, dtype=np.int64)
 
     def _horizontal(self, i, j):
-        rows = sum(self.block_dim(s, j) for s in self.chains[i + 1])
-        cols = sum(self.block_dim(s, j) for s in self.chains[i])
-        mat = np.zeros((rows, cols), dtype=np.int64)
-        for sigma in self.chains[i + 1]:
-            row = self.offsets[(i + 1, j)][sigma]
-            for k in range(len(sigma)):
-                tau = sigma[:k] + sigma[k + 1:]
-                if tau not in self.offsets[(i, j)]:
-                    continue
-                col = self.offsets[(i, j)][tau]
-                block = self._face_matrix(sigma, k, j)
-                sign = -1 if k % 2 else 1
-                r, c = block.shape
-                mat[row:row + r, col:col + c] = (mat[row:row + r, col:col + c]
-                                                 + sign * block) % self.p
-        return FpMatrix(self.p, mat)
+        return _face_sum(self.p, self.chains[i], self.chains[i + 1],
+                         lambda s: self.block_dim(s, j),
+                         lambda s, k: self._face_matrix(s, k, j))
 
     # -- cochain utilities ------------------------------------------------------
 
@@ -584,34 +542,6 @@ class GSComplex:
 
 
 # -- windowed operator scenarios on the line and the two-chart projective line -----
-
-
-def _block_diag(p, blocks):
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    mat = np.zeros((rows, cols), dtype=np.int64)
-    r = c = 0
-    for b in blocks:
-        mat[r:r + b.rows, c:c + b.cols] = b.a
-        r += b.rows
-        c += b.cols
-    return FpMatrix(p, mat)
-
-
-def _assemble(p, row_dims, col_dims, blocks):
-    """Block matrix from {(row_index, col_index): FpMatrix}."""
-    row_off = np.concatenate([[0], np.cumsum(row_dims)])
-    col_off = np.concatenate([[0], np.cumsum(col_dims)])
-    mat = np.zeros((int(row_off[-1]), int(col_off[-1])), dtype=np.int64)
-    for (ri, ci), b in blocks.items():
-        mat[row_off[ri]:row_off[ri] + b.rows,
-            col_off[ci]:col_off[ci] + b.cols] = b.a
-    return FpMatrix(p, mat)
-
-
-def _window_map(src, dst, func):
-    """Matrix of a map between operator windows given on operator terms."""
-    return src.operator_matrix(func, target=dst)
 
 
 def _transport(dst_algebra):
@@ -725,25 +655,27 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
 
         vertex_dims = [m_u0.dim, m_u1.dim, m_u01.dim]
         faces0 = {
-            (0, 0): _window_map(m_u0, m_edge0, _transport(alg_l)),
-            (0, 2): _window_map(m_u01, m_edge0, lambda m: m).scale(-1),
-            (1, 1): _window_map(m_u1, m_edge0, chart_change),
-            (1, 2): _window_map(m_u01, m_edge0, lambda m: m).scale(-1),
+            (0, 0): m_u0.operator_matrix(_transport(alg_l), target=m_edge0),
+            (0, 2): -m_u01.operator_matrix(lambda m: m, target=m_edge0),
+            (1, 1): m_u1.operator_matrix(chart_change, target=m_edge0),
+            (1, 2): -m_u01.operator_matrix(lambda m: m, target=m_edge0),
         }
         faces1 = {
-            (0, 0): _window_map(m_u0, m_edge1, _transport(alg_l)),
-            (0, 2): _window_map(m_u01, m_edge1, lambda m: m).scale(-1),
-            (1, 1): _window_map(m_u1, m_edge1, chart_change),
+            (0, 0): m_u0.operator_matrix(_transport(alg_l), target=m_edge1),
+            (0, 2): -m_u01.operator_matrix(lambda m: m, target=m_edge1),
+            (1, 1): m_u1.operator_matrix(chart_change, target=m_edge1),
             # minus the comparison map m -> -u^-1 m u^-1
-            (1, 2): _window_map(m_u01, m_edge1, sandwich),
+            (1, 2): m_u01.operator_matrix(sandwich, target=m_edge1),
         }
         d_h = {
-            (0, 0): _assemble(p, [m_edge0.dim] * 2, vertex_dims, faces0),
-            (0, 1): _assemble(p, [m_edge1.dim] * 2, vertex_dims, faces1),
+            (0, 0): block_matrix(p, [m_edge0.dim] * 2, vertex_dims, faces0),
+            (0, 1): block_matrix(p, [m_edge1.dim] * 2, vertex_dims, faces1),
         }
         d_v = {
-            (0, 0): _block_diag(p, [k_u0, k_u1, k_u01]),
-            (1, 0): _block_diag(p, [k_e0, k_e1]),
+            (0, 0): block_matrix(p, vertex_dims, vertex_dims,
+                                 {(0, 0): k_u0, (1, 1): k_u1, (2, 2): k_u01}),
+            (1, 0): block_matrix(p, [m_edge1.dim] * 2, [m_edge0.dim] * 2,
+                                 {(0, 0): k_e0, (1, 1): k_e1}),
         }
         dims = {
             (0, 0): sum(vertex_dims),

@@ -29,7 +29,7 @@ import numpy as np
 from .dpdo import OperatorAlgebra, TruncatedOperatorModule
 from .errors import CapacityError, WindowError
 from .gfp import require_prime
-from .linalg import CochainComplex, FpMatrix, Subspace
+from .linalg import CochainComplex, FpMatrix, Subspace, block_matrix
 
 MAX_ALGEBRA_DIM = 12
 MAX_BAR_DEGREE = 3
@@ -313,20 +313,14 @@ def koszul_commutator_complex(p, dim, matrices):
     dims = {j: len(subsets[j]) * dim for j in range(n + 1)}
     diffs = {}
     for j in range(n):
-        src = subsets[j]
         tgt = {s: k for k, s in enumerate(subsets[j + 1])}
-        mat = np.zeros((dims[j + 1], dims[j]), dtype=np.int64)
-        for col_block, s in enumerate(src):
+        blocks = []
+        for col, s in enumerate(subsets[j]):
             for i in range(n):
-                if i in s:
-                    continue
-                new = tuple(sorted(s + (i,)))
-                sign = (-1) ** sum(1 for x in s if x < i)
-                row_block = tgt[new]
-                block = (sign * mats[i]) % p
-                mat[row_block * dim:(row_block + 1) * dim,
-                    col_block * dim:(col_block + 1) * dim] = block
-        diffs[j] = FpMatrix(p, mat)
+                if i not in s:
+                    sign = (-1) ** sum(x < i for x in s)
+                    blocks.append(((tgt[tuple(sorted(s + (i,)))], col), sign * mats[i]))
+        diffs[j] = block_matrix(p, [dim] * len(tgt), [dim] * len(subsets[j]), blocks)
     return CochainComplex(p, dims, diffs)
 
 

@@ -6,7 +6,8 @@ echelon form, kernel basis and cohomology representative is deterministic.
 On top of the matrix layer sit bounded cochain complexes, first-quadrant
 double complexes (sign convention: d = d_h + (-1)^i d_v on column i), and
 the spectral sequence of the column filtration computed through explicit
-subquotient bases.
+subquotient bases.  Block-structured differentials (totalizations, Koszul
+and nerve complexes, tower resolutions) are all built by `block_matrix`.
 
 Each complex memoizes what it eliminates: a CochainComplex its kernels,
 images and cohomology, a DoubleComplex its total differentials, filtered
@@ -26,14 +27,25 @@ from .errors import CapacityError
 MAX_MATRIX_ENTRIES = 40_000_000
 
 
+def _check_capacity(rows, cols):
+    if rows * cols > MAX_MATRIX_ENTRIES:
+        raise CapacityError(f"dense matrix with {rows * cols} entries exceeds capacity")
+
+
+def zeros(rows, cols):
+    """A rows x cols int64 zero array, refused before allocation when it
+    would exceed MAX_MATRIX_ENTRIES."""
+    _check_capacity(rows, cols)
+    return np.zeros((rows, cols), dtype=np.int64)
+
+
 def _as_array(p, data, rows=None, cols=None):
     a = np.asarray(data, dtype=np.int64)
     if a.ndim == 1:
         a = a.reshape(1, -1) if rows in (None, 1) else a.reshape(-1, 1)
     if a.ndim != 2:
         raise ValueError("matrix data must be 2-dimensional")
-    if a.size > MAX_MATRIX_ENTRIES:
-        raise CapacityError(f"dense matrix with {a.size} entries exceeds capacity")
+    _check_capacity(*a.shape)
     return np.mod(a, p)
 
 
@@ -77,9 +89,7 @@ class FpMatrix:
 
     @classmethod
     def zeros(cls, p, rows, cols):
-        if rows * cols > MAX_MATRIX_ENTRIES:
-            raise CapacityError(f"dense matrix with {rows * cols} entries exceeds capacity")
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
+        return cls(p, zeros(rows, cols))
 
     @classmethod
     def identity(cls, p, n):
@@ -170,11 +180,12 @@ class Subspace:
     def __init__(self, p, n, rows=None):
         self.p = p
         self.n = n
-        if rows is None or len(rows) == 0:
+        rows = np.asarray([] if rows is None else rows, dtype=np.int64)
+        if rows.size:
+            self.rows, self.pivots = _rref(rows.reshape(-1, n), p)
+        else:  # no rows, or rows of length 0
             self.rows = np.zeros((0, n), dtype=np.int64)
             self.pivots = ()
-        else:
-            self.rows, self.pivots = _rref(np.asarray(rows, dtype=np.int64).reshape(-1, n), p)
 
     @classmethod
     def _from_rref(cls, p, n, rows):
@@ -274,6 +285,25 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.n}, p={self.p})"
+
+
+def block_matrix(p, row_dims, col_dims, blocks):
+    """Block matrix with the given row and column block sizes.
+
+    blocks maps (row block, col block) to an FpMatrix or an int array, or is
+    an iterable of such pairs; contributions to one block add, absent blocks
+    are zero, and the sum is reduced mod p once.
+    """
+    row_off = np.concatenate([[0], np.cumsum(row_dims, dtype=np.int64)])
+    col_off = np.concatenate([[0], np.cumsum(col_dims, dtype=np.int64)])
+    mat = zeros(int(row_off[-1]), int(col_off[-1]))
+    for (r, c), block in (blocks.items() if isinstance(blocks, dict) else blocks):
+        block = block.a if isinstance(block, FpMatrix) else np.asarray(block, dtype=np.int64)
+        slot = mat[row_off[r]:row_off[r + 1], col_off[c]:col_off[c + 1]]
+        if block.shape != slot.shape:
+            raise ValueError(f"block {(r, c)} has shape {block.shape}, expected {slot.shape}")
+        slot += block
+    return FpMatrix(p, mat)
 
 
 def _kernel_space(d, p, dim):
@@ -451,18 +481,13 @@ class DoubleComplex:
             return self._tot_cache[n]
         src = self.total_blocks(n)
         tgt = self.total_blocks(n + 1)
-        mat = np.zeros((sum(b[3] for b in tgt), sum(b[3] for b in src)), dtype=np.int64)
-        tgt_off = {(i, j): off for i, j, off, _ in tgt}
-        for i, j, off, d in src:
-            h = self.d_h.get((i, j))
-            if h is not None and (i + 1, j) in tgt_off:
-                o = tgt_off[(i + 1, j)]
-                mat[o:o + h.rows, off:off + d] = h.a
-            v = self.d_v.get((i, j))
-            if v is not None and (i, j + 1) in tgt_off:
-                o = tgt_off[(i, j + 1)]
-                mat[o:o + v.rows, off:off + d] = v.a
-        out = FpMatrix(self.p, mat)
+        tgt_index = {(i, j): k for k, (i, j, _, _) in enumerate(tgt)}
+        blocks = []
+        for col, (i, j, _, _) in enumerate(src):
+            for part, target in ((self.d_h, (i + 1, j)), (self.d_v, (i, j + 1))):
+                if (i, j) in part and target in tgt_index:
+                    blocks.append(((tgt_index[target], col), part[(i, j)]))
+        out = block_matrix(self.p, [b[3] for b in tgt], [b[3] for b in src], blocks)
         self._tot_cache[n] = out
         return out
 

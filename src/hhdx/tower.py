@@ -44,15 +44,9 @@ import numpy as np
 from .dpdo import OperatorAlgebra, TruncatedOperatorModule
 from .errors import CapacityError, WindowError
 from .gfp import SemilinearMap, fitting_decomposition, require_prime
-from .linalg import CochainComplex, FpMatrix, Subspace
+from .linalg import CochainComplex, FpMatrix, Subspace, block_matrix
 
 MAX_TOWER_LEVELS = 64
-
-
-def _space(p, n, rows):
-    """Subspace of F_p^n spanned by the given rows, safe for empty data."""
-    rows = np.asarray(rows, dtype=np.int64)
-    return Subspace(p, n, rows if rows.size else None)
 
 
 class Tower:
@@ -109,21 +103,15 @@ class Tower:
 
     def image_at(self, r, s):
         """I_{r,s} = im(M_s -> M_r) as a Subspace."""
-        return _space(self.p, self.dims[r], self.composite(s, r).transpose().a)
+        return Subspace(self.p, self.dims[r], self.composite(s, r).transpose().a)
 
     def resolution(self):
         """Phi : prod_{r<=R} M_r -> prod_{r<R} M_r, x |-> (x_r - f_r x_{r+1})."""
-        rows = sum(self.dims[:-1])
-        cols = sum(self.dims)
-        mat = np.zeros((rows, cols), dtype=np.int64)
-        row_off = [0] + list(np.cumsum(self.dims[:-1]))
-        col_off = [0] + list(np.cumsum(self.dims))
-        for r in range(self.top):
-            d = self.dims[r]
-            mat[row_off[r]:row_off[r] + d, col_off[r]:col_off[r] + d] = np.eye(d, dtype=np.int64)
-            mat[row_off[r]:row_off[r] + d,
-                col_off[r + 1]:col_off[r + 1] + self.dims[r + 1]] = (-self.transitions[r].a) % self.p
-        return FpMatrix(self.p, mat)
+        blocks = {}
+        for r, f in enumerate(self.transitions):
+            blocks[(r, r)] = np.eye(self.dims[r], dtype=np.int64)
+            blocks[(r, r + 1)] = -f.a
+        return block_matrix(self.p, self.dims[:-1], self.dims, blocks)
 
     def limit_report(self):
         """Raw kernel/cokernel of Phi plus certified stable-image data."""
@@ -136,7 +124,7 @@ class Tower:
 
         # the raw kernel projects onto the bottom stable image
         kernel = phi.kernel_basis()
-        bottom = _space(self.p, self.dims[0], kernel[:, :self.dims[0]])
+        bottom = Subspace(self.p, self.dims[0], kernel[:, :self.dims[0]])
         if bottom != self.image_at(0, self.top):
             raise AssertionError("kernel projection differs from the stable image")
 
@@ -188,7 +176,7 @@ def proper_tower_report(p, matrix, levels=None):
     tower = Tower.constant(p, FpMatrix(p, f.iterate_matrix(1)), levels)
     report = tower.limit_report()
     _, semi_rows = fitting_decomposition(f)
-    semi = _space(p, n, semi_rows)
+    semi = Subspace(p, n, semi_rows)
     if not report["certified"]:
         raise AssertionError("constant tower failed to certify at dim+1 levels")
     if report["certified_lim_dim"] != semi.dim or tower.image_at(0, tower.top) != semi:
@@ -237,9 +225,9 @@ def semisimple_cohomology_check(complex_, endos):
         # im(F^N) for any N >= dim equals the Fitting part; one global N
         # makes d-stability exact: d(im F^N) = im(F^N restricted past d).
         power = FpMatrix(p, f.iterate_matrix(max(big, 1)))
-        semis[m] = _space(p, n, power.transpose().a)
+        semis[m] = Subspace(p, n, power.transpose().a)
         _, semi_rows = fitting_decomposition(f)
-        if semis[m] != _space(p, n, semi_rows):
+        if semis[m] != Subspace(p, n, semi_rows):
             raise AssertionError("stabilized image differs from the Fitting part")
 
     # side one: cohomology of the restricted subcomplex, in coordinates
@@ -264,11 +252,8 @@ def semisimple_cohomology_check(complex_, endos):
         h_dim, reps = complex_.cohomology(m)
         if h_dim:
             f = SemilinearMap(p, endos[m])
-            prev = complex_.differential(m - 1) if m - 1 in complex_.dims else None
-            boundaries = _space(p, complex_.dims[m],
-                                prev.transpose().a if prev is not None
-                                else np.zeros((0, complex_.dims[m])))
-            rep_space = _space(p, complex_.dims[m], reps)
+            boundaries = complex_.image(m)
+            rep_space = Subspace(p, complex_.dims[m], reps)
             cols = []
             for v in reps:
                 w = boundaries.reduce(f.apply(v))
@@ -390,19 +375,12 @@ def hasse_invariant(p, cubic):
 def _validated_shifted_cubic(p, cubic):
     """Validate the model and translate it off x = 0.
 
-    Returns (f, f_shifted, shift, hasse) with f reduced mod p.  Raises
-    ValueError for even primes, non-cubics, singular curves, and cubics
+    Returns (f_shifted, shift, hasse).  Raises ValueError for even primes,
+    non-cubics, singular curves (all through hasse_invariant), and cubics
     vanishing at every point of the prime field (no usable translate).
     """
-    require_prime(p)
-    if p == 2:
-        raise ValueError("the double cover model needs an odd prime")
+    hasse = hasse_invariant(p, cubic)
     f = _poly_trim([c % p for c in cubic])
-    if len(f) != 4:
-        raise ValueError("a cubic in x is required")
-    if len(_poly_gcd(f, _poly_deriv(f, p), p)) > 1:
-        raise ValueError("singular curve: gcd(f, f') is not constant")
-    hasse = hasse_invariant(p, f)
     shift = next((c for c in range(p) if _poly_eval(f, c, p) != 0), None)
     if shift is None:
         raise ValueError("no translate of the cubic avoids x = 0; "
@@ -410,7 +388,7 @@ def _validated_shifted_cubic(p, cubic):
     fs = _poly_shift(f, shift, p)
     if hasse_invariant(p, fs) != hasse:
         raise AssertionError("translation changed the Hasse coefficient")
-    return f, fs, shift, hasse
+    return fs, shift, hasse
 
 
 class _ChartWindow:
@@ -438,8 +416,8 @@ class _ChartWindow:
         affine += [self.y_idx(i) for i in range(0, w + 1)]
         infinity = [self.x_idx(-j) for j in range(0, w + 1)]
         infinity += [self.y_idx(i) for i in range(-w, -1)]
-        self.charts = _space(p, self.dim, unit_rows(affine)).sum(
-            _space(p, self.dim, unit_rows(infinity)))
+        self.charts = Subspace(p, self.dim, unit_rows(affine)).sum(
+            Subspace(p, self.dim, unit_rows(infinity)))
         self.reps = Subspace.full(p, self.dim).quotient_reps(self.charts)
         if self.reps.dim != 1:
             raise AssertionError(
@@ -496,7 +474,7 @@ def elliptic_frobenius_report(p, cubic, window=None):
     does not change the invariant, and the report re-checks that); if no
     such c exists the model is rejected.
     """
-    _, fs, shift, hasse = _validated_shifted_cubic(p, cubic)
+    fs, shift, hasse = _validated_shifted_cubic(p, cubic)
     w = 3 * p if window is None else int(window)
     if w < 2 * p:
         raise WindowError("window too small for the Frobenius expansion")
@@ -530,7 +508,7 @@ def elliptic_frobenius_module_check(p, cubic, powers=(0, 1, 2)):
     F(x^k) . F(xi) = x^(pk) . (lambda xi) = lambda . class(y x^(pk-1)).
     Both sides are reduced independently through the chart window.
     """
-    _, fs, shift, hasse = _validated_shifted_cubic(p, cubic)
+    fs, shift, hasse = _validated_shifted_cubic(p, cubic)
     w = 3 * p
     chart = _ChartWindow(p, w)
     power = _poly_pow(fs, (p - 1) // 2, p)

@@ -38,8 +38,7 @@ GOLDEN_CASES = [
 
 @pytest.mark.parametrize("argv,golden", GOLDEN_CASES,
                          ids=[g.removesuffix(".json") for _, g in GOLDEN_CASES])
-def test_json_reports_are_byte_identical_to_goldens(argv, golden, capsys, monkeypatch):
-    monkeypatch.delenv("HHDX_THREADS", raising=False)
+def test_json_reports_are_byte_identical_to_goldens(argv, golden, capsys):
     assert main([*argv, "--json"]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / golden).read_text()
@@ -55,22 +54,6 @@ def test_text_mode_summarizes_every_assertion(capsys):
     assert "scenario: proper-hh" in out
     assert out.count("[PASS]") == 2
     assert "ok: true" in out
-
-
-def test_threaded_run_is_byte_identical(capsys, monkeypatch):
-    argv = ["--scenario", "pd-derham", "--prime", "2", "--json"]
-    monkeypatch.setenv("HHDX_THREADS", "4")
-    assert main(argv) == 0
-    threaded = capsys.readouterr().out
-    monkeypatch.setenv("HHDX_THREADS", "1")
-    assert main(argv) == 0
-    assert capsys.readouterr().out == threaded
-
-
-def test_bad_thread_env_falls_back_to_serial(capsys, monkeypatch):
-    monkeypatch.setenv("HHDX_THREADS", "lots")
-    assert main(["--scenario", "pd-derham", "--prime", "2", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_unknown_scenario_exits_2(capsys):
@@ -98,7 +81,10 @@ def test_invalid_configuration_exits_3(argv, capsys):
     ["--scenario", "p1-cover", "--prime", "2", "--depth", "1", "--degree-bound", "2"],
     ["--scenario", "cup-ring-map", "--prime", "3", "--depth", "2",
      "--degree-bound", "4"],
-], ids=["a1-window", "p1-window", "cup-window"])
+    # a 160801 x 160801 operator matrix: refused before it is allocated
+    ["--scenario", "pd-derham", "--prime", "5", "--degree-bound", "400",
+     "--dp-cap", "400"],
+], ids=["a1-window", "p1-window", "cup-window", "pd-derham-capacity"])
 def test_window_too_small_exits_4(argv, capsys):
     assert main(argv) == 4
     assert "capacity/window" in capsys.readouterr().err
@@ -138,7 +124,6 @@ ELIMINATIONS = [
 
 @pytest.mark.parametrize("argv,expected", ELIMINATIONS, ids=["pd-derham", "p1-cover"])
 def test_each_differential_is_eliminated_once_per_report(argv, expected, capsys, monkeypatch):
-    monkeypatch.delenv("HHDX_THREADS", raising=False)
     eliminations = []
     solved = collections.Counter()
     rref, kernel_basis, image_basis = (linalg._rref, linalg.FpMatrix.kernel_basis,

@@ -1,5 +1,7 @@
 """Exact linear algebra, cochain complexes, spectral sequences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from hhdx.linalg import (
     DoubleComplex,
     FpMatrix,
     Subspace,
+    block_matrix,
     cohomology_at,
 )
 
@@ -74,6 +77,30 @@ def test_matrix_ops():
         FpMatrix.zeros(2, 100_000, 100_000)
 
 
+def test_block_matrix_places_adds_and_reduces_blocks():
+    p = 5
+    a = FpMatrix(p, [[1, 2], [3, 4]])
+    # block (0, 1) gets two contributions, block (1, 0) a negative int array,
+    # blocks (0, 0) and (1, 1) none
+    m = block_matrix(p, [2, 1], [1, 2], [((0, 1), a), ((0, 1), a), ((1, 0), [[-1]])])
+    assert m.tolist() == [[0, 2, 4], [0, 1, 3], [4, 0, 0]]
+    assert block_matrix(p, [2], [2], {(0, 0): -a.a}) == -a
+    assert block_matrix(p, [], [3], {}).shape == (0, 3)
+    with pytest.raises(ValueError):
+        block_matrix(p, [1, 2], [2], {(0, 0): a})
+
+
+def test_block_matrix_refuses_over_capacity_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            block_matrix(2, [10 ** 5], [10 ** 5], {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.integers(0, 10 ** 6))
 def test_subspace_dimension_formula(p, n, seed):
@@ -104,6 +131,8 @@ def test_subspace_reduce_express():
     assert not r.any()
     r2 = u.reduce(w)
     assert np.array_equal(u.reduce(r2), r2)
+    # rows of length 0 (a map out of the zero space) span the zero subspace
+    assert Subspace(p, 0, np.zeros((3, 0), dtype=np.int64)).dim == 0
 
 
 def test_circle_cochain_complex():
