@@ -654,11 +654,12 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
             return (u_inv * m) * u_inv
 
         vertex_dims = [m_u0.dim, m_u1.dim, m_u01.dim]
+        minus_inclusion0 = -m_u01.operator_matrix(lambda m: m, target=m_edge0)
         faces0 = {
             (0, 0): m_u0.operator_matrix(_transport(alg_l), target=m_edge0),
-            (0, 2): -m_u01.operator_matrix(lambda m: m, target=m_edge0),
+            (0, 2): minus_inclusion0,
             (1, 1): m_u1.operator_matrix(chart_change, target=m_edge0),
-            (1, 2): -m_u01.operator_matrix(lambda m: m, target=m_edge0),
+            (1, 2): minus_inclusion0,
         }
         faces1 = {
             (0, 0): m_u0.operator_matrix(_transport(alg_l), target=m_edge1),

@@ -29,7 +29,7 @@ import numpy as np
 from .dpdo import OperatorAlgebra, TruncatedOperatorModule
 from .errors import CapacityError, WindowError
 from .gfp import require_prime
-from .linalg import CochainComplex, FpMatrix, Subspace, block_matrix
+from .linalg import CochainComplex, FpMatrix, Subspace, _check_capacity, block_matrix
 
 MAX_ALGEBRA_DIM = 12
 MAX_BAR_DEGREE = 3
@@ -233,8 +233,7 @@ def bar_differential_matrix(bimodule, j):
     m = bimodule.dim
     rows = n ** (j + 1) * m
     cols = n ** j * m
-    if rows * cols > 40_000_000:
-        raise CapacityError("bar differential exceeds matrix capacity")
+    _check_capacity(rows, cols)
     eye_front = np.eye(n ** j, dtype=np.int64)
     # insertion of a_0 through the left action
     stack_l = np.concatenate(bimodule.left, axis=0)  # ((i0, t), s)
@@ -350,11 +349,9 @@ def operator_window_koszul(p, n, degree_bound, dp_bound, laurent=False):
     dim0, reps0 = cx.cohomology(0)
     mult_coords = sorted(module.index[(a, b)] for (a, b) in module.basis
                          if all(e == 0 for e in b))
-    expected = np.zeros((len(mult_coords), module.dim), dtype=np.int64)
-    for row, c in enumerate(mult_coords):
-        expected[row, c] = 1
+    expected = Subspace.units(p, module.dim, mult_coords)
     # both sides are canonical RREF bases, so equal spans means equal rows
-    certified0 = dim0 == len(mult_coords) and np.array_equal(reps0, expected)
+    certified0 = dim0 == len(mult_coords) and np.array_equal(reps0, expected.rows)
     report["h0"] = {"dim": dim0, "certified_multiplication_operators": bool(certified0)}
 
     # top degree: surjectivity onto the dp <= dp_bound - 1 sub-window
@@ -394,14 +391,22 @@ def _middle_window_vanishes(cx, module, j, window):
             if all(e <= window for e in b)]
     if not keep:
         return True
-    w_rows = np.zeros((len(keep), dim_j), dtype=np.int64)
-    for row, c in enumerate(keep):
-        w_rows[row, c] = 1
-    small = cx.kernel(j).intersect(Subspace._from_rref(p, dim_j, w_rows))
+    small = cx.kernel(j).intersect(Subspace.units(p, dim_j, keep))
     return cx.image(j).contains_space(small)
 
 
 # -- quotient endomorphism model (bar vs Koszul oracle) ----------------------------
+
+
+def _end_module(p, s):
+    """End(F_p[x]/(x^(p^s))) as the operator window x^a D^(b), a, b < p^s."""
+    q = p ** s
+    return TruncatedOperatorModule(OperatorAlgebra(p, 1, names=("x",)), q - 1, q - 1)
+
+
+def _end_matrix(module, s, func):
+    """Matrix on the _end_module basis of op |-> func(op) in the quotient."""
+    return module.operator_matrix(lambda op: func(op).quotient_reduce(s))
 
 
 def quotient_end_model(p, s):
@@ -419,37 +424,23 @@ def quotient_end_model(p, s):
     if q > 9:
         raise CapacityError("quotient endomorphism model exceeds bar capacity")
     algebra = StructAlgebra.truncated_polynomial(p, q)
-    op_alg = OperatorAlgebra(p, 1, names=("x",))
-    basis = [((a,), (b,)) for a in range(q) for b in range(q)]
-    index = {ab: k for k, ab in enumerate(basis)}
-    m = len(basis)
-    x_op = op_alg.variable()
-
-    def mat_of(action):
-        out = np.zeros((m, m), dtype=np.int64)
-        for col, ab in enumerate(basis):
-            img = action(op_alg.from_terms({ab: 1})).quotient_reduce(s)
-            for key, c in img.terms.items():
-                out[index[key], col] = c
-        return out
-
-    lx = mat_of(lambda op: x_op * op)
-    rx = mat_of(lambda op: op * x_op)
-    eye = np.eye(m, dtype=np.int64)
+    module = _end_module(p, s)
+    x_op = module.algebra.variable()
+    lx = _end_matrix(module, s, lambda op: x_op * op).a
+    rx = _end_matrix(module, s, lambda op: op * x_op).a
+    eye = np.eye(module.dim, dtype=np.int64)
     left = [eye.copy()]
     right = [eye.copy()]
     for _ in range(1, q):
         left.append((lx @ left[-1]) % p)
         right.append((rx @ right[-1]) % p)
-    # internal product: composition of endomorphisms in the quotient
-    prod = np.zeros((m, m, m), dtype=np.int64)
-    for i1, ab1 in enumerate(basis):
-        for i2, ab2 in enumerate(basis):
-            op = (op_alg.from_terms({ab1: 1}) * op_alg.from_terms({ab2: 1})).quotient_reduce(s)
-            for key, c in op.terms.items():
-                prod[i1, i2, index[key]] = c
+    # internal product: prod[e, f, g] is the e_g-coefficient of the composite
+    # e f, so prod[e] is the transpose of the matrix of f |-> e f
+    prod = np.stack([
+        _end_matrix(module, s, lambda op, e=module.algebra.from_terms({ab: 1}): e * op).a.T
+        for ab in module.basis])
     bimodule = Bimodule(algebra, left, right, product=prod)
-    return algebra, bimodule, basis
+    return algebra, bimodule, module.basis
 
 
 def hh_of_pair(p, r, degree_bound, dp_bound):
@@ -506,24 +497,15 @@ def periodic_vs_bar_certificate(p, s, top=1):
     faithful cyclic commutative action is the algebra itself, so HH^0 has
     dimension q with the multiplication operators as its basis.
     """
-    algebra, bimodule, basis = quotient_end_model(p, s)
+    _, bimodule, _ = quotient_end_model(p, s)
     q = p ** s
-    m = len(basis)
     bar = hochschild_cohomology(bimodule, top)
 
-    op_alg = OperatorAlgebra(p, 1, names=("x",))
-    index = {ab: k for k, ab in enumerate(basis)}
-
-    def mat_of(func):
-        out = np.zeros((m, m), dtype=np.int64)
-        for col, ab in enumerate(basis):
-            img = func(op_alg.from_terms({ab: 1})).quotient_reduce(s)
-            for key, c in img.terms.items():
-                out[index[key], col] = c
-        return FpMatrix(p, out)
-
+    module = _end_module(p, s)
+    m = module.dim
+    op_alg = module.algebra
     x_op = op_alg.variable()
-    ad_x = mat_of(lambda op: x_op.commutator(op))
+    ad_x = _end_matrix(module, s, x_op.commutator)
 
     def norm_map(op):
         total = op_alg.zero()
@@ -533,7 +515,7 @@ def periodic_vs_bar_certificate(p, s, top=1):
             total = total + (left * op * right).quotient_reduce(s)
         return total
 
-    u_star = mat_of(norm_map)
+    u_star = _end_matrix(module, s, norm_map)
     dims = {j: m for j in range(top + 2)}
     diffs = {j: (ad_x if j % 2 == 0 else u_star) for j in range(top + 1)}
     periodic = CochainComplex(p, dims, diffs)
@@ -541,10 +523,7 @@ def periodic_vs_bar_certificate(p, s, top=1):
     bar_table = {j: bar[j][0] for j in bar}
 
     # degree-0 closed form: the multiplication operators x^a, a < q
-    mult_rows = np.zeros((q, m), dtype=np.int64)
-    for a in range(q):
-        mult_rows[a, index[((a,), (0,))]] = 1
-    expected0 = Subspace(p, m, mult_rows)
+    expected0 = Subspace.units(p, m, [module.index[((a,), (0,))] for a in range(q)])
     bar0 = Subspace(p, m, bar[0][1])
     per0 = Subspace(p, m, periodic.cohomology(0)[1])
     h0_certified = (bar_table[0] == q == periodic_table[0]

@@ -7,7 +7,8 @@ On top of the matrix layer sit bounded cochain complexes, first-quadrant
 double complexes (sign convention: d = d_h + (-1)^i d_v on column i), and
 the spectral sequence of the column filtration computed through explicit
 subquotient bases.  Block-structured differentials (totalizations, Koszul
-and nerve complexes, tower resolutions) are all built by `block_matrix`.
+and nerve complexes, tower resolutions) are all built by `block_matrix`,
+and every span of unit vectors (coordinate subspace) by `Subspace.units`.
 
 Each complex memoizes what it eliminates: a CochainComplex its kernels,
 images and cohomology, a DoubleComplex its total differentials, filtered
@@ -159,8 +160,7 @@ class FpMatrix:
         free = np.setdiff1d(np.arange(self.cols), pivots)
         if not free.size:
             return np.zeros((0, self.cols), dtype=np.int64)
-        basis = np.zeros((free.size, self.cols), dtype=np.int64)
-        basis[np.arange(free.size), free] = 1
+        basis = Subspace.units(self.p, self.cols, free).rows
         basis[:, list(pivots)] = (-red[:, free].T) % self.p
         return _rref(basis, self.p)[0]
 
@@ -197,8 +197,15 @@ class Subspace:
         return out
 
     @classmethod
+    def units(cls, p, n, indices):
+        """Span of the unit vectors e_k, k in indices (ascending, distinct)."""
+        rows = np.zeros((len(indices), n), dtype=np.int64)
+        rows[np.arange(len(indices)), indices] = 1
+        return cls._from_rref(p, n, rows)
+
+    @classmethod
     def full(cls, p, n):
-        return cls._from_rref(p, n, np.eye(n, dtype=np.int64))
+        return cls.units(p, n, np.arange(n))
 
     @property
     def dim(self):
@@ -206,11 +213,7 @@ class Subspace:
 
     def reduce(self, v):
         """Canonical representative of v modulo this subspace."""
-        v = np.mod(np.asarray(v, dtype=np.int64), self.p).copy()
-        for r, c in enumerate(self.pivots):
-            if v[c]:
-                v = (v - v[c] * self.rows[r]) % self.p
-        return v
+        return self.reduce_rows(np.reshape(v, (1, -1)))[0]
 
     def reduce_rows(self, mat):
         out = np.mod(np.asarray(mat, dtype=np.int64), self.p).copy()
@@ -237,16 +240,12 @@ class Subspace:
         return all(int(k) in unit_pivots for k in indices)
 
     def express(self, v):
-        """Coordinates of v in the RREF basis rows; None if not contained."""
+        """Coordinates of v in the RREF basis rows (its entries at the
+        pivots); None if not contained."""
         v = np.mod(np.asarray(v, dtype=np.int64), self.p)
-        coords = np.array([v[c] for c in self.pivots], dtype=np.int64)
-        if self.dim:
-            resid = (v - coords @ self.rows) % self.p
-        else:
-            resid = v
-        if resid.any():
+        if self.reduce(v).any():
             return None
-        return coords
+        return v[list(self.pivots)]
 
     def sum(self, other):
         if self.n != other.n:
@@ -267,10 +266,7 @@ class Subspace:
         if sub.dim == 0:
             return self
         if self.dim == self.n:  # F_p^n / sub: the unit vectors off sub's pivots
-            free = np.setdiff1d(np.arange(self.n), sub.pivots)
-            reps = np.zeros((free.size, self.n), dtype=np.int64)
-            reps[np.arange(free.size), free] = 1
-            return Subspace._from_rref(self.p, self.n, reps)
+            return Subspace.units(self.p, self.n, np.setdiff1d(np.arange(self.n), sub.pivots))
         reduced = sub.reduce_rows(self.rows)
         return Subspace(self.p, self.n, reduced)
 
@@ -516,11 +512,11 @@ class DoubleComplex:
             if cols and low:
                 d_mat = self.total_differential(n).a
                 ker = FpMatrix(self.p, d_mat[np.ix_(low, cols)]).kernel_basis()
+                lift = np.zeros((ker.shape[0], total), dtype=np.int64)
+                lift[:, cols] = ker  # cols ascend, so the lifted rows stay in RREF
+                self._cycles[key] = Subspace._from_rref(self.p, total, lift)
             else:
-                ker = np.eye(len(cols), dtype=np.int64)
-            lift = np.zeros((ker.shape[0], total), dtype=np.int64)
-            lift[:, cols] = ker  # cols ascend, so the lifted rows stay in RREF
-            self._cycles[key] = Subspace._from_rref(self.p, total, lift)
+                self._cycles[key] = Subspace.units(self.p, total, cols)
         return self._cycles[key]
 
     def spectral_sequence(self, max_page=None):

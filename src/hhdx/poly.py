@@ -112,12 +112,6 @@ class MultiPoly:
             return None
         return max(sum(e) for e in self.terms)
 
-    def exponent_radius(self):
-        """Max |e_i| over all terms and variables; None for zero."""
-        if not self.terms:
-            return None
-        return max(abs(e) for exps in self.terms for e in exps)
-
     # -- arithmetic (exact) --------------------------------------------------
 
     def _require_same_ring(self, other):
@@ -198,10 +192,6 @@ class MultiPoly:
             else:
                 dropped = True
         return MultiPoly(self.ring, kept), dropped
-
-    def mul_truncated(self, other, bound):
-        """Exact product, then one truncation; returns (poly, dropped?)."""
-        return (self * other).truncate(bound)
 
     # -- Frobenius -------------------------------------------------------------
 

@@ -45,6 +45,7 @@ from .dpdo import OperatorAlgebra, TruncatedOperatorModule
 from .errors import CapacityError, WindowError
 from .gfp import SemilinearMap, fitting_decomposition, require_prime
 from .linalg import CochainComplex, FpMatrix, Subspace, block_matrix
+from .poly import PolyRing
 
 MAX_TOWER_LEVELS = 64
 
@@ -275,118 +276,51 @@ def semisimple_cohomology_check(complex_, endos):
     return table
 
 
-# -- univariate polynomial helpers (ascending coefficient lists) --------------------
-
-
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
-def _poly_pow(a, k, p):
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, a, p)
-    return out
-
-
-def _poly_deriv(a, p):
-    return _poly_trim([(i * a[i]) % p for i in range(1, len(a))])
-
-
-def _poly_mod(a, b, p):
-    a = _poly_trim([x % p for x in a])
-    b = _poly_trim([x % p for x in b])
-    if not b:
-        raise ZeroDivisionError("polynomial modulus is zero")
-    inv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        c = (a[-1] * inv) % p
-        shift = len(a) - len(b)
-        for i, x in enumerate(b):
-            a[i + shift] = (a[i + shift] - c * x) % p
-        a = _poly_trim(a)
-    return a
-
-
-def _poly_gcd(a, b, p):
-    a = _poly_trim([x % p for x in a])
-    b = _poly_trim([x % p for x in b])
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
-def _poly_eval(a, x, p):
-    out = 0
-    for c in reversed(a):
-        out = (out * x + c) % p
-    return out
-
-
-def _poly_shift(a, c, p):
-    """Coefficients of a(x + c), by Horner in the shifted variable."""
-    out = []
-    for coeff in reversed(a):
-        out = _poly_mul(out, [c % p, 1], p)
-        if not out:
-            out = [coeff % p] if coeff % p else []
-        else:
-            out[0] = (out[0] + coeff) % p
-            out = _poly_trim(out)
-    return out
-
-
 # -- the Hasse invariant and its two-chart cross-check -------------------------------
+
+
+def _cubic(p, cubic):
+    """sum_k cubic[k] x^k as a polynomial of F_p[x]."""
+    return PolyRing(p, 1).from_terms({(k,): c for k, c in enumerate(cubic)})
 
 
 def hasse_invariant(p, cubic):
     """Coefficient of x^(p-1) in f^((p-1)/2) for the curve y^2 = f(x).
 
-    Requires an odd prime and a nonsingular cubic (gcd(f, f') must be
-    constant).  Returns an integer in [0, p); the curve is ordinary
-    exactly when it is nonzero.
+    Requires an odd prime and a nonsingular cubic (nonzero discriminant
+    mod p, i.e. gcd(f, f') constant).  Returns an integer in [0, p); the
+    curve is ordinary exactly when it is nonzero.
     """
     require_prime(p)
     if p == 2:
         raise ValueError("the double cover model needs an odd prime")
-    f = _poly_trim([c % p for c in cubic])
-    if len(f) != 4:
+    f = _cubic(p, cubic)
+    if f.total_degree() != 3:
         raise ValueError("a cubic in x is required")
-    if len(_poly_gcd(f, _poly_deriv(f, p), p)) > 1:
+    d, c, b, a = (f.coefficient((k,)) for k in range(4))
+    if (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d - 27 * a * a * d * d
+            + 18 * a * b * c * d) % p == 0:
         raise ValueError("singular curve: gcd(f, f') is not constant")
-    power = _poly_pow(f, (p - 1) // 2, p)
-    return power[p - 1] if len(power) > p - 1 else 0
+    return (f ** ((p - 1) // 2)).coefficient((p - 1,))
 
 
 def _validated_shifted_cubic(p, cubic):
     """Validate the model and translate it off x = 0.
 
-    Returns (f_shifted, shift, hasse).  Raises ValueError for even primes,
-    non-cubics, singular curves (all through hasse_invariant), and cubics
-    vanishing at every point of the prime field (no usable translate).
+    Returns (f(x + shift) as a polynomial, shift, hasse).  Raises ValueError
+    for even primes, non-cubics, singular curves (all through
+    hasse_invariant), and cubics vanishing at every point of the prime
+    field (no usable translate).
     """
     hasse = hasse_invariant(p, cubic)
-    f = _poly_trim([c % p for c in cubic])
-    shift = next((c for c in range(p) if _poly_eval(f, c, p) != 0), None)
+    f = _cubic(p, cubic)
+    shift = next((c for c in range(p) if f.evaluate((c,))), None)
     if shift is None:
         raise ValueError("no translate of the cubic avoids x = 0; "
                          "this window model does not apply")
-    fs = _poly_shift(f, shift, p)
-    if hasse_invariant(p, fs) != hasse:
+    x_shift = f.ring.variable() + f.ring.constant(shift)
+    fs = sum(((x_shift ** k).scale(c) for (k,), c in f.terms.items()), f.ring.zero())
+    if hasse_invariant(p, [fs.coefficient((k,)) for k in range(4)]) != hasse:
         raise AssertionError("translation changed the Hasse coefficient")
     return fs, shift, hasse
 
@@ -405,19 +339,11 @@ class _ChartWindow:
         self.w = w
         self.width = 2 * w + 1
         self.dim = 2 * self.width
-
-        def unit_rows(indices):
-            m = np.zeros((len(indices), self.dim), dtype=np.int64)
-            for k, idx in enumerate(indices):
-                m[k, idx] = 1
-            return m
-
         affine = [self.x_idx(i) for i in range(0, w + 1)]
         affine += [self.y_idx(i) for i in range(0, w + 1)]
         infinity = [self.x_idx(-j) for j in range(0, w + 1)]
         infinity += [self.y_idx(i) for i in range(-w, -1)]
-        self.charts = Subspace(p, self.dim, unit_rows(affine)).sum(
-            Subspace(p, self.dim, unit_rows(infinity)))
+        self.charts = Subspace.units(p, self.dim, sorted(set(affine + infinity)))
         self.reps = Subspace.full(p, self.dim).quotient_reps(self.charts)
         if self.reps.dim != 1:
             raise AssertionError(
@@ -435,14 +361,13 @@ class _ChartWindow:
         return self.width + i + self.w
 
     def y_vector(self, poly, offset):
-        """Window vector of y * sum poly[j] x^(j + offset)."""
+        """Window vector of y * x^offset * poly, for poly in F_p[x]."""
         vec = np.zeros(self.dim, dtype=np.int64)
-        for j, c in enumerate(poly):
-            if c:
-                e = j + offset
-                if abs(e) > self.w:
-                    raise WindowError(f"exponent {e} falls outside the window")
-                vec[self.y_idx(e)] = c
+        for (j,), c in sorted(poly.terms.items()):
+            e = j + offset
+            if abs(e) > self.w:
+                raise WindowError(f"exponent {e} falls outside the window")
+            vec[self.y_idx(e)] = c
         return vec
 
     def classify(self, vec):
@@ -481,7 +406,7 @@ def elliptic_frobenius_report(p, cubic, window=None):
     chart = _ChartWindow(p, w)
 
     # Frobenius: (y x^-1)^p = y * f^((p-1)/2) * x^-p
-    power = _poly_pow(fs, (p - 1) // 2, p)
+    power = fs ** ((p - 1) // 2)
     lam = chart.multiplier(chart.y_vector(power, -p))
 
     tower_report = Tower.constant(p, [[lam]], 3).limit_report()
@@ -511,7 +436,7 @@ def elliptic_frobenius_module_check(p, cubic, powers=(0, 1, 2)):
     fs, shift, hasse = _validated_shifted_cubic(p, cubic)
     w = 3 * p
     chart = _ChartWindow(p, w)
-    power = _poly_pow(fs, (p - 1) // 2, p)
+    power = fs ** ((p - 1) // 2)
     lam = chart.multiplier(chart.y_vector(power, -p))
 
     table = {}

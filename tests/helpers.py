@@ -3,6 +3,7 @@ plus the uncached linear algebra the memoized complexes are tested against."""
 
 import numpy as np
 
+from hhdx.dpdo import OperatorAlgebra
 from hhdx.linalg import CochainComplex, DoubleComplex, FpMatrix, SpectralSequencePage, Subspace
 
 
@@ -130,7 +131,60 @@ def random_double_complex(p, rng):
 # complex and skips eliminations whose result it already knows.  The functions
 # below are the reference: they recompute everything from scratch with a
 # per-column kernel loop, a re-eliminating Subspace(...) around every basis and
-# per-vector reduce/express for the page differentials.
+# per-vector reduce/express for the page differentials.  The per-vector
+# reduce/express and the term-by-term End(A) model are the paths the library
+# replaced by reduce_rows and TruncatedOperatorModule.operator_matrix.
+
+
+def oracle_reduce(space, v):
+    """v modulo an RREF span, one pivot at a time on a single vector."""
+    v = np.mod(np.asarray(v, dtype=np.int64), space.p).copy()
+    for r, c in enumerate(space.pivots):
+        if v[c]:
+            v = (v - v[c] * space.rows[r]) % space.p
+    return v
+
+
+def oracle_express(space, v):
+    """Coordinates of v in the RREF rows, checked by one residual product."""
+    v = np.mod(np.asarray(v, dtype=np.int64), space.p)
+    coords = np.array([v[c] for c in space.pivots], dtype=np.int64)
+    resid = (v - coords @ space.rows) % space.p if space.dim else v
+    return None if resid.any() else coords
+
+
+def oracle_quotient_end_model(p, s):
+    """(basis, left, right, product) of A = F_p[x]/(x^(p^s)) acting on End(A),
+    every matrix and the product tensor filled term by term."""
+    q = p ** s
+    op_alg = OperatorAlgebra(p, 1, names=("x",))
+    basis = [((a,), (b,)) for a in range(q) for b in range(q)]
+    index = {ab: k for k, ab in enumerate(basis)}
+    m = len(basis)
+    x_op = op_alg.variable()
+
+    def mat_of(action):
+        out = np.zeros((m, m), dtype=np.int64)
+        for col, ab in enumerate(basis):
+            img = action(op_alg.from_terms({ab: 1})).quotient_reduce(s)
+            for key, c in img.terms.items():
+                out[index[key], col] = c
+        return out
+
+    lx = mat_of(lambda op: x_op * op)
+    rx = mat_of(lambda op: op * x_op)
+    left = [np.eye(m, dtype=np.int64)]
+    right = [np.eye(m, dtype=np.int64)]
+    for _ in range(1, q):
+        left.append((lx @ left[-1]) % p)
+        right.append((rx @ right[-1]) % p)
+    prod = np.zeros((m, m, m), dtype=np.int64)
+    for i1, ab1 in enumerate(basis):
+        for i2, ab2 in enumerate(basis):
+            op = (op_alg.from_terms({ab1: 1}) * op_alg.from_terms({ab2: 1})).quotient_reduce(s)
+            for key, c in op.terms.items():
+                prod[i1, i2, index[key]] = c
+    return basis, left, right, prod
 
 
 def oracle_kernel_basis(m):

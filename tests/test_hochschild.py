@@ -1,8 +1,12 @@
 """Hochschild cochains: bar model, cup products, commutator model, oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from helpers import oracle_quotient_end_model
+from hhdx import linalg
 from hhdx.errors import CapacityError, WindowError
 from hhdx.hochschild import (
     Bimodule,
@@ -104,6 +108,20 @@ def test_bar_differential_squares_to_zero():
                 StructAlgebra.product_of_copies(5, 2)):
         bim = Bimodule.regular(alg)
         bar_complex(bim, 3)  # dature checked at construction
+
+
+def test_bar_differential_refuses_over_capacity_before_allocating(monkeypatch):
+    bim = Bimodule.regular(StructAlgebra.truncated_polynomial(2, 12))
+    # d : C^1 -> C^2 is a (12^2 * 12) x (12 * 12) matrix, one entry too many
+    monkeypatch.setattr(linalg, "MAX_MATRIX_ENTRIES", 12 ** 3 * 12 ** 2 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            bar_differential_matrix(bim, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_hh_matrix_algebra_and_split():
@@ -240,6 +258,17 @@ def test_quotient_end_model_is_honest():
     x[1] = 1
     lx = sum(int(x[i]) * bimodule.left[i] for i in range(4)) % 2
     assert not np.linalg.matrix_power(lx, 4).any()
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (2, 2), (3, 1)])
+def test_quotient_end_model_matches_term_by_term_loop(p, s):
+    _, bimodule, basis = quotient_end_model(p, s)
+    want_basis, left, right, prod = oracle_quotient_end_model(p, s)
+    assert basis == want_basis
+    assert len(bimodule.left) == len(left) and len(bimodule.right) == len(right)
+    assert all(np.array_equal(got, want) for got, want in zip(bimodule.left, left))
+    assert all(np.array_equal(got, want) for got, want in zip(bimodule.right, right))
+    assert np.array_equal(bimodule.product, prod)
 
 
 def test_periodic_vs_bar_certificate():

@@ -12,7 +12,9 @@ from helpers import (
     direct_sum_double,
     fresh_copy,
     oracle_cohomology,
+    oracle_express,
     oracle_kernel_basis,
+    oracle_reduce,
     oracle_spectral_sequence,
     random_complex,
     random_double_complex,
@@ -296,6 +298,33 @@ def test_batched_unit_vector_test_equals_per_vector_contains(p, n, seed):
     assert space.contains_units(ks) == expected
     other = Subspace(p, n, rng.integers(0, p, size=(rng.integers(0, n + 1), n)))
     assert space.contains_space(other) == all(space.contains(row) for row in other.rows)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 7), st.integers(0, 10 ** 6))
+def test_reduce_and_express_match_per_vector_pivot_loop(p, n, seed):
+    rng = np.random.default_rng(seed)
+    space = Subspace(p, n, rng.integers(0, p, size=(rng.integers(0, n + 1), n)))
+    inside = rng.integers(-p, 2 * p, size=space.dim) @ space.rows
+    for v in (rng.integers(-p, 2 * p, size=n), inside):
+        got = space.reduce(v)
+        assert got.shape == (n,) and np.array_equal(got, oracle_reduce(space, v))
+        got, want = space.express(v), oracle_express(space, v)
+        assert (got is None) == (want is None)
+        assert want is None or np.array_equal(got, want)
+    assert space.express(inside) is not None
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 8), st.integers(0, 10 ** 6))
+def test_units_equal_eliminated_unit_rows(p, n, seed):
+    rng = np.random.default_rng(seed)
+    indices = sorted(rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist())
+    units = Subspace.units(p, n, indices)
+    want = Subspace(p, n, np.eye(n, dtype=np.int64)[indices])
+    assert units == want and units.pivots == want.pivots
+    full = Subspace(p, n, np.eye(n, dtype=np.int64))
+    assert Subspace.full(p, n) == full and Subspace.full(p, n).pivots == full.pivots
 
 
 def test_cached_cohomology_matches_uncached_oracle():

@@ -130,7 +130,7 @@ def test_truncation_windows():
     inside2, dropped2 = h.truncate(4)
     assert not dropped2
 
-    prod, dropped = r.monomial((2, 0)).mul_truncated(r.monomial((1, 0)), 2)
+    prod, dropped = (r.monomial((2, 0)) * r.monomial((1, 0))).truncate(2)
     assert dropped and prod.is_zero()
 
 

@@ -1,5 +1,7 @@
 """Inverse-system towers, Frobenius splitting, Hasse invariants, filtered windows."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +228,36 @@ def test_hasse_rejects_singular_and_even():
         hasse_invariant(2, [0, 1, 0, 1])
     with pytest.raises(ValueError):
         hasse_invariant(5, [1, 1, 0, 0])                # not a cubic
+
+
+def test_hasse_every_cubic_against_repeated_roots_and_direct_expansion():
+    """Every cubic with a nonzero leading coefficient at p = 3, 5, 7.
+
+    A repeated root of a cubic over F_p is always rational (a conjugate
+    pair would bring a second repeated root, and the degree is 3), so the
+    curve is singular exactly when some r in F_p has f(r) = f'(r) = 0.
+    """
+    checked = singular_count = 0
+    for p in (3, 5, 7):
+        for c0, c1, c2, c3 in itertools.product(range(p), range(p), range(p), range(1, p)):
+            cubic = [c0, c1, c2, c3]
+            singular = any((c0 + c1 * r + c2 * r * r + c3 * r ** 3) % p == 0
+                           and (c1 + 2 * c2 * r + 3 * c3 * r * r) % p == 0
+                           for r in range(p))
+            if singular:
+                with pytest.raises(ValueError, match="singular curve"):
+                    hasse_invariant(p, cubic)
+                singular_count += 1
+            else:
+                coeffs = [1]
+                for _ in range((p - 1) // 2):
+                    coeffs = [sum(coeffs[i] * cubic[k - i] for i in range(len(coeffs))
+                                  if 0 <= k - i <= 3)
+                              for k in range(len(coeffs) + 3)]
+                assert hasse_invariant(p, cubic) == coeffs[p - 1] % p
+            checked += 1
+    # c3 * (one of the p^2 monic cubics with zero discriminant) for each c3
+    assert checked == 2612 and singular_count == 2 * 9 + 4 * 25 + 6 * 49
 
 
 # -- the two-chart Frobenius cross-check -------------------------------------------------
