@@ -22,6 +22,11 @@ Three layers, all exact over F_p:
   checked against the nerve cohomology of the structure-sheaf windows,
   while j = 1 cells are reported raw with explicit uncertified flags plus
   a windowed-surjectivity certificate for their inner layers.
+
+Nerve, Cech and face-row differentials are alternating face sums built by
+`linalg.face_sum` over the cells `Poset.nerve_cells` lists; an algebra
+diagram's algebra and module restrictions are each validated as a
+`SpaceDiagram` before the algebra-map and module-map laws are checked.
 """
 
 from __future__ import annotations
@@ -33,35 +38,8 @@ import numpy as np
 from .dpdo import OperatorAlgebra, TruncatedOperatorModule, invert_variable
 from .errors import CapacityError, WindowError
 from .gfp import require_prime
-from .hochschild import Bimodule, bar_differential_matrix
-from .linalg import CochainComplex, DoubleComplex, Subspace, block_matrix
-
-
-def _face_sum(p, lower, upper, dim, face):
-    """Alternating face-sum matrix from cochains on `lower` to cochains on `upper`.
-
-    Cells are vertex tuples; cell s carries a coefficient space of size
-    dim(s).  The block from tau to sigma is sum_k (-1)^k face(sigma, k) over
-    the faces tau = sigma minus vertex k that lie in `lower`.
-    """
-    col = {tau: c for c, tau in enumerate(lower)}
-    blocks = []
-    for row, sigma in enumerate(upper):
-        for k in range(len(sigma)):
-            tau = sigma[:k] + sigma[k + 1:]
-            if tau in col:
-                blocks.append(((row, col[tau]), (-1) ** k * face(sigma, k)))
-    return block_matrix(p, [dim(s) for s in upper], [dim(t) for t in lower], blocks)
-
-
-def _face_complex(p, cells, dim, face):
-    """Cochain complex over the cell lists cells[0], cells[1], ... whose
-    differentials are the alternating face sums (no cells: zero in degree 0)."""
-    cells = cells or [[]]
-    dims = {q: sum(dim(s) for s in level) for q, level in enumerate(cells)}
-    diffs = {q: _face_sum(p, cells[q], cells[q + 1], dim, face)
-             for q in range(len(cells) - 1)}
-    return CochainComplex(p, dims, diffs)
+from .hochschild import Bimodule, bar_differential_matrix, cup_contract
+from .linalg import DoubleComplex, Subspace, block_matrix, face_complex, face_sum
 
 
 class Poset:
@@ -113,6 +91,20 @@ class Poset:
         out.sort(key=lambda c: tuple(self.index[v] for v in c))
         return out
 
+    def strict_pairs(self):
+        """Pairs (v, u) with u < v: the keys of a diagram's restriction maps."""
+        return [(v, u) for u, v in itertools.permutations(self.elements, 2)
+                if self.lt(u, v)]
+
+    def nerve_cells(self, top=None):
+        """[chains(0), chains(1), ...] up to length `top`, or until empty."""
+        cells = []
+        for j in itertools.count():
+            chains = [] if top is not None and j > top else self.chains(j)
+            if not chains:
+                return cells
+            cells.append(chains)
+
     def meet(self, items):
         """Greatest common lower bound; None when no lower bound exists."""
         lower = [e for e in self.elements
@@ -141,15 +133,14 @@ class SpaceDiagram:
         self.poset = poset
         self.dims = {e: int(dims[e]) for e in poset.elements}
         self.restr = {}
-        for u, v in itertools.permutations(poset.elements, 2):
-            if poset.lt(u, v):
-                key = (v, u)
-                if key not in restrictions:
-                    raise ValueError(f"missing restriction for {key}")
-                mat = np.mod(np.asarray(restrictions[key], dtype=np.int64), p)
-                if mat.shape != (self.dims[u], self.dims[v]):
-                    raise ValueError(f"restriction {key} has shape {mat.shape}")
-                self.restr[key] = mat
+        for key in poset.strict_pairs():
+            v, u = key
+            if key not in restrictions:
+                raise ValueError(f"missing restriction for {key}")
+            mat = np.mod(np.asarray(restrictions[key], dtype=np.int64), p)
+            if mat.shape != (self.dims[u], self.dims[v]):
+                raise ValueError(f"restriction {key} has shape {mat.shape}")
+            self.restr[key] = mat
         for u in poset.elements:
             self.restr[(u, u)] = np.eye(self.dims[u], dtype=np.int64)
         for u, w, v in itertools.permutations(poset.elements, 3):
@@ -169,21 +160,13 @@ class SpaceDiagram:
         Dropping the minimal vertex restricts along F(new min) -> F(min);
         all other faces keep the coefficient space.
         """
-        cells = []
-        for j in itertools.count():
-            chains = self.poset.chains(j)
-            if not chains:
-                break
-            cells.append(chains)
-            if j == top:
-                break
-
         def face(sigma, k):
             if k == 0:
                 return self.restriction(sigma[1], sigma[0])
             return np.eye(self.dims[sigma[0]], dtype=np.int64)
 
-        return _face_complex(self.p, cells, lambda s: self.dims[s[0]], face)
+        return face_complex(self.p, self.poset.nerve_cells(top),
+                            lambda s: self.dims[s[0]], face)
 
     def nerve_betti(self):
         return self.nerve_complex().betti()
@@ -209,7 +192,7 @@ class SpaceDiagram:
                 break
             meets.update(level)
             cells.append(list(level))
-        return _face_complex(
+        return face_complex(
             self.p, cells, lambda t: self.dims[meets[t]],
             lambda t, k: self.restriction(meets[t[:k] + t[k + 1:]], meets[t]))
 
@@ -230,14 +213,14 @@ def nerve_vs_cech(diagram, cover):
     return {"agree": all(a == b for a, b in table.values()), "table": table}
 
 
-def constant_diagram(p, poset, dim=1):
-    dims = {e: dim for e in poset.elements}
+def _identity_restrictions(poset, dim):
     eye = np.eye(dim, dtype=np.int64)
-    restr = {}
-    for u, v in itertools.permutations(poset.elements, 2):
-        if poset.lt(u, v):
-            restr[(v, u)] = eye
-    return SpaceDiagram(p, poset, dims, restr)
+    return {key: eye for key in poset.strict_pairs()}
+
+
+def constant_diagram(p, poset, dim=1):
+    return SpaceDiagram(p, poset, {e: dim for e in poset.elements},
+                        _identity_restrictions(poset, dim))
 
 
 def projective_line_twist_diagram(p, twist, degree_bound):
@@ -292,35 +275,16 @@ class GSDiagram:
         self.poset = poset
         self.algebras = algebras
         self.bimodules = bimodules
-        self.restr_alg = {}
-        self.restr_mod = {}
-        for u, v in itertools.permutations(poset.elements, 2):
-            if not poset.lt(u, v):
-                continue
-            key = (v, u)
-            pa = np.mod(np.asarray(restr_alg[key], dtype=np.int64), p)
-            qm = np.mod(np.asarray(restr_mod[key], dtype=np.int64), p)
-            av, au = algebras[v], algebras[u]
-            mv, mu = bimodules[v], bimodules[u]
-            if pa.shape != (au.dim, av.dim) or qm.shape != (mu.dim, mv.dim):
-                raise ValueError(f"map shapes wrong for {key}")
-            self._check_algebra_map(av, au, pa, key)
-            self._check_module_map(av, mv, mu, pa, qm, key)
-            self.restr_alg[key] = pa
-            self.restr_mod[key] = qm
-        for u in poset.elements:
-            self.restr_alg[(u, u)] = np.eye(algebras[u].dim, dtype=np.int64)
-            self.restr_mod[(u, u)] = np.eye(bimodules[u].dim, dtype=np.int64)
-        for u, w, v in itertools.permutations(poset.elements, 3):
-            if poset.lt(u, w) and poset.lt(w, v):
-                if not np.array_equal(
-                        (self.restr_alg[(w, u)] @ self.restr_alg[(v, w)]) % p,
-                        self.restr_alg[(v, u)]):
-                    raise ValueError(f"algebra maps do not compose along {(v, w, u)}")
-                if not np.array_equal(
-                        (self.restr_mod[(w, u)] @ self.restr_mod[(v, w)]) % p,
-                        self.restr_mod[(v, u)]):
-                    raise ValueError(f"module maps do not compose along {(v, w, u)}")
+        # the two space diagrams check shapes and composites and add identities
+        self.restr_alg = SpaceDiagram(p, poset, {e: a.dim for e, a in algebras.items()},
+                                      restr_alg).restr
+        self.restr_mod = SpaceDiagram(p, poset, {e: m.dim for e, m in bimodules.items()},
+                                      restr_mod).restr
+        for key in poset.strict_pairs():
+            v, u = key
+            self._check_algebra_map(algebras[v], algebras[u], self.restr_alg[key], key)
+            self._check_module_map(bimodules[v], bimodules[u], self.restr_alg[key],
+                                   self.restr_mod[key], key)
 
     def _check_algebra_map(self, av, au, pa, key):
         p = self.p
@@ -331,15 +295,12 @@ class GSDiagram:
         if not np.array_equal(lhs, rhs):
             raise ValueError(f"{key}: restriction is not multiplicative")
 
-    def _check_module_map(self, av, mv, mu, pa, qm, key):
+    def _check_module_map(self, mv, mu, pa, qm, key):
         p = self.p
-        for i in range(av.dim):
-            li_target = sum(int(pa[k, i]) * mu.left[k] for k in range(pa.shape[0])) % p
-            if not np.array_equal((qm @ mv.left[i]) % p, (li_target @ qm) % p):
-                raise ValueError(f"{key}: module map breaks the left action")
-            ri_target = sum(int(pa[k, i]) * mu.right[k] for k in range(pa.shape[0])) % p
-            if not np.array_equal((qm @ mv.right[i]) % p, (ri_target @ qm) % p):
-                raise ValueError(f"{key}: module map breaks the right action")
+        for side, acts in (("left", mv.left), ("right", mv.right)):
+            if not np.array_equal(np.matmul(qm, acts) % p,
+                                  np.matmul(mu.action(pa.T, side), qm) % p):
+                raise ValueError(f"{key}: module map breaks the {side} action")
         if mv.product is not None and mu.product is not None:
             lhs = np.einsum("sut,vt->suv", mv.product, qm) % p
             rhs = np.einsum("as,bu,abv->suv", qm, qm, mu.product) % p
@@ -350,17 +311,10 @@ class GSDiagram:
     def constant(cls, poset, bimodule):
         """The same algebra and bimodule everywhere, identity restrictions."""
         a = bimodule.algebra
-        eye_a = np.eye(a.dim, dtype=np.int64)
-        eye_m = np.eye(bimodule.dim, dtype=np.int64)
-        restr_a = {}
-        restr_m = {}
-        for u, v in itertools.permutations(poset.elements, 2):
-            if poset.lt(u, v):
-                restr_a[(v, u)] = eye_a
-                restr_m[(v, u)] = eye_m
-        algebras = {e: a for e in poset.elements}
-        bimodules = {e: bimodule for e in poset.elements}
-        return cls(a.p, poset, algebras, bimodules, restr_a, restr_m)
+        return cls(a.p, poset, {e: a for e in poset.elements},
+                   {e: bimodule for e in poset.elements},
+                   _identity_restrictions(poset, a.dim),
+                   _identity_restrictions(poset, bimodule.dim))
 
 
 class GSComplex:
@@ -377,14 +331,7 @@ class GSComplex:
     def __init__(self, diagram, max_chain=None, max_bar=2):
         self.diagram = diagram
         self.p = diagram.p
-        chains = {}
-        i = 0
-        while True:
-            cs = diagram.poset.chains(i)
-            if not cs or (max_chain is not None and i > max_chain):
-                break
-            chains[i] = cs
-            i += 1
+        chains = dict(enumerate(diagram.poset.nerve_cells(max_chain)))
         self.max_i = max(chains)
         self.max_j = max_bar
         self.chains = chains
@@ -418,12 +365,8 @@ class GSComplex:
         a_top = self.diagram.algebras[top]
         m_bot = self.diagram.bimodules[bottom]
         rho = self.diagram.restr_alg[(top, bottom)]
-        p = self.p
-        left = [sum(int(rho[k, i]) * m_bot.left[k] for k in range(rho.shape[0])) % p
-                for i in range(a_top.dim)]
-        right = [sum(int(rho[k, i]) * m_bot.right[k] for k in range(rho.shape[0])) % p
-                 for i in range(a_top.dim)]
-        return Bimodule(a_top, left, right, product=m_bot.product, check=True)
+        return Bimodule(a_top, m_bot.action(rho.T, "left"), m_bot.action(rho.T, "right"),
+                        product=m_bot.product, check=True)
 
     def block_dim(self, sigma, j):
         return (self.diagram.algebras[sigma[-1]].dim ** j
@@ -453,7 +396,7 @@ class GSComplex:
         return np.eye(n_sigma ** j * m_sigma, dtype=np.int64)
 
     def _horizontal(self, i, j):
-        return _face_sum(self.p, self.chains[i], self.chains[i + 1],
+        return face_sum(self.p, self.chains[i], self.chains[i + 1],
                          lambda s: self.block_dim(s, j),
                          lambda s, k: self._face_matrix(s, k, j))
 
@@ -528,15 +471,7 @@ class GSComplex:
             b_arr = np.asarray(beta[back], dtype=np.int64)
             b_t = b_arr.reshape((n,) * j2 + (self.diagram.bimodules[mid].dim,))
             b_t = np.tensordot(b_t, qm, axes=(j2, 1)) % self.p
-            prod = m_sig.product
-            if prod is None:
-                raise ValueError("cup products need bimodules with products")
-            letters = "abcdefgh"
-            if j1 + j2 > len(letters):
-                raise CapacityError("cup degree exceeds capacity")
-            spec = (letters[:j1] + "s," + letters[j1:j1 + j2] + "u,sut->"
-                    + letters[:j1 + j2] + "t")
-            val = np.einsum(spec, a_t, b_t, prod) % self.p
+            val = cup_contract(m_sig, j1, a_t, j2, b_t)
             out[sigma] = (sign * val.reshape(-1)) % self.p
         return out
 
@@ -555,24 +490,6 @@ def _surjective_onto_window(p, image_matrix, target_module, a_lo, a_hi, b_max):
     space = Subspace(p, image_matrix.rows, image_matrix.transpose().a)
     return space.contains_units([k for k, ((a,), (b,)) in enumerate(target_module.basis)
                                  if a_lo <= a <= a_hi and b <= b_max])
-
-
-def _structure_window_diagram(p, du):
-    """Nerve diagram of function windows on the two-chart line.
-
-    F(U0) = span{u^0..u^du}, F(U1) = span{v^0..v^du}, F(U01) =
-    span{u^-du..u^du}; the second chart embeds through v = 1/u.
-    """
-    poset = Poset(["U01", "U0", "U1"], [("U01", "U0"), ("U01", "U1")])
-    dims = {"U0": du + 1, "U1": du + 1, "U01": 2 * du + 1}
-    incl0 = np.zeros((2 * du + 1, du + 1), dtype=np.int64)
-    for k in range(du + 1):
-        incl0[du + k, k] = 1
-    incl1 = np.zeros((2 * du + 1, du + 1), dtype=np.int64)
-    for k in range(du + 1):
-        incl1[du - k, k] = 1
-    restr = {("U0", "U01"): incl0, ("U1", "U01"): incl1}
-    return SpaceDiagram(p, poset, dims, restr)
 
 
 def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
@@ -692,7 +609,7 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
             ("edge0", k_e0, m_edge1, -du, du),
             ("edge1", k_e1, m_edge1, -du + qu, du - 2),
         ]
-        nerve = _structure_window_diagram(p, du).nerve_betti()
+        nerve = projective_line_twist_diagram(p, 0, du)[0].nerve_betti()
 
     pages = double.spectral_sequence()
     e2 = pages[1] if len(pages) > 1 else pages[0]

@@ -7,12 +7,15 @@ Two complementary models are implemented.
   cochains are arrays indexed by j algebra slots and one module slot
   (flattened in C order), and the differential is assembled from Kronecker
   products of the action and multiplication tensors.  This is exact and
-  certified but only desk-scale (dimension <= 12, degree <= 3).
+  certified but only desk-scale (dimension <= 12, degree <= 3).  The action
+  of any algebra element is `Bimodule.action`, and `cup_contract` is the one
+  cup contraction, shared with the diagram cup product in `gs`.
 
 * The commutator (Koszul-type) model: for a module with n commuting
   endomorphisms (typically ad of the coordinate functions on a windowed
   operator module), the complex M (x) Lambda^* with d(m e_S) =
-  sum_{i not in S} +- [x_i, m] e_(S u i).  For divided-power operator
+  sum_{i not in S} +- [x_i, m] e_(S u i), built by `linalg.face_complex`
+  over the subsets S as cells.  For divided-power operator
   windows the commutators are window-exact, the kernel in degree 0 is
   certified to be exactly the multiplication operators, and vanishing in
   higher degrees is certified inside an explicit divided-power window while
@@ -29,7 +32,7 @@ import numpy as np
 from .dpdo import OperatorAlgebra, TruncatedOperatorModule
 from .errors import CapacityError, WindowError
 from .gfp import require_prime
-from .linalg import CochainComplex, FpMatrix, Subspace, _check_capacity, block_matrix
+from .linalg import CochainComplex, FpMatrix, Subspace, _check_capacity, face_complex
 
 MAX_ALGEBRA_DIM = 12
 MAX_BAR_DEGREE = 3
@@ -168,14 +171,13 @@ class Bimodule:
     def __init__(self, algebra, left, right, product=None, check=True):
         self.algebra = algebra
         p = algebra.p
-        left = [np.mod(np.asarray(m, dtype=np.int64), p) for m in left]
-        right = [np.mod(np.asarray(m, dtype=np.int64), p) for m in right]
+        left = np.mod(np.asarray(left, dtype=np.int64), p)
+        right = np.mod(np.asarray(right, dtype=np.int64), p)
         if len(left) != algebra.dim or len(right) != algebra.dim:
             raise ValueError("one action matrix per algebra basis element")
-        self.dim = left[0].shape[0]
-        for m in itertools.chain(left, right):
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("action matrices must be square of equal size")
+        self.dim = left.shape[-1]
+        if left.shape != (algebra.dim, self.dim, self.dim) or right.shape != left.shape:
+            raise ValueError("action matrices must be square of equal size")
         self.left = left
         self.right = right
         self.product = None
@@ -187,25 +189,31 @@ class Bimodule:
         if check:
             self._check()
 
+    def action(self, coords, side):
+        """Matrix by which the algebra element with the given coordinates acts
+        on the "left" or the "right": sum_k coords[k] L_k (or R_k).  A stack
+        of coordinate rows gives the stack of their matrices."""
+        mats = self.left if side == "left" else self.right
+        return np.tensordot(np.asarray(coords, dtype=np.int64), mats, axes=1) % self.algebra.p
+
     def _check(self):
         p = self.algebra.p
         t = self.algebra.table
         n = self.algebra.dim
         for i in range(n):
             for j in range(n):
-                lij = sum(int(t[i, j, k]) * self.left[k] for k in range(n)) % p
-                if not np.array_equal(lij, (self.left[i] @ self.left[j]) % p):
+                if not np.array_equal(self.action(t[i, j], "left"),
+                                      (self.left[i] @ self.left[j]) % p):
                     raise ValueError("left action is not a module structure")
-                rij = sum(int(t[i, j, k]) * self.right[k] for k in range(n)) % p
-                if not np.array_equal(rij, (self.right[j] @ self.right[i]) % p):
+                if not np.array_equal(self.action(t[i, j], "right"),
+                                      (self.right[j] @ self.right[i]) % p):
                     raise ValueError("right action is not a module structure")
                 if not np.array_equal((self.left[i] @ self.right[j]) % p,
                                       (self.right[j] @ self.left[i]) % p):
                     raise ValueError("left and right actions do not commute")
         eye = np.eye(self.dim, dtype=np.int64)
-        lu = sum(int(self.algebra.unit[i]) * self.left[i] for i in range(n)) % p
-        ru = sum(int(self.algebra.unit[i]) * self.right[i] for i in range(n)) % p
-        if not (np.array_equal(lu, eye) and np.array_equal(ru, eye)):
+        if not (np.array_equal(self.action(self.algebra.unit, "left"), eye)
+                and np.array_equal(self.action(self.algebra.unit, "right"), eye)):
             raise ValueError("unit does not act as the identity")
 
     @classmethod
@@ -276,20 +284,24 @@ def hochschild_cohomology(bimodule, top):
     return {j: cx.cohomology(j) for j in range(top + 1)}
 
 
-def cup_product(bimodule, i, phi, j, psi):
-    """Cup product C^i (x) C^j -> C^(i+j) using the module's product."""
+def cup_contract(bimodule, i, phi_t, j, psi_t):
+    """Contract an i-cochain and a j-cochain tensor, of shapes (n,)*i + (m,)
+    and (n,)*j + (m,), through the module product into an (i+j)-cochain."""
     if bimodule.product is None:
         raise ValueError("cup products need a bimodule with an internal product")
-    a = bimodule.algebra
-    n, m = a.dim, bimodule.dim
-    phi_t = np.asarray(phi, dtype=np.int64).reshape((n,) * i + (m,))
-    psi_t = np.asarray(psi, dtype=np.int64).reshape((n,) * j + (m,))
     letters = "abcdefgh"
     if i + j > len(letters):
         raise CapacityError("cup degree exceeds capacity")
-    lhs = letters[:i] + "s," + letters[i:i + j] + "u,sut->" + letters[:i + j] + "t"
-    out = np.einsum(lhs, phi_t, psi_t, bimodule.product) % a.p
-    return out.reshape(-1)
+    spec = letters[:i] + "s," + letters[i:i + j] + "u,sut->" + letters[:i + j] + "t"
+    return np.einsum(spec, phi_t, psi_t, bimodule.product) % bimodule.algebra.p
+
+
+def cup_product(bimodule, i, phi, j, psi):
+    """Cup product C^i (x) C^j -> C^(i+j) using the module's product."""
+    n, m = bimodule.algebra.dim, bimodule.dim
+    phi_t = np.asarray(phi, dtype=np.int64).reshape((n,) * i + (m,))
+    psi_t = np.asarray(psi, dtype=np.int64).reshape((n,) * j + (m,))
+    return cup_contract(bimodule, i, phi_t, j, psi_t).reshape(-1)
 
 
 # -- commutator (Koszul-type) complexes ------------------------------------------
@@ -300,7 +312,9 @@ def koszul_commutator_complex(p, dim, matrices):
 
     matrices are pairwise commuting endomorphisms of F_p^dim.  Basis of
     degree j: (subset S of size j, module index), subsets in lexicographic
-    order, module index minor.
+    order, module index minor.  The subsets are the cells of a face complex
+    whose k-th face of S u i drops i = (S u i)[k], so the face sign (-1)^k is
+    the Koszul sign (-1)^#{x in S : x < i}.
     """
     n = len(matrices)
     mats = [mat.a if isinstance(mat, FpMatrix) else np.mod(np.asarray(mat, dtype=np.int64), p)
@@ -308,19 +322,8 @@ def koszul_commutator_complex(p, dim, matrices):
     for x, y in itertools.combinations(mats, 2):
         if not np.array_equal((x @ y) % p, (y @ x) % p):
             raise ValueError("commutator complex needs commuting endomorphisms")
-    subsets = {j: list(itertools.combinations(range(n), j)) for j in range(n + 1)}
-    dims = {j: len(subsets[j]) * dim for j in range(n + 1)}
-    diffs = {}
-    for j in range(n):
-        tgt = {s: k for k, s in enumerate(subsets[j + 1])}
-        blocks = []
-        for col, s in enumerate(subsets[j]):
-            for i in range(n):
-                if i not in s:
-                    sign = (-1) ** sum(x < i for x in s)
-                    blocks.append(((tgt[tuple(sorted(s + (i,)))], col), sign * mats[i]))
-        diffs[j] = block_matrix(p, [dim] * len(tgt), [dim] * len(subsets[j]), blocks)
-    return CochainComplex(p, dims, diffs)
+    cells = [list(itertools.combinations(range(n), j)) for j in range(n + 1)]
+    return face_complex(p, cells, lambda s: dim, lambda s, k: mats[s[k]])
 
 
 def operator_window_koszul(p, n, degree_bound, dp_bound, laurent=False):

@@ -6,9 +6,12 @@ echelon form, kernel basis and cohomology representative is deterministic.
 On top of the matrix layer sit bounded cochain complexes, first-quadrant
 double complexes (sign convention: d = d_h + (-1)^i d_v on column i), and
 the spectral sequence of the column filtration computed through explicit
-subquotient bases.  Block-structured differentials (totalizations, Koszul
-and nerve complexes, tower resolutions) are all built by `block_matrix`,
-and every span of unit vectors (coordinate subspace) by `Subspace.units`.
+subquotient bases.  Block-structured differentials (totalizations, tower
+resolutions, bar columns) are all built by `block_matrix`; every simplicial
+cochain complex (Koszul complexes, nerve and Cech complexes, the rows of
+diagram double complexes) by the alternating face sum `face_sum` /
+`face_complex` on top of it; and every span of unit vectors (coordinate
+subspace) by `Subspace.units`.
 
 Each complex memoizes what it eliminates: a CochainComplex its kernels,
 images and cohomology, a DoubleComplex its total differentials, filtered
@@ -86,7 +89,7 @@ class FpMatrix:
         if p < 2:
             raise ValueError("p must be at least 2")
         self.p = p
-        self.a = _as_array(p, data)
+        self.a = _as_array(p, data.a if isinstance(data, FpMatrix) else data)
 
     @classmethod
     def zeros(cls, p, rows, cols):
@@ -132,6 +135,19 @@ class FpMatrix:
 
     def transpose(self):
         return FpMatrix(self.p, self.a.T)
+
+    def power(self, k):
+        """The k-th power of a square matrix, by repeated squaring."""
+        if self.rows != self.cols or k < 0:
+            raise ValueError("powers need a square matrix and k >= 0")
+        out, base = np.eye(self.rows, dtype=np.int64), self.a
+        while k:
+            if k & 1:
+                out = (out @ base) % self.p
+            k >>= 1
+            if k:
+                base = (base @ base) % self.p
+        return FpMatrix(self.p, out)
 
     def __eq__(self, other):
         return (
@@ -300,6 +316,33 @@ def block_matrix(p, row_dims, col_dims, blocks):
             raise ValueError(f"block {(r, c)} has shape {block.shape}, expected {slot.shape}")
         slot += block
     return FpMatrix(p, mat)
+
+
+def face_sum(p, lower, upper, dim, face):
+    """Alternating face-sum matrix from cochains on `lower` to cochains on `upper`.
+
+    Cells are vertex tuples; cell s carries a coefficient space of size
+    dim(s).  The block from tau to sigma is sum_k (-1)^k face(sigma, k) over
+    the faces tau = sigma minus vertex k that lie in `lower`.
+    """
+    col = {tau: c for c, tau in enumerate(lower)}
+    blocks = []
+    for row, sigma in enumerate(upper):
+        for k in range(len(sigma)):
+            tau = sigma[:k] + sigma[k + 1:]
+            if tau in col:
+                blocks.append(((row, col[tau]), (-1) ** k * face(sigma, k)))
+    return block_matrix(p, [dim(s) for s in upper], [dim(t) for t in lower], blocks)
+
+
+def face_complex(p, cells, dim, face):
+    """Cochain complex over the cell lists cells[0], cells[1], ... whose
+    differentials are the alternating face sums (no cells: zero in degree 0)."""
+    cells = cells or [[]]
+    dims = {q: sum(dim(s) for s in level) for q, level in enumerate(cells)}
+    diffs = {q: face_sum(p, cells[q], cells[q + 1], dim, face)
+             for q in range(len(cells) - 1)}
+    return CochainComplex(p, dims, diffs)
 
 
 def _kernel_space(d, p, dim):

@@ -1,10 +1,21 @@
 """Shared builders for tests: known complexes and random double complexes,
-plus the uncached linear algebra the memoized complexes are tested against."""
+plus the uncached linear algebra the memoized complexes are tested against
+and the hand-written constructions the shared builders replaced."""
+
+import itertools
 
 import numpy as np
 
 from hhdx.dpdo import OperatorAlgebra
-from hhdx.linalg import CochainComplex, DoubleComplex, FpMatrix, SpectralSequencePage, Subspace
+from hhdx.gs import Poset, SpaceDiagram
+from hhdx.linalg import (
+    CochainComplex,
+    DoubleComplex,
+    FpMatrix,
+    SpectralSequencePage,
+    Subspace,
+    block_matrix,
+)
 
 
 def staircase(p, length):
@@ -28,6 +39,17 @@ def staircase(p, length):
     d_h = {(k, L - 1 - k): one for k in range(L)}
     d_v = {(k, L - 1 - k): one for k in range(1, L)}
     return DoubleComplex.from_commuting(p, dims, d_h, d_v)
+
+
+def matrix_polynomial(m, coeffs, p):
+    """coeffs[k] * m^k summed, mod p (polynomials in m commute with m)."""
+    n = m.shape[0]
+    out = np.zeros((n, n), dtype=np.int64)
+    power = np.eye(n, dtype=np.int64)
+    for c in coeffs:
+        out = (out + c * power) % p
+        power = (power @ m) % p
+    return out
 
 
 def random_complex(p, rng, max_len=3, max_dim=3):
@@ -283,3 +305,43 @@ def assert_same_pages(got, want):
         assert all(g.diffs[k] == w.diffs[k] for k in w.diffs), g.r
         for (i, j) in w._reps:
             assert np.array_equal(g.representatives(i, j), w.representatives(i, j)), (g.r, i, j)
+
+
+# The library builds Koszul complexes with the alternating face sum of
+# linalg.face_complex and reads p1-cover's structure-sheaf nerve from
+# gs.projective_line_twist_diagram(p, 0, du).  These are the constructions
+# they replaced: the Koszul sign counted per subset, and the two-chart
+# function windows with the second chart embedded through v = 1/u.
+
+
+def oracle_koszul_commutator_complex(p, dim, matrices):
+    """M (x) Lambda^*(k^n), d(m e_S) = sum_(i not in S) (-1)^#{x in S : x < i}
+    K_i m e_(S u i), subsets in lexicographic order, module index minor."""
+    n = len(matrices)
+    mats = [np.mod(np.asarray(mat, dtype=np.int64), p) for mat in matrices]
+    subsets = {j: list(itertools.combinations(range(n), j)) for j in range(n + 1)}
+    dims = {j: len(subsets[j]) * dim for j in range(n + 1)}
+    diffs = {}
+    for j in range(n):
+        tgt = {s: k for k, s in enumerate(subsets[j + 1])}
+        blocks = []
+        for col, s in enumerate(subsets[j]):
+            for i in range(n):
+                if i not in s:
+                    sign = (-1) ** sum(x < i for x in s)
+                    blocks.append(((tgt[tuple(sorted(s + (i,)))], col), sign * mats[i]))
+        diffs[j] = block_matrix(p, [dim] * len(tgt), [dim] * len(subsets[j]), blocks)
+    return CochainComplex(p, dims, diffs)
+
+
+def oracle_structure_window_diagram(p, du):
+    """F(U0) = span{u^0..u^du}, F(U1) = span{v^0..v^du}, F(U01) =
+    span{u^-du..u^du}; the second chart embeds through v = 1/u."""
+    poset = Poset(["U01", "U0", "U1"], [("U01", "U0"), ("U01", "U1")])
+    dims = {"U0": du + 1, "U1": du + 1, "U01": 2 * du + 1}
+    incl0 = np.zeros((2 * du + 1, du + 1), dtype=np.int64)
+    incl1 = np.zeros((2 * du + 1, du + 1), dtype=np.int64)
+    for k in range(du + 1):
+        incl0[du + k, k] = 1
+        incl1[du - k, k] = 1
+    return SpaceDiagram(p, poset, dims, {("U0", "U01"): incl0, ("U1", "U01"): incl1})

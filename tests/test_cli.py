@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hhdx import linalg
+from hhdx import linalg, poly, tower
 from hhdx.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -112,6 +112,41 @@ def test_schema_rejects_tampered_report():
     report["assertions"][0]["status"] = "maybe"
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, SCHEMA)
+
+
+def _twist_membership_fails(monkeypatch):
+    monkeypatch.setattr(poly.MultiPoly, "in_twist_subring", lambda self, r: False)
+
+
+def _fitting_parts_swapped(monkeypatch):
+    fitting = tower.fitting_decomposition
+    monkeypatch.setattr(tower, "fitting_decomposition", lambda f: fitting(f)[::-1])
+
+
+def _centralizers_not_nested(monkeypatch):
+    monkeypatch.setattr(linalg.Subspace, "contains_space", lambda self, other: False)
+
+
+FAILED_CERTIFICATES = [
+    (["--scenario", "smith-tower", "--prime", "2", "--depth", "2"],
+     _twist_membership_fails, "increments-live-in-twist-subrings"),
+    (["--scenario", "proper-hh", "--prime", "2"],
+     _fitting_parts_swapped, "certified-limit-equals-fitting-part"),
+    (["--scenario", "a1-hh", "--prime", "2", "--depth", "3"],
+     _centralizers_not_nested, "centralizer-chain-frobenius-nested"),
+]
+
+
+@pytest.mark.parametrize("argv,break_check,name", FAILED_CERTIFICATES,
+                         ids=["smith-tower", "proper-hh", "a1-hh"])
+def test_failed_certificate_is_a_named_failing_assertion(argv, break_check, name,
+                                                         capsys, monkeypatch):
+    break_check(monkeypatch)
+    assert main([*argv, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, SCHEMA)
+    assert report["ok"] is False
+    assert [e["name"] for e in report["assertions"] if e["status"] == "fail"] == [name]
 
 
 # Exact eliminations (calls of linalg._rref) per report: a rise means some

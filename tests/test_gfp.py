@@ -1,4 +1,4 @@
-"""Prime validation, binomial coefficients mod p, semilinear maps."""
+"""Prime validation, binomial coefficients mod p, Fitting decomposition."""
 
 import math
 
@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from hhdx.gfp import (
     MAX_PRIME,
     PRIMES,
-    SemilinearMap,
     binomial_mod,
     fitting_decomposition,
     lucas_binomial,
     require_prime,
 )
+from hhdx.linalg import FpMatrix
 
 
 def integer_binomial(m, q):
@@ -77,29 +77,16 @@ def test_binomial_edge_cases():
             assert lucas_binomial(p, q, p) == 0
 
 
-def test_semilinear_apply_matches_linear_on_prime_field():
-    # over F_p coordinates, v -> v^[p] is the identity, so F acts as M
-    rng = np.random.default_rng(7)
-    for p in (2, 3, 5):
-        m = rng.integers(0, p, size=(4, 4))
-        f = SemilinearMap(p, m)
-        for _ in range(10):
-            v = rng.integers(0, p, size=4)
-            assert np.array_equal(f.apply(v), (m @ v) % p)
-        assert np.array_equal(f.iterate_matrix(3),
-                              np.linalg.matrix_power(m, 3) % p)
-
-
 def test_fitting_identity_zero_and_projector():
-    f = SemilinearMap(5, np.eye(3, dtype=np.int64))
+    f = FpMatrix(5, np.eye(3, dtype=np.int64))
     nil, semi = fitting_decomposition(f)
     assert nil.shape[0] == 0 and semi.shape[0] == 3
 
-    z = SemilinearMap(5, np.zeros((3, 3), dtype=np.int64))
+    z = FpMatrix(5, np.zeros((3, 3), dtype=np.int64))
     nil, semi = fitting_decomposition(z)
     assert nil.shape[0] == 3 and semi.shape[0] == 0
 
-    proj = SemilinearMap(2, np.diag([1, 0]).astype(np.int64))
+    proj = FpMatrix(2, np.diag([1, 0]).astype(np.int64))
     nil, semi = fitting_decomposition(proj)
     assert [list(r) for r in nil] == [[0, 1]]
     assert [list(r) for r in semi] == [[1, 0]]
@@ -107,13 +94,13 @@ def test_fitting_identity_zero_and_projector():
 
 def test_fitting_nilpotent_block():
     j = np.array([[0, 1], [0, 0]], dtype=np.int64)
-    nil, semi = fitting_decomposition(SemilinearMap(3, j))
+    nil, semi = fitting_decomposition(FpMatrix(3, j))
     assert nil.shape[0] == 2 and semi.shape[0] == 0
 
     mixed = np.zeros((3, 3), dtype=np.int64)
     mixed[0, 1] = 1  # J_2(0) on first two coordinates
     mixed[2, 2] = 1  # identity on the third
-    nil, semi = fitting_decomposition(SemilinearMap(3, mixed))
+    nil, semi = fitting_decomposition(FpMatrix(3, mixed))
     assert nil.shape[0] == 2 and semi.shape[0] == 1
     assert [list(r) for r in semi] == [[0, 0, 1]]
 
@@ -122,6 +109,6 @@ def test_fitting_nilpotent_block():
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(0, 10 ** 6))
 def test_fitting_random_invariants(p, n, seed):
     rng = np.random.default_rng(seed)
-    f = SemilinearMap(p, rng.integers(0, p, size=(n, n)))
+    f = FpMatrix(p, rng.integers(0, p, size=(n, n)))
     nil, semi = fitting_decomposition(f)  # internal checks assert the axioms
     assert nil.shape[0] + semi.shape[0] == n

@@ -4,6 +4,7 @@ its cup product, and the windowed operator scenarios."""
 import numpy as np
 import pytest
 
+from helpers import oracle_structure_window_diagram
 from hhdx.errors import WindowError
 from hhdx.gs import (
     GSComplex,
@@ -104,6 +105,17 @@ def test_projective_line_twists(p):
         assert nerve_vs_cech(diagram, cover)["agree"]
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_untwisted_line_nerve_equals_two_chart_function_windows(p):
+    # p1-cover reads its structure-sheaf nerve from the twist-0 diagram; the
+    # function-window diagram with the chart change v = 1/u is isomorphic, and
+    # both see H^0 = constants, H^1 = 0
+    for du in range(1, 9):
+        diagram, _ = projective_line_twist_diagram(p, 0, du)
+        want = oracle_structure_window_diagram(p, du).nerve_betti()
+        assert diagram.nerve_betti() == want == {0: 1, 1: 0}, du
+
+
 def test_projective_line_window_guard():
     with pytest.raises(ValueError):
         projective_line_twist_diagram(3, -7, 5)
@@ -193,6 +205,20 @@ def test_diagram_validation_rejects_broken_maps():
     with pytest.raises(ValueError):
         GSDiagram(p, poset, algs, mods, {("U", "V"): [[1, 0]]},
                   {("U", "V"): [[0, 1]]})
+    # a missing restriction is a configuration error, not a lookup failure
+    with pytest.raises(ValueError, match="missing restriction"):
+        GSDiagram(p, poset, algs, mods, {("U", "V"): [[1, 0]]}, {})
+    # W < V < U: every map is an algebra/module map, but the module maps do
+    # not compose (the identity twice is not the zero map)
+    chain = Poset(["W", "V", "U"], [("W", "V"), ("V", "U")])
+    field = StructAlgebra(p, [[[1]]], [1])
+    one = {key: [[1]] for key in [("U", "V"), ("V", "W"), ("U", "W")]}
+    with pytest.raises(ValueError, match="compose"):
+        GSDiagram(p, chain, {e: field for e in "UVW"},
+                  {e: Bimodule.regular(field) for e in "UVW"},
+                  one, {**one, ("U", "W"): [[0]]})
+    GSDiagram(p, chain, {e: field for e in "UVW"},
+              {e: Bimodule.regular(field) for e in "UVW"}, one, one)
 
 
 # -- cup products -------------------------------------------------------------

@@ -4,9 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import oracle_quotient_end_model
+from helpers import matrix_polynomial, oracle_koszul_commutator_complex, oracle_quotient_end_model
 from hhdx import linalg
+from hhdx.cli import _make_algebra
 from hhdx.errors import CapacityError, WindowError
 from hhdx.hochschild import (
     Bimodule,
@@ -100,6 +103,24 @@ def test_regular_bimodule_axioms_checked():
     eye = np.eye(2, dtype=np.int64)
     with pytest.raises(ValueError):
         Bimodule(tp, good.left, [eye, eye])
+
+
+@pytest.mark.parametrize("name", ["m2", "kxk", "dual"])
+def test_action_equals_sum_of_basis_actions(name):
+    rng = np.random.default_rng(11)
+    for p in (2, 3, 5):
+        algebra = _make_algebra(p, name)
+        bimodule = Bimodule.regular(algebra)
+        n = algebra.dim
+        coords = list(np.eye(n, dtype=np.int64)) + [algebra.unit]
+        coords += [rng.integers(0, p, size=n) for _ in range(5)]
+        for side, mats in (("left", bimodule.left), ("right", bimodule.right)):
+            for c in coords:
+                want = sum(int(c[k]) * mats[k] for k in range(n)) % p
+                assert np.array_equal(bimodule.action(c, side), want)
+            # rows of coordinates give the stack of their action matrices
+            assert np.array_equal(bimodule.action(np.array(coords), side),
+                                  np.stack([bimodule.action(c, side) for c in coords]))
 
 
 def test_bar_differential_squares_to_zero():
@@ -216,6 +237,27 @@ def test_koszul_commutator_complex_validation():
         koszul_commutator_complex(p, 2, [a, b])  # do not commute
     cx = koszul_commutator_complex(p, 2, [a, a])
     assert cx.dims == {0: 2, 1: 4, 2: 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_koszul_complex_matches_per_subset_sign_loop(data):
+    """Face-sum Koszul complex against the per-subset sign loop, on commuting
+    families: polynomials in one random matrix."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    size = data.draw(st.integers(min_value=1, max_value=4))
+    entries = data.draw(st.lists(st.integers(min_value=0, max_value=p - 1),
+                                 min_size=size * size, max_size=size * size))
+    base = np.array(entries, dtype=np.int64).reshape(size, size)
+    mats = [matrix_polynomial(base, data.draw(st.lists(
+                st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=3)), p)
+            for _ in range(n)]
+    got = koszul_commutator_complex(p, size, mats)
+    want = oracle_koszul_commutator_complex(p, size, mats)
+    assert got.dims == want.dims
+    for j in range(n):
+        assert got.differential(j) == want.differential(j)
 
 
 def test_operator_window_koszul_line():

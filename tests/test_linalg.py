@@ -79,6 +79,20 @@ def test_matrix_ops():
         FpMatrix.zeros(2, 100_000, 100_000)
 
 
+def test_power_matches_numpy_matrix_power():
+    # a Frobenius-semilinear map of F_p^n iterates as its matrix (x^p = x)
+    rng = np.random.default_rng(7)
+    for p in (2, 3, 5):
+        m = rng.integers(0, p, size=(4, 4))
+        for k in range(6):
+            assert np.array_equal(FpMatrix(p, m).power(k).a,
+                                  np.linalg.matrix_power(m, k) % p)
+    with pytest.raises(ValueError):
+        FpMatrix(3, [[1, 2]]).power(2)
+    with pytest.raises(ValueError):
+        FpMatrix(3, [[1]]).power(-1)
+
+
 def test_block_matrix_places_adds_and_reduces_blocks():
     p = 5
     a = FpMatrix(p, [[1, 2], [3, 4]])

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import matrix_polynomial
 from hhdx.errors import WindowError
-from hhdx.gfp import SemilinearMap, fitting_decomposition
+from hhdx.gfp import fitting_decomposition
 from hhdx.linalg import CochainComplex, FpMatrix
 from hhdx.tower import (
     Tower,
@@ -113,7 +114,7 @@ def test_proper_tower_matches_fitting_on_random_maps(data):
     matrix = np.array(entries, dtype=np.int64).reshape(n, n)
     report = proper_tower_report(p, matrix)
     assert report["agree"]
-    _, semi_rows = fitting_decomposition(SemilinearMap(p, matrix))
+    _, semi_rows = fitting_decomposition(FpMatrix(p, matrix))
     assert report["certified_lim_dim"] == len(semi_rows)
     assert report["semisimple_dim"] + report["nilpotent_dim"] == n
 
@@ -148,17 +149,6 @@ def test_semisimple_check_rejects_non_commuting():
         semisimple_cohomology_check(c, {0: [[0, 1], [0, 0]], 1: np.eye(2, dtype=np.int64)})
 
 
-def _matrix_power_sum(m, coeffs, p):
-    """coeffs[k] * m^k summed, mod p (polynomials in m commute with m)."""
-    n = m.shape[0]
-    out = np.zeros((n, n), dtype=np.int64)
-    power = np.eye(n, dtype=np.int64)
-    for c in coeffs:
-        out = (out + c * power) % p
-        power = (power @ m) % p
-    return out
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_semisimple_check_on_commuting_polynomial_families(data):
@@ -173,8 +163,8 @@ def test_semisimple_check_on_commuting_polynomial_families(data):
                                   min_size=1, max_size=3))
     f_coeffs = data.draw(st.lists(st.integers(min_value=0, max_value=p - 1),
                                   min_size=1, max_size=4))
-    d = FpMatrix(p, _matrix_power_sum(m, d_coeffs, p))
-    f = _matrix_power_sum(m, f_coeffs, p)
+    d = FpMatrix(p, matrix_polynomial(m, d_coeffs, p))
+    f = matrix_polynomial(m, f_coeffs, p)
     c = CochainComplex(p, {0: n, 1: n}, {0: d})
     table = semisimple_cohomology_check(c, {0: f, 1: f})
     for m_deg in (0, 1):
@@ -189,7 +179,7 @@ def test_semisimple_check_three_term_nilpotent():
         jordan[i, i + 1] = 1
     d = FpMatrix(p, (jordan @ jordan) % p)
     assert (d @ d).is_zero()
-    f = _matrix_power_sum(jordan, [1, 2, 1], p)
+    f = matrix_polynomial(jordan, [1, 2, 1], p)
     c = CochainComplex(p, {0: 4, 1: 4, 2: 4}, {0: d, 1: d})
     table = semisimple_cohomology_check(c, {0: f, 1: f, 2: f})
     assert set(table) == {0, 1, 2}
