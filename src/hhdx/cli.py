@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .dpdo import OperatorAlgebra, matrix_realize, morita_compress
+from .dpdo import OperatorAlgebra, compression_action_agrees, matrix_realize, morita_compress
 from .errors import CapacityError, WindowError
 from .gfp import require_prime
 from .gs import GSComplex, GSDiagram, Poset, gs_for_subalgebra_scenario
@@ -212,7 +212,8 @@ def _scenario_morita_matrix(args):
     }
     assertions = []
     _check(assertions, "realization-rank-is-twist-index", realization.size == q)
-    _check(assertions, "compression-action-certified", True,
+    _check(assertions, "compression-action-certified",
+           compression_action_agrees(aligned, compressed, r, d),
            detail="actions compared on every subring monomial in the window")
     flags = []
     if realization.truncated:

@@ -6,8 +6,8 @@ echelon form, kernel basis and cohomology representative is deterministic.
 On top of the matrix layer sit bounded cochain complexes, first-quadrant
 double complexes (sign convention: d = d_h + (-1)^i d_v on column i), and
 the spectral sequence of the column filtration computed through explicit
-subquotient bases.  Block-structured differentials (totalizations, tower
-resolutions, bar columns) are all built by `block_matrix`; every simplicial
+subquotient bases.  Block-structured differentials (totalizations, bar
+columns) are all built by `block_matrix`; every simplicial
 cochain complex (Koszul complexes, nerve and Cech complexes, the rows of
 diagram double complexes) by the alternating face sum `face_sum` /
 `face_complex` on top of it; and every span of unit vectors (coordinate

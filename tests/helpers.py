@@ -1,6 +1,7 @@
 """Shared builders for tests: known complexes and random double complexes,
-plus the uncached linear algebra the memoized complexes are tested against
-and the hand-written constructions the shared builders replaced."""
+plus the uncached linear algebra the memoized complexes are tested against,
+the hand-written constructions the shared builders replaced, and the general
+tower limit the closed-form Tower is tested against."""
 
 import itertools
 
@@ -345,3 +346,59 @@ def oracle_structure_window_diagram(p, du):
         incl0[du + k, k] = 1
         incl1[du - k, k] = 1
     return SpaceDiagram(p, poset, dims, {("U0", "U01"): incl0, ("U1", "U01"): incl1})
+
+
+def oracle_limit_report(p, dims, transitions):
+    """Limit data of a general tower M_R -> ... -> M_0 (level dims, and one
+    dims[r] x dims[r+1] transition per step), all by elimination.
+
+    Eliminates the resolution Phi(x_0..x_R) = (x_r - f_r x_{r+1})_r for its
+    rank and again for its kernel, checks the Euler identity and that the
+    kernel projects onto the bottom stable image, and reads every image
+    I_{r,s} = im(M_s -> M_r) off an explicit composite.  This is the path
+    the constant Tower replaced by one image chain and closed-form raw
+    limits.
+    """
+    top = len(dims) - 1
+    fs = [FpMatrix(p, np.asarray(t, dtype=np.int64).reshape(dims[r], dims[r + 1]))
+          for r, t in enumerate(transitions)]
+
+    def image_at(r, s):
+        composite = FpMatrix.identity(p, dims[s])
+        for k in range(s - 1, r - 1, -1):
+            composite = fs[k] @ composite
+        return Subspace(p, dims[r], composite.transpose().a)
+
+    blocks = {}
+    for r, f in enumerate(fs):
+        blocks[(r, r)] = np.eye(dims[r], dtype=np.int64)
+        blocks[(r, r + 1)] = -f.a
+    phi = block_matrix(p, dims[:-1], dims, blocks)
+    rank = phi.rank()
+    raw_lim, raw_lim1 = phi.cols - rank, phi.rows - rank
+    assert raw_lim - raw_lim1 == dims[-1], "Euler identity fails for the resolution"
+    kernel = phi.kernel_basis()
+    stable = image_at(0, top)
+    assert Subspace(p, dims[0], kernel[:, :dims[0]]) == stable, \
+        "kernel projection differs from the stable image"
+
+    levels = []
+    for r in range(top + 1):
+        images = [image_at(r, s) for s in range(r, top + 1)]
+        first_stable = next(k for k, im in enumerate(images) if im == images[-1])
+        levels.append({
+            "level": r,
+            "image_dims": [im.dim for im in images],
+            "stable_dim": images[-1].dim,
+            "stabilized_at": r + first_stable,
+            "certified": r + first_stable < top,
+        })
+    certified = levels[0]["certified"]
+    return {
+        "raw": {"lim_dim": raw_lim, "lim1_dim": raw_lim1, "euler": raw_lim - raw_lim1},
+        "levels": levels,
+        "stable_image": stable,
+        "certified": certified,
+        "certified_lim_dim": levels[0]["stable_dim"] if certified else None,
+        "certified_lim1_dim": 0 if certified else None,
+    }

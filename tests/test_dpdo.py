@@ -9,6 +9,7 @@ from hhdx.dpdo import (
     DPDOperator,
     OperatorAlgebra,
     TruncatedOperatorModule,
+    compression_action_agrees,
     invert_variable,
     matrix_realize,
     morita_compress,
@@ -249,6 +250,9 @@ def test_morita_compress_frozen():
     op = alg.monomial((2,), (2,))
     small = morita_compress(op, 1, degree_bound=8)
     assert small.render() == "u*Du^(1)"
+    assert compression_action_agrees(op, small, 1, 8)
+    # a wrong corner operator fails the action certificate
+    assert not compression_action_agrees(op, small.algebra.monomial((1,), (0,)), 1, 8)
     # misaligned terms act by zero on the subring
     assert morita_compress(alg.monomial((1,), (1,)), 1, degree_bound=8).is_zero()
     assert morita_compress(alg.monomial((2,), (1,)), 1, degree_bound=8).is_zero()
@@ -271,6 +275,8 @@ def test_morita_compress_products():
         cb = morita_compress(b, r, degree_bound=32)
         cab = morita_compress(a * b, r, degree_bound=32)
         assert cab == ca * cb
+        assert all(compression_action_agrees(x, cx, r, 32)
+                   for x, cx in [(a, ca), (b, cb), (a * b, cab)])
 
 
 def test_invert_variable_frozen_and_involutive():

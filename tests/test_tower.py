@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import matrix_polynomial
-from hhdx.errors import WindowError
+from helpers import oracle_limit_report
+from hhdx.errors import CapacityError, WindowError
 from hhdx.gfp import fitting_decomposition
-from hhdx.linalg import CochainComplex, FpMatrix
+from hhdx.linalg import FpMatrix
 from hhdx.tower import (
+    MAX_TOWER_DIM,
     Tower,
     elliptic_frobenius_report,
     filtered_hh_sequence,
     hasse_invariant,
     proper_tower_report,
-    semisimple_cohomology_check,
     smith_tower_check,
 )
 
@@ -28,7 +28,7 @@ def test_zero_tower_raw_vs_certified():
     """A window of zero maps: the raw kernel sees the top level, the
     certified reading sees the actual limit 0."""
     zeros = np.zeros((2, 2), dtype=np.int64)
-    report = Tower(2, [2, 2, 2, 2], [zeros] * 3).limit_report()
+    report = Tower(2, zeros, 3).limit_report()
     assert report["raw"]["lim_dim"] == 2
     assert report["raw"]["lim1_dim"] == 0
     assert report["certified"] and report["certified_lim_dim"] == 0
@@ -36,41 +36,47 @@ def test_zero_tower_raw_vs_certified():
 
 
 def test_identity_tower_certifies_full_space():
-    report = Tower.constant(3, np.eye(2, dtype=np.int64), 3).limit_report()
+    report = Tower(3, np.eye(2, dtype=np.int64), 3).limit_report()
     assert report["certified"] and report["certified_lim_dim"] == 2
-    assert "proof" in report["certificate_kind"]
-
-
-def test_window_certificate_is_labelled():
-    ones = np.eye(1, dtype=np.int64)
-    report = Tower(2, [1, 1, 1], [ones, ones]).limit_report()
-    assert report["certified"]
-    assert "window observation" in report["certificate_kind"]
+    assert report["stabilized_at"] == 0 and report["image_dims"] == [2, 2, 2, 2]
 
 
 def test_top_level_never_certifies_itself():
-    report = Tower.constant(2, [[1]], 1).limit_report()
-    assert report["levels"][-1]["certified"] is False
+    """The nilpotent 2 x 2 block reaches its limit 0 at level 2: a window of
+    two levels shows no repeat, three levels confirm it."""
+    nilpotent = [[0, 1], [0, 0]]
+    report = Tower(2, nilpotent, 2).limit_report()
+    assert report["image_dims"] == [2, 1, 0] and report["stabilized_at"] == 2
+    assert not report["certified"] and report["certified_lim_dim"] is None
+    report = Tower(2, nilpotent, 3).limit_report()
+    assert report["certified"] and report["certified_lim_dim"] == 0
+
+
+def test_image_chain_stops_at_first_repeat():
+    """The chain never runs past dim + 1 images, however many levels."""
+    assert len(Tower(2, np.eye(3, dtype=np.int64), 60).image_chain()) == 1
+    jordan = np.eye(4, k=1, dtype=np.int64)
+    assert [s.dim for s in Tower(3, jordan, 60).image_chain()] == [4, 3, 2, 1, 0]
 
 
 def test_tower_validation():
     with pytest.raises(ValueError):
-        Tower(2, [2], [])
+        Tower(2, [[1]], 0)
     with pytest.raises(ValueError):
-        Tower(2, [2, 2], [])
+        Tower(2, np.zeros((2, 3), dtype=np.int64), 2)
     with pytest.raises(ValueError):
-        Tower(2, [2, 3], [np.zeros((3, 2), dtype=np.int64)])
-    with pytest.raises(ValueError):
-        Tower(2, [2, -1], [np.zeros((2, 0), dtype=np.int64)])
-    with pytest.raises(ValueError):
-        Tower.constant(2, np.zeros((2, 3), dtype=np.int64), 2)
+        Tower(4, [[1]], 2)
+    with pytest.raises(CapacityError):
+        Tower(2, np.zeros((MAX_TOWER_DIM + 1,) * 2, dtype=np.int64), 2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_tower_internal_identities_hold_on_random_towers(data):
-    """limit_report re-derives the Euler identity and the kernel/stable-image
-    match internally; any violation raises.  Dimensions may hit zero."""
+    """The general-dims oracle re-derives the Euler identity and the
+    kernel/stable-image match internally; on top, its resolution has full
+    row rank (raw lim^1 = 0, raw lim = dim M_R), the closed form the Tower
+    reports.  Dimensions may hit zero."""
     p = data.draw(st.sampled_from([2, 3, 5]))
     dims = data.draw(st.lists(st.integers(min_value=0, max_value=3),
                               min_size=2, max_size=5))
@@ -80,12 +86,34 @@ def test_tower_internal_identities_hold_on_random_towers(data):
                                      min_size=dims[r] * dims[r + 1],
                                      max_size=dims[r] * dims[r + 1]))
         transitions.append(np.array(entries, dtype=np.int64).reshape(dims[r], dims[r + 1]))
-    report = Tower(p, dims, transitions).limit_report()
-    assert report["raw"]["euler"] == dims[-1]
+    report = oracle_limit_report(p, dims, transitions)
+    assert report["raw"] == {"lim_dim": dims[-1], "lim1_dim": 0, "euler": dims[-1]}
     # image dims never increase along the window
     for level in report["levels"]:
         seq = level["image_dims"]
         assert all(seq[i] >= seq[i + 1] for i in range(len(seq) - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tower_matches_oracle_on_random_square_maps(data):
+    """The image chain with closed-form raw limits against the resolution
+    and composite eliminations of the general oracle."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(min_value=0, max_value=5))
+    levels = data.draw(st.integers(min_value=1, max_value=6))
+    entries = data.draw(st.lists(st.integers(min_value=0, max_value=p - 1),
+                                 min_size=n * n, max_size=n * n))
+    f = np.array(entries, dtype=np.int64).reshape(n, n)
+    got = Tower(p, f, levels).limit_report()
+    want = oracle_limit_report(p, [n] * (levels + 1), [f] * levels)
+    assert got["raw"] == {k: want["raw"][k] for k in ("lim_dim", "lim1_dim")}
+    assert got["image_dims"] == want["levels"][0]["image_dims"]
+    assert got["stabilized_at"] == want["levels"][0]["stabilized_at"]
+    assert got["certified"] == want["certified"]
+    assert got["certified_lim_dim"] == want["certified_lim_dim"]
+    assert got["certified_lim1_dim"] == want["certified_lim1_dim"]
+    assert got["stable_image"] == want["stable_image"]
 
 
 # -- constant Frobenius towers ---------------------------------------------------------
@@ -122,67 +150,6 @@ def test_proper_tower_matches_fitting_on_random_maps(data):
 def test_proper_tower_needs_enough_levels():
     with pytest.raises(ValueError):
         proper_tower_report(2, [[0, 1], [0, 0]], levels=2)
-
-
-# -- semisimple part of cohomology ------------------------------------------------------
-
-
-def test_semisimple_check_zero_differential():
-    c = CochainComplex(2, {0: 2, 1: 2}, {0: FpMatrix.zeros(2, 2, 2)})
-    table = semisimple_cohomology_check(
-        c, {0: [[1, 0], [0, 0]], 1: np.eye(2, dtype=np.int64)})
-    assert table[0] == {"h_dim": 2, "semisimple_h_dim": 1}
-    assert table[1] == {"h_dim": 2, "semisimple_h_dim": 2}
-
-
-def test_semisimple_check_projection_differential():
-    c = CochainComplex(2, {0: 2, 1: 2}, {0: FpMatrix(2, [[1, 0], [0, 0]])})
-    table = semisimple_cohomology_check(
-        c, {0: [[1, 0], [0, 0]], 1: [[1, 0], [0, 1]]})
-    assert table[0] == {"h_dim": 1, "semisimple_h_dim": 0}
-    assert table[1] == {"h_dim": 1, "semisimple_h_dim": 1}
-
-
-def test_semisimple_check_rejects_non_commuting():
-    c = CochainComplex(2, {0: 2, 1: 2}, {0: FpMatrix(2, [[1, 0], [0, 0]])})
-    with pytest.raises(ValueError):
-        semisimple_cohomology_check(c, {0: [[0, 1], [0, 0]], 1: np.eye(2, dtype=np.int64)})
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_semisimple_check_on_commuting_polynomial_families(data):
-    """d and F both polynomials in one random matrix, so they commute;
-    two-term complexes need no d*d condition."""
-    p = data.draw(st.sampled_from([2, 3, 5]))
-    n = data.draw(st.integers(min_value=1, max_value=4))
-    entries = data.draw(st.lists(st.integers(min_value=0, max_value=p - 1),
-                                 min_size=n * n, max_size=n * n))
-    m = np.array(entries, dtype=np.int64).reshape(n, n)
-    d_coeffs = data.draw(st.lists(st.integers(min_value=0, max_value=p - 1),
-                                  min_size=1, max_size=3))
-    f_coeffs = data.draw(st.lists(st.integers(min_value=0, max_value=p - 1),
-                                  min_size=1, max_size=4))
-    d = FpMatrix(p, matrix_polynomial(m, d_coeffs, p))
-    f = matrix_polynomial(m, f_coeffs, p)
-    c = CochainComplex(p, {0: n, 1: n}, {0: d})
-    table = semisimple_cohomology_check(c, {0: f, 1: f})
-    for m_deg in (0, 1):
-        assert 0 <= table[m_deg]["semisimple_h_dim"] <= table[m_deg]["h_dim"]
-
-
-def test_semisimple_check_three_term_nilpotent():
-    """0 -> V -> V -> V -> 0 with d = J^2 for the size-4 Jordan block."""
-    p = 3
-    jordan = np.zeros((4, 4), dtype=np.int64)
-    for i in range(3):
-        jordan[i, i + 1] = 1
-    d = FpMatrix(p, (jordan @ jordan) % p)
-    assert (d @ d).is_zero()
-    f = matrix_polynomial(jordan, [1, 2, 1], p)
-    c = CochainComplex(p, {0: 4, 1: 4, 2: 4}, {0: d, 1: d})
-    table = semisimple_cohomology_check(c, {0: f, 1: f, 2: f})
-    assert set(table) == {0, 1, 2}
 
 
 # -- Hasse invariants -----------------------------------------------------------------
