@@ -359,22 +359,6 @@ class DPDOperator:
         """Direct check: [multiplication by f, self] = 0."""
         return self.algebra.multiplication(f).commutator(self).is_zero()
 
-    # -- quotient model -------------------------------------------------------------------
-
-    def quotient_reduce(self, s):
-        """Image in End(F_p[x]/(x^(p^s))) for the one-variable quotient.
-
-        Terms with any monomial exponent >= p^s land in the ideal and terms
-        with any divided-power exponent >= p^s annihilate every residue
-        degree, so both are honestly zero in the quotient endomorphism ring.
-        """
-        if self.algebra.laurent:
-            raise ValueError("quotient model needs a polynomial algebra")
-        q = self.algebra.p ** s
-        kept = {(a, b): c for (a, b), c in self.terms.items()
-                if all(e < q for e in a) and all(e < q for e in b)}
-        return DPDOperator(self.algebra, kept)
-
     # -- rendering ---------------------------------------------------------------------------
 
     def support(self):
@@ -620,14 +604,19 @@ class TruncatedOperatorModule:
     def contains(self, op):
         return all(key in self.index for key in op.terms)
 
-    def vectorize(self, op):
+    def coordinates(self, op):
+        """(index, coefficient) of each term of op; WindowError off the window."""
         if op.algebra != self.algebra:
             raise ValueError("operator from a different algebra")
-        vec = [0] * self.dim
         for key, c in op.terms.items():
             i = self.index.get(key)
             if i is None:
                 raise WindowError(f"term {key} falls outside the module window")
+            yield i, c
+
+    def vectorize(self, op):
+        vec = [0] * self.dim
+        for i, c in self.coordinates(op):
             vec[i] = c
         return vec
 
@@ -637,12 +626,13 @@ class TruncatedOperatorModule:
 
     def operator_matrix(self, func, target=None):
         """Matrix (over the target window) of a linear map given on basis
-        operators.  Raises WindowError if any image leaves the target."""
+        operators, written from each image's nonzero terms.  Raises
+        WindowError if any image leaves the target."""
         target = target or self
         mat = linalg.zeros(target.dim, self.dim)
         for col, ab in enumerate(self.basis):
-            img = func(DPDOperator(self.algebra, {ab: 1}))
-            mat[:, col] = target.vectorize(img)
+            for i, c in target.coordinates(func(DPDOperator(self.algebra, {ab: 1}))):
+                mat[i, col] = c
         return linalg.FpMatrix(self.algebra.p, mat)
 
     def commutator_matrix(self, g, target=None):

@@ -398,54 +398,6 @@ def _middle_window_vanishes(cx, module, j, window):
     return cx.image(j).contains_space(small)
 
 
-# -- quotient endomorphism model (bar vs Koszul oracle) ----------------------------
-
-
-def _end_module(p, s):
-    """End(F_p[x]/(x^(p^s))) as the operator window x^a D^(b), a, b < p^s."""
-    q = p ** s
-    return TruncatedOperatorModule(OperatorAlgebra(p, 1, names=("x",)), q - 1, q - 1)
-
-
-def _end_matrix(module, s, func):
-    """Matrix on the _end_module basis of op |-> func(op) in the quotient."""
-    return module.operator_matrix(lambda op: func(op).quotient_reduce(s))
-
-
-def quotient_end_model(p, s):
-    """A = F_p[x]/(x^(p^s)) acting on M = End(A), in two synchronized forms.
-
-    Returns (algebra, bimodule, operator basis): the bimodule's underlying
-    space is spanned by the operators x^a D^(b) with a, b < p^s, which form
-    a basis of End(A); left/right actions are multiplication by x inside
-    the quotient, extended along the algebra.  This is an honest bimodule
-    (no truncation leak: the quotient relations are exact operator
-    identities on A).
-    """
-    require_prime(p)
-    q = p ** s
-    if q > 9:
-        raise CapacityError("quotient endomorphism model exceeds bar capacity")
-    algebra = StructAlgebra.truncated_polynomial(p, q)
-    module = _end_module(p, s)
-    x_op = module.algebra.variable()
-    lx = _end_matrix(module, s, lambda op: x_op * op).a
-    rx = _end_matrix(module, s, lambda op: op * x_op).a
-    eye = np.eye(module.dim, dtype=np.int64)
-    left = [eye.copy()]
-    right = [eye.copy()]
-    for _ in range(1, q):
-        left.append((lx @ left[-1]) % p)
-        right.append((rx @ right[-1]) % p)
-    # internal product: prod[e, f, g] is the e_g-coefficient of the composite
-    # e f, so prod[e] is the transpose of the matrix of f |-> e f
-    prod = np.stack([
-        _end_matrix(module, s, lambda op, e=module.algebra.from_terms({ab: 1}): e * op).a.T
-        for ab in module.basis])
-    bimodule = Bimodule(algebra, left, right, product=prod)
-    return algebra, bimodule, module.basis
-
-
 def hh_of_pair(p, r, degree_bound, dp_bound):
     """Hochschild table of the depth-r twisted operator algebra on the line.
 
@@ -486,52 +438,3 @@ def hh_of_pair(p, r, degree_bound, dp_bound):
         "h0_certified": report["h0"]["certified_multiplication_operators"],
         "h_top": report["h_top"],
     }
-
-
-def periodic_vs_bar_certificate(p, s, top=1):
-    """HH^j(A, End A) along two independent resolutions, compared.
-
-    A = F_p[x]/(x^q), q = p^s, has the 2-periodic bimodule resolution with
-    alternating maps v = x(x)1 - 1(x)x and u = sum_{i+j=q-1} x^i (x) x^j.
-    On End(A) these dualize to ad(x) and m |-> sum x^i m x^j.  The bar
-    route computes the same Ext groups from the simplicial differential;
-    both tables and the degree-0 kernels must agree on the nose.  The
-    degree-0 group is also pinned to its closed form: the centralizer of a
-    faithful cyclic commutative action is the algebra itself, so HH^0 has
-    dimension q with the multiplication operators as its basis.
-    """
-    _, bimodule, _ = quotient_end_model(p, s)
-    q = p ** s
-    bar = hochschild_cohomology(bimodule, top)
-
-    module = _end_module(p, s)
-    m = module.dim
-    op_alg = module.algebra
-    x_op = op_alg.variable()
-    ad_x = _end_matrix(module, s, x_op.commutator)
-
-    def norm_map(op):
-        total = op_alg.zero()
-        for i in range(q):
-            left = op_alg.variable(0, i) if i else op_alg.one()
-            right = op_alg.variable(0, q - 1 - i) if q - 1 - i else op_alg.one()
-            total = total + (left * op * right).quotient_reduce(s)
-        return total
-
-    u_star = _end_matrix(module, s, norm_map)
-    dims = {j: m for j in range(top + 2)}
-    diffs = {j: (ad_x if j % 2 == 0 else u_star) for j in range(top + 1)}
-    periodic = CochainComplex(p, dims, diffs)
-    periodic_table = {j: periodic.cohomology(j)[0] for j in range(top + 1)}
-    bar_table = {j: bar[j][0] for j in bar}
-
-    # degree-0 closed form: the multiplication operators x^a, a < q
-    expected0 = Subspace.units(p, m, [module.index[((a,), (0,))] for a in range(q)])
-    bar0 = Subspace(p, m, bar[0][1])
-    per0 = Subspace(p, m, periodic.cohomology(0)[1])
-    h0_certified = (bar_table[0] == q == periodic_table[0]
-                    and bar0 == expected0 == per0)
-
-    agree = bar_table == periodic_table
-    return {"bar": bar_table, "periodic": periodic_table,
-            "agree": agree, "h0_certified": bool(h0_certified)}

@@ -31,6 +31,7 @@ windows on the line.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -395,6 +396,43 @@ def smith_tower_check(p, levels, degree_bound):
 # -- filtered centralizer sequence on the line ------------------------------------------
 
 
+def lucas_centralizers(p, levels, degree_bound, dp_bound):
+    """Joint commutants, inside the window [0, degree_bound] x [0, dp_bound]
+    of the operators on the line, of t and the divided powers D^(q): with
+    q < p^r at each depth r <= levels, and with q <= dp_bound for the full
+    commutant.
+
+    By Lucas' theorem D^(q) = prod_k (D^(p^k))^(q_k) / q_k! for the base-p
+    digits q_k < p of q, and each q_k! is a unit mod p, so an operator that
+    commutes with every D^(p^k) with p^k <= q commutes with D^(q).  The
+    commutant against D^(q), q < p^r, is therefore the joint kernel of
+    [t, -] and the [D^(p^k), -] with k < r, and the full one that of [t, -]
+    and the [D^(p^k), -] with p^k <= dp_bound.  Each commutator matrix is
+    built once, into a codomain enlarged by p^k so it is exact, and every
+    depth stacks a prefix of the same list.
+
+    Returns (module, [depth-0 .. depth-levels spaces], full space), each
+    space a Subspace of the module's coordinates.
+    """
+    alg = OperatorAlgebra(p, 1, names=("t",))
+    dom = TruncatedOperatorModule(alg, degree_bound, dp_bound)
+    window_digits = next(k for k in itertools.count() if p ** k > dp_bound)
+    mats = [dom.commutator_matrix(alg.variable()).a]
+    for q in (p ** k for k in range(max(levels, window_digits))):
+        target = TruncatedOperatorModule(alg, degree_bound, dp_bound + q)
+        mats.append(dom.commutator_matrix(alg.divided_power(0, q), target=target).a)
+
+    @functools.cache
+    def centralizer(n):
+        """Joint kernel of the first n commutator matrices, exactly (cached:
+        the full commutant is the deepest level's when dp_bound < p^levels)."""
+        mat = FpMatrix(p, np.concatenate(mats[:n], axis=0))
+        return Subspace._from_rref(p, dom.dim, mat.kernel_basis())
+
+    depths = [centralizer(r + 1) for r in range(levels + 1)]
+    return dom, depths, centralizer(1 + window_digits)
+
+
 def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
     """Centralizer windows of the depth filtration on the line.
 
@@ -403,7 +441,9 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
     window [0, degree_bound] x [0, dp_bound] with enlarged codomains (so
     every commutator matrix is exact) and must come out as the
     Frobenius-nested chain k[t^(p^r)] cap window -- exactly, basis by
-    basis.
+    basis.  By Lucas' theorem the D^(p^k) with k < r generate the same
+    commutant as all D^(q) with q < p^r, so only those are stacked
+    (`lucas_centralizers`).
 
     The graded pieces in each polynomial degree then form towers.  Their
     certificates are arithmetic, not repeat-counting: a graded piece of
@@ -430,24 +470,10 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
         raise WindowError("degree window too small for the deepest level")
     d_bound = int(degree_bound)
     q_bound = int(dp_bound)
-    alg = OperatorAlgebra(p, 1, names=("t",))
-    dom = TruncatedOperatorModule(alg, d_bound, q_bound)
-    t_op = alg.variable()
-
-    def centralizer(qs):
-        """Joint kernel of [t, -] and the [D^(q), -] over the window, exactly."""
-        stacked = [dom.commutator_matrix(t_op).a]
-        for q in qs:
-            target = TruncatedOperatorModule(alg, d_bound, q_bound + q)
-            stacked.append(dom.commutator_matrix(alg.divided_power(0, q),
-                                                 target=target).a)
-        mat = FpMatrix(p, np.concatenate(stacked, axis=0))
-        return Subspace._from_rref(p, dom.dim, mat.kernel_basis())
+    dom, depth_spaces, full_space = lucas_centralizers(p, levels, d_bound, q_bound)
 
     models = {}
-    spaces = {}
-    for r in range(0, levels + 1):
-        space = centralizer(range(1, p ** r))
+    for r, space in enumerate(depth_spaces):
         expected = [k for k in range(0, d_bound + 1) if k % (p ** r) == 0]
         exps = []
         for row in space.rows:
@@ -457,10 +483,9 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
             exps.extend(a for ((a,), _) in support)
         if sorted(exps) != expected or space.dim != len(expected):
             raise AssertionError(f"depth-{r} centralizer is not the twist window")
-        spaces[r] = space
         models[r] = {"dim": space.dim, "exponents": expected}
 
-    nesting_ok = all(spaces[r].contains_space(spaces[r + 1])
+    nesting_ok = all(depth_spaces[r].contains_space(depth_spaces[r + 1])
                      for r in range(0, levels))
     frobenius_ok = all(
         set(models[r + 1]["exponents"])
@@ -468,7 +493,6 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
         for r in range(0, levels))
 
     # the commutant against every divided power the window offers
-    full_space = centralizer(range(1, q_bound + 1))
     survivors = sorted({int(dom.basis[i][0][0])
                         for row in full_space.rows
                         for i in np.nonzero(row)[0]})

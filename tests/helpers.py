@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from hhdx.dpdo import OperatorAlgebra
+from hhdx.dpdo import OperatorAlgebra, TruncatedOperatorModule
 from hhdx.gs import Poset, SpaceDiagram
 from hhdx.linalg import (
     CochainComplex,
@@ -155,8 +155,10 @@ def random_double_complex(p, rng):
 # below are the reference: they recompute everything from scratch with a
 # per-column kernel loop, a re-eliminating Subspace(...) around every basis and
 # per-vector reduce/express for the page differentials.  The per-vector
-# reduce/express and the term-by-term End(A) model are the paths the library
-# replaced by reduce_rows and TruncatedOperatorModule.operator_matrix.
+# reduce/express, the dense per-column operator matrix and the stack of one
+# commutator per divided power are the paths the library replaced by
+# reduce_rows, the sparse writes of TruncatedOperatorModule.operator_matrix
+# and the Lucas generators of tower.lucas_centralizers.
 
 
 def oracle_reduce(space, v):
@@ -176,38 +178,28 @@ def oracle_express(space, v):
     return None if resid.any() else coords
 
 
-def oracle_quotient_end_model(p, s):
-    """(basis, left, right, product) of A = F_p[x]/(x^(p^s)) acting on End(A),
-    every matrix and the product tensor filled term by term."""
-    q = p ** s
-    op_alg = OperatorAlgebra(p, 1, names=("x",))
-    basis = [((a,), (b,)) for a in range(q) for b in range(q)]
-    index = {ab: k for k, ab in enumerate(basis)}
-    m = len(basis)
-    x_op = op_alg.variable()
+def oracle_operator_matrix(module, func, target=None):
+    """Matrix of a linear map given on basis operators, one dense
+    vectorize list written per column."""
+    target = target or module
+    mat = np.zeros((target.dim, module.dim), dtype=np.int64)
+    for col, ab in enumerate(module.basis):
+        mat[:, col] = target.vectorize(func(module.algebra.from_terms({ab: 1})))
+    return FpMatrix(module.algebra.p, mat)
 
-    def mat_of(action):
-        out = np.zeros((m, m), dtype=np.int64)
-        for col, ab in enumerate(basis):
-            img = action(op_alg.from_terms({ab: 1})).quotient_reduce(s)
-            for key, c in img.terms.items():
-                out[index[key], col] = c
-        return out
 
-    lx = mat_of(lambda op: x_op * op)
-    rx = mat_of(lambda op: op * x_op)
-    left = [np.eye(m, dtype=np.int64)]
-    right = [np.eye(m, dtype=np.int64)]
-    for _ in range(1, q):
-        left.append((lx @ left[-1]) % p)
-        right.append((rx @ right[-1]) % p)
-    prod = np.zeros((m, m, m), dtype=np.int64)
-    for i1, ab1 in enumerate(basis):
-        for i2, ab2 in enumerate(basis):
-            op = (op_alg.from_terms({ab1: 1}) * op_alg.from_terms({ab2: 1})).quotient_reduce(s)
-            for key, c in op.terms.items():
-                prod[i1, i2, index[key]] = c
-    return basis, left, right, prod
+def oracle_centralizer(p, degree_bound, dp_bound, q_top):
+    """Joint kernel, over the window [0, degree_bound] x [0, dp_bound], of
+    [t, -] and [D^(q), -] for every 1 <= q <= q_top: one stacked commutator
+    per divided power, each into a codomain enlarged by q."""
+    alg = OperatorAlgebra(p, 1, names=("t",))
+    dom = TruncatedOperatorModule(alg, degree_bound, dp_bound)
+    stacked = [oracle_operator_matrix(dom, alg.variable().commutator).a]
+    for q in range(1, q_top + 1):
+        target = TruncatedOperatorModule(alg, degree_bound, dp_bound + q)
+        stacked.append(oracle_operator_matrix(dom, alg.divided_power(0, q).commutator,
+                                              target).a)
+    return Subspace(p, dom.dim, oracle_kernel_basis(FpMatrix(p, np.concatenate(stacked))))
 
 
 def oracle_kernel_basis(m):

@@ -200,3 +200,45 @@ def test_each_differential_is_eliminated_once_per_report(argv, expected, capsys,
     # no kernel or image is solved twice
     assert all(count == 1 for count in solved.values())
     assert len(eliminations) == expected
+
+
+# TruncatedOperatorModule.operator_matrix calls per golden report (commutator
+# matrices included): a rise means some operator window is built again.
+OPERATOR_MATRICES = {
+    "a1_hh_p2_r3.json": 6,
+    "pd_derham_p2.json": 3,
+    "morita_matrix_p2_r1.json": 0,
+    "gs_point_m2_p2.json": 0,
+    "p1_cover_p2_r1.json": 12,
+    "elliptic_p3.json": 0,
+    "proper_hh_p2.json": 0,
+    "smith_tower_p2_r2.json": 0,
+    "cup_ring_map_p3_r1.json": 0,
+}
+
+
+@pytest.mark.parametrize("argv,golden", GOLDEN_CASES,
+                         ids=[g.removesuffix(".json") for _, g in GOLDEN_CASES])
+def test_each_operator_matrix_is_built_once_per_report(argv, golden, capsys, monkeypatch):
+    calls = []
+    operator_matrix = dpdo.TruncatedOperatorModule.operator_matrix
+
+    def counting(module, func, target=None):
+        calls.append(module.dim)
+        return operator_matrix(module, func, target)
+
+    monkeypatch.setattr(dpdo.TruncatedOperatorModule, "operator_matrix", counting)
+    assert main([*argv, "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+    assert len(calls) == OPERATOR_MATRICES[golden]
+
+
+def test_a1_hh_centralizers_reach_a_large_dp_window(capsys):
+    """Stacking only the Lucas generators D^(p^k) keeps this window's
+    centralizer matrices small; one commutator per divided power up to 45
+    would need 139 million dense entries and be refused."""
+    assert main(["--scenario", "a1-hh", "--prime", "3", "--depth", "1",
+                 "--degree-bound", "30", "--dp-cap", "45", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, SCHEMA)
+    assert report["ok"] is True

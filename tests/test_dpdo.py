@@ -4,7 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import oracle_operator_matrix
 from hhdx.dpdo import (
     DPDOperator,
     OperatorAlgebra,
@@ -348,6 +351,58 @@ def test_truncated_module_laurent_window():
     assert mod.dim == 5 * 2
     assert mod.contains(alg.monomial((-2,), (1,)))
     assert not mod.contains(alg.monomial((-3,), (0,)))
+
+
+@st.composite
+def operator_maps(draw):
+    """A window, a random operator g, one of the linear maps built from g,
+    and a target window of other bounds (so images may leave it)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 2))
+    alg = OperatorAlgebra(p, n, laurent=draw(st.booleans()))
+    lo = -2 if alg.laurent else 0
+    terms = draw(st.dictionaries(
+        st.tuples(st.tuples(*[st.integers(lo, 2)] * n), st.tuples(*[st.integers(0, 2)] * n)),
+        st.integers(0, p - 1), max_size=3))
+    g = alg.from_terms(terms)
+    func = draw(st.sampled_from([g.commutator, lambda m: g * m, lambda m: m * g,
+                                 lambda m: m]))
+    bounds = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    d, q = draw(bounds)
+    module = TruncatedOperatorModule(alg, d, q)
+    target = draw(st.none() | bounds.map(lambda b: TruncatedOperatorModule(alg, *b)))
+    return module, func, target
+
+
+@settings(max_examples=80, deadline=None)
+@given(operator_maps())
+def test_operator_matrix_matches_per_column_vectorize(case):
+    module, func, target = case
+    try:
+        want = oracle_operator_matrix(module, func, target)
+    except WindowError as exc:
+        with pytest.raises(WindowError) as got:
+            module.operator_matrix(func, target)
+        assert str(got.value) == str(exc)
+    else:
+        got = module.operator_matrix(func, target)
+        assert np.array_equal(got.a, want.a)
+
+
+def test_operator_matrix_refuses_out_of_window_and_foreign_images():
+    alg = OperatorAlgebra(3, 1, names=("t",))
+    mod = TruncatedOperatorModule(alg, degree_bound=2, dp_bound=2)
+    # t * t^2 = t^3 leaves the degree window
+    with pytest.raises(WindowError, match=r"term \(\(3,\), \(0,\)\) falls outside"):
+        mod.operator_matrix(lambda m: alg.variable() * m)
+    # the inclusion into a smaller target loses D^(2)
+    with pytest.raises(WindowError):
+        mod.operator_matrix(lambda m: m, target=TruncatedOperatorModule(alg, 2, 1))
+    other = OperatorAlgebra(3, 1, names=("u",))
+    with pytest.raises(ValueError, match="different algebra"):
+        mod.operator_matrix(lambda m: other.from_terms(m.terms))
+    with pytest.raises(ValueError, match="different algebra"):
+        mod.vectorize(other.variable())
 
 
 def test_parse_render_round_trip():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import matrix_polynomial, oracle_koszul_commutator_complex, oracle_quotient_end_model
+from helpers import matrix_polynomial, oracle_koszul_commutator_complex
 from hhdx import linalg
 from hhdx.cli import _make_algebra
 from hhdx.errors import CapacityError, WindowError
@@ -21,8 +21,6 @@ from hhdx.hochschild import (
     hochschild_cohomology,
     koszul_commutator_complex,
     operator_window_koszul,
-    periodic_vs_bar_certificate,
-    quotient_end_model,
 )
 from hhdx.linalg import FpMatrix, Subspace
 
@@ -290,35 +288,6 @@ def test_operator_window_koszul_kunneth():
     for m in range(0, 3):
         expected = sum(b1.get(i, 0) * b1.get(m - i, 0) for i in range(m + 1))
         assert b2[m] == expected, m
-
-
-def test_quotient_end_model_is_honest():
-    algebra, bimodule, basis = quotient_end_model(2, 2)
-    assert algebra.dim == 4 and bimodule.dim == 16
-    # x acts nilpotently on both sides with the exact quotient relations
-    x = np.zeros(4, dtype=np.int64)
-    x[1] = 1
-    lx = sum(int(x[i]) * bimodule.left[i] for i in range(4)) % 2
-    assert not np.linalg.matrix_power(lx, 4).any()
-
-
-@pytest.mark.parametrize("p,s", [(2, 1), (2, 2), (3, 1)])
-def test_quotient_end_model_matches_term_by_term_loop(p, s):
-    _, bimodule, basis = quotient_end_model(p, s)
-    want_basis, left, right, prod = oracle_quotient_end_model(p, s)
-    assert basis == want_basis
-    assert len(bimodule.left) == len(left) and len(bimodule.right) == len(right)
-    assert all(np.array_equal(got, want) for got, want in zip(bimodule.left, left))
-    assert all(np.array_equal(got, want) for got, want in zip(bimodule.right, right))
-    assert np.array_equal(bimodule.product, prod)
-
-
-def test_periodic_vs_bar_certificate():
-    for p, s, top in ((2, 1, 2), (2, 2, 1), (3, 1, 2)):
-        cert = periodic_vs_bar_certificate(p, s, top=top)
-        assert cert["agree"], cert
-        assert cert["h0_certified"], cert
-        assert cert["bar"][0] == p ** s
 
 
 def test_hh_of_pair_twists():

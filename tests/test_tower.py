@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_limit_report
+from helpers import oracle_centralizer, oracle_limit_report
 from hhdx.errors import CapacityError, WindowError
 from hhdx.gfp import fitting_decomposition
 from hhdx.linalg import FpMatrix
@@ -17,6 +17,7 @@ from hhdx.tower import (
     elliptic_frobenius_report,
     filtered_hh_sequence,
     hasse_invariant,
+    lucas_centralizers,
     proper_tower_report,
     smith_tower_check,
 )
@@ -381,3 +382,17 @@ def test_filtered_sequence_guards():
         filtered_hh_sequence("a1", 2, 3, 7, 8)    # degree window below p^R
     with pytest.raises(ValueError):
         filtered_hh_sequence("a1", 2, 0, 16, 8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), depth=st.integers(1, 3),
+       degree=st.integers(0, 8), dp=st.integers(0, 8))
+def test_lucas_generators_match_the_full_divided_power_stack(p, depth, degree, dp):
+    """The D^(p^k) alone cut out the same commutant, row for row, as every
+    D^(q): at each depth r (q < p^r) and for the whole dp window."""
+    _, depth_spaces, full = lucas_centralizers(p, depth, degree, dp)
+    assert len(depth_spaces) == depth + 1
+    for r, space in enumerate(depth_spaces):
+        want = oracle_centralizer(p, degree, dp, p ** r - 1)
+        assert np.array_equal(space.rows, want.rows), r
+    assert np.array_equal(full.rows, oracle_centralizer(p, degree, dp, dp).rows)
