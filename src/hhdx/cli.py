@@ -19,7 +19,13 @@ import sys
 
 import numpy as np
 
-from .dpdo import OperatorAlgebra, compression_action_agrees, matrix_realize, morita_compress
+from .dpdo import (
+    OperatorAlgebra,
+    compressed_degree,
+    compression_action_agrees,
+    matrix_realize,
+    morita_compress,
+)
 from .errors import CapacityError, WindowError
 from .gfp import require_prime
 from .gs import GSComplex, GSDiagram, Poset, gs_for_subalgebra_scenario
@@ -346,10 +352,7 @@ def _scenario_cup_ring_map(args):
            all(entry["equal"] for entry in pair_reports))
     _check(assertions, "cup-unit-two-sided", unit_ok)
 
-    du = d // (p ** r)
-    if du < 1:
-        raise WindowError("degree window empty after compression")
-    du = min(du, 8)
+    du = min(compressed_degree(p, r, d), 8)
     alg_u = OperatorAlgebra(p, 1, names=("u",))
     in_window = 0
     beyond = 0

@@ -10,19 +10,19 @@ Products are normal-ordered through the commutation rule
     D^(b) x^c = sum_j prod_i C(c_i, j_i) x^(c - j) D^(b - j),
 
 with generalized binomials handling negative Laurent exponents, so the
-algebra is exact for every prime.  The module also provides order and
-centrality certificates via iterated commutators, realization of an
-operator as a matrix over the Frobenius-twist subring, compression of a
-twist-aligned operator to the corner copy acting on the subring, the
-coordinate inversion x -> 1/x for Laurent operators, finite-dimensional
-windowed operator modules with exact commutator matrices, and a parser /
-renderer for a stable operator syntax such as  "2*t^3*Dt^(2) + t + 1".
+algebra is exact for every prime.  The module also provides the closed-form
+centrality depth, realization of an operator as a matrix over the
+Frobenius-twist subring, compression of a twist-aligned operator to the
+corner copy acting on the subring (and the compressed degree window every
+depth-r scenario shares), the coordinate inversion x -> 1/x for Laurent
+operators, finite-dimensional windowed operator modules with exact
+commutator matrices, and a renderer for a stable operator syntax such as
+"2*t^3*Dt^(2) + t + 1".
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 
 from . import linalg
 from .errors import CapacityError, DepthError, WindowError
@@ -94,72 +94,6 @@ class OperatorAlgebra:
     def __repr__(self):
         kind = "Laurent" if self.laurent else "polynomial"
         return f"OperatorAlgebra(p={self.p}, vars={', '.join(self.ring.names)}, {kind})"
-
-    # -- parsing -------------------------------------------------------------
-
-    _dp_factor = re.compile(r"^D(\w+)\^\((-?\d+)\)$")
-    _dp_plain = re.compile(r"^D(\w+)$")
-    _var_factor = re.compile(r"^(\w+?)(?:\^(-?\d+))?$")
-
-    def parse(self, text):
-        """Parse the renderer's syntax: terms joined by +/-, factors by *.
-
-        Examples: "Dt^(2)", "2*t^3*Dt^(2) + t + 1", "u^-1*Du^(1) - 3".
-        """
-        name_index = {name: i for i, name in enumerate(self.ring.names)}
-        total = self.zero()
-        stripped = text.strip()
-        if not stripped:
-            raise ValueError("empty operator expression")
-        # split into signed terms at top level (parens only in D-exponents)
-        terms = []
-        sign = 1
-        buf = ""
-        depth = 0
-        for ch in stripped:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch in "+-" and depth == 0 and (not buf.strip() or buf.rstrip()[-1] not in "*^("):
-                if buf.strip():
-                    terms.append((sign, buf.strip()))
-                sign = 1 if ch == "+" else -1
-                buf = ""
-            else:
-                buf += ch
-        if buf.strip():
-            terms.append((sign, buf.strip()))
-        if not terms:
-            raise ValueError(f"cannot parse operator: {text!r}")
-        for sgn, chunk in terms:
-            coeff = sgn
-            a = [0] * self.n
-            b = [0] * self.n
-            for factor in (f.strip() for f in chunk.split("*")):
-                if not factor:
-                    raise ValueError(f"empty factor in {chunk!r}")
-                if factor.isdigit():
-                    coeff *= int(factor)
-                    continue
-                m = self._dp_factor.match(factor) or self._dp_plain.match(factor)
-                if m:
-                    name = m.group(1)
-                    level = int(m.group(2)) if m.lastindex and m.lastindex >= 2 else 1
-                    if name not in name_index:
-                        raise ValueError(f"unknown variable {name!r} in {factor!r}")
-                    if level < 0:
-                        raise ValueError("divided-power level must be nonnegative")
-                    b[name_index[name]] += level
-                    continue
-                m = self._var_factor.match(factor)
-                if m and m.group(1) in name_index:
-                    e = int(m.group(2)) if m.group(2) is not None else 1
-                    a[name_index[m.group(1)]] += e
-                    continue
-                raise ValueError(f"cannot parse factor {factor!r}")
-            total = total + self.monomial(a, b, coeff)
-        return total
 
 
 class DPDOperator:
@@ -268,14 +202,6 @@ class DPDOperator:
     def commutator(self, other):
         return self * other - other * self
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative operator powers are not defined")
-        out = self.algebra.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- action on polynomials -----------------------------------------------------
 
     def act(self, f):
@@ -310,35 +236,7 @@ class DPDOperator:
                 out[exps] = (out.get(exps, 0) + coeff) % p
         return MultiPoly(ring, out)
 
-    # -- structural invariants ---------------------------------------------------------
-
-    def order(self):
-        """Max total divided-power degree across terms; None when zero."""
-        if not self.terms:
-            return None
-        return max(sum(b) for _, b in self.terms)
-
-    def is_order_le(self, k):
-        """Certify order <= k through (k+1)-fold commutators with coordinates.
-
-        [x_i, -] lowers the divided-power multidegree by e_i and never
-        cancels across distinct terms, so vanishing of all (k+1)-fold
-        iterated commutators with coordinate functions is equivalent to
-        every term having total divided-power degree <= k.
-        """
-        if k < 0:
-            return self.is_zero()
-        n = self.algebra.n
-        xs = [self.algebra.variable(i) for i in range(n)]
-        for combo in itertools.combinations_with_replacement(range(n), k + 1):
-            op = self
-            for i in combo:
-                op = xs[i].commutator(op)
-                if op.is_zero():
-                    break
-            if not op.is_zero():
-                return False
-        return True
+    # -- centrality --------------------------------------------------------------------
 
     def centrality_depth(self):
         """Smallest r such that the operator commutes with every p^r-th
@@ -354,10 +252,6 @@ class DPDOperator:
         while p ** r <= top:
             r += 1
         return r
-
-    def commutes_with(self, f):
-        """Direct check: [multiplication by f, self] = 0."""
-        return self.algebra.multiplication(f).commutator(self).is_zero()
 
     # -- rendering ---------------------------------------------------------------------------
 
@@ -421,11 +315,11 @@ class MatrixRealization:
     def entry(self, row, col):
         return self.entries[row][col]
 
-    def entries_in_twist_variables(self, names=None):
-        """Entries rewritten in fresh variables u_i = x_i^(p^r)."""
+    def entries_in_twist_variables(self):
+        """Entries rewritten in fresh variables u_i = x_i^(p^r) (u alone for
+        one variable)."""
         ring = self.algebra.ring
-        if names is None:
-            names = tuple(f"u{i}" for i in range(ring.n)) if ring.n > 1 else ("u",)
+        names = tuple(f"u{i}" for i in range(ring.n)) if ring.n > 1 else ("u",)
         target = PolyRing(ring.p, ring.n, names=names, laurent=ring.laurent)
         out = []
         for row in self.entries:
@@ -513,6 +407,16 @@ def morita_compress(op, r, degree_bound):
     return DPDOperator(target, compressed)
 
 
+def compressed_degree(p, r, degree_bound):
+    """The degree window degree_bound // p^r in the compressed variable
+    u = x^(p^r); WindowError when it holds no monomial u^k with k >= 1."""
+    du = degree_bound // p ** r
+    if du < 1:
+        raise WindowError(
+            f"degree window {degree_bound} holds no monomial of the depth-{r} twist")
+    return du
+
+
 def compression_action_agrees(op, compressed, r, degree_bound):
     """Whether op and its compression act alike on every subring monomial
     x^(p^r k) = u^k inside the degree window."""
@@ -578,12 +482,12 @@ class TruncatedOperatorModule:
 
     __slots__ = ("algebra", "lo", "hi", "dp_bound", "basis", "index")
 
-    def __init__(self, algebra, degree_bound, dp_bound, lo=None):
+    def __init__(self, algebra, degree_bound, dp_bound):
         if degree_bound < 0 or dp_bound < 0:
             raise ValueError("window bounds must be nonnegative")
         self.algebra = algebra
         self.hi = degree_bound
-        self.lo = (-degree_bound if algebra.laurent else 0) if lo is None else lo
+        self.lo = -degree_bound if algebra.laurent else 0
         self.dp_bound = dp_bound
         n = algebra.n
         width = self.hi - self.lo + 1
@@ -600,9 +504,6 @@ class TruncatedOperatorModule:
     @property
     def dim(self):
         return len(self.basis)
-
-    def contains(self, op):
-        return all(key in self.index for key in op.terms)
 
     def coordinates(self, op):
         """(index, coefficient) of each term of op; WindowError off the window."""

@@ -35,7 +35,7 @@ import itertools
 
 import numpy as np
 
-from .dpdo import OperatorAlgebra, TruncatedOperatorModule, invert_variable
+from .dpdo import OperatorAlgebra, TruncatedOperatorModule, compressed_degree, invert_variable
 from .errors import CapacityError, WindowError
 from .gfp import require_prime
 from .hochschild import Bimodule, bar_differential_matrix, cup_contract
@@ -96,11 +96,11 @@ class Poset:
         return [(v, u) for u, v in itertools.permutations(self.elements, 2)
                 if self.lt(u, v)]
 
-    def nerve_cells(self, top=None):
-        """[chains(0), chains(1), ...] up to length `top`, or until empty."""
+    def nerve_cells(self):
+        """[chains(0), chains(1), ...] until the first empty length."""
         cells = []
         for j in itertools.count():
-            chains = [] if top is not None and j > top else self.chains(j)
+            chains = self.chains(j)
             if not chains:
                 return cells
             cells.append(chains)
@@ -154,7 +154,7 @@ class SpaceDiagram:
 
     # -- nerve cohomology -----------------------------------------------------
 
-    def nerve_complex(self, top=None):
+    def nerve_complex(self):
         """Cochain complex over nerve chains with F(min sigma) coefficients.
 
         Dropping the minimal vertex restricts along F(new min) -> F(min);
@@ -165,7 +165,7 @@ class SpaceDiagram:
                 return self.restriction(sigma[1], sigma[0])
             return np.eye(self.dims[sigma[0]], dtype=np.int64)
 
-        return face_complex(self.p, self.poset.nerve_cells(top),
+        return face_complex(self.p, self.poset.nerve_cells(),
                             lambda s: self.dims[s[0]], face)
 
     def nerve_betti(self):
@@ -328,10 +328,10 @@ class GSComplex:
     column sign flip.
     """
 
-    def __init__(self, diagram, max_chain=None, max_bar=2):
+    def __init__(self, diagram, max_bar=2):
         self.diagram = diagram
         self.p = diagram.p
-        chains = dict(enumerate(diagram.poset.nerve_cells(max_chain)))
+        chains = dict(enumerate(diagram.poset.nerve_cells()))
         self.max_i = max(chains)
         self.max_j = max_bar
         self.chains = chains
@@ -366,7 +366,7 @@ class GSComplex:
         m_bot = self.diagram.bimodules[bottom]
         rho = self.diagram.restr_alg[(top, bottom)]
         return Bimodule(a_top, m_bot.action(rho.T, "left"), m_bot.action(rho.T, "right"),
-                        product=m_bot.product, check=True)
+                        product=m_bot.product)
 
     def block_dim(self, sigma, j):
         return (self.diagram.algebras[sigma[-1]].dim ** j
@@ -517,9 +517,8 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
         raise ValueError(f"unknown scenario {name!r}")
     if r < 0:
         raise ValueError("depth must be nonnegative")
-    q = p ** r
-    du = degree_bound // q
-    qu = max(1, dp_bound // q)
+    du = compressed_degree(p, r, degree_bound)
+    qu = max(1, dp_bound // p ** r)
     flags = []
     if du > 8:
         du = 8
@@ -527,8 +526,6 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
     if qu > 4:
         qu = 4
         flags.append("dp_window_capped")
-    if du < 1:
-        raise WindowError("degree window empty after compression")
 
     if name == "a1":
         alg = OperatorAlgebra(p, 1, names=("u",))

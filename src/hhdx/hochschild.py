@@ -20,17 +20,18 @@ Two complementary models are implemented.
   certified to be exactly the multiplication operators, and vanishing in
   higher degrees is certified inside an explicit divided-power window while
   edge classes are reported as truncation artifacts rather than results.
+  `hh_of_pair` reads the depth-r table in the compressed window of
+  `dpdo.compressed_degree`.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 
 import numpy as np
 
-from .dpdo import OperatorAlgebra, TruncatedOperatorModule
-from .errors import CapacityError, WindowError
+from .dpdo import OperatorAlgebra, TruncatedOperatorModule, compressed_degree
+from .errors import CapacityError
 from .gfp import require_prime
 from .linalg import CochainComplex, FpMatrix, Subspace, _check_capacity, face_complex
 
@@ -48,7 +49,7 @@ class StructAlgebra:
 
     __slots__ = ("p", "dim", "table", "unit")
 
-    def __init__(self, p, table, unit, check=True):
+    def __init__(self, p, table, unit):
         require_prime(p)
         self.p = p
         t = np.mod(np.asarray(table, dtype=np.int64), p)
@@ -62,8 +63,7 @@ class StructAlgebra:
         if u.shape != (self.dim,):
             raise ValueError("unit vector has the wrong length")
         self.unit = u
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         t = self.table
@@ -128,32 +128,6 @@ class StructAlgebra:
         unit[0] = 1
         return cls(p, table, unit)
 
-    @classmethod
-    def tensor(cls, a, b):
-        """A (x) B with basis e_i (x) f_j flattened in C order."""
-        if a.p != b.p:
-            raise ValueError("tensor factors over different primes")
-        table = np.einsum("ikm,jln->ijklmn", a.table, b.table) % a.p
-        dim = a.dim * b.dim
-        table = table.reshape(dim, dim, dim)
-        unit = np.outer(a.unit, b.unit).reshape(dim) % a.p
-        return cls(a.p, table, unit)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        return json.dumps({
-            "p": self.p,
-            "dim": self.dim,
-            "unit": [int(x) for x in self.unit],
-            "table": self.table.tolist(),
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        return cls(data["p"], data["table"], data["unit"])
-
     def __repr__(self):
         return f"StructAlgebra(p={self.p}, dim={self.dim})"
 
@@ -168,7 +142,7 @@ class Bimodule:
 
     __slots__ = ("algebra", "dim", "left", "right", "product")
 
-    def __init__(self, algebra, left, right, product=None, check=True):
+    def __init__(self, algebra, left, right, product=None):
         self.algebra = algebra
         p = algebra.p
         left = np.mod(np.asarray(left, dtype=np.int64), p)
@@ -186,8 +160,7 @@ class Bimodule:
             if prod.shape != (self.dim,) * 3:
                 raise ValueError("product tensor must be a module-sized cube")
             self.product = prod
-        if check:
-            self._check()
+        self._check()
 
     def action(self, coords, side):
         """Matrix by which the algebra element with the given coordinates acts
@@ -326,7 +299,7 @@ def koszul_commutator_complex(p, dim, matrices):
     return face_complex(p, cells, lambda s: dim, lambda s, k: mats[s[k]])
 
 
-def operator_window_koszul(p, n, degree_bound, dp_bound, laurent=False):
+def operator_window_koszul(p, n, degree_bound, dp_bound):
     """Commutator complex of a windowed operator module over the coordinate
     functions, with certification of what the window can really see.
 
@@ -342,7 +315,7 @@ def operator_window_koszul(p, n, degree_bound, dp_bound, laurent=False):
     * middle degrees: vanishing is certified for classes supported on
       divided-power exponents <= dp_bound - n.
     """
-    alg = OperatorAlgebra(p, n, laurent=laurent)
+    alg = OperatorAlgebra(p, n)
     module = TruncatedOperatorModule(alg, degree_bound, dp_bound)
     mats = [module.commutator_matrix(alg.variable(i)) for i in range(n)]
     cx = koszul_commutator_complex(p, module.dim, mats)
@@ -414,12 +387,8 @@ def hh_of_pair(p, r, degree_bound, dp_bound):
     if r < 0:
         raise ValueError("r must be nonnegative")
     q = p ** r
-    du = degree_bound // q
-    qu = dp_bound // q
-    if du < 1:
-        raise WindowError(
-            f"degree window {degree_bound} holds no monomial of the depth-{r} twist")
-    qu = max(1, qu)
+    du = compressed_degree(p, r, degree_bound)
+    qu = max(1, dp_bound // q)
     cx, module, report = operator_window_koszul(p, 1, du, qu)
     dim0, reps0 = cx.cohomology(0)
     names = []

@@ -95,10 +95,6 @@ class FpMatrix:
     def zeros(cls, p, rows, cols):
         return cls(p, zeros(rows, cols))
 
-    @classmethod
-    def identity(cls, p, n):
-        return cls(p, np.eye(n, dtype=np.int64))
-
     @property
     def rows(self):
         return self.a.shape[0]
@@ -183,9 +179,6 @@ class FpMatrix:
     def image_basis(self):
         """Rows spanning the column space, in RREF."""
         return _rref(self.a.T, self.p)[0]
-
-    def tolist(self):
-        return [[int(x) for x in row] for row in self.a]
 
 
 class Subspace:
@@ -368,7 +361,7 @@ def cohomology_at(d_in, d_out, p, dim):
 class CochainComplex:
     """Bounded cochain complex over F_p with differentials raising degree."""
 
-    def __init__(self, p, dims, diffs, check=True):
+    def __init__(self, p, dims, diffs):
         self.p = p
         if not dims:
             raise ValueError("empty complex")
@@ -384,10 +377,9 @@ class CochainComplex:
                 raise ValueError(f"differential at degree {m} has shape {d.shape}, "
                                  f"expected {(self.dims[m + 1], self.dims[m])}")
             self.diffs[m] = d
-        if check:
-            for m in range(self.lo, self.hi - 1):
-                if not (self.diffs[m + 1] @ self.diffs[m]).is_zero():
-                    raise ValueError(f"d∘d != 0 at degree {m}")
+        for m in range(self.lo, self.hi - 1):
+            if not (self.diffs[m + 1] @ self.diffs[m]).is_zero():
+                raise ValueError(f"d∘d != 0 at degree {m}")
         self._kernels = {}
         self._images = {}
         self._cohomology = {}
@@ -424,9 +416,6 @@ class CochainComplex:
     def betti(self):
         return {m: self.cohomology(m)[0] for m in range(self.lo, self.hi + 1)}
 
-    def euler_characteristic(self):
-        return sum((-1) ** m * d for m, d in self.dims.items())
-
 
 class DoubleComplex:
     """First-quadrant double complex with anticommuting differentials.
@@ -437,7 +426,7 @@ class DoubleComplex:
     `from_commuting`, which flips d_v by (-1)^i on column i.
     """
 
-    def __init__(self, p, dims, d_h, d_v, check=True):
+    def __init__(self, p, dims, d_h, d_v):
         self.p = p
         self.dims = {}
         for (i, j), dim in dims.items():
@@ -459,8 +448,7 @@ class DoubleComplex:
         self._total = None
         self._subquotients = {}
         self._pages = []
-        if check:
-            self._check()
+        self._check()
 
     def dim(self, i, j):
         return self.dims.get((i, j), 0)
@@ -491,12 +479,12 @@ class DoubleComplex:
                 raise ValueError(f"d_h d_v + d_v d_h != 0 at {(i, j)}")
 
     @classmethod
-    def from_commuting(cls, p, dims, d_h, d_v, check=True):
+    def from_commuting(cls, p, dims, d_h, d_v):
         """Build from commuting d_h, d_v by flipping d_v to (-1)^i d_v."""
         flipped = {}
         for (i, j), m in d_v.items():
             flipped[(i, j)] = m.scale(-1) if i % 2 else m
-        return cls(p, dims, d_h, flipped, check=check)
+        return cls(p, dims, d_h, flipped)
 
     # -- totalization ------------------------------------------------------
 
@@ -588,13 +576,21 @@ class DoubleComplex:
                 # earlier page already built this subquotient
                 key = (id(num), id(upper), id(prev))
                 if key not in self._subquotients:
-                    if prev is not None and prev.dim and total:
+                    tot = self.totalize()
+                    if prev is None or not prev.dim or not total:
+                        den = upper
+                    elif not upper.dim and prev.dim == self.total_dim(n - 1):
+                        den = tot.image(n)  # d(T^(n-1)), eliminated once
+                    else:
                         d_prev = self.total_differential(n - 1).a
                         bound = (prev.rows @ d_prev.T) % self.p
                         den = Subspace(self.p, total, np.vstack([upper.rows, bound]))
+                    if num is tot._kernels.get(n) and den is tot._images.get(n):
+                        # ker d / im d of the totalization: its memoized H^n
+                        rep = Subspace._from_rref(self.p, total, tot.cohomology(n)[1])
                     else:
-                        den = upper
-                    self._subquotients[key] = (den, num.quotient_reps(den))
+                        rep = num.quotient_reps(den)
+                    self._subquotients[key] = (den, rep)
                 den, rep = self._subquotients[key]
                 denoms[(i, j)] = den
                 reps[(i, j)] = rep
@@ -654,6 +650,7 @@ class SpectralSequencePage:
         self.dims = dims
         self.diffs = diffs
         self._reps = reps
+        self._ranks = {}
 
     def dim(self, i, j):
         return self.dims.get((i, j), 0)
@@ -661,16 +658,20 @@ class SpectralSequencePage:
     def representatives(self, i, j):
         return self._reps[(i, j)].rows
 
+    def _rank(self, i, j):
+        """Rank of d_r out of (i, j), eliminated once per page: each d_r is
+        read both at its source and, as the incoming map, at its target."""
+        if (i, j) not in self._ranks:
+            d = self.diffs.get((i, j))
+            self._ranks[(i, j)] = d.rank() if d is not None else 0
+        return self._ranks[(i, j)]
+
     def homology_dim(self, i, j):
         """dim of H(E_r, d_r) at (i, j) computed from this page's matrices."""
         here = self.dim(i, j)
         if here == 0:
             return 0
-        out = self.diffs.get((i, j))
-        rank_out = out.rank() if out is not None else 0
-        inc = self.diffs.get((i - self.r, j + self.r - 1))
-        rank_in = inc.rank() if inc is not None else 0
-        return here - rank_out - rank_in
+        return here - self._rank(i, j) - self._rank(i - self.r, j + self.r - 1)
 
     def __repr__(self):
         cells = {k: v for k, v in sorted(self.dims.items())}

@@ -8,6 +8,9 @@ homological computations can tell certified results from windowed ones.
 Degree windows: an ordinary polynomial is inside the window for bound D
 when every monomial has total degree <= D; a Laurent polynomial is inside
 when every single exponent satisfies |e_i| <= D.
+
+The depth-r Frobenius-twist subring F_p[x_i^(p^r)] is handled by its
+membership test and by the root map x^(p^r a) -> x^a back out of it.
 """
 
 from __future__ import annotations
@@ -193,19 +196,7 @@ class MultiPoly:
                 dropped = True
         return MultiPoly(self.ring, kept), dropped
 
-    # -- Frobenius -------------------------------------------------------------
-
-    def frobenius(self, k=1):
-        """f(x) -> f(x^(p^k)): exponents scale by p^k, coefficients are fixed
-        by Fermat (applied honestly through modular exponentiation)."""
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        scale = self.ring.p ** k
-        out = {}
-        for e, c in self.terms.items():
-            exps = tuple(ei * scale for ei in e)
-            out[exps] = pow(c, scale, self.ring.p)
-        return MultiPoly(self.ring, out)
+    # -- the Frobenius-twist subring ----------------------------------------------
 
     def in_twist_subring(self, r):
         """True when every exponent is divisible by p^r."""

@@ -21,12 +21,13 @@ twice, and the two readings are deliberately kept apart:
   transitions, so lim^1 vanishes there (Mittag-Leffler).
 
 Around the Tower core this module provides: the certified limit of a
-constant Frobenius tower against its Fitting decomposition; the Hasse
-invariant of y^2 = cubic together with a two-chart window cross-check of
-the Frobenius action on first cohomology; consistency checks for the
-nested derivation ad(t + t^p + ... + t^(p^R)) against its depth
-truncations; and the filtered centralizer sequence of divided-power
-windows on the line.
+constant Frobenius tower over dim + 1 levels against its Fitting
+decomposition; the Hasse invariant of y^2 = cubic together with a
+two-chart cross-check, in the |exponent| <= 3p function window, of the
+Frobenius action on first cohomology and on its module structure;
+consistency checks for the nested derivation ad(t + t^p + ... + t^(p^R))
+against its depth truncations; and the filtered centralizer sequence of
+divided-power windows on the line.
 """
 
 from __future__ import annotations
@@ -104,21 +105,20 @@ class Tower:
 # -- constant Frobenius towers -----------------------------------------------------
 
 
-def proper_tower_report(p, matrix, levels=None):
+def proper_tower_report(p, matrix):
     """Certified limit of the constant tower of a (semi)linear map.
 
     Over the prime field the Frobenius twist is the identity on
     coordinates, so the map iterates exactly like its matrix.  The
     certified limit of M <- M <- ... is the semisimple Fitting part
     im(F^dim), on which F is bijective; the nilpotent part is what the
-    limit forgets.  Both computations run independently; `agree` says
-    whether they give the same subspace.
+    limit forgets.  Both computations run independently over dim + 1
+    levels, enough for a certified repeat; `agree` says whether they give
+    the same subspace.
     """
     f = FpMatrix(p, matrix)
     n = f.rows
-    levels = n + 1 if levels is None else int(levels)
-    if levels < n + 1:
-        raise ValueError("need at least dim+1 levels for a certified repeat")
+    levels = n + 1
     report = Tower(p, f, levels).limit_report()
     if not report["certified"]:
         raise AssertionError("constant tower failed to certify at dim+1 levels")
@@ -227,15 +227,16 @@ class _ChartWindow:
         return lam
 
 
-def _frobenius_window(p, cubic, w):
-    """What both elliptic reports compute first, in the |exponent| <= w window.
+def _frobenius_window(p, cubic):
+    """What both elliptic reports compute first, in the |exponent| <= 3p
+    window (room for f^((p-1)/2) x^-p and for the module check's y x^(2p-1)).
 
     Validates the model (ValueError for even primes, non-cubics, singular
     curves, all through hasse_invariant, and for cubics vanishing at every
-    point of the prime field: no usable translate) and the window
-    (WindowError below 2p), translates the cubic off x = 0 by the smallest c
-    with f(c) != 0, and applies Frobenius to the generator y/x:
-    (y x^-1)^p = y f^((p-1)/2) x^-p = lambda y/x in the window H^1.
+    point of the prime field: no usable translate), translates the cubic off
+    x = 0 by the smallest c with f(c) != 0, and applies Frobenius to the
+    generator y/x: (y x^-1)^p = y f^((p-1)/2) x^-p = lambda y/x in the
+    window H^1.
 
     Returns (cubic as four coefficients mod p, shift, hasse, chart window,
     f(x + shift)^((p-1)/2), lambda).
@@ -250,15 +251,13 @@ def _frobenius_window(p, cubic, w):
     fs = sum(((x_shift ** k).scale(c) for (k,), c in f.terms.items()), f.ring.zero())
     if hasse_invariant(p, [fs.coefficient((k,)) for k in range(4)]) != hasse:
         raise AssertionError("translation changed the Hasse coefficient")
-    if w < 2 * p:
-        raise WindowError("window too small for the Frobenius expansion")
-    chart = _ChartWindow(p, w)
+    chart = _ChartWindow(p, 3 * p)
     power = fs ** ((p - 1) // 2)
     lam = chart.multiplier(chart.y_vector(power, -p))
     return [int(c % p) for c in (list(cubic) + [0] * 4)[:4]], shift, hasse, chart, power, lam
 
 
-def elliptic_frobenius_report(p, cubic, window=None):
+def elliptic_frobenius_report(p, cubic):
     """Frobenius on H^1 of y^2 = cubic through explicit function windows.
 
     The p-th power of the generator y/x of the window first cohomology
@@ -270,8 +269,7 @@ def elliptic_frobenius_report(p, cubic, window=None):
     does not change the invariant, and the report re-checks that); if no
     such c exists the model is rejected.
     """
-    w = 3 * p if window is None else int(window)
-    coeffs, shift, hasse, _, _, lam = _frobenius_window(p, cubic, w)
+    coeffs, shift, hasse, chart, _, lam = _frobenius_window(p, cubic)
     tower_report = Tower(p, [[lam]], 3).limit_report()
     return {
         "prime": p,
@@ -282,11 +280,11 @@ def elliptic_frobenius_report(p, cubic, window=None):
         "agree": lam == hasse,
         "ordinary": lam != 0,
         "h1_proper_dim": tower_report["certified_lim_dim"],
-        "window": w,
+        "window": chart.w,
     }
 
 
-def elliptic_frobenius_module_check(p, cubic, powers=(0, 1, 2)):
+def elliptic_frobenius_module_check(p, cubic):
     """Frobenius respects the module structure of H^1 over the functions.
 
     For xi = class(y/x) and the affine function x^k, the product class
@@ -294,19 +292,14 @@ def elliptic_frobenius_module_check(p, cubic, powers=(0, 1, 2)):
     and a chart function (class zero) for k >= 1.  Applying Frobenius to
     the product gives y f^((p-1)/2) x^(pk-p), whose class must equal
     F(x^k) . F(xi) = x^(pk) . (lambda xi) = lambda . class(y x^(pk-1)).
-    Both sides are reduced independently through the chart window.
+    Both sides are reduced independently through the chart window, for
+    k = 0, 1, 2.
     """
-    w = 3 * p
-    coeffs, shift, hasse, chart, power, lam = _frobenius_window(p, cubic, w)
+    coeffs, shift, hasse, chart, power, lam = _frobenius_window(p, cubic)
     table = {}
-    for k in powers:
-        k = int(k)
-        if k < 0:
-            raise ValueError("function powers must be nonnegative")
+    for k in (0, 1, 2):
         lhs = chart.multiplier(chart.y_vector(power, p * k - p))
         rhs_vec = np.zeros(chart.dim, dtype=np.int64)
-        if p * k - 1 > w:
-            raise WindowError(f"power {k} falls outside the window")
         rhs_vec[chart.y_idx(p * k - 1)] = lam
         rhs = chart.multiplier(rhs_vec)
         table[k] = {"lhs_multiplier": int(lhs), "rhs_multiplier": int(rhs),

@@ -1,7 +1,8 @@
 """Shared builders for tests: known complexes and random double complexes,
 plus the uncached linear algebra the memoized complexes are tested against,
-the hand-written constructions the shared builders replaced, and the general
-tower limit the closed-form Tower is tested against."""
+the hand-written constructions the shared builders replaced, the general
+tower limit the closed-form Tower is tested against, and the direct
+commutation check and tensor algebra that only tests need."""
 
 import itertools
 
@@ -9,6 +10,7 @@ import numpy as np
 
 from hhdx.dpdo import OperatorAlgebra, TruncatedOperatorModule
 from hhdx.gs import Poset, SpaceDiagram
+from hhdx.hochschild import StructAlgebra
 from hhdx.linalg import (
     CochainComplex,
     DoubleComplex,
@@ -356,7 +358,7 @@ def oracle_limit_report(p, dims, transitions):
           for r, t in enumerate(transitions)]
 
     def image_at(r, s):
-        composite = FpMatrix.identity(p, dims[s])
+        composite = FpMatrix(p, np.eye(dims[s], dtype=np.int64))
         for k in range(s - 1, r - 1, -1):
             composite = fs[k] @ composite
         return Subspace(p, dims[r], composite.transpose().a)
@@ -394,3 +396,22 @@ def oracle_limit_report(p, dims, transitions):
         "certified_lim_dim": levels[0]["stable_dim"] if certified else None,
         "certified_lim1_dim": 0 if certified else None,
     }
+
+
+# Oracles and inputs the library itself never uses: the direct commutation
+# check behind DPDOperator.centrality_depth's closed form, and the tensor
+# product algebra of the Morita-invariance test.
+
+
+def commutes_with(op, f):
+    """Direct check: [multiplication by f, op] = 0."""
+    return op.algebra.multiplication(f).commutator(op).is_zero()
+
+
+def tensor_algebra(a, b):
+    """A (x) B with basis e_i (x) f_j flattened in C order."""
+    if a.p != b.p:
+        raise ValueError("tensor factors over different primes")
+    dim = a.dim * b.dim
+    table = np.einsum("ikm,jln->ijklmn", a.table, b.table).reshape(dim, dim, dim) % a.p
+    return StructAlgebra(a.p, table, np.outer(a.unit, b.unit).reshape(dim) % a.p)

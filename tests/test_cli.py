@@ -161,22 +161,32 @@ def test_failed_certificate_is_a_named_failing_assertion(argv, break_check, name
     assert [e["name"] for e in report["assertions"] if e["status"] == "fail"] == [name]
 
 
-# Exact eliminations (calls of linalg._rref) per report: a rise means some
-# kernel, image, cohomology group or spectral page is eliminated again.
+# Exact eliminations (calls of linalg._rref) per report, and how many kernels
+# or images the report solves twice: a rise means some kernel, image,
+# cohomology group or spectral page is eliminated again.  The inputs that
+# still repeat are legitimate or known: gs-point's 7 are the bar-versus-
+# totalization cross-check its report asserts (the kernels and images of d^0
+# and d^1, solved once in each complex); p1-cover's 45 x 45 repeat comes from
+# the isomorphic U0 and U1 chart columns, and its 181 x 345 one is E_inf
+# against H(Tot) in convergence_check (left for the filtered reduction of the
+# spectral sequence); proper-hh's golden F is idempotent, so F and F^dim are
+# the same matrix.
 ELIMINATIONS = [
-    (["--scenario", "pd-derham", "--prime", "2"], 13),
-    (["--scenario", "p1-cover", "--prime", "2", "--depth", "1"], 30),
-    (["--scenario", "elliptic", "--prime", "3"], 1),
-    (["--scenario", "cup-ring-map", "--prime", "3", "--depth", "1"], 0),
-    (["--scenario", "proper-hh", "--prime", "2"], 7),
-    (["--scenario", "a1-hh", "--prime", "2", "--depth", "3"], 14),
+    (["--scenario", "pd-derham", "--prime", "2"], 13, 0),
+    (["--scenario", "p1-cover", "--prime", "2", "--depth", "1"], 27, 0),
+    (["--scenario", "gs-point", "--prime", "2"], 17, 4),
+    (["--scenario", "elliptic", "--prime", "3"], 1, 0),
+    (["--scenario", "cup-ring-map", "--prime", "3", "--depth", "1"], 0, 0),
+    (["--scenario", "proper-hh", "--prime", "2"], 7, 0),
+    (["--scenario", "a1-hh", "--prime", "2", "--depth", "3"], 14, 0),
 ]
 
 
-@pytest.mark.parametrize("argv,expected", ELIMINATIONS,
-                         ids=["pd-derham", "p1-cover", "elliptic", "cup-ring-map", "proper-hh",
-                              "a1-hh"])
-def test_each_differential_is_eliminated_once_per_report(argv, expected, capsys, monkeypatch):
+@pytest.mark.parametrize("argv,expected,solved_twice", ELIMINATIONS,
+                         ids=["pd-derham", "p1-cover", "gs-point", "elliptic", "cup-ring-map",
+                              "proper-hh", "a1-hh"])
+def test_each_differential_is_eliminated_once_per_report(argv, expected, solved_twice,
+                                                         capsys, monkeypatch):
     eliminations = []
     solved = collections.Counter()
     rref, kernel_basis, image_basis = (linalg._rref, linalg.FpMatrix.kernel_basis,
@@ -197,8 +207,8 @@ def test_each_differential_is_eliminated_once_per_report(argv, expected, capsys,
     monkeypatch.setattr(linalg.FpMatrix, "image_basis", counting("image", image_basis))
     assert main([*argv, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
-    # no kernel or image is solved twice
-    assert all(count == 1 for count in solved.values())
+    assert set(solved.values()) <= {1, 2}
+    assert list(solved.values()).count(2) == solved_twice
     assert len(eliminations) == expected
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_operator_matrix
+from helpers import commutes_with, oracle_operator_matrix
 from hhdx.dpdo import (
     DPDOperator,
     OperatorAlgebra,
@@ -50,7 +50,7 @@ def test_construction_guards():
     with pytest.raises(CapacityError):
         alg.monomial((0,), (3 ** 4 + 1,))
     assert alg.monomial((1,), (0,), 3).is_zero()  # 3 = 0 mod 3
-    assert OperatorAlgebra(3, 1, laurent=True).monomial((-2,), (1,)).order() == 1
+    assert OperatorAlgebra(3, 1, laurent=True).monomial((-2,), (1,)).terms == {((-2,), (1,)): 1}
 
 
 def test_divided_power_composition_rule():
@@ -138,34 +138,6 @@ def test_divided_power_leibniz_via_action():
             assert lhs == rhs
 
 
-def test_order_and_certificate():
-    alg = OperatorAlgebra(2, 2)
-    op = alg.monomial((1, 0), (3, 1)) + alg.monomial((0, 0), (1, 1))
-    assert op.order() == 4
-    assert op.is_order_le(4)
-    assert not op.is_order_le(3)
-    assert alg.zero().order() is None
-    assert alg.zero().is_order_le(-1)
-    assert alg.one().order() == 0
-    assert alg.one().is_order_le(0)
-
-
-def test_order_certificate_random():
-    rng = np.random.default_rng(23)
-    for p in (2, 3):
-        for n in (1, 2):
-            alg = OperatorAlgebra(p, n, laurent=bool(rng.integers(0, 2)))
-            for _ in range(8):
-                op = random_operator(alg, rng, max_b=3)
-                k = op.order()
-                if k is None:
-                    assert op.is_order_le(0)
-                    continue
-                assert op.is_order_le(k)
-                if k > 0:
-                    assert not op.is_order_le(k - 1)
-
-
 def test_centrality_depth_closed_form_vs_commutators():
     rng = np.random.default_rng(31)
     for p in (2, 3):
@@ -179,14 +151,14 @@ def test_centrality_depth_closed_form_vs_commutators():
                 for i in range(n):
                     e = [0] * n
                     e[i] = p ** r
-                    assert op.commutes_with(ring.monomial(tuple(e)))
+                    assert commutes_with(op, ring.monomial(tuple(e)))
                 # and fails for some coordinate one level down
                 if r > 0:
                     failures = []
                     for i in range(n):
                         e = [0] * n
                         e[i] = p ** (r - 1)
-                        failures.append(not op.commutes_with(ring.monomial(tuple(e))))
+                        failures.append(not commutes_with(op, ring.monomial(tuple(e))))
                     assert any(failures)
 
 
@@ -349,8 +321,9 @@ def test_truncated_module_laurent_window():
     alg = OperatorAlgebra(3, 1, names=("u",), laurent=True)
     mod = TruncatedOperatorModule(alg, degree_bound=2, dp_bound=1)
     assert mod.dim == 5 * 2
-    assert mod.contains(alg.monomial((-2,), (1,)))
-    assert not mod.contains(alg.monomial((-3,), (0,)))
+    assert list(mod.coordinates(alg.monomial((-2,), (1,)))) == [(mod.index[((-2,), (1,))], 1)]
+    with pytest.raises(WindowError):
+        mod.vectorize(alg.monomial((-3,), (0,)))
 
 
 @st.composite
@@ -403,33 +376,6 @@ def test_operator_matrix_refuses_out_of_window_and_foreign_images():
         mod.operator_matrix(lambda m: other.from_terms(m.terms))
     with pytest.raises(ValueError, match="different algebra"):
         mod.vectorize(other.variable())
-
-
-def test_parse_render_round_trip():
-    rng = np.random.default_rng(71)
-    for laurent in (False, True):
-        alg = OperatorAlgebra(5, 2, names=("t", "s"), laurent=laurent)
-        for _ in range(20):
-            op = random_operator(alg, rng)
-            assert alg.parse(op.render()) == op
-
-
-def test_parse_examples():
-    alg = OperatorAlgebra(5, 1, names=("t",))
-    assert alg.parse("Dt^(2)") == alg.divided_power(0, 2)
-    assert alg.parse("2*t^3*Dt^(2) + t + 1") == (
-        alg.monomial((3,), (2,), 2) + alg.variable() + alg.one())
-    assert alg.parse("t - t") == alg.zero()
-    assert alg.parse("Dt") == alg.divided_power(0, 1)
-    assert alg.parse("-3") == alg.one().scale(-3)
-    laurent = OperatorAlgebra(5, 1, names=("u",), laurent=True)
-    assert laurent.parse("u^-1*Du^(1)") == laurent.monomial((-1,), (1,))
-    with pytest.raises(ValueError):
-        alg.parse("q^2")
-    with pytest.raises(ValueError):
-        alg.parse("")
-    with pytest.raises(ValueError):
-        alg.parse("t^-1")  # needs a Laurent algebra
 
 
 def test_capacity_guard_on_products():

@@ -1,4 +1,4 @@
-"""Sparse polynomials: exact arithmetic, windows, Frobenius, rendering."""
+"""Sparse polynomials: exact arithmetic, windows, twist subrings, rendering."""
 
 import numpy as np
 import pytest
@@ -138,38 +138,15 @@ def test_frobenius_and_twist_membership():
     p = 3
     r = PolyRing(p, 2)
     f = r.monomial((1, 0), 2) + r.monomial((0, 2))
-    ff = f.frobenius()
-    assert ff.support() == [(0, 6), (3, 0)]
-    assert ff.coefficient((3, 0)) == 2
+    ff = r.monomial((3, 0), 2) + r.monomial((0, 6))  # f(x^3, y^3)
     assert ff.in_twist_subring(1)
     assert not ff.in_twist_subring(2)
-    assert f.frobenius(2).in_twist_subring(2)
+    assert (r.monomial((9, 0), 2) + r.monomial((0, 18))).in_twist_subring(2)
     assert not f.in_twist_subring(1)
     assert r.one().in_twist_subring(5)
     assert ff.twist_root(1) == f
     with pytest.raises(ValueError):
         f.twist_root(1)
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.sampled_from([2, 3, 5]), st.integers(0, 10 ** 6))
-def test_frobenius_is_multiplicative(p, seed):
-    rng = np.random.default_rng(seed)
-    r = PolyRing(p, 2, laurent=True)
-    f = random_poly(r, rng)
-    g = random_poly(r, rng)
-    assert (f * g).frobenius() == f.frobenius() * g.frobenius()
-    assert (f + g).frobenius() == f.frobenius() + g.frobenius()
-
-
-def test_frobenius_evaluation_compatibility():
-    p = 5
-    r = PolyRing(p, 2)
-    rng = np.random.default_rng(9)
-    f = random_poly(r, rng)
-    for _ in range(10):
-        pt = [int(rng.integers(0, p)) for _ in range(2)]
-        assert f.frobenius().evaluate(pt) == f.evaluate([pow(v, p, p) for v in pt])
 
 
 def test_render_deterministic():

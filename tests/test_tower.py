@@ -148,11 +148,6 @@ def test_proper_tower_matches_fitting_on_random_maps(data):
     assert report["semisimple_dim"] + report["nilpotent_dim"] == n
 
 
-def test_proper_tower_needs_enough_levels():
-    with pytest.raises(ValueError):
-        proper_tower_report(2, [[0, 1], [0, 0]], levels=2)
-
-
 # -- Hasse invariants -----------------------------------------------------------------
 
 
@@ -303,11 +298,6 @@ def test_elliptic_unshiftable_curve_is_rejected():
     # x^3 - x vanishes on all of F_3, so no chart translate exists
     with pytest.raises(ValueError):
         elliptic_frobenius_report(3, [0, -1, 0, 1])
-
-
-def test_elliptic_window_guard():
-    with pytest.raises(WindowError):
-        elliptic_frobenius_report(3, [1, 0, 1, 1], window=4)
 
 
 # -- nested derivation towers -------------------------------------------------------------
