@@ -520,6 +520,10 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
     du = compressed_degree(p, r, degree_bound)
     qu = max(1, dp_bound // p ** r)
     flags = []
+    # p1 reports with the caps lifted (p = 2, one process on a 2-vCPU Xeon):
+    # (du, qu) = (8, 4) 0.10 s, 39 MB; (12, 6) 0.63 s, 66 MB; (16, 4) 0.56 s,
+    # 58 MB; (16, 8) 3.4 s, 133 MB; 16 eliminations at each.  Cost does not
+    # bind here; the caps stay because report bytes and pinned digests do.
     if du > 8:
         du = 8
         flags.append("degree_window_capped")

@@ -5,8 +5,9 @@ Elimination uses the first nonzero pivot in row-major order, so every
 echelon form, kernel basis and cohomology representative is deterministic.
 On top of the matrix layer sit bounded cochain complexes, first-quadrant
 double complexes (sign convention: d = d_h + (-1)^i d_v on column i), and
-the spectral sequence of the column filtration computed through explicit
-subquotient bases.  Block-structured differentials (totalizations, bar
+the spectral sequence of the column filtration, read off the persistence
+pairs of each total differential: page dimensions and ranks of d_r, no
+representatives.  Block-structured differentials (totalizations, bar
 columns) are all built by `block_matrix`; every simplicial
 cochain complex (Koszul complexes, nerve and Cech complexes, the rows of
 diagram double complexes) by the alternating face sum `face_sum` /
@@ -14,11 +15,11 @@ diagram double complexes) by the alternating face sum `face_sum` /
 subspace) by `Subspace.units`.
 
 Each complex memoizes what it eliminates: a CochainComplex its kernels,
-images and cohomology, a DoubleComplex its total differentials, filtered
-cycle spaces, totalization and spectral pages.  The memo lives on the object
-(nothing is shared between complexes, so nothing outlives a report).  A
-complex's matrices must not be mutated after construction, and a complex is
-not shared between threads.
+images and cohomology, a DoubleComplex its total differentials, totalization
+and one persistence-pair table per total degree.  The memo lives on the
+object (nothing is shared between complexes, so nothing outlives a report).
+A complex's matrices must not be mutated after construction, and a complex
+is not shared between threads.
 """
 
 from __future__ import annotations
@@ -444,10 +445,8 @@ class DoubleComplex:
         self.d_h = {k: m for k, m in d_h.items() if not m.is_zero()}
         self.d_v = {k: m for k, m in d_v.items() if not m.is_zero()}
         self._tot_cache = {}
-        self._cycles = {}
         self._total = None
-        self._subquotients = {}
-        self._pages = []
+        self._pairs = {}
         self._check()
 
     def dim(self, i, j):
@@ -528,103 +527,69 @@ class DoubleComplex:
 
     # -- spectral sequence of the column filtration ------------------------
 
-    def _approx_cycles(self, n, f, r):
-        """A_r = {x in F^f T^n : dx in F^{f+r} T^{n+1}} as a Subspace of T^n."""
-        blocks = self.total_blocks(n)
-        total = sum(b[3] for b in blocks)
-        cols = [c for i, _, off, d in blocks if i >= f for c in range(off, off + d)]
-        low = [c for i, _, off, d in self.total_blocks(n + 1) if i < f + r
-               for c in range(off, off + d)]
-        if len(cols) == total and len(low) == self.total_dim(n + 1):
-            return self.totalize().kernel(n)  # no filtration condition left
-        # cols is a tail of T^n and low a head of T^{n+1}: their sizes fix them
-        key = (n, len(cols), len(low))
-        if key not in self._cycles:
-            if cols and low:
+    def _pair_counts(self, n):
+        """m[a, b]: persistence pairs of d^n from filtration a in T^n to
+        filtration b in T^(n+1), for a, b in 0..max_i.
+
+        rho(a, b), the rank of F^a T^n -> T^(n+1) / F^(b+1), counts the pairs
+        born at or past a that die at or before b, so m is its second
+        difference.  With every row of T^(n+1) kept, rho is dim F^a less the
+        totalization's kernel pivots inside F^a (a tail of T^n).  Each proper
+        head of rows is eliminated once, its column blocks in descending
+        filtration, so that F^a is a prefix and its rank the pivots inside it.
+        """
+        if n not in self._pairs:
+            top = self.max_i + 1
+            levels = np.array([self.dim(i, n - i) for i in range(top)], dtype=np.int64)
+            width = np.append(np.cumsum(levels[::-1])[::-1], 0)  # width[a] = dim F^a T^n
+            rows = [self.dim(i, n + 1 - i) for i in range(top)]
+            height = np.concatenate([[0], np.cumsum(rows)])  # rows below filtration c
+            offsets = width[0] - width  # F^a starts at column offsets[a]
+            # rho[a, c]: the rank of F^a T^n into the rows below filtration c
+            rho = np.zeros((top + 1, top + 1), dtype=np.int64)
+            if width[0] and height[-1]:
                 d_mat = self.total_differential(n).a
-                ker = FpMatrix(self.p, d_mat[np.ix_(low, cols)]).kernel_basis()
-                lift = np.zeros((ker.shape[0], total), dtype=np.int64)
-                lift[:, cols] = ker  # cols ascend, so the lifted rows stay in RREF
-                self._cycles[key] = Subspace._from_rref(self.p, total, lift)
-            else:
-                self._cycles[key] = Subspace.units(self.p, total, cols)
-        return self._cycles[key]
+                for c in range(1, top + 1):
+                    h = height[c]
+                    if h == height[c - 1]:
+                        rho[:, c] = rho[:, c - 1]
+                    elif h == height[-1]:
+                        pivots = np.array(self.totalize().kernel(n).pivots, dtype=np.int64)
+                        rho[:, c] = width - (pivots >= offsets[:, None]).sum(axis=1)
+                    else:
+                        cols = np.concatenate([np.arange(offsets[i], offsets[i + 1])
+                                               for i in reversed(range(c))])
+                        pivots = _rref(d_mat[:h, cols], self.p)[1]
+                        prefix = np.maximum(width - width[c], 0)
+                        rho[:, c] = np.searchsorted(pivots, prefix)
+            self._pairs[n] = rho[:-1, 1:] - rho[1:, 1:] - rho[:-1, :-1] + rho[1:, :-1]
+        return self._pairs[n]
 
     def spectral_sequence(self, max_page=None):
-        """Pages E_1 .. E_maxpage of the column filtration spectral sequence.
+        """Pages E_1 .. E_max_page of the column filtration spectral sequence.
 
-        Each page carries dims, differentials between canonical representative
-        bases, and the machinery asserts E_{r+1} = H(E_r, d_r) internally.
-        Pages are built once per complex; each call returns a new list.
+        A pair (a, b) of d^n (see `_pair_counts`) is one rank of d_(b-a) from
+        (a, n - a) to (b, n + 1 - b); both ends live through page b - a and
+        are gone from page b - a + 1 on.  So dim E_r^{i,j} is dim C^{i,j} less
+        the pairs ending there that are shorter than r, and rank d_r^{i,j} is
+        m_(i+j)(i, i + r).  Each call returns new pages.
         """
         stab = self.max_i + self.max_j + 2
         if max_page is None:
             max_page = stab
-        pages = self._pages
-        positions = [(i, j) for i in range(self.max_i + 1) for j in range(self.max_j + 1)]
-        for r in range(len(pages) + 1, max_page + 1):
-            reps = {}
-            denoms = {}
-            dims = {}
-            for (i, j) in positions:
-                n = i + j
-                total = self.total_dim(n)
-                num = self._approx_cycles(n, i, r)
-                upper = self._approx_cycles(n, i + 1, max(r - 1, 0))
-                prev = self._approx_cycles(n - 1, i - r + 1, r - 1) if n >= 1 else None
-                # the cycle spaces are memoized objects, so equal ids mean an
-                # earlier page already built this subquotient
-                key = (id(num), id(upper), id(prev))
-                if key not in self._subquotients:
-                    tot = self.totalize()
-                    if prev is None or not prev.dim or not total:
-                        den = upper
-                    elif not upper.dim and prev.dim == self.total_dim(n - 1):
-                        den = tot.image(n)  # d(T^(n-1)), eliminated once
-                    else:
-                        d_prev = self.total_differential(n - 1).a
-                        bound = (prev.rows @ d_prev.T) % self.p
-                        den = Subspace(self.p, total, np.vstack([upper.rows, bound]))
-                    if num is tot._kernels.get(n) and den is tot._images.get(n):
-                        # ker d / im d of the totalization: its memoized H^n
-                        rep = Subspace._from_rref(self.p, total, tot.cohomology(n)[1])
-                    else:
-                        rep = num.quotient_reps(den)
-                    self._subquotients[key] = (den, rep)
-                den, rep = self._subquotients[key]
-                denoms[(i, j)] = den
-                reps[(i, j)] = rep
-                if rep.dim:
-                    dims[(i, j)] = rep.dim
-            diffs = {}
-            for (i, j) in positions:
-                src = reps[(i, j)]
-                if src.dim == 0:
-                    continue
-                ti, tj = i + r, j - r + 1
-                if (ti, tj) not in reps or reps[(ti, tj)].dim == 0:
-                    continue
-                tgt_rep = reps[(ti, tj)]
-                tgt_den = denoms[(ti, tj)]
-                n = i + j
-                d_mat = self.total_differential(n).a
-                w = tgt_den.reduce_rows((src.rows @ d_mat.T) % self.p)
-                coords = w[:, list(tgt_rep.pivots)]
-                if ((w - coords @ tgt_rep.rows) % self.p).any():
-                    raise AssertionError("spectral differential left the page")
-                mat = FpMatrix(self.p, coords.T)
-                if not mat.is_zero():
-                    diffs[(i, j)] = mat
-            if pages:
-                prev_page = pages[-1]
-                for (i, j) in positions:
-                    expect = prev_page.homology_dim(i, j)
-                    got = dims.get((i, j), 0)
-                    if expect != got:
-                        raise AssertionError(
-                            f"page {r} at {(i, j)}: dim {got} != H(previous page) {expect}")
-            pages.append(SpectralSequencePage(r, dims, diffs, reps))
-        return pages[:max(max_page, 0)]
+        pages = []
+        for r in range(1, max_page + 1):
+            dims, ranks = {}, {}
+            for (i, j), dim in sorted(self.dims.items()):
+                out = self._pair_counts(i + j)[i]
+                into = self._pair_counts(i + j - 1)[:, i]
+                left = dim - int(out[i:i + r].sum()) - int(into[max(i - r + 1, 0):i + 1].sum())
+                if left:
+                    dims[(i, j)] = left
+                if i + r <= self.max_i and out[i + r]:
+                    ranks[(i, j)] = int(out[i + r])
+            pages.append(SpectralSequencePage(r, dims, ranks))
+        return pages
 
     def infinity_page(self):
         pages = self.spectral_sequence(self.max_i + self.max_j + 2)
@@ -643,35 +608,16 @@ class DoubleComplex:
 
 
 class SpectralSequencePage:
-    """One page of a spectral sequence: dims, d_r matrices, representatives."""
+    """One page of a spectral sequence: dim E_r^{i,j} and the rank of d_r out
+    of (i, j), each kept where nonzero."""
 
-    def __init__(self, r, dims, diffs, reps):
+    def __init__(self, r, dims, ranks):
         self.r = r
         self.dims = dims
-        self.diffs = diffs
-        self._reps = reps
-        self._ranks = {}
+        self.ranks = ranks
 
     def dim(self, i, j):
         return self.dims.get((i, j), 0)
-
-    def representatives(self, i, j):
-        return self._reps[(i, j)].rows
-
-    def _rank(self, i, j):
-        """Rank of d_r out of (i, j), eliminated once per page: each d_r is
-        read both at its source and, as the incoming map, at its target."""
-        if (i, j) not in self._ranks:
-            d = self.diffs.get((i, j))
-            self._ranks[(i, j)] = d.rank() if d is not None else 0
-        return self._ranks[(i, j)]
-
-    def homology_dim(self, i, j):
-        """dim of H(E_r, d_r) at (i, j) computed from this page's matrices."""
-        here = self.dim(i, j)
-        if here == 0:
-            return 0
-        return here - self._rank(i, j) - self._rank(i - self.r, j + self.r - 1)
 
     def __repr__(self):
         cells = {k: v for k, v in sorted(self.dims.items())}

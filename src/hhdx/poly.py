@@ -99,9 +99,6 @@ class MultiPoly:
 
     # -- basic queries -----------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), 0)
 

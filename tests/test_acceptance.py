@@ -11,7 +11,6 @@ its own inputs and oracles.
 import time
 
 import numpy as np
-import pytest
 
 from helpers import random_double_complex
 from hhdx.dpdo import OperatorAlgebra, matrix_realize, morita_compress

@@ -163,17 +163,15 @@ def test_failed_certificate_is_a_named_failing_assertion(argv, break_check, name
 
 # Exact eliminations (calls of linalg._rref) per report, and how many kernels
 # or images the report solves twice: a rise means some kernel, image,
-# cohomology group or spectral page is eliminated again.  The inputs that
+# cohomology group or spectral rank table is eliminated again.  The inputs that
 # still repeat are legitimate or known: gs-point's 7 are the bar-versus-
 # totalization cross-check its report asserts (the kernels and images of d^0
 # and d^1, solved once in each complex); p1-cover's 45 x 45 repeat comes from
-# the isomorphic U0 and U1 chart columns, and its 181 x 345 one is E_inf
-# against H(Tot) in convergence_check (left for the filtered reduction of the
-# spectral sequence); proper-hh's golden F is idempotent, so F and F^dim are
-# the same matrix.
+# the isomorphic U0 and U1 chart columns; proper-hh's golden F is idempotent,
+# so F and F^dim are the same matrix.
 ELIMINATIONS = [
     (["--scenario", "pd-derham", "--prime", "2"], 13, 0),
-    (["--scenario", "p1-cover", "--prime", "2", "--depth", "1"], 27, 0),
+    (["--scenario", "p1-cover", "--prime", "2", "--depth", "1"], 16, 0),
     (["--scenario", "gs-point", "--prime", "2"], 17, 4),
     (["--scenario", "elliptic", "--prime", "3"], 1, 0),
     (["--scenario", "cup-ring-map", "--prime", "3", "--depth", "1"], 0, 0),

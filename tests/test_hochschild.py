@@ -22,7 +22,7 @@ from hhdx.hochschild import (
     koszul_commutator_complex,
     operator_window_koszul,
 )
-from hhdx.linalg import FpMatrix, Subspace
+from hhdx.linalg import Subspace
 
 
 def test_struct_algebra_constructions():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhdx.errors import CapacityError
-from hhdx.poly import MAX_EXPONENT, MultiPoly, PolyRing
+from hhdx.poly import MAX_EXPONENT, PolyRing
 
 
 def random_poly(ring, rng, max_terms=6, max_exp=5):
@@ -67,8 +67,8 @@ def test_univariate_product_against_convolution():
         f = random_poly(r, rng)
         g = random_poly(r, rng)
         h = f * g
-        if f.is_zero() or g.is_zero():
-            assert h.is_zero()
+        if not f.terms or not g.terms:
+            assert not h.terms
             continue
         conv = dense_convolution(f, g)
         for e, c in enumerate(conv):
@@ -131,7 +131,7 @@ def test_truncation_windows():
     assert not dropped2
 
     prod, dropped = (r.monomial((2, 0)) * r.monomial((1, 0))).truncate(2)
-    assert dropped and prod.is_zero()
+    assert dropped and not prod.terms
 
 
 def test_frobenius_and_twist_membership():

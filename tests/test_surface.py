@@ -1,6 +1,17 @@
-"""Guard: every function src/hhdx defines is reached by the package itself,
-by the acceptance criteria and their oracles, or by the benchmark's traced
-entry points.  API that only unit tests call cannot grow back unnoticed."""
+"""Guards on what the code defines and imports.
+
+Every function src/hhdx defines is reached by the package itself, by the
+acceptance criteria and their oracles, or by the benchmark's traced entry
+points, so API that only unit tests call cannot grow back unnoticed.  A
+module-level function is reached by any reference to its name; a method only
+by an attribute reference (`.name`) or a `LAYERS` entry, so a local variable
+or a function that shares a method's name no longer hides it.  The guard still
+matches names, not definitions: two methods of one name are one name to it,
+so a call of either reaches both (`DPDOperator.is_zero` is reached through
+every `FpMatrix.is_zero` call, whatever its own callers).
+
+Every name a module in src/hhdx or tests/ imports is used in that module.
+"""
 
 import ast
 import collections
@@ -8,21 +19,23 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hhdx"
+TESTS = ROOT / "tests"
 TRACER = ROOT / "perfbench" / "tracer.py"
 REFERENCES = [ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "helpers.py", TRACER]
 
 
 def _references(tree):
-    """Counts of the identifiers a tree uses: names, attributes and imports."""
-    out = collections.Counter()
+    """Counts of the identifiers a tree uses: (bare and imported names,
+    attribute names)."""
+    names, attrs = collections.Counter(), collections.Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.alias):
-            out[node.name.rpartition(".")[2]] += 1
-    return out
+            names[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
+    return names, attrs
 
 
 def _layer_entry_points(tree):
@@ -36,24 +49,81 @@ def _layer_entry_points(tree):
     raise AssertionError("perfbench/tracer.py defines no LAYERS")
 
 
-def test_every_src_function_is_reached_outside_unit_tests():
-    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    in_src = sum((_references(tree) for tree in trees.values()), collections.Counter())
-    outside = set()
-    for path in REFERENCES:
-        tree = ast.parse(path.read_text())
-        outside |= set(_references(tree))
-    outside |= _layer_entry_points(ast.parse(TRACER.read_text()))
-
-    unreached = []
+def _unreached(trees, outside_names, outside_attrs):
+    """The non-dunder defs of trees (path -> module ast) that nothing but
+    unit tests reaches, as "file:line name"."""
+    src_names, src_attrs = collections.Counter(), collections.Counter()
+    for tree in trees.values():
+        names, attrs = _references(tree)
+        src_names += names
+        src_attrs += attrs
+    out = []
     for path, tree in trees.items():
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if in_src[name] - _references(node)[name] > 0 or name in outside:
-                continue
-            unreached.append(f"{path.name}:{node.lineno} {name}")
+            own_names, own_attrs = _references(node)
+            reached = src_attrs[name] - own_attrs[name] > 0 or name in outside_attrs
+            if id(node) not in methods:
+                reached = reached or src_names[name] - own_names[name] > 0 \
+                    or name in outside_names
+            if not reached:
+                out.append(f"{pathlib.Path(path).name}:{node.lineno} {name}")
+    return out
+
+
+def _unused_imports(tree):
+    """Names a module imports and never uses, `from __future__` and the
+    names its `__all__` re-exports aside."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_every_src_function_is_reached_outside_unit_tests():
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    outside_names, outside_attrs = set(), set(_layer_entry_points(ast.parse(TRACER.read_text())))
+    for path in REFERENCES:
+        names, attrs = _references(ast.parse(path.read_text()))
+        outside_names |= set(names)
+        outside_attrs |= set(attrs)
+    unreached = _unreached(trees, outside_names, outside_attrs)
     assert not unreached, f"defined but reached only by unit tests: {unreached}"
+
+
+def test_a_method_is_reached_only_through_attributes():
+    tree = ast.parse(
+        "class A:\n"
+        "    def order(self): pass\n"
+        "    def degree(self): pass\n"
+        "def helper(): pass\n"
+        "def caller(a):\n"
+        "    order = a.degree()\n"
+        "    return helper(), order\n")
+    assert sorted(_unreached({"m.py": tree}, set(), set())) == ["m.py:2 order", "m.py:5 caller"]
+    assert _unreached({"m.py": tree}, set(), {"order", "caller"}) == []
+
+
+def test_every_import_is_used():
+    unused = {}
+    for path in [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
+        names = _unused_imports(ast.parse(path.read_text()))
+        if names:
+            unused[path.name] = names
+    assert not unused, f"imported but never used: {unused}"
+    assert _unused_imports(ast.parse(
+        "from __future__ import annotations\nimport a.b\nimport c as d\n"
+        "from e import f, g\n__all__ = ['g']\na.b()\n")) == ["d", "f"]
