@@ -10,7 +10,12 @@ Products are normal-ordered through the commutation rule
     D^(b) x^c = sum_j prod_i C(c_i, j_i) x^(c - j) D^(b - j),
 
 with generalized binomials handling negative Laurent exponents, so the
-algebra is exact for every prime.  The module also provides the closed-form
+algebra is exact for every prime.  Products and commutators share one
+kernel, `_add_product`, which adds +-(left * right) into a single term dict;
+each monomial pair is normal-ordered once per OperatorAlgebra and memoized
+on it (`products`; the memo dies with the algebra, so nothing outlives a
+report), and terms the kernel or the linear structure makes are wrapped
+without re-validation.  The module also provides the closed-form
 centrality depth, realization of an operator as a matrix over the
 Frobenius-twist subring, compression of a twist-aligned operator to the
 corner copy acting on the subring (and the compressed degree window every
@@ -36,12 +41,13 @@ class OperatorAlgebra:
     """Algebra of divided-power differential operators on F_p[x_1..x_n]
     (or its Laurent ring).  Divided-power exponents are capped at p^4."""
 
-    __slots__ = ("ring", "dp_cap")
+    __slots__ = ("ring", "dp_cap", "products")
 
     def __init__(self, p, n=1, names=None, laurent=False):
         require_prime(p)
         self.ring = PolyRing(p, n, names=names, laurent=laurent)
         self.dp_cap = p ** 4
+        self.products = {}
 
     @property
     def p(self):
@@ -114,19 +120,17 @@ class DPDOperator:
             c = int(c) % p
             if not c:
                 continue
-            for e in a:
-                if abs(e) >= MAX_EXPONENT:
-                    raise CapacityError(f"monomial exponent {e} exceeds capacity")
-                if e < 0 and not algebra.laurent:
-                    raise ValueError("negative exponents need a Laurent algebra")
-            for e in b:
-                if e < 0:
-                    raise ValueError("divided-power exponents must be nonnegative")
-                if e > algebra.dp_cap:
-                    raise CapacityError(
-                        f"divided-power exponent {e} exceeds cap {algebra.dp_cap}")
+            _check_term(algebra, a, b)
             clean[(a, b)] = c
         self.terms = clean
+
+    @classmethod
+    def _wrap(cls, algebra, terms):
+        """Wrap valid terms reduced mod p (no validation); zero ones are dropped."""
+        out = cls.__new__(cls)
+        out.algebra = algebra
+        out.terms = {k: c for k, c in terms.items() if c}
+        return out
 
     # -- linear structure ------------------------------------------------------
 
@@ -139,16 +143,18 @@ class DPDOperator:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = (out.get(k, 0) + c) % self.algebra.p
-        return DPDOperator(self.algebra, out)
+        return DPDOperator._wrap(self.algebra, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return DPDOperator(self.algebra, {k: -c for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def scale(self, c):
-        return DPDOperator(self.algebra, {k: cc * c for k, cc in self.terms.items()})
+        p = self.algebra.p
+        c = int(c)
+        return DPDOperator._wrap(self.algebra, {k: cc * c % p for k, cc in self.terms.items()})
 
     def is_zero(self):
         return not self.terms
@@ -169,38 +175,20 @@ class DPDOperator:
         if isinstance(other, int):
             return self.scale(other)
         self._require_same(other)
-        p = self.algebra.p
-        n = self.algebra.n
         out = {}
-        for (a, b), c1 in self.terms.items():
-            for (c, d), c2 in other.terms.items():
-                ranges = []
-                work = 1
-                for i in range(n):
-                    hi = b[i] if c[i] < 0 else min(b[i], c[i])
-                    ranges.append(range(hi + 1))
-                    work *= hi + 1
-                if work > MAX_PRODUCT_WORK:
-                    raise CapacityError("normal-ordering workload exceeds capacity")
-                for j in itertools.product(*ranges):
-                    coeff = c1 * c2
-                    for i in range(n):
-                        if not coeff:
-                            break
-                        coeff = (coeff
-                                 * binomial_mod(c[i], j[i], p)
-                                 * binomial_mod(b[i] + d[i] - j[i], b[i] - j[i], p)) % p
-                    if not coeff:
-                        continue
-                    key = (tuple(a[i] + c[i] - j[i] for i in range(n)),
-                           tuple(b[i] + d[i] - j[i] for i in range(n)))
-                    out[key] = (out.get(key, 0) + coeff) % p
-        return DPDOperator(self.algebra, out)
+        if _add_product(out, self, other, 1):
+            return DPDOperator(self.algebra, out)
+        return DPDOperator._wrap(self.algebra, out)
 
     __rmul__ = __mul__
 
     def commutator(self, other):
-        return self * other - other * self
+        self._require_same(other)
+        out = {}
+        for left, right, sign in ((self, other, 1), (other, self, -1)):
+            if _add_product(out, left, right, sign):
+                left * right  # refused terms may cancel: refuse as the product alone would
+        return DPDOperator._wrap(self.algebra, out)
 
     # -- action on polynomials -----------------------------------------------------
 
@@ -286,6 +274,75 @@ class DPDOperator:
 
     def __repr__(self):
         return self.render()
+
+
+def _check_term(algebra, a, b):
+    """Refuse the term x^a D^(b) of an operator in the algebra."""
+    for e in a:
+        if abs(e) >= MAX_EXPONENT:
+            raise CapacityError(f"monomial exponent {e} exceeds capacity")
+        if e < 0 and not algebra.laurent:
+            raise ValueError("negative exponents need a Laurent algebra")
+    for e in b:
+        if e < 0:
+            raise ValueError("divided-power exponents must be nonnegative")
+        if e > algebra.dp_cap:
+            raise CapacityError(f"divided-power exponent {e} exceeds cap {algebra.dp_cap}")
+
+
+def _order_pair(algebra, left, right):
+    """Normal-ordered terms (key, coeff) of x^a D^(b) * x^c D^(d), and
+    whether one of them is refused by `_check_term`."""
+    (a, b), (c, d) = left, right
+    p, n = algebra.p, algebra.n
+    ranges = []
+    work = 1
+    for i in range(n):
+        hi = b[i] if c[i] < 0 else min(b[i], c[i])
+        ranges.append(range(hi + 1))
+        work *= hi + 1
+    if work > MAX_PRODUCT_WORK:
+        raise CapacityError("normal-ordering workload exceeds capacity")
+    terms = []
+    for j in itertools.product(*ranges):
+        coeff = 1
+        for i in range(n):
+            if not coeff:
+                break
+            coeff = (coeff
+                     * binomial_mod(c[i], j[i], p)
+                     * binomial_mod(b[i] + d[i] - j[i], b[i] - j[i], p)) % p
+        if coeff:
+            terms.append(((tuple(a[i] + c[i] - j[i] for i in range(n)),
+                           tuple(b[i] + d[i] - j[i] for i in range(n))), coeff))
+    try:
+        for (e, f), _ in terms:
+            _check_term(algebra, e, f)
+    except CapacityError:
+        return tuple(terms), True
+    return tuple(terms), False
+
+
+def _add_product(out, left, right, sign):
+    """Add sign * (left * right) into the term dict out, each monomial pair
+    normal-ordered once per algebra (the memo `algebra.products`).  Returns
+    whether some pair made a term `_check_term` refuses; the caller then
+    validates the product, in which such terms may cancel."""
+    algebra = left.algebra
+    p = algebra.p
+    refused = False
+    for x, c1 in left.terms.items():
+        row = algebra.products.setdefault(x, {})
+        for y, c2 in right.terms.items():
+            entry = row.get(y)
+            if entry is None:
+                entry = row[y] = _order_pair(algebra, x, y)
+            terms, refused_pair = entry
+            refused = refused or refused_pair
+            c = sign * c1 * c2
+            for key, coeff in terms:
+                out[key] = (out.get(key, 0) + c * coeff) % p
+    return refused
 
 
 # -- matrix realization over the twist subring ------------------------------------------------
@@ -532,9 +589,10 @@ class TruncatedOperatorModule:
         target = target or self
         mat = linalg.zeros(target.dim, self.dim)
         for col, ab in enumerate(self.basis):
-            for i, c in target.coordinates(func(DPDOperator(self.algebra, {ab: 1}))):
+            _check_term(self.algebra, *ab)
+            for i, c in target.coordinates(func(DPDOperator._wrap(self.algebra, {ab: 1}))):
                 mat[i, col] = c
-        return linalg.FpMatrix(self.algebra.p, mat)
+        return linalg.FpMatrix._from_reduced(self.algebra.p, mat)
 
     def commutator_matrix(self, g, target=None):
         """Matrix of [g, -] into the target window (exact or WindowError)."""

@@ -56,7 +56,7 @@ def _as_array(p, data, rows=None, cols=None):
 
 def _rref(a, p):
     """Reduced row echelon form mod p.  Returns (rref rows, pivot columns)."""
-    a = np.mod(np.asarray(a, dtype=np.int64), p).copy()
+    a = np.mod(np.asarray(a, dtype=np.int64), p)  # a fresh array: eliminated in place
     nrows, ncols = a.shape
     pivots = []
     r = 0
@@ -96,6 +96,14 @@ class FpMatrix:
     def zeros(cls, p, rows, cols):
         return cls(p, zeros(rows, cols))
 
+    @classmethod
+    def _from_reduced(cls, p, a):
+        """Wrap a 2-dimensional int64 array already reduced to [0, p) (no copy)."""
+        _check_capacity(*a.shape)
+        out = cls.__new__(cls)
+        out.p, out.a = p, a
+        return out
+
     @property
     def rows(self):
         return self.a.shape[0]
@@ -114,7 +122,7 @@ class FpMatrix:
                 raise ValueError("modulus mismatch")
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-            return FpMatrix(self.p, (self.a @ other.a) % self.p)
+            return FpMatrix._from_reduced(self.p, (self.a @ other.a) % self.p)
         v = np.mod(np.asarray(other, dtype=np.int64), self.p)
         return (self.a @ v) % self.p
 

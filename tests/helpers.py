@@ -1,15 +1,18 @@
 """Shared builders for tests: known complexes and random double complexes,
 plus the uncached linear algebra the memoized complexes are tested against,
 the hand-written constructions the shared builders replaced, the general
-tower limit the closed-form Tower is tested against, and the direct
-commutation check and tensor algebra that only tests need."""
+tower limit the closed-form Tower is tested against, the term-by-term
+operator product the normal-ordering kernel is tested against, and the
+direct commutation check and tensor algebra that only tests need."""
 
 import collections
 import itertools
 
 import numpy as np
 
-from hhdx.dpdo import OperatorAlgebra, TruncatedOperatorModule
+from hhdx.dpdo import MAX_PRODUCT_WORK, DPDOperator, OperatorAlgebra, TruncatedOperatorModule
+from hhdx.errors import CapacityError
+from hhdx.gfp import binomial_mod
 from hhdx.gs import Poset, SpaceDiagram
 from hhdx.hochschild import StructAlgebra
 from hhdx.linalg import (
@@ -424,6 +427,34 @@ def oracle_limit_report(p, dims, transitions):
         "certified_lim_dim": levels[0]["stable_dim"] if certified else None,
         "certified_lim1_dim": 0 if certified else None,
     }
+
+
+def oracle_product(x, y):
+    """x * y normal-ordered pair by pair through the commutation rule, with
+    no memo, the sum validated by DPDOperator."""
+    p, n = x.algebra.p, x.algebra.n
+    out = {}
+    for (a, b), c1 in x.terms.items():
+        for (c, d), c2 in y.terms.items():
+            ranges = []
+            work = 1
+            for i in range(n):
+                hi = b[i] if c[i] < 0 else min(b[i], c[i])
+                ranges.append(range(hi + 1))
+                work *= hi + 1
+            if work > MAX_PRODUCT_WORK:
+                raise CapacityError("normal-ordering workload exceeds capacity")
+            for j in itertools.product(*ranges):
+                coeff = c1 * c2
+                for i in range(n):
+                    coeff = (coeff
+                             * binomial_mod(c[i], j[i], p)
+                             * binomial_mod(b[i] + d[i] - j[i], b[i] - j[i], p)) % p
+                if coeff:
+                    key = (tuple(a[i] + c[i] - j[i] for i in range(n)),
+                           tuple(b[i] + d[i] - j[i] for i in range(n)))
+                    out[key] = (out.get(key, 0) + coeff) % p
+    return DPDOperator(x.algebra, out)
 
 
 # Oracles and inputs the library itself never uses: the direct commutation

@@ -241,6 +241,49 @@ def test_each_operator_matrix_is_built_once_per_report(argv, golden, capsys, mon
     assert len(calls) == OPERATOR_MATRICES[golden]
 
 
+# Monomial pairs x^a D^(b) * x^c D^(d) normal-ordered per golden report (misses
+# of the per-algebra product memo; no pair repeats under another algebra of
+# the same ring either): a rise means some pair is ordered twice.
+NORMAL_ORDERINGS = {
+    "a1_hh_p2_r3.json": 1516,
+    "pd_derham_p2.json": 1325,
+    "morita_matrix_p2_r1.json": 0,
+    "gs_point_m2_p2.json": 0,
+    "p1_cover_p2_r1.json": 519,
+    "elliptic_p3.json": 0,
+    "proper_hh_p2.json": 0,
+    "smith_tower_p2_r2.json": 317,
+    "cup_ring_map_p3_r1.json": 12,
+}
+
+
+@pytest.mark.parametrize("argv,golden", GOLDEN_CASES,
+                         ids=[g.removesuffix(".json") for _, g in GOLDEN_CASES])
+def test_each_monomial_pair_is_ordered_once_per_report(argv, golden, capsys, monkeypatch):
+    pairs = collections.Counter()
+    order_pair = dpdo._order_pair
+
+    def counting(algebra, left, right):
+        pairs[(algebra.ring, left, right)] += 1
+        return order_pair(algebra, left, right)
+
+    monkeypatch.setattr(dpdo, "_order_pair", counting)
+    assert main([*argv, "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+    assert set(pairs.values()) <= {1}
+    assert sum(pairs.values()) == NORMAL_ORDERINGS[golden]
+
+
+@pytest.mark.parametrize("scenario", ["pd-derham", "a1-hh"])
+def test_p2_divided_power_window_past_the_cap_exits_4(scenario, capsys):
+    """p = 2 caps divided powers at p^4 = 16, so a window of 20 is refused
+    at its first basis operator D^(17)."""
+    assert main(["--scenario", scenario, "--prime", "2", "--degree-bound", "20",
+                 "--dp-cap", "20"]) == 4
+    assert ("capacity/window: divided-power exponent 17 exceeds cap 16"
+            in capsys.readouterr().err)
+
+
 def test_a1_hh_centralizers_reach_a_large_dp_window(capsys):
     """Stacking only the Lucas generators D^(p^k) keeps this window's
     centralizer matrices small; one commutator per divided power up to 45

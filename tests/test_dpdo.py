@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import commutes_with, oracle_operator_matrix
+from helpers import commutes_with, oracle_operator_matrix, oracle_product
 from hhdx.dpdo import (
     OperatorAlgebra,
     TruncatedOperatorModule,
@@ -16,6 +16,7 @@ from hhdx.dpdo import (
 )
 from hhdx.errors import CapacityError, DepthError, WindowError
 from hhdx.gfp import binomial_mod
+from hhdx.poly import MAX_EXPONENT
 
 
 def random_operator(alg, rng, max_terms=4, max_a=4, max_b=4):
@@ -382,3 +383,43 @@ def test_capacity_guard_on_products():
     with pytest.raises(CapacityError):
         # C(17, 16) = 17 = 1 mod 2: a genuinely nonzero term beyond the cap
         _ = big * alg.monomial((0,), (1,))
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two operators on 1-2 variables, polynomial or Laurent, p in {2, 3, 5},
+    with divided powers of the first variable up to the cap p^4 (so products
+    pass it) and monomial exponents next to MAX_EXPONENT (so products pass it)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 2))
+    alg = OperatorAlgebra(p, n, laurent=draw(st.booleans()))
+    small = st.integers(-2 if alg.laurent else 0, 2)
+    edge = st.integers(MAX_EXPONENT - 2, MAX_EXPONENT - 1)
+    exponent = small | edge | (edge.map(lambda e: -e) if alg.laurent else small)
+    first_dp = st.integers(0, 3) | st.integers(p ** 4 - 2, p ** 4)
+    key = st.tuples(st.tuples(*[exponent] * n),
+                    st.tuples(first_dp, *[st.integers(0, 3)] * (n - 1)))
+    ops = st.dictionaries(key, st.integers(1, p - 1), max_size=3).map(alg.from_terms)
+    return alg, draw(ops), draw(ops)
+
+
+def _outcome(compute):
+    try:
+        return compute().terms
+    except (CapacityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_pairs())
+def test_normal_ordering_kernel_matches_oracle_product(case):
+    alg, x, y = case
+    product = _outcome(lambda: oracle_product(x, y))
+    commutator = _outcome(lambda: oracle_product(x, y) - oracle_product(y, x))
+    assert _outcome(lambda: x * y) == product
+    assert _outcome(lambda: x.commutator(y)) == commutator
+    if isinstance(commutator, dict):  # every pair is now read from the algebra's memo
+        ordered = {(u, v) for u, row in alg.products.items() for v in row}
+        assert ordered == {(u, v) for s, t in ((x, y), (y, x)) for u in s.terms for v in t.terms}
+    assert _outcome(lambda: x * y) == product
+    assert _outcome(lambda: x.commutator(y)) == commutator
