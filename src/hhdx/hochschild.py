@@ -33,7 +33,7 @@ import numpy as np
 from .dpdo import OperatorAlgebra, TruncatedOperatorModule, compressed_degree
 from .errors import CapacityError
 from .gfp import require_prime
-from .linalg import CochainComplex, FpMatrix, Subspace, _check_capacity, face_complex
+from .linalg import CochainComplex, FpMatrix, Subspace, _check_capacity, face_complex, product
 
 MAX_ALGEBRA_DIM = 12
 MAX_BAR_DEGREE = 3
@@ -293,7 +293,7 @@ def koszul_commutator_complex(p, dim, matrices):
     mats = [mat.a if isinstance(mat, FpMatrix) else np.mod(np.asarray(mat, dtype=np.int64), p)
             for mat in matrices]
     for x, y in itertools.combinations(mats, 2):
-        if not np.array_equal((x @ y) % p, (y @ x) % p):
+        if not np.array_equal(product(x, y, p), product(y, x, p)):
             raise ValueError("commutator complex needs commuting endomorphisms")
     cells = [list(itertools.combinations(range(n), j)) for j in range(n + 1)]
     return face_complex(p, cells, lambda s: dim, lambda s, k: mats[s[k]])

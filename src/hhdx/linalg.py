@@ -1,18 +1,19 @@
 """Exact linear algebra over F_p.
 
 Matrices are dense numpy int64 arrays with entries reduced to [0, p).
-Elimination uses the first nonzero pivot in row-major order, so every
-echelon form, kernel basis and cohomology representative is deterministic.
-On top of the matrix layer sit bounded cochain complexes, first-quadrant
-double complexes (sign convention: d = d_h + (-1)^i d_v on column i), and
-the spectral sequence of the column filtration, read off the persistence
-pairs of each total differential: page dimensions and ranks of d_r, no
-representatives.  Block-structured differentials (totalizations, bar
-columns) are all built by `block_matrix`; every simplicial
-cochain complex (Koszul complexes, nerve and Cech complexes, the rows of
-diagram double complexes) by the alternating face sum `face_sum` /
-`face_complex` on top of it; and every span of unit vectors (coordinate
-subspace) by `Subspace.units`.
+Elimination gives the canonical RREF (first nonzero pivot, row-major), so
+every kernel basis and cohomology representative is deterministic; `_rref`
+eliminates each connected component of a matrix's nonzero pattern as a block
+of its own, and `product` multiplies from the nonzeros, so d∘d and commutation
+checks cost what the entries do.  On top sit bounded cochain complexes,
+first-quadrant double complexes (sign convention: d = d_h + (-1)^i d_v on
+column i), and the spectral sequence of the column filtration, read off the
+persistence pairs of each total differential: page dimensions and ranks of
+d_r, no representatives.  Block-structured differentials (totalizations, bar
+columns) are all built by `block_matrix`; every simplicial cochain complex
+(Koszul complexes, nerve and Cech complexes, the rows of diagram double
+complexes) by the alternating face sum `face_sum` / `face_complex` on top of
+it; and every span of unit vectors (coordinate subspace) by `Subspace.units`.
 
 Each complex memoizes what it eliminates: a CochainComplex its kernels,
 images and cohomology, a DoubleComplex its total differentials, totalization
@@ -44,19 +45,70 @@ def zeros(rows, cols):
     return np.zeros((rows, cols), dtype=np.int64)
 
 
-def _as_array(p, data, rows=None, cols=None):
-    a = np.asarray(data, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1) if rows in (None, 1) else a.reshape(-1, 1)
-    if a.ndim != 2:
-        raise ValueError("matrix data must be 2-dimensional")
-    _check_capacity(*a.shape)
-    return np.mod(a, p)
+# On a 2-vCPU Xeon with numpy 2.4, `_rref` eliminates whole below 2048 entries,
+# where the split's fixed cost rules (report-stream's matrices under 256
+# entries: 14 us whole, 50 split; p1-cover's 34 x 35: 260 us whole, 430 split);
+# above one nonzero in 16, so its labels (35 bytes a nonzero) stay within a
+# quarter of the whole copy (8 bytes an entry); and when one component holds
+# most columns.  `product` joins nonzeros (15 us + 20 ns a pair) where that
+# beats int64 `@` (0.4 ns a multiply-add).
+_SPLIT_MIN_ENTRIES, _SPLIT_MAX_DENSITY = 2048, 16
+_JOIN_FIXED_WORK, _JOIN_PAIR_WORK = 37_500, 50
+
+
+def _components(u, v, n):
+    """Labels of the graph on nodes 0..n-1 with edges (u[k], v[k]): the least
+    node of each node's component.  Each round every edge hooks the larger
+    label of its ends onto the smaller, then pointer jumping; O(len(u))."""
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        low, hooked = np.minimum(lu, lv), label.copy()
+        np.minimum.at(hooked, lu, low)
+        np.minimum.at(hooked, lv, low)
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
 
 
 def _rref(a, p):
-    """Reduced row echelon form mod p.  Returns (rref rows, pivot columns)."""
-    a = np.mod(np.asarray(a, dtype=np.int64), p)  # a fresh array: eliminated in place
+    """Reduced row echelon form mod p.  Returns (rref rows, pivot columns).
+
+    The RREF is canonical, so it is assembled per connected component of the
+    nonzero pattern: a one-column component gives a unit row, every other is
+    eliminated on its own, and the block rows go into one output in pivot order.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    nrows, ncols = a.shape
+    if a.size < _SPLIT_MIN_ENTRIES or np.count_nonzero(a) * _SPLIT_MAX_DENSITY > a.size:
+        return _rref_dense(np.mod(a, p), p)
+    ri, ci = np.nonzero(a)
+    live = a[ri, ci] % p != 0
+    label = _components(ri[live], ci[live] + nrows, nrows + ncols)
+    cols = np.unique(ci[live])
+    col_label = label[nrows + cols]
+    width = np.bincount(col_label, minlength=nrows + ncols)  # columns a component has
+    if width.max(initial=0) * 2 > ncols:
+        return _rref_dense(np.mod(a, p), p)
+    single = cols[width[col_label] == 1]
+    pieces = [(single[:, None], np.ones((single.size, 1), dtype=np.int64), single)]
+    nodes = np.flatnonzero(width[label] > 1)  # rows, then nrows + columns, of the blocks
+    nodes = nodes[np.argsort(label[nodes], kind="stable")]
+    for block in np.split(nodes, np.flatnonzero(np.diff(label[nodes])) + 1):
+        cs = block[block >= nrows] - nrows
+        red, piv = _rref_dense(a[np.ix_(block[block < nrows], cs)] % p, p)
+        pieces.append((cs, red, cs[list(piv)]))
+    pivots = np.sort(np.concatenate([piv for _, _, piv in pieces]))
+    out = np.zeros((pivots.size, ncols), dtype=np.int64)
+    for cs, red, piv in pieces:
+        out[np.searchsorted(pivots, piv)[:, None], cs] = red
+    return out, tuple(pivots.tolist())
+
+
+def _rref_dense(a, p):
+    """`_rref` of a fresh reduced int64 array, eliminated in place."""
     nrows, ncols = a.shape
     pivots = []
     r = 0
@@ -81,6 +133,30 @@ def _rref(a, p):
     return a[:r], tuple(pivots)
 
 
+def product(x, y, p):
+    """x @ y mod p for int64 arrays reduced to [0, p), refused over capacity
+    before allocating.  Each nonzero x[i, k] meets the nonzeros of row k of y
+    (a join on k) and the products add into (i, j); numpy's `@` serves where it
+    is cheaper or the join would hold more pairs than the product has entries."""
+    m, n = x.shape[0], y.shape[1]
+    _check_capacity(m, n)
+    work = x.size * n
+    if work >= _JOIN_FIXED_WORK:
+        xi, xk = np.nonzero(x)
+        yk, yj = np.nonzero(y)  # row-major, so sorted by yk
+        start = np.searchsorted(yk, np.arange(y.shape[0] + 1))
+        reps = (start[1:] - start[:-1])[xk]
+        pairs = int(reps.sum())
+        if work >= _JOIN_FIXED_WORK + _JOIN_PAIR_WORK * pairs and pairs <= m * n:
+            xt = np.repeat(np.arange(xi.size), reps)
+            yt = np.arange(pairs) + np.repeat(start[xk] - np.cumsum(reps) + reps, reps)
+            out = np.zeros((m, n), dtype=np.int64)
+            np.add.at(out, (xi[xt], yj[yt]), x[xi[xt], xk[xt]] * y[yk[yt], yj[yt]])
+            return np.mod(out, p, out=out)
+    out = x @ y
+    return np.mod(out, p, out=out)
+
+
 class FpMatrix:
     """Dense exact matrix over F_p."""
 
@@ -89,8 +165,12 @@ class FpMatrix:
     def __init__(self, p, data):
         if p < 2:
             raise ValueError("p must be at least 2")
-        self.p = p
-        self.a = _as_array(p, data.a if isinstance(data, FpMatrix) else data)
+        a = np.asarray(data.a if isinstance(data, FpMatrix) else data, dtype=np.int64)
+        a = a.reshape(1, -1) if a.ndim == 1 else a
+        if a.ndim != 2:
+            raise ValueError("matrix data must be 2-dimensional")
+        _check_capacity(*a.shape)
+        self.p, self.a = p, np.mod(a, p)
 
     @classmethod
     def zeros(cls, p, rows, cols):
@@ -122,7 +202,7 @@ class FpMatrix:
                 raise ValueError("modulus mismatch")
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-            return FpMatrix._from_reduced(self.p, (self.a @ other.a) % self.p)
+            return FpMatrix._from_reduced(self.p, product(self.a, other.a, self.p))
         v = np.mod(np.asarray(other, dtype=np.int64), self.p)
         return (self.a @ v) % self.p
 
@@ -170,7 +250,7 @@ class FpMatrix:
 
     def rref(self):
         rows, pivots = _rref(self.a, self.p)
-        return FpMatrix(self.p, rows) if rows.size else FpMatrix.zeros(self.p, 0, self.cols), pivots
+        return FpMatrix._from_reduced(self.p, rows), pivots
 
     def rank(self):
         return len(_rref(self.a, self.p)[1])
@@ -317,7 +397,7 @@ def block_matrix(p, row_dims, col_dims, blocks):
         if block.shape != slot.shape:
             raise ValueError(f"block {(r, c)} has shape {block.shape}, expected {slot.shape}")
         slot += block
-    return FpMatrix(p, mat)
+    return FpMatrix._from_reduced(p, np.mod(mat, p, out=mat))
 
 
 def face_sum(p, lower, upper, dim, face):

@@ -1,15 +1,18 @@
 """Shared builders for tests: known complexes and random double complexes,
 plus the uncached linear algebra the memoized complexes are tested against,
-the hand-written constructions the shared builders replaced, the general
-tower limit the closed-form Tower is tested against, the term-by-term
-operator product the normal-ordering kernel is tested against, and the
-direct commutation check and tensor algebra that only tests need."""
+the whole-matrix elimination and dense product the block split and the
+nonzero product are tested against, the hand-written constructions the
+shared builders replaced, the general tower limit the closed-form Tower is
+tested against, the term-by-term operator product the normal-ordering kernel
+is tested against, and the direct commutation check and tensor algebra that
+only tests need."""
 
 import collections
 import itertools
 
 import numpy as np
 
+from hhdx import linalg
 from hhdx.dpdo import MAX_PRODUCT_WORK, DPDOperator, OperatorAlgebra, TruncatedOperatorModule
 from hhdx.errors import CapacityError
 from hhdx.gfp import binomial_mod
@@ -183,11 +186,70 @@ def gapped_double_complex(p, rng):
 # knows.  The functions below are the reference: they recompute everything
 # from scratch with a per-column kernel loop, a re-eliminating Subspace(...)
 # around every basis and per-vector reduce/express for the page differentials.
-# The per-vector reduce/express, the explicit page subquotients, the dense
-# per-column operator matrix and the stack of one commutator per divided power
-# are the paths the library replaced by reduce_rows, persistence pairs, the
-# sparse writes of TruncatedOperatorModule.operator_matrix
-# and the Lucas generators of tower.lucas_centralizers.
+# The whole-matrix elimination, the dense product, the per-vector
+# reduce/express, the explicit page subquotients, the dense per-column
+# operator matrix and the stack of one commutator per divided power are the
+# paths the library replaced by the block split of `_rref`, the nonzero join
+# of `product`, reduce_rows, persistence pairs, the sparse writes of
+# TruncatedOperatorModule.operator_matrix and the Lucas generators of
+# tower.lucas_centralizers.
+
+
+def oracle_rref(a, p):
+    """RREF of the whole matrix by one dense column loop, first nonzero pivot
+    in row-major order: the elimination `linalg._rref` splits into blocks."""
+    a = np.mod(np.asarray(a, dtype=np.int64), p)
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        rows_nz = np.nonzero(col)[0]
+        if rows_nz.size:
+            a[rows_nz] = (a[rows_nz] - np.outer(col[rows_nz], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a[:r], tuple(pivots)
+
+
+def planted_blocks(p, rng):
+    """A matrix the block split eliminates: 1-12 random blocks of up to 5 x 5
+    (some all zero, some entries raised by multiples of p, negatives
+    included) on a block diagonal, padded with zero rows and columns to at
+    least `linalg._SPLIT_MIN_ENTRIES` entries with at most one nonzero in
+    `linalg._SPLIT_MAX_DENSITY`, then rows and columns shuffled."""
+    shapes = rng.integers(1, 6, size=(int(rng.integers(1, 13)), 2))
+    nrows = int(shapes[:, 0].sum() + rng.integers(0, 8))
+    budget = max(linalg._SPLIT_MIN_ENTRIES,
+                 linalg._SPLIT_MAX_DENSITY * int(shapes.prod(axis=1).sum()))
+    ncols = max(int(shapes[:, 1].sum() + rng.integers(0, 8)), -(-budget // nrows))
+    a = np.zeros((nrows, ncols), dtype=np.int64)
+    r0 = c0 = 0
+    for h, w in shapes:
+        block = rng.integers(0, p, size=(h, w)) * int(rng.random() < 0.9)
+        block += p * rng.integers(-2, 3, size=(h, w)) * (rng.random((h, w)) < 0.2)
+        a[r0:r0 + h, c0:c0 + w] = block
+        r0, c0 = r0 + h, c0 + w
+    return a[rng.permutation(nrows)][:, rng.permutation(ncols)]
+
+
+def joins(x, y):
+    """Whether `linalg.product` multiplies the reduced arrays x and y from their
+    nonzeros rather than with numpy's `@`."""
+    pairs = int(np.count_nonzero(x, axis=0) @ np.count_nonzero(y, axis=1))
+    work = x.size * y.shape[1]
+    return (work >= linalg._JOIN_FIXED_WORK + linalg._JOIN_PAIR_WORK * pairs
+            and pairs <= x.shape[0] * y.shape[1])
 
 
 def oracle_reduce(space, v):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import matrix_polynomial, oracle_koszul_commutator_complex, tensor_algebra
+from helpers import joins, matrix_polynomial, oracle_koszul_commutator_complex, tensor_algebra
 from hhdx import linalg
 from hhdx.cli import _make_algebra
 from hhdx.errors import CapacityError, WindowError
@@ -228,6 +228,16 @@ def test_koszul_commutator_complex_validation():
         koszul_commutator_complex(p, 2, [a, b])  # do not commute
     cx = koszul_commutator_complex(p, 2, [a, a])
     assert cx.dims == {0: 2, 1: 4, 2: 2}
+
+
+def test_koszul_commutator_complex_validation_past_the_join_threshold():
+    p, n = 3, 64
+    up, down, up2 = (np.eye(n, k=k, dtype=np.int64) for k in (1, -1, 2))
+    assert joins(up, down) and joins(up, up2)
+    with pytest.raises(ValueError, match="commutator complex needs commuting endomorphisms"):
+        koszul_commutator_complex(p, n, [up, down])
+    cx = koszul_commutator_complex(p, n, [up, up2])
+    assert cx.dims == {0: n, 1: 2 * n, 2: n}
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Exact linear algebra, cochain complexes, spectral sequences."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,16 +13,20 @@ from helpers import (
     direct_sum_double,
     fresh_copy,
     gapped_double_complex,
+    joins,
     oracle_cohomology,
     oracle_express,
     oracle_kernel_basis,
     oracle_reduce,
+    oracle_rref,
     oracle_spectral_sequence,
+    planted_blocks,
     random_complex,
     random_double_complex,
     staircase,
     tensor_double,
 )
+from hhdx import linalg
 from hhdx.errors import CapacityError
 from hhdx.linalg import (
     CochainComplex,
@@ -30,6 +35,7 @@ from hhdx.linalg import (
     Subspace,
     block_matrix,
     cohomology_at,
+    product,
 )
 
 
@@ -118,6 +124,59 @@ def test_block_matrix_refuses_over_capacity_before_allocating():
     assert peak < 1 << 20
 
 
+def test_product_refuses_over_capacity_before_allocating():
+    column, row = FpMatrix.zeros(2, 10 ** 5, 1), FpMatrix.zeros(2, 1, 10 ** 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            column @ row
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 10 ** 6))
+def test_block_split_matches_whole_elimination(p, seed):
+    a = planted_blocks(p, np.random.default_rng(seed))
+    with mock.patch.object(linalg, "_components", wraps=linalg._components) as labels, \
+            mock.patch.object(linalg, "_rref_dense", wraps=linalg._rref_dense) as dense:
+        rows, pivots = linalg._rref(a, p)
+    # the split ran: components were labelled and no block was the whole matrix
+    assert labels.call_count == 1
+    assert all(call.args[0].shape != a.shape for call in dense.call_args_list)
+    want_rows, want_pivots = oracle_rref(a, p)
+    assert pivots == want_pivots and all(type(c) is int for c in pivots)
+    assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape
+    assert np.array_equal(rows, want_rows)
+
+
+@pytest.mark.parametrize("shape", [(0, 3000), (3000, 0), (0, 0), (40, 60)])
+def test_block_split_of_empty_and_zero_matrices(shape, monkeypatch):
+    monkeypatch.setattr(linalg, "_SPLIT_MIN_ENTRIES", 0)  # even 0 x n splits
+    for p in (2, 11):
+        a = np.zeros(shape, dtype=np.int64)
+        a[::8, ::8] = p  # nonzero, but zero mod p
+        with mock.patch.object(linalg, "_components", wraps=linalg._components) as labels:
+            rows, pivots = linalg._rref(a, p)
+        assert labels.call_count == 1
+        assert pivots == () and rows.shape == oracle_rref(a, p)[0].shape == (0, shape[1])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 10 ** 6))
+def test_nonzero_product_matches_dense(p, seed):
+    rng = np.random.default_rng(seed)
+    m, k, n = (int(v) for v in rng.integers(40, 81, size=3))
+    x, y = np.zeros((m, k), dtype=np.int64), np.zeros((k, n), dtype=np.int64)
+    for _ in range(2):  # at most two nonzeros in each column of x and row of y
+        x[rng.integers(0, m, size=k), np.arange(k)] = rng.integers(0, p, size=k)
+        y[np.arange(k), rng.integers(0, n, size=k)] = rng.integers(0, p, size=k)
+    assert joins(x, y)
+    assert np.array_equal(product(x, y, p), (x @ y) % p)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.integers(0, 10 ** 6))
 def test_subspace_dimension_formula(p, n, seed):
@@ -172,6 +231,16 @@ def test_cochain_complex_rejects_bad_differential():
         CochainComplex(p, {0: 2, 1: 2, 2: 1}, {0: d0, 1: d1})
 
 
+def test_cochain_complex_rejects_bad_differential_past_the_join_threshold():
+    p, n = 3, 64
+    shift = {k: FpMatrix(p, np.eye(n, k=k, dtype=np.int64)) for k in (31, 32)}
+    assert joins(shift[31].a, shift[32].a)
+    with pytest.raises(ValueError, match="d∘d != 0 at degree 0"):
+        CochainComplex(p, {0: n, 1: n, 2: n}, {0: shift[32], 1: shift[31]})
+    cx = CochainComplex(p, {0: n, 1: n, 2: n}, {0: shift[32], 1: shift[32]})
+    assert cx.betti() == {0: 32, 1: 0, 2: 32}
+
+
 def test_cohomology_at_orientation():
     # 0 -> k^2 --[1 0]--> k -> 0
     p = 2
@@ -197,6 +266,21 @@ def test_double_complex_validation():
 
     with pytest.raises(ValueError):
         DoubleComplex(p, {(-1, 0): 1}, {}, {})
+
+
+def test_double_complex_validation_past_the_join_threshold():
+    p, n = 3, 64
+    s = FpMatrix(p, np.eye(n, k=1, dtype=np.int64))
+    assert joins(s.a, s.a)
+    square = {(0, 0): n, (1, 0): n, (0, 1): n, (1, 1): n}
+    with pytest.raises(ValueError, match=r"d_h d_v \+ d_v d_h != 0 at \(0, 0\)"):
+        DoubleComplex(p, square, {(0, 0): s, (0, 1): s}, {(0, 0): s, (1, 0): s})
+    dc = DoubleComplex.from_commuting(p, square, {(0, 0): s, (0, 1): s}, {(0, 0): s, (1, 0): s})
+    assert dc.vertical(1, 0) == s.scale(-1)
+    with pytest.raises(ValueError, match=r"d_h\^2 != 0 at \(0, 0\)"):
+        DoubleComplex(p, {(0, 0): n, (1, 0): n, (2, 0): n}, {(0, 0): s, (1, 0): s}, {})
+    with pytest.raises(ValueError, match=r"d_v\^2 != 0 at \(0, 0\)"):
+        DoubleComplex(p, {(0, 0): n, (0, 1): n, (0, 2): n}, {}, {(0, 0): s, (0, 1): s})
 
 
 def test_tensor_double_is_kunneth():
