@@ -80,11 +80,12 @@ def _parse_ints(text, what):
         raise ValueError(f"malformed {what} {text!r}: comma-separated integers expected") from exc
 
 
-def _parse_matrix(text):
+def _parse_matrix(text, p):
+    """A square matrix, its entries reduced mod p (so any integer fits)."""
     rows = [_parse_ints(row, "matrix row") for row in text.split(";")]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError(f"matrix spec {text!r} is not square")
-    return np.array(rows, dtype=np.int64)
+    return np.array([[v % p for v in row] for row in rows], dtype=np.int64)
 
 
 def _parse_operator(text):
@@ -291,7 +292,7 @@ def _scenario_elliptic(args):
 def _scenario_proper_hh(args):
     p = args.prime
     spec = args.operator or "1,1;0,0"
-    matrix = _parse_matrix(spec)
+    matrix = _parse_matrix(spec, p)
     config = {"prime": p, "operator": spec}
     report = proper_tower_report(p, matrix)
     assertions = []

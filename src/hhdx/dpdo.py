@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from . import linalg
 from .errors import CapacityError, DepthError, WindowError
 from .gfp import binomial_mod, require_prime
@@ -155,9 +157,6 @@ class DPDOperator:
         p = self.algebra.p
         c = int(c)
         return DPDOperator._wrap(self.algebra, {k: cc * c % p for k, cc in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         return (
@@ -572,12 +571,6 @@ class TruncatedOperatorModule:
                 raise WindowError(f"term {key} falls outside the module window")
             yield i, c
 
-    def vectorize(self, op):
-        vec = [0] * self.dim
-        for i, c in self.coordinates(op):
-            vec[i] = c
-        return vec
-
     def from_vector(self, vec):
         return DPDOperator(self.algebra,
                            {self.basis[i]: c for i, c in enumerate(vec) if c % self.algebra.p})
@@ -587,12 +580,14 @@ class TruncatedOperatorModule:
         operators, written from each image's nonzero terms.  Raises
         WindowError if any image leaves the target."""
         target = target or self
-        mat = linalg.zeros(target.dim, self.dim)
+        linalg._check_capacity(target.dim, self.dim)
+        triples = []
         for col, ab in enumerate(self.basis):
             _check_term(self.algebra, *ab)
-            for i, c in target.coordinates(func(DPDOperator._wrap(self.algebra, {ab: 1}))):
-                mat[i, col] = c
-        return linalg.FpMatrix._from_reduced(self.algebra.p, mat)
+            triples += ((i, col, c) for i, c in
+                        target.coordinates(func(DPDOperator._wrap(self.algebra, {ab: 1}))))
+        return linalg.FpMatrix.from_triples(self.algebra.p, (target.dim, self.dim),
+                                             *np.array(triples, dtype=np.int64).reshape(-1, 3).T)
 
     def commutator_matrix(self, g, target=None):
         """Matrix of [g, -] into the target window (exact or WindowError)."""

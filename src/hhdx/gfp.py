@@ -69,11 +69,9 @@ def fitting_decomposition(f):
     """
     n = f.rows
     power = f.power(n)
-    nil_rows = power.kernel_basis()
-    semi_rows = power.image_basis()
-
-    nil = linalg.Subspace._from_rref(f.p, n, nil_rows)
-    semi = linalg.Subspace._from_rref(f.p, n, semi_rows)
+    nil = linalg.Subspace._from_rref(f.p, n, power.kernel_basis())
+    semi = linalg.Subspace._from_rref(f.p, n, power.image_basis())
+    nil_rows, semi_rows = nil.rows, semi.rows
     if nil.dim + semi.dim != n or nil.intersect(semi).dim != 0:
         raise AssertionError("nilpotent and semisimple parts are not complementary")
     for row in nil_rows:

@@ -487,7 +487,7 @@ def _transport(dst_algebra):
 def _surjective_onto_window(p, image_matrix, target_module, a_lo, a_hi, b_max):
     """Does the image of the matrix contain every basis operator x^a D^(b)
     of the target window with a in [a_lo, a_hi] and b <= b_max?"""
-    space = Subspace(p, image_matrix.rows, image_matrix.transpose().a)
+    space = Subspace._from_rref(p, image_matrix.rows, image_matrix.image_basis())
     return space.contains_units([k for k, ((a,), (b,)) in enumerate(target_module.basis)
                                  if a_lo <= a <= a_hi and b <= b_max])
 

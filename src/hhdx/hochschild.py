@@ -290,10 +290,9 @@ def koszul_commutator_complex(p, dim, matrices):
     the Koszul sign (-1)^#{x in S : x < i}.
     """
     n = len(matrices)
-    mats = [mat.a if isinstance(mat, FpMatrix) else np.mod(np.asarray(mat, dtype=np.int64), p)
-            for mat in matrices]
+    mats = [mat if isinstance(mat, FpMatrix) else FpMatrix(p, mat) for mat in matrices]
     for x, y in itertools.combinations(mats, 2):
-        if not np.array_equal(product(x, y, p), product(y, x, p)):
+        if product(x, y, p) != product(y, x, p):
             raise ValueError("commutator complex needs commuting endomorphisms")
     cells = [list(itertools.combinations(range(n), j)) for j in range(n + 1)]
     return face_complex(p, cells, lambda s: dim, lambda s, k: mats[s[k]])

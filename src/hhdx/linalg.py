@@ -1,6 +1,8 @@
 """Exact linear algebra over F_p.
 
-Matrices are dense numpy int64 arrays with entries reduced to [0, p).
+A matrix is stored as its nonzeros only (row, column and value triples, values
+reduced to [1, p), sorted row-major) with a shape, from the builders through
+elimination; a dense int64 array is made per block and on demand (`.a`).
 Elimination gives the canonical RREF (first nonzero pivot, row-major), so
 every kernel basis and cohomology representative is deterministic; `_rref`
 eliminates each connected component of a matrix's nonzero pattern as a block
@@ -29,7 +31,9 @@ import numpy as np
 
 from .errors import CapacityError
 
-# Guard for accidental huge dense allocations (entries, not bytes).
+# A cap on the shape (rows x cols), checked before a builder builds.  Matrices
+# are stored as nonzeros, so it no longer bounds memory; it stays so that every
+# refusal and pin holds.  Caps on nonzeros and on the largest block come next.
 MAX_MATRIX_ENTRIES = 40_000_000
 
 
@@ -38,20 +42,14 @@ def _check_capacity(rows, cols):
         raise CapacityError(f"dense matrix with {rows * cols} entries exceeds capacity")
 
 
-def zeros(rows, cols):
-    """A rows x cols int64 zero array, refused before allocation when it
-    would exceed MAX_MATRIX_ENTRIES."""
-    _check_capacity(rows, cols)
-    return np.zeros((rows, cols), dtype=np.int64)
-
-
-# On a 2-vCPU Xeon with numpy 2.4, `_rref` eliminates whole below 2048 entries,
-# where the split's fixed cost rules (report-stream's matrices under 256
-# entries: 14 us whole, 50 split; p1-cover's 34 x 35: 260 us whole, 430 split);
-# above one nonzero in 16, so its labels (35 bytes a nonzero) stay within a
-# quarter of the whole copy (8 bytes an entry); and when one component holds
-# most columns.  `product` joins nonzeros (15 us + 20 ns a pair) where that
-# beats int64 `@` (0.4 ns a multiply-add).
+# On a 2-vCPU Xeon with numpy 2.4, below 2048 entries fixed per-call costs rule,
+# so `_rref` eliminates the whole matrix (report-stream's matrices under 256
+# entries: 14 us whole, 50 split; p1-cover's 34 x 35: 260 us whole, 430 split)
+# and `FpMatrix.from_triples` adds up densely (two 8 x 8 summed: 11 us, 20 by
+# sorting).  `_rref` also eliminates whole above one nonzero in 16, so labels
+# (35 bytes a nonzero) stay within a quarter of the whole copy (8 bytes an entry),
+# and when one component holds most columns.  `product` joins nonzeros (15 us +
+# 20 ns a pair) where that beats int64 `@` (0.4 ns a multiply-add).
 _SPLIT_MIN_ENTRIES, _SPLIT_MAX_DENSITY = 2048, 16
 _JOIN_FIXED_WORK, _JOIN_PAIR_WORK = 37_500, 50
 
@@ -74,37 +72,44 @@ def _components(u, v, n):
 
 
 def _rref(a, p):
-    """Reduced row echelon form mod p.  Returns (rref rows, pivot columns).
+    """RREF mod p of an FpMatrix: (its rows as an FpMatrix, pivot columns).
 
     The RREF is canonical, so it is assembled per connected component of the
     nonzero pattern: a one-column component gives a unit row, every other is
-    eliminated on its own, and the block rows go into one output in pivot order.
+    eliminated as a dense block of its own, and the rows are numbered in
+    pivot order.
     """
-    a = np.asarray(a, dtype=np.int64)
     nrows, ncols = a.shape
-    if a.size < _SPLIT_MIN_ENTRIES or np.count_nonzero(a) * _SPLIT_MAX_DENSITY > a.size:
-        return _rref_dense(np.mod(a, p), p)
-    ri, ci = np.nonzero(a)
-    live = a[ri, ci] % p != 0
-    label = _components(ri[live], ci[live] + nrows, nrows + ncols)
-    cols = np.unique(ci[live])
+    if nrows * ncols < _SPLIT_MIN_ENTRIES or a.val.size * _SPLIT_MAX_DENSITY > nrows * ncols:
+        return _rref_whole(a, p)
+    label = _components(a.row, a.col + nrows, nrows + ncols)
+    cols = np.unique(a.col)
     col_label = label[nrows + cols]
     width = np.bincount(col_label, minlength=nrows + ncols)  # columns a component has
     if width.max(initial=0) * 2 > ncols:
-        return _rref_dense(np.mod(a, p), p)
+        return _rref_whole(a, p)
     single = cols[width[col_label] == 1]
-    pieces = [(single[:, None], np.ones((single.size, 1), dtype=np.int64), single)]
-    nodes = np.flatnonzero(width[label] > 1)  # rows, then nrows + columns, of the blocks
-    nodes = nodes[np.argsort(label[nodes], kind="stable")]
-    for block in np.split(nodes, np.flatnonzero(np.diff(label[nodes])) + 1):
-        cs = block[block >= nrows] - nrows
-        red, piv = _rref_dense(a[np.ix_(block[block < nrows], cs)] % p, p)
-        pieces.append((cs, red, cs[list(piv)]))
-    pivots = np.sort(np.concatenate([piv for _, _, piv in pieces]))
-    out = np.zeros((pivots.size, ncols), dtype=np.int64)
-    for cs, red, piv in pieces:
-        out[np.searchsorted(pivots, piv)[:, None], cs] = red
-    return out, tuple(pivots.tolist())
+    # (pivot of its row, column, value) of every RREF entry
+    pieces = [(single, single, np.ones(single.size, dtype=np.int64))]
+    ent = np.flatnonzero(width[label[a.row]] > 1)  # the nonzeros of the other blocks
+    ent = ent[np.argsort(label[a.row[ent]], kind="stable")]
+    for block in np.split(ent, np.flatnonzero(np.diff(label[a.row[ent]])) + 1) if ent.size else []:
+        rs, cs = np.unique(a.row[block]), np.unique(a.col[block])
+        dense = np.zeros((rs.size, cs.size), dtype=np.int64)
+        dense[np.searchsorted(rs, a.row[block]), np.searchsorted(cs, a.col[block])] = a.val[block]
+        red, piv = _rref_dense(dense, p)
+        r, c = np.nonzero(red)
+        pieces.append((cs[np.array(piv, dtype=np.int64)[r]], cs[c], red[r, c]))
+    lead, col, val = (np.concatenate(part) for part in zip(*pieces))
+    pivots = np.unique(lead)
+    basis = FpMatrix.from_triples(p, (pivots.size, ncols), np.searchsorted(pivots, lead), col, val)
+    return basis, tuple(pivots.tolist())
+
+
+def _rref_whole(a, p):
+    """`_rref` of the whole matrix by the dense loop."""
+    red, pivots = _rref_dense(a.a, p)
+    return FpMatrix(p, red), pivots
 
 
 def _rref_dense(a, p):
@@ -134,67 +139,98 @@ def _rref_dense(a, p):
 
 
 def product(x, y, p):
-    """x @ y mod p for int64 arrays reduced to [0, p), refused over capacity
-    before allocating.  Each nonzero x[i, k] meets the nonzeros of row k of y
-    (a join on k) and the products add into (i, j); numpy's `@` serves where it
-    is cheaper or the join would hold more pairs than the product has entries."""
-    m, n = x.shape[0], y.shape[1]
+    """x @ y mod p for FpMatrix x and y, refused over capacity before it is
+    built.  Each nonzero x[i, k] meets the nonzeros of row k of y (a join on
+    k) and the products add into (i, j); numpy's dense `@` serves where it is
+    cheaper or the join would hold more pairs than the product has entries."""
+    m, n = x.rows, y.cols
     _check_capacity(m, n)
-    work = x.size * n
+    work = m * x.cols * n
     if work >= _JOIN_FIXED_WORK:
-        xi, xk = np.nonzero(x)
-        yk, yj = np.nonzero(y)  # row-major, so sorted by yk
-        start = np.searchsorted(yk, np.arange(y.shape[0] + 1))
-        reps = (start[1:] - start[:-1])[xk]
+        counts = np.bincount(y.row, minlength=y.rows)  # nonzeros in each row of y
+        reps = counts[x.col]
         pairs = int(reps.sum())
         if work >= _JOIN_FIXED_WORK + _JOIN_PAIR_WORK * pairs and pairs <= m * n:
-            xt = np.repeat(np.arange(xi.size), reps)
-            yt = np.arange(pairs) + np.repeat(start[xk] - np.cumsum(reps) + reps, reps)
-            out = np.zeros((m, n), dtype=np.int64)
-            np.add.at(out, (xi[xt], yj[yt]), x[xi[xt], xk[xt]] * y[yk[yt], yj[yt]])
-            return np.mod(out, p, out=out)
-    out = x @ y
-    return np.mod(out, p, out=out)
+            xt = np.repeat(np.arange(x.val.size), reps)
+            yt = np.arange(pairs) + np.repeat((np.cumsum(counts) - counts)[x.col]
+                                              - np.cumsum(reps) + reps, reps)
+            return FpMatrix.from_triples(p, (m, n), x.row[xt], y.col[yt],
+                                          x.val[xt] * y.val[yt])
+    return FpMatrix(p, x.a @ y.a)
 
 
 class FpMatrix:
-    """Dense exact matrix over F_p."""
+    """Exact matrix over F_p: its nonzeros as `row`, `col`, `val` arrays (values in
+    [1, p), positions distinct, sorted row-major) and a shape; `.a` is dense."""
 
-    __slots__ = ("p", "a")
+    __slots__ = ("p", "shape", "row", "col", "val")
 
     def __init__(self, p, data):
         if p < 2:
             raise ValueError("p must be at least 2")
-        a = np.asarray(data.a if isinstance(data, FpMatrix) else data, dtype=np.int64)
+        a = np.asarray(data, dtype=np.int64)
         a = a.reshape(1, -1) if a.ndim == 1 else a
         if a.ndim != 2:
             raise ValueError("matrix data must be 2-dimensional")
         _check_capacity(*a.shape)
-        self.p, self.a = p, np.mod(a, p)
+        a = a % p
+        row, col = a.nonzero()
+        self.p, self.shape, self.row, self.col, self.val = p, a.shape, row, col, a[row, col]
+
+    @classmethod
+    def _wrap(cls, p, shape, row, col, val):
+        """Wrap triples already in canonical form (no copy, no check)."""
+        out = cls.__new__(cls)
+        out.p, out.shape, out.row, out.col, out.val = p, shape, row, col, val
+        return out
+
+    @classmethod
+    def from_triples(cls, p, shape, row, col, val):
+        """The matrix whose entry (i, j) is the sum mod p of the values at
+        (i, j): duplicates add, zeros drop, refused over capacity."""
+        _check_capacity(*shape)
+        shape = (int(shape[0]), int(shape[1]))
+        row, col, val = (np.asarray(x, dtype=np.int64) for x in (row, col, val))
+        if shape[0] * shape[1] < _SPLIT_MIN_ENTRIES:  # small: add up in a dense block
+            dense = np.zeros(shape, dtype=np.int64)
+            np.add.at(dense, (row, col), val)
+            return cls(p, dense)
+        key = row * shape[1] + col
+        if key.size > 1 and not (key[1:] > key[:-1]).all():  # not sorted and distinct
+            order = np.argsort(key, kind="stable")
+            key, val = key[order], val[order]
+            first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+            key, val = key[first], np.add.reduceat(val, first)
+        val = np.mod(val, p)
+        keep = val != 0
+        key, val = key[keep], val[keep]
+        row, col = np.divmod(key, shape[1]) if shape[1] else (key, key)
+        return cls._wrap(p, shape, row, col, val)
 
     @classmethod
     def zeros(cls, p, rows, cols):
-        return cls(p, zeros(rows, cols))
-
-    @classmethod
-    def _from_reduced(cls, p, a):
-        """Wrap a 2-dimensional int64 array already reduced to [0, p) (no copy)."""
-        _check_capacity(*a.shape)
-        out = cls.__new__(cls)
-        out.p, out.a = p, a
-        return out
+        _check_capacity(rows, cols)
+        empty = np.zeros(0, dtype=np.int64)
+        return cls._wrap(p, (rows, cols), empty, empty, empty)
 
     @property
     def rows(self):
-        return self.a.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self):
-        return self.a.shape[1]
+        return self.shape[1]
 
     @property
-    def shape(self):
-        return self.a.shape
+    def a(self):
+        """A dense int64 copy, refused over capacity."""
+        _check_capacity(*self.shape)
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self.row, self.col] = self.val
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        return self.a if dtype is None else self.a.astype(dtype)
 
     def __matmul__(self, other):
         if isinstance(other, FpMatrix):
@@ -202,24 +238,36 @@ class FpMatrix:
                 raise ValueError("modulus mismatch")
             if self.cols != other.rows:
                 raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-            return FpMatrix._from_reduced(self.p, product(self.a, other.a, self.p))
+            return product(self, other, self.p)
         v = np.mod(np.asarray(other, dtype=np.int64), self.p)
-        return (self.a @ v) % self.p
+        if v.shape[:1] != (self.cols,):
+            raise ValueError(f"shape mismatch {self.shape} @ {v.shape}")
+        out = np.zeros((self.rows,) + v.shape[1:], dtype=np.int64)
+        np.add.at(out, self.row, self.val.reshape((-1,) + (1,) * (v.ndim - 1)) * v[self.col])
+        return np.mod(out, self.p, out=out)
 
     def __add__(self, other):
-        return FpMatrix(self.p, self.a + other.a)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
+        return FpMatrix.from_triples(self.p, self.shape, np.concatenate([self.row, other.row]),
+                                      np.concatenate([self.col, other.col]),
+                                      np.concatenate([self.val, other.val]))
 
     def __sub__(self, other):
-        return FpMatrix(self.p, self.a - other.a)
+        return self + -other
 
     def __neg__(self):
-        return FpMatrix(self.p, -self.a)
+        return self.scale(-1)
 
     def scale(self, c):
-        return FpMatrix(self.p, self.a * (c % self.p))
+        val = self.val * (c % self.p) % self.p
+        keep = val != 0
+        return FpMatrix._wrap(self.p, self.shape, self.row[keep], self.col[keep], val[keep])
 
     def transpose(self):
-        return FpMatrix(self.p, self.a.T)
+        order = np.argsort(self.col, kind="stable")  # column-major = row-major of the transpose
+        return FpMatrix._wrap(self.p, self.shape[::-1], self.col[order], self.row[order],
+                              self.val[order])
 
     def power(self, k):
         """The k-th power of a square matrix, by repeated squaring."""
@@ -239,67 +287,77 @@ class FpMatrix:
             isinstance(other, FpMatrix)
             and self.p == other.p
             and self.shape == other.shape
-            and np.array_equal(self.a, other.a)
+            and self.val.size == other.val.size
+            and (self.row == other.row).all()
+            and (self.col == other.col).all()
+            and (self.val == other.val).all()
         )
 
     def __repr__(self):
         return f"FpMatrix(p={self.p}, shape={self.shape})"
 
     def is_zero(self):
-        return not self.a.any()
+        return not self.val.size
 
     def rref(self):
-        rows, pivots = _rref(self.a, self.p)
-        return FpMatrix._from_reduced(self.p, rows), pivots
+        return _rref(self, self.p)
 
     def rank(self):
-        return len(_rref(self.a, self.p)[1])
+        return len(_rref(self, self.p)[1])
 
     def kernel_basis(self):
-        """Rows spanning the right kernel {v : M v = 0}, in RREF."""
-        red, pivots = _rref(self.a, self.p)
+        """RREF rows spanning {v : M v = 0}: e_f - sum_r red[r, f] e_(pivot r), f free."""
+        red, pivots = _rref(self, self.p)
         free = np.setdiff1d(np.arange(self.cols), pivots)
-        if not free.size:
-            return np.zeros((0, self.cols), dtype=np.int64)
-        basis = Subspace.units(self.p, self.cols, free).rows
-        basis[:, list(pivots)] = (-red[:, free].T) % self.p
-        return _rref(basis, self.p)[0]
+        slot = np.full(self.cols, -1)
+        slot[free] = np.arange(free.size)
+        on_free = slot[red.col] >= 0
+        basis = FpMatrix.from_triples(
+            self.p, (free.size, self.cols),
+            np.concatenate([np.arange(free.size), slot[red.col[on_free]]]),
+            np.concatenate([free, np.array(pivots, dtype=np.int64)[red.row[on_free]]]),
+            np.concatenate([np.ones_like(free), -red.val[on_free]]))
+        return _rref(basis, self.p)[0] if free.size else basis
 
     def image_basis(self):
         """Rows spanning the column space, in RREF."""
-        return _rref(self.a.T, self.p)[0]
+        return _rref(self.transpose(), self.p)[0]
 
 
 class Subspace:
-    """Subspace of F_p^n stored as an RREF row basis (canonical)."""
+    """Subspace of F_p^n stored as an RREF row basis (canonical): `basis`, an
+    FpMatrix, and the pivot column of each row; `.rows` is the basis dense."""
 
-    __slots__ = ("p", "n", "rows", "pivots")
+    __slots__ = ("p", "n", "basis", "pivots")
 
     def __init__(self, p, n, rows=None):
         self.p = p
         self.n = n
-        rows = np.asarray([] if rows is None else rows, dtype=np.int64)
-        if rows.size:
-            self.rows, self.pivots = _rref(rows.reshape(-1, n), p)
+        if not isinstance(rows, FpMatrix):
+            rows = np.asarray([] if rows is None else rows, dtype=np.int64)
+            rows = FpMatrix(p, rows.reshape(-1, n)) if rows.size else None
+        if rows is not None and rows.rows * rows.cols:
+            self.basis, self.pivots = _rref(rows, p)
         else:  # no rows, or rows of length 0
-            self.rows = np.zeros((0, n), dtype=np.int64)
-            self.pivots = ()
+            self.basis, self.pivots = FpMatrix.zeros(p, 0, n), ()
 
     @classmethod
     def _from_rref(cls, p, n, rows):
         """Wrap rows already in RREF (no elimination); pivots are the leading
         nonzeros."""
         out = cls.__new__(cls)
-        out.p, out.n, out.rows = p, n, rows
-        out.pivots = tuple(int(c) for c in (rows != 0).argmax(axis=1)) if rows.size else ()
+        out.p, out.n = p, n
+        out.basis = rows if isinstance(rows, FpMatrix) else FpMatrix(p, rows)
+        first = np.searchsorted(out.basis.row, np.arange(out.basis.rows))  # leading entries
+        out.pivots = tuple(out.basis.col[first].tolist())
         return out
 
     @classmethod
     def units(cls, p, n, indices):
         """Span of the unit vectors e_k, k in indices (ascending, distinct)."""
-        rows = np.zeros((len(indices), n), dtype=np.int64)
-        rows[np.arange(len(indices)), indices] = 1
-        return cls._from_rref(p, n, rows)
+        cols = np.asarray(indices, dtype=np.int64).reshape(-1)
+        return cls._from_rref(p, n, FpMatrix._wrap(p, (cols.size, n), np.arange(cols.size),
+                                                   cols, np.ones_like(cols)))
 
     @classmethod
     def full(cls, p, n):
@@ -307,19 +365,24 @@ class Subspace:
 
     @property
     def dim(self):
-        return self.rows.shape[0]
+        return self.basis.rows
+
+    @property
+    def rows(self):
+        return self.basis.a
 
     def reduce(self, v):
         """Canonical representative of v modulo this subspace."""
         return self.reduce_rows(np.reshape(v, (1, -1)))[0]
 
     def reduce_rows(self, mat):
-        out = np.mod(np.asarray(mat, dtype=np.int64), self.p).copy()
+        out = np.mod(np.asarray(mat, dtype=np.int64), self.p)
+        rows = self.rows
         for r, c in enumerate(self.pivots):
             col = out[:, c].copy()
             nz = np.nonzero(col)[0]
             if nz.size:
-                out[nz] = (out[nz] - np.outer(col[nz], self.rows[r])) % self.p
+                out[nz] = (out[nz] - np.outer(col[nz], rows[r])) % self.p
         return out
 
     def contains(self, v):
@@ -333,8 +396,8 @@ class Subspace:
 
         e_k lies in an RREF span iff k is a pivot whose row is exactly e_k.
         """
-        units = np.count_nonzero(self.rows, axis=1) == 1
-        unit_pivots = {c for c, unit in zip(self.pivots, units) if unit}
+        units = np.bincount(self.basis.row, minlength=self.dim) == 1
+        unit_pivots = set(np.array(self.pivots, dtype=np.int64)[units].tolist())
         return all(int(k) in unit_pivots for k in indices)
 
     def express(self, v):
@@ -355,7 +418,7 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace(self.p, self.n)
         stacked = np.vstack([self.rows, -other.rows]) % self.p
-        left_kernel = FpMatrix(self.p, stacked.T).kernel_basis()
+        left_kernel = FpMatrix(self.p, stacked.T).kernel_basis().a
         vecs = (left_kernel[:, : self.dim] @ self.rows) % self.p
         return Subspace(self.p, self.n, vecs)
 
@@ -373,8 +436,7 @@ class Subspace:
             isinstance(other, Subspace)
             and self.n == other.n
             and self.p == other.p
-            and self.rows.shape == other.rows.shape
-            and np.array_equal(self.rows, other.rows)
+            and self.basis == other.basis
         )
 
     def __repr__(self):
@@ -390,14 +452,15 @@ def block_matrix(p, row_dims, col_dims, blocks):
     """
     row_off = np.concatenate([[0], np.cumsum(row_dims, dtype=np.int64)])
     col_off = np.concatenate([[0], np.cumsum(col_dims, dtype=np.int64)])
-    mat = zeros(int(row_off[-1]), int(col_off[-1]))
+    triples = [(np.zeros(0, dtype=np.int64),) * 3]
     for (r, c), block in (blocks.items() if isinstance(blocks, dict) else blocks):
-        block = block.a if isinstance(block, FpMatrix) else np.asarray(block, dtype=np.int64)
-        slot = mat[row_off[r]:row_off[r + 1], col_off[c]:col_off[c + 1]]
-        if block.shape != slot.shape:
-            raise ValueError(f"block {(r, c)} has shape {block.shape}, expected {slot.shape}")
-        slot += block
-    return FpMatrix._from_reduced(p, np.mod(mat, p, out=mat))
+        block = block if isinstance(block, FpMatrix) else FpMatrix(p, block)
+        expected = (int(row_off[r + 1] - row_off[r]), int(col_off[c + 1] - col_off[c]))
+        if block.shape != expected:
+            raise ValueError(f"block {(r, c)} has shape {block.shape}, expected {expected}")
+        triples.append((block.row + row_off[r], block.col + col_off[c], block.val))
+    return FpMatrix.from_triples(p, (row_off[-1], col_off[-1]),
+                                  *(np.concatenate(part) for part in zip(*triples)))
 
 
 def face_sum(p, lower, upper, dim, face):
@@ -413,7 +476,9 @@ def face_sum(p, lower, upper, dim, face):
         for k in range(len(sigma)):
             tau = sigma[:k] + sigma[k + 1:]
             if tau in col:
-                blocks.append(((row, col[tau]), (-1) ** k * face(sigma, k)))
+                block = face(sigma, k)
+                block = block if isinstance(block, FpMatrix) else FpMatrix(p, block)
+                blocks.append(((row, col[tau]), block.scale(-1) if k % 2 else block))
     return block_matrix(p, [dim(s) for s in upper], [dim(t) for t in lower], blocks)
 
 
@@ -498,8 +563,9 @@ class CochainComplex:
             if m < self.lo or m > self.hi:
                 raise ValueError(f"degree {m} outside complex range [{self.lo}, {self.hi}]")
             reps = self.kernel(m).quotient_reps(self.image(m))
-            reps.rows.flags.writeable = False
-            self._cohomology[m] = (reps.dim, reps.rows)
+            rows = reps.rows
+            rows.flags.writeable = False
+            self._cohomology[m] = (reps.dim, rows)
         return self._cohomology[m]
 
     def betti(self):
@@ -560,9 +626,8 @@ class DoubleComplex:
             vv = self.vertical(i, j + 1) @ self.vertical(i, j)
             if not vv.is_zero():
                 raise ValueError(f"d_v^2 != 0 at {(i, j)}")
-            anti = (self.vertical(i + 1, j) @ self.horizontal(i, j)) + \
-                   (self.horizontal(i, j + 1) @ self.vertical(i, j))
-            if not anti.is_zero():
+            if (self.vertical(i + 1, j) @ self.horizontal(i, j)
+                    != -(self.horizontal(i, j + 1) @ self.vertical(i, j))):
                 raise ValueError(f"d_h d_v + d_v d_h != 0 at {(i, j)}")
 
     @classmethod
@@ -636,7 +701,7 @@ class DoubleComplex:
             # rho[a, c]: the rank of F^a T^n into the rows below filtration c
             rho = np.zeros((top + 1, top + 1), dtype=np.int64)
             if width[0] and height[-1]:
-                d_mat = self.total_differential(n).a
+                d = self.total_differential(n)
                 for c in range(1, top + 1):
                     h = height[c]
                     if h == height[c - 1]:
@@ -647,7 +712,12 @@ class DoubleComplex:
                     else:
                         cols = np.concatenate([np.arange(offsets[i], offsets[i + 1])
                                                for i in reversed(range(c))])
-                        pivots = _rref(d_mat[:h, cols], self.p)[1]
+                        pos = np.full(d.cols, -1)
+                        pos[cols] = np.arange(cols.size)
+                        keep = (d.row < h) & (pos[d.col] >= 0)
+                        head = FpMatrix.from_triples(self.p, (h, cols.size), d.row[keep],
+                                                      pos[d.col[keep]], d.val[keep])
+                        pivots = _rref(head, self.p)[1]
                         prefix = np.maximum(width - width[c], 0)
                         rho[:, c] = np.searchsorted(pivots, prefix)
             self._pairs[n] = rho[:-1, 1:] - rho[1:, 1:] - rho[:-1, :-1] + rho[1:, :-1]

@@ -40,7 +40,7 @@ import numpy as np
 from .dpdo import OperatorAlgebra, TruncatedOperatorModule
 from .errors import CapacityError, WindowError
 from .gfp import fitting_decomposition, require_prime
-from .linalg import FpMatrix, Subspace
+from .linalg import FpMatrix, Subspace, block_matrix
 from .poly import PolyRing
 
 # Largest dim F a tower accepts.  The image chain stops at its first repeat,
@@ -410,16 +410,17 @@ def lucas_centralizers(p, levels, degree_bound, dp_bound):
     alg = OperatorAlgebra(p, 1, names=("t",))
     dom = TruncatedOperatorModule(alg, degree_bound, dp_bound)
     window_digits = next(k for k in itertools.count() if p ** k > dp_bound)
-    mats = [dom.commutator_matrix(alg.variable()).a]
+    mats = [dom.commutator_matrix(alg.variable())]
     for q in (p ** k for k in range(max(levels, window_digits))):
         target = TruncatedOperatorModule(alg, degree_bound, dp_bound + q)
-        mats.append(dom.commutator_matrix(alg.divided_power(0, q), target=target).a)
+        mats.append(dom.commutator_matrix(alg.divided_power(0, q), target=target))
 
     @functools.cache
     def centralizer(n):
         """Joint kernel of the first n commutator matrices, exactly (cached:
         the full commutant is the deepest level's when dp_bound < p^levels)."""
-        mat = FpMatrix(p, np.concatenate(mats[:n], axis=0))
+        mat = block_matrix(p, [m.rows for m in mats[:n]], [dom.dim],
+                           [((k, 0), m) for k, m in enumerate(mats[:n])])
         return Subspace._from_rref(p, dom.dim, mat.kernel_basis())
 
     depths = [centralizer(r + 1) for r in range(levels + 1)]
@@ -468,12 +469,10 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
     models = {}
     for r, space in enumerate(depth_spaces):
         expected = [k for k in range(0, d_bound + 1) if k % (p ** r) == 0]
-        exps = []
-        for row in space.rows:
-            support = [dom.basis[i] for i in np.nonzero(row)[0]]
-            if any(b != (0,) for (_, b) in support):
-                raise AssertionError("centralizer contains a non-multiplication term")
-            exps.extend(a for ((a,), _) in support)
+        support = [dom.basis[i] for i in space.basis.col]
+        if any(b != (0,) for (_, b) in support):
+            raise AssertionError("centralizer contains a non-multiplication term")
+        exps = [a for ((a,), _) in support]
         if sorted(exps) != expected or space.dim != len(expected):
             raise AssertionError(f"depth-{r} centralizer is not the twist window")
         models[r] = {"dim": space.dim, "exponents": expected}
@@ -486,9 +485,7 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
         for r in range(0, levels))
 
     # the commutant against every divided power the window offers
-    survivors = sorted({int(dom.basis[i][0][0])
-                        for row in full_space.rows
-                        for i in np.nonzero(row)[0]})
+    survivors = sorted({int(dom.basis[i][0][0]) for i in full_space.basis.col})
     if any(0 < a <= q_bound for a in survivors):
         raise AssertionError("a low-degree survivor escaped the certified window")
     h0_full = {

@@ -1,7 +1,9 @@
 """Shared builders for tests: known complexes and random double complexes,
 plus the uncached linear algebra the memoized complexes are tested against,
 the whole-matrix elimination and dense product the block split and the
-nonzero product are tested against, the hand-written constructions the
+nonzero product are tested against, the dense matrices, block and face-sum
+builders the nonzero triples of FpMatrix are tested against, the
+hand-written constructions the
 shared builders replaced, the general tower limit the closed-form Tower is
 tested against, the term-by-term operator product the normal-ordering kernel
 is tested against, and the direct commutation check and tensor algebra that
@@ -188,11 +190,12 @@ def gapped_double_complex(p, rng):
 # around every basis and per-vector reduce/express for the page differentials.
 # The whole-matrix elimination, the dense product, the per-vector
 # reduce/express, the explicit page subquotients, the dense per-column
-# operator matrix and the stack of one commutator per divided power are the
-# paths the library replaced by the block split of `_rref`, the nonzero join
-# of `product`, reduce_rows, persistence pairs, the sparse writes of
-# TruncatedOperatorModule.operator_matrix and the Lucas generators of
-# tower.lucas_centralizers.
+# operator matrix, the dense matrix arithmetic and block and face-sum
+# builders, and the stack of one commutator per divided power are the paths
+# the library replaced by the block split of `_rref`, the nonzero join of
+# `product`, reduce_rows, persistence pairs, the nonzero triples of
+# TruncatedOperatorModule.operator_matrix and FpMatrix, and the Lucas
+# generators of tower.lucas_centralizers.
 
 
 def oracle_rref(a, p):
@@ -269,14 +272,81 @@ def oracle_express(space, v):
     return None if resid.any() else coords
 
 
+def vectorize(module, op):
+    """The dense coordinate list of op in the window; WindowError off it."""
+    vec = [0] * module.dim
+    for i, c in module.coordinates(op):
+        vec[i] = c
+    return vec
+
+
 def oracle_operator_matrix(module, func, target=None):
     """Matrix of a linear map given on basis operators, one dense
     vectorize list written per column."""
     target = target or module
     mat = np.zeros((target.dim, module.dim), dtype=np.int64)
     for col, ab in enumerate(module.basis):
-        mat[:, col] = target.vectorize(func(module.algebra.from_terms({ab: 1})))
+        mat[:, col] = vectorize(target, func(module.algebra.from_terms({ab: 1})))
     return FpMatrix(module.algebra.p, mat)
+
+
+class DenseMatrix:
+    """The dense matrix over F_p that FpMatrix's nonzero triples replaced: an
+    int64 array reduced to [0, p), with the arithmetic written on it."""
+
+    def __init__(self, p, a):
+        self.p, self.a = p, np.mod(np.asarray(a, dtype=np.int64), p)
+
+    def __add__(self, other):
+        return DenseMatrix(self.p, self.a + other.a)
+
+    def __sub__(self, other):
+        return DenseMatrix(self.p, self.a - other.a)
+
+    def __neg__(self):
+        return DenseMatrix(self.p, -self.a)
+
+    def __matmul__(self, other):
+        return DenseMatrix(self.p, self.a @ other.a)
+
+    def scale(self, c):
+        return DenseMatrix(self.p, self.a * (c % self.p))
+
+    def transpose(self):
+        return DenseMatrix(self.p, self.a.T)
+
+
+def oracle_block_matrix(p, row_dims, col_dims, blocks):
+    """`linalg.block_matrix` written into one dense zero array, block by block."""
+    row_off = np.concatenate([[0], np.cumsum(row_dims, dtype=np.int64)])
+    col_off = np.concatenate([[0], np.cumsum(col_dims, dtype=np.int64)])
+    mat = np.zeros((int(row_off[-1]), int(col_off[-1])), dtype=np.int64)
+    for (r, c), block in (blocks.items() if isinstance(blocks, dict) else blocks):
+        block = block.a if isinstance(block, FpMatrix) else np.asarray(block, dtype=np.int64)
+        mat[row_off[r]:row_off[r + 1], col_off[c]:col_off[c + 1]] += block
+    return DenseMatrix(p, mat)
+
+
+def oracle_face_sum(p, lower, upper, dim, face):
+    """`linalg.face_sum` from dense signed copies (-1)^k face(sigma, k)."""
+    col = {tau: c for c, tau in enumerate(lower)}
+    blocks = []
+    for row, sigma in enumerate(upper):
+        for k in range(len(sigma)):
+            tau = sigma[:k] + sigma[k + 1:]
+            if tau in col:
+                blocks.append(((row, col[tau]), (-1) ** k * np.asarray(face(sigma, k))))
+    return oracle_block_matrix(p, [dim(s) for s in upper], [dim(t) for t in lower], blocks)
+
+
+def assert_canonical(m):
+    """m's triples are what every FpMatrix holds: values in [1, p), distinct
+    positions inside the shape, sorted row-major."""
+    key = m.row * m.cols + m.col
+    assert m.row.dtype == m.col.dtype == m.val.dtype == np.int64
+    assert ((0 <= m.row) & (m.row < m.rows) & (0 <= m.col) & (m.col < m.cols)).all()
+    assert ((1 <= m.val) & (m.val < m.p)).all()
+    assert (np.diff(key) > 0).all()
 
 
 def oracle_centralizer(p, degree_bound, dp_bound, q_top):
@@ -464,7 +534,7 @@ def oracle_limit_report(p, dims, transitions):
     rank = phi.rank()
     raw_lim, raw_lim1 = phi.cols - rank, phi.rows - rank
     assert raw_lim - raw_lim1 == dims[-1], "Euler identity fails for the resolution"
-    kernel = phi.kernel_basis()
+    kernel = phi.kernel_basis().a
     stable = image_at(0, top)
     assert Subspace(p, dims[0], kernel[:, :dims[0]]) == stable, \
         "kernel projection differs from the stable image"
@@ -526,7 +596,7 @@ def oracle_product(x, y):
 
 def commutes_with(op, f):
     """Direct check: [multiplication by f, op] = 0."""
-    return op.algebra.multiplication(f).commutator(op).is_zero()
+    return not op.algebra.multiplication(f).commutator(op).terms
 
 
 def tensor_algebra(a, b):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import commutes_with, oracle_operator_matrix, oracle_product
+from helpers import commutes_with, oracle_operator_matrix, oracle_product, vectorize
 from hhdx.dpdo import (
     OperatorAlgebra,
     TruncatedOperatorModule,
@@ -46,7 +46,7 @@ def test_construction_guards():
         alg.monomial((0,), (-1,))
     with pytest.raises(CapacityError):
         alg.monomial((0,), (3 ** 4 + 1,))
-    assert alg.monomial((1,), (0,), 3).is_zero()  # 3 = 0 mod 3
+    assert not alg.monomial((1,), (0,), 3).terms  # 3 = 0 mod 3
     assert OperatorAlgebra(3, 1, laurent=True).monomial((-2,), (1,)).terms == {((-2,), (1,)): 1}
 
 
@@ -226,8 +226,8 @@ def test_morita_compress_frozen():
     # a wrong corner operator fails the action certificate
     assert not compression_action_agrees(op, small.algebra.monomial((1,), (0,)), 1, 8)
     # misaligned terms act by zero on the subring
-    assert morita_compress(alg.monomial((1,), (1,)), 1, degree_bound=8).is_zero()
-    assert morita_compress(alg.monomial((2,), (1,)), 1, degree_bound=8).is_zero()
+    assert not morita_compress(alg.monomial((1,), (1,)), 1, degree_bound=8).terms
+    assert not morita_compress(alg.monomial((2,), (1,)), 1, degree_bound=8).terms
     with pytest.raises(WindowError):
         morita_compress(alg.monomial((4,), (4,)), 1, degree_bound=4)
 
@@ -288,10 +288,10 @@ def test_truncated_module_windows():
     mod = TruncatedOperatorModule(alg, degree_bound=3, dp_bound=2)
     assert mod.dim == 4 * 3
     op = alg.monomial((2,), (1,)) + alg.monomial((0,), (0,))
-    vec = mod.vectorize(op)
+    vec = vectorize(mod, op)
     assert mod.from_vector(vec) == op
     with pytest.raises(WindowError):
-        mod.vectorize(alg.monomial((4,), (0,)))
+        vectorize(mod, alg.monomial((4,), (0,)))
 
     # [t, -] lowers the divided power and stays inside every window
     t = alg.variable()
@@ -300,7 +300,7 @@ def test_truncated_module_windows():
         col = mat.a[:, mod.index[(a, b)]]
         img = mod.from_vector(col)
         if b[0] == 0:
-            assert img.is_zero()
+            assert not img.terms
         else:
             assert img == alg.monomial(a, (b[0] - 1,), -1)
 
@@ -320,7 +320,7 @@ def test_truncated_module_laurent_window():
     assert mod.dim == 5 * 2
     assert list(mod.coordinates(alg.monomial((-2,), (1,)))) == [(mod.index[((-2,), (1,))], 1)]
     with pytest.raises(WindowError):
-        mod.vectorize(alg.monomial((-3,), (0,)))
+        vectorize(mod, alg.monomial((-3,), (0,)))
 
 
 @st.composite
@@ -372,14 +372,14 @@ def test_operator_matrix_refuses_out_of_window_and_foreign_images():
     with pytest.raises(ValueError, match="different algebra"):
         mod.operator_matrix(lambda m: other.from_terms(m.terms))
     with pytest.raises(ValueError, match="different algebra"):
-        mod.vectorize(other.variable())
+        vectorize(mod, other.variable())
 
 
 def test_capacity_guard_on_products():
     alg = OperatorAlgebra(2, 1)
     big = alg.monomial((0,), (16,))
     # C(32, 16) = 0 mod 2, so the product is zero and must not raise
-    assert (big * big).is_zero()
+    assert not (big * big).terms
     with pytest.raises(CapacityError):
         # C(17, 16) = 17 = 1 mod 2: a genuinely nonzero term beyond the cap
         _ = big * alg.monomial((0,), (1,))

@@ -1,5 +1,6 @@
 """Exact linear algebra, cochain complexes, spectral sequences."""
 
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -9,13 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    DenseMatrix,
+    assert_canonical,
     assert_same_pages,
     direct_sum_double,
     fresh_copy,
     gapped_double_complex,
     joins,
+    oracle_block_matrix,
     oracle_cohomology,
     oracle_express,
+    oracle_face_sum,
     oracle_kernel_basis,
     oracle_reduce,
     oracle_rref,
@@ -35,6 +40,7 @@ from hhdx.linalg import (
     Subspace,
     block_matrix,
     cohomology_at,
+    face_sum,
     product,
 )
 
@@ -64,7 +70,7 @@ def test_rank_nullity_random():
             rank, ker, img = m.rank(), m.kernel_basis(), m.image_basis()
             assert rank + ker.shape[0] == cols
             assert img.shape[0] == rank
-            for v in ker:
+            for v in ker.a:
                 assert not (m @ v).any()
             # image rows really are hit by columns
             img_space = Subspace(p, rows, img)
@@ -136,20 +142,42 @@ def test_product_refuses_over_capacity_before_allocating():
     assert peak < 1 << 20
 
 
+def raw_triples(p, a, rng):
+    """Triples that sum to the int array a mod p, in shuffled order: each
+    nonzero of a split in two duplicates half the time and shifted by a
+    multiple of p (negatives included), plus entries that are multiples of p
+    at random positions."""
+    row, col = np.nonzero(a)
+    val = a[row, col] + p * rng.integers(-2, 3, size=row.size)
+    split = rng.random(row.size) < 0.5
+    part = rng.integers(-p, 2 * p, size=int(split.sum()))
+    val[split] -= part
+    extra = rng.integers(0, 5) if a.size else 0
+    rows = np.concatenate([row, row[split], rng.integers(0, a.shape[0] or 1, size=extra)])
+    cols = np.concatenate([col, col[split], rng.integers(0, a.shape[1] or 1, size=extra)])
+    vals = np.concatenate([val, part, p * rng.integers(-3, 4, size=extra)])
+    order = rng.permutation(rows.size)
+    return rows[order], cols[order], vals[order]
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 10 ** 6))
 def test_block_split_matches_whole_elimination(p, seed):
-    a = planted_blocks(p, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    a = planted_blocks(p, rng)
+    m = FpMatrix.from_triples(p, a.shape, *raw_triples(p, a, rng))
+    assert_canonical(m)
+    assert np.array_equal(m.a, a % p)
     with mock.patch.object(linalg, "_components", wraps=linalg._components) as labels, \
             mock.patch.object(linalg, "_rref_dense", wraps=linalg._rref_dense) as dense:
-        rows, pivots = linalg._rref(a, p)
+        rows, pivots = linalg._rref(m, p)
     # the split ran: components were labelled and no block was the whole matrix
     assert labels.call_count == 1
     assert all(call.args[0].shape != a.shape for call in dense.call_args_list)
     want_rows, want_pivots = oracle_rref(a, p)
     assert pivots == want_pivots and all(type(c) is int for c in pivots)
-    assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape
-    assert np.array_equal(rows, want_rows)
+    assert_canonical(rows)
+    assert rows.shape == want_rows.shape and np.array_equal(rows.a, want_rows)
 
 
 @pytest.mark.parametrize("shape", [(0, 3000), (3000, 0), (0, 0), (40, 60)])
@@ -158,10 +186,74 @@ def test_block_split_of_empty_and_zero_matrices(shape, monkeypatch):
     for p in (2, 11):
         a = np.zeros(shape, dtype=np.int64)
         a[::8, ::8] = p  # nonzero, but zero mod p
+        row, col = np.nonzero(a)
+        m = FpMatrix.from_triples(p, shape, row, col, a[row, col])
         with mock.patch.object(linalg, "_components", wraps=linalg._components) as labels:
-            rows, pivots = linalg._rref(a, p)
+            rows, pivots = linalg._rref(m, p)
         assert labels.call_count == 1
         assert pivots == () and rows.shape == oracle_rref(a, p)[0].shape == (0, shape[1])
+
+
+def random_sparse(p, rng, rows, cols):
+    """A random rows x cols int array, each entry nonzero with a random
+    probability, entries in [-2p, 2p)."""
+    keep = rng.random((rows, cols)) < rng.random()
+    return rng.integers(-2 * p, 2 * p, size=(rows, cols)) * keep
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 10 ** 6))
+def test_matrix_arithmetic_matches_dense_oracle(p, seed):
+    rng = np.random.default_rng(seed)
+    m, k, n = (int(v) for v in rng.integers(0, 60, size=3))
+    x, y, z = (random_sparse(p, rng, *shape) for shape in ((m, k), (m, k), (k, n)))
+    fx, fy, fz = FpMatrix(p, x), FpMatrix(p, y), FpMatrix(p, z)
+    dx, dy, dz = DenseMatrix(p, x), DenseMatrix(p, y), DenseMatrix(p, z)
+    c = int(rng.integers(-2 * p, 2 * p))
+    for got, want in [(fx, dx), (fx.transpose(), dx.transpose()), (fx + fy, dx + dy),
+                      (fx - fy, dx - dy), (-fx, -dx), (fx.scale(c), dx.scale(c)),
+                      (fx @ fz, dx @ dz), (product(fx, fz, p), dx @ dz)]:
+        assert_canonical(got)
+        assert got.shape == want.a.shape and np.array_equal(got.a, want.a)
+        assert np.array_equal(np.asarray(got), want.a)
+    assert (fx - fx).is_zero() and fx.transpose().transpose() == fx
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 10 ** 6))
+def test_block_matrix_matches_dense_oracle(p, seed):
+    rng = np.random.default_rng(seed)
+    row_dims = rng.integers(0, 5, size=rng.integers(1, 5))
+    col_dims = rng.integers(0, 5, size=rng.integers(1, 5))
+    blocks = []
+    for _ in range(int(rng.integers(0, 8))):  # keys may repeat: contributions add
+        r, c = int(rng.integers(row_dims.size)), int(rng.integers(col_dims.size))
+        block = random_sparse(p, rng, row_dims[r], col_dims[c])
+        blocks.append(((r, c), FpMatrix(p, block) if rng.random() < 0.5 else block))
+    got = block_matrix(p, row_dims, col_dims, blocks)
+    assert_canonical(got)
+    assert np.array_equal(got.a, oracle_block_matrix(p, row_dims, col_dims, blocks).a)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.integers(0, 10 ** 6))
+def test_face_sum_matches_dense_oracle(p, length, seed):
+    rng = np.random.default_rng(seed)
+    vertices = range(int(rng.integers(length + 1, 6)))
+    lower = list(itertools.combinations(vertices, length))
+    upper = list(itertools.combinations(vertices, length + 1))
+    lower = [s for s in lower if rng.random() < 0.8]  # faces missing from lower drop
+    dims = {s: int(rng.integers(0, 4)) for s in lower + upper}
+    faces = {}
+    for sigma in upper:
+        for k in range(len(sigma)):
+            tau = sigma[:k] + sigma[k + 1:]
+            face = random_sparse(p, rng, dims[sigma], dims.get(tau, 0))
+            faces[(sigma, k)] = FpMatrix(p, face) if rng.random() < 0.5 else face
+    got = face_sum(p, lower, upper, dims.get, lambda s, k: faces[(s, k)])
+    assert_canonical(got)
+    want = oracle_face_sum(p, lower, upper, dims.get, lambda s, k: np.asarray(faces[(s, k)]))
+    assert np.array_equal(got.a, want.a)
 
 
 @settings(deadline=None, max_examples=60)
@@ -174,7 +266,7 @@ def test_nonzero_product_matches_dense(p, seed):
         x[rng.integers(0, m, size=k), np.arange(k)] = rng.integers(0, p, size=k)
         y[np.arange(k), rng.integers(0, n, size=k)] = rng.integers(0, p, size=k)
     assert joins(x, y)
-    assert np.array_equal(product(x, y, p), (x @ y) % p)
+    assert np.array_equal(product(FpMatrix(p, x), FpMatrix(p, y), p).a, (x @ y) % p)
 
 
 @settings(deadline=None, max_examples=40)

@@ -5,17 +5,26 @@ acceptance criteria and their oracles, or by the benchmark's traced entry
 points, so API that only unit tests call cannot grow back unnoticed.  A
 module-level function is reached by any reference to its name; a method only
 by an attribute reference (`.name`) or a `LAYERS` entry, so a local variable
-or a function that shares a method's name no longer hides it.  The guard still
-matches names, not definitions: two methods of one name are one name to it,
-so a call of either reaches both (`DPDOperator.is_zero` is reached through
-every `FpMatrix.is_zero` call, whatever its own callers).
+or a function that shares a method's name no longer hides it.  That guard
+matches names, not definitions: two methods of one name are one name to it.
+So a second guard runs the nine goldens, the acceptance criteria and the tiny
+benchmark workloads under `sys.setprofile` and requires every function
+src/hhdx defines to run there (dunders and the `LAYERS` entry points aside).
 
 Every name a module in src/hhdx or tests/ imports is used in that module.
 """
 
 import ast
 import collections
+import contextlib
+import importlib.util
+import io
 import pathlib
+import sys
+
+import test_acceptance
+from hhdx.cli import main
+from test_cli import GOLDEN_CASES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hhdx"
@@ -38,14 +47,13 @@ def _references(tree):
     return names, attrs
 
 
-def _layer_entry_points(tree):
-    """The qualname parts of perfbench's LAYERS ("module:Class.method")."""
-    for node in tree.body:
+def _layer_entry_points():
+    """The qualnames ("Class.method") of perfbench's LAYERS entry points."""
+    for node in ast.parse(TRACER.read_text()).body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
             specs = ast.literal_eval(node.value)
-            return {part for entries in specs.values() for spec in entries
-                    for part in spec.split(":")[1].split(".")}
+            return {spec.split(":")[1] for entries in specs.values() for spec in entries}
     raise AssertionError("perfbench/tracer.py defines no LAYERS")
 
 
@@ -95,13 +103,71 @@ def _unused_imports(tree):
 
 def test_every_src_function_is_reached_outside_unit_tests():
     trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    outside_names, outside_attrs = set(), set(_layer_entry_points(ast.parse(TRACER.read_text())))
+    outside_names = set()
+    outside_attrs = {part for name in _layer_entry_points() for part in name.split(".")}
     for path in REFERENCES:
         names, attrs = _references(ast.parse(path.read_text()))
         outside_names |= set(names)
         outside_attrs |= set(attrs)
     unreached = _unreached(trees, outside_names, outside_attrs)
     assert not unreached, f"defined but reached only by unit tests: {unreached}"
+
+
+def _defined(trees):
+    """(path, first line, qualname) of every non-dunder function the module
+    trees define; the first line is a decorated function's first decorator's,
+    as on its code object."""
+    out = []
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out.append((path, line, f"{prefix}{child.name}"))
+                walk(child, path, f"{prefix}{child.name}.<locals>.")
+            else:
+                walk(child, path, prefix)
+
+    for path, tree in trees.items():
+        walk(tree, path, "")
+    return out
+
+
+def test_every_src_function_runs_outside_unit_tests():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    goldens, cases = [], []
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv, _ in GOLDEN_CASES:
+                goldens.append(main([*argv, "--json"]))
+            for name in sorted(vars(test_acceptance)):
+                if name.startswith("test_criterion_"):
+                    getattr(test_acceptance, name)()
+            for workload in sorted(workloads.WORKLOADS):
+                for case in workloads.generate(workload, 1, "tiny"):
+                    cases.append((main(list(case.argv)), case.expect))
+    finally:
+        sys.setprofile(None)
+    assert goldens == [0] * len(GOLDEN_CASES)
+    assert all(rc == expect for rc, expect in cases)
+    ran = {(pathlib.Path(path).resolve(), line) for path, line in ran}
+    traced = _layer_entry_points()
+    trees = {path.resolve(): ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    unran = [f"{path.name}:{line} {name}" for path, line, name in _defined(trees)
+             if (path, line) not in ran and name not in traced]
+    assert not unran, f"defined but run only by unit tests: {unran}"
 
 
 def test_a_method_is_reached_only_through_attributes():
