@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import linalg
 
 MAX_PRIME = 97
@@ -71,18 +69,17 @@ def fitting_decomposition(f):
     power = f.power(n)
     nil = linalg.Subspace._from_rref(f.p, n, power.kernel_basis())
     semi = linalg.Subspace._from_rref(f.p, n, power.image_basis())
-    nil_rows, semi_rows = nil.rows, semi.rows
     if nil.dim + semi.dim != n or nil.intersect(semi).dim != 0:
         raise AssertionError("nilpotent and semisimple parts are not complementary")
-    for row in nil_rows:
-        if not nil.contains(f @ row):
-            raise AssertionError("nilpotent part is not F-stable")
-        if (power @ row).any():
-            raise AssertionError("F^n does not kill the nilpotent part")
-    images = [f @ row for row in semi_rows]
-    for w in images:
-        if not semi.contains(w):
-            raise AssertionError("semisimple part is not F-stable")
-    if semi.dim and linalg.Subspace(f.p, n, np.array(images)).dim != semi.dim:
+    # the rows of N F^T are F applied to the basis rows of N
+    transpose = f.transpose()
+    if nil.reduce_rows(linalg.product(nil.basis, transpose, f.p)).any():
+        raise AssertionError("nilpotent part is not F-stable")
+    if not linalg.product(nil.basis, power.transpose(), f.p).is_zero():
+        raise AssertionError("F^n does not kill the nilpotent part")
+    images = linalg.product(semi.basis, transpose, f.p)
+    if semi.reduce_rows(images).any():
+        raise AssertionError("semisimple part is not F-stable")
+    if semi.dim and images.rank() != semi.dim:
         raise AssertionError("F is not bijective on the semisimple part")
-    return nil_rows, semi_rows
+    return nil.rows, semi.rows

@@ -321,13 +321,12 @@ def operator_window_koszul(p, n, degree_bound, dp_bound):
 
     report = {"degree_bound": degree_bound, "dp_bound": dp_bound, "vars": n}
     # degree 0: kernel == multiplication operators, exactly
-    dim0, reps0 = cx.cohomology(0)
+    h0 = cx.kernel(0)  # d_in is zero in degree 0
     mult_coords = sorted(module.index[(a, b)] for (a, b) in module.basis
                          if all(e == 0 for e in b))
-    expected = Subspace.units(p, module.dim, mult_coords)
-    # both sides are canonical RREF bases, so equal spans means equal rows
-    certified0 = dim0 == len(mult_coords) and np.array_equal(reps0, expected.rows)
-    report["h0"] = {"dim": dim0, "certified_multiplication_operators": bool(certified0)}
+    # both sides are canonical RREF bases, so equal spans means equal bases
+    certified0 = h0 == Subspace.units(p, module.dim, mult_coords)
+    report["h0"] = {"dim": h0.dim, "certified_multiplication_operators": bool(certified0)}
 
     # top degree: surjectivity onto the dp <= dp_bound - 1 sub-window
     top = n

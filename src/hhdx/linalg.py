@@ -7,10 +7,12 @@ Elimination gives the canonical RREF (first nonzero pivot, row-major), so
 every kernel basis and cohomology representative is deterministic; `_rref`
 eliminates each connected component of a matrix's nonzero pattern as a block
 of its own, and `product` multiplies from the nonzeros, so d∘d and commutation
-checks cost what the entries do.  On top sit bounded cochain complexes,
-first-quadrant double complexes (sign convention: d = d_h + (-1)^i d_v on
-column i), and the spectral sequence of the column filtration, read off the
-persistence pairs of each total differential: page dimensions and ranks of
+checks cost what the entries do.  A kernel basis is read off one elimination,
+a quotient transversal off the pivots with none, and a reduction modulo a
+subspace is one product with its RREF basis.  On top sit bounded cochain
+complexes, first-quadrant double complexes (sign convention: d = d_h + (-1)^i
+d_v on column i), and the spectral sequence of the column filtration, read off
+the persistence pairs of each total differential: page dimensions and ranks of
 d_r, no representatives.  Block-structured differentials (totalizations, bar
 columns) are all built by `block_matrix`; every simplicial cochain complex
 (Koszul complexes, nerve and Cech complexes, the rows of diagram double
@@ -269,6 +271,17 @@ class FpMatrix:
         return FpMatrix._wrap(self.p, self.shape[::-1], self.col[order], self.row[order],
                               self.val[order])
 
+    def take(self, rows, cols):
+        """The submatrix on the rows and columns that `rows` and `cols` index
+        (slices, or arrays of distinct indices), numbered in that order."""
+        rows, cols = np.arange(self.rows)[rows], np.arange(self.cols)[cols]
+        row_slot, col_slot = np.full(self.rows, -1), np.full(self.cols, -1)
+        row_slot[rows], col_slot[cols] = np.arange(rows.size), np.arange(cols.size)
+        row, col = row_slot[self.row], col_slot[self.col]
+        keep = np.flatnonzero((row >= 0) & (col >= 0))
+        keep = keep[np.argsort(row[keep] * cols.size + col[keep], kind="stable")]  # row-major
+        return FpMatrix._wrap(self.p, (rows.size, cols.size), row[keep], col[keep], self.val[keep])
+
     def power(self, k):
         """The k-th power of a square matrix, by repeated squaring."""
         if self.rows != self.cols or k < 0:
@@ -306,18 +319,18 @@ class FpMatrix:
         return len(_rref(self, self.p)[1])
 
     def kernel_basis(self):
-        """RREF rows spanning {v : M v = 0}: e_f - sum_r red[r, f] e_(pivot r), f free."""
-        red, pivots = _rref(self, self.p)
-        free = np.setdiff1d(np.arange(self.cols), pivots)
-        slot = np.full(self.cols, -1)
-        slot[free] = np.arange(free.size)
-        on_free = slot[red.col] >= 0
-        basis = FpMatrix.from_triples(
-            self.p, (free.size, self.cols),
-            np.concatenate([np.arange(free.size), slot[red.col[on_free]]]),
-            np.concatenate([free, np.array(pivots, dtype=np.int64)[red.row[on_free]]]),
-            np.concatenate([np.ones_like(free), -red.val[on_free]]))
-        return _rref(basis, self.p)[0] if free.size else basis
+        """RREF rows spanning {v : M v = 0}, from one elimination of M with its
+        columns reversed (j -> n-1-j): the row of free column f is e_f less f's
+        column of that RREF at the pivots, which all lie right of f."""
+        n = self.cols
+        red, pivots = _rref(self.take(slice(None), slice(None, None, -1)), self.p)
+        pivots = n - 1 - np.array(pivots, dtype=np.int64)
+        free = np.setdiff1d(np.arange(n), pivots)
+        at_free = red.take(slice(None), n - 1 - free)  # column k: free[k]'s column of red
+        return FpMatrix.from_triples(
+            self.p, (free.size, n), np.concatenate([np.arange(free.size), at_free.col]),
+            np.concatenate([free, pivots[at_free.row]]),
+            np.concatenate([np.ones_like(free), -at_free.val]))
 
     def image_basis(self):
         """Rows spanning the column space, in RREF."""
@@ -376,20 +389,18 @@ class Subspace:
         return self.reduce_rows(np.reshape(v, (1, -1)))[0]
 
     def reduce_rows(self, mat):
+        """Rows of mat less their coordinates at the pivots times the RREF basis."""
         out = np.mod(np.asarray(mat, dtype=np.int64), self.p)
-        rows = self.rows
-        for r, c in enumerate(self.pivots):
-            col = out[:, c].copy()
-            nz = np.nonzero(col)[0]
-            if nz.size:
-                out[nz] = (out[nz] - np.outer(col[nz], rows[r])) % self.p
-        return out
+        coords = FpMatrix(self.p, out[:, list(self.pivots)])
+        return np.mod(out - product(coords, self.basis, self.p).a, self.p)
 
     def contains(self, v):
         return not self.reduce(v).any()
 
     def contains_space(self, other):
-        return not self.reduce_rows(other.rows).any()
+        """Whether other's basis is its coordinates at the pivots times the RREF basis."""
+        coords = other.basis.take(slice(None), list(self.pivots))
+        return product(coords, self.basis, self.p) == other.basis
 
     def contains_units(self, indices):
         """Whether every unit vector e_k, k in indices, lies in this subspace.
@@ -411,25 +422,24 @@ class Subspace:
     def sum(self, other):
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
-        return Subspace(self.p, self.n, np.vstack([self.rows, other.rows]))
+        return Subspace(self.p, self.n, block_matrix(self.p, [self.dim, other.dim], [self.n],
+                                                     {(0, 0): self.basis, (1, 0): other.basis}))
 
     def intersect(self, other):
-        """Zassenhaus-free intersection via left kernel of the stacked basis."""
+        """x A over the left kernel (x, y) of the stacked bases [A; -B]."""
         if self.dim == 0 or other.dim == 0:
             return Subspace(self.p, self.n)
-        stacked = np.vstack([self.rows, -other.rows]) % self.p
-        left_kernel = FpMatrix(self.p, stacked.T).kernel_basis().a
-        vecs = (left_kernel[:, : self.dim] @ self.rows) % self.p
-        return Subspace(self.p, self.n, vecs)
+        stacked = block_matrix(self.p, [self.dim, other.dim], [self.n],
+                               {(0, 0): self.basis, (1, 0): -other.basis})
+        x = stacked.transpose().kernel_basis().take(slice(None), slice(self.dim))
+        return Subspace(self.p, self.n, product(x, self.basis, self.p))
 
     def quotient_reps(self, sub):
-        """Canonical transversal rows for self/sub (sub must be contained)."""
-        if sub.dim == 0:
-            return self
-        if self.dim == self.n:  # F_p^n / sub: the unit vectors off sub's pivots
-            return Subspace.units(self.p, self.n, np.setdiff1d(np.arange(self.n), sub.pivots))
-        reduced = sub.reduce_rows(self.rows)
-        return Subspace(self.p, self.n, reduced)
+        """Canonical transversal rows for self/sub (sub must be contained): the
+        RREF rows of self whose pivots are not sub's.  sub's pivots are among
+        self's, so those rows are zero at each of them."""
+        kept = np.flatnonzero(~np.isin(self.pivots, np.array(sub.pivots, dtype=np.int64)))
+        return Subspace._from_rref(self.p, self.n, self.basis.take(kept, slice(None)))
 
     def __eq__(self, other):
         return (
@@ -506,7 +516,6 @@ def cohomology_at(d_in, d_out, p, dim):
     """(dimension, representative rows) of ker(d_out)/im(d_in).
 
     d_in maps into the space (may be None), d_out maps out of it (may be None).
-    Representatives are kernel vectors reduced modulo the image, re-echelonized.
     """
     reps = _kernel_space(d_out, p, dim).quotient_reps(_image_space(d_in, p, dim))
     return reps.dim, reps.rows
@@ -712,12 +721,7 @@ class DoubleComplex:
                     else:
                         cols = np.concatenate([np.arange(offsets[i], offsets[i + 1])
                                                for i in reversed(range(c))])
-                        pos = np.full(d.cols, -1)
-                        pos[cols] = np.arange(cols.size)
-                        keep = (d.row < h) & (pos[d.col] >= 0)
-                        head = FpMatrix.from_triples(self.p, (h, cols.size), d.row[keep],
-                                                      pos[d.col[keep]], d.val[keep])
-                        pivots = _rref(head, self.p)[1]
+                        pivots = _rref(d.take(slice(h), cols), self.p)[1]
                         prefix = np.maximum(width - width[c], 0)
                         rho[:, c] = np.searchsorted(pivots, prefix)
             self._pairs[n] = rho[:-1, 1:] - rho[1:, 1:] - rho[:-1, :-1] + rho[1:, :-1]

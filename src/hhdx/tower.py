@@ -40,7 +40,7 @@ import numpy as np
 from .dpdo import OperatorAlgebra, TruncatedOperatorModule
 from .errors import CapacityError, WindowError
 from .gfp import fitting_decomposition, require_prime
-from .linalg import FpMatrix, Subspace, block_matrix
+from .linalg import FpMatrix, Subspace, block_matrix, product
 from .poly import PolyRing
 
 # Largest dim F a tower accepts.  The image chain stops at its first repeat,
@@ -72,9 +72,9 @@ class Tower:
         (im F^(k+1) = im F^k) or at the top level k = levels."""
         n = self.f.rows
         chain = [Subspace.full(self.p, n)]
-        transpose = self.f.a.T
+        transpose = self.f.transpose()
         while len(chain) <= self.top:
-            image = Subspace(self.p, n, chain[-1].rows @ transpose)
+            image = Subspace(self.p, n, product(chain[-1].basis, transpose, self.p))
             if image.dim == chain[-1].dim:  # a subspace of equal dimension
                 break
             chain.append(image)

@@ -188,12 +188,13 @@ def gapped_double_complex(p, rng):
 # knows.  The functions below are the reference: they recompute everything
 # from scratch with a per-column kernel loop, a re-eliminating Subspace(...)
 # around every basis and per-vector reduce/express for the page differentials.
-# The whole-matrix elimination, the dense product, the per-vector
-# reduce/express, the explicit page subquotients, the dense per-column
-# operator matrix, the dense matrix arithmetic and block and face-sum
-# builders, and the stack of one commutator per divided power are the paths
-# the library replaced by the block split of `_rref`, the nonzero join of
-# `product`, reduce_rows, persistence pairs, the nonzero triples of
+# The whole-matrix elimination, the dense product, the per-pivot
+# reduce/express, the reduce-then-eliminate quotient, the explicit page
+# subquotients, the dense per-column operator matrix, the dense matrix
+# arithmetic and block and face-sum builders, and the stack of one commutator
+# per divided power are the paths the library replaced by the block split of
+# `_rref`, the nonzero join of `product`, reduce_rows' one product, the
+# pivot selection of quotient_reps, persistence pairs, the nonzero triples of
 # TruncatedOperatorModule.operator_matrix and FpMatrix, and the Lucas
 # generators of tower.lucas_centralizers.
 
@@ -258,10 +259,19 @@ def joins(x, y):
 def oracle_reduce(space, v):
     """v modulo an RREF span, one pivot at a time on a single vector."""
     v = np.mod(np.asarray(v, dtype=np.int64), space.p).copy()
+    rows = space.rows
     for r, c in enumerate(space.pivots):
         if v[c]:
-            v = (v - v[c] * space.rows[r]) % space.p
+            v = (v - v[c] * rows[r]) % space.p
     return v
+
+
+def oracle_quotient_reps(space, sub):
+    """Transversal of space/sub: every RREF row of space reduced modulo sub
+    by `oracle_reduce`, then eliminated again."""
+    reduced = [oracle_reduce(sub, row) for row in space.rows]
+    reduced = np.array(reduced, dtype=np.int64).reshape(space.dim, space.n)
+    return Subspace(space.p, space.n, reduced)
 
 
 def oracle_express(space, v):
@@ -366,12 +376,13 @@ def oracle_centralizer(p, degree_bound, dp_bound, q_top):
 def oracle_kernel_basis(m):
     """RREF rows spanning {v : M v = 0}, built column by column."""
     red, pivots = m.rref()
+    red = red.a
     free = [c for c in range(m.cols) if c not in pivots]
     basis = np.zeros((len(free), m.cols), dtype=np.int64)
     for k, c in enumerate(free):
         basis[k, c] = 1
         for r, pc in enumerate(pivots):
-            basis[k, pc] = (-int(red.a[r, c])) % m.p
+            basis[k, pc] = (-int(red[r, c])) % m.p
     return Subspace(m.p, m.cols, basis).rows
 
 
@@ -382,7 +393,7 @@ def oracle_cohomology(d_in, d_out, p, dim):
     else:
         kernel = Subspace(p, dim, oracle_kernel_basis(d_out))
     image = Subspace(p, dim) if d_in is None else Subspace(p, dim, d_in.image_basis())
-    reps = Subspace(p, dim, image.reduce_rows(kernel.rows))
+    reps = oracle_quotient_reps(kernel, image)
     return kernel, image, (reps.dim, reps.rows)
 
 

@@ -22,6 +22,7 @@ from helpers import (
     oracle_express,
     oracle_face_sum,
     oracle_kernel_basis,
+    oracle_quotient_reps,
     oracle_reduce,
     oracle_rref,
     oracle_spectral_sequence,
@@ -464,12 +465,15 @@ def test_first_page_is_vertical_cohomology():
 @given(st.sampled_from([2, 3, 5]), st.integers(0, 6), st.integers(0, 6), st.integers(0, 10 ** 6))
 def test_kernel_basis_matches_column_loop(p, rows, cols, seed):
     rng = np.random.default_rng(seed)
-    m = FpMatrix(p, rng.integers(0, p, size=(rows, cols)))
-    ker = m.kernel_basis()
-    assert np.array_equal(ker, oracle_kernel_basis(m))
-    assert Subspace._from_rref(p, cols, ker) == Subspace(p, cols, ker)
-    img = m.image_basis()
-    assert Subspace._from_rref(p, rows, img) == Subspace(p, rows, img)
+    # a small matrix eliminated whole, and planted blocks that `_rref` splits
+    for a in (rng.integers(0, p, size=(rows, cols)), planted_blocks(p, rng)):
+        m = FpMatrix(p, a)
+        ker = m.kernel_basis()
+        assert_canonical(ker)
+        assert np.array_equal(ker, oracle_kernel_basis(m))
+        assert Subspace._from_rref(p, m.cols, ker) == Subspace(p, m.cols, ker)
+        img = m.image_basis()
+        assert Subspace._from_rref(p, m.rows, img) == Subspace(p, m.rows, img)
 
 
 @settings(deadline=None, max_examples=80)
@@ -502,6 +506,32 @@ def test_reduce_and_express_match_per_vector_pivot_loop(p, n, seed):
         assert (got is None) == (want is None)
         assert want is None or np.array_equal(got, want)
     assert space.express(inside) is not None
+    # a wide sparse space and a batch of rows that `product` reduces by its join
+    wide = Subspace(p, 400, np.eye(400, dtype=np.int64)[rng.choice(400, 100, replace=False)]
+                    + rng.integers(0, p, size=(100, 400)) * (rng.random((100, 400)) < 0.005))
+    batch = rng.integers(-p, 2 * p, size=(12, 400)) * (rng.random((12, 400)) < 0.05)
+    assert joins(np.mod(batch[:, list(wide.pivots)], p), wide.rows)
+    got = wide.reduce_rows(batch)
+    assert np.array_equal(got, [oracle_reduce(wide, row) for row in batch])
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 8), st.integers(0, 10 ** 6),
+       st.sampled_from(["random", "full"]), st.sampled_from(["random", "zero", "all"]))
+def test_quotient_reps_match_reduce_then_eliminate(p, n, seed, outer, inner):
+    rng = np.random.default_rng(seed)
+    if outer == "full":
+        space = Subspace.full(p, n)
+    else:
+        space = Subspace(p, n, rng.integers(0, p, size=(rng.integers(0, n + 1), n)))
+    combos = {"random": rng.integers(0, p, size=(rng.integers(0, space.dim + 1), space.dim)),
+              "zero": np.zeros((0, space.dim), dtype=np.int64),
+              "all": np.eye(space.dim, dtype=np.int64)}[inner]
+    sub = Subspace(p, n, combos @ space.rows)
+    got, want = space.quotient_reps(sub), oracle_quotient_reps(space, sub)
+    assert got == want and got.pivots == want.pivots
+    assert got.dim == space.dim - sub.dim
+    assert_canonical(got.basis)
 
 
 @settings(deadline=None, max_examples=60)
