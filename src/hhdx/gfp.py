@@ -60,8 +60,8 @@ def binomial_mod(m, q, p):
 def fitting_decomposition(f):
     """Split F_p^n into F-stable pieces H_nil ⊕ H_semi for a square FpMatrix.
 
-    H_nil = ker(F^n) and H_semi = im(F^n) where n = dim.  Returns a pair of
-    row-basis arrays (nil_rows, semi_rows).  Verifies the defining
+    H_nil = ker(F^n) and H_semi = im(F^n) where n = dim.  Returns the pair of
+    `Subspace`s (nil, semi).  Verifies the defining
     properties before returning: the two pieces are complementary, each is
     F-stable, F is bijective on H_semi and F^n vanishes on H_nil.
     """
@@ -82,4 +82,4 @@ def fitting_decomposition(f):
         raise AssertionError("semisimple part is not F-stable")
     if semi.dim and images.rank() != semi.dim:
         raise AssertionError("F is not bijective on the semisimple part")
-    return nil.rows, semi.rows
+    return nil, semi

@@ -24,7 +24,8 @@ Three layers, all exact over F_p:
   a windowed-surjectivity certificate for their inner layers.
 
 Nerve, Cech and face-row differentials are alternating face sums built by
-`linalg.face_sum` over the cells `Poset.nerve_cells` lists; an algebra
+`linalg.face_sum`, over the cells `Poset.nerve_cells` lists or, for the
+two-chart projective line, over its vertices and edges; an algebra
 diagram's algebra and module restrictions are each validated as a
 `SpaceDiagram` before the algebra-map and module-map laws are checked.
 """
@@ -479,11 +480,6 @@ class GSComplex:
 # -- windowed operator scenarios on the line and the two-chart projective line -----
 
 
-def _transport(dst_algebra):
-    """Re-tag an operator's terms in another algebra (window inclusion)."""
-    return lambda m: dst_algebra.from_terms(m.terms)
-
-
 def _surjective_onto_window(p, image_matrix, target_module, a_lo, a_hi, b_max):
     """Does the image of the matrix contain every basis operator x^a D^(b)
     of the target window with a in [a_lo, a_hi] and b <= b_max?"""
@@ -505,7 +501,8 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
     with the j = 1 cell enlarged so every vertical differential and face
     map is computed exactly.  The faces are the window inclusion, the
     chart change, and the comparison chain map (id, m -> -u^-1 m u^-1)
-    from the [u, -] column to the [1/u, -] column.
+    from the [u, -] column to the [1/u, -] column; each face row is a
+    `face_sum` from the vertices U0, U1, U01 to the edges (U01, U0), (U01, U1).
 
     Returns (report, double_complex).  The report's row j = 0 is exact
     and compared against the nerve cohomology of the function windows;
@@ -531,13 +528,13 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
         qu = 4
         flags.append("dp_window_capped")
 
+    # per column, its cells: (label, commutator matrix, its source and target
+    # windows, the monomial window of the surjectivity certificate)
     if name == "a1":
         alg = OperatorAlgebra(p, 1, names=("u",))
         mod = TruncatedOperatorModule(alg, du, qu)
-        k_mat = mod.commutator_matrix(alg.variable())
-        dims = {(0, 0): mod.dim, (0, 1): mod.dim}
-        double = DoubleComplex.from_commuting(p, dims, {}, {(0, 0): k_mat})
-        columns = [("U0", k_mat, mod, 0, du)]
+        columns = [[("U0", mod.commutator_matrix(alg.variable()), mod, mod, 0, du)]]
+        d_h = {}
         nerve = {0: du + 1}
     else:
         if du < 2 * qu:
@@ -554,63 +551,52 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
         m_u01 = TruncatedOperatorModule(alg_l, du, qu)
         m_edge0 = TruncatedOperatorModule(alg_l, du, qu)
         m_edge1 = TruncatedOperatorModule(alg_l, du + qu + 2, qu)
-        u = alg_u.variable()
-        v = alg_v.variable()
         u_l = alg_l.variable()
         u_inv = alg_l.variable(0, power=-1)
+        columns = [
+            [("U0", m_u0.commutator_matrix(alg_u.variable()), m_u0, m_u0, 0, du),
+             ("U1", m_u1.commutator_matrix(alg_v.variable()), m_u1, m_u1, 0, du),
+             ("U01", m_u01.commutator_matrix(u_l), m_u01, m_u01, -du, du)],
+            [("edge0", m_edge0.commutator_matrix(u_l, target=m_edge1), m_edge0, m_edge1, -du, du),
+             ("edge1", m_edge0.commutator_matrix(u_inv, target=m_edge1), m_edge0, m_edge1,
+              -du + qu, du - 2)],
+        ]
 
-        k_u0 = m_u0.commutator_matrix(u)
-        k_u1 = m_u1.commutator_matrix(v)
-        k_u01 = m_u01.commutator_matrix(u_l)
-        k_e0 = m_edge0.commutator_matrix(u_l, target=m_edge1)
-        k_e1 = m_edge0.commutator_matrix(u_inv, target=m_edge1)
+        def transport(m):  # U0's operators re-tagged as Laurent ones
+            return alg_l.from_terms(m.terms)
 
         def chart_change(m):
             return invert_variable(alg_lv.from_terms(m.terms), alg_l)
 
-        def sandwich(m):
-            return (u_inv * m) * u_inv
+        def comparison(m):
+            return -((u_inv * m) * u_inv)
 
-        vertex_dims = [m_u0.dim, m_u1.dim, m_u01.dim]
-        minus_inclusion0 = -m_u01.operator_matrix(lambda m: m, target=m_edge0)
-        faces0 = {
-            (0, 0): m_u0.operator_matrix(_transport(alg_l), target=m_edge0),
-            (0, 2): minus_inclusion0,
-            (1, 1): m_u1.operator_matrix(chart_change, target=m_edge0),
-            (1, 2): minus_inclusion0,
-        }
-        faces1 = {
-            (0, 0): m_u0.operator_matrix(_transport(alg_l), target=m_edge1),
-            (0, 2): -m_u01.operator_matrix(lambda m: m, target=m_edge1),
-            (1, 1): m_u1.operator_matrix(chart_change, target=m_edge1),
-            # minus the comparison map m -> -u^-1 m u^-1
-            (1, 2): m_u01.operator_matrix(sandwich, target=m_edge1),
-        }
-        d_h = {
-            (0, 0): block_matrix(p, [m_edge0.dim] * 2, vertex_dims, faces0),
-            (0, 1): block_matrix(p, [m_edge1.dim] * 2, vertex_dims, faces1),
-        }
-        d_v = {
-            (0, 0): block_matrix(p, vertex_dims, vertex_dims,
-                                 {(0, 0): k_u0, (1, 1): k_u1, (2, 2): k_u01}),
-            (1, 0): block_matrix(p, [m_edge1.dim] * 2, [m_edge0.dim] * 2,
-                                 {(0, 0): k_e0, (1, 1): k_e1}),
-        }
-        dims = {
-            (0, 0): sum(vertex_dims),
-            (0, 1): sum(vertex_dims),
-            (1, 0): 2 * m_edge0.dim,
-            (1, 1): 2 * m_edge1.dim,
-        }
-        double = DoubleComplex.from_commuting(p, dims, d_h, d_v)
-        columns = [
-            ("U0", k_u0, m_u0, 0, du),
-            ("U1", k_u1, m_u1, 0, du),
-            ("U01", k_u01, m_u01, -du, du),
-            ("edge0", k_e0, m_edge1, -du, du),
-            ("edge1", k_e1, m_edge1, -du + qu, du - 2),
-        ]
+        vertices = [("U0",), ("U1",), ("U01",)]
+        edges = [("U01", "U0"), ("U01", "U1")]
+        vertex_dims = {(cell[0],): cell[2].dim for cell in columns[0]}
+        d_h = {}
+        # row j: each edge's faces are its vertex (transport or chart change)
+        # and U01, by the inclusion; on row 1 the second edge's U01 face is
+        # the comparison chain map (id, m -> -u^-1 m u^-1) instead
+        for j, target in enumerate([m_edge0, m_edge1]):
+            inclusion = m_u01.operator_matrix(lambda m: m, target=target)
+            faces = {
+                (edges[0], 0): m_u0.operator_matrix(transport, target=target),
+                (edges[0], 1): inclusion,
+                (edges[1], 0): m_u1.operator_matrix(chart_change, target=target),
+                (edges[1], 1): m_u01.operator_matrix(comparison, target=target) if j else inclusion,
+            }
+            d_h[(0, j)] = face_sum(p, vertices, edges, lambda s: vertex_dims.get(s, target.dim),
+                                   lambda s, k: faces[s, k])
         nerve = projective_line_twist_diagram(p, 0, du)[0].nerve_betti()
+
+    dims, d_v = {}, {}
+    for i, column in enumerate(columns):
+        sources, targets = [cell[2].dim for cell in column], [cell[3].dim for cell in column]
+        dims[(i, 0)], dims[(i, 1)] = sum(sources), sum(targets)
+        d_v[(i, 0)] = block_matrix(p, targets, sources,
+                                   {(k, k): cell[1] for k, cell in enumerate(column)})
+    double = DoubleComplex.from_commuting(p, dims, d_h, d_v)
 
     pages = double.spectral_sequence()
     e2 = pages[1] if len(pages) > 1 else pages[0]
@@ -618,7 +604,7 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
     ok, table = double.convergence_check()
 
     surjectivity = []
-    for label, mat, target, a_lo, a_hi in columns:
+    for label, mat, _, target, a_lo, a_hi in itertools.chain(*columns):
         holds = _surjective_onto_window(p, mat, target, a_lo, a_hi, qu - 1)
         surjectivity.append({
             "column": label,

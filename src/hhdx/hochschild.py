@@ -33,7 +33,7 @@ import numpy as np
 from .dpdo import OperatorAlgebra, TruncatedOperatorModule, compressed_degree
 from .errors import CapacityError
 from .gfp import require_prime
-from .linalg import CochainComplex, FpMatrix, Subspace, _check_capacity, face_complex, product
+from .linalg import CochainComplex, FpMatrix, Subspace, _check_capacity, face_complex
 
 MAX_ALGEBRA_DIM = 12
 MAX_BAR_DEGREE = 3
@@ -291,11 +291,13 @@ def koszul_commutator_complex(p, dim, matrices):
     """
     n = len(matrices)
     mats = [mat if isinstance(mat, FpMatrix) else FpMatrix(p, mat) for mat in matrices]
-    for x, y in itertools.combinations(mats, 2):
-        if product(x, y, p) != product(y, x, p):
-            raise ValueError("commutator complex needs commuting endomorphisms")
+    if any(mat.shape != (dim, dim) for mat in mats):
+        raise ValueError(f"commutator complex needs {dim} x {dim} matrices")
     cells = [list(itertools.combinations(range(n), j)) for j in range(n + 1)]
-    return face_complex(p, cells, lambda s: dim, lambda s, k: mats[s[k]])
+    try:  # d∘d on degree 0 is the commutator [K_i, K_j] on each pair {i, j}
+        return face_complex(p, cells, lambda s: dim, lambda s, k: mats[s[k]])
+    except ValueError as err:
+        raise ValueError("commutator complex needs commuting endomorphisms") from err
 
 
 def operator_window_koszul(p, n, degree_bound, dp_bound):

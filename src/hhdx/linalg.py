@@ -6,9 +6,9 @@ elimination; a dense int64 array is made per block and on demand (`.a`).
 Elimination gives the canonical RREF (first nonzero pivot, row-major), so
 every kernel basis and cohomology representative is deterministic; `_rref`
 eliminates each connected component of a matrix's nonzero pattern as a block
-of its own, and `product` multiplies from the nonzeros, so d∘d and commutation
-checks cost what the entries do.  A kernel basis is read off one elimination,
-a quotient transversal off the pivots with none, and a reduction modulo a
+of its own, and `product` multiplies from the nonzeros.  A kernel basis is read
+off one elimination, an intersection off one of the Zassenhaus stack, a
+quotient transversal off the pivots with none, and a reduction modulo a
 subspace is one product with its RREF basis.  On top sit bounded cochain
 complexes, first-quadrant double complexes (sign convention: d = d_h + (-1)^i
 d_v on column i), and the spectral sequence of the column filtration, read off
@@ -19,7 +19,9 @@ columns) are all built by `block_matrix`; every simplicial cochain complex
 complexes) by the alternating face sum `face_sum` / `face_complex` on top of
 it; and every span of unit vectors (coordinate subspace) by `Subspace.units`.
 
-Each complex memoizes what it eliminates: a CochainComplex its kernels,
+Each complex checks its law once, as d∘d = 0 (a double complex on its
+totalization, built with it; its laws per bidegree are tried only to name a
+failure), and memoizes what it eliminates: a CochainComplex its kernels,
 images and cohomology, a DoubleComplex its total differentials, totalization
 and one persistence-pair table per total degree.  The memo lives on the
 object (nothing is shared between complexes, so nothing outlives a report).
@@ -426,13 +428,15 @@ class Subspace:
                                                      {(0, 0): self.basis, (1, 0): other.basis}))
 
     def intersect(self, other):
-        """x A over the left kernel (x, y) of the stacked bases [A; -B]."""
+        """One elimination of [[A, A], [B, 0]] (Zassenhaus): the right halves of
+        its RREF rows with pivots past n are the intersection's RREF."""
         if self.dim == 0 or other.dim == 0:
             return Subspace(self.p, self.n)
-        stacked = block_matrix(self.p, [self.dim, other.dim], [self.n],
-                               {(0, 0): self.basis, (1, 0): -other.basis})
-        x = stacked.transpose().kernel_basis().take(slice(None), slice(self.dim))
-        return Subspace(self.p, self.n, product(x, self.basis, self.p))
+        stacked = block_matrix(self.p, [self.dim, other.dim], [self.n, self.n],
+                               {(0, 0): self.basis, (0, 1): self.basis, (1, 0): other.basis})
+        red, pivots = _rref(stacked, self.p)
+        inside = slice(int(np.searchsorted(pivots, self.n)), None)  # rows with zero left half
+        return Subspace._from_rref(self.p, self.n, red.take(inside, slice(self.n, None)))
 
     def quotient_reps(self, sub):
         """Canonical transversal rows for self/sub (sub must be contained): the
@@ -586,8 +590,9 @@ class DoubleComplex:
 
     dims maps (i, j) to a dimension.  d_h[(i, j)] : C^{i,j} -> C^{i+1,j} and
     d_v[(i, j)] : C^{i,j} -> C^{i,j+1} must satisfy d_h^2 = 0, d_v^2 = 0 and
-    d_h d_v + d_v d_h = 0.  Build from commuting differentials with
-    `from_commuting`, which flips d_v by (-1)^i on column i.
+    d_h d_v + d_v d_h = 0, checked as d∘d = 0 on the totalization.  Build from
+    commuting differentials with `from_commuting`, which flips d_v by (-1)^i
+    on column i.
     """
 
     def __init__(self, p, dims, d_h, d_v):
@@ -607,10 +612,27 @@ class DoubleComplex:
             raise CapacityError("double complex extent exceeds capacity")
         self.d_h = {k: m for k, m in d_h.items() if not m.is_zero()}
         self.d_v = {k: m for k, m in d_v.items() if not m.is_zero()}
+        for name, part, (di, dj) in (("d_h", self.d_h, (1, 0)), ("d_v", self.d_v, (0, 1))):
+            for (i, j), m in part.items():
+                expected = (self.dim(i + di, j + dj), self.dim(i, j))
+                if m.shape != expected:
+                    raise ValueError(f"{name} block at {(i, j)} has shape {m.shape}, "
+                                     f"expected {expected}")
         self._tot_cache = {}
         self._total = None
         self._pairs = {}
-        self._check()
+        try:
+            self.totalize()  # its d∘d = 0 is the three laws at every bidegree
+        except ValueError:  # name the first bidegree that breaks one
+            for (i, j) in self.dims:
+                if not (self.horizontal(i + 1, j) @ self.horizontal(i, j)).is_zero():
+                    raise ValueError(f"d_h^2 != 0 at {(i, j)}") from None
+                if not (self.vertical(i, j + 1) @ self.vertical(i, j)).is_zero():
+                    raise ValueError(f"d_v^2 != 0 at {(i, j)}") from None
+                if (self.vertical(i + 1, j) @ self.horizontal(i, j)
+                        != -(self.horizontal(i, j + 1) @ self.vertical(i, j))):
+                    raise ValueError(f"d_h d_v + d_v d_h != 0 at {(i, j)}") from None
+            raise
 
     def dim(self, i, j):
         return self.dims.get((i, j), 0)
@@ -626,18 +648,6 @@ class DoubleComplex:
         if m is None:
             m = FpMatrix.zeros(self.p, self.dim(i, j + 1), self.dim(i, j))
         return m
-
-    def _check(self):
-        for (i, j) in self.dims:
-            hh = self.horizontal(i + 1, j) @ self.horizontal(i, j)
-            if not hh.is_zero():
-                raise ValueError(f"d_h^2 != 0 at {(i, j)}")
-            vv = self.vertical(i, j + 1) @ self.vertical(i, j)
-            if not vv.is_zero():
-                raise ValueError(f"d_v^2 != 0 at {(i, j)}")
-            if (self.vertical(i + 1, j) @ self.horizontal(i, j)
-                    != -(self.horizontal(i, j + 1) @ self.vertical(i, j))):
-                raise ValueError(f"d_h d_v + d_v d_h != 0 at {(i, j)}")
 
     @classmethod
     def from_commuting(cls, p, dims, d_h, d_v):

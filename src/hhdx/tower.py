@@ -57,7 +57,7 @@ class Tower:
     def __init__(self, p, matrix, levels):
         require_prime(p)
         self.p = p
-        self.f = FpMatrix(p, matrix)
+        self.f = matrix if isinstance(matrix, FpMatrix) and matrix.p == p else FpMatrix(p, matrix)
         if self.f.rows != self.f.cols:
             raise ValueError("a tower needs a square transition")
         if self.f.rows > MAX_TOWER_DIM:
@@ -122,8 +122,7 @@ def proper_tower_report(p, matrix):
     report = Tower(p, f, levels).limit_report()
     if not report["certified"]:
         raise AssertionError("constant tower failed to certify at dim+1 levels")
-    _, semi_rows = fitting_decomposition(f)
-    semi = Subspace._from_rref(p, n, semi_rows)
+    _, semi = fitting_decomposition(f)
     return {
         "dim": n,
         "levels": levels,

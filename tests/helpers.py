@@ -1,7 +1,8 @@
 """Shared builders for tests: known complexes and random double complexes,
 plus the uncached linear algebra the memoized complexes are tested against,
 the whole-matrix elimination and dense product the block split and the
-nonzero product are tested against, the dense matrices, block and face-sum
+nonzero product are tested against, the two-elimination intersection the
+Zassenhaus one is tested against, the dense matrices, block and face-sum
 builders the nonzero triples of FpMatrix are tested against, the
 hand-written constructions the
 shared builders replaced, the general tower limit the closed-form Tower is
@@ -272,6 +273,16 @@ def oracle_quotient_reps(space, sub):
     reduced = [oracle_reduce(sub, row) for row in space.rows]
     reduced = np.array(reduced, dtype=np.int64).reshape(space.dim, space.n)
     return Subspace(space.p, space.n, reduced)
+
+
+def oracle_intersect(space, other):
+    """x A over the left kernel (x, y) of the stacked bases [A; -B]: one
+    elimination for that kernel, one more for the span of x A."""
+    if space.dim == 0 or other.dim == 0:
+        return Subspace(space.p, space.n)
+    stacked = np.concatenate([space.rows, -other.rows])
+    x = oracle_kernel_basis(FpMatrix(space.p, stacked.T))[:, :space.dim]
+    return Subspace(space.p, space.n, (x @ space.rows) % space.p)
 
 
 def oracle_express(space, v):

@@ -15,7 +15,7 @@ from hhdx.gfp import (
     lucas_binomial,
     require_prime,
 )
-from hhdx.linalg import FpMatrix
+from hhdx.linalg import FpMatrix, Subspace
 
 
 def integer_binomial(m, q):
@@ -80,29 +80,29 @@ def test_binomial_edge_cases():
 def test_fitting_identity_zero_and_projector():
     f = FpMatrix(5, np.eye(3, dtype=np.int64))
     nil, semi = fitting_decomposition(f)
-    assert nil.shape[0] == 0 and semi.shape[0] == 3
+    assert nil.dim == 0 and semi == Subspace.full(5, 3)
 
     z = FpMatrix(5, np.zeros((3, 3), dtype=np.int64))
     nil, semi = fitting_decomposition(z)
-    assert nil.shape[0] == 3 and semi.shape[0] == 0
+    assert nil == Subspace.full(5, 3) and semi.dim == 0
 
     proj = FpMatrix(2, np.diag([1, 0]).astype(np.int64))
     nil, semi = fitting_decomposition(proj)
-    assert [list(r) for r in nil] == [[0, 1]]
-    assert [list(r) for r in semi] == [[1, 0]]
+    assert nil.rows.tolist() == [[0, 1]]
+    assert semi.rows.tolist() == [[1, 0]]
 
 
 def test_fitting_nilpotent_block():
     j = np.array([[0, 1], [0, 0]], dtype=np.int64)
     nil, semi = fitting_decomposition(FpMatrix(3, j))
-    assert nil.shape[0] == 2 and semi.shape[0] == 0
+    assert nil.dim == 2 and semi.dim == 0
 
     mixed = np.zeros((3, 3), dtype=np.int64)
     mixed[0, 1] = 1  # J_2(0) on first two coordinates
     mixed[2, 2] = 1  # identity on the third
     nil, semi = fitting_decomposition(FpMatrix(3, mixed))
-    assert nil.shape[0] == 2 and semi.shape[0] == 1
-    assert [list(r) for r in semi] == [[0, 0, 1]]
+    assert nil.dim == 2 and semi.dim == 1
+    assert semi.rows.tolist() == [[0, 0, 1]]
 
 
 @settings(deadline=None, max_examples=60)
@@ -111,4 +111,4 @@ def test_fitting_random_invariants(p, n, seed):
     rng = np.random.default_rng(seed)
     f = FpMatrix(p, rng.integers(0, p, size=(n, n)))
     nil, semi = fitting_decomposition(f)  # internal checks assert the axioms
-    assert nil.shape[0] + semi.shape[0] == n
+    assert nil.dim + semi.dim == n

@@ -240,6 +240,11 @@ def test_koszul_commutator_complex_validation_past_the_join_threshold():
     assert cx.dims == {0: n, 1: 2 * n, 2: n}
 
 
+def test_koszul_commutator_complex_reports_a_wrong_shape_as_such():
+    with pytest.raises(ValueError, match="needs 2 x 2 matrices"):
+        koszul_commutator_complex(3, 2, [np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_koszul_complex_matches_per_subset_sign_loop(data):

@@ -21,6 +21,7 @@ from helpers import (
     oracle_cohomology,
     oracle_express,
     oracle_face_sum,
+    oracle_intersect,
     oracle_kernel_basis,
     oracle_quotient_reps,
     oracle_reduce,
@@ -283,6 +284,23 @@ def test_subspace_dimension_formula(p, n, seed):
     assert u.contains_space(i) and v.contains_space(i)
 
 
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_intersect_matches_the_two_elimination_oracle(data):
+    """One Zassenhaus elimination against the left kernel of the stacked
+    bases; B shares a random part of A so that intersections are nonzero."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 9))
+    rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
+    a = rng.integers(0, p, size=(rng.integers(0, n + 1), n))
+    shared = rng.integers(0, p, size=(rng.integers(0, 3), a.shape[0])) @ a
+    b = np.concatenate([shared, rng.integers(0, p, size=(rng.integers(0, n + 1), n))])
+    u, v = Subspace(p, n, a), Subspace(p, n, b)
+    got = u.intersect(v)
+    assert_canonical(got.basis)
+    assert got == oracle_intersect(u, v) == v.intersect(u)
+
+
 def test_subspace_reduce_express():
     p = 5
     u = Subspace(p, 4, [[1, 2, 0, 0], [0, 0, 1, 3]])
@@ -374,6 +392,45 @@ def test_double_complex_validation_past_the_join_threshold():
         DoubleComplex(p, {(0, 0): n, (1, 0): n, (2, 0): n}, {(0, 0): s, (1, 0): s}, {})
     with pytest.raises(ValueError, match=r"d_v\^2 != 0 at \(0, 0\)"):
         DoubleComplex(p, {(0, 0): n, (0, 1): n, (0, 2): n}, {}, {(0, 0): s, (0, 1): s})
+
+
+def _ones(p, *cells):
+    return {cell: FpMatrix(p, [[1]]) for cell in cells}
+
+
+# Broken laws away from (0, 0); the totalization's d∘d check finds each, and
+# the bidegree loop names it.  Entries of 1 mod 3 neither square to zero nor
+# anticommute.
+BROKEN_DOUBLE_COMPLEXES = [
+    ({(1, 2): 1, (2, 2): 1, (3, 2): 1}, _ones(3, (1, 2), (2, 2)), {},
+     r"d_h\^2 != 0 at \(1, 2\)"),
+    ({(2, 1): 1, (2, 2): 1, (2, 3): 1}, {}, _ones(3, (2, 1), (2, 2)),
+     r"d_v\^2 != 0 at \(2, 1\)"),
+    ({(1, 1): 1, (2, 1): 1, (1, 2): 1, (2, 2): 1}, _ones(3, (1, 1), (1, 2)),
+     _ones(3, (1, 1), (2, 1)), r"d_h d_v \+ d_v d_h != 0 at \(1, 1\)"),
+    # a valid anticommuting square at the origin, the broken row further out
+    ({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1, (3, 1): 1, (4, 1): 1, (5, 1): 1},
+     _ones(3, (0, 0), (0, 1), (3, 1), (4, 1)),
+     {(0, 0): FpMatrix(3, [[1]]), (1, 0): FpMatrix(3, [[2]])},
+     r"d_h\^2 != 0 at \(3, 1\)"),
+]
+
+
+@pytest.mark.parametrize("dims,d_h,d_v,message", BROKEN_DOUBLE_COMPLEXES,
+                         ids=["d_h-squared", "d_v-squared", "anticommutator", "past-a-valid-square"])
+def test_double_complex_names_a_broken_law_off_the_origin(dims, d_h, d_v, message):
+    with pytest.raises(ValueError, match=message):
+        DoubleComplex(3, dims, d_h, d_v)
+
+
+@pytest.mark.parametrize("part", ["d_h", "d_v"])
+def test_double_complex_refuses_a_block_into_an_empty_target(part):
+    """The totalization has no rows for an empty target, so only the shape
+    check stands between such a block and a silently dropped map."""
+    block = {(0, 0): FpMatrix(3, [[1, 0]])}
+    d_h, d_v = (block, {}) if part == "d_h" else ({}, block)
+    with pytest.raises(ValueError, match="shape"):
+        DoubleComplex(3, {(0, 0): 2}, d_h, d_v)
 
 
 def test_tensor_double_is_kunneth():

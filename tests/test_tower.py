@@ -143,8 +143,8 @@ def test_proper_tower_matches_fitting_on_random_maps(data):
     matrix = np.array(entries, dtype=np.int64).reshape(n, n)
     report = proper_tower_report(p, matrix)
     assert report["agree"]
-    _, semi_rows = fitting_decomposition(FpMatrix(p, matrix))
-    assert report["certified_lim_dim"] == len(semi_rows)
+    _, semi = fitting_decomposition(FpMatrix(p, matrix))
+    assert report["certified_lim_dim"] == semi.dim
     assert report["semisimple_dim"] + report["nilpotent_dim"] == n
 
 
