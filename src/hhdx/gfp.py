@@ -73,12 +73,12 @@ def fitting_decomposition(f):
         raise AssertionError("nilpotent and semisimple parts are not complementary")
     # the rows of N F^T are F applied to the basis rows of N
     transpose = f.transpose()
-    if nil.reduce_rows(linalg.product(nil.basis, transpose, f.p)).any():
+    if not nil.reduce_rows(linalg.product(nil.basis, transpose, f.p)).is_zero():
         raise AssertionError("nilpotent part is not F-stable")
     if not linalg.product(nil.basis, power.transpose(), f.p).is_zero():
         raise AssertionError("F^n does not kill the nilpotent part")
     images = linalg.product(semi.basis, transpose, f.p)
-    if semi.reduce_rows(images).any():
+    if not semi.reduce_rows(images).is_zero():
         raise AssertionError("semisimple part is not F-stable")
     if semi.dim and images.rank() != semi.dim:
         raise AssertionError("F is not bijective on the semisimple part")

@@ -214,7 +214,7 @@ def bar_differential_matrix(bimodule, j):
     m = bimodule.dim
     rows = n ** (j + 1) * m
     cols = n ** j * m
-    _check_capacity(rows, cols)
+    _check_capacity(rows * cols)
     eye_front = np.eye(n ** j, dtype=np.int64)
     # insertion of a_0 through the left action
     stack_l = np.concatenate(bimodule.left, axis=0)  # ((i0, t), s)
@@ -252,7 +252,7 @@ def bar_complex(bimodule, top=MAX_BAR_DEGREE):
 
 
 def hochschild_cohomology(bimodule, top):
-    """{j: (dim, representative rows)} for j = 0..top via the bar model."""
+    """{j: (dim, RREF FpMatrix of representatives)} for j = 0..top via the bar model."""
     cx = bar_complex(bimodule, top + 1)
     return {j: cx.cohomology(j) for j in range(top + 1)}
 
@@ -392,7 +392,7 @@ def hh_of_pair(p, r, degree_bound, dp_bound):
     cx, module, report = operator_window_koszul(p, 1, du, qu)
     dim0, reps0 = cx.cohomology(0)
     names = []
-    for row in reps0:
+    for row in reps0.a:
         op = module.from_vector(row)
         if len(op.terms) == 1 and not any(next(iter(op.terms))[1]):
             ((a,), _b), = op.terms.keys()

@@ -2,7 +2,8 @@
 
 A matrix is stored as its nonzeros only (row, column and value triples, values
 reduced to [1, p), sorted row-major) with a shape, from the builders through
-elimination; a dense int64 array is made per block and on demand (`.a`).
+elimination to the cohomology representatives; a dense int64 array, the only
+thing `MAX_MATRIX_ENTRIES` caps, is made per block and on demand (`.a`).
 Elimination gives the canonical RREF (first nonzero pivot, row-major), so
 every kernel basis and cohomology representative is deterministic; `_rref`
 eliminates each connected component of a matrix's nonzero pattern as a block
@@ -35,15 +36,16 @@ import numpy as np
 
 from .errors import CapacityError
 
-# A cap on the shape (rows x cols), checked before a builder builds.  Matrices
-# are stored as nonzeros, so it no longer bounds memory; it stays so that every
-# refusal and pin holds.  Caps on nonzeros and on the largest block come next.
+# The entries of one dense int64 array (320 MB), checked before such an array
+# is made: `FpMatrix.a`, each dense block of `_rref`, the output of `product`'s
+# dense `@` and the pair arrays of its join, and `bar_differential_matrix`.
+# Matrices are held as nonzeros everywhere else, so their shape is not capped.
 MAX_MATRIX_ENTRIES = 40_000_000
 
 
-def _check_capacity(rows, cols):
-    if rows * cols > MAX_MATRIX_ENTRIES:
-        raise CapacityError(f"dense matrix with {rows * cols} entries exceeds capacity")
+def _check_capacity(entries):
+    if entries > MAX_MATRIX_ENTRIES:
+        raise CapacityError(f"dense array of {entries} entries exceeds capacity")
 
 
 # On a 2-vCPU Xeon with numpy 2.4, below 2048 entries fixed per-call costs rule,
@@ -51,9 +53,9 @@ def _check_capacity(rows, cols):
 # entries: 14 us whole, 50 split; p1-cover's 34 x 35: 260 us whole, 430 split)
 # and `FpMatrix.from_triples` adds up densely (two 8 x 8 summed: 11 us, 20 by
 # sorting).  `_rref` also eliminates whole above one nonzero in 16, so labels
-# (35 bytes a nonzero) stay within a quarter of the whole copy (8 bytes an entry),
-# and when one component holds most columns.  `product` joins nonzeros (15 us +
-# 20 ns a pair) where that beats int64 `@` (0.4 ns a multiply-add).
+# (35 bytes a nonzero) stay within a quarter of the whole copy (8 bytes an
+# entry).  `product` joins nonzeros (15 us + 20 ns a pair) where that beats
+# int64 `@` (0.4 ns a multiply-add).
 _SPLIT_MIN_ENTRIES, _SPLIT_MAX_DENSITY = 2048, 16
 _JOIN_FIXED_WORK, _JOIN_PAIR_WORK = 37_500, 50
 
@@ -85,13 +87,12 @@ def _rref(a, p):
     """
     nrows, ncols = a.shape
     if nrows * ncols < _SPLIT_MIN_ENTRIES or a.val.size * _SPLIT_MAX_DENSITY > nrows * ncols:
-        return _rref_whole(a, p)
+        red, pivots = _rref_dense(a.a, p)  # small or dense: eliminated whole
+        return FpMatrix(p, red), pivots
     label = _components(a.row, a.col + nrows, nrows + ncols)
     cols = np.unique(a.col)
     col_label = label[nrows + cols]
     width = np.bincount(col_label, minlength=nrows + ncols)  # columns a component has
-    if width.max(initial=0) * 2 > ncols:
-        return _rref_whole(a, p)
     single = cols[width[col_label] == 1]
     # (pivot of its row, column, value) of every RREF entry
     pieces = [(single, single, np.ones(single.size, dtype=np.int64))]
@@ -99,6 +100,7 @@ def _rref(a, p):
     ent = ent[np.argsort(label[a.row[ent]], kind="stable")]
     for block in np.split(ent, np.flatnonzero(np.diff(label[a.row[ent]])) + 1) if ent.size else []:
         rs, cs = np.unique(a.row[block]), np.unique(a.col[block])
+        _check_capacity(rs.size * cs.size)
         dense = np.zeros((rs.size, cs.size), dtype=np.int64)
         dense[np.searchsorted(rs, a.row[block]), np.searchsorted(cs, a.col[block])] = a.val[block]
         red, piv = _rref_dense(dense, p)
@@ -108,12 +110,6 @@ def _rref(a, p):
     pivots = np.unique(lead)
     basis = FpMatrix.from_triples(p, (pivots.size, ncols), np.searchsorted(pivots, lead), col, val)
     return basis, tuple(pivots.tolist())
-
-
-def _rref_whole(a, p):
-    """`_rref` of the whole matrix by the dense loop."""
-    red, pivots = _rref_dense(a.a, p)
-    return FpMatrix(p, red), pivots
 
 
 def _rref_dense(a, p):
@@ -143,23 +139,25 @@ def _rref_dense(a, p):
 
 
 def product(x, y, p):
-    """x @ y mod p for FpMatrix x and y, refused over capacity before it is
-    built.  Each nonzero x[i, k] meets the nonzeros of row k of y (a join on
-    k) and the products add into (i, j); numpy's dense `@` serves where it is
-    cheaper or the join would hold more pairs than the product has entries."""
+    """x @ y mod p for FpMatrix x and y, refused over capacity before a dense
+    array is made.  Each nonzero x[i, k] meets the nonzeros of row k of y (a
+    join on k) and the products add into (i, j); numpy's dense `@` serves where
+    it is cheaper or the join would hold more pairs than the product has
+    entries."""
     m, n = x.rows, y.cols
-    _check_capacity(m, n)
     work = m * x.cols * n
     if work >= _JOIN_FIXED_WORK:
         counts = np.bincount(y.row, minlength=y.rows)  # nonzeros in each row of y
         reps = counts[x.col]
         pairs = int(reps.sum())
         if work >= _JOIN_FIXED_WORK + _JOIN_PAIR_WORK * pairs and pairs <= m * n:
+            _check_capacity(pairs)
             xt = np.repeat(np.arange(x.val.size), reps)
             yt = np.arange(pairs) + np.repeat((np.cumsum(counts) - counts)[x.col]
                                               - np.cumsum(reps) + reps, reps)
             return FpMatrix.from_triples(p, (m, n), x.row[xt], y.col[yt],
                                           x.val[xt] * y.val[yt])
+    _check_capacity(m * n)
     return FpMatrix(p, x.a @ y.a)
 
 
@@ -176,7 +174,6 @@ class FpMatrix:
         a = a.reshape(1, -1) if a.ndim == 1 else a
         if a.ndim != 2:
             raise ValueError("matrix data must be 2-dimensional")
-        _check_capacity(*a.shape)
         a = a % p
         row, col = a.nonzero()
         self.p, self.shape, self.row, self.col, self.val = p, a.shape, row, col, a[row, col]
@@ -191,8 +188,7 @@ class FpMatrix:
     @classmethod
     def from_triples(cls, p, shape, row, col, val):
         """The matrix whose entry (i, j) is the sum mod p of the values at
-        (i, j): duplicates add, zeros drop, refused over capacity."""
-        _check_capacity(*shape)
+        (i, j): duplicates add, zeros drop."""
         shape = (int(shape[0]), int(shape[1]))
         row, col, val = (np.asarray(x, dtype=np.int64) for x in (row, col, val))
         if shape[0] * shape[1] < _SPLIT_MIN_ENTRIES:  # small: add up in a dense block
@@ -213,7 +209,6 @@ class FpMatrix:
 
     @classmethod
     def zeros(cls, p, rows, cols):
-        _check_capacity(rows, cols)
         empty = np.zeros(0, dtype=np.int64)
         return cls._wrap(p, (rows, cols), empty, empty, empty)
 
@@ -228,7 +223,7 @@ class FpMatrix:
     @property
     def a(self):
         """A dense int64 copy, refused over capacity."""
-        _check_capacity(*self.shape)
+        _check_capacity(self.rows * self.cols)
         out = np.zeros(self.shape, dtype=np.int64)
         out[self.row, self.col] = self.val
         return out
@@ -341,7 +336,7 @@ class FpMatrix:
 
 class Subspace:
     """Subspace of F_p^n stored as an RREF row basis (canonical): `basis`, an
-    FpMatrix, and the pivot column of each row; `.rows` is the basis dense."""
+    FpMatrix, and the pivot column of each row."""
 
     __slots__ = ("p", "n", "basis", "pivots")
 
@@ -382,19 +377,15 @@ class Subspace:
     def dim(self):
         return self.basis.rows
 
-    @property
-    def rows(self):
-        return self.basis.a
-
     def reduce(self, v):
-        """Canonical representative of v modulo this subspace."""
-        return self.reduce_rows(np.reshape(v, (1, -1)))[0]
+        """Canonical representative of the vector v modulo this subspace: v less
+        its coordinates at the pivots times the RREF basis."""
+        v = np.mod(np.asarray(v, dtype=np.int64), self.p)
+        return np.mod(v - self.basis.transpose() @ v[list(self.pivots)], self.p)
 
     def reduce_rows(self, mat):
-        """Rows of mat less their coordinates at the pivots times the RREF basis."""
-        out = np.mod(np.asarray(mat, dtype=np.int64), self.p)
-        coords = FpMatrix(self.p, out[:, list(self.pivots)])
-        return np.mod(out - product(coords, self.basis, self.p).a, self.p)
+        """`reduce` of each row of the FpMatrix mat, as an FpMatrix."""
+        return mat - product(mat.take(slice(None), list(self.pivots)), self.basis, self.p)
 
     def contains(self, v):
         return not self.reduce(v).any()
@@ -517,12 +508,12 @@ def _image_space(d, p, dim):
 
 
 def cohomology_at(d_in, d_out, p, dim):
-    """(dimension, representative rows) of ker(d_out)/im(d_in).
+    """(dimension, RREF FpMatrix of representatives) of ker(d_out)/im(d_in).
 
     d_in maps into the space (may be None), d_out maps out of it (may be None).
     """
     reps = _kernel_space(d_out, p, dim).quotient_reps(_image_space(d_in, p, dim))
-    return reps.dim, reps.rows
+    return reps.dim, reps.basis
 
 
 class CochainComplex:
@@ -571,14 +562,12 @@ class CochainComplex:
         return self._images[m]
 
     def cohomology(self, m):
-        """(dimension, representative basis rows, read-only) at degree m."""
+        """(dimension, RREF FpMatrix of representatives) at degree m."""
         if m not in self._cohomology:
             if m < self.lo or m > self.hi:
                 raise ValueError(f"degree {m} outside complex range [{self.lo}, {self.hi}]")
             reps = self.kernel(m).quotient_reps(self.image(m))
-            rows = reps.rows
-            rows.flags.writeable = False
-            self._cohomology[m] = (reps.dim, rows)
+            self._cohomology[m] = (reps.dim, reps.basis)
         return self._cohomology[m]
 
     def betti(self):

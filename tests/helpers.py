@@ -260,7 +260,7 @@ def joins(x, y):
 def oracle_reduce(space, v):
     """v modulo an RREF span, one pivot at a time on a single vector."""
     v = np.mod(np.asarray(v, dtype=np.int64), space.p).copy()
-    rows = space.rows
+    rows = space.basis.a
     for r, c in enumerate(space.pivots):
         if v[c]:
             v = (v - v[c] * rows[r]) % space.p
@@ -270,7 +270,7 @@ def oracle_reduce(space, v):
 def oracle_quotient_reps(space, sub):
     """Transversal of space/sub: every RREF row of space reduced modulo sub
     by `oracle_reduce`, then eliminated again."""
-    reduced = [oracle_reduce(sub, row) for row in space.rows]
+    reduced = [oracle_reduce(sub, row) for row in space.basis.a]
     reduced = np.array(reduced, dtype=np.int64).reshape(space.dim, space.n)
     return Subspace(space.p, space.n, reduced)
 
@@ -280,16 +280,16 @@ def oracle_intersect(space, other):
     elimination for that kernel, one more for the span of x A."""
     if space.dim == 0 or other.dim == 0:
         return Subspace(space.p, space.n)
-    stacked = np.concatenate([space.rows, -other.rows])
+    stacked = np.concatenate([space.basis.a, -other.basis.a])
     x = oracle_kernel_basis(FpMatrix(space.p, stacked.T))[:, :space.dim]
-    return Subspace(space.p, space.n, (x @ space.rows) % space.p)
+    return Subspace(space.p, space.n, (x @ space.basis.a) % space.p)
 
 
 def oracle_express(space, v):
     """Coordinates of v in the RREF rows, checked by one residual product."""
     v = np.mod(np.asarray(v, dtype=np.int64), space.p)
     coords = np.array([v[c] for c in space.pivots], dtype=np.int64)
-    resid = (v - coords @ space.rows) % space.p if space.dim else v
+    resid = (v - coords @ space.basis.a) % space.p if space.dim else v
     return None if resid.any() else coords
 
 
@@ -394,7 +394,7 @@ def oracle_kernel_basis(m):
         basis[k, c] = 1
         for r, pc in enumerate(pivots):
             basis[k, pc] = (-int(red[r, c])) % m.p
-    return Subspace(m.p, m.cols, basis).rows
+    return Subspace(m.p, m.cols, basis).basis.a
 
 
 def oracle_cohomology(d_in, d_out, p, dim):
@@ -405,7 +405,7 @@ def oracle_cohomology(d_in, d_out, p, dim):
         kernel = Subspace(p, dim, oracle_kernel_basis(d_out))
     image = Subspace(p, dim) if d_in is None else Subspace(p, dim, d_in.image_basis())
     reps = oracle_quotient_reps(kernel, image)
-    return kernel, image, (reps.dim, reps.rows)
+    return kernel, image, (reps.dim, reps.basis)
 
 
 def fresh_copy(dc):
@@ -454,10 +454,10 @@ def oracle_spectral_sequence(dc, max_page):
             den = approx_cycles(n, i + 1, max(r - 1, 0))
             prev = approx_cycles(n - 1, i - r + 1, r - 1) if n >= 1 else None
             if prev is not None and prev.dim and total:
-                bound = (prev.rows @ dc.total_differential(n - 1).a.T) % p
+                bound = (prev.basis.a @ dc.total_differential(n - 1).a.T) % p
                 den = den.sum(Subspace(p, total, bound))
             denoms[(i, j)] = den
-            rep = Subspace(p, total, den.reduce_rows(num.rows))
+            rep = Subspace(p, total, den.reduce_rows(num.basis))
             reps[(i, j)] = rep
             if rep.dim:
                 dims[(i, j)] = rep.dim
@@ -468,7 +468,7 @@ def oracle_spectral_sequence(dc, max_page):
                 continue
             d_mat = dc.total_differential(i + j).a
             cols = []
-            for v in reps[(i, j)].rows:
+            for v in reps[(i, j)].basis.a:
                 coord = reps[tgt].express(denoms[tgt].reduce((d_mat @ v) % p))
                 assert coord is not None, "spectral differential left the page"
                 cols.append(coord)

@@ -84,9 +84,10 @@ def test_invalid_configuration_exits_3(argv, capsys):
     ["--scenario", "p1-cover", "--prime", "2", "--depth", "1", "--degree-bound", "2"],
     ["--scenario", "cup-ring-map", "--prime", "3", "--depth", "2",
      "--degree-bound", "4"],
-    # a 160801 x 160801 operator matrix: refused before it is allocated
-    ["--scenario", "pd-derham", "--prime", "5", "--degree-bound", "400",
-     "--dp-cap", "400"],
+    # the first line window over the rank cap (448^2 = 200 704): refused before
+    # any operator is built
+    ["--scenario", "pd-derham", "--prime", "5", "--degree-bound", "447",
+     "--dp-cap", "447"],
     # one dimension past the tower cap: refused before the image chain is built
     ["--scenario", "proper-hh", "--prime", "2", "--operator",
      ";".join([",".join(["0"] * (tower.MAX_TOWER_DIM + 1))] * (tower.MAX_TOWER_DIM + 1))],
@@ -378,3 +379,19 @@ def test_a1_hh_centralizers_reach_a_large_dp_window(capsys):
     report = json.loads(capsys.readouterr().out)
     jsonschema.validate(report, SCHEMA)
     assert report["ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "pd-derham", "--prime", "5", "--degree-bound", "80", "--dp-cap", "80"],
+    ["--scenario", "a1-hh", "--prime", "3", "--depth", "2", "--degree-bound", "60",
+     "--dp-cap", "60"],
+], ids=["pd-derham-80", "a1-hh-60"])
+def test_windows_with_over_cap_shapes_report(argv, capsys):
+    """Both eliminate matrices with more entries than one dense array may hold
+    (pd-derham's 6561 x 6561 line differentials, a1-hh's 21045 x 3721
+    centralizer stack); held as nonzeros, they are eliminated block by block."""
+    assert main([*argv, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, SCHEMA)
+    assert report["ok"] is True
+    assert all(entry["status"] == "pass" for entry in report["assertions"])

@@ -88,8 +88,8 @@ def test_fitting_identity_zero_and_projector():
 
     proj = FpMatrix(2, np.diag([1, 0]).astype(np.int64))
     nil, semi = fitting_decomposition(proj)
-    assert nil.rows.tolist() == [[0, 1]]
-    assert semi.rows.tolist() == [[1, 0]]
+    assert nil.basis.a.tolist() == [[0, 1]]
+    assert semi.basis.a.tolist() == [[1, 0]]
 
 
 def test_fitting_nilpotent_block():
@@ -102,7 +102,7 @@ def test_fitting_nilpotent_block():
     mixed[2, 2] = 1  # identity on the third
     nil, semi = fitting_decomposition(FpMatrix(3, mixed))
     assert nil.dim == 2 and semi.dim == 1
-    assert semi.rows.tolist() == [[0, 0, 1]]
+    assert semi.basis.a.tolist() == [[0, 0, 1]]
 
 
 @settings(deadline=None, max_examples=60)
