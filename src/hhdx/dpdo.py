@@ -19,28 +19,30 @@ without re-validation.  The module also provides the closed-form
 centrality depth, realization of an operator as a matrix over the
 Frobenius-twist subring, compression of a twist-aligned operator to the
 corner copy acting on the subring (and the compressed degree window every
-depth-r scenario shares), the coordinate inversion x -> 1/x for Laurent
-operators, finite-dimensional windowed operator modules with exact
-commutator matrices, and a renderer for a stable operator syntax such as
+depth-r scenario shares), operator windows held as exponent arrays whose
+matrices one builder writes from closed-form image terms (never through
+the product memo), and a renderer for a stable operator syntax such as
 "2*t^3*Dt^(2) + t + 1".
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from . import linalg
 from .errors import CapacityError, DepthError, WindowError
-from .gfp import binomial_mod, require_prime
+from .gfp import binomial_array, binomial_mod, require_prime
 from .poly import MAX_EXPONENT, MultiPoly, PolyRing
 
 MAX_PRODUCT_WORK = 2_000_000
-# The rank of one operator window.  At the edge, pd-derham p = 5, N = 446 (a
-# 447^2 = 199 809 line window) reports in 13.3 s with a peak RSS of 424 MB (one
-# process, 2-vCPU guest); both grow about linearly in the rank (N = 300: 5.3 s
-# and 201 MB).
+# The rank of one operator window.  One process per report, 2-vCPU guest: the
+# edge pd-derham p = 5, N = 446 (447^2 = 199 809) takes 1.9 s and 109 MB; the
+# costliest input near it, a1-hh p = 5, r = 2, window 384, 18.3 s and 269 MB, a
+# third of it building matrices.  Lifting the cap waits for a plan of the matrices
+# before they are built, without which a1-hh would run far past that budget.
 MAX_WINDOW_RANK = 200_000
 
 
@@ -67,9 +69,6 @@ class OperatorAlgebra:
     @property
     def laurent(self):
         return self.ring.laurent
-
-    def zero(self):
-        return DPDOperator(self, {})
 
     def one(self):
         z = (0,) * self.n
@@ -496,52 +495,20 @@ def compression_action_agrees(op, compressed, r, degree_bound):
     return True
 
 
-# -- coordinate inversion x -> 1/x ------------------------------------------------------------------
-
-
-def invert_variable(op, target):
-    """Rewrite a one-variable Laurent operator in the coordinate u = 1/x.
-
-    x^c D^(d) acts on x^m = u^(-m) by C(m, d) x^(m-d+c); matching that
-    action in the u-picture gives sum_{b<=d} t_b u^(b+d-c) Du^(b) with
-    t_b the b-th forward difference at 0 of k |-> C(-k, d).
-    """
-    if not (op.algebra.laurent and op.algebra.n == 1):
-        raise ValueError("coordinate inversion needs a one-variable Laurent algebra")
-    if not (target.laurent and target.n == 1 and target.p == op.algebra.p):
-        raise ValueError("target must be a one-variable Laurent algebra over the same prime")
-    p = op.algebra.p
-    out = target.zero()
-    for ((c,), (d,)), coeff in op.terms.items():
-        values = [binomial_mod(-k, d, p) for k in range(d + 1)]
-        # forward differences evaluated at 0
-        diffs = list(values)
-        table = []
-        for _ in range(d + 1):
-            table.append(diffs[0])
-            diffs = [(diffs[i + 1] - diffs[i]) % p for i in range(len(diffs) - 1)]
-        for b in range(d + 1):
-            t_b = (table[b] * coeff) % p
-            if t_b:
-                out = out + target.monomial((b + d - c,), (b,), t_b)
-    return out
-
-
 # -- windowed operator modules ------------------------------------------------------------------------
 
 
 class TruncatedOperatorModule:
-    """Finite-dimensional window of an operator algebra.
-
-    Basis: x^a D^(b) with each monomial exponent in [lo, hi] (lo = -hi for
-    Laurent algebras, 0 otherwise) and each divided-power exponent in
-    [0, dp_bound], ordered lexicographically.  Used as the underlying
-    space of commutator (Koszul-type) complexes; commutator matrices with
-    window-exact elements are certified, anything leaving the window
-    raises WindowError instead of truncating silently.
+    """Finite-dimensional window of an operator algebra, the space of the
+    commutator (Koszul-type) complexes: x^a D^(b) with each monomial exponent
+    in [lo, hi] (lo = -hi for Laurent algebras, 0 otherwise) and each
+    divided-power exponent in [0, dp_bound], held as int64 exponent arrays
+    `a` and `b` (dim x n) in lexicographic order, so a term's index is its
+    mixed-radix number.  Window maps are written exactly from their image
+    terms; a term leaving the target raises WindowError, never truncation.
     """
 
-    __slots__ = ("algebra", "lo", "hi", "dp_bound", "basis", "index")
+    __slots__ = ("algebra", "lo", "hi", "dp_bound", "radix", "a", "b", "dim")
 
     def __init__(self, algebra, degree_bound, dp_bound):
         if degree_bound < 0 or dp_bound < 0:
@@ -551,48 +518,73 @@ class TruncatedOperatorModule:
         self.lo = -degree_bound if algebra.laurent else 0
         self.dp_bound = dp_bound
         n = algebra.n
-        width = self.hi - self.lo + 1
-        count = (width ** n) * ((dp_bound + 1) ** n)
-        if count > MAX_WINDOW_RANK:
-            raise CapacityError(f"operator window of rank {count} exceeds capacity")
-        self.basis = [
-            (a, b)
-            for a in itertools.product(range(self.lo, self.hi + 1), repeat=n)
-            for b in itertools.product(range(0, dp_bound + 1), repeat=n)
-        ]
-        self.index = {ab: i for i, ab in enumerate(self.basis)}
+        radix = (self.hi - self.lo + 1,) * n + (dp_bound + 1,) * n
+        if math.prod(radix) > MAX_WINDOW_RANK:
+            raise CapacityError(f"operator window of rank {math.prod(radix)} exceeds capacity")
+        self.radix = np.array(radix)
+        digits = np.indices(radix).reshape(2 * n, -1).T
+        self.a, self.b = digits[:, :n] + self.lo, digits[:, n:]
+        self.dim = len(digits)
 
-    @property
-    def dim(self):
-        return len(self.basis)
+    def _locate(self, a, b):
+        """Index of each term (rows of a, b) in the window, -1 outside it."""
+        digits = np.concatenate([a - self.lo, b], axis=1)
+        inside = ((digits >= 0) & (digits < self.radix)).all(axis=1)
+        return np.where(inside, np.ravel_multi_index(digits.T, self.radix, mode="clip"), -1)
 
-    def coordinates(self, op):
-        """(index, coefficient) of each term of op; WindowError off the window."""
-        if op.algebra != self.algebra:
-            raise ValueError("operator from a different algebra")
-        for key, c in op.terms.items():
-            i = self.index.get(key)
-            if i is None:
-                raise WindowError(f"term {key} falls outside the module window")
-            yield i, c
+    def operator(self, vec):
+        """The operator with coordinates vec in this window."""
+        return DPDOperator(self.algebra, {(tuple(self.a[k]), tuple(self.b[k])): vec[k]
+                                          for k in np.flatnonzero(np.mod(vec, self.algebra.p))})
 
-    def from_vector(self, vec):
-        return DPDOperator(self.algebra,
-                           {self.basis[i]: c for i, c in enumerate(vec) if c % self.algebra.p})
-
-    def operator_matrix(self, func, target=None):
-        """Matrix (over the target window) of a linear map given on basis
-        operators, written from each image's nonzero terms.  Raises
-        WindowError if any image leaves the target."""
-        target = target or self
-        triples = []
-        for col, ab in enumerate(self.basis):
-            _check_term(self.algebra, *ab)
-            triples += ((i, col, c) for i, c in
-                        target.coordinates(func(DPDOperator._wrap(self.algebra, {ab: 1}))))
-        return linalg.FpMatrix.from_triples(self.algebra.p, (target.dim, self.dim),
-                                             *np.array(triples, dtype=np.int64).reshape(-1, 3).T)
+    def operator_matrix(self, images, target=None):
+        """Matrix over the target window of the map sending basis column k to
+        the sum of its image terms: `images` holds (a, b, coefficient) arrays,
+        one term per column (a column's terms distinct; a coefficient may be a
+        scalar).  The window's own basis past the caps is refused first; once all
+        images are read, a nonzero term outside the target raises WindowError."""
+        target, p = target or self, self.algebra.p
+        _check_terms(self.algebra, self.a, self.b, True)
+        triples, misses = [(np.zeros(0, dtype=np.int64),) * 3], []
+        for a, b, c in images:
+            c = np.broadcast_to(c, self.dim)
+            col = np.flatnonzero(np.mod(c, p))
+            row = target._locate(a[col], b[col])
+            misses += [(k, tuple(a[k].tolist()), tuple(b[k].tolist())) for k in col[row < 0][:1]]
+            triples.append((row, col, c[col]))
+        if misses:
+            term = min(misses, key=lambda miss: miss[0])[1:]
+            raise WindowError(f"term {term} falls outside the module window")
+        return linalg.FpMatrix.from_triples(p, (target.dim, self.dim),
+                                             *(np.concatenate(x) for x in zip(*triples)))
 
     def commutator_matrix(self, g, target=None):
-        """Matrix of [g, -] into the target window (exact or WindowError)."""
-        return self.operator_matrix(lambda m: g.commutator(m), target=target)
+        """Matrix of [g, -] into the target window for a monomial g = k x^c D^(e),
+        one array pass per j in the box 0 <= j_i <= max(e_i, h_i), h_i = dp_bound
+        if c_i < 0 else min(dp_bound, c_i) (e_i capped at hi in a polynomial window,
+        where C(a_i, j_i) = 0 for j_i > a_i): x^(a+c-j) D^(b+e-j) gets k (L - R),
+        L = prod_i C(a_i, j_i) C(b_i+e_i-j_i, e_i-j_i) from g x^a D^(b) and
+        R = prod_i C(c_i, j_i) C(b_i+e_i-j_i, b_i-j_i) from x^a D^(b) g.  A term
+        past the caps is refused where L or R is nonzero."""
+        ((c, e), k), = g.terms.items()
+        p, c, e = self.algebra.p, np.array(c), np.array(e)
+        box = np.maximum(e if self.lo else np.minimum(e, self.hi),
+                         np.where(c < 0, self.dp_bound, np.minimum(self.dp_bound, c))) + 1
+
+        def images():
+            for j in map(np.array, np.ndindex(*box)):
+                a, b = self.a + c - j, self.b + e - j
+                left = (binomial_array(self.a, j, p) * binomial_array(b, e - j, p)).prod(axis=1) % p
+                right = (binomial_array(c, j, p).prod()
+                         * binomial_array(b, self.b - j, p).prod(axis=1) % p)
+                _check_terms(self.algebra, a, b, (left != 0) | (right != 0))
+                yield a, b, k * (left - right)
+
+        return self.operator_matrix(images(), target)
+
+
+def _check_terms(algebra, a, b, where):
+    """`_check_term` on the first term (rows of a, b) in `where` past a cap."""
+    past = where & ((np.abs(a) >= MAX_EXPONENT) | (b > algebra.dp_cap)).any(axis=1)
+    for k in np.flatnonzero(past)[:1]:
+        _check_term(algebra, a[k].tolist(), b[k].tolist())

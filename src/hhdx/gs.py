@@ -36,9 +36,9 @@ import itertools
 
 import numpy as np
 
-from .dpdo import OperatorAlgebra, TruncatedOperatorModule, compressed_degree, invert_variable
+from .dpdo import OperatorAlgebra, TruncatedOperatorModule, compressed_degree
 from .errors import CapacityError, WindowError
-from .gfp import require_prime
+from .gfp import binomial_array, require_prime
 from .hochschild import Bimodule, bar_differential_matrix, cup_contract
 from .linalg import DoubleComplex, Subspace, block_matrix, face_complex, face_sum
 
@@ -484,8 +484,8 @@ def _surjective_onto_window(p, image_matrix, target_module, a_lo, a_hi, b_max):
     """Does the image of the matrix contain every basis operator x^a D^(b)
     of the target window with a in [a_lo, a_hi] and b <= b_max?"""
     space = Subspace._from_rref(p, image_matrix.rows, image_matrix.image_basis())
-    return space.contains_units([k for k, ((a,), (b,)) in enumerate(target_module.basis)
-                                 if a_lo <= a <= a_hi and b <= b_max])
+    a, b = target_module.a[:, 0], target_module.b[:, 0]
+    return space.contains_units(np.flatnonzero((a_lo <= a) & (a <= a_hi) & (b <= b_max)))
 
 
 def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
@@ -517,10 +517,10 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
     du = compressed_degree(p, r, degree_bound)
     qu = max(1, dp_bound // p ** r)
     flags = []
-    # p1 reports with the caps lifted (p = 2, one process on a 2-vCPU Xeon):
-    # (du, qu) = (8, 4) 0.10 s, 39 MB; (12, 6) 0.63 s, 66 MB; (16, 4) 0.56 s,
-    # 58 MB; (16, 8) 3.4 s, 133 MB; 16 eliminations at each.  Cost does not
-    # bind here; the caps stay because report bytes and pinned digests do.
+    # p1 reports with the caps lifted (p = 2, one process on a 2-vCPU guest,
+    # interpreter start included): (du, qu) = (8, 4) 0.39 s, 32 MB; (16, 8)
+    # 0.50 s, 32 MB; (32, 16) 0.71 s, 38 MB, where dp_cap = 16 binds next.  Cost
+    # does not bind here; the caps stay because report bytes and pinned digests do.
     if du > 8:
         du = 8
         flags.append("degree_window_capped")
@@ -545,7 +545,6 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
         alg_u = OperatorAlgebra(p, 1, names=("u",))
         alg_v = OperatorAlgebra(p, 1, names=("v",))
         alg_l = OperatorAlgebra(p, 1, names=("u",), laurent=True)
-        alg_lv = OperatorAlgebra(p, 1, names=("v",), laurent=True)
         m_u0 = TruncatedOperatorModule(alg_u, du, qu)
         m_u1 = TruncatedOperatorModule(alg_v, du, qu)
         m_u01 = TruncatedOperatorModule(alg_l, du, qu)
@@ -562,15 +561,15 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
               -du + qu, du - 2)],
         ]
 
-        def transport(m):  # U0's operators re-tagged as Laurent ones
-            return alg_l.from_terms(m.terms)
-
-        def chart_change(m):
-            return invert_variable(alg_lv.from_terms(m.terms), alg_l)
-
-        def comparison(m):
-            return -((u_inv * m) * u_inv)
-
+        # image terms, one per column and pass t: inclusion and transport are the
+        # identity; the chart change u = 1/v sends v^c Dv^(d) to the Lah expansion
+        # of (-u^2 Du)^d / d!, sum_t (-1)^d C(d-1, d-t) u^(t+d-c) Du^(t); the
+        # comparison sends x^a D^(b) to -u^-1 x^a D^(b) u^-1 = -sum_t (-1)^t x^(a-2-t) D^(b-t)
+        c, d = m_u1.a[:, 0], m_u1.b[:, 0]
+        chart_change = [((t + d - c)[:, None], np.full_like(m_u1.b, t),
+                         (-1) ** d * binomial_array(d - 1, d - t, p)) for t in range(qu + 1)]
+        comparison = [(m_u01.a - 2 - t, m_u01.b - t, np.where(m_u01.b[:, 0] >= t, -(-1) ** t, 0))
+                      for t in range(qu + 1)]
         vertices = [("U0",), ("U1",), ("U01",)]
         edges = [("U01", "U0"), ("U01", "U1")]
         vertex_dims = {(cell[0],): cell[2].dim for cell in columns[0]}
@@ -579,12 +578,12 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
         # and U01, by the inclusion; on row 1 the second edge's U01 face is
         # the comparison chain map (id, m -> -u^-1 m u^-1) instead
         for j, target in enumerate([m_edge0, m_edge1]):
-            inclusion = m_u01.operator_matrix(lambda m: m, target=target)
+            inclusion = m_u01.operator_matrix([(m_u01.a, m_u01.b, 1)], target)
             faces = {
-                (edges[0], 0): m_u0.operator_matrix(transport, target=target),
+                (edges[0], 0): m_u0.operator_matrix([(m_u0.a, m_u0.b, 1)], target),
                 (edges[0], 1): inclusion,
-                (edges[1], 0): m_u1.operator_matrix(chart_change, target=target),
-                (edges[1], 1): m_u01.operator_matrix(comparison, target=target) if j else inclusion,
+                (edges[1], 0): m_u1.operator_matrix(chart_change, target),
+                (edges[1], 1): m_u01.operator_matrix(comparison, target) if j else inclusion,
             }
             d_h[(0, j)] = face_sum(p, vertices, edges, lambda s: vertex_dims.get(s, target.dim),
                                    lambda s, k: faces[s, k])

@@ -324,10 +324,8 @@ def operator_window_koszul(p, n, degree_bound, dp_bound):
     report = {"degree_bound": degree_bound, "dp_bound": dp_bound, "vars": n}
     # degree 0: kernel == multiplication operators, exactly
     h0 = cx.kernel(0)  # d_in is zero in degree 0
-    mult_coords = sorted(module.index[(a, b)] for (a, b) in module.basis
-                         if all(e == 0 for e in b))
     # both sides are canonical RREF bases, so equal spans means equal bases
-    certified0 = h0 == Subspace.units(p, module.dim, mult_coords)
+    certified0 = h0 == Subspace.units(p, module.dim, np.flatnonzero((module.b == 0).all(axis=1)))
     report["h0"] = {"dim": h0.dim, "certified_multiplication_operators": bool(certified0)}
 
     # top degree: surjectivity onto the dp <= dp_bound - 1 sub-window
@@ -335,8 +333,7 @@ def operator_window_koszul(p, n, degree_bound, dp_bound):
     raw_top, _ = cx.cohomology(top)
     # top-degree block of the basis is the last lambda-block (full subset)
     offset = cx.dims[top] - module.dim
-    inner = [offset + k for k, (a, b) in enumerate(module.basis)
-             if all(e <= dp_bound - 1 for e in b)]
+    inner = offset + np.flatnonzero((module.b <= dp_bound - 1).all(axis=1))
     vanished = cx.image(top).contains_units(inner)
     report["h_top"] = {
         "raw_dim": raw_top,
@@ -360,12 +357,9 @@ def _middle_window_vanishes(cx, module, j, window):
     """(ker d^j  ∩ W + im d^(j-1)) / im = 0 for the dp <= window layer W."""
     p = cx.p
     dim_j = cx.dims[j]
-    blocks = dim_j // module.dim
-    keep = [block * module.dim + k
-            for block in range(blocks)
-            for k, (a, b) in enumerate(module.basis)
-            if all(e <= window for e in b)]
-    if not keep:
+    keep = (np.arange(dim_j // module.dim)[:, None] * module.dim
+            + np.flatnonzero((module.b <= window).all(axis=1))).ravel()
+    if not keep.size:
         return True
     small = cx.kernel(j).intersect(Subspace.units(p, dim_j, keep))
     return cx.image(j).contains_space(small)
@@ -393,12 +387,10 @@ def hh_of_pair(p, r, degree_bound, dp_bound):
     dim0, reps0 = cx.cohomology(0)
     names = []
     for row in reps0.a:
-        op = module.from_vector(row)
-        if len(op.terms) == 1 and not any(next(iter(op.terms))[1]):
-            ((a,), _b), = op.terms.keys()
-            names.append("1" if a == 0 else (f"t^{a * q}" if a * q > 1 else "t"))
-        else:
-            names.append(op.render())
+        op = module.operator(row)
+        ((a,), b), *rest = op.terms
+        name = f"t^{a * q}" if a * q > 1 else ("t" if a else "1")
+        names.append(op.render() if rest or b[0] else name)
     return {
         "depth": r,
         "compressed_window": {"degree_bound": du, "dp_bound": qu},

@@ -7,6 +7,7 @@ builders the nonzero triples of FpMatrix are tested against, the
 hand-written constructions the
 shared builders replaced, the general tower limit the closed-form Tower is
 tested against, the term-by-term operator product the normal-ordering kernel
+is tested against, the per-column operator window the array window builder
 is tested against, and the direct commutation check and tensor algebra that
 only tests need."""
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from hhdx import linalg
 from hhdx.dpdo import MAX_PRODUCT_WORK, DPDOperator, OperatorAlgebra, TruncatedOperatorModule
-from hhdx.errors import CapacityError
+from hhdx.errors import CapacityError, WindowError
 from hhdx.gfp import binomial_mod
 from hhdx.gs import Poset, SpaceDiagram
 from hhdx.hochschild import StructAlgebra
@@ -191,13 +192,15 @@ def gapped_double_complex(p, rng):
 # around every basis and per-vector reduce/express for the page differentials.
 # The whole-matrix elimination, the dense product, the per-pivot
 # reduce/express, the reduce-then-eliminate quotient, the explicit page
-# subquotients, the dense per-column operator matrix, the dense matrix
-# arithmetic and block and face-sum builders, and the stack of one commutator
-# per divided power are the paths the library replaced by the block split of
-# `_rref`, the nonzero join of `product`, reduce_rows' one product, the
-# pivot selection of quotient_reps, persistence pairs, the nonzero triples of
-# TruncatedOperatorModule.operator_matrix and FpMatrix, and the Lucas
-# generators of tower.lucas_centralizers.
+# subquotients, the dense matrix arithmetic and block and face-sum builders,
+# and the stack of one commutator per divided power are the paths the library
+# replaced by the block split of `_rref`, the nonzero join of `product`,
+# reduce_rows' one product, the pivot selection of quotient_reps, persistence
+# pairs, the nonzero triples of FpMatrix, and the Lucas generators of
+# tower.lucas_centralizers.  The oracle window (a tuple basis, a dict lookup
+# and one DPDOperator normal-ordered per column, with `invert_variable` for
+# the coordinate change u = 1/x) is what TruncatedOperatorModule's exponent
+# arrays and closed-form image terms replaced.
 
 
 def oracle_rref(a, p):
@@ -293,22 +296,64 @@ def oracle_express(space, v):
     return None if resid.any() else coords
 
 
-def vectorize(module, op):
-    """The dense coordinate list of op in the window; WindowError off it."""
+def window_basis(module):
+    """The window's basis as (a, b) exponent tuples, in column order."""
+    return [(tuple(a), tuple(b)) for a, b in zip(module.a.tolist(), module.b.tolist())]
+
+
+def vectorize(module, op, index=None):
+    """The dense coordinate list of op in the window (index: its basis
+    position dict, if already built); WindowError off it."""
+    index = index or {ab: i for i, ab in enumerate(window_basis(module))}
     vec = [0] * module.dim
-    for i, c in module.coordinates(op):
-        vec[i] = c
+    for key, c in op.terms.items():
+        if key not in index:
+            raise WindowError(f"term {key} falls outside the module window")
+        vec[index[key]] = c
     return vec
 
 
 def oracle_operator_matrix(module, func, target=None):
     """Matrix of a linear map given on basis operators, one dense
-    vectorize list written per column."""
+    vectorize list written per column.  Every column is tried, and a
+    CapacityError in any column is raised before a WindowError in an earlier
+    one: the window builder checks caps over the whole window first."""
     target = target or module
+    index = {ab: i for i, ab in enumerate(window_basis(target))}
     mat = np.zeros((target.dim, module.dim), dtype=np.int64)
-    for col, ab in enumerate(module.basis):
-        mat[:, col] = vectorize(target, func(module.algebra.from_terms({ab: 1})))
+    refusals = []
+    for col, ab in enumerate(window_basis(module)):
+        try:
+            mat[:, col] = vectorize(target, func(module.algebra.from_terms({ab: 1})), index)
+        except (CapacityError, WindowError) as exc:
+            refusals.append(exc)
+    if refusals:
+        raise next((e for e in refusals if isinstance(e, CapacityError)), refusals[0])
     return FpMatrix(module.algebra.p, mat)
+
+
+def invert_variable(op, target):
+    """Rewrite a one-variable Laurent operator in the coordinate u = 1/x.
+
+    x^c D^(d) acts on x^m = u^(-m) by C(m, d) x^(m-d+c); matching that
+    action in the u-picture gives sum_{b<=d} t_b u^(b+d-c) Du^(b) with
+    t_b the b-th forward difference at 0 of k |-> C(-k, d).
+    """
+    p = op.algebra.p
+    out = target.from_terms({})
+    for ((c,), (d,)), coeff in op.terms.items():
+        values = [binomial_mod(-k, d, p) for k in range(d + 1)]
+        # forward differences evaluated at 0
+        diffs = list(values)
+        table = []
+        for _ in range(d + 1):
+            table.append(diffs[0])
+            diffs = [(diffs[i + 1] - diffs[i]) % p for i in range(len(diffs) - 1)]
+        for b in range(d + 1):
+            t_b = (table[b] * coeff) % p
+            if t_b:
+                out = out + target.monomial((b + d - c,), (b,), t_b)
+    return out
 
 
 class DenseMatrix:

@@ -2,15 +2,21 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import commutes_with, oracle_operator_matrix, oracle_product, vectorize
+from helpers import (
+    commutes_with,
+    invert_variable,
+    oracle_operator_matrix,
+    oracle_product,
+    vectorize,
+    window_basis,
+)
 from hhdx.dpdo import (
     OperatorAlgebra,
     TruncatedOperatorModule,
     compression_action_agrees,
-    invert_variable,
     matrix_realize,
     morita_compress,
 )
@@ -69,7 +75,7 @@ def test_straightening_rule_against_direct_sum():
         for q in range(0, 6):
             for m in range(0, 6):
                 lhs = alg.divided_power(0, q) * alg.variable(0, m)
-                expected = alg.zero()
+                expected = alg.from_terms({})
                 for j in range(0, min(q, m) + 1):
                     expected = expected + alg.monomial(
                         (m - j,), (q - j,), binomial_mod(m, j, p))
@@ -287,18 +293,18 @@ def test_truncated_module_windows():
     alg = OperatorAlgebra(2, 1, names=("t",))
     mod = TruncatedOperatorModule(alg, degree_bound=3, dp_bound=2)
     assert mod.dim == 4 * 3
+    assert mod.a.tolist() == [[a] for a in range(4) for _ in range(3)]
+    assert mod.b.tolist() == [[b] for _ in range(4) for b in range(3)]
     op = alg.monomial((2,), (1,)) + alg.monomial((0,), (0,))
     vec = vectorize(mod, op)
-    assert mod.from_vector(vec) == op
-    with pytest.raises(WindowError):
-        vectorize(mod, alg.monomial((4,), (0,)))
+    assert np.flatnonzero(vec).tolist() == [0, 2 * 3 + 1]
+    assert mod.operator(vec) == op
 
     # [t, -] lowers the divided power and stays inside every window
     t = alg.variable()
     mat = mod.commutator_matrix(t)
-    for (a, b) in mod.basis:
-        col = mat.a[:, mod.index[(a, b)]]
-        img = mod.from_vector(col)
+    for col, (a, b) in enumerate(window_basis(mod)):
+        img = mod.operator(mat.a[:, col])
         if b[0] == 0:
             assert not img.terms
         else:
@@ -310,7 +316,7 @@ def test_truncated_module_windows():
 
     # ad of a higher divided power raises the dp degree and escapes:
     # [D^(2), t D^(2)] = 3 D^(3), outside the dp window
-    with pytest.raises(WindowError):
+    with pytest.raises(WindowError, match=r"term \(\(0,\), \(3,\)\) falls outside"):
         mod.commutator_matrix(alg.divided_power(0, 2))
 
 
@@ -318,61 +324,122 @@ def test_truncated_module_laurent_window():
     alg = OperatorAlgebra(3, 1, names=("u",), laurent=True)
     mod = TruncatedOperatorModule(alg, degree_bound=2, dp_bound=1)
     assert mod.dim == 5 * 2
-    assert list(mod.coordinates(alg.monomial((-2,), (1,)))) == [(mod.index[((-2,), (1,))], 1)]
+    assert window_basis(mod)[:3] == [((-2,), (0,)), ((-2,), (1,)), ((-1,), (0,))]
+    assert mod.operator(vectorize(mod, alg.monomial((-2,), (1,)))) == alg.monomial((-2,), (1,))
+    # [u^-1, -] sends u^a Du^(b) to -sum_(1 <= j <= b) (-1)^j u^(a-1-j) Du^(b-j)
+    wide = TruncatedOperatorModule(alg, degree_bound=4, dp_bound=1)
+    got = mod.commutator_matrix(alg.variable(0, power=-1), wide)
+    assert got == oracle_operator_matrix(mod, alg.variable(0, power=-1).commutator, wide)
     with pytest.raises(WindowError):
-        vectorize(mod, alg.monomial((-3,), (0,)))
+        mod.commutator_matrix(alg.variable(0, power=-1))
 
 
 @st.composite
-def operator_maps(draw):
-    """A window, a random operator g, one of the linear maps built from g,
-    and a target window of other bounds (so images may leave it)."""
+def shifted_images(draw):
+    """A window, passes of image terms (each the window's own terms shifted
+    by its own fixed exponents, with random coefficients per column) and a
+    target window of other bounds (so images may leave it)."""
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 2))
     alg = OperatorAlgebra(p, n, laurent=draw(st.booleans()))
-    lo = -2 if alg.laurent else 0
-    terms = draw(st.dictionaries(
-        st.tuples(st.tuples(*[st.integers(lo, 2)] * n), st.tuples(*[st.integers(0, 2)] * n)),
-        st.integers(0, p - 1), max_size=3))
-    g = alg.from_terms(terms)
-    func = draw(st.sampled_from([g.commutator, lambda m: g * m, lambda m: m * g,
-                                 lambda m: m]))
     bounds = st.tuples(st.integers(0, 3), st.integers(0, 3))
-    d, q = draw(bounds)
-    module = TruncatedOperatorModule(alg, d, q)
+    module = TruncatedOperatorModule(alg, *draw(bounds))
     target = draw(st.none() | bounds.map(lambda b: TruncatedOperatorModule(alg, *b)))
-    return module, func, target
+    shift = st.integers(-2 if alg.laurent else 0, 2)
+    shifts = draw(st.lists(st.tuples(st.tuples(*[shift] * n), st.tuples(*[st.integers(0, 2)] * n)),
+                           max_size=3, unique=True))
+    coeffs = st.lists(st.integers(-p, 2 * p), min_size=module.dim, max_size=module.dim)
+    passes = [(module.a + da, module.b + db, np.array(draw(coeffs), dtype=np.int64))
+              for da, db in shifts]
+    return module, passes, target
 
 
 @settings(max_examples=80, deadline=None)
-@given(operator_maps())
+@given(shifted_images())
 def test_operator_matrix_matches_per_column_vectorize(case):
-    module, func, target = case
+    module, passes, target = case
+    column = {ab: k for k, ab in enumerate(window_basis(module))}
+
+    def func(m):
+        (key, _), = m.terms.items()
+        k = column[key]
+        return sum((module.algebra.monomial(a[k], b[k], c[k]) for a, b, c in passes),
+                   module.algebra.from_terms({}))
+
     try:
         want = oracle_operator_matrix(module, func, target)
     except WindowError as exc:
         with pytest.raises(WindowError) as got:
-            module.operator_matrix(func, target)
+            module.operator_matrix(passes, target)
         assert str(got.value) == str(exc)
     else:
-        got = module.operator_matrix(func, target)
-        assert np.array_equal(got.a, want.a)
+        got = module.operator_matrix(passes, target)
+        assert got == want
 
 
-def test_operator_matrix_refuses_out_of_window_and_foreign_images():
+def test_operator_matrix_refuses_out_of_window_images():
     alg = OperatorAlgebra(3, 1, names=("t",))
     mod = TruncatedOperatorModule(alg, degree_bound=2, dp_bound=2)
+    ones = np.ones(mod.dim, dtype=np.int64)
     # t * t^2 = t^3 leaves the degree window
     with pytest.raises(WindowError, match=r"term \(\(3,\), \(0,\)\) falls outside"):
-        mod.operator_matrix(lambda m: alg.variable() * m)
+        mod.operator_matrix([(mod.a + 1, mod.b, ones)])
+    # a zero coefficient keeps its term out of the matrix
+    assert mod.operator_matrix([(mod.a + 1, mod.b, np.where(mod.a[:, 0] < 2, 1, 3))]) \
+        == mod.operator_matrix([(mod.a + 1, mod.b, (mod.a[:, 0] < 2).astype(np.int64))])
     # the inclusion into a smaller target loses D^(2)
     with pytest.raises(WindowError):
-        mod.operator_matrix(lambda m: m, target=TruncatedOperatorModule(alg, 2, 1))
-    other = OperatorAlgebra(3, 1, names=("u",))
-    with pytest.raises(ValueError, match="different algebra"):
-        mod.operator_matrix(lambda m: other.from_terms(m.terms))
-    with pytest.raises(ValueError, match="different algebra"):
-        vectorize(mod, other.variable())
+        mod.operator_matrix([(mod.a, mod.b, ones)], TruncatedOperatorModule(alg, 2, 1))
+    # commutator_matrix takes one monomial
+    with pytest.raises(ValueError):
+        mod.commutator_matrix(alg.variable() + alg.divided_power())
+
+
+@st.composite
+def commutator_windows(draw):
+    """A window, a monomial g = k x^c D^(e) and a target window: c_i in
+    [-3, 3] (nonnegative on polynomial windows), e_i in {0, 1, 2, p, p^2},
+    targets of other or enlarged bounds (so some edges force WindowError),
+    and p = 2 line windows near the divided-power cap 16 (so some products
+    pass it, with binomials that vanish mod 2 or not)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 2))
+    alg = OperatorAlgebra(p, n, laurent=draw(st.booleans()))
+    c = draw(st.tuples(*[st.integers(-3 if alg.laurent else 0, 3)] * n))
+    e = draw(st.tuples(*[st.sampled_from([0, 1, 2, p, p * p])] * n))
+    g = alg.monomial(c, e, draw(st.integers(1, p - 1)))
+    near_cap = p == 2 and n == 1 and draw(st.booleans())
+    d = draw(st.integers(0, 3))
+    q = draw(st.integers(12, 17) if near_cap else st.integers(0, 3))
+    module = TruncatedOperatorModule(alg, d, q)
+    enlarged = st.tuples(st.integers(0, 4), st.integers(0, max(e) + 1 if n == 1 else 4)).map(
+        lambda s: TruncatedOperatorModule(alg, d + max(map(abs, c)) + s[0], q + s[1]))
+    target = draw(st.none() | enlarged
+                  | st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+                      lambda b: TruncatedOperatorModule(alg, *b)))
+    return module, g, target
+
+
+_LINE2 = OperatorAlgebra(2, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(commutator_windows())
+# [D, D^(16)] = 0, yet D * D^(16) = 17 D^(17) alone passes the cap: refused
+@example((TruncatedOperatorModule(_LINE2, 0, 16), _LINE2.divided_power(0, 1), None))
+@example((TruncatedOperatorModule(_LINE2, 0, 15), _LINE2.divided_power(0, 1), None))
+def test_commutator_matrix_matches_per_column_oracle(case):
+    """Equal triples, and a refusal exactly where the oracle refuses:
+    CapacityError whenever some column meets a cap, since the builder checks
+    caps over the whole window before it looks at the target."""
+    module, g, target = case
+    try:
+        want = oracle_operator_matrix(module, g.commutator, target)
+    except (CapacityError, WindowError) as exc:
+        with pytest.raises(type(exc)):
+            module.commutator_matrix(g, target)
+    else:
+        assert module.commutator_matrix(g, target) == want
 
 
 def test_capacity_guard_on_products():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hhdx.gfp import (
     MAX_PRIME,
     PRIMES,
+    binomial_array,
     binomial_mod,
     fitting_decomposition,
     lucas_binomial,
@@ -54,6 +55,16 @@ def test_lucas_matches_factorial_oracle(p, m, q):
 @given(small_primes, st.integers(-120, 120), st.integers(0, 40))
 def test_binomial_mod_matches_product_oracle(p, m, q):
     assert binomial_mod(m, q, p) == integer_binomial(m, q) % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_binomial_array_matches_binomial_mod(p):
+    m, q = np.meshgrid(np.arange(-30, 60), np.arange(-2, 30), indexing="ij")
+    want = np.vectorize(lambda x, y: binomial_mod(int(x), int(y), p))(m, q)
+    assert np.array_equal(binomial_array(m, q, p), want)  # elementwise
+    assert np.array_equal(binomial_array(m[:, :1], q[0], p), want)  # broadcast
+    assert all(binomial_array(int(x), int(y), p) == w  # scalars
+               for x, y, w in zip(m.ravel()[::37], q.ravel()[::37], want.ravel()[::37]))
 
 
 @settings(deadline=None)

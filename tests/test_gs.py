@@ -4,7 +4,14 @@ its cup product, and the windowed operator scenarios."""
 import numpy as np
 import pytest
 
-from helpers import oracle_structure_window_diagram
+from helpers import (
+    invert_variable,
+    oracle_block_matrix,
+    oracle_face_sum,
+    oracle_operator_matrix,
+    oracle_structure_window_diagram,
+)
+from hhdx.dpdo import OperatorAlgebra, TruncatedOperatorModule
 from hhdx.errors import WindowError
 from hhdx.gs import (
     GSComplex,
@@ -332,6 +339,49 @@ def test_scenario_p1(p, r, db, qb):
     assert report["row0_matches_nerve"]
     assert all(c["surjective"] for c in report["column_surjectivity"])
     assert report["convergence"]["agree"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("du,qu", [(2, 1), (5, 2), (8, 4)])
+def test_scenario_p1_maps_match_per_column_oracle(p, du, qu):
+    """The face rows and the commutator columns of p1-cover's double complex
+    equal the per-column oracle: transport and inclusion as re-tagged
+    operators, the chart change by `invert_variable`, the comparison as
+    -((u^-1 m) u^-1), the commutators by DPDOperator.commutator."""
+    _, double = gs_for_subalgebra_scenario("p1", p, 0, du, qu)
+    alg_u = OperatorAlgebra(p, 1, names=("u",))
+    alg_v = OperatorAlgebra(p, 1, names=("v",))
+    alg_l = OperatorAlgebra(p, 1, names=("u",), laurent=True)
+    alg_lv = OperatorAlgebra(p, 1, names=("v",), laurent=True)
+    m_u0, m_u1 = TruncatedOperatorModule(alg_u, du, qu), TruncatedOperatorModule(alg_v, du, qu)
+    m_u01 = TruncatedOperatorModule(alg_l, du, qu)
+    m_edge1 = TruncatedOperatorModule(alg_l, du + qu + 2, qu)
+    u_l, u_inv = alg_l.variable(), alg_l.variable(0, power=-1)
+    columns = [[(m_u0, alg_u.variable(), m_u0), (m_u1, alg_v.variable(), m_u1),
+                (m_u01, u_l, m_u01)],
+               [(m_u01, u_l, m_edge1), (m_u01, u_inv, m_edge1)]]
+    for i, column in enumerate(columns):
+        blocks = {(k, k): oracle_operator_matrix(m, g.commutator, t).a
+                  for k, (m, g, t) in enumerate(column)}
+        want = oracle_block_matrix(p, [t.dim for *_, t in column], [m.dim for m, *_ in column],
+                                   blocks).scale((-1) ** i)
+        assert np.array_equal(double.vertical(i, 0).a, want.a)
+
+    vertices, edges = [("U0",), ("U1",), ("U01",)], [("U01", "U0"), ("U01", "U1")]
+    dims = {("U0",): m_u0.dim, ("U1",): m_u1.dim, ("U01",): m_u01.dim}
+    for j, target in enumerate([m_u01, m_edge1]):
+        faces = {
+            (edges[0], 0): oracle_operator_matrix(m_u0, lambda m: alg_l.from_terms(m.terms),
+                                                  target).a,
+            (edges[0], 1): oracle_operator_matrix(m_u01, lambda m: m, target).a,
+            (edges[1], 0): oracle_operator_matrix(
+                m_u1, lambda m: invert_variable(alg_lv.from_terms(m.terms), alg_l), target).a,
+            (edges[1], 1): oracle_operator_matrix(
+                m_u01, (lambda m: -((u_inv * m) * u_inv)) if j else (lambda m: m), target).a,
+        }
+        want = oracle_face_sum(p, vertices, edges, lambda s: dims.get(s, target.dim),
+                               lambda s, k: faces[s, k])
+        assert np.array_equal(double.horizontal(0, j).a, want.a)
 
 
 def test_scenario_p1_adjusts_narrow_dp_window():
