@@ -125,7 +125,6 @@ def _scenario_a1_hh(args):
     config = {"prime": p, "depth": r, "degree_bound": d, "dp_cap": q}
     twisted = hh_of_pair(p, r, d, q)
     filtered = filtered_hh_sequence("a1", p, r, d, q)
-    filtered = {k: v for k, v in filtered.items() if k not in ("graded", "quotient")}
     assertions = []
     _check(assertions, "depth-window-h0-certified", twisted["h0_certified"],
            detail=f"dim {twisted['h0_dim']}")

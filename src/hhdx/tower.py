@@ -32,7 +32,6 @@ divided-power windows on the line.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
@@ -218,12 +217,8 @@ class _ChartWindow:
         coords = self.classify(vec)
         if coords is None:
             raise AssertionError("vector left the window quotient")
-        lam = next((cand for cand in range(self.p)
-                    if np.array_equal((cand * self.base) % self.p, coords % self.p)),
-                   None)
-        if lam is None:
-            raise AssertionError("class is not a multiple of y/x")
-        return lam
+        # the window H^1 is one-dimensional with nonzero base (checked when built)
+        return int(coords[0]) * pow(int(self.base[0]), self.p - 2, self.p) % self.p
 
 
 def _frobenius_window(p, cubic):
@@ -351,10 +346,10 @@ def smith_tower_check(p, levels, degree_bound):
                for b in (1, 2, 3, 4, p, min(p * p, alg.dp_cap))]
     samples.append(alg.variable())
 
+    ads = [f_full.commutator(m) for m in samples]
     derivation_ok = all(
-        f_full.commutator(first * second)
-        == f_full.commutator(first) * second + first * f_full.commutator(second)
-        for first, second in itertools.combinations(samples, 2))
+        f_full.commutator(x * y) == ads[i] * y + x * ads[j]
+        for (i, x), (j, y) in itertools.combinations(enumerate(samples), 2))
     truncations = [alg.multiplication(partial_sum(s)) for s in range(0, levels)]
     tail_invisible = all(
         f_full.commutator(m) == f_s.commutator(m)
@@ -367,9 +362,9 @@ def smith_tower_check(p, levels, degree_bound):
     witnesses = [alg.multiplication(partial_sum(levels) - partial_sum(s))
                  for s in range(0, levels)]
     witness_ok = all(
-        f_full.commutator(m) - f_s.commutator(m) == x_s.commutator(m)
+        ad - f_s.commutator(m) == x_s.commutator(m)
         for f_s, x_s in zip(truncations, witnesses)
-        for m in samples)
+        for m, ad in zip(samples, ads))
 
     return {
         "prime": p,
@@ -414,16 +409,15 @@ def lucas_centralizers(p, levels, degree_bound, dp_bound):
         target = TruncatedOperatorModule(alg, degree_bound, dp_bound + q)
         mats.append(dom.commutator_matrix(alg.divided_power(0, q), target=target))
 
-    @functools.cache
     def centralizer(n):
-        """Joint kernel of the first n commutator matrices, exactly (cached:
-        the full commutant is the deepest level's when dp_bound < p^levels)."""
+        """Joint kernel of the first n commutator matrices, exactly."""
         mat = block_matrix(p, [m.rows for m in mats[:n]], [dom.dim],
                            [((k, 0), m) for k, m in enumerate(mats[:n])])
         return Subspace._from_rref(p, dom.dim, mat.kernel_basis())
 
     depths = [centralizer(r + 1) for r in range(levels + 1)]
-    return dom, depths, centralizer(1 + window_digits)
+    full = depths[window_digits] if window_digits <= levels else centralizer(1 + window_digits)
+    return dom, depths, full
 
 
 def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
@@ -438,18 +432,19 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
     commutant as all D^(q) with q < p^r, so only those are stacked
     (`lucas_centralizers`).
 
-    The graded pieces in each polynomial degree then form towers.  Their
-    certificates are arithmetic, not repeat-counting: a graded piece of
-    degree d >= 1 vanishes at depth r exactly when p^r does not divide d,
-    and once it vanishes it stays zero at all deeper levels, so the limit
-    is certified 0 as soon as a vanishing depth at most levels-1 is
+    The graded pieces in each polynomial degree then form towers, read off
+    one 0/1 table dims[r, d] of the computed centralizers (t^d at depth r).
+    Their certificates are arithmetic, not repeat-counting: a graded piece
+    of degree d >= 1 vanishes at depth r exactly when p^r does not divide
+    d, and once it vanishes it stays zero at all deeper levels, so the
+    limit is certified 0 as soon as a vanishing depth at most levels-1 is
     displayed (the top level confirms it).  Degrees divisible by
     p^(levels-1) show no such depth and are reported as uncertified
     window survivors instead of being silently trusted.  Degree 0 is the
     constants line, certified by its constant-rule tower.  The m = 1 side
-    applies the mirrored rule to the quotient windows k[t]/k[t^(p^r)] and
-    checks degreewise exactness of 0 -> k -> k[t] -> lim Q -> 0 at the
-    certified degrees.
+    applies the mirrored rule to the quotient table 1 - dims of the windows
+    k[t]/k[t^(p^r)] and checks degreewise exactness of
+    0 -> k -> k[t] -> lim Q -> 0 at the degrees certified on both sides.
     """
     if scenario != "a1":
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -466,6 +461,7 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
     dom, depth_spaces, full_space = lucas_centralizers(p, levels, d_bound, q_bound)
 
     models = {}
+    dims = np.zeros((levels + 1, d_bound + 1), dtype=np.int64)
     for r, space in enumerate(depth_spaces):
         expected = [k for k in range(0, d_bound + 1) if k % (p ** r) == 0]
         if dom.b[space.basis.col].any():
@@ -473,6 +469,7 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
         if sorted(dom.a[space.basis.col, 0].tolist()) != expected or space.dim != len(expected):
             raise AssertionError(f"depth-{r} centralizer is not the twist window")
         models[r] = {"dim": space.dim, "exponents": expected}
+        dims[r, dom.a[space.basis.col, 0]] = 1
 
     nesting_ok = all(depth_spaces[r].contains_space(depth_spaces[r + 1])
                      for r in range(0, levels))
@@ -491,60 +488,22 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
         "survivors_above_window": [a for a in survivors if a > q_bound],
     }
 
-    graded = {}
-    for d in range(0, d_bound + 1):
-        dims = [1 if d % (p ** r) == 0 else 0 for r in range(levels + 1)]
-        if d == 0:
-            report = Tower(p, [[1]], levels).limit_report()
-            graded[d] = {"dims": dims, "certified": report["certified"],
-                         "certified_lim_dim": report["certified_lim_dim"],
-                         "reason": "constants line (constant-rule tower)"}
-            continue
-        first_zero = next((r for r, x in enumerate(dims) if x == 0), None)
-        certified = first_zero is not None and first_zero <= levels - 1
-        graded[d] = {
-            "dims": dims,
-            "certified": certified,
-            "certified_lim_dim": 0 if certified else None,
-            "reason": (f"vanishes at depth {first_zero}; zero is absorbing"
-                       if certified else
-                       "no vanishing depth displayed strictly below the top level"),
-        }
-    certified_degrees = [d for d in range(1, d_bound + 1) if graded[d]["certified"]]
-    uncertified_degrees = [d for d in range(1, d_bound + 1) if not graded[d]["certified"]]
-    if uncertified_degrees != [d for d in range(1, d_bound + 1)
-                               if d % (p ** (levels - 1)) == 0]:
+    degrees = np.arange(1, d_bound + 1)
+    certified = (dims[:levels, 1:] == 0).any(axis=0)
+    uncertified_degrees = degrees[~certified].tolist()
+    if uncertified_degrees != degrees[degrees % p ** (levels - 1) == 0].tolist():
         raise AssertionError("uncertified degrees are not the top-depth multiples")
+    quotient = 1 - dims
+    quotient_certified = (quotient[:levels, 1:] == 1).any(axis=0)
 
-    quotient = {}
-    for d in range(0, d_bound + 1):
-        dims = [0 if d % (p ** r) == 0 else 1 for r in range(levels + 1)]
-        if d == 0:
-            quotient[d] = {"dims": dims, "certified": True, "certified_lim_dim": 0,
-                           "reason": "constants inject at every depth, quotient is zero"}
-            continue
-        first_one = next((r for r, x in enumerate(dims) if x == 1), None)
-        certified = first_one is not None and first_one <= levels - 1
-        quotient[d] = {
-            "dims": dims,
-            "certified": certified,
-            "certified_lim_dim": 1 if certified else None,
-            "reason": (f"nonzero from depth {first_one} on, with identity transitions"
-                       if certified else
-                       "no nonzero depth displayed strictly below the top level"),
-        }
-
-    exactness = {}
-    for d in [0] + certified_degrees:
-        if not quotient[d]["certified"]:
-            continue
-        constants = 1 if d == 0 else 0
-        window_piece = 1
-        lim_z = graded[d]["certified_lim_dim"]
-        lim_q = quotient[d]["certified_lim_dim"]
-        exactness[d] = (lim_z == constants
-                        and constants - window_piece + lim_q == 0)
-    exact_ok = bool(exactness) and all(exactness.values())
+    # 0 -> k -> k[t] -> lim Q -> 0 in degree d: lim Z_d = k in degree 0 only
+    # and lim Q_d = k[t]_d / lim Z_d.  lim Z_d and lim Q_d are the top depth's
+    # pieces, but lim Z_0 is the constants tower's certified limit.
+    both = degrees[certified & quotient_certified]
+    lim_z, lim_q = dims[levels], quotient[levels]
+    lim_z0 = Tower(p, [[1]], levels).limit_report()["certified_lim_dim"]
+    exact_ok = bool(lim_z0 == 1 and lim_q[0] == 0
+                    and (lim_z[both] == 0).all() and (lim_q[both] == 1).all())
 
     return {
         "scenario": scenario,
@@ -554,12 +513,9 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
         "h0_models": models,
         "nesting_frobenius": bool(nesting_ok and frobenius_ok),
         "h0_full": h0_full,
-        "certified_degrees": certified_degrees,
+        "certified_degrees": degrees[certified].tolist(),
         "uncertified_degrees": uncertified_degrees,
-        "quotient_certified_degrees": [d for d in range(1, d_bound + 1)
-                                       if quotient[d]["certified"]],
+        "quotient_certified_degrees": degrees[quotient_certified].tolist(),
         "m1_exact_at_certified_degrees": exact_ok,
-        "m1_checked_degrees": sorted(exactness),
-        "graded": graded,
-        "quotient": quotient,
+        "m1_checked_degrees": [0] + both.tolist(),
     }

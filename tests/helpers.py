@@ -8,7 +8,8 @@ hand-written constructions the
 shared builders replaced, the general tower limit the closed-form Tower is
 tested against, the term-by-term operator product the normal-ordering kernel
 is tested against, the per-column operator window the array window builder
-is tested against, and the direct commutation check and tensor algebra that
+is tested against, the per-degree tables the filtered sequence's degree
+table is tested against, and the direct commutation check and tensor algebra that
 only tests need."""
 
 import collections
@@ -427,6 +428,46 @@ def oracle_centralizer(p, degree_bound, dp_bound, q_top):
         stacked.append(oracle_operator_matrix(dom, alg.divided_power(0, q).commutator,
                                               target).a)
     return Subspace(p, dom.dim, oracle_kernel_basis(FpMatrix(p, np.concatenate(stacked))))
+
+
+def oracle_filtered_degrees(p, levels, degree_bound):
+    """The per-degree reading of `filtered_hh_sequence`, degree by degree as
+    the tower module wrote it before the degree table: a graded table and a
+    quotient table of closed-form dims with their certificates, and the
+    exactness loop of 0 -> k -> k[t] -> lim Q -> 0 over the certified
+    degrees.  Degree 0's limit comes from the eliminating tower oracle."""
+    graded, quotient = {}, {}
+    for d in range(0, degree_bound + 1):
+        dims = [1 if d % (p ** r) == 0 else 0 for r in range(levels + 1)]
+        if d == 0:
+            constants = oracle_limit_report(p, [1] * (levels + 1), [[[1]]] * levels)
+            graded[d] = {"certified": constants["certified"],
+                         "certified_lim_dim": constants["certified_lim_dim"]}
+            quotient[d] = {"certified": True, "certified_lim_dim": 0}
+            continue
+        first_zero = next((r for r, x in enumerate(dims) if x == 0), None)
+        certified = first_zero is not None and first_zero <= levels - 1
+        graded[d] = {"certified": certified, "certified_lim_dim": 0 if certified else None}
+        mirrored = [1 - x for x in dims]
+        first_one = next((r for r, x in enumerate(mirrored) if x == 1), None)
+        certified = first_one is not None and first_one <= levels - 1
+        quotient[d] = {"certified": certified, "certified_lim_dim": 1 if certified else None}
+    positive = range(1, degree_bound + 1)
+    certified_degrees = [d for d in positive if graded[d]["certified"]]
+    exactness = {}
+    for d in [0] + certified_degrees:
+        if not quotient[d]["certified"]:
+            continue
+        constants_dim = 1 if d == 0 else 0
+        exactness[d] = (graded[d]["certified_lim_dim"] == constants_dim
+                        and constants_dim - 1 + quotient[d]["certified_lim_dim"] == 0)
+    return {
+        "certified_degrees": certified_degrees,
+        "uncertified_degrees": [d for d in positive if not graded[d]["certified"]],
+        "quotient_certified_degrees": [d for d in positive if quotient[d]["certified"]],
+        "m1_exact_at_certified_degrees": bool(exactness) and all(exactness.values()),
+        "m1_checked_degrees": sorted(exactness),
+    }
 
 
 def oracle_kernel_basis(m):

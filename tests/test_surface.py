@@ -10,6 +10,7 @@ matches names, not definitions: two methods of one name are one name to it.
 So a second guard runs the nine goldens, the acceptance criteria and the tiny
 benchmark workloads under `sys.setprofile` and requires every function
 src/hhdx defines to run there (dunders and the `LAYERS` entry points aside).
+A cache hit makes no call event, so every cache hhdx binds is emptied first.
 
 Every name a module in src/hhdx or tests/ imports is used in that module.
 """
@@ -21,6 +22,7 @@ import importlib.util
 import io
 import pathlib
 import sys
+import types
 
 import test_acceptance
 from hhdx.cli import main
@@ -136,19 +138,37 @@ def _defined(trees):
     return out
 
 
-def test_every_src_function_runs_outside_unit_tests():
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+def _profiled(modules, run):
+    """(file, first line) of every Python function that run() calls, after
+    emptying every cache (anything with `cache_clear`) the modules or their
+    classes bind, so that a cached function counts as run only when run()
+    calls it."""
+    for module in modules:
+        for value in vars(module).values():
+            for obj in [value, *(vars(value).values() if isinstance(value, type) else ())]:
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
     ran = set()
 
     def profile(frame, event, arg):
         if event == "call":
             ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    goldens, cases = [], []
     sys.setprofile(profile)
     try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return ran
+
+
+def test_every_src_function_runs_outside_unit_tests():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    goldens, cases = [], []
+
+    def run():
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             for argv, _ in GOLDEN_CASES:
                 goldens.append(main([*argv, "--json"]))
@@ -158,8 +178,10 @@ def test_every_src_function_runs_outside_unit_tests():
             for workload in sorted(workloads.WORKLOADS):
                 for case in workloads.generate(workload, 1, "tiny"):
                     cases.append((main(list(case.argv)), case.expect))
-    finally:
-        sys.setprofile(None)
+
+    hhdx_modules = [module for name, module in sys.modules.items()
+                    if name == "hhdx" or name.startswith("hhdx.")]
+    ran = _profiled(hhdx_modules, run)
     assert goldens == [0] * len(GOLDEN_CASES)
     assert all(rc == expect for rc, expect in cases)
     ran = {(pathlib.Path(path).resolve(), line) for path, line in ran}
@@ -168,6 +190,24 @@ def test_every_src_function_runs_outside_unit_tests():
     unran = [f"{path.name}:{line} {name}" for path, line, name in _defined(trees)
              if (path, line) not in ran and name not in traced]
     assert not unran, f"defined but run only by unit tests: {unran}"
+
+
+def test_a_cached_function_runs_in_the_profile_only_when_called():
+    module = types.ModuleType("synthetic")
+    exec("import functools\n"
+         "class Table:\n"
+         "    @functools.cache\n"
+         "    def row(self, n):\n"
+         "        return n\n"
+         "@functools.cache\n"
+         "def digits(n):\n"
+         "    return n\n", vars(module))
+    table = module.Table()
+    module.digits(3), table.row(3)   # an earlier test filled both caches
+    keys = {(f.__code__.co_filename, f.__code__.co_firstlineno)
+            for f in (module.digits.__wrapped__, module.Table.row.__wrapped__)}
+    assert keys <= _profiled([module], lambda: (module.digits(3), table.row(3)))
+    assert not keys & _profiled([module], lambda: None)
 
 
 def test_a_method_is_reached_only_through_attributes():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_centralizer, oracle_limit_report
+from helpers import oracle_centralizer, oracle_filtered_degrees, oracle_limit_report
 from hhdx.errors import CapacityError, WindowError
 from hhdx.gfp import fitting_decomposition
 from hhdx.linalg import FpMatrix
@@ -343,16 +343,13 @@ def test_filtered_sequence_uncertified_degrees_p2():
     assert report["uncertified_degrees"] == [4, 8, 12, 16]
     assert report["certified_degrees"] == [
         d for d in range(1, 17) if d % 4 != 0]
-    for d in report["uncertified_degrees"]:
-        assert report["graded"][d]["certified_lim_dim"] is None
 
 
 def test_filtered_sequence_exactness_p2():
     report = filtered_hh_sequence("a1", 2, 3, 16, 8)
     assert report["m1_exact_at_certified_degrees"]
     assert report["quotient_certified_degrees"] == report["certified_degrees"]
-    assert 0 in report["m1_checked_degrees"]
-    assert report["graded"][0]["certified_lim_dim"] == 1   # the constants line
+    assert report["m1_checked_degrees"] == [0] + report["certified_degrees"]
 
 
 def test_filtered_sequence_p3():
@@ -361,6 +358,29 @@ def test_filtered_sequence_p3():
     assert report["uncertified_degrees"] == [3, 6, 9]
     assert report["h0_full"]["survivors_above_window"] == [9]
     assert report["m1_exact_at_certified_degrees"]
+
+
+@pytest.mark.parametrize("p,levels", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
+@pytest.mark.parametrize("extra_degree", [0, 7])
+@pytest.mark.parametrize("extra_dp", [-1, 2])
+def test_filtered_sequence_matches_the_per_degree_rules(p, levels, extra_degree, extra_dp):
+    degree, dp = p ** levels + extra_degree, p ** levels + extra_dp
+    want = oracle_filtered_degrees(p, levels, degree)
+    report = filtered_hh_sequence("a1", p, levels, degree, dp)
+    assert {key: report[key] for key in want} == want
+
+
+def test_filtered_sequence_exactness_reads_the_constants_tower(monkeypatch):
+    limit_report = Tower.limit_report
+
+    def uncertified(tower):
+        return {**limit_report(tower), "certified": False,
+                "certified_lim_dim": None, "certified_lim1_dim": None}
+
+    monkeypatch.setattr(Tower, "limit_report", uncertified)
+    report = filtered_hh_sequence("a1", 2, 3, 16, 8)
+    assert report["m1_exact_at_certified_degrees"] is False
+    assert report["m1_checked_degrees"] == [0] + report["certified_degrees"]
 
 
 def test_filtered_sequence_guards():
