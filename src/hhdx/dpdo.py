@@ -35,7 +35,7 @@ import numpy as np
 from . import linalg
 from .errors import CapacityError, DepthError, WindowError
 from .gfp import binomial_array, binomial_mod, require_prime
-from .poly import MAX_EXPONENT, MultiPoly, PolyRing
+from .poly import MAX_EXPONENT, MultiPoly, PolyRing, power_factors, render_terms
 
 MAX_PRODUCT_WORK = 2_000_000
 # The rank of one operator window.  One process per report, 2-vCPU guest: the
@@ -55,6 +55,10 @@ class OperatorAlgebra:
     def __init__(self, p, n=1, names=None, laurent=False):
         require_prime(p)
         self.ring = PolyRing(p, n, names=names, laurent=laurent)
+        # A term with a divided power past p^4 is refused (CapacityError, exit 4),
+        # not built.  The cap stays because reports rest on its value: smith-tower
+        # samples D^(min(p * p, dp_cap)), and a p = 2 window of 20 is refused at
+        # D^(17), as test_p2_divided_power_window_past_the_cap_exits_4 pins.
         self.dp_cap = p ** 4
         self.products = {}
 
@@ -255,25 +259,10 @@ class DPDOperator:
         if not self.terms:
             return "0"
         names = self.algebra.ring.names
-        parts = []
-        for (a, b) in self.support():
-            c = self.terms[(a, b)]
-            factors = []
-            for name, e in zip(names, a):
-                if e == 0:
-                    continue
-                factors.append(name if e == 1 else f"{name}^{e}")
-            for name, e in zip(names, b):
-                if e == 0:
-                    continue
-                factors.append(f"D{name}^({e})")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([str(c)] + factors))
-        return " + ".join(parts)
+        return render_terms(
+            (self.terms[a, b],
+             power_factors(names, a) + [f"D{name}^({e})" for name, e in zip(names, b) if e])
+            for a, b in self.support())
 
     def __repr__(self):
         return self.render()

@@ -234,27 +234,14 @@ def projective_line_twist_diagram(p, twist, degree_bound):
     if degree_bound < abs(twist):
         raise ValueError("degree window too small for this twist")
     d = degree_bound
-    windows = {
-        "U0": list(range(0, d + 1)),
-        "U1": list(range(twist - d, twist + 1)),
-    }
-    lo = min(windows["U0"][0], windows["U1"][0])
-    hi = max(windows["U0"][-1], windows["U1"][-1])
-    windows["U01"] = list(range(lo, hi + 1))
+    windows = {"U0": range(0, d + 1), "U1": range(twist - d, twist + 1)}
+    windows["U01"] = range(min(0, twist - d), max(d, twist) + 1)
     poset = Poset(["U01", "U0", "U1"], [("U01", "U0"), ("U01", "U1")])
     dims = {u: len(w) for u, w in windows.items()}
 
-    def inclusion(src, dst):
-        mat = np.zeros((len(dst), len(src)), dtype=np.int64)
-        pos = {e: k for k, e in enumerate(dst)}
-        for k, e in enumerate(src):
-            mat[pos[e], k] = 1
-        return mat
-
-    restr = {
-        ("U0", "U01"): inclusion(windows["U0"], windows["U01"]),
-        ("U1", "U01"): inclusion(windows["U1"], windows["U01"]),
-    }
+    # each window is a run of exponents, so s^e sits at e - w[0] in window w
+    restr = {(u, "U01"): np.eye(dims["U01"], dims[u], windows["U01"][0] - windows[u][0],
+                                dtype=np.int64) for u in ("U0", "U1")}
     return SpaceDiagram(p, poset, dims, restr), ["U0", "U1"]
 
 

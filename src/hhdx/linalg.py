@@ -8,17 +8,18 @@ Elimination gives the canonical RREF (first nonzero pivot, row-major), so
 every kernel basis and cohomology representative is deterministic; `_rref`
 eliminates each connected component of a matrix's nonzero pattern as a block
 of its own, and `product` multiplies from the nonzeros.  A kernel basis is read
-off one elimination, an intersection off one of the Zassenhaus stack, a
-quotient transversal off the pivots with none, and a reduction modulo a
-subspace is one product with its RREF basis.  On top sit bounded cochain
-complexes, first-quadrant double complexes (sign convention: d = d_h + (-1)^i
-d_v on column i), and the spectral sequence of the column filtration, read off
-the persistence pairs of each total differential: page dimensions and ranks of
+off one elimination, a quotient transversal off the pivots with none, and a
+reduction modulo a subspace is one product with its RREF basis.  A coordinate
+subspace (a span of unit vectors) stays an index set: `contains_units` reads
+off the RREF which unit vectors lie in a span, and a kernel inside one is the
+kernel of the columns it keeps.  On top sit bounded cochain complexes,
+first-quadrant double complexes (sign convention: d = d_h + (-1)^i d_v on
+column i), and the spectral sequence of the column filtration, read off the
+persistence pairs of each total differential: page dimensions and ranks of
 d_r, no representatives.  Block-structured differentials (totalizations, bar
-columns) are all built by `block_matrix`; every simplicial cochain complex
+columns) are all built by `block_matrix`, and every simplicial cochain complex
 (Koszul complexes, nerve and Cech complexes, the rows of diagram double
-complexes) by the alternating face sum `face_sum` / `face_complex` on top of
-it; and every span of unit vectors (coordinate subspace) by `Subspace.units`.
+complexes) by the alternating face sum `face_sum` / `face_complex` on top of it.
 
 Each complex checks its law once, as d∘d = 0 (a double complex on its
 totalization, built with it; its laws per bidegree are tried only to name a

@@ -238,21 +238,20 @@ class MultiPoly:
         """Deterministic human-readable form, graded-lex descending."""
         if not self.terms:
             return "0"
-        parts = []
-        for exps in self.support():
-            c = self.terms[exps]
-            factors = []
-            for name, e in zip(self.ring.names, exps):
-                if e == 0:
-                    continue
-                factors.append(name if e == 1 else f"{name}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([str(c)] + factors))
-        return " + ".join(parts)
+        return render_terms((self.terms[exps], power_factors(self.ring.names, exps))
+                            for exps in self.support())
 
     def __repr__(self):
         return self.render()
+
+
+def power_factors(names, exps):
+    """The factors x, x^e of a monomial, its zero exponents dropped."""
+    return [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+
+
+def render_terms(items):
+    """Terms (coefficient, factors) joined by " + ": c*f*g, with the
+    coefficient alone for no factors and dropped when it is 1."""
+    return " + ".join("*".join(factors if c == 1 and factors else [str(c), *factors])
+                      for c, factors in items)

@@ -9,8 +9,9 @@ shared builders replaced, the general tower limit the closed-form Tower is
 tested against, the term-by-term operator product the normal-ordering kernel
 is tested against, the per-column operator window the array window builder
 is tested against, the per-degree tables the filtered sequence's degree
-table is tested against, and the direct commutation check and tensor algebra that
-only tests need."""
+table is tested against, the unit-span intersection and chart quotient the
+index-set certificates are tested against, and the direct commutation check,
+tensor algebra and algebra product that only tests need."""
 
 import collections
 import itertools
@@ -697,9 +698,45 @@ def oracle_product(x, y):
     return DPDOperator(x.algebra, out)
 
 
+# The plane's middle-degree certificate and the elliptic chart window read
+# their answers off index sets.  These are the Subspace paths they replaced:
+# ker d^j intersected with the span of the window's unit vectors, and a vector
+# reduced modulo both charts, expressed in the quotient transversal and divided
+# by the class of y/x.
+
+
+def oracle_middle_window_vanishes(cx, module, j, window):
+    """(ker d^j ∩ W + im d^(j-1)) / im = 0, with ker d^j ∩ W a Zassenhaus
+    intersection with the span of W's unit vectors."""
+    dim_j = cx.dims[j]
+    keep = (np.arange(dim_j // module.dim)[:, None] * module.dim
+            + np.flatnonzero((module.b <= window).all(axis=1))).ravel()
+    if not keep.size:
+        return True
+    small = cx.kernel(j).intersect(Subspace.units(cx.p, dim_j, keep))
+    return cx.image(j).contains_space(small)
+
+
+def oracle_chart_class(chart, vec):
+    """The class of vec as a multiple of class(y/x) in the window H^1 of a
+    tower._ChartWindow, through the quotient of the full space by the charts."""
+    p, w = chart.p, chart.w
+    affine = [chart.x_idx(i) for i in range(w + 1)] + [chart.y_idx(i) for i in range(w + 1)]
+    infinity = [chart.x_idx(-i) for i in range(w + 1)] + [chart.y_idx(i) for i in range(-w, -1)]
+    charts = Subspace.units(p, chart.dim, sorted(set(affine + infinity)))
+    reps = Subspace.full(p, chart.dim).quotient_reps(charts)
+    assert reps.dim == 1
+    generator = np.zeros(chart.dim, dtype=np.int64)
+    generator[chart.y_idx(-1)] = 1
+    base = reps.express(charts.reduce(generator))
+    coords = reps.express(charts.reduce(vec))
+    return int(coords[0]) * pow(int(base[0]), p - 2, p) % p
+
+
 # Oracles and inputs the library itself never uses: the direct commutation
-# check behind DPDOperator.centrality_depth's closed form, and the tensor
-# product algebra of the Morita-invariance test.
+# check behind DPDOperator.centrality_depth's closed form, the tensor
+# product algebra of the Morita-invariance test, and the product of two
+# algebra elements.
 
 
 def commutes_with(op, f):
@@ -714,3 +751,10 @@ def tensor_algebra(a, b):
     dim = a.dim * b.dim
     table = np.einsum("ikm,jln->ijklmn", a.table, b.table).reshape(dim, dim, dim) % a.p
     return StructAlgebra(a.p, table, np.outer(a.unit, b.unit).reshape(dim) % a.p)
+
+
+def mul_vec(algebra, u, v):
+    """The coordinates of u * v in a StructAlgebra."""
+    u = np.mod(np.asarray(u, dtype=np.int64), algebra.p)
+    v = np.mod(np.asarray(v, dtype=np.int64), algebra.p)
+    return np.einsum("i,j,ijk->k", u, v, algebra.table) % algebra.p

@@ -229,8 +229,15 @@ def test_each_differential_is_eliminated_once_per_report(argv, expected, solved_
 
 
 # Every kernel and quotient a golden report takes, against the column-loop
-# kernel and the reduce-then-eliminate quotient of tests/helpers.py.
-@pytest.mark.parametrize("argv", [argv for argv, _, _ in ELIMINATIONS], ids=ELIMINATION_IDS)
+# kernel and the reduce-then-eliminate quotient of tests/helpers.py.  The
+# elliptic and cup-ring-map goldens take neither: their chart window reads the
+# class of y/x off one coordinate.
+KERNEL_CASES = [(argv, name) for (argv, _, _), name in zip(ELIMINATIONS, ELIMINATION_IDS)
+                if name not in ("elliptic", "cup-ring-map")]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in KERNEL_CASES],
+                         ids=[name for _, name in KERNEL_CASES])
 def test_golden_kernels_and_quotients_match_the_oracles(argv, capsys, monkeypatch):
     kernel_basis, quotient_reps = linalg.FpMatrix.kernel_basis, linalg.Subspace.quotient_reps
     checked = collections.Counter()

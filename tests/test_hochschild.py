@@ -7,13 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import joins, matrix_polynomial, oracle_koszul_commutator_complex, tensor_algebra
+from helpers import (
+    joins,
+    matrix_polynomial,
+    mul_vec,
+    oracle_koszul_commutator_complex,
+    oracle_middle_window_vanishes,
+    tensor_algebra,
+)
 from hhdx import linalg
 from hhdx.cli import _make_algebra
 from hhdx.errors import CapacityError, WindowError
 from hhdx.hochschild import (
     Bimodule,
     StructAlgebra,
+    _middle_window_vanishes,
     bar_complex,
     bar_differential_matrix,
     cup_product,
@@ -31,17 +39,17 @@ def test_struct_algebra_constructions():
     # e_01 * e_10 = e_00 (row-major basis e_00, e_01, e_10, e_11)
     e01 = np.array([0, 1, 0, 0])
     e10 = np.array([0, 0, 1, 0])
-    assert list(m2.mul_vec(e01, e10)) == [1, 0, 0, 0]
-    assert list(m2.mul_vec(e10, e01)) == [0, 0, 0, 1]
+    assert list(mul_vec(m2, e01, e10)) == [1, 0, 0, 0]
+    assert list(mul_vec(m2, e10, e01)) == [0, 0, 0, 1]
 
     kk = StructAlgebra.product_of_copies(3, 2)
-    assert list(kk.mul_vec([1, 0], [0, 1])) == [0, 0]
+    assert list(mul_vec(kk, [1, 0], [0, 1])) == [0, 0]
 
     tp = StructAlgebra.truncated_polynomial(2, 4)
     x = np.array([0, 1, 0, 0])
-    x2 = tp.mul_vec(x, x)
+    x2 = mul_vec(tp, x, x)
     assert list(x2) == [0, 0, 1, 0]
-    assert list(tp.mul_vec(x2, x2)) == [0, 0, 0, 0]  # x^4 = 0
+    assert list(mul_vec(tp, x2, x2)) == [0, 0, 0, 0]  # x^4 = 0
 
 
 def test_struct_algebra_validation():
@@ -71,6 +79,23 @@ def test_struct_algebra_validation():
         StructAlgebra(3, table2, [1, 0])
 
 
+def _one_sided_unit_algebra(side):
+    """F_p{u, a} with u u = u, a a = 0 and u the unit on one side only: u a = a,
+    a u = 0 (left unit), or the opposite product (right unit).  Both are
+    associative."""
+    table = np.zeros((2, 2, 2), dtype=np.int64)
+    table[0, 0, 0] = 1
+    table[(0, 1, 1) if side == "left" else (1, 0, 1)] = 1
+    return table
+
+
+@pytest.mark.parametrize("side,message", [("right", "unit fails on the left"),
+                                          ("left", "unit fails on the right")])
+def test_struct_algebra_names_the_unit_law_that_fails(side, message):
+    with pytest.raises(ValueError, match=message):
+        StructAlgebra(3, _one_sided_unit_algebra(side), [1, 0])
+
+
 def test_tensor_algebra():
     m2 = StructAlgebra.matrix_algebra(2, 2)
     tp = StructAlgebra.truncated_polynomial(2, 2)
@@ -79,7 +104,7 @@ def test_tensor_algebra():
     # unit of the tensor is unit (x) unit
     eye = np.eye(8, dtype=np.int64)
     for i in range(8):
-        assert np.array_equal(t.mul_vec(t.unit, eye[i]), eye[i])
+        assert np.array_equal(mul_vec(t, t.unit, eye[i]), eye[i])
 
 
 def test_regular_bimodule_axioms_checked():
@@ -94,6 +119,26 @@ def test_regular_bimodule_axioms_checked():
     eye = np.eye(2, dtype=np.int64)
     with pytest.raises(ValueError):
         Bimodule(tp, good.left, [eye, eye])
+
+
+# Action matrices over F_3 x F_3 on F_3^2, each breaking one bimodule law only:
+# N is nilpotent, P a non-diagonal idempotent, E0 + E1 the diagonal idempotents.
+_I, _Z = np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
+_N, _P = np.array([[0, 1], [0, 0]]), np.array([[1, 1], [0, 0]])
+_E0, _E1 = np.diag([1, 0]), np.diag([0, 1])
+BROKEN_BIMODULES = [
+    ([_N, _I - _N], [_I, _Z], "left action is not a module structure"),
+    ([_I, _Z], [_N, _I - _N], "right action is not a module structure"),
+    ([_E0, _E1], [_P, _I - _P], "left and right actions do not commute"),
+    ([_Z, _Z], [_Z, _Z], "unit does not act as the identity"),
+]
+
+
+@pytest.mark.parametrize("left,right,message", BROKEN_BIMODULES,
+                         ids=["left", "right", "commutation", "unit"])
+def test_bimodule_names_the_law_that_fails(left, right, message):
+    with pytest.raises(ValueError, match=message):
+        Bimodule(StructAlgebra.product_of_copies(3, 2), left, right)
 
 
 @pytest.mark.parametrize("name", ["m2", "kxk", "dual"])
@@ -284,6 +329,21 @@ def test_operator_window_koszul_plane():
     assert report["h0"]["certified_multiplication_operators"]
     assert report["middle"][1]["certified_vanishing_window"] == 1
     assert report["h_top"]["certified_vanishing_window"] == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_plane_certificates_match_the_subspace_paths(p):
+    outcomes = set()
+    for d, q in ((1, 1), (2, 3), (3, 2), (2, 4)):
+        cx, module, report = operator_window_koszul(p, 2, d, q)
+        mult = np.flatnonzero((module.b == 0).all(axis=1))
+        assert report["h0"]["certified_multiplication_operators"] == (
+            cx.kernel(0) == Subspace.units(p, module.dim, mult))
+        for window in range(-1, q + 1):
+            got = _middle_window_vanishes(cx, module, 1, window)
+            assert got == oracle_middle_window_vanishes(cx, module, 1, window), (d, q, window)
+            outcomes.add(got)
+    assert outcomes == {True, False}  # window -1 is the empty layer
 
 
 def test_operator_window_koszul_kunneth():

@@ -7,13 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_centralizer, oracle_filtered_degrees, oracle_limit_report
+from helpers import (
+    oracle_centralizer,
+    oracle_chart_class,
+    oracle_filtered_degrees,
+    oracle_limit_report,
+)
 from hhdx.errors import CapacityError, WindowError
 from hhdx.gfp import fitting_decomposition
 from hhdx.linalg import FpMatrix
 from hhdx.tower import (
     MAX_TOWER_DIM,
     Tower,
+    _ChartWindow,
     elliptic_frobenius_report,
     filtered_hh_sequence,
     hasse_invariant,
@@ -292,6 +298,20 @@ def test_elliptic_module_multiplicativity():
         assert r["powers"][0]["lhs_multiplier"] == r["frobenius_multiplier"]
         for k in (1, 2):
             assert r["powers"][k]["lhs_multiplier"] == 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_chart_multiplier_matches_the_chart_quotient(p):
+    rng = np.random.default_rng(p)
+    chart = _ChartWindow(p, 3 * p)
+    for vec in [*np.eye(chart.dim, dtype=np.int64), *rng.integers(-p, 2 * p, (40, chart.dim))]:
+        assert chart.multiplier(vec) == oracle_chart_class(chart, vec)
+
+
+def test_chart_window_without_room_for_y_over_x_is_refused():
+    # at w = 0 the index of y/x is that of x^0, and both charts cover everything
+    with pytest.raises(AssertionError, match=r"window H\^1 is spanned by basis vectors \[\]"):
+        _ChartWindow(3, 0)
 
 
 def test_elliptic_unshiftable_curve_is_rejected():
