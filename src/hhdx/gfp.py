@@ -78,23 +78,20 @@ def binomial_array(m, q, p):
 def fitting_decomposition(f):
     """Split F_p^n into F-stable pieces H_nil ⊕ H_semi for a square FpMatrix.
 
-    H_nil = ker(F^n) and H_semi = im(F^n) where n = dim.  Returns the pair of
-    `Subspace`s (nil, semi).  Verifies that they span F_p^n (their dims add
-    to n by rank-nullity), that each is F-stable and that F^n kills H_nil;
-    then F is bijective on H_semi, as ker F lies in H_nil, which meets H_semi in 0.
+    H_nil = ker(F^n) and H_semi = im(F^n) where n = dim.  Returns
+    (nil, semi, holds): the two `Subspace`s and whether they obey the Fitting
+    laws, checked in turn until one fails: they span F_p^n (their dims add to
+    n by rank-nullity), each is F-stable and F^n kills H_nil.  Then F is
+    bijective on H_semi, as ker F lies in H_nil, which meets H_semi in 0.
     """
     n = f.rows
     power = f.power(n)
     nil = linalg.Subspace._from_rref(f.p, n, power.kernel_basis())
     semi = linalg.Subspace._from_rref(f.p, n, power.image_basis())
-    if nil.sum(semi).dim != n:
-        raise AssertionError("nilpotent and semisimple parts are not complementary")
     # the rows of N F^T are F applied to the basis rows of N
     transpose = f.transpose()
-    if not nil.reduce_rows(linalg.product(nil.basis, transpose, f.p)).is_zero():
-        raise AssertionError("nilpotent part is not F-stable")
-    if not linalg.product(nil.basis, power.transpose(), f.p).is_zero():
-        raise AssertionError("F^n does not kill the nilpotent part")
-    if not semi.reduce_rows(linalg.product(semi.basis, transpose, f.p)).is_zero():
-        raise AssertionError("semisimple part is not F-stable")
-    return nil, semi
+    holds = (nil.sum(semi).dim == n
+             and nil.reduce_rows(linalg.product(nil.basis, transpose, f.p)).is_zero()
+             and linalg.product(nil.basis, power.transpose(), f.p).is_zero()
+             and semi.reduce_rows(linalg.product(semi.basis, transpose, f.p)).is_zero())
+    return nil, semi, holds

@@ -529,22 +529,21 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
             flags.append("dp_window_adjusted")
         if du < 2 * qu:
             raise WindowError("degree window too small for the two-chart scenario")
+        # U1's chart is U0's window in v = 1/u, with the same [v, -] matrix; the
+        # edge columns' sources are U01's Laurent window
         alg_u = OperatorAlgebra(p, 1, names=("u",))
-        alg_v = OperatorAlgebra(p, 1, names=("v",))
         alg_l = OperatorAlgebra(p, 1, names=("u",), laurent=True)
         m_u0 = TruncatedOperatorModule(alg_u, du, qu)
-        m_u1 = TruncatedOperatorModule(alg_v, du, qu)
         m_u01 = TruncatedOperatorModule(alg_l, du, qu)
-        m_edge0 = TruncatedOperatorModule(alg_l, du, qu)
         m_edge1 = TruncatedOperatorModule(alg_l, du + qu + 2, qu)
         u_l = alg_l.variable()
         u_inv = alg_l.variable(0, power=-1)
+        chart = m_u0.commutator_matrix(alg_u.variable())
         columns = [
-            [("U0", m_u0.commutator_matrix(alg_u.variable()), m_u0, m_u0, 0, du),
-             ("U1", m_u1.commutator_matrix(alg_v.variable()), m_u1, m_u1, 0, du),
+            [("U0", chart, m_u0, m_u0, 0, du), ("U1", chart, m_u0, m_u0, 0, du),
              ("U01", m_u01.commutator_matrix(u_l), m_u01, m_u01, -du, du)],
-            [("edge0", m_edge0.commutator_matrix(u_l, target=m_edge1), m_edge0, m_edge1, -du, du),
-             ("edge1", m_edge0.commutator_matrix(u_inv, target=m_edge1), m_edge0, m_edge1,
+            [("edge0", m_u01.commutator_matrix(u_l, target=m_edge1), m_u01, m_edge1, -du, du),
+             ("edge1", m_u01.commutator_matrix(u_inv, target=m_edge1), m_u01, m_edge1,
               -du + qu, du - 2)],
         ]
 
@@ -552,8 +551,8 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
         # identity; the chart change u = 1/v sends v^c Dv^(d) to the Lah expansion
         # of (-u^2 Du)^d / d!, sum_t (-1)^d C(d-1, d-t) u^(t+d-c) Du^(t); the
         # comparison sends x^a D^(b) to -u^-1 x^a D^(b) u^-1 = -sum_t (-1)^t x^(a-2-t) D^(b-t)
-        c, d = m_u1.a[:, 0], m_u1.b[:, 0]
-        chart_change = [((t + d - c)[:, None], np.full_like(m_u1.b, t),
+        c, d = m_u0.a[:, 0], m_u0.b[:, 0]
+        chart_change = [((t + d - c)[:, None], np.full_like(m_u0.b, t),
                          (-1) ** d * binomial_array(d - 1, d - t, p)) for t in range(qu + 1)]
         comparison = [(m_u01.a - 2 - t, m_u01.b - t, np.where(m_u01.b[:, 0] >= t, -(-1) ** t, 0))
                       for t in range(qu + 1)]
@@ -564,12 +563,12 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
         # row j: each edge's faces are its vertex (transport or chart change)
         # and U01, by the inclusion; on row 1 the second edge's U01 face is
         # the comparison chain map (id, m -> -u^-1 m u^-1) instead
-        for j, target in enumerate([m_edge0, m_edge1]):
+        for j, target in enumerate([m_u01, m_edge1]):
             inclusion = m_u01.operator_matrix([(m_u01.a, m_u01.b, 1)], target)
             faces = {
                 (edges[0], 0): m_u0.operator_matrix([(m_u0.a, m_u0.b, 1)], target),
                 (edges[0], 1): inclusion,
-                (edges[1], 0): m_u1.operator_matrix(chart_change, target),
+                (edges[1], 0): m_u0.operator_matrix(chart_change, target),
                 (edges[1], 1): m_u01.operator_matrix(comparison, target) if j else inclusion,
             }
             d_h[(0, j)] = face_sum(p, vertices, edges, lambda s: vertex_dims.get(s, target.dim),
@@ -585,7 +584,7 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
     double = DoubleComplex.from_commuting(p, dims, d_h, d_v)
 
     pages = double.spectral_sequence()
-    e2 = pages[1] if len(pages) > 1 else pages[0]
+    e2 = pages[1]
     einf = pages[-1]
     ok, table = double.convergence_check()
 

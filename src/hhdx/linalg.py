@@ -608,11 +608,19 @@ class DoubleComplex:
                 if m.shape != expected:
                     raise ValueError(f"{name} block at {(i, j)} has shape {m.shape}, "
                                      f"expected {expected}")
-        self._tot_cache = {}
-        self._total = None
         self._pairs = {}
-        try:
-            self.totalize()  # its d∘d = 0 is the three laws at every bidegree
+        top = self.max_i + self.max_j
+        diffs = {}
+        for n in range(0, top):
+            src, tgt = self.total_blocks(n), self.total_blocks(n + 1)
+            row = {(i, j): k for k, (i, j, _, _) in enumerate(tgt)}
+            blocks = [((row[target], col), part[(i, j)]) for col, (i, j, _, _) in enumerate(src)
+                      for part, target in ((self.d_h, (i + 1, j)), (self.d_v, (i, j + 1)))
+                      if (i, j) in part and target in row]
+            diffs[n] = block_matrix(p, [b[3] for b in tgt], [b[3] for b in src], blocks)
+        try:  # d∘d = 0 on the totalization is the three laws at every bidegree
+            self._total = CochainComplex(p, {n: self.total_dim(n) for n in range(0, top + 1)},
+                                         diffs)
         except ValueError:  # name the first bidegree that breaks one
             for (i, j) in self.dims:
                 if not (self.horizontal(i + 1, j) @ self.horizontal(i, j)).is_zero():
@@ -665,26 +673,9 @@ class DoubleComplex:
         return sum(b[3] for b in self.total_blocks(n))
 
     def total_differential(self, n):
-        if n in self._tot_cache:
-            return self._tot_cache[n]
-        src = self.total_blocks(n)
-        tgt = self.total_blocks(n + 1)
-        tgt_index = {(i, j): k for k, (i, j, _, _) in enumerate(tgt)}
-        blocks = []
-        for col, (i, j, _, _) in enumerate(src):
-            for part, target in ((self.d_h, (i + 1, j)), (self.d_v, (i, j + 1))):
-                if (i, j) in part and target in tgt_index:
-                    blocks.append(((tgt_index[target], col), part[(i, j)]))
-        out = block_matrix(self.p, [b[3] for b in tgt], [b[3] for b in src], blocks)
-        self._tot_cache[n] = out
-        return out
+        return self._total.differential(n)
 
     def totalize(self):
-        if self._total is None:
-            top = self.max_i + self.max_j
-            dims = {n: self.total_dim(n) for n in range(0, top + 1)}
-            diffs = {n: self.total_differential(n) for n in range(0, top)}
-            self._total = CochainComplex(self.p, dims, diffs)
         return self._total
 
     # -- spectral sequence of the column filtration ------------------------

@@ -717,17 +717,22 @@ def oracle_middle_window_vanishes(cx, module, j, window):
     return cx.image(j).contains_space(small)
 
 
-def oracle_chart_class(chart, vec):
-    """The class of vec as a multiple of class(y/x) in the window H^1 of a
-    tower._ChartWindow, through the quotient of the full space by the charts."""
-    p, w = chart.p, chart.w
-    affine = [chart.x_idx(i) for i in range(w + 1)] + [chart.y_idx(i) for i in range(w + 1)]
-    infinity = [chart.x_idx(-i) for i in range(w + 1)] + [chart.y_idx(i) for i in range(-w, -1)]
-    charts = Subspace.units(p, chart.dim, sorted(set(affine + infinity)))
-    reps = Subspace.full(p, chart.dim).quotient_reps(charts)
+def oracle_chart_class(poly, offset, p, w):
+    """The class of y x^offset poly as a multiple of class(y/x) in the window
+    H^1 of the two-chart cover, whose window holds x^i and y x^i for |i| <= w
+    (x^i at index i + w, y x^i at 3w + 1 + i), through the quotient of the
+    full space by the charts."""
+    dim = 4 * w + 2
+    affine = [*range(w, 2 * w + 1), *range(3 * w + 1, dim)]
+    infinity = [*range(0, w + 1), *range(2 * w + 1, 3 * w)]
+    charts = Subspace.units(p, dim, sorted(set(affine + infinity)))
+    reps = Subspace.full(p, dim).quotient_reps(charts)
     assert reps.dim == 1
-    generator = np.zeros(chart.dim, dtype=np.int64)
-    generator[chart.y_idx(-1)] = 1
+    generator = np.zeros(dim, dtype=np.int64)
+    generator[3 * w] = 1
+    vec = np.zeros(dim, dtype=np.int64)
+    for (j,), c in poly.terms.items():
+        vec[3 * w + 1 + j + offset] = c
     base = reps.express(charts.reduce(generator))
     coords = reps.express(charts.reduce(vec))
     return int(coords[0]) * pow(int(base[0]), p - 2, p) % p

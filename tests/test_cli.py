@@ -141,7 +141,47 @@ def _twist_membership_fails(monkeypatch):
 
 def _fitting_parts_swapped(monkeypatch):
     fitting = tower.fitting_decomposition
-    monkeypatch.setattr(tower, "fitting_decomposition", lambda f: fitting(f)[::-1])
+
+    def swapped(f):
+        nil, semi, holds = fitting(f)
+        return semi, nil, holds
+
+    monkeypatch.setattr(tower, "fitting_decomposition", swapped)
+
+
+def _subspace_sum_broken(monkeypatch):
+    monkeypatch.setattr(linalg.Subspace, "sum", lambda self, other: self)
+
+
+def _hasse_off_by_one(monkeypatch):
+    hasse = tower.hasse_invariant
+    monkeypatch.setattr(tower, "hasse_invariant", lambda p, cubic: (hasse(p, cubic) + 1) % p)
+
+
+def _with_t1(p, dom, space):
+    """space with t^1 added, as a subspace of the window dom."""
+    t1 = np.flatnonzero((dom.a[:, 0] == 1) & (dom.b[:, 0] == 0))
+    return space.sum(linalg.Subspace.units(p, dom.dim, t1))
+
+
+def _t1_in_full_commutant(monkeypatch):
+    centralizers = tower.lucas_centralizers
+
+    def extra(p, levels, degree_bound, dp_bound):
+        dom, depths, full = centralizers(p, levels, degree_bound, dp_bound)
+        return dom, depths, _with_t1(p, dom, full)
+
+    monkeypatch.setattr(tower, "lucas_centralizers", extra)
+
+
+def _t1_at_depth_one(monkeypatch):
+    centralizers = tower.lucas_centralizers
+
+    def extra(p, levels, degree_bound, dp_bound):
+        dom, depths, full = centralizers(p, levels, degree_bound, dp_bound)
+        return dom, [depths[0], _with_t1(p, dom, depths[1]), *depths[2:]], full
+
+    monkeypatch.setattr(tower, "lucas_centralizers", extra)
 
 
 def _centralizers_not_nested(monkeypatch):
@@ -164,11 +204,21 @@ FAILED_CERTIFICATES = [
      _centralizers_not_nested, "centralizer-chain-frobenius-nested"),
     (["--scenario", "morita-matrix", "--prime", "2", "--depth", "1"],
      _compressed_operator_acts_by_zero, "compression-action-certified"),
+    (["--scenario", "elliptic", "--prime", "3"],
+     _hasse_off_by_one, "cech-multiplier-equals-hasse"),
+    (["--scenario", "a1-hh", "--prime", "2", "--depth", "3"],
+     _t1_in_full_commutant, "no-survivors-inside-certified-window"),
+    (["--scenario", "a1-hh", "--prime", "2", "--depth", "3"],
+     _t1_at_depth_one, "centralizer-chain-frobenius-nested"),
+    (["--scenario", "proper-hh", "--prime", "2"],
+     _subspace_sum_broken, "certified-limit-equals-fitting-part"),
 ]
 
 
 @pytest.mark.parametrize("argv,break_check,name", FAILED_CERTIFICATES,
-                         ids=["smith-tower", "proper-hh", "a1-hh", "morita-matrix"])
+                         ids=["smith-tower", "proper-hh", "a1-hh", "morita-matrix",
+                              "elliptic-hasse", "a1-hh-full-commutant", "a1-hh-depth-window",
+                              "proper-hh-fitting-laws"])
 def test_failed_certificate_is_a_named_failing_assertion(argv, break_check, name,
                                                          capsys, monkeypatch):
     break_check(monkeypatch)
@@ -185,8 +235,8 @@ def test_failed_certificate_is_a_named_failing_assertion(argv, break_check, name
 # still repeat are legitimate or known: gs-point's 7 are the bar-versus-
 # totalization cross-check its report asserts (the kernels and images of d^0
 # and d^1, solved once in each complex); p1-cover's 45 x 45 repeat comes from
-# the isomorphic U0 and U1 chart columns; proper-hh's golden F is idempotent,
-# so F and F^dim are the same matrix.
+# the U0 and U1 chart columns, which share one [u, -] matrix; proper-hh's
+# golden F is idempotent, so F and F^dim are the same matrix.
 ELIMINATIONS = [
     (["--scenario", "pd-derham", "--prime", "2"], 7, 0),
     (["--scenario", "p1-cover", "--prime", "2", "--depth", "1"], 12, 1),
@@ -230,8 +280,8 @@ def test_each_differential_is_eliminated_once_per_report(argv, expected, solved_
 
 # Every kernel and quotient a golden report takes, against the column-loop
 # kernel and the reduce-then-eliminate quotient of tests/helpers.py.  The
-# elliptic and cup-ring-map goldens take neither: their chart window reads the
-# class of y/x off one coordinate.
+# elliptic and cup-ring-map goldens take neither: they read the class of y/x
+# off one coefficient.
 KERNEL_CASES = [(argv, name) for (argv, _, _), name in zip(ELIMINATIONS, ELIMINATION_IDS)
                 if name not in ("elliptic", "cup-ring-map")]
 
@@ -305,12 +355,14 @@ def test_each_complex_checks_its_law_once_per_report(argv, golden, capsys, monke
 
 # TruncatedOperatorModule.operator_matrix calls per golden report (commutator
 # matrices included): a rise means some operator window is built again.
+# p1-cover's 11 are its four distinct commutator matrices (U1's chart shares
+# U0's) and seven face matrices.
 OPERATOR_MATRICES = {
     "a1_hh_p2_r3.json": 6,
     "pd_derham_p2.json": 3,
     "morita_matrix_p2_r1.json": 0,
     "gs_point_m2_p2.json": 0,
-    "p1_cover_p2_r1.json": 12,
+    "p1_cover_p2_r1.json": 11,
     "elliptic_p3.json": 0,
     "proper_hh_p2.json": 0,
     "smith_tower_p2_r2.json": 0,

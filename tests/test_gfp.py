@@ -90,28 +90,33 @@ def test_binomial_edge_cases():
 
 def test_fitting_identity_zero_and_projector():
     f = FpMatrix(5, np.eye(3, dtype=np.int64))
-    nil, semi = fitting_decomposition(f)
+    nil, semi, holds = fitting_decomposition(f)
+    assert holds
     assert nil.dim == 0 and semi == Subspace.full(5, 3)
 
     z = FpMatrix(5, np.zeros((3, 3), dtype=np.int64))
-    nil, semi = fitting_decomposition(z)
+    nil, semi, holds = fitting_decomposition(z)
+    assert holds
     assert nil == Subspace.full(5, 3) and semi.dim == 0
 
     proj = FpMatrix(2, np.diag([1, 0]).astype(np.int64))
-    nil, semi = fitting_decomposition(proj)
+    nil, semi, holds = fitting_decomposition(proj)
+    assert holds
     assert nil.basis.a.tolist() == [[0, 1]]
     assert semi.basis.a.tolist() == [[1, 0]]
 
 
 def test_fitting_nilpotent_block():
     j = np.array([[0, 1], [0, 0]], dtype=np.int64)
-    nil, semi = fitting_decomposition(FpMatrix(3, j))
+    nil, semi, holds = fitting_decomposition(FpMatrix(3, j))
+    assert holds
     assert nil.dim == 2 and semi.dim == 0
 
     mixed = np.zeros((3, 3), dtype=np.int64)
     mixed[0, 1] = 1  # J_2(0) on first two coordinates
     mixed[2, 2] = 1  # identity on the third
-    nil, semi = fitting_decomposition(FpMatrix(3, mixed))
+    nil, semi, holds = fitting_decomposition(FpMatrix(3, mixed))
+    assert holds
     assert nil.dim == 2 and semi.dim == 1
     assert semi.basis.a.tolist() == [[0, 0, 1]]
 
@@ -121,5 +126,6 @@ def test_fitting_nilpotent_block():
 def test_fitting_random_invariants(p, n, seed):
     rng = np.random.default_rng(seed)
     f = FpMatrix(p, rng.integers(0, p, size=(n, n)))
-    nil, semi = fitting_decomposition(f)  # internal checks assert the axioms
+    nil, semi, holds = fitting_decomposition(f)
+    assert holds
     assert nil.dim + semi.dim == n

@@ -13,6 +13,10 @@ src/hhdx defines to run there (dunders and the `LAYERS` entry points aside).
 A cache hit makes no call event, so every cache hhdx binds is emptied first.
 
 Every name a module in src/hhdx or tests/ imports is used in that module.
+
+A failed certificate is a named failing assertion in a schema-valid report,
+so src/hhdx raises AssertionError once: for a constant tower that does not
+certify at dim + 1 levels, a precondition of its report.
 """
 
 import ast
@@ -233,3 +237,33 @@ def test_every_import_is_used():
     assert _unused_imports(ast.parse(
         "from __future__ import annotations\nimport a.b\nimport c as d\n"
         "from e import f, g\n__all__ = ['g']\na.b()\n")) == ["d", "f"]
+
+
+def _assertion_raises(tree):
+    """The innermost enclosing function (or "<module>") of every
+    `raise AssertionError` in a module tree."""
+    out = []
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None and any(
+                    isinstance(n, ast.Name) and n.id == "AssertionError"
+                    for n in ast.walk(child.exc)):
+                out.append(owner)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            walk(child, child.name if is_def else owner)
+
+    walk(tree, "<module>")
+    return out
+
+
+def test_only_the_tower_precondition_raises_assertion_error():
+    sites = [f"{path.name}:{owner}" for path in sorted(SRC.glob("*.py"))
+             for owner in _assertion_raises(ast.parse(path.read_text()))]
+    assert sites == ["tower.py:proper_tower_report"]
+    assert _assertion_raises(ast.parse(
+        "raise AssertionError\n"
+        "def f():\n"
+        "    def g():\n"
+        "        raise AssertionError('x')\n"
+        "    raise ValueError\n")) == ["<module>", "g"]

@@ -16,10 +16,11 @@ from helpers import (
 from hhdx.errors import CapacityError, WindowError
 from hhdx.gfp import fitting_decomposition
 from hhdx.linalg import FpMatrix
+from hhdx.poly import PolyRing
 from hhdx.tower import (
     MAX_TOWER_DIM,
     Tower,
-    _ChartWindow,
+    _h1_multiplier,
     elliptic_frobenius_report,
     filtered_hh_sequence,
     hasse_invariant,
@@ -149,7 +150,8 @@ def test_proper_tower_matches_fitting_on_random_maps(data):
     matrix = np.array(entries, dtype=np.int64).reshape(n, n)
     report = proper_tower_report(p, matrix)
     assert report["agree"]
-    _, semi = fitting_decomposition(FpMatrix(p, matrix))
+    _, semi, holds = fitting_decomposition(FpMatrix(p, matrix))
+    assert holds
     assert report["certified_lim_dim"] == semi.dim
     assert report["semisimple_dim"] + report["nilpotent_dim"] == n
 
@@ -303,15 +305,17 @@ def test_elliptic_module_multiplicativity():
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_chart_multiplier_matches_the_chart_quotient(p):
     rng = np.random.default_rng(p)
-    chart = _ChartWindow(p, 3 * p)
-    for vec in [*np.eye(chart.dim, dtype=np.int64), *rng.integers(-p, 2 * p, (40, chart.dim))]:
-        assert chart.multiplier(vec) == oracle_chart_class(chart, vec)
-
-
-def test_chart_window_without_room_for_y_over_x_is_refused():
-    # at w = 0 the index of y/x is that of x^0, and both charts cover everything
-    with pytest.raises(AssertionError, match=r"window H\^1 is spanned by basis vectors \[\]"):
-        _ChartWindow(3, 0)
+    w = 3 * p
+    ring = PolyRing(p, 1)
+    for offset in range(-w, w + 1):
+        top = w - offset  # poly's exponents j keep |j + offset| <= w
+        low = max(0, -w - offset)
+        for _ in range(3):
+            coeffs = rng.integers(0, p, top - low + 1)
+            poly = ring.from_terms({(low + j,): int(c) for j, c in enumerate(coeffs)})
+            assert _h1_multiplier(poly, offset, w) == oracle_chart_class(poly, offset, p, w)
+    with pytest.raises(WindowError, match="exponent 10 falls outside the window"):
+        _h1_multiplier(ring.monomial((3,)), 7, 9)
 
 
 def test_elliptic_unshiftable_curve_is_rejected():
