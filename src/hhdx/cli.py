@@ -114,7 +114,7 @@ def _make_algebra(p, name):
 
 
 def _point_complex(bimodule):
-    return GSComplex(GSDiagram.constant(Poset(["pt"], []), bimodule), max_bar=2)
+    return GSComplex(GSDiagram.constant(Poset(["pt"], []), bimodule))
 
 
 # -- scenarios ---------------------------------------------------------------------

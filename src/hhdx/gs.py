@@ -23,9 +23,10 @@ Three layers, all exact over F_p:
   while j = 1 cells are reported raw with explicit uncertified flags plus
   a windowed-surjectivity certificate for their inner layers.
 
-Nerve, Cech and face-row differentials are alternating face sums built by
-`linalg.face_sum`, over the cells `Poset.nerve_cells` lists or, for the
-two-chart projective line, over its vertices and edges; an algebra
+Nerve and Cech complexes come from `linalg.face_complex`, and every diagram
+double complex from its twin `linalg.face_double_complex`: one vertical map
+and one set of faces per cell, over the cells `Poset.nerve_cells` lists or,
+for the two-chart projective line, over its vertices and edges; an algebra
 diagram's algebra and module restrictions are each validated as a
 `SpaceDiagram` before the algebra-map and module-map laws are checked.
 """
@@ -40,7 +41,7 @@ from .dpdo import OperatorAlgebra, TruncatedOperatorModule, compressed_degree
 from .errors import CapacityError, WindowError
 from .gfp import binomial_array, require_prime
 from .hochschild import Bimodule, bar_differential_matrix, cup_contract
-from .linalg import DoubleComplex, Subspace, block_matrix, face_complex, face_sum
+from .linalg import Subspace, face_complex, face_double_complex
 
 
 class Poset:
@@ -305,48 +306,30 @@ class GSDiagram:
                    _identity_restrictions(poset, bimodule.dim))
 
 
+MAX_BAR = 2  # top bar degree of every GSComplex: the cups hhdx checks land in degree <= 2
+
+
 class GSComplex:
     """Diagram cochain double complex: bar columns, nerve-face rows.
 
     C^(i,j) = direct sum over length-i chains sigma of the Hochschild
     j-cochains of A(max sigma) with values in M(min sigma) (the bimodule
-    pulled back along the chain's restriction).  Vertical differentials
-    are bar differentials, horizontal ones alternating sums of face maps;
-    the two commute and are packed into a DoubleComplex with the usual
-    column sign flip.
+    pulled back along the chain's restriction), for j up to `MAX_BAR`.
+    `face_double_complex` builds it from the nerve chains: each chain's
+    vertical map is its bar differential, its k-th face `_face_matrix`.
     """
 
-    def __init__(self, diagram, max_bar=2):
+    def __init__(self, diagram):
         self.diagram = diagram
         self.p = diagram.p
-        chains = dict(enumerate(diagram.poset.nerve_cells()))
-        self.max_i = max(chains)
-        self.max_j = max_bar
-        self.chains = chains
-        self._pulled = {}
-        for cs in chains.values():
-            for sigma in cs:
-                self._pulled[sigma] = self._pullback_bimodule(sigma)
-        self.offsets = {}
-        dims = {}
-        for i, cs in chains.items():
-            for j in range(0, self.max_j + 1):
-                off = {}
-                total = 0
-                for sigma in cs:
-                    off[sigma] = total
-                    total += self.block_dim(sigma, j)
-                self.offsets[(i, j)] = off
-                dims[(i, j)] = total
-        d_v = {}
-        d_h = {}
-        for i, cs in chains.items():
-            for j in range(0, self.max_j + 1):
-                if j < self.max_j:
-                    d_v[(i, j)] = self._vertical(i, j)
-                if i + 1 in chains:
-                    d_h[(i, j)] = self._horizontal(i, j)
-        self.double = DoubleComplex.from_commuting(self.p, dims, d_h, d_v)
+        cells = diagram.poset.nerve_cells()
+        self.chains = dict(enumerate(cells))
+        self.max_i = len(cells) - 1
+        self.max_j = MAX_BAR
+        pulled = {sigma: self._pullback_bimodule(sigma) for level in cells for sigma in level}
+        self.double = face_double_complex(
+            self.p, cells, MAX_BAR + 1, self.block_dim,
+            lambda s, j: bar_differential_matrix(pulled[s], j), self._face_matrix)
 
     def _pullback_bimodule(self, sigma):
         top, bottom = sigma[-1], sigma[0]
@@ -360,16 +343,8 @@ class GSComplex:
         return (self.diagram.algebras[sigma[-1]].dim ** j
                 * self.diagram.bimodules[sigma[0]].dim)
 
-    def _vertical(self, i, j):
-        cs = self.chains[i]
-        return block_matrix(self.p, [self.block_dim(s, j + 1) for s in cs],
-                            [self.block_dim(s, j) for s in cs],
-                            {(k, k): bar_differential_matrix(self._pulled[s], j)
-                             for k, s in enumerate(cs)})
-
     def _face_matrix(self, sigma, k, j):
         """Matrix of the k-th face map C^j(face) -> C^j(sigma)."""
-        tau = sigma[:k] + sigma[k + 1:]
         n_sigma = self.diagram.algebras[sigma[-1]].dim
         m_sigma = self.diagram.bimodules[sigma[0]].dim
         if k == 0:
@@ -383,11 +358,6 @@ class GSComplex:
             return np.kron(block, np.eye(m_sigma, dtype=np.int64)) % self.p
         return np.eye(n_sigma ** j * m_sigma, dtype=np.int64)
 
-    def _horizontal(self, i, j):
-        return face_sum(self.p, self.chains[i], self.chains[i + 1],
-                         lambda s: self.block_dim(s, j),
-                         lambda s, k: self._face_matrix(s, k, j))
-
     # -- cochain utilities ------------------------------------------------------
 
     def zero_cochain(self, i, j):
@@ -398,20 +368,12 @@ class GSComplex:
         return {sigma: rng.integers(0, self.p, size=self.block_dim(sigma, j))
                 for sigma in self.chains[i]}
 
-    def pack(self, i, j, cochain):
-        vec = np.zeros(self.double.dim(i, j), dtype=np.int64)
-        for sigma, arr in cochain.items():
-            off = self.offsets[(i, j)][sigma]
-            vec[off:off + arr.shape[0]] = arr % self.p
-        return vec
+    def pack(self, i, cochain):
+        return np.concatenate([cochain[sigma] for sigma in self.chains[i]]) % self.p
 
     def unpack(self, i, j, vec):
-        out = {}
-        for sigma in self.chains[i]:
-            off = self.offsets[(i, j)][sigma]
-            out[sigma] = np.array(vec[off:off + self.block_dim(sigma, j)],
-                                  dtype=np.int64)
-        return out
+        cuts = np.cumsum([self.block_dim(sigma, j) for sigma in self.chains[i]])[:-1]
+        return dict(zip(self.chains[i], np.split(vec, cuts)))
 
     def differential(self, i, j, cochain):
         """Total differential of a bidegree-(i, j) cochain.
@@ -419,15 +381,10 @@ class GSComplex:
         Returns {(i+1, j): ..., (i, j+1): ...} using the double complex's
         sign convention (the vertical part carries (-1)^i).
         """
-        vec = self.pack(i, j, cochain)
-        out = {}
-        if i + 1 in self.chains and (i + 1, j) in self.double.dims:
-            out[(i + 1, j)] = self.unpack(i + 1, j,
-                                          self.double.horizontal(i, j) @ vec)
-        if j + 1 <= self.max_j and (i, j + 1) in self.double.dims:
-            out[(i, j + 1)] = self.unpack(i, j + 1,
-                                          self.double.vertical(i, j) @ vec)
-        return out
+        vec = self.pack(i, cochain)
+        parts = (((i + 1, j), self.double.horizontal), ((i, j + 1), self.double.vertical))
+        return {(a, b): self.unpack(a, b, part(i, j) @ vec)
+                for (a, b), part in parts if (a, b) in self.double.dims}
 
     def cup(self, i1, j1, alpha, i2, j2, beta):
         """Front/back-face cup product into bidegree (i1+i2, j1+j2)."""
@@ -488,13 +445,15 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
     with the j = 1 cell enlarged so every vertical differential and face
     map is computed exactly.  The faces are the window inclusion, the
     chart change, and the comparison chain map (id, m -> -u^-1 m u^-1)
-    from the [u, -] column to the [1/u, -] column; each face row is a
-    `face_sum` from the vertices U0, U1, U01 to the edges (U01, U0), (U01, U1).
+    from the [u, -] column to the [1/u, -] column.  `face_double_complex`
+    builds either from one commutator matrix per nerve cell (U0, U1, U01,
+    (U01, U0), (U01, U1); U0 alone for "a1") and each edge's faces.
 
     Returns (report, double_complex).  The report's row j = 0 is exact
     and compared against the nerve cohomology of the function windows;
     row j = 1 dims are raw window artifacts and are flagged uncertified,
-    with per-column inner-window surjectivity certificates alongside.
+    with per-column inner-window surjectivity certificates alongside, one
+    certification per distinct column.
     """
     require_prime(p)
     if name not in ("a1", "p1"):
@@ -515,13 +474,13 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
         qu = 4
         flags.append("dp_window_capped")
 
-    # per column, its cells: (label, commutator matrix, its source and target
-    # windows, the monomial window of the surjectivity certificate)
+    # per nerve cell, in column order: (label, commutator matrix, its source and
+    # target windows, the monomial window of the surjectivity certificate)
     if name == "a1":
         alg = OperatorAlgebra(p, 1, names=("u",))
         mod = TruncatedOperatorModule(alg, du, qu)
-        columns = [[("U0", mod.commutator_matrix(alg.variable()), mod, mod, 0, du)]]
-        d_h = {}
+        cells = {("U0",): ("U0", mod.commutator_matrix(alg.variable()), mod, mod, (0, du))}
+        faces = {}
         nerve = {0: du + 1}
     else:
         if du < 2 * qu:
@@ -538,14 +497,16 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
         m_edge1 = TruncatedOperatorModule(alg_l, du + qu + 2, qu)
         u_l = alg_l.variable()
         u_inv = alg_l.variable(0, power=-1)
-        chart = m_u0.commutator_matrix(alg_u.variable())
-        columns = [
-            [("U0", chart, m_u0, m_u0, 0, du), ("U1", chart, m_u0, m_u0, 0, du),
-             ("U01", m_u01.commutator_matrix(u_l), m_u01, m_u01, -du, du)],
-            [("edge0", m_u01.commutator_matrix(u_l, target=m_edge1), m_u01, m_edge1, -du, du),
-             ("edge1", m_u01.commutator_matrix(u_inv, target=m_edge1), m_u01, m_edge1,
-              -du + qu, du - 2)],
-        ]
+        chart = (m_u0.commutator_matrix(alg_u.variable()), m_u0, m_u0, (0, du))
+        cells = {
+            ("U0",): ("U0", *chart),
+            ("U1",): ("U1", *chart),
+            ("U01",): ("U01", m_u01.commutator_matrix(u_l), m_u01, m_u01, (-du, du)),
+            ("U01", "U0"): ("edge0", m_u01.commutator_matrix(u_l, target=m_edge1), m_u01,
+                            m_edge1, (-du, du)),
+            ("U01", "U1"): ("edge1", m_u01.commutator_matrix(u_inv, target=m_edge1), m_u01,
+                            m_edge1, (-du + qu, du - 2)),
+        }
 
         # image terms, one per column and pass t: inclusion and transport are the
         # identity; the chart change u = 1/v sends v^c Dv^(d) to the Lah expansion
@@ -556,69 +517,61 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
                          (-1) ** d * binomial_array(d - 1, d - t, p)) for t in range(qu + 1)]
         comparison = [(m_u01.a - 2 - t, m_u01.b - t, np.where(m_u01.b[:, 0] >= t, -(-1) ** t, 0))
                       for t in range(qu + 1)]
-        vertices = [("U0",), ("U1",), ("U01",)]
-        edges = [("U01", "U0"), ("U01", "U1")]
-        vertex_dims = {(cell[0],): cell[2].dim for cell in columns[0]}
-        d_h = {}
-        # row j: each edge's faces are its vertex (transport or chart change)
-        # and U01, by the inclusion; on row 1 the second edge's U01 face is
-        # the comparison chain map (id, m -> -u^-1 m u^-1) instead
+        # faces[edge, k, row j]: each edge's faces are its vertex (transport or
+        # chart change) and U01, by the inclusion; on row 1 the second edge's
+        # U01 face is the comparison chain map (id, m -> -u^-1 m u^-1) instead
+        faces = {}
         for j, target in enumerate([m_u01, m_edge1]):
             inclusion = m_u01.operator_matrix([(m_u01.a, m_u01.b, 1)], target)
-            faces = {
-                (edges[0], 0): m_u0.operator_matrix([(m_u0.a, m_u0.b, 1)], target),
-                (edges[0], 1): inclusion,
-                (edges[1], 0): m_u0.operator_matrix(chart_change, target),
-                (edges[1], 1): m_u01.operator_matrix(comparison, target) if j else inclusion,
-            }
-            d_h[(0, j)] = face_sum(p, vertices, edges, lambda s: vertex_dims.get(s, target.dim),
-                                   lambda s, k: faces[s, k])
+            faces[("U01", "U0"), 0, j] = m_u0.operator_matrix([(m_u0.a, m_u0.b, 1)], target)
+            faces[("U01", "U0"), 1, j] = inclusion
+            faces[("U01", "U1"), 0, j] = m_u0.operator_matrix(chart_change, target)
+            faces[("U01", "U1"), 1, j] = (m_u01.operator_matrix(comparison, target) if j
+                                          else inclusion)
         nerve = projective_line_twist_diagram(p, 0, du)[0].nerve_betti()
 
-    dims, d_v = {}, {}
-    for i, column in enumerate(columns):
-        sources, targets = [cell[2].dim for cell in column], [cell[3].dim for cell in column]
-        dims[(i, 0)], dims[(i, 1)] = sum(sources), sum(targets)
-        d_v[(i, 0)] = block_matrix(p, targets, sources,
-                                   {(k, k): cell[1] for k, cell in enumerate(column)})
-    double = DoubleComplex.from_commuting(p, dims, d_h, d_v)
+    levels = [[s for s in cells if len(s) == n] for n in (1, 2)]
+    double = face_double_complex(p, levels, 2, lambda s, j: cells[s][2 + j].dim,
+                                 lambda s, j: cells[s][1], lambda s, k, j: faces[s, k, j])
 
     pages = double.spectral_sequence()
     e2 = pages[1]
     einf = pages[-1]
     ok, table = double.convergence_check()
 
+    # U0 and U1 share one column, so each distinct column is certified once
+    holds = {}
     surjectivity = []
-    for label, mat, _, target, a_lo, a_hi in itertools.chain(*columns):
-        holds = _surjective_onto_window(p, mat, target, a_lo, a_hi, qu - 1)
+    for label, mat, _, target, window in cells.values():
+        key = (id(mat), id(target), window)
+        if key not in holds:
+            holds[key] = _surjective_onto_window(p, mat, target, *window, qu - 1)
         surjectivity.append({
             "column": label,
-            "monomial_window": [int(a_lo), int(a_hi)],
+            "monomial_window": [int(a) for a in window],
             "dp_window": int(qu - 1),
-            "surjective": bool(holds),
+            "surjective": bool(holds[key]),
         })
 
-    row0 = [e2.dim(i, 0) for i in range(double.max_i + 1)]
-    row1 = [e2.dim(i, 1) for i in range(double.max_i + 1)]
-    nerve_row = [nerve.get(i, 0) for i in range(double.max_i + 1)]
+    columns = range(double.max_i + 1)
+    grid = [(i, j) for i in columns for j in range(double.max_j + 1)]
+    row0 = [e2.dim(i, 0) for i in columns]
+    row1 = [e2.dim(i, 1) for i in columns]
+    nerve_row = [nerve.get(i, 0) for i in columns]
     report = {
         "scenario": name,
         "prime": p,
         "depth": r,
         "window": {"degree": du, "dp": qu},
         "flags": flags,
-        "e2": {f"{i},{j}": e2.dim(i, j)
-               for i in range(double.max_i + 1)
-               for j in range(double.max_j + 1)},
+        "e2": {f"{i},{j}": e2.dim(i, j) for i, j in grid},
         "e2_row0": row0,
         "nerve_row0": nerve_row,
         "row0_matches_nerve": row0 == nerve_row,
         "e2_row1": row1,
         "row1_status": "uncertified (truncation)",
         "column_surjectivity": surjectivity,
-        "einf": {f"{i},{j}": einf.dim(i, j)
-                 for i in range(double.max_i + 1)
-                 for j in range(double.max_j + 1)},
+        "einf": {f"{i},{j}": einf.dim(i, j) for i, j in grid},
         "convergence": {
             "agree": bool(ok),
             "table": {str(m): [int(a), int(b)] for m, (a, b) in table.items()},

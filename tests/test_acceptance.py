@@ -210,7 +210,7 @@ def test_criterion_06_hochschild_brute_force():
 
 
 def _point_complex(bimodule):
-    return GSComplex(GSDiagram.constant(Poset(["pt"], []), bimodule), max_bar=2)
+    return GSComplex(GSDiagram.constant(Poset(["pt"], []), bimodule))
 
 
 def test_criterion_07_gs_point_reduction():
@@ -385,8 +385,8 @@ def test_criterion_12_cup_products():
             Bimodule.regular(StructAlgebra.truncated_polynomial(2, 2))),
         lambda: GSComplex(GSDiagram.constant(
             Poset(["a", "b"], [("a", "b")]),
-            Bimodule.regular(StructAlgebra.product_of_copies(3, 2))), max_bar=2),
-        lambda: GSComplex(_evaluation_diagram(5), max_bar=2),
+            Bimodule.regular(StructAlgebra.product_of_copies(3, 2)))),
+        lambda: GSComplex(_evaluation_diagram(5)),
     ]
     rng = np.random.default_rng(1212)
     for build in scenarios:

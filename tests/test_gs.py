@@ -133,7 +133,7 @@ def test_projective_line_window_guard():
 
 def _point_gs(bimodule):
     poset = Poset(["pt"], [])
-    return GSComplex(GSDiagram.constant(poset, bimodule), max_bar=2)
+    return GSComplex(GSDiagram.constant(poset, bimodule))
 
 
 @pytest.mark.parametrize("make", [
@@ -162,8 +162,7 @@ def test_constant_interval_diagram_matches_hochschild(make, dims):
     """A constant diagram over a contractible nerve adds nothing."""
     algebra = make()
     poset = Poset(["a", "b"], [("a", "b")])
-    gs = GSComplex(GSDiagram.constant(poset, Bimodule.regular(algebra)),
-                   max_bar=2)
+    gs = GSComplex(GSDiagram.constant(poset, Bimodule.regular(algebra)))
     total = gs.double.totalize()
     assert total.cohomology(0)[0] == dims[0]
     assert total.cohomology(1)[0] == dims[1]
@@ -188,7 +187,7 @@ def _evaluation_diagram(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_evaluation_diagram_builds_and_converges(p):
-    gs = GSComplex(_evaluation_diagram(p), max_bar=2)
+    gs = GSComplex(_evaluation_diagram(p))
     total = gs.double.totalize()
     # H^0 = pairs (z, c) with z central in k[x]/(x^2) and z(0) = c
     assert total.cohomology(0)[0] == 2
@@ -268,8 +267,8 @@ def _leibniz_defect(gs, i1, j1, alpha, i2, j2, beta):
     lambda: _point_gs(Bimodule.regular(StructAlgebra.truncated_polynomial(2, 2))),
     lambda: GSComplex(GSDiagram.constant(
         Poset(["a", "b"], [("a", "b")]),
-        Bimodule.regular(StructAlgebra.product_of_copies(3, 2))), max_bar=2),
-    lambda: GSComplex(_evaluation_diagram(5), max_bar=2),
+        Bimodule.regular(StructAlgebra.product_of_copies(3, 2)))),
+    lambda: GSComplex(_evaluation_diagram(5)),
 ])
 def test_cup_leibniz_randomized(build):
     gs = build()

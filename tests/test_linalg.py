@@ -35,6 +35,7 @@ from helpers import (
 )
 from hhdx import linalg
 from hhdx.errors import CapacityError
+from hhdx.gs import Poset
 from hhdx.linalg import (
     CochainComplex,
     DoubleComplex,
@@ -42,6 +43,8 @@ from hhdx.linalg import (
     Subspace,
     block_matrix,
     cohomology_at,
+    face_complex,
+    face_double_complex,
     face_sum,
     product,
 )
@@ -271,6 +274,51 @@ def test_face_sum_matches_dense_oracle(p, length, seed):
     assert_canonical(got)
     want = oracle_face_sum(p, lower, upper, dims.get, lambda s, k: np.asarray(faces[(s, k)]))
     assert np.array_equal(got.a, want.a)
+
+
+# The nerve posets of the acceptance criteria: a point, a chain a < b, and
+# two charts glued along their overlap w.
+ACCEPTANCE_POSETS = [Poset(["pt"], []), Poset(["a", "b"], [("a", "b")]),
+                     Poset(["w", "a", "b"], [("w", "a"), ("w", "b")])]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 2), st.integers(0, 10 ** 6))
+def test_one_row_face_double_complex_is_the_face_complex(p, which, seed):
+    rng = np.random.default_rng(seed)
+    poset = ACCEPTANCE_POSETS[which]
+    cells = poset.nerve_cells()
+    size = {e: int(rng.integers(0, 4)) for e in poset.elements}
+    restr = {(v, u): random_sparse(p, rng, size[u], size[v]) for v, u in poset.strict_pairs()}
+
+    def face(sigma, k):  # a nerve face: drop the least vertex by restricting
+        return restr[sigma[1], sigma[0]] if k == 0 else np.eye(size[sigma[0]], dtype=np.int64)
+
+    want = face_complex(p, cells, lambda s: size[s[0]], face)
+    got = face_double_complex(p, cells, 1, lambda s, j: size[s[0]], None,
+                              lambda s, k, j: face(s, k))
+    for n in range(len(cells)):
+        assert got.total_dim(n) == want.dims[n]
+        assert got.total_differential(n) == want.differential(n)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_face_double_complex_columns_are_block_diagonal_and_flipped(p):
+    rng = np.random.default_rng(p)
+    cells = [[("a",), ("b",)], [("a", "b"), ("b", "c")]]
+    size = {(s, j): int(rng.integers(1, 4)) for level in cells for s in level for j in (0, 1)}
+    maps = {s: random_sparse(p, rng, size[s, 1], size[s, 0]) for level in cells for s in level}
+    dc = face_double_complex(
+        p, cells, 2, lambda s, j: size[s, j], lambda s, j: maps[s],
+        lambda s, k, j: np.zeros((size[s, j], size[s[:k] + s[k + 1:], j]), dtype=np.int64))
+    for i, level in enumerate(cells):
+        want = np.zeros((sum(size[s, 1] for s in level), sum(size[s, 0] for s in level)),
+                        dtype=np.int64)
+        r = c = 0
+        for s in level:
+            want[r:r + size[s, 1], c:c + size[s, 0]] = maps[s]
+            r, c = r + size[s, 1], c + size[s, 0]
+        assert np.array_equal(dc.vertical(i, 0).a, (-1) ** i * want % p)
 
 
 @settings(deadline=None, max_examples=60)

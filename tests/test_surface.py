@@ -14,6 +14,10 @@ A cache hit makes no call event, so every cache hhdx binds is emptied first.
 
 Every name a module in src/hhdx or tests/ imports is used in that module.
 
+Every double complex src/hhdx builds comes from `linalg.face_double_complex`:
+it alone calls `DoubleComplex.from_commuting`, and that alone constructs a
+`DoubleComplex`.
+
 A failed certificate is a named failing assertion in a schema-valid report,
 so src/hhdx raises AssertionError once: for a constant tower that does not
 certify at dim + 1 levels, a precondition of its report.
@@ -267,3 +271,45 @@ def test_only_the_tower_precondition_raises_assertion_error():
         "    def g():\n"
         "        raise AssertionError('x')\n"
         "    raise ValueError\n")) == ["<module>", "g"]
+
+
+def _calls(tree):
+    """(enclosing qualname or "<module>", callee name) of every call in a
+    module tree whose callee is a name or an attribute; `cls(...)` is a call
+    of the enclosing class."""
+    out = []
+
+    def walk(node, owner, prefix, cls_name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                out.append((owner, cls_name if name == "cls" else name))
+            if isinstance(child, ast.ClassDef):
+                walk(child, owner, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, f"{prefix}{child.name}", f"{prefix}{child.name}.", cls_name)
+            else:
+                walk(child, owner, prefix, cls_name)
+
+    walk(tree, "<module>", "", None)
+    return out
+
+
+def test_only_the_face_double_complex_builds_a_double_complex():
+    sites = collections.defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        for owner, callee in _calls(ast.parse(path.read_text())):
+            if callee in ("DoubleComplex", "from_commuting"):
+                sites[callee].append(f"{path.name}:{owner}")
+    assert sites == {"DoubleComplex": ["linalg.py:DoubleComplex.from_commuting"],
+                     "from_commuting": ["linalg.py:face_double_complex"]}
+    assert _calls(ast.parse(
+        "class DoubleComplex:\n"
+        "    @classmethod\n"
+        "    def from_commuting(cls):\n"
+        "        return cls()\n"
+        "def build():\n"
+        "    return DoubleComplex.from_commuting()\n"
+        "DoubleComplex()\n")) == [("DoubleComplex.from_commuting", "DoubleComplex"),
+                                  ("build", "from_commuting"), ("<module>", "DoubleComplex")]
