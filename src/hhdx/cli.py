@@ -138,7 +138,7 @@ def _scenario_a1_hh(args):
            detail=f"survivors {survivors}")
     flags = [
         f"graded degrees uncertified by the window: {filtered['uncertified_degrees']}",
-        f"degree-0 survivors above certified window {q}: {survivors}",
+        f"degree-0 survivors above certified window {q}: {[a for a in survivors if a > q]}",
     ]
     top = twisted["h_top"]
     if top["certified_vanishing_window"] is not None:

@@ -39,10 +39,10 @@ from .poly import MAX_EXPONENT, MultiPoly, PolyRing, power_factors, render_terms
 
 MAX_PRODUCT_WORK = 2_000_000
 # The rank of one operator window.  One process per report, 2-vCPU guest: the
-# edge pd-derham p = 5, N = 446 (447^2 = 199 809) takes 1.9 s and 109 MB; the
-# costliest input near it, a1-hh p = 5, r = 2, window 384, 18.3 s and 269 MB, a
-# third of it building matrices.  Lifting the cap waits for a plan of the matrices
-# before they are built, without which a1-hh would run far past that budget.
+# edge pd-derham p = 5, N = 446 (447^2 = 199 809) takes 0.44 s and 115 MB, and
+# a1-hh p = 5, r = 2, window 384 0.26 s and 77 MB.  A window costs 270-400 bytes
+# a unit of rank, so memory, not time, sets how far the cap could rise; lifting it
+# waits for a plan that predicts a report's bytes before its windows are built.
 MAX_WINDOW_RANK = 200_000
 
 
@@ -531,17 +531,19 @@ class TruncatedOperatorModule:
         return DPDOperator(self.algebra, {(tuple(self.a[k]), tuple(self.b[k])): vec[k]
                                           for k in np.flatnonzero(np.mod(vec, self.algebra.p))})
 
-    def operator_matrix(self, images, target=None):
+    def operator_matrix(self, images, target=None, cols=slice(None)):
         """Matrix over the target window of the map sending basis column k to
         the sum of its image terms: `images` holds (a, b, coefficient) arrays,
         one term per column (a column's terms distinct; a coefficient may be a
-        scalar).  The window's own basis past the caps is refused first; once all
-        images are read, a nonzero term outside the target raises WindowError."""
+        scalar), its columns the basis elements `cols` picks (all by default).
+        The window's own basis past the caps is refused first; once all images
+        are read, a nonzero term outside the target raises WindowError."""
         target, p = target or self, self.algebra.p
-        _check_terms(self.algebra, self.a, self.b, True)
+        own_a, own_b = self.a[cols], self.b[cols]
+        _check_terms(self.algebra, own_a, own_b, True)
         triples, misses = [(np.zeros(0, dtype=np.int64),) * 3], []
         for a, b, c in images:
-            c = np.broadcast_to(c, self.dim)
+            c = np.broadcast_to(c, len(own_a))
             col = np.flatnonzero(np.mod(c, p))
             row = target._locate(a[col], b[col])
             misses += [(k, tuple(a[k].tolist()), tuple(b[k].tolist())) for k in col[row < 0][:1]]
@@ -549,32 +551,40 @@ class TruncatedOperatorModule:
         if misses:
             term = min(misses, key=lambda miss: miss[0])[1:]
             raise WindowError(f"term {term} falls outside the module window")
-        return linalg.FpMatrix.from_triples(p, (target.dim, self.dim),
+        return linalg.FpMatrix.from_triples(p, (target.dim, len(own_a)),
                                              *(np.concatenate(x) for x in zip(*triples)))
 
-    def commutator_matrix(self, g, target=None):
+    def commutator_matrix(self, g, target=None, cols=slice(None)):
         """Matrix of [g, -] into the target window for a monomial g = k x^c D^(e),
-        one array pass per j in the box 0 <= j_i <= max(e_i, h_i), h_i = dp_bound
-        if c_i < 0 else min(dp_bound, c_i) (e_i capped at hi in a polynomial window,
-        where C(a_i, j_i) = 0 for j_i > a_i): x^(a+c-j) D^(b+e-j) gets k (L - R),
+        on the columns `cols` picks, one array pass per j in the box 0 <= j_i <=
+        max(e_i, h_i), h_i = dp_bound if c_i < 0 else min(dp_bound, c_i) (e_i
+        capped at hi in a polynomial window, where C(a_i, j_i) = 0 for
+        j_i > a_i): x^(a+c-j) D^(b+e-j) gets k (L - R),
         L = prod_i C(a_i, j_i) C(b_i+e_i-j_i, e_i-j_i) from g x^a D^(b) and
-        R = prod_i C(c_i, j_i) C(b_i+e_i-j_i, b_i-j_i) from x^a D^(b) g.  A term
+        R = prod_i C(c_i, j_i) C(b_i+e_i-j_i, b_i-j_i) from x^a D^(b) g, each
+        factor evaluated once on its coordinate's range and gathered.  A term
         past the caps is refused where L or R is nonzero."""
         ((c, e), k), = g.terms.items()
         p, c, e = self.algebra.p, np.array(c), np.array(e)
         box = np.maximum(e if self.lo else np.minimum(e, self.hi),
                          np.where(c < 0, self.dp_bound, np.minimum(self.dp_bound, c))) + 1
+        own_a, own_b = self.a[cols], self.b[cols]
+        at_a, at_b = (own_a - self.lo).T, own_b.T  # each column's place in each range
+        a_range, b_range = np.arange(self.lo, self.hi + 1), np.arange(self.dp_bound + 1)
 
         def images():
             for j in map(np.array, np.ndindex(*box)):
-                a, b = self.a + c - j, self.b + e - j
-                left = (binomial_array(self.a, j, p) * binomial_array(b, e - j, p)).prod(axis=1) % p
-                right = (binomial_array(c, j, p).prod()
-                         * binomial_array(b, self.b - j, p).prod(axis=1) % p)
+                left, right = 1, binomial_array(c, j, p).prod() % p
+                for i in range(len(j)):
+                    top = b_range + e[i] - j[i]
+                    left = (left * binomial_array(a_range, j[i], p)[at_a[i]]
+                            * binomial_array(top, e[i] - j[i], p)[at_b[i]] % p)
+                    right = right * binomial_array(top, b_range - j[i], p)[at_b[i]] % p
+                a, b = own_a + c - j, own_b + e - j
                 _check_terms(self.algebra, a, b, (left != 0) | (right != 0))
                 yield a, b, k * (left - right)
 
-        return self.operator_matrix(images(), target)
+        return self.operator_matrix(images(), target, cols)
 
 
 def _check_terms(algebra, a, b, where):

@@ -7,7 +7,9 @@ thing `MAX_MATRIX_ENTRIES` caps, is made per block and on demand (`.a`).
 Elimination gives the canonical RREF (first nonzero pivot, row-major), so
 every kernel basis and cohomology representative is deterministic; `_rref`
 eliminates each connected component of a matrix's nonzero pattern as a block
-of its own, and `product` multiplies from the nonzeros.  A kernel basis is read
+of its own, except that a one-column component is a unit row and a one-row
+component its row over its leading value, with no elimination, and `product`
+multiplies from the nonzeros.  A kernel basis is read
 off one elimination, a quotient transversal off the pivots with none, and a
 reduction modulo a subspace is one product with its RREF basis.  A coordinate
 subspace (a span of unit vectors) stays an index set: `contains_units` reads
@@ -78,37 +80,65 @@ def _components(u, v, n):
         label = hooked
 
 
+def _unique(x):
+    """The distinct values of an int array, ascending: sort, then mask the
+    repeats.  numpy 2.4's `np.unique` hashes: on 10^6 int64s, 2-vCPU Xeon, it
+    takes 860 ms sorted and 670 ms shuffled, this 17 and 26 ms."""
+    x = np.sort(x)
+    first = np.ones(x.size, dtype=bool)
+    first[1:] = x[1:] != x[:-1]
+    return x[first]
+
+
 def _rref(a, p):
     """RREF mod p of an FpMatrix: (its rows as an FpMatrix, pivot columns).
 
     The RREF is canonical, so it is assembled per connected component of the
-    nonzero pattern: a one-column component gives a unit row, every other is
-    eliminated as a dense block of its own, and the rows are numbered in
-    pivot order.
+    nonzero pattern: all one-column components at once give unit rows, all
+    one-row ones their rows over their leading values, and every other is
+    eliminated as a dense block of its own; rows are in pivot order.
     """
     nrows, ncols = a.shape
     if nrows * ncols < _SPLIT_MIN_ENTRIES or a.val.size * _SPLIT_MAX_DENSITY > nrows * ncols:
         red, pivots = _rref_dense(a.a, p)  # small or dense: eliminated whole
         return FpMatrix(p, red), pivots
     label = _components(a.row, a.col + nrows, nrows + ncols)
-    cols = np.unique(a.col)
-    col_label = label[nrows + cols]
-    width = np.bincount(col_label, minlength=nrows + ncols)  # columns a component has
-    single = cols[width[col_label] == 1]
+    node = np.concatenate([_unique(a.row), nrows + _unique(a.col)])  # rows, then columns
+    is_col = node >= nrows
+    height = np.bincount(label[node[~is_col]], minlength=nrows + ncols)  # rows a component has
+    width = np.bincount(label[node[is_col]], minlength=nrows + ncols)  # columns it has
+    single = node[is_col & (width[label[node]] == 1)] - nrows
+    at = label[a.row]  # the component of each nonzero
+    one = np.flatnonzero((height[at] == 1) & (width[at] > 1))
+    head = one[np.searchsorted(a.row[one], a.row[one])]  # the first nonzero of its row
+    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
     # (pivot of its row, column, value) of every RREF entry
-    pieces = [(single, single, np.ones(single.size, dtype=np.int64))]
-    ent = np.flatnonzero(width[label[a.row]] > 1)  # the nonzeros of the other blocks
-    ent = ent[np.argsort(label[a.row[ent]], kind="stable")]
-    for block in np.split(ent, np.flatnonzero(np.diff(label[a.row[ent]])) + 1) if ent.size else []:
-        rs, cs = np.unique(a.row[block]), np.unique(a.col[block])
-        _check_capacity(rs.size * cs.size)
-        dense = np.zeros((rs.size, cs.size), dtype=np.int64)
-        dense[np.searchsorted(rs, a.row[block]), np.searchsorted(cs, a.col[block])] = a.val[block]
+    pieces = [(single, single, np.ones(single.size, dtype=np.int64)),
+              (a.col[head], a.col[one], a.val[one] * inverse[a.val[head]] % p)]
+    # the other components' rows, then columns, ascending, after one stable
+    # sort by label: a node's block-local number is its place in its run
+    block = (height > 1) & (width > 1)
+    node = node[block[label[node]]]
+    node = node[np.argsort(label[node], kind="stable")]
+    h, w = height[block], width[block]
+    start = np.repeat(np.cumsum(h + w) - w, h + w) - np.where(node < nrows, np.repeat(h, h + w), 0)
+    local = np.empty(nrows + ncols, dtype=np.int64)
+    local[node] = np.arange(node.size) - start
+    ent = np.flatnonzero(block[at])
+    ent = ent[np.argsort(at[ent], kind="stable")]
+    triples = np.stack([local[a.row[ent]], local[nrows + a.col[ent]], a.val[ent]])
+    ends = np.cumsum(np.bincount(at[ent], minlength=nrows + ncols)[block])
+    for hb, wb, nodes, (r, c, v) in zip(h.tolist(), w.tolist(), np.split(node, np.cumsum(h + w)),
+                                        np.split(triples, ends, axis=1)):
+        _check_capacity(hb * wb)
+        dense = np.zeros((hb, wb), dtype=np.int64)
+        dense[r, c] = v
         red, piv = _rref_dense(dense, p)
         r, c = np.nonzero(red)
+        cs = nodes[hb:] - nrows
         pieces.append((cs[np.array(piv, dtype=np.int64)[r]], cs[c], red[r, c]))
     lead, col, val = (np.concatenate(part) for part in zip(*pieces))
-    pivots = np.unique(lead)
+    pivots = _unique(lead)
     basis = FpMatrix.from_triples(p, (pivots.size, ncols), np.searchsorted(pivots, lead), col, val)
     return basis, tuple(pivots.tolist())
 
@@ -323,7 +353,7 @@ class FpMatrix:
         n = self.cols
         red, pivots = _rref(self.take(slice(None), slice(None, None, -1)), self.p)
         pivots = n - 1 - np.array(pivots, dtype=np.int64)
-        free = np.setdiff1d(np.arange(n), pivots)
+        free = np.flatnonzero(np.bincount(pivots, minlength=n) == 0)  # a mask of non-pivots
         at_free = red.take(slice(None), n - 1 - free)  # column k: free[k]'s column of red
         return FpMatrix.from_triples(
             self.p, (free.size, n), np.concatenate([np.arange(free.size), at_free.col]),

@@ -41,7 +41,7 @@ import numpy as np
 from .dpdo import OperatorAlgebra, TruncatedOperatorModule
 from .errors import CapacityError, WindowError
 from .gfp import fitting_decomposition, require_prime
-from .linalg import FpMatrix, Subspace, block_matrix, product
+from .linalg import FpMatrix, Subspace, _unique, product
 from .poly import PolyRing
 
 # Largest dim F a tower accepts.  The image chain stops at its first repeat,
@@ -350,9 +350,11 @@ def lucas_centralizers(p, levels, degree_bound, dp_bound):
     commutes with every D^(p^k) with p^k <= q commutes with D^(q).  The
     commutant against D^(q), q < p^r, is therefore the joint kernel of
     [t, -] and the [D^(p^k), -] with k < r, and the full one that of [t, -]
-    and the [D^(p^k), -] with p^k <= dp_bound.  Each commutator matrix is
-    built once, into a codomain enlarged by p^k so it is exact, and every
-    depth stacks a prefix of the same list.
+    and the [D^(p^k), -] with p^k <= dp_bound.  The kernels are nested: with
+    K the RREF basis of one commutant and G the next generator's commutator
+    matrix, built (into a codomain enlarged by p^k, so it is exact) on K's
+    support columns only, the next commutant is ker(G K^T) K.  That product
+    is already in RREF, since at K's pivots it equals ker(G K^T).
 
     Returns (module, [depth-0 .. depth-levels spaces], full space), each
     space a Subspace of the module's coordinates.
@@ -360,20 +362,15 @@ def lucas_centralizers(p, levels, degree_bound, dp_bound):
     alg = OperatorAlgebra(p, 1, names=("t",))
     dom = TruncatedOperatorModule(alg, degree_bound, dp_bound)
     window_digits = next(k for k in itertools.count() if p ** k > dp_bound)
-    mats = [dom.commutator_matrix(alg.variable())]
+    spaces = [Subspace._from_rref(p, dom.dim, dom.commutator_matrix(alg.variable()).kernel_basis())]
     for q in (p ** k for k in range(max(levels, window_digits))):
+        basis = spaces[-1].basis
+        keep = _unique(basis.col)
         target = TruncatedOperatorModule(alg, degree_bound, dp_bound + q)
-        mats.append(dom.commutator_matrix(alg.divided_power(0, q), target=target))
-
-    def centralizer(n):
-        """Joint kernel of the first n commutator matrices, exactly."""
-        mat = block_matrix(p, [m.rows for m in mats[:n]], [dom.dim],
-                           [((k, 0), m) for k, m in enumerate(mats[:n])])
-        return Subspace._from_rref(p, dom.dim, mat.kernel_basis())
-
-    depths = [centralizer(r + 1) for r in range(levels + 1)]
-    full = depths[window_digits] if window_digits <= levels else centralizer(1 + window_digits)
-    return dom, depths, full
+        g = dom.commutator_matrix(alg.divided_power(0, q), target=target, cols=keep)
+        inner = product(g, basis.take(slice(None), keep).transpose(), p).kernel_basis()
+        spaces.append(Subspace._from_rref(p, dom.dim, product(inner, basis, p)))
+    return dom, spaces[:levels + 1], spaces[window_digits]
 
 
 def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
@@ -387,7 +384,8 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
     are nested and each is the Frobenius-nested window k[t^(p^r)] cap
     window -- exactly, basis by basis.  By Lucas' theorem the D^(p^k) with
     k < r generate the same commutant as all D^(q) with q < p^r, so only
-    those are stacked (`lucas_centralizers`).  `h0_full` lists every
+    their kernels are taken, each inside the previous depth's
+    (`lucas_centralizers`).  `h0_full` lists every
     positive degree in the full commutant, for the report to check that
     none lies inside the certified dp window.
 
@@ -433,7 +431,7 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
                      for r in range(0, levels))
 
     # the commutant against every divided power the window offers
-    survivors = np.unique(dom.a[full_space.basis.col, 0]).tolist()
+    survivors = _unique(dom.a[full_space.basis.col, 0]).tolist()
     h0_full = {
         "dim": full_space.dim,
         "certified_window": q_bound,

@@ -9,7 +9,8 @@ shared builders replaced, the general tower limit the closed-form Tower is
 tested against, the term-by-term operator product the normal-ordering kernel
 is tested against, the per-column operator window the array window builder
 is tested against, the per-degree tables the filtered sequence's degree
-table is tested against, the unit-span intersection and chart quotient the
+table is tested against, the stacked commutator kernels the nested
+centralizers are tested against, the unit-span intersection and chart quotient the
 index-set certificates are tested against, and the direct commutation check,
 tensor algebra and algebra product that only tests need."""
 
@@ -235,18 +236,23 @@ def oracle_rref(a, p):
 def planted_blocks(p, rng):
     """A matrix the block split eliminates: 1-12 random blocks of up to 5 x 5
     (some all zero, some entries raised by multiples of p, negatives
-    included) on a block diagonal, padded with zero rows and columns to at
-    least `linalg._SPLIT_MIN_ENTRIES` entries with at most one nonzero in
-    `linalg._SPLIT_MAX_DENSITY`, then rows and columns shuffled."""
-    shapes = rng.integers(1, 6, size=(int(rng.integers(1, 13)), 2))
+    included) and 1-3 rows of 2-5 entries nonzero mod p on a block diagonal,
+    padded with zero rows and columns to at least `linalg._SPLIT_MIN_ENTRIES`
+    entries with at most one nonzero in `linalg._SPLIT_MAX_DENSITY`, then rows
+    and columns shuffled."""
+    rows = int(rng.integers(1, 4))  # the one-row blocks, planted last
+    shapes = np.concatenate([rng.integers(1, 6, size=(int(rng.integers(1, 13)), 2)),
+                             np.stack([np.ones(rows, dtype=np.int64),
+                                       rng.integers(2, 6, size=rows)], axis=1)])
     nrows = int(shapes[:, 0].sum() + rng.integers(0, 8))
     budget = max(linalg._SPLIT_MIN_ENTRIES,
                  linalg._SPLIT_MAX_DENSITY * int(shapes.prod(axis=1).sum()))
     ncols = max(int(shapes[:, 1].sum() + rng.integers(0, 8)), -(-budget // nrows))
     a = np.zeros((nrows, ncols), dtype=np.int64)
     r0 = c0 = 0
-    for h, w in shapes:
-        block = rng.integers(0, p, size=(h, w)) * int(rng.random() < 0.9)
+    for k, (h, w) in enumerate(shapes):
+        one_row = k >= len(shapes) - rows
+        block = rng.integers(int(one_row), p, size=(h, w)) * int(one_row or rng.random() < 0.9)
         block += p * rng.integers(-2, 3, size=(h, w)) * (rng.random((h, w)) < 0.2)
         a[r0:r0 + h, c0:c0 + w] = block
         r0, c0 = r0 + h, c0 + w
@@ -429,6 +435,29 @@ def oracle_centralizer(p, degree_bound, dp_bound, q_top):
         stacked.append(oracle_operator_matrix(dom, alg.divided_power(0, q).commutator,
                                               target).a)
     return Subspace(p, dom.dim, oracle_kernel_basis(FpMatrix(p, np.concatenate(stacked))))
+
+
+def oracle_lucas_centralizers(p, levels, degree_bound, dp_bound, dp_cap=None):
+    """`tower.lucas_centralizers` as it stacked its commutators: every depth
+    eliminates the stack of [t, -] and a prefix of the [D^(p^k), -] over the
+    whole window.  dp_cap, when given, replaces the algebra's cap on
+    divided-power exponents."""
+    alg = OperatorAlgebra(p, 1, names=("t",))
+    alg.dp_cap = alg.dp_cap if dp_cap is None else dp_cap
+    dom = TruncatedOperatorModule(alg, degree_bound, dp_bound)
+    window_digits = next(k for k in itertools.count() if p ** k > dp_bound)
+    mats = [dom.commutator_matrix(alg.variable())]
+    for q in (p ** k for k in range(max(levels, window_digits))):
+        target = TruncatedOperatorModule(alg, degree_bound, dp_bound + q)
+        mats.append(dom.commutator_matrix(alg.divided_power(0, q), target=target))
+
+    def centralizer(n):
+        mat = block_matrix(p, [m.rows for m in mats[:n]], [dom.dim],
+                           [((k, 0), m) for k, m in enumerate(mats[:n])])
+        return Subspace._from_rref(p, dom.dim, mat.kernel_basis())
+
+    depths = [centralizer(r + 1) for r in range(levels + 1)]
+    return dom, depths, centralizer(1 + window_digits)
 
 
 def oracle_filtered_degrees(p, levels, degree_bound):

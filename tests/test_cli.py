@@ -376,9 +376,9 @@ def test_each_operator_matrix_is_built_once_per_report(argv, golden, capsys, mon
     calls = []
     operator_matrix = dpdo.TruncatedOperatorModule.operator_matrix
 
-    def counting(module, images, target=None):
+    def counting(module, images, *args):
         calls.append(module.dim)
-        return operator_matrix(module, images, target)
+        return operator_matrix(module, images, *args)
 
     monkeypatch.setattr(dpdo.TruncatedOperatorModule, "operator_matrix", counting)
     assert main([*argv, "--json"]) == 0
@@ -432,9 +432,10 @@ def test_p2_divided_power_window_past_the_cap_exits_4(scenario, capsys):
 
 
 def test_a1_hh_centralizers_reach_a_large_dp_window(capsys):
-    """Stacking only the Lucas generators D^(p^k) keeps this window's
-    centralizer matrices small; one commutator per divided power up to 45
-    would need 139 million dense entries and be refused."""
+    """Taking only the Lucas generators' kernels, each on the previous
+    kernel's basis, keeps this window's centralizer matrices small; one
+    commutator per divided power up to 45 would need 139 million dense
+    entries and be refused."""
     assert main(["--scenario", "a1-hh", "--prime", "3", "--depth", "1",
                  "--degree-bound", "30", "--dp-cap", "45", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -443,14 +444,47 @@ def test_a1_hh_centralizers_reach_a_large_dp_window(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["--scenario", "a1-hh", "--prime", "3", "--depth", "3", "--degree-bound", "100",
+     "--dp-cap", "81"],
+    ["--scenario", "a1-hh", "--prime", "3", "--depth", "2", "--degree-bound", "81",
+     "--dp-cap", "81"],
+    ["--scenario", "a1-hh", "--prime", "2", "--depth", "4", "--degree-bound", "64",
+     "--dp-cap", "16"],
+], ids=["p3-r3-dp81", "p3-r2-dp81", "p2-dp16"])
+def test_a1_hh_builds_no_column_outside_the_previous_commutant(argv, capsys):
+    """A window whose divided powers reach the cap reports: the generators'
+    terms past the cap (D^(82) at p = 3, D^(17) at p = 2) lie in columns
+    outside ker [t, -], and the nested kernels never build those columns."""
+    assert main([*argv, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, SCHEMA)
+    assert report["ok"] is True
+    assert all(entry["status"] == "pass" for entry in report["assertions"])
+
+
+def test_a1_hh_flag_lists_only_survivors_above_the_window(capsys, monkeypatch):
+    """With t^1 in the full commutant the certificate fails on every survivor,
+    and the truncation flag names only the one above the window."""
+    _t1_in_full_commutant(monkeypatch)
+    assert main(["--scenario", "a1-hh", "--prime", "2", "--depth", "3", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    failed, = [e for e in report["assertions"] if e["status"] == "fail"]
+    assert failed == {"name": "no-survivors-inside-certified-window", "status": "fail",
+                      "detail": "survivors [1, 16]"}
+    assert "degree-0 survivors above certified window 8: [16]" in report["truncation_flags"]
+
+
+@pytest.mark.parametrize("argv", [
     ["--scenario", "pd-derham", "--prime", "5", "--degree-bound", "80", "--dp-cap", "80"],
     ["--scenario", "a1-hh", "--prime", "3", "--depth", "2", "--degree-bound", "60",
      "--dp-cap", "60"],
 ], ids=["pd-derham-80", "a1-hh-60"])
 def test_windows_with_over_cap_shapes_report(argv, capsys):
-    """Both eliminate matrices with more entries than one dense array may hold
-    (pd-derham's 6561 x 6561 line differentials, a1-hh's 21045 x 3721
-    centralizer stack); held as nonzeros, they are eliminated block by block."""
+    """pd-derham eliminates line differentials (6561 x 6561) with more
+    entries than one dense array may hold; held as nonzeros, they are
+    eliminated block by block.  a1-hh's largest matrix here is its 3721 x 3721
+    [t, -]: each nested centralizer kernel is taken on the previous one's
+    basis, where a stack of every commutator over the window had 21045 rows."""
     assert main([*argv, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     jsonschema.validate(report, SCHEMA)

@@ -191,13 +191,26 @@ def test_block_split_matches_whole_elimination(p, seed):
     with mock.patch.object(linalg, "_components", wraps=linalg._components) as labels, \
             mock.patch.object(linalg, "_rref_dense", wraps=linalg._rref_dense) as dense:
         rows, pivots = linalg._rref(m, p)
-    # the split ran: components were labelled and no block was the whole matrix
+    # the split ran: components were labelled and no block was the whole
+    # matrix; one-row and one-column components were solved without a block
     assert labels.call_count == 1
     assert all(call.args[0].shape != a.shape for call in dense.call_args_list)
+    assert all(min(call.args[0].shape) > 1 for call in dense.call_args_list)
     want_rows, want_pivots = oracle_rref(a, p)
     assert pivots == want_pivots and all(type(c) is int for c in pivots)
     assert_canonical(rows)
     assert rows.shape == want_rows.shape and np.array_equal(rows.a, want_rows)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.integers(-4, 4)) | st.lists(st.integers(-2 ** 62, 2 ** 62)),
+       st.sampled_from(["as drawn", "sorted", "reversed"]))
+def test_sorted_unique_matches_numpy(values, order):
+    """Empty, sorted, reverse-sorted and duplicate-heavy int64 inputs."""
+    x = np.array(values, dtype=np.int64)
+    x = {"as drawn": x, "sorted": np.sort(x), "reversed": np.sort(x)[::-1]}[order]
+    got, want = linalg._unique(x), np.unique(x)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("shape", [(0, 3000), (3000, 0), (0, 0), (40, 60)])

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -12,6 +12,7 @@ from helpers import (
     oracle_chart_class,
     oracle_filtered_degrees,
     oracle_limit_report,
+    oracle_lucas_centralizers,
 )
 from hhdx.errors import CapacityError, WindowError
 from hhdx.gfp import fitting_decomposition
@@ -430,3 +431,28 @@ def test_lucas_generators_match_the_full_divided_power_stack(p, depth, degree, d
         want = oracle_centralizer(p, degree, dp, p ** r - 1)
         assert space.basis == want.basis, r
     assert full.basis == oracle_centralizer(p, degree, dp, dp).basis
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), levels=st.integers(1, 3), data=st.data())
+def test_nested_centralizers_match_the_stacked_kernels(p, levels, data):
+    """Every depth's commutant and the full one, each a kernel taken on the
+    previous depth's basis, equal the kernels of the stacked commutators,
+    on windows either side of p^levels and of the divided-power cap p^4.
+    They refuse only where the stacked kernels refuse too; where only those
+    refuse, they match the stacked kernels with the cap lifted."""
+    edge, cap = p ** levels, p ** 4
+    degree = data.draw(st.sampled_from([edge - 1, edge, edge + 1]) | st.integers(0, 6))
+    dp = data.draw(st.sampled_from([edge - 2, edge - 1, edge, cap - 1, cap, cap + 1])
+                   | st.integers(0, 8))
+    assume(dp >= 0 and (degree + 1) * (dp + 1) <= 30_000)
+    try:
+        _, depths, full = lucas_centralizers(p, levels, degree, dp)
+    except CapacityError:
+        with pytest.raises(CapacityError):
+            oracle_lucas_centralizers(p, levels, degree, dp)
+        return
+    _, want_depths, want_full = oracle_lucas_centralizers(p, levels, degree, dp, dp_cap=10 ** 9)
+    assert len(depths) == levels + 1
+    assert [space.basis for space in depths] == [space.basis for space in want_depths]
+    assert full.basis == want_full.basis
