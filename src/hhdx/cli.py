@@ -124,7 +124,7 @@ def _scenario_a1_hh(args):
     p, r, d, q = args.prime, args.depth, args.degree_bound, args.dp_cap
     config = {"prime": p, "depth": r, "degree_bound": d, "dp_cap": q}
     twisted = hh_of_pair(p, r, d, q)
-    filtered = filtered_hh_sequence("a1", p, r, d, q)
+    filtered = filtered_hh_sequence(p, r, d, q)
     assertions = []
     _check(assertions, "depth-window-h0-certified", twisted["h0_certified"],
            detail=f"dim {twisted['h0_dim']}")
@@ -261,7 +261,7 @@ def _scenario_gs_point(args):
 def _scenario_p1_cover(args):
     p, r, d, q = args.prime, args.depth, args.degree_bound, args.dp_cap
     config = {"prime": p, "depth": r, "degree_bound": d, "dp_cap": q}
-    report, _double = gs_for_subalgebra_scenario("p1", p, r, d, q)
+    report, _double = gs_for_subalgebra_scenario(p, r, d, q)
     assertions = []
     _check(assertions, "e2-row0-matches-nerve-cohomology", report["row0_matches_nerve"],
            detail=f"row0 {report['e2_row0']} vs nerve {report['nerve_row0']}")

@@ -13,9 +13,10 @@ Three layers, all exact over F_p:
   nerve-face rows.  Cochains multiply through a front/back-face cup
   product satisfying the Leibniz rule for the total differential;
 
-* windowed operator scenarios on the affine line and on the two-chart
-  projective line, where the vertical complexes are commutator (Koszul)
-  complexes of divided-power operator windows instead of bar complexes.
+* the windowed operator scenario on the two-chart projective line, where
+  the vertical complexes are commutator (Koszul) complexes of divided-power
+  operator windows instead of bar complexes (on the affine line that is one
+  column, `hochschild.operator_window_koszul`).
   Window sizes are chosen so every differential and face map is exact
   (computed in full, captured in an enlarged window, never silently
   truncated); the second-page row j = 0 is then artifact-free and is
@@ -432,22 +433,19 @@ def _surjective_onto_window(p, image_matrix, target_module, a_lo, a_hi, b_max):
     return space.contains_units(np.flatnonzero((a_lo <= a) & (a <= a_hi) & (b <= b_max)))
 
 
-def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
-    """Diagram double complex of depth-r operator windows, Koszul columns.
+def gs_for_subalgebra_scenario(p, r=1, degree_bound=16, dp_bound=8):
+    """Diagram double complex of depth-r operator windows, Koszul columns, on
+    the projective line glued from two charts along u -> 1/u.
 
-    "a1": the affine line, one chart.  The single column is the
-    commutator complex of multiplication by the chart coordinate on a
-    [0, du] x [0, qu] window of the compressed (depth-r) operator
-    algebra; du = degree_bound // p^r, qu = max(1, dp_bound // p^r).
-
-    "p1": the projective line glued from two charts along u -> 1/u.  The
-    vertex columns are chart windows, the edge columns Laurent windows
+    Each chart is a [0, du] x [0, qu] window of the compressed (depth-r)
+    operator algebra, du = degree_bound // p^r, qu = max(1, dp_bound // p^r).
+    The vertex columns are chart windows, the edge columns Laurent windows
     with the j = 1 cell enlarged so every vertical differential and face
     map is computed exactly.  The faces are the window inclusion, the
     chart change, and the comparison chain map (id, m -> -u^-1 m u^-1)
     from the [u, -] column to the [1/u, -] column.  `face_double_complex`
-    builds either from one commutator matrix per nerve cell (U0, U1, U01,
-    (U01, U0), (U01, U1); U0 alone for "a1") and each edge's faces.
+    builds it from one commutator matrix per nerve cell (U0, U1, U01,
+    (U01, U0), (U01, U1)) and each edge's faces.
 
     Returns (report, double_complex).  The report's row j = 0 is exact
     and compared against the nerve cohomology of the function windows;
@@ -456,8 +454,6 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
     certification per distinct column.
     """
     require_prime(p)
-    if name not in ("a1", "p1"):
-        raise ValueError(f"unknown scenario {name!r}")
     if r < 0:
         raise ValueError("depth must be nonnegative")
     du = compressed_degree(p, r, degree_bound)
@@ -473,62 +469,55 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
     if qu > 4:
         qu = 4
         flags.append("dp_window_capped")
+    if du < 2 * qu:
+        qu = max(1, du // 2)
+        flags.append("dp_window_adjusted")
+    if du < 2 * qu:
+        raise WindowError("degree window too small for the two-chart scenario")
 
     # per nerve cell, in column order: (label, commutator matrix, its source and
-    # target windows, the monomial window of the surjectivity certificate)
-    if name == "a1":
-        alg = OperatorAlgebra(p, 1, names=("u",))
-        mod = TruncatedOperatorModule(alg, du, qu)
-        cells = {("U0",): ("U0", mod.commutator_matrix(alg.variable()), mod, mod, (0, du))}
-        faces = {}
-        nerve = {0: du + 1}
-    else:
-        if du < 2 * qu:
-            qu = max(1, du // 2)
-            flags.append("dp_window_adjusted")
-        if du < 2 * qu:
-            raise WindowError("degree window too small for the two-chart scenario")
-        # U1's chart is U0's window in v = 1/u, with the same [v, -] matrix; the
-        # edge columns' sources are U01's Laurent window
-        alg_u = OperatorAlgebra(p, 1, names=("u",))
-        alg_l = OperatorAlgebra(p, 1, names=("u",), laurent=True)
-        m_u0 = TruncatedOperatorModule(alg_u, du, qu)
-        m_u01 = TruncatedOperatorModule(alg_l, du, qu)
-        m_edge1 = TruncatedOperatorModule(alg_l, du + qu + 2, qu)
-        u_l = alg_l.variable()
-        u_inv = alg_l.variable(0, power=-1)
-        chart = (m_u0.commutator_matrix(alg_u.variable()), m_u0, m_u0, (0, du))
-        cells = {
-            ("U0",): ("U0", *chart),
-            ("U1",): ("U1", *chart),
-            ("U01",): ("U01", m_u01.commutator_matrix(u_l), m_u01, m_u01, (-du, du)),
-            ("U01", "U0"): ("edge0", m_u01.commutator_matrix(u_l, target=m_edge1), m_u01,
-                            m_edge1, (-du, du)),
-            ("U01", "U1"): ("edge1", m_u01.commutator_matrix(u_inv, target=m_edge1), m_u01,
-                            m_edge1, (-du + qu, du - 2)),
-        }
+    # target windows, the monomial window of the surjectivity certificate).
+    # U1's chart is U0's window in v = 1/u, with the same [v, -] matrix; the
+    # edge columns' sources are U01's Laurent window
+    alg_u = OperatorAlgebra(p, 1, names=("u",))
+    alg_l = OperatorAlgebra(p, 1, names=("u",), laurent=True)
+    m_u0 = TruncatedOperatorModule(alg_u, du, qu)
+    m_u01 = TruncatedOperatorModule(alg_l, du, qu)
+    m_edge1 = TruncatedOperatorModule(alg_l, du + qu + 2, qu)
+    u_l = alg_l.variable()
+    u_inv = alg_l.variable(0, power=-1)
+    chart = (m_u0.commutator_matrix(alg_u.variable()), m_u0, m_u0, (0, du))
+    cells = {
+        ("U0",): ("U0", *chart),
+        ("U1",): ("U1", *chart),
+        ("U01",): ("U01", m_u01.commutator_matrix(u_l), m_u01, m_u01, (-du, du)),
+        ("U01", "U0"): ("edge0", m_u01.commutator_matrix(u_l, target=m_edge1), m_u01,
+                        m_edge1, (-du, du)),
+        ("U01", "U1"): ("edge1", m_u01.commutator_matrix(u_inv, target=m_edge1), m_u01,
+                        m_edge1, (-du + qu, du - 2)),
+    }
 
-        # image terms, one per column and pass t: inclusion and transport are the
-        # identity; the chart change u = 1/v sends v^c Dv^(d) to the Lah expansion
-        # of (-u^2 Du)^d / d!, sum_t (-1)^d C(d-1, d-t) u^(t+d-c) Du^(t); the
-        # comparison sends x^a D^(b) to -u^-1 x^a D^(b) u^-1 = -sum_t (-1)^t x^(a-2-t) D^(b-t)
-        c, d = m_u0.a[:, 0], m_u0.b[:, 0]
-        chart_change = [((t + d - c)[:, None], np.full_like(m_u0.b, t),
-                         (-1) ** d * binomial_array(d - 1, d - t, p)) for t in range(qu + 1)]
-        comparison = [(m_u01.a - 2 - t, m_u01.b - t, np.where(m_u01.b[:, 0] >= t, -(-1) ** t, 0))
-                      for t in range(qu + 1)]
-        # faces[edge, k, row j]: each edge's faces are its vertex (transport or
-        # chart change) and U01, by the inclusion; on row 1 the second edge's
-        # U01 face is the comparison chain map (id, m -> -u^-1 m u^-1) instead
-        faces = {}
-        for j, target in enumerate([m_u01, m_edge1]):
-            inclusion = m_u01.operator_matrix([(m_u01.a, m_u01.b, 1)], target)
-            faces[("U01", "U0"), 0, j] = m_u0.operator_matrix([(m_u0.a, m_u0.b, 1)], target)
-            faces[("U01", "U0"), 1, j] = inclusion
-            faces[("U01", "U1"), 0, j] = m_u0.operator_matrix(chart_change, target)
-            faces[("U01", "U1"), 1, j] = (m_u01.operator_matrix(comparison, target) if j
-                                          else inclusion)
-        nerve = projective_line_twist_diagram(p, 0, du)[0].nerve_betti()
+    # image terms, one per column and pass t: inclusion and transport are the
+    # identity; the chart change u = 1/v sends v^c Dv^(d) to the Lah expansion
+    # of (-u^2 Du)^d / d!, sum_t (-1)^d C(d-1, d-t) u^(t+d-c) Du^(t); the
+    # comparison sends x^a D^(b) to -u^-1 x^a D^(b) u^-1 = -sum_t (-1)^t x^(a-2-t) D^(b-t)
+    c, d = m_u0.a[:, 0], m_u0.b[:, 0]
+    chart_change = [((t + d - c)[:, None], np.full_like(m_u0.b, t),
+                     (-1) ** d * binomial_array(d - 1, d - t, p)) for t in range(qu + 1)]
+    comparison = [(m_u01.a - 2 - t, m_u01.b - t, np.where(m_u01.b[:, 0] >= t, -(-1) ** t, 0))
+                  for t in range(qu + 1)]
+    # faces[edge, k, row j]: each edge's faces are its vertex (transport or
+    # chart change) and U01, by the inclusion; on row 1 the second edge's
+    # U01 face is the comparison chain map (id, m -> -u^-1 m u^-1) instead
+    faces = {}
+    for j, target in enumerate([m_u01, m_edge1]):
+        inclusion = m_u01.operator_matrix([(m_u01.a, m_u01.b, 1)], target)
+        faces[("U01", "U0"), 0, j] = m_u0.operator_matrix([(m_u0.a, m_u0.b, 1)], target)
+        faces[("U01", "U0"), 1, j] = inclusion
+        faces[("U01", "U1"), 0, j] = m_u0.operator_matrix(chart_change, target)
+        faces[("U01", "U1"), 1, j] = (m_u01.operator_matrix(comparison, target) if j
+                                      else inclusion)
+    nerve = projective_line_twist_diagram(p, 0, du)[0].nerve_betti()
 
     levels = [[s for s in cells if len(s) == n] for n in (1, 2)]
     double = face_double_complex(p, levels, 2, lambda s, j: cells[s][2 + j].dim,
@@ -559,7 +548,7 @@ def gs_for_subalgebra_scenario(name, p, r=1, degree_bound=16, dp_bound=8):
     row1 = [e2.dim(i, 1) for i in columns]
     nerve_row = [nerve.get(i, 0) for i in columns]
     report = {
-        "scenario": name,
+        "scenario": "p1",
         "prime": p,
         "depth": r,
         "window": {"degree": du, "dp": qu},

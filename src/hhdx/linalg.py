@@ -9,7 +9,9 @@ every kernel basis and cohomology representative is deterministic; `_rref`
 eliminates each connected component of a matrix's nonzero pattern as a block
 of its own, except that a one-column component is a unit row and a one-row
 component its row over its leading value, with no elimination, and `product`
-multiplies from the nonzeros.  A kernel basis is read
+multiplies from the nonzeros.  Pivots are ascending int64 arrays wherever they
+are made or read, and whether an index is a pivot is looked up in a count mask
+over [0, n) (`np.bincount`), never hashed.  A kernel basis is read
 off one elimination, a quotient transversal off the pivots with none, and a
 reduction modulo a subspace is one product with its RREF basis.  A coordinate
 subspace (a span of unit vectors) stays an index set: `contains_units` reads
@@ -91,7 +93,8 @@ def _unique(x):
 
 
 def _rref(a, p):
-    """RREF mod p of an FpMatrix: (its rows as an FpMatrix, pivot columns).
+    """RREF mod p of an FpMatrix: (its rows as an FpMatrix, their pivot
+    columns as an ascending int64 array).
 
     The RREF is canonical, so it is assembled per connected component of the
     nonzero pattern: all one-column components at once give unit rows, all
@@ -136,17 +139,17 @@ def _rref(a, p):
         red, piv = _rref_dense(dense, p)
         r, c = np.nonzero(red)
         cs = nodes[hb:] - nrows
-        pieces.append((cs[np.array(piv, dtype=np.int64)[r]], cs[c], red[r, c]))
+        pieces.append((cs[piv[r]], cs[c], red[r, c]))
     lead, col, val = (np.concatenate(part) for part in zip(*pieces))
     pivots = _unique(lead)
     basis = FpMatrix.from_triples(p, (pivots.size, ncols), np.searchsorted(pivots, lead), col, val)
-    return basis, tuple(pivots.tolist())
+    return basis, pivots
 
 
 def _rref_dense(a, p):
-    """`_rref` of a fresh reduced int64 array, eliminated in place."""
+    """`_rref` of a fresh reduced int64 array, eliminated in place; pivots an int64 array."""
     nrows, ncols = a.shape
-    pivots = []
+    pivots = np.empty(min(nrows, ncols), dtype=np.int64)
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -164,9 +167,9 @@ def _rref_dense(a, p):
         rows_nz = np.nonzero(col)[0]
         if rows_nz.size:
             a[rows_nz] = (a[rows_nz] - np.outer(col[rows_nz], a[r])) % p
-        pivots.append(c)
+        pivots[r] = c
         r += 1
-    return a[:r], tuple(pivots)
+    return a[:r], pivots[:r]
 
 
 def product(x, y, p):
@@ -352,7 +355,7 @@ class FpMatrix:
         column of that RREF at the pivots, which all lie right of f."""
         n = self.cols
         red, pivots = _rref(self.take(slice(None), slice(None, None, -1)), self.p)
-        pivots = n - 1 - np.array(pivots, dtype=np.int64)
+        pivots = n - 1 - pivots
         free = np.flatnonzero(np.bincount(pivots, minlength=n) == 0)  # a mask of non-pivots
         at_free = red.take(slice(None), n - 1 - free)  # column k: free[k]'s column of red
         return FpMatrix.from_triples(
@@ -367,7 +370,8 @@ class FpMatrix:
 
 class Subspace:
     """Subspace of F_p^n stored as an RREF row basis (canonical): `basis`, an
-    FpMatrix, and the pivot column of each row."""
+    FpMatrix, and `pivots`, the pivot column of each row as an ascending int64
+    array (empty for the zero space)."""
 
     __slots__ = ("p", "n", "basis", "pivots")
 
@@ -380,7 +384,7 @@ class Subspace:
         if rows is not None and rows.rows * rows.cols:
             self.basis, self.pivots = _rref(rows, p)
         else:  # no rows, or rows of length 0
-            self.basis, self.pivots = FpMatrix.zeros(p, 0, n), ()
+            self.basis, self.pivots = FpMatrix.zeros(p, 0, n), np.zeros(0, dtype=np.int64)
 
     @classmethod
     def _from_rref(cls, p, n, rows):
@@ -390,7 +394,7 @@ class Subspace:
         out.p, out.n = p, n
         out.basis = rows if isinstance(rows, FpMatrix) else FpMatrix(p, rows)
         first = np.searchsorted(out.basis.row, np.arange(out.basis.rows))  # leading entries
-        out.pivots = tuple(out.basis.col[first].tolist())
+        out.pivots = out.basis.col[first]
         return out
 
     @classmethod
@@ -412,28 +416,30 @@ class Subspace:
         """Canonical representative of the vector v modulo this subspace: v less
         its coordinates at the pivots times the RREF basis."""
         v = np.mod(np.asarray(v, dtype=np.int64), self.p)
-        return np.mod(v - self.basis.transpose() @ v[list(self.pivots)], self.p)
+        return np.mod(v - self.basis.transpose() @ v[self.pivots], self.p)
 
     def reduce_rows(self, mat):
         """`reduce` of each row of the FpMatrix mat, as an FpMatrix."""
-        return mat - product(mat.take(slice(None), list(self.pivots)), self.basis, self.p)
+        return mat - product(mat.take(slice(None), self.pivots), self.basis, self.p)
 
     def contains(self, v):
         return not self.reduce(v).any()
 
     def contains_space(self, other):
         """Whether other's basis is its coordinates at the pivots times the RREF basis."""
-        coords = other.basis.take(slice(None), list(self.pivots))
+        coords = other.basis.take(slice(None), self.pivots)
         return product(coords, self.basis, self.p) == other.basis
 
     def contains_units(self, indices):
         """Whether every unit vector e_k, k in indices, lies in this subspace.
 
-        e_k lies in an RREF span iff k is a pivot whose row is exactly e_k.
+        e_k lies in an RREF span iff k is a pivot whose row is exactly e_k;
+        an index outside [0, n) names no unit vector, so it is not contained.
         """
-        units = np.bincount(self.basis.row, minlength=self.dim) == 1
-        unit_pivots = set(np.array(self.pivots, dtype=np.int64)[units].tolist())
-        return all(int(k) in unit_pivots for k in indices)
+        units = self.pivots[np.bincount(self.basis.row, minlength=self.dim) == 1]
+        k = np.asarray(indices, dtype=np.int64)
+        inside = ((k >= 0) & (k < self.n)).all()  # a negative k would wrap in the lookup
+        return bool(inside and np.bincount(units, minlength=self.n)[k].all())
 
     def express(self, v):
         """Coordinates of v in the RREF basis rows (its entries at the
@@ -441,7 +447,7 @@ class Subspace:
         v = np.mod(np.asarray(v, dtype=np.int64), self.p)
         if self.reduce(v).any():
             return None
-        return v[list(self.pivots)]
+        return v[self.pivots]
 
     def sum(self, other):
         if self.n != other.n:
@@ -464,7 +470,7 @@ class Subspace:
         """Canonical transversal rows for self/sub (sub must be contained): the
         RREF rows of self whose pivots are not sub's.  sub's pivots are among
         self's, so those rows are zero at each of them."""
-        kept = np.flatnonzero(~np.isin(self.pivots, np.array(sub.pivots, dtype=np.int64)))
+        kept = np.flatnonzero(np.bincount(sub.pivots, minlength=self.n)[self.pivots] == 0)
         return Subspace._from_rref(self.p, self.n, self.basis.take(kept, slice(None)))
 
     def __eq__(self, other):
@@ -759,7 +765,7 @@ class DoubleComplex:
                     if h == height[c - 1]:
                         rho[:, c] = rho[:, c - 1]
                     elif h == height[-1]:
-                        pivots = np.array(self.totalize().kernel(n).pivots, dtype=np.int64)
+                        pivots = self.totalize().kernel(n).pivots
                         rho[:, c] = width - (pivots >= offsets[:, None]).sum(axis=1)
                     else:
                         cols = np.concatenate([np.arange(offsets[i], offsets[i + 1])

@@ -373,7 +373,7 @@ def lucas_centralizers(p, levels, degree_bound, dp_bound):
     return dom, spaces[:levels + 1], spaces[window_digits]
 
 
-def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
+def filtered_hh_sequence(p, levels, degree_bound, dp_bound):
     """Centralizer windows of the depth filtration on the line.
 
     For each depth r <= levels, the joint commutant of multiplication by
@@ -403,8 +403,6 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
     k[t]/k[t^(p^r)] and checks degreewise exactness of
     0 -> k -> k[t] -> lim Q -> 0 at the degrees certified on both sides.
     """
-    if scenario != "a1":
-        raise ValueError(f"unknown scenario {scenario!r}")
     require_prime(p)
     levels = int(levels)
     if levels < 1:
@@ -453,7 +451,7 @@ def filtered_hh_sequence(scenario, p, levels, degree_bound, dp_bound):
                     and (lim_z[both] == 0).all() and (lim_q[both] == 1).all())
 
     return {
-        "scenario": scenario,
+        "scenario": "a1",
         "prime": p,
         "levels": levels,
         "window": {"degree": d_bound, "dp": q_bound},

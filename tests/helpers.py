@@ -11,7 +11,8 @@ is tested against, the per-column operator window the array window builder
 is tested against, the per-degree tables the filtered sequence's degree
 table is tested against, the stacked commutator kernels the nested
 centralizers are tested against, the unit-span intersection and chart quotient the
-index-set certificates are tested against, and the direct commutation check,
+index-set certificates are tested against, the per-vector unit test
+`contains_units` is tested against, and the direct commutation check,
 tensor algebra and algebra product that only tests need."""
 
 import collections
@@ -278,6 +279,14 @@ def oracle_reduce(space, v):
     return v
 
 
+def oracle_contains_units(space, indices):
+    """Whether every e_k, k in indices, reduces to zero modulo space by
+    `oracle_reduce`, one vector at a time; an index outside [0, n) names no
+    unit vector."""
+    eye = np.eye(space.n, dtype=np.int64)
+    return all(0 <= k < space.n and not oracle_reduce(space, eye[k]).any() for k in indices)
+
+
 def oracle_quotient_reps(space, sub):
     """Transversal of space/sub: every RREF row of space reduced modulo sub
     by `oracle_reduce`, then eliminated again."""
@@ -411,6 +420,12 @@ def oracle_face_sum(p, lower, upper, dim, face):
             if tau in col:
                 blocks.append(((row, col[tau]), (-1) ** k * np.asarray(face(sigma, k))))
     return oracle_block_matrix(p, [dim(s) for s in upper], [dim(t) for t in lower], blocks)
+
+
+def assert_pivots(got, want):
+    """got is in the one pivot format, an int64 array, and equals want."""
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def assert_canonical(m):

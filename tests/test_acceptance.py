@@ -237,14 +237,21 @@ def test_criterion_08_spectral_sequence_collapse_and_convergence():
     """E2 of the one-chart and two-chart scenarios is concentrated in
     j = 0 inside the certified window (column surjectivity) at depths
     r <= 2, and sum(dim E_inf) = dim H(Tot) there and on 50 random
-    double complexes."""
-    for name in ("a1", "p1"):
-        for p, r in ((2, 1), (2, 2), (3, 1)):
-            report, _double = gs_for_subalgebra_scenario(name, p, r, 16, 8)
-            assert report["row0_matches_nerve"], (name, p, r)
-            assert all(col["surjective"] for col in report["column_surjectivity"]), \
-                (name, p, r)
-            assert report["convergence"]["agree"], (name, p, r)
+    double complexes.  The one-chart scenario is a single column, the [u, -]
+    commutator complex of the compressed window that `hh_of_pair` builds, so
+    its E2 is that complex's cohomology: the du + 1 multiplication operators
+    in j = 0, and in j = 1 one window-edge artifact per degree above a
+    surjective inner window."""
+    for p, r, h00 in ((2, 1, 9), (2, 2, 5), (3, 1, 6)):
+        one_chart = hh_of_pair(p, r, 16, 8)
+        du, qu = one_chart["compressed_window"].values()
+        assert one_chart["h0_dim"] == h00 == du + 1 and one_chart["h0_certified"], (p, r)
+        assert one_chart["h_top"]["certified_vanishing_window"] == qu - 1, (p, r)
+        assert one_chart["h_top"]["raw_dim"] == du + 1, (p, r)
+        report, _double = gs_for_subalgebra_scenario(p, r, 16, 8)
+        assert report["row0_matches_nerve"], (p, r)
+        assert all(col["surjective"] for col in report["column_surjectivity"]), (p, r)
+        assert report["convergence"]["agree"], (p, r)
     rng = np.random.default_rng(808)
     for _ in range(50):
         dc = random_double_complex(int(rng.choice([2, 3, 5])), rng)
@@ -289,7 +296,7 @@ def test_criterion_10_main_theorem_desk_form():
     sequence is exact at every certified degree, H^0 inside the certified
     window is the constants alone, and the restriction maps are the
     Frobenius inclusions between twist subrings."""
-    filtered = filtered_hh_sequence("a1", 2, 3, 16, 8)
+    filtered = filtered_hh_sequence(2, 3, 16, 8)
     assert filtered["m1_exact_at_certified_degrees"]
     assert filtered["certified_degrees"] == [d for d in range(1, 17) if d % 4]
     h0 = filtered["h0_full"]

@@ -319,21 +319,9 @@ def test_cup_degree_zero_is_central_product():
 # -- windowed operator scenarios ----------------------------------------------
 
 
-@pytest.mark.parametrize("p,r,expected_h00", [(2, 1, 9), (2, 2, 5), (3, 1, 6)])
-def test_scenario_a1(p, r, expected_h00):
-    report, double = gs_for_subalgebra_scenario("a1", p, r, 16, 8)
-    assert report["e2"]["0,0"] == expected_h00
-    assert report["row0_matches_nerve"]
-    assert all(c["surjective"] for c in report["column_surjectivity"])
-    assert report["convergence"]["agree"]
-    assert report["row1_status"] == "uncertified (truncation)"
-    du = report["window"]["degree"]
-    assert report["e2"]["0,1"] == du + 1  # one window-edge artifact per degree
-
-
 @pytest.mark.parametrize("p,r,db,qb", [(2, 1, 16, 8), (2, 2, 16, 8), (3, 1, 12, 6)])
 def test_scenario_p1(p, r, db, qb):
-    report, double = gs_for_subalgebra_scenario("p1", p, r, db, qb)
+    report, double = gs_for_subalgebra_scenario(p, r, db, qb)
     assert report["e2_row0"] == [1, 0]
     assert report["row0_matches_nerve"]
     assert all(c["surjective"] for c in report["column_surjectivity"])
@@ -347,7 +335,7 @@ def test_scenario_p1_maps_match_per_column_oracle(p, du, qu):
     equal the per-column oracle: transport and inclusion as re-tagged
     operators, the chart change by `invert_variable`, the comparison as
     -((u^-1 m) u^-1), the commutators by DPDOperator.commutator."""
-    _, double = gs_for_subalgebra_scenario("p1", p, 0, du, qu)
+    _, double = gs_for_subalgebra_scenario(p, 0, du, qu)
     alg_u = OperatorAlgebra(p, 1, names=("u",))
     alg_v = OperatorAlgebra(p, 1, names=("v",))
     alg_l = OperatorAlgebra(p, 1, names=("u",), laurent=True)
@@ -384,7 +372,7 @@ def test_scenario_p1_maps_match_per_column_oracle(p, du, qu):
 
 
 def test_scenario_p1_adjusts_narrow_dp_window():
-    report, _ = gs_for_subalgebra_scenario("p1", 2, 1, 6, 8)
+    report, _ = gs_for_subalgebra_scenario(2, 1, 6, 8)
     assert "dp_window_adjusted" in report["flags"]
     assert report["window"]["dp"] == 1
     assert report["e2_row0"] == [1, 0]
@@ -392,8 +380,6 @@ def test_scenario_p1_adjusts_narrow_dp_window():
 
 def test_scenario_window_guards():
     with pytest.raises(WindowError):
-        gs_for_subalgebra_scenario("a1", 2, 2, 3, 8)
+        gs_for_subalgebra_scenario(2, 2, 3, 8)  # compressed degree 3 // 4 = 0
     with pytest.raises(WindowError):
-        gs_for_subalgebra_scenario("p1", 2, 1, 2, 8)
-    with pytest.raises(ValueError):
-        gs_for_subalgebra_scenario("zz", 2, 1, 16, 8)
+        gs_for_subalgebra_scenario(2, 1, 2, 8)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     DenseMatrix,
     assert_canonical,
+    assert_pivots,
     assert_same_pages,
     direct_sum_double,
     fresh_copy,
@@ -19,6 +20,7 @@ from helpers import (
     joins,
     oracle_block_matrix,
     oracle_cohomology,
+    oracle_contains_units,
     oracle_express,
     oracle_face_sum,
     oracle_intersect,
@@ -53,7 +55,7 @@ from hhdx.linalg import (
 def test_rref_known_matrix():
     m = FpMatrix(5, [[1, 2, 0], [3, 1, 1], [0, 2, 1]])  # det = 3 mod 5
     red, pivots = m.rref()
-    assert pivots == (0, 1, 2)
+    assert_pivots(pivots, [0, 1, 2])
     assert red.a.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     # rows proportional mod 5: [2,4,1] = 2*[1,2,3], [3,1,4] = 3*[1,2,3]
@@ -62,7 +64,7 @@ def test_rref_known_matrix():
 
     m2 = FpMatrix(3, [[1, 2, 0], [2, 2, 0], [0, 0, 0]])  # second row not proportional
     red2, pivots2 = m2.rref()
-    assert pivots2 == (0, 1)
+    assert_pivots(pivots2, [0, 1])
     assert red2.a.tolist() == [[1, 0, 0], [0, 1, 0]]
 
 
@@ -197,7 +199,7 @@ def test_block_split_matches_whole_elimination(p, seed):
     assert all(call.args[0].shape != a.shape for call in dense.call_args_list)
     assert all(min(call.args[0].shape) > 1 for call in dense.call_args_list)
     want_rows, want_pivots = oracle_rref(a, p)
-    assert pivots == want_pivots and all(type(c) is int for c in pivots)
+    assert_pivots(pivots, want_pivots)
     assert_canonical(rows)
     assert rows.shape == want_rows.shape and np.array_equal(rows.a, want_rows)
 
@@ -224,7 +226,8 @@ def test_block_split_of_empty_and_zero_matrices(shape, monkeypatch):
         with mock.patch.object(linalg, "_components", wraps=linalg._components) as labels:
             rows, pivots = linalg._rref(m, p)
         assert labels.call_count == 1
-        assert pivots == () and rows.shape == oracle_rref(a, p)[0].shape == (0, shape[1])
+        assert_pivots(pivots, [])
+        assert rows.shape == oracle_rref(a, p)[0].shape == (0, shape[1])
 
 
 def random_sparse(p, rng, rows, cols):
@@ -613,15 +616,25 @@ def test_kernel_basis_matches_column_loop(p, rows, cols, seed):
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 7), st.integers(0, 10 ** 6))
 def test_batched_unit_vector_test_equals_per_vector_contains(p, n, seed):
     rng = np.random.default_rng(seed)
-    # mix random rows with unit rows so that both answers occur
-    units = np.eye(n, dtype=np.int64)[rng.integers(0, n, size=rng.integers(0, n + 1))]
+    # unit rows, rows e_k + (a tail right of k) whose pivot k is a unit row
+    # only if elimination clears the tail, and random rows, so both answers occur
+    eye = np.eye(n, dtype=np.int64)
+    units = eye[rng.integers(0, n, size=rng.integers(0, n + 1))]
+    heads = rng.integers(0, n, size=rng.integers(0, n + 1))
+    tails = eye[heads] + np.triu(rng.integers(0, p, size=(n, n)), 1)[heads]
     noise = rng.integers(0, p, size=(rng.integers(0, n), n))
-    space = Subspace(p, n, np.vstack([units, noise]))
+    space = Subspace(p, n, np.vstack([units, tails, noise]))
     for k in range(n):
-        assert space.contains_units([k]) == space.contains(np.eye(n, dtype=np.int64)[k])
+        assert space.contains_units([k]) == space.contains(eye[k])
     ks = sorted(set(rng.integers(0, n, size=rng.integers(0, n + 1)).tolist()))
-    expected = all(space.contains(np.eye(n, dtype=np.int64)[k]) for k in ks)
-    assert space.contains_units(ks) == expected
+    # empty and full index sets, and indices past n or negative, which name no
+    # unit vector (a negative one must not wrap round to n + k)
+    for indices in ([], list(range(n)), ks, *([*ks, k] for k in (n, n + 3, -1, -n, -n - 1))):
+        want = oracle_contains_units(space, indices)
+        assert space.contains_units(indices) is want
+        assert space.contains_units(np.array(indices, dtype=np.int64)) is want
+    full = Subspace.full(p, n)
+    assert full.contains_units(range(n)) and not full.contains_units([-1])
     other = Subspace(p, n, rng.integers(0, p, size=(rng.integers(0, n + 1), n)))
     assert space.contains_space(other) == all(space.contains(row) for row in other.basis.a)
 
@@ -643,7 +656,7 @@ def test_reduce_and_express_match_per_vector_pivot_loop(p, n, seed):
     wide = Subspace(p, 400, np.eye(400, dtype=np.int64)[rng.choice(400, 100, replace=False)]
                     + rng.integers(0, p, size=(100, 400)) * (rng.random((100, 400)) < 0.005))
     batch = rng.integers(-p, 2 * p, size=(12, 400)) * (rng.random((12, 400)) < 0.05)
-    assert joins(np.mod(batch[:, list(wide.pivots)], p), wide.basis.a)
+    assert joins(np.mod(batch[:, wide.pivots], p), wide.basis.a)
     got = wide.reduce_rows(FpMatrix(p, batch))
     assert_canonical(got)
     assert np.array_equal(got.a, [oracle_reduce(wide, row) for row in batch])
@@ -651,11 +664,16 @@ def test_reduce_and_express_match_per_vector_pivot_loop(p, n, seed):
 
 @settings(deadline=None, max_examples=80)
 @given(st.sampled_from([2, 3, 5]), st.integers(0, 8), st.integers(0, 10 ** 6),
-       st.sampled_from(["random", "full"]), st.sampled_from(["random", "zero", "all"]))
+       st.sampled_from(["random", "full", "spread"]), st.sampled_from(["random", "zero", "all"]))
 def test_quotient_reps_match_reduce_then_eliminate(p, n, seed, outer, inner):
     rng = np.random.default_rng(seed)
     if outer == "full":
         space = Subspace.full(p, n)
+    elif outer == "spread":  # a few pivots spread over 100x their number
+        k, n = n + 1, 100 * (n + 1)
+        rows = np.eye(n, dtype=np.int64)[rng.choice(n, size=k)]
+        tails = rng.integers(0, p, size=rows.shape) * (rng.random(rows.shape) < 0.01)
+        space = Subspace(p, n, rows + tails)
     else:
         space = Subspace(p, n, rng.integers(0, p, size=(rng.integers(0, n + 1), n)))
     combos = {"random": rng.integers(0, p, size=(rng.integers(0, space.dim + 1), space.dim)),
@@ -663,7 +681,8 @@ def test_quotient_reps_match_reduce_then_eliminate(p, n, seed, outer, inner):
               "all": np.eye(space.dim, dtype=np.int64)}[inner]
     sub = Subspace(p, n, combos @ space.basis.a)
     got, want = space.quotient_reps(sub), oracle_quotient_reps(space, sub)
-    assert got == want and got.pivots == want.pivots
+    assert got == want
+    assert_pivots(got.pivots, want.pivots)
     assert got.dim == space.dim - sub.dim
     assert_canonical(got.basis)
 
@@ -675,9 +694,14 @@ def test_units_equal_eliminated_unit_rows(p, n, seed):
     indices = sorted(rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist())
     units = Subspace.units(p, n, indices)
     want = Subspace(p, n, np.eye(n, dtype=np.int64)[indices])
-    assert units == want and units.pivots == want.pivots
+    assert units == want
+    assert_pivots(units.pivots, want.pivots)
+    assert_pivots(Subspace(p, n).pivots, [])
+    assert_pivots(want.pivots, indices)
     full = Subspace(p, n, np.eye(n, dtype=np.int64))
-    assert Subspace.full(p, n) == full and Subspace.full(p, n).pivots == full.pivots
+    assert Subspace.full(p, n) == full
+    assert_pivots(Subspace.full(p, n).pivots, full.pivots)
+    assert_pivots(full.pivots, np.arange(n))
 
 
 def test_cached_cohomology_matches_uncached_oracle():
@@ -691,9 +715,9 @@ def test_cached_cohomology_matches_uncached_oracle():
                 d_in, d_out = cx.diffs.get(m - 1), cx.diffs.get(m)
                 kernel, image, (dim, reps) = oracle_cohomology(d_in, d_out, p, cx.dims[m])
                 assert cx.kernel(m) == kernel
-                assert cx.kernel(m).pivots == kernel.pivots
+                assert_pivots(cx.kernel(m).pivots, kernel.pivots)
                 assert cx.image(m) == image
-                assert cx.image(m).pivots == image.pivots
+                assert_pivots(cx.image(m).pivots, image.pivots)
                 got_dim, got_reps = cx.cohomology(m)
                 assert got_dim == dim and got_reps == reps
                 at_dim, at_reps = cohomology_at(d_in, d_out, p, cx.dims[m])

@@ -350,7 +350,7 @@ def test_smith_tower_guards():
 
 
 def test_filtered_sequence_depth_chain_p2():
-    report = filtered_hh_sequence("a1", 2, 3, 16, 8)
+    report = filtered_hh_sequence(2, 3, 16, 8)
     assert {r: m["dim"] for r, m in report["h0_models"].items()} == {0: 17, 1: 9, 2: 5, 3: 3}
     assert report["h0_models"][1]["exponents"] == list(range(0, 17, 2))
     assert report["h0_models"][3]["exponents"] == [0, 8, 16]
@@ -358,27 +358,27 @@ def test_filtered_sequence_depth_chain_p2():
 
 
 def test_filtered_sequence_survivors_p2():
-    report = filtered_hh_sequence("a1", 2, 3, 16, 8)
+    report = filtered_hh_sequence(2, 3, 16, 8)
     assert report["h0_full"] == {
         "dim": 2, "certified_window": 8, "survivors_above_window": [16]}
 
 
 def test_filtered_sequence_uncertified_degrees_p2():
-    report = filtered_hh_sequence("a1", 2, 3, 16, 8)
+    report = filtered_hh_sequence(2, 3, 16, 8)
     assert report["uncertified_degrees"] == [4, 8, 12, 16]
     assert report["certified_degrees"] == [
         d for d in range(1, 17) if d % 4 != 0]
 
 
 def test_filtered_sequence_exactness_p2():
-    report = filtered_hh_sequence("a1", 2, 3, 16, 8)
+    report = filtered_hh_sequence(2, 3, 16, 8)
     assert report["m1_exact_at_certified_degrees"]
     assert report["quotient_certified_degrees"] == report["certified_degrees"]
     assert report["m1_checked_degrees"] == [0] + report["certified_degrees"]
 
 
 def test_filtered_sequence_p3():
-    report = filtered_hh_sequence("a1", 3, 2, 9, 8)
+    report = filtered_hh_sequence(3, 2, 9, 8)
     assert {r: m["dim"] for r, m in report["h0_models"].items()} == {0: 10, 1: 4, 2: 2}
     assert report["uncertified_degrees"] == [3, 6, 9]
     assert report["h0_full"]["survivors_above_window"] == [9]
@@ -391,7 +391,7 @@ def test_filtered_sequence_p3():
 def test_filtered_sequence_matches_the_per_degree_rules(p, levels, extra_degree, extra_dp):
     degree, dp = p ** levels + extra_degree, p ** levels + extra_dp
     want = oracle_filtered_degrees(p, levels, degree)
-    report = filtered_hh_sequence("a1", p, levels, degree, dp)
+    report = filtered_hh_sequence(p, levels, degree, dp)
     assert {key: report[key] for key in want} == want
 
 
@@ -403,20 +403,18 @@ def test_filtered_sequence_exactness_reads_the_constants_tower(monkeypatch):
                 "certified_lim_dim": None, "certified_lim1_dim": None}
 
     monkeypatch.setattr(Tower, "limit_report", uncertified)
-    report = filtered_hh_sequence("a1", 2, 3, 16, 8)
+    report = filtered_hh_sequence(2, 3, 16, 8)
     assert report["m1_exact_at_certified_degrees"] is False
     assert report["m1_checked_degrees"] == [0] + report["certified_degrees"]
 
 
 def test_filtered_sequence_guards():
-    with pytest.raises(ValueError):
-        filtered_hh_sequence("zz", 2, 3, 16, 8)
     with pytest.raises(WindowError):
-        filtered_hh_sequence("a1", 2, 3, 16, 6)   # dp window below p^R - 1
+        filtered_hh_sequence(2, 3, 16, 6)   # dp window below p^R - 1
     with pytest.raises(WindowError):
-        filtered_hh_sequence("a1", 2, 3, 7, 8)    # degree window below p^R
+        filtered_hh_sequence(2, 3, 7, 8)    # degree window below p^R
     with pytest.raises(ValueError):
-        filtered_hh_sequence("a1", 2, 0, 16, 8)
+        filtered_hh_sequence(2, 0, 16, 8)
 
 
 @settings(max_examples=25, deadline=None)
