@@ -44,7 +44,7 @@ FAMILIES = {
     "a1-hh p=3 r=2": (["--scenario", "a1-hh", "--prime", "3", "--depth", "2"], "window",
                       [9, 20, 40, 60, 80, 81, 82]),  # p^4 = 81 caps divided powers
     "a1-hh p=5 r=2": (["--scenario", "a1-hh", "--prime", "5", "--depth", "2"], "window",
-                      [25, 50, 100, 200, 300, 384, 400]),
+                      [25, 50, 100, 200, 300, 384, 400, 446, 447]),
     "a1-hh p=7 r=3": (["--scenario", "a1-hh", "--prime", "7", "--depth", "3"], "window",
                       [343, 344, 400, 446, 447]),
 }

@@ -492,17 +492,15 @@ def compression_action_agrees(op, compressed, r, degree_bound):
 # -- windowed operator modules ------------------------------------------------------------------------
 
 
-class TruncatedOperatorModule:
-    """Finite-dimensional window of an operator algebra, the space of the
-    commutator (Koszul-type) complexes: x^a D^(b) with each monomial exponent
-    in [lo, hi] (lo = -hi for Laurent algebras, 0 otherwise) and each
-    divided-power exponent in [0, dp_bound], held as int64 exponent arrays
-    `a` and `b` (dim x n) in lexicographic order, so a term's index is its
-    mixed-radix number.  Window maps are written exactly from their image
-    terms; a term leaving the target raises WindowError, never truncation.
-    """
+class WindowIndex:
+    """Mixed-radix numbering of the window x^a D^(b) of an operator algebra,
+    each monomial exponent in [lo, hi] (lo = -hi for Laurent algebras, 0
+    otherwise) and each divided-power exponent in [0, dp_bound], terms in
+    lexicographic order.  It builds no exponent arrays, so it serves as the
+    target of a window map and is not bounded by `MAX_WINDOW_RANK`; the map's
+    domain is a TruncatedOperatorModule, which is."""
 
-    __slots__ = ("algebra", "lo", "hi", "dp_bound", "radix", "a", "b", "dim")
+    __slots__ = ("algebra", "lo", "hi", "dp_bound", "radix", "dim")
 
     def __init__(self, algebra, degree_bound, dp_bound):
         if degree_bound < 0 or dp_bound < 0:
@@ -513,12 +511,7 @@ class TruncatedOperatorModule:
         self.dp_bound = dp_bound
         n = algebra.n
         radix = (self.hi - self.lo + 1,) * n + (dp_bound + 1,) * n
-        if math.prod(radix) > MAX_WINDOW_RANK:
-            raise CapacityError(f"operator window of rank {math.prod(radix)} exceeds capacity")
-        self.radix = np.array(radix)
-        digits = np.indices(radix).reshape(2 * n, -1).T
-        self.a, self.b = digits[:, :n] + self.lo, digits[:, n:]
-        self.dim = len(digits)
+        self.radix, self.dim = np.array(radix), math.prod(radix)
 
     def _locate(self, a, b):
         """Index of each term (rows of a, b) in the window, -1 outside it."""
@@ -526,16 +519,36 @@ class TruncatedOperatorModule:
         inside = ((digits >= 0) & (digits < self.radix)).all(axis=1)
         return np.where(inside, np.ravel_multi_index(digits.T, self.radix, mode="clip"), -1)
 
+
+class TruncatedOperatorModule(WindowIndex):
+    """Finite-dimensional window of an operator algebra, the space of the
+    commutator (Koszul-type) complexes: the WindowIndex's terms x^a D^(b),
+    held as int64 exponent arrays `a` and `b` (dim x n), so a term's index is
+    its mixed-radix number.  Window maps are written exactly from their image
+    terms; a term leaving the target raises WindowError, never truncation.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, algebra, degree_bound, dp_bound):
+        super().__init__(algebra, degree_bound, dp_bound)
+        if self.dim > MAX_WINDOW_RANK:
+            raise CapacityError(f"operator window of rank {self.dim} exceeds capacity")
+        n = algebra.n
+        digits = np.indices(tuple(self.radix)).reshape(2 * n, -1).T
+        self.a, self.b = digits[:, :n] + self.lo, digits[:, n:]
+
     def operator(self, vec):
         """The operator with coordinates vec in this window."""
         return DPDOperator(self.algebra, {(tuple(self.a[k]), tuple(self.b[k])): vec[k]
                                           for k in np.flatnonzero(np.mod(vec, self.algebra.p))})
 
     def operator_matrix(self, images, target=None, cols=slice(None)):
-        """Matrix over the target window of the map sending basis column k to
-        the sum of its image terms: `images` holds (a, b, coefficient) arrays,
-        one term per column (a column's terms distinct; a coefficient may be a
-        scalar), its columns the basis elements `cols` picks (all by default).
+        """Matrix over the target window (a WindowIndex, this module by
+        default) of the map sending basis column k to the sum of its image
+        terms: `images` holds (a, b, coefficient) arrays, one term per column
+        (a column's terms distinct; a coefficient may be a scalar), its
+        columns the basis elements `cols` picks (all by default).
         The window's own basis past the caps is refused first; once all images
         are read, a nonzero term outside the target raises WindowError."""
         target, p = target or self, self.algebra.p

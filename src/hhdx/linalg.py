@@ -3,15 +3,19 @@
 A matrix is stored as its nonzeros only (row, column and value triples, values
 reduced to [1, p), sorted row-major) with a shape, from the builders through
 elimination to the cohomology representatives; a dense int64 array, the only
-thing `MAX_MATRIX_ENTRIES` caps, is made per block and on demand (`.a`).
-Elimination gives the canonical RREF (first nonzero pivot, row-major), so
-every kernel basis and cohomology representative is deterministic; `_rref`
-eliminates each connected component of a matrix's nonzero pattern as a block
-of its own, except that a one-column component is a unit row and a one-row
-component its row over its leading value, with no elimination, and `product`
-multiplies from the nonzeros.  Pivots are ascending int64 arrays wherever they
-are made or read, and whether an index is a pivot is looked up in a count mask
-over [0, n) (`np.bincount`), never hashed.  A kernel basis is read
+thing `MAX_MATRIX_ENTRIES` caps, is made per stack of blocks and on demand
+(`.a`).  Elimination gives the canonical RREF (first nonzero pivot,
+row-major), so every kernel basis and cohomology representative is
+deterministic.  `_rref` eliminates a small or dense matrix whole
+(`_rref_dense`) and splits any other into the connected components of its
+nonzero pattern: a one-column component is a unit row and a one-row component
+its row over its leading value, with no elimination, and every other
+component is a block, padded with zeros on the right and at the bottom into a
+few (B, H, W) stacks that `_rref_stack` eliminates one column step at a time
+for all their blocks together.  `product` multiplies from the nonzeros.
+Pivots are ascending int64 arrays wherever they are made or read, and whether
+an index is a pivot is looked up in a count mask over [0, n) (`np.bincount`),
+never hashed.  A kernel basis is read
 off one elimination, a quotient transversal off the pivots with none, and a
 reduction modulo a subspace is one product with its RREF basis.  A coordinate
 subspace (a span of unit vectors) stays an index set: `contains_units` reads
@@ -37,13 +41,16 @@ is not shared between threads.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import CapacityError
 
 # The entries of one dense int64 array (320 MB), checked before such an array
-# is made: `FpMatrix.a`, each dense block of `_rref`, the output of `product`'s
-# dense `@` and the pair arrays of its join, and `bar_differential_matrix`.
+# is made: `FpMatrix.a`, each stack of blocks in `_rref`, the output of
+# `product`'s dense `@` and the pair arrays of its join, and
+# `bar_differential_matrix`.
 # Matrices are held as nonzeros everywhere else, so their shape is not capped.
 MAX_MATRIX_ENTRIES = 40_000_000
 
@@ -53,15 +60,25 @@ def _check_capacity(entries):
         raise CapacityError(f"dense array of {entries} entries exceeds capacity")
 
 
-# On a 2-vCPU Xeon with numpy 2.4, below 2048 entries fixed per-call costs rule,
-# so `_rref` eliminates the whole matrix (report-stream's matrices under 256
-# entries: 14 us whole, 50 split; p1-cover's 34 x 35: 260 us whole, 430 split)
-# and `FpMatrix.from_triples` adds up densely (two 8 x 8 summed: 11 us, 20 by
-# sorting).  `_rref` also eliminates whole above one nonzero in 16, so labels
-# (35 bytes a nonzero) stay within a quarter of the whole copy (8 bytes an
-# entry).  `product` joins nonzeros (15 us + 20 ns a pair) where that beats
-# int64 `@` (0.4 ns a multiply-add).
-_SPLIT_MIN_ENTRIES, _SPLIT_MAX_DENSITY = 2048, 16
+# On a 2-vCPU Xeon with numpy 2.4, below 512 entries fixed per-call costs rule,
+# so `_rref` eliminates the whole matrix (report-stream's sparse matrices, all
+# under 256 entries: 14 us whole, 150 split; p1-cover's 34 x 35: 451 us whole,
+# 422 split, its 45 x 45 495 and 137, a1-hh's 25 x 25 262 and 151) and
+# `FpMatrix.from_triples` adds up densely (two 8 x 8 summed: 11 us, 20 by
+# sorting; report-stream's 52 sums of 512 to 2047 entries a pass: 1.44 ms
+# dense, 1.11 sorted).  `_rref` also eliminates whole above one nonzero in 16,
+# so labels (35 bytes a nonzero) stay within a quarter of the whole copy (8
+# bytes an entry).  `product` joins nonzeros (15 us + 20 ns a pair) where that
+# beats int64 `@` (0.4 ns a multiply-add).
+_SPLIT_MIN_ENTRIES, _SPLIT_MAX_DENSITY = 512, 16
+# A stack of blocks holds at most `_STACK_PAD` times its blocks' own entries,
+# or `_STACK_SMALL` entries in all.  One `_rref_stack` column step costs about
+# 35 us plus 14 ns an entry (4 x 8 x 8: 37 us, 64 x 8 x 8: 91 us, 256 x 8 x 8:
+# 240 us), so padding is nearly free below 4096 entries, and past them the
+# bound keeps a stack's arithmetic and memory within 4 times its blocks'.
+# p1-cover's and gs-point's 45 split matrices took 36-39 ms under every bound
+# from 2 to 8 times (29 to 37 stacks), 41 ms at 1.5 times (57 stacks).
+_STACK_PAD, _STACK_SMALL = 4, 4096
 _JOIN_FIXED_WORK, _JOIN_PAIR_WORK = 37_500, 50
 
 
@@ -82,6 +99,14 @@ def _components(u, v, n):
         label = hooked
 
 
+@functools.cache
+def _inverses(p):
+    """Inverse of each residue mod p (0 at 0), read-only: every call shares it."""
+    out = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
+    out.flags.writeable = False
+    return out
+
+
 def _unique(x):
     """The distinct values of an int array, ascending: sort, then mask the
     repeats.  numpy 2.4's `np.unique` hashes: on 10^6 int64s, 2-vCPU Xeon, it
@@ -96,10 +121,15 @@ def _rref(a, p):
     """RREF mod p of an FpMatrix: (its rows as an FpMatrix, their pivot
     columns as an ascending int64 array).
 
-    The RREF is canonical, so it is assembled per connected component of the
-    nonzero pattern: all one-column components at once give unit rows, all
-    one-row ones their rows over their leading values, and every other is
-    eliminated as a dense block of its own; rows are in pivot order.
+    The RREF is canonical, so a small or dense matrix is eliminated whole,
+    and any other is assembled per connected component of its nonzero
+    pattern: all one-column components at once give unit rows, all one-row
+    ones their rows over their leading values, and every other is a block.
+    Padding a block with zero rows and columns leaves its RREF unchanged, so
+    the blocks, tallest first, are padded into stacks, each within the
+    padding bound and checked against capacity before it is made; each stack
+    is filled in one assignment, eliminated by one `_rref_stack` call and
+    read back with one `np.nonzero`.  Rows are in pivot order.
     """
     nrows, ncols = a.shape
     if nrows * ncols < _SPLIT_MIN_ENTRIES or a.val.size * _SPLIT_MAX_DENSITY > nrows * ncols:
@@ -114,32 +144,52 @@ def _rref(a, p):
     at = label[a.row]  # the component of each nonzero
     one = np.flatnonzero((height[at] == 1) & (width[at] > 1))
     head = one[np.searchsorted(a.row[one], a.row[one])]  # the first nonzero of its row
-    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
+    inverse = _inverses(p)
     # (pivot of its row, column, value) of every RREF entry
     pieces = [(single, single, np.ones(single.size, dtype=np.int64)),
               (a.col[head], a.col[one], a.val[one] * inverse[a.val[head]] % p)]
-    # the other components' rows, then columns, ascending, after one stable
-    # sort by label: a node's block-local number is its place in its run
+    # every other component is a block; blocks go tallest first (then widest)
+    # and are cut into stacks, each the longest run that stays within the
+    # padding bound (a block alone always does)
     block = (height > 1) & (width > 1)
+    labels = np.flatnonzero(block)  # the blocks' labels, ascending
+    order = np.lexsort((-width[labels], -height[labels]))
+    h, w = height[labels][order], width[labels][order]
+    place = np.argsort(order)  # each block's place in that order, by label
+    cuts = [0]
+    while cuts[-1] < h.size:
+        s = cuts[-1]
+        padded = np.arange(1, h.size - s + 1) * h[s] * np.maximum.accumulate(w[s:])
+        fits = ((padded <= np.maximum(_STACK_PAD * np.cumsum(h[s:] * w[s:]), _STACK_SMALL))
+                & (padded <= MAX_MATRIX_ENTRIES))
+        cuts.append(s + max(int(np.argmin(np.append(fits, False))), 1))  # first misfit
+    # the blocks' rows, then columns, ascending, after one stable sort by
+    # place: a node's block-local number is its place in its run
     node = node[block[label[node]]]
-    node = node[np.argsort(label[node], kind="stable")]
-    h, w = height[block], width[block]
+    node_at = place[np.searchsorted(labels, label[node])]  # its block's place
+    sort = np.argsort(node_at, kind="stable")
+    node, node_at = node[sort], node_at[sort]
     start = np.repeat(np.cumsum(h + w) - w, h + w) - np.where(node < nrows, np.repeat(h, h + w), 0)
-    local = np.empty(nrows + ncols, dtype=np.int64)
+    local = np.empty(node.max(initial=-1) + 1, dtype=np.int64)  # up to the last block node
     local[node] = np.arange(node.size) - start
-    ent = np.flatnonzero(block[at])
-    ent = ent[np.argsort(at[ent], kind="stable")]
-    triples = np.stack([local[a.row[ent]], local[nrows + a.col[ent]], a.val[ent]])
-    ends = np.cumsum(np.bincount(at[ent], minlength=nrows + ncols)[block])
-    for hb, wb, nodes, (r, c, v) in zip(h.tolist(), w.tolist(), np.split(node, np.cumsum(h + w)),
-                                        np.split(triples, ends, axis=1)):
-        _check_capacity(hb * wb)
-        dense = np.zeros((hb, wb), dtype=np.int64)
-        dense[r, c] = v
-        red, piv = _rref_dense(dense, p)
-        r, c = np.nonzero(red)
-        cs = nodes[hb:] - nrows
-        pieces.append((cs[piv[r]], cs[c], red[r, c]))
+    cnode, cnode_at = node[node >= nrows], node_at[node >= nrows]
+    ent = np.flatnonzero(block[at])  # the blocks' nonzeros, then sorted by place
+    ent_at = place[np.searchsorted(labels, at[ent])]
+    sort = np.argsort(ent_at, kind="stable")
+    ent, ent_at = ent[sort], ent_at[sort]
+    for lo, hi in zip(cuts, cuts[1:]):
+        e = slice(*np.searchsorted(ent_at, [lo, hi]))  # the stack's nonzeros
+        c = slice(*np.searchsorted(cnode_at, [lo, hi]))  # and columns
+        shape = (hi - lo, int(h[lo]), int(w[lo:hi].max()))
+        _check_capacity(np.prod(shape))
+        stack = np.zeros(shape, dtype=np.int64)
+        row, col = local[a.row[ent[e]]], local[nrows + a.col[ent[e]]]
+        stack[ent_at[e] - lo, row, col] = a.val[ent[e]]
+        cols = np.zeros(shape[::2], dtype=np.int64)  # each block's columns, block-local
+        cols[cnode_at[c] - lo, local[cnode[c]]] = cnode[c] - nrows
+        piv = _rref_stack(stack, p)
+        b, r, k = np.nonzero(stack)
+        pieces.append((cols[b, piv[b, r]], cols[b, k], stack[b, r, k]))
     lead, col, val = (np.concatenate(part) for part in zip(*pieces))
     pivots = _unique(lead)
     basis = FpMatrix.from_triples(p, (pivots.size, ncols), np.searchsorted(pivots, lead), col, val)
@@ -170,6 +220,35 @@ def _rref_dense(a, p):
         pivots[r] = c
         r += 1
     return a[:r], pivots[:r]
+
+
+def _rref_stack(stack, p):
+    """`_rref_dense` of every block of a fresh reduced (B, H, W) int64 stack
+    at once, in place: one step per column for all blocks together.  Returns
+    each block's pivot columns, a (B, min(H, W)) int64 array whose row b holds
+    block b's pivots in its first (nonzero) rows."""
+    nb, height, width = stack.shape
+    inverse = _inverses(p)
+    top = np.zeros(nb, dtype=np.int64)  # each block's next pivot row
+    pivots = np.zeros((nb, min(height, width)), dtype=np.int64)
+    below = np.arange(height)
+    for c in range(width):
+        nz = (stack[:, :, c] != 0) & (below >= top[:, None])
+        live = np.flatnonzero(nz.any(axis=1))
+        if not live.size:
+            continue
+        r, i = top[live], nz[live].argmax(axis=1)  # first nonzero pivot, row-major
+        part, at = stack[live, :, c:], np.arange(live.size)  # left of c the pivot rows are 0
+        row = part[at, i] * inverse[part[at, i, 0]][:, None] % p
+        part[at, i] = part[at, r]
+        part[at, r] = row
+        col = part[:, :, 0].copy()
+        col[at, r] = 0
+        part -= col[:, :, None] * row[:, None, :]
+        stack[live, :, c:] = np.mod(part, p, out=part)
+        pivots[live, r] = c
+        top[live] += 1
+    return pivots
 
 
 def product(x, y, p):

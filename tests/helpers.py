@@ -235,14 +235,15 @@ def oracle_rref(a, p):
 
 
 def planted_blocks(p, rng):
-    """A matrix the block split eliminates: 1-12 random blocks of up to 5 x 5
-    (some all zero, some entries raised by multiples of p, negatives
-    included) and 1-3 rows of 2-5 entries nonzero mod p on a block diagonal,
-    padded with zero rows and columns to at least `linalg._SPLIT_MIN_ENTRIES`
-    entries with at most one nonzero in `linalg._SPLIT_MAX_DENSITY`, then rows
-    and columns shuffled."""
+    """A matrix the block split eliminates: 1-12 random blocks of mixed
+    shapes, each side up to 5 or up to 24 (some all zero, some entries raised
+    by multiples of p, negatives included), and 1-3 rows of 2-5 entries
+    nonzero mod p on a block diagonal, padded with zero rows and columns to at
+    least `linalg._SPLIT_MIN_ENTRIES` entries with at most one nonzero in
+    `linalg._SPLIT_MAX_DENSITY`, then rows and columns shuffled."""
     rows = int(rng.integers(1, 4))  # the one-row blocks, planted last
-    shapes = np.concatenate([rng.integers(1, 6, size=(int(rng.integers(1, 13)), 2)),
+    count = int(rng.integers(1, 13))
+    shapes = np.concatenate([rng.integers(1, rng.choice([6, 25], size=(count, 2))),
                              np.stack([np.ones(rows, dtype=np.int64),
                                        rng.integers(2, 6, size=rows)], axis=1)])
     nrows = int(shapes[:, 0].sum() + rng.integers(0, 8))

@@ -64,6 +64,23 @@ def test_unknown_scenario_exits_2(capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+def test_calls_in_one_process_share_the_parser_but_not_their_arguments(capsys):
+    """The parser is built once; each call still parses its own arguments
+    into its own report, defaults included, and a missing --scenario still
+    exits 2 with argparse's usage message."""
+    assert main(["--scenario", "proper-hh", "--prime", "3", "--json"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(["--scenario", "proper-hh"]) == 0
+    assert "config: operator=1,1;0,0 prime=2" in capsys.readouterr().out
+    assert main(["--scenario", "proper-hh", "--prime", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == first
+    assert first["config"] == {"prime": 3, "operator": "1,1;0,0"}
+    with pytest.raises(SystemExit) as exc:
+        main(["--prime", "3"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --scenario" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["--scenario", "gs-point", "--prime", "4"],
     ["--scenario", "elliptic", "--prime", "2"],
@@ -455,6 +472,24 @@ def test_a1_hh_builds_no_column_outside_the_previous_commutant(argv, capsys):
     """A window whose divided powers reach the cap reports: the generators'
     terms past the cap (D^(82) at p = 3, D^(17) at p = 2) lie in columns
     outside ker [t, -], and the nested kernels never build those columns."""
+    assert main([*argv, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, SCHEMA)
+    assert report["ok"] is True
+    assert all(entry["status"] == "pass" for entry in report["assertions"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "a1-hh", "--prime", "7", "--depth", "3", "--degree-bound", "343",
+     "--dp-cap", "343"],
+    ["--scenario", "a1-hh", "--prime", "5", "--depth", "2", "--degree-bound", "400",
+     "--dp-cap", "400"],
+], ids=["p7-r3-window343", "p5-r2-window400"])
+def test_a1_hh_enlarged_targets_only_locate_terms(argv, capsys):
+    """Each generator's enlarged target (rank 236 328 for D^(343) at p = 7,
+    210 926 for D^(125) at p = 5) is past `MAX_WINDOW_RANK`, but it only
+    locates terms, so it builds no arrays and is not refused; the domain
+    windows stay under the cap."""
     assert main([*argv, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     jsonschema.validate(report, SCHEMA)

@@ -190,18 +190,93 @@ def test_block_split_matches_whole_elimination(p, seed):
     m = FpMatrix.from_triples(p, a.shape, *raw_triples(p, a, rng))
     assert_canonical(m)
     assert np.array_equal(m.a, a % p)
+    stacks, rref_stack = [], linalg._rref_stack
+
+    def stacked(stack, p):
+        stacks.append(stack.copy())
+        return rref_stack(stack, p)
+
     with mock.patch.object(linalg, "_components", wraps=linalg._components) as labels, \
-            mock.patch.object(linalg, "_rref_dense", wraps=linalg._rref_dense) as dense:
+            mock.patch.object(linalg, "_rref_dense", wraps=linalg._rref_dense) as dense, \
+            mock.patch.object(linalg, "_rref_stack", stacked):
         rows, pivots = linalg._rref(m, p)
-    # the split ran: components were labelled and no block was the whole
-    # matrix; one-row and one-column components were solved without a block
-    assert labels.call_count == 1
-    assert all(call.args[0].shape != a.shape for call in dense.call_args_list)
-    assert all(min(call.args[0].shape) > 1 for call in dense.call_args_list)
+    # the split ran: components were labelled and nothing was eliminated
+    # whole.  Each stacked block is a connected component, so every row and
+    # column it has holds a nonzero and its extent is its own shape: none is
+    # the whole matrix, one-row and one-column components were solved without
+    # a block, so each has at least two rows and two columns, and no stack is
+    # padded past the bound
+    assert labels.call_count == 1 and dense.call_count == 0
+    for stack in stacks:
+        extents = [(blk.any(axis=1).sum(), blk.any(axis=0).sum()) for blk in stack]
+        assert all(rows > 1 and cols > 1 and (rows, cols) != a.shape for rows, cols in extents)
+        own = sum(rows * cols for rows, cols in extents)
+        assert stack.size <= max(linalg._STACK_PAD * own, linalg._STACK_SMALL) or len(stack) == 1
     want_rows, want_pivots = oracle_rref(a, p)
     assert_pivots(pivots, want_pivots)
     assert_canonical(rows)
     assert rows.shape == want_rows.shape and np.array_equal(rows.a, want_rows)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 9), st.integers(1, 12),
+       st.integers(1, 12), st.integers(0, 10 ** 6))
+def test_stacked_elimination_matches_each_block(p, blocks, height, width, seed):
+    """`_rref_stack` against the dense column loop, block by block: random,
+    all-zero and full-rank blocks, each padded with zero rows and columns."""
+    rng = np.random.default_rng(seed)
+    stack = np.zeros((blocks, height, width), dtype=np.int64)
+    shapes = []
+    for b in range(blocks):
+        h, w = int(rng.integers(1, height + 1)), int(rng.integers(1, width + 1))
+        kind = rng.choice(["random", "zero", "full rank"])
+        if kind == "random":
+            block = rng.integers(0, p, size=(h, w)) * (rng.random((h, w)) < rng.random())
+        elif kind == "zero":
+            block = np.zeros((h, w), dtype=np.int64)
+        else:  # a unit triangle with its rows and columns shuffled
+            block = np.triu(rng.integers(0, p, size=(h, w)), 1)
+            block[np.arange(min(h, w)), np.arange(min(h, w))] = rng.integers(1, p, size=min(h, w))
+            block = block[rng.permutation(h)][:, rng.permutation(w)]
+        stack[b, :h, :w] = block
+        shapes.append((h, w))
+    planted = stack.copy()
+    pivots = linalg._rref_stack(stack, p)
+    assert pivots.dtype == np.int64 and pivots.shape == (blocks, min(height, width))
+    for b, (h, w) in enumerate(shapes):
+        want_rows, want_pivots = oracle_rref(planted[b, :h, :w], p)
+        rank = len(want_pivots)
+        assert np.array_equal(stack[b, :rank, :w], want_rows)
+        assert not stack[b, rank:].any() and not stack[b, :, w:].any()
+        assert_pivots(pivots[b, :rank], want_pivots)
+
+
+def test_a_large_block_beside_many_small_ones_is_not_padded_past_the_bound(monkeypatch):
+    """A dense 60 x 60 block beside 300 2 x 2 blocks.  One stack of all would
+    pad each small block to 60 x 60: 301 x 3600 entries, 8.7 MB.  With the
+    cap lowered to the large block's own size the blocks still fit one by one,
+    so the split gives the whole elimination's RREF with no CapacityError.
+    Either way the traced peak stays within 8 times the padding bound (8
+    bytes times `_STACK_PAD` times the blocks' own entries): a stack, its
+    working copy and their product, beside the index arrays.  One stack of
+    all peaks at 27 MB."""
+    p, big, small = 5, 60, 300
+    rng = np.random.default_rng(7)
+    n = big + 2 * small
+    a = np.zeros((n, n), dtype=np.int64)
+    a[:big, :big] = rng.integers(1, p, size=(big, big))
+    for k in range(big, n, 2):
+        a[k:k + 2, k:k + 2] = rng.integers(1, p, size=(2, 2))
+    a = a[rng.permutation(n)][:, rng.permutation(n)]
+    m = FpMatrix(p, a)
+    want_rows, want_pivots = oracle_rref(a, p)
+    bound = 8 * linalg._STACK_PAD * (big * big + 4 * small)
+    for cap in (big * big, linalg.MAX_MATRIX_ENTRIES):
+        monkeypatch.setattr(linalg, "MAX_MATRIX_ENTRIES", cap)
+        (rows, pivots), peak = _traced_peak(lambda: linalg._rref(m, p))
+        assert_pivots(pivots, want_pivots)
+        assert rows == FpMatrix(p, want_rows)
+        assert peak < 8 * bound, (cap, peak)
 
 
 @settings(deadline=None, max_examples=80)
