@@ -35,25 +35,36 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 BUDGET_MB = 1024  # peak RSS a rung may take
 KILL_AFTER_S = 60  # a child still running then is killed
 
-# family -> (fixed arguments, the argument each rung sets, rungs)
+
+def _window(*fixed):
+    """The rungs of a window family: degree bound and dp cap both the size."""
+    return lambda size: [*fixed, "--degree-bound", str(size), "--dp-cap", str(size)]
+
+
+# family -> (the CLI arguments of its rung of a size, the name a row records
+# that size under, rungs)
 FAMILIES = {
-    "pd-derham p=5": (["--scenario", "pd-derham", "--prime", "5"], "N",
+    "pd-derham p=5": (_window("--scenario", "pd-derham", "--prime", "5"), "N",
                       [25, 50, 100, 200, 300, 400, 446, 447]),
-    "pd-derham p=7": (["--scenario", "pd-derham", "--prime", "7"], "N",
+    "pd-derham p=7": (_window("--scenario", "pd-derham", "--prime", "7"), "N",
                       [25, 50, 100, 200, 300, 400, 446, 447]),
-    "a1-hh p=3 r=2": (["--scenario", "a1-hh", "--prime", "3", "--depth", "2"], "window",
+    "a1-hh p=3 r=2": (_window("--scenario", "a1-hh", "--prime", "3", "--depth", "2"), "window",
                       [9, 20, 40, 60, 80, 81, 82]),  # p^4 = 81 caps divided powers
-    "a1-hh p=5 r=2": (["--scenario", "a1-hh", "--prime", "5", "--depth", "2"], "window",
+    "a1-hh p=5 r=2": (_window("--scenario", "a1-hh", "--prime", "5", "--depth", "2"), "window",
                       [25, 50, 100, 200, 300, 384, 400, 446, 447]),
-    "a1-hh p=7 r=3": (["--scenario", "a1-hh", "--prime", "7", "--depth", "3"], "window",
+    "a1-hh p=7 r=3": (_window("--scenario", "a1-hh", "--prime", "7", "--depth", "3"), "window",
                       [343, 344, 400, 446, 447]),
+    # depth r, at the least degree bound that certifies the compression
+    "morita-matrix p=7": (lambda r: ["--scenario", "morita-matrix", "--prime", "7",
+                                     "--depth", str(r), "--degree-bound", str(2 * 7 ** r)],
+                          "depth", [1, 2, 3, 4]),
 }
 
 
 def rung_argv(family, size):
-    """The CLI arguments of one rung: degree bound and dp cap both `size`."""
-    fixed, _, _ = FAMILIES[family]
-    return [*fixed, "--degree-bound", str(size), "--dp-cap", str(size), "--json"]
+    """The CLI arguments of one rung, as its family sets them for its size."""
+    argv, _, _ = FAMILIES[family]
+    return [*argv(size), "--json"]
 
 
 def child(src, argv):

@@ -9,10 +9,11 @@ row-major), so every kernel basis and cohomology representative is
 deterministic.  `_rref` eliminates a small or dense matrix whole
 (`_rref_dense`) and splits any other into the connected components of its
 nonzero pattern: a one-column component is a unit row and a one-row component
-its row over its leading value, with no elimination, and every other
-component is a block, padded with zeros on the right and at the bottom into a
-few (B, H, W) stacks that `_rref_stack` eliminates one column step at a time
-for all their blocks together.  `product` multiplies from the nonzeros.
+its row over its leading value, with no elimination.  Every other component
+is a block: the blocks' rows and columns, taken in block order, give one
+block-diagonal submatrix, whose blocks are padded with zeros into a few
+(B, H, W) stacks that `_rref_stack` eliminates one column step at a time for
+all their blocks together.  `product` multiplies from the nonzeros.
 Pivots are ascending int64 arrays wherever they are made or read, and whether
 an index is a pivot is looked up in a count mask over [0, n) (`np.bincount`),
 never hashed.  A kernel basis is read
@@ -125,11 +126,11 @@ def _rref(a, p):
     and any other is assembled per connected component of its nonzero
     pattern: all one-column components at once give unit rows, all one-row
     ones their rows over their leading values, and every other is a block.
-    Padding a block with zero rows and columns leaves its RREF unchanged, so
-    the blocks, tallest first, are padded into stacks, each within the
-    padding bound and checked against capacity before it is made; each stack
-    is filled in one assignment, eliminated by one `_rref_stack` call and
-    read back with one `np.nonzero`.  Rows are in pivot order.
+    The blocks' rows and columns, tallest block first (then widest), give
+    one block-diagonal submatrix; zero padding leaves a block's RREF
+    unchanged, so its blocks are padded into stacks, each within the padding
+    bound, checked against capacity and eliminated by one `_rref_stack`
+    call.  A row's pivot is its first nonzero; rows are in pivot order.
     """
     nrows, ncols = a.shape
     if nrows * ncols < _SPLIT_MIN_ENTRIES or a.val.size * _SPLIT_MAX_DENSITY > nrows * ncols:
@@ -153,43 +154,36 @@ def _rref(a, p):
     # padding bound (a block alone always does)
     block = (height > 1) & (width > 1)
     labels = np.flatnonzero(block)  # the blocks' labels, ascending
-    order = np.lexsort((-width[labels], -height[labels]))
-    h, w = height[labels][order], width[labels][order]
-    place = np.argsort(order)  # each block's place in that order, by label
-    cuts = [0]
-    while cuts[-1] < h.size:
-        s = cuts[-1]
-        padded = np.arange(1, h.size - s + 1) * h[s] * np.maximum.accumulate(w[s:])
-        fits = ((padded <= np.maximum(_STACK_PAD * np.cumsum(h[s:] * w[s:]), _STACK_SMALL))
-                & (padded <= MAX_MATRIX_ENTRIES))
-        cuts.append(s + max(int(np.argmin(np.append(fits, False))), 1))  # first misfit
-    # the blocks' rows, then columns, ascending, after one stable sort by
-    # place: a node's block-local number is its place in its run
-    node = node[block[label[node]]]
-    node_at = place[np.searchsorted(labels, label[node])]  # its block's place
-    sort = np.argsort(node_at, kind="stable")
-    node, node_at = node[sort], node_at[sort]
-    start = np.repeat(np.cumsum(h + w) - w, h + w) - np.where(node < nrows, np.repeat(h, h + w), 0)
-    local = np.empty(node.max(initial=-1) + 1, dtype=np.int64)  # up to the last block node
-    local[node] = np.arange(node.size) - start
-    cnode, cnode_at = node[node >= nrows], node_at[node >= nrows]
-    ent = np.flatnonzero(block[at])  # the blocks' nonzeros, then sorted by place
-    ent_at = place[np.searchsorted(labels, at[ent])]
-    sort = np.argsort(ent_at, kind="stable")
-    ent, ent_at = ent[sort], ent_at[sort]
-    for lo, hi in zip(cuts, cuts[1:]):
-        e = slice(*np.searchsorted(ent_at, [lo, hi]))  # the stack's nonzeros
-        c = slice(*np.searchsorted(cnode_at, [lo, hi]))  # and columns
-        shape = (hi - lo, int(h[lo]), int(w[lo:hi].max()))
-        _check_capacity(np.prod(shape))
-        stack = np.zeros(shape, dtype=np.int64)
-        row, col = local[a.row[ent[e]]], local[nrows + a.col[ent[e]]]
-        stack[ent_at[e] - lo, row, col] = a.val[ent[e]]
-        cols = np.zeros(shape[::2], dtype=np.int64)  # each block's columns, block-local
-        cols[cnode_at[c] - lo, local[cnode[c]]] = cnode[c] - nrows
-        piv = _rref_stack(stack, p)
-        b, r, k = np.nonzero(stack)
-        pieces.append((cols[b, piv[b, r]], cols[b, k], stack[b, r, k]))
+    node = node[block[label[node]]]  # their rows, then columns
+    if labels.size:  # `take` makes arrays over all rows and columns: not without blocks
+        order = np.lexsort((-width[labels], -height[labels]))
+        h, w = height[labels][order], width[labels][order]
+        cuts = [0]
+        while cuts[-1] < h.size:
+            s = cuts[-1]
+            padded = np.arange(1, h.size - s + 1) * h[s] * np.maximum.accumulate(w[s:])
+            fits = ((padded <= np.maximum(_STACK_PAD * np.cumsum(h[s:] * w[s:]), _STACK_SMALL))
+                    & (padded <= MAX_MATRIX_ENTRIES))
+            cuts.append(s + max(int(np.argmin(np.append(fits, False))), 1))  # first misfit
+        # m is block-diagonal in that order: block k from row rs[k], column cs[k]
+        lab = label[node]
+        node = node[np.lexsort((lab, -width[lab], -height[lab]))]
+        cols = node[node >= nrows] - nrows
+        m = a.take(node[node < nrows], cols)
+        rs, cs = np.cumsum(h) - h, np.cumsum(w) - w
+        in_block = np.repeat(np.arange(h.size), h)[m.row]  # the block of each entry of m
+        for lo, hi in zip(cuts, cuts[1:]):
+            e = slice(*np.searchsorted(in_block, [lo, hi]))  # the stack's entries
+            shape = (hi - lo, int(h[lo]), int(w[lo:hi].max()))
+            _check_capacity(np.prod(shape))
+            stack = np.zeros(shape, dtype=np.int64)
+            blk = in_block[e]
+            stack[blk - lo, m.row[e] - rs[blk], m.col[e] - cs[blk]] = m.val[e]
+            _rref_stack(stack, p)
+            b, r, k = np.nonzero(stack)
+            row, col = rs[lo + b] + r, cs[lo + b] + k  # row-major in m
+            lead = col[np.searchsorted(row, row)]  # a row's pivot is its first nonzero
+            pieces.append((cols[lead], cols[col], stack[b, r, k]))
     lead, col, val = (np.concatenate(part) for part in zip(*pieces))
     pivots = _unique(lead)
     basis = FpMatrix.from_triples(p, (pivots.size, ncols), np.searchsorted(pivots, lead), col, val)
@@ -224,13 +218,10 @@ def _rref_dense(a, p):
 
 def _rref_stack(stack, p):
     """`_rref_dense` of every block of a fresh reduced (B, H, W) int64 stack
-    at once, in place: one step per column for all blocks together.  Returns
-    each block's pivot columns, a (B, min(H, W)) int64 array whose row b holds
-    block b's pivots in its first (nonzero) rows."""
+    at once, in place: one step per column for all blocks together."""
     nb, height, width = stack.shape
     inverse = _inverses(p)
     top = np.zeros(nb, dtype=np.int64)  # each block's next pivot row
-    pivots = np.zeros((nb, min(height, width)), dtype=np.int64)
     below = np.arange(height)
     for c in range(width):
         nz = (stack[:, :, c] != 0) & (below >= top[:, None])
@@ -246,9 +237,7 @@ def _rref_stack(stack, p):
         col[at, r] = 0
         part -= col[:, :, None] * row[:, None, :]
         stack[live, :, c:] = np.mod(part, p, out=part)
-        pivots[live, r] = c
         top[live] += 1
-    return pivots
 
 
 def product(x, y, p):

@@ -241,14 +241,39 @@ def test_stacked_elimination_matches_each_block(p, blocks, height, width, seed):
         stack[b, :h, :w] = block
         shapes.append((h, w))
     planted = stack.copy()
-    pivots = linalg._rref_stack(stack, p)
-    assert pivots.dtype == np.int64 and pivots.shape == (blocks, min(height, width))
+    assert linalg._rref_stack(stack, p) is None
     for b, (h, w) in enumerate(shapes):
         want_rows, want_pivots = oracle_rref(planted[b, :h, :w], p)
         rank = len(want_pivots)
         assert np.array_equal(stack[b, :rank, :w], want_rows)
         assert not stack[b, rank:].any() and not stack[b, :, w:].any()
-        assert_pivots(pivots[b, :rank], want_pivots)
+
+
+def test_a_split_matrix_without_blocks_takes_no_submatrix():
+    """A sparse matrix past `_SPLIT_MIN_ENTRIES` whose components all have
+    one row or one column (a shuffled permutation matrix, one-row runs and
+    one-column runs): its RREF is read off the triples, with no submatrix
+    taken and no stack eliminated, so no array over its rows or columns is
+    made for blocks it does not have."""
+    p, rng = 5, np.random.default_rng(3)
+    a = np.zeros((70, 75), dtype=np.int64)
+    a[np.arange(40), np.arange(40)] = rng.integers(1, p, size=40)  # one by one
+    for k in range(10):  # one row, three columns
+        a[40 + k, 40 + 3 * k:43 + 3 * k] = rng.integers(1, p, size=3)
+    for k in range(5):  # one column, two rows
+        a[50 + 2 * k:52 + 2 * k, 70 + k] = rng.integers(1, p, size=2)
+    a = a[rng.permutation(70)][:, rng.permutation(75)]
+    assert a.size >= linalg._SPLIT_MIN_ENTRIES
+    m = FpMatrix(p, a)
+    with mock.patch.object(linalg, "_components", wraps=linalg._components) as labels, \
+            mock.patch.object(linalg, "_rref_stack", wraps=linalg._rref_stack) as stacked, \
+            mock.patch.object(FpMatrix, "take", autospec=True,
+                              side_effect=FpMatrix.take) as take:
+        rows, pivots = linalg._rref(m, p)
+    assert labels.call_count == 1 and take.call_count == 0 and stacked.call_count == 0
+    want_rows, want_pivots = oracle_rref(a, p)
+    assert_pivots(pivots, want_pivots)
+    assert rows == FpMatrix(p, want_rows)
 
 
 def test_a_large_block_beside_many_small_ones_is_not_padded_past_the_bound(monkeypatch):
@@ -288,6 +313,38 @@ def test_sorted_unique_matches_numpy(values, order):
     x = {"as drawn": x, "sorted": np.sort(x), "reversed": np.sort(x)[::-1]}[order]
     got, want = linalg._unique(x), np.unique(x)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _selection(kind, n, rng):
+    """One way to index n rows or columns: everything, a reversed slice, a
+    shuffled permutation, a shuffled subset of distinct indices, nothing."""
+    if kind == "all":
+        return slice(None)
+    if kind == "reversed":
+        return slice(None, None, -int(rng.integers(1, 4)))
+    if kind == "shuffled":
+        return rng.permutation(n)
+    if kind == "subset":
+        return rng.permutation(n)[:int(rng.integers(0, n + 1))]
+    return np.zeros(0, dtype=np.int64)
+
+
+SELECTIONS = st.sampled_from(["all", "reversed", "shuffled", "subset", "empty"])
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 12), st.integers(0, 12), SELECTIONS,
+       SELECTIONS, st.integers(0, 10 ** 6))
+def test_take_matches_dense_selection(p, nrows, ncols, row_kind, col_kind, seed):
+    """`FpMatrix.take` against numpy's selection of the dense matrix, for
+    monotone and non-monotone index arrays alike."""
+    rng = np.random.default_rng(seed)
+    a = random_sparse(p, rng, nrows, ncols)
+    rows, cols = _selection(row_kind, nrows, rng), _selection(col_kind, ncols, rng)
+    got = FpMatrix(p, a).take(rows, cols)
+    assert_canonical(got)
+    want = a[np.ix_(np.arange(nrows)[rows], np.arange(ncols)[cols])] % p
+    assert got.shape == want.shape and np.array_equal(got.a, want)
 
 
 @pytest.mark.parametrize("shape", [(0, 3000), (3000, 0), (0, 0), (40, 60)])
