@@ -58,6 +58,10 @@ FAMILIES = {
     "morita-matrix p=7": (lambda r: ["--scenario", "morita-matrix", "--prime", "7",
                                      "--depth", str(r), "--degree-bound", str(2 * 7 ** r)],
                           "depth", [1, 2, 3, 4]),
+    # two levels at the least degree bound p^2, by prime
+    "smith-tower r=2": (lambda p: ["--scenario", "smith-tower", "--prime", str(p),
+                                   "--depth", "2", "--degree-bound", str(p * p)],
+                        "p", [5, 7, 13, 23, 31, 47, 61]),
 }
 
 

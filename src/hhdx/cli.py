@@ -22,6 +22,7 @@ import numpy as np
 
 from .dpdo import (
     OperatorAlgebra,
+    OperatorBatch,
     compressed_degree,
     compression_action_agrees,
     matrix_realize,
@@ -355,17 +356,12 @@ def _scenario_cup_ring_map(args):
 
     du = min(compressed_degree(p, r, d), 8)
     alg_u = OperatorAlgebra(p, 1, names=("u",))
-    in_window = 0
-    beyond = 0
-    ring_ok = True
-    for i in range(du + 1):
-        for j in range(i, du + 1):
-            if i + j > du:
-                beyond += 1
-                continue
-            prod = alg_u.monomial((i,), (0,)) * alg_u.monomial((j,), (0,))
-            ring_ok = ring_ok and (prod == alg_u.monomial((i + j,), (0,)))
-            in_window += 1
+    powers = OperatorBatch.of(alg_u, [alg_u.monomial((k,), (0,)) for k in range(du + 1)])
+    i, j = np.array([(i, j) for i in range(du + 1) for j in range(i, du + 1 - i)]).T
+    in_window = len(i)
+    beyond = (du + 1) * (du + 2) // 2 - in_window
+    products, = powers.products([(i, j)])
+    ring_ok = products == powers.take(i + j)
     _check(assertions, "h0-ring-products-match-exponent-addition", ring_ok,
            detail=f"{in_window} products inside the window")
     flags.append(f"{beyond} products leave the degree-{du} window (not certified)")

@@ -10,19 +10,22 @@ Products are normal-ordered through the commutation rule
     D^(b) x^c = sum_j prod_i C(c_i, j_i) x^(c - j) D^(b - j),
 
 with generalized binomials handling negative Laurent exponents, so the
-algebra is exact for every prime.  Products and commutators share one
-kernel, `_add_product`, which adds +-(left * right) into a single term dict;
-each monomial pair is normal-ordered once per OperatorAlgebra and memoized
-on it (`products`; the memo dies with the algebra, so nothing outlives a
-report), and terms the kernel or the linear structure makes are wrapped
-without re-validation.  The module also provides the closed-form
-centrality depth, realization of an operator as a matrix over the
-Frobenius-twist subring, compression of a twist-aligned operator to the
-corner copy acting on the subring (and the compressed degree window every
-depth-r scenario shares), operator windows held as exponent arrays whose
-matrices one builder writes from closed-form image terms (never through
-the product memo), and a renderer for a stable operator syntax such as
-"2*t^3*Dt^(2) + t + 1".
+algebra is exact for every prime.  One array kernel makes every product:
+an `OperatorBatch` holds K operators as one int64 array of terms (owner,
+a, b, c), and its product with another batch is all K products L_k R_k in
+one numpy pass, each term pair expanded over its j-box and the expansion
+summed on one sort key, in chunks of bounded size.  A single product is a
+batch of one and a commutator a batch of two; scenarios that multiply
+many operators batch them, and nothing is memoized.  Terms the kernel or
+the linear structure makes are wrapped without re-validation; the kernel
+refuses a term past a cap as a DPDOperator would.  The module also
+provides the closed-form centrality depth, realization of an operator as
+a matrix over the Frobenius-twist subring, compression of a twist-aligned
+operator to the corner copy acting on the subring (and the compressed
+degree window every depth-r scenario shares), operator windows held as
+exponent arrays whose matrices one builder writes from closed-form image
+terms (never through the product kernel), and a renderer for a stable
+operator syntax such as "2*t^3*Dt^(2) + t + 1".
 """
 
 from __future__ import annotations
@@ -37,6 +40,13 @@ from .errors import CapacityError, DepthError, WindowError
 from .gfp import binomial_array, binomial_mod, require_prime
 from .poly import MAX_EXPONENT, MultiPoly, PolyRing, power_factors, render_terms
 
+# The j-box of one term pair of a product.  No CLI input reaches it: reports
+# multiply one-variable polynomial operators only (smith-tower, cup-ring-map),
+# whose boxes min(b, c) + 1 stay at most 2^16 since c < MAX_EXPONENT.  At the
+# edge, one process on a 2-vCPU Xeon guest: D^(1413, 1413) x^(1413, 1413) at
+# p = 41 (box 1 999 396, 490 000 terms) takes 1.9 s and 273 MB, and the
+# Laurent D^(1 999 999) x^(-1) at p = 41 (box 2 000 000) 1.1 s and 351 MB
+# before its term x^(-65536) is refused.
 MAX_PRODUCT_WORK = 2_000_000
 # The rank of one operator window.  One process per report, 2-vCPU guest: the
 # edge pd-derham p = 5, N = 446 (447^2 = 199 809) takes 0.44 s and 115 MB, and
@@ -50,7 +60,7 @@ class OperatorAlgebra:
     """Algebra of divided-power differential operators on F_p[x_1..x_n]
     (or its Laurent ring).  Divided-power exponents are capped at p^4."""
 
-    __slots__ = ("ring", "dp_cap", "products")
+    __slots__ = ("ring", "dp_cap")
 
     def __init__(self, p, n=1, names=None, laurent=False):
         require_prime(p)
@@ -60,7 +70,6 @@ class OperatorAlgebra:
         # samples D^(min(p * p, dp_cap)), and a p = 2 window of 20 is refused at
         # D^(17), as test_p2_divided_power_window_past_the_cap_exits_4 pins.
         self.dp_cap = p ** 4
-        self.products = {}
 
     @property
     def p(self):
@@ -182,20 +191,20 @@ class DPDOperator:
         if isinstance(other, int):
             return self.scale(other)
         self._require_same(other)
-        out = {}
-        if _add_product(out, self, other, 1):
-            return DPDOperator(self.algebra, out)
-        return DPDOperator._wrap(self.algebra, out)
+        product, = (OperatorBatch.of(self.algebra, [self])
+                    * OperatorBatch.of(self.algebra, [other])).operators()
+        return product
 
     __rmul__ = __mul__
 
     def commutator(self, other):
+        """[self, other]; refused as self * other, then other * self, alone
+        would be, though refused terms may cancel in the difference."""
         self._require_same(other)
-        out = {}
-        for left, right, sign in ((self, other, 1), (other, self, -1)):
-            if _add_product(out, left, right, sign):
-                left * right  # refused terms may cancel: refuse as the product alone would
-        return DPDOperator._wrap(self.algebra, out)
+        both = OperatorBatch.of(self.algebra, [self, other])
+        forward, backward = (both * both.take([1, 0])).split([1, 1])
+        commutator, = (forward - backward).operators()
+        return commutator
 
     # -- action on polynomials -----------------------------------------------------
 
@@ -282,59 +291,220 @@ def _check_term(algebra, a, b):
             raise CapacityError(f"divided-power exponent {e} exceeds cap {algebra.dp_cap}")
 
 
-def _order_pair(algebra, left, right):
-    """Normal-ordered terms (key, coeff) of x^a D^(b) * x^c D^(d), and
-    whether one of them is refused by `_check_term`."""
-    (a, b), (c, d) = left, right
+def _segments(start, size):
+    """The concatenated ranges [start_k, start_k + size_k)."""
+    return np.repeat(start - (np.cumsum(size) - size), size) + np.arange(size.sum())
+
+
+def _reduce(p, terms):
+    """Sum the terms (columns) of one owner and monomial mod p: the sums,
+    sorted by (owner, a, b) with zero sums dropped, and each one's first
+    column in `terms`.  The key rows sort as one mixed-radix int64 key when
+    their spans allow (a stable argsort of 2^16 such keys took 2.5 ms, a
+    lexsort of their three rows 17 ms), else by lexsort."""
+    if not terms.shape[1]:
+        return terms, np.zeros(0, dtype=np.int64)
+    keys = terms[:-1]
+    lo = keys.min(axis=1)
+    span = (keys.max(axis=1) - lo + 1).tolist()
+    if math.prod(span) < 2 ** 62:
+        key = keys[0] - lo[0]
+        for row, low, size in zip(keys[1:], lo[1:], span[1:]):
+            key = key * size + (row - low)
+        order = np.argsort(key, kind="stable")
+        new = np.diff(key.take(order)) != 0
+    else:
+        order = np.lexsort(keys[::-1])
+        new = (np.diff(keys.take(order, axis=1)) != 0).any(axis=0)
+    heads = np.flatnonzero(np.concatenate(([True], new)))
+    sums = np.add.reduceat(terms[-1].take(order), heads) % p
+    keep = np.flatnonzero(sums)
+    head = order.take(heads.take(keep))
+    out = terms.take(head, axis=1)
+    out[-1] = sums.take(keep)
+    return out, head
+
+
+class OperatorBatch:
+    """K operators of one algebra held as one int64 array `terms` of 2n + 2
+    rows (owner, a_1..a_n, b_1..b_n, c), a column per term c x^a D^(b) with
+    c in [1, p), columns grouped by owner 0..K-1.  `of` keeps each operator's
+    own term order; the kernel and the linear structure return canonical
+    batches, columns sorted by (owner, a, b).  Products, sums and equality act
+    owner by owner, so an equality of two batches is the conjunction of K
+    operator equalities."""
+
+    __slots__ = ("algebra", "count", "terms")
+
+    def __init__(self, algebra, count, terms):
+        self.algebra, self.count, self.terms = algebra, count, terms
+
+    @classmethod
+    def of(cls, algebra, ops):
+        """The batch of the operators `ops`, the k-th owner k."""
+        n = algebra.n
+        terms = [(k, *a, *b, c) for k, op in enumerate(ops) for (a, b), c in op.terms.items()]
+        return cls(algebra, len(ops), np.array(terms, dtype=np.int64).reshape(-1, 2 * n + 2).T)
+
+    @classmethod
+    def concat(cls, batches):
+        """One batch of the batches' operators, in order."""
+        offset = np.cumsum([0] + [batch.count for batch in batches])
+        terms = np.concatenate([batch.terms for batch in batches], axis=1)
+        terms[0] += np.repeat(offset[:-1], [batch.terms.shape[1] for batch in batches])
+        return cls(batches[0].algebra, int(offset[-1]), terms)
+
+    def operators(self):
+        """The batch's operators, one DPDOperator an owner."""
+        n = self.algebra.n
+        owner, *e, c = self.terms.tolist()
+        terms = [{} for _ in range(self.count)]
+        for k, key, coeff in zip(owner, zip(zip(*e[:n]), zip(*e[n:])), c):
+            terms[k][key] = coeff
+        return [DPDOperator._wrap(self.algebra, t) for t in terms]
+
+    def _starts(self, owners):
+        """The first column of each owner in `owners` (the end for count)."""
+        return np.searchsorted(self.terms[0], owners)
+
+    def take(self, owners):
+        """The batch of the operators `owners` names, in that order."""
+        owners = np.asarray(owners, dtype=np.int64)
+        start = self._starts(owners)
+        size = self._starts(owners + 1) - start
+        terms = self.terms.take(_segments(start, size), axis=1)
+        terms[0] = np.repeat(np.arange(len(owners)), size)
+        return OperatorBatch(self.algebra, len(owners), terms)
+
+    def products(self, blocks):
+        """The products self[l] * self[r] over each block of operator index
+        pairs (l, r) (a scalar index broadcast), in one kernel pass: one
+        batch a block."""
+        blocks = [np.broadcast_arrays(left, right) for left, right in blocks]
+        product = (self.take(np.concatenate([left for left, _ in blocks]))
+                   * self.take(np.concatenate([right for _, right in blocks])))
+        return product.split([len(left) for left, _ in blocks])
+
+    def split(self, sizes):
+        """The batches of consecutive runs of `sizes` operators."""
+        bounds = np.cumsum([0, *sizes])
+        cut = self._starts(bounds)
+        out = []
+        for k, size in enumerate(sizes):
+            terms = self.terms[:, cut[k]:cut[k + 1]].copy()
+            terms[0] -= bounds[k]
+            out.append(OperatorBatch(self.algebra, size, terms))
+        return out
+
+    # -- linear structure ------------------------------------------------------
+
+    def _require_same(self, other):
+        if not isinstance(other, OperatorBatch) or (other.algebra, other.count) != (
+                self.algebra, self.count):
+            raise ValueError("operator batches of different algebras or sizes")
+
+    def __add__(self, other):
+        self._require_same(other)
+        terms, _ = _reduce(self.algebra.p, np.concatenate([self.terms, other.terms], axis=1))
+        return OperatorBatch(self.algebra, self.count, terms)
+
+    def __neg__(self):
+        terms = self.terms.copy()
+        terms[-1] = self.algebra.p - terms[-1]
+        return OperatorBatch(self.algebra, self.count, terms)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __eq__(self, other):
+        return not (self - other).terms.size
+
+    # -- multiplication ----------------------------------------------------------
+
+    def __mul__(self, other):
+        """Every product L_k R_k of the k-th operators of two batches, in one
+        pass: each owner's left and right terms are joined, each term pair
+        x^a D^(b) * x^c D^(d) is expanded over its j-box 0 <= j_i <= h_i,
+        h_i = b_i if c_i < 0 else min(b_i, c_i), into the terms
+        prod_i C(c_i, j_i) C(b_i+d_i-j_i, b_i-j_i) x^(a+c-j) D^(b+d-j), and
+        the expansion is reduced on one key.  It is written in chunks of at
+        most `_PRODUCT_CHUNK_TERMS` terms (a pair's box may straddle chunks),
+        whose partial sums are reduced together.  As K single products would,
+        it refuses the first product, in owner order, with a term pair whose
+        box exceeds `MAX_PRODUCT_WORK`, or a nonzero reduced term past a cap,
+        naming the first such term in (left term, right term, j) order."""
+        self._require_same(other)
+        alg, n = self.algebra, self.algebra.n
+        owner = self.terms[0]
+        start = other._starts(owner)
+        per = other._starts(owner + 1) - start
+        left = self.terms.take(np.repeat(np.arange(len(owner)), per), axis=1)
+        right = other.terms.take(_segments(start, per), axis=1)
+        b, c = left[1 + n:-1], right[1:1 + n]
+        hi = np.where(c < 0, b, np.minimum(b, c))
+        box = np.ones(left.shape[1], dtype=np.int64)
+        for h in hi:
+            box = np.minimum(box * (h + 1), MAX_PRODUCT_WORK + 1)
+        over = np.flatnonzero(box > MAX_PRODUCT_WORK)
+        if over.size:  # the products before the first one refused are checked first
+            keep = left[0] < left[0, over[0]]
+            _expand(alg, left[:, keep], right[:, keep], hi[:, keep], box[keep])
+            raise CapacityError("normal-ordering workload exceeds capacity")
+        return OperatorBatch(alg, self.count, _expand(alg, left, right, hi, box))
+
+
+# Terms of one chunk of a batch product's expansion, so a product's working
+# memory does not grow with its size.  A chunk peaks at 13 MB of arrays at
+# n = 1 (208 bytes a term) and 16.5 MB at n = 2 (tracemalloc).  smith-tower
+# p = 47 r = 2 expands 5.6 million terms: 1.38 s and 56 MB peak RSS at 2^16,
+# 1.33 s and 99 MB at 2^18 (2-vCPU Xeon guest).
+_PRODUCT_CHUNK_TERMS = 1 << 16
+
+
+def _expand(algebra, left, right, hi, box):
+    """The reduced product terms of the term pairs (columns of left, right,
+    owner by owner), pair k expanded over the j-box of extents hi[:, k] + 1
+    (box[k] points, last coordinate fastest); refuses a nonzero term past a
+    cap."""
     p, n = algebra.p, algebra.n
-    ranges = []
-    work = 1
-    for i in range(n):
-        hi = b[i] if c[i] < 0 else min(b[i], c[i])
-        ranges.append(range(hi + 1))
-        work *= hi + 1
-    if work > MAX_PRODUCT_WORK:
-        raise CapacityError("normal-ordering workload exceeds capacity")
-    terms = []
-    for j in itertools.product(*ranges):
-        coeff = 1
+    ends = np.cumsum(box)
+    starts = ends - box
+    total = int(ends[-1]) if len(ends) else 0
+    parts, firsts = [], []
+    for s in range(0, total, _PRODUCT_CHUNK_TERMS):
+        e = min(s + _PRODUCT_CHUNK_TERMS, total)
+        lo, up = np.searchsorted(ends, [s, e - 1], side="right") + (0, 1)  # pairs in [s, e)
+        pair = np.repeat(np.arange(lo, up),
+                         np.minimum(ends[lo:up], e) - np.maximum(starts[lo:up], s))
+        rest = np.arange(s, e) - starts.take(pair)
+        j = np.empty((n, len(pair)), dtype=np.int64)
+        for i in reversed(range(n)):
+            rest, j[i] = np.divmod(rest, hi[i].take(pair) + 1)
+        x, y = left.take(pair, axis=1), right.take(pair, axis=1)
+        coeff = x[-1] * y[-1] % p
         for i in range(n):
-            if not coeff:
-                break
-            coeff = (coeff
-                     * binomial_mod(c[i], j[i], p)
-                     * binomial_mod(b[i] + d[i] - j[i], b[i] - j[i], p)) % p
-        if coeff:
-            terms.append(((tuple(a[i] + c[i] - j[i] for i in range(n)),
-                           tuple(b[i] + d[i] - j[i] for i in range(n))), coeff))
-    try:
-        for (e, f), _ in terms:
-            _check_term(algebra, e, f)
-    except CapacityError:
-        return tuple(terms), True
-    return tuple(terms), False
-
-
-def _add_product(out, left, right, sign):
-    """Add sign * (left * right) into the term dict out, each monomial pair
-    normal-ordered once per algebra (the memo `algebra.products`).  Returns
-    whether some pair made a term `_check_term` refuses; the caller then
-    validates the product, in which such terms may cancel."""
-    algebra = left.algebra
-    p = algebra.p
-    refused = False
-    for x, c1 in left.terms.items():
-        row = algebra.products.setdefault(x, {})
-        for y, c2 in right.terms.items():
-            entry = row.get(y)
-            if entry is None:
-                entry = row[y] = _order_pair(algebra, x, y)
-            terms, refused_pair = entry
-            refused = refused or refused_pair
-            c = sign * c1 * c2
-            for key, coeff in terms:
-                out[key] = (out.get(key, 0) + c * coeff) % p
-    return refused
+            b, c, d = x[1 + n + i], y[1 + i], y[1 + n + i]
+            coeff = (coeff * binomial_array(c, j[i], p) % p
+                     * binomial_array(b + d - j[i], b - j[i], p) % p)
+        nz = np.flatnonzero(coeff)
+        terms = x.take(nz, axis=1)  # owner, x^(a+c-j) D^(b+d-j), coefficient
+        terms[1:-1] += y[1:-1].take(nz, axis=1) - np.tile(j.take(nz, axis=1), (2, 1))
+        terms[-1] = coeff.take(nz)
+        terms, head = _reduce(p, terms)
+        parts.append(terms)
+        firsts.append(s + nz.take(head))
+    if len(parts) == 1:
+        terms, first = parts[0], firsts[0]
+    else:
+        terms, head = _reduce(p, np.concatenate(parts or [np.zeros((2 * n + 2, 0), np.int64)],
+                                                axis=1))
+        first = np.concatenate(firsts or [np.zeros(0, np.int64)]).take(head)
+    a, b = terms[1:1 + n], terms[1 + n:-1]
+    past = np.flatnonzero(((np.abs(a) >= MAX_EXPONENT) | (b > algebra.dp_cap)).any(axis=0))
+    if past.size:
+        k = past[np.argmin(first.take(past))]
+        _check_term(algebra, a[:, k].tolist(), b[:, k].tolist())
+    return terms
 
 
 # -- matrix realization over the twist subring ------------------------------------------------

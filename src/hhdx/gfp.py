@@ -59,19 +59,37 @@ def binomial_mod(m, q, p):
     return (-base) % p if q % 2 else base
 
 
-_DIGIT_BINOMIALS = {}  # p -> the p x p table of C(i, k) mod p for base-p digits i, k
+_DIGIT_BINOMIALS = {}  # p -> (B, the flat B x B table of C(i, k) mod p for 0 <= i, k < B)
+
+
+def _digit_binomials(p):
+    """The largest power B of p with B^2 <= 2^12 and its table of C(i, k) mod p
+    for base-B digits i, k: Lucas over base-p digits, grouped B at a time."""
+    if p not in _DIGIT_BINOMIALS:
+        base = p
+        while (base * p) ** 2 <= 1 << 12:
+            base *= p
+        digits = np.array([[math.comb(i, k) % p for k in range(p)] for i in range(p)])
+        i, k = np.divmod(np.arange(base * base), base)
+        table = np.ones(base * base, dtype=np.int64)
+        while k.any():
+            table = table * digits[i % p, k % p] % p
+            i, k = i // p, k // p
+        _DIGIT_BINOMIALS[p] = base, table
+    return _DIGIT_BINOMIALS[p]
 
 
 def binomial_array(m, q, p):
     """`binomial_mod` elementwise over broadcast integer arrays: Lucas digit by
-    digit, C(-n, q) = (-1)^q C(n + q - 1, q), and 0 for q < 0."""
-    if p not in _DIGIT_BINOMIALS:
-        _DIGIT_BINOMIALS[p] = np.array([[math.comb(i, k) % p for k in range(p)] for i in range(p)])
+    digit (base-p digits read B = p^k at a time, see `_digit_binomials`),
+    C(-n, q) = (-1)^q C(n + q - 1, q), and 0 for q < 0."""
+    base, table = _digit_binomials(p)
     top, low = np.where(m < 0, q - m - 1, m), np.maximum(q, 0)
     out = np.where(q < 0, 0, np.where((m < 0) & (q % 2 == 1), p - 1, 1))
     while low.any():
-        out = out * _DIGIT_BINOMIALS[p][top % p, low % p] % p
-        top, low = top // p, low // p
+        top, i = np.divmod(top, base)
+        low, k = np.divmod(low, base)
+        out = out * table.take(i * base + k) % p
     return out
 
 

@@ -38,7 +38,7 @@ import itertools
 
 import numpy as np
 
-from .dpdo import OperatorAlgebra, TruncatedOperatorModule, WindowIndex
+from .dpdo import OperatorAlgebra, OperatorBatch, TruncatedOperatorModule, WindowIndex
 from .errors import CapacityError, WindowError
 from .gfp import fitting_decomposition, require_prime
 from .linalg import FpMatrix, Subspace, _unique, product
@@ -280,6 +280,17 @@ def smith_tower_check(p, levels, degree_bound):
     a flag that is false when it fails.  Whether the limit derivation is
     outer cannot be decided from finitely many levels, and the report says
     so instead of pretending.
+
+    The operator arithmetic is two batched kernel passes: the first makes
+    every product of two given operators (the sample pairs x y, f_R m and
+    m f_R for the samples m, and f_R, f_s and the witnesses against the
+    monomials they are checked on), the second the products of its results
+    (f_R (x y), (x y) f_R, ad(f_R)(x) y and x ad(f_R)(y)).  Each of (a), (b)
+    and (d) is one equality of two batches, which holds exactly when it
+    holds for every pair.  No product is refused: no divided power passes
+    p^4 (products of two samples reach 2 p^2, and f_R, f_s and the witnesses
+    are multiplications), and once t^(p^R) exists (p^R < 2^16, so
+    p^R <= 3^10) exponents stay below p^R + 5.
     """
     require_prime(p)
     levels = int(levels)
@@ -289,38 +300,41 @@ def smith_tower_check(p, levels, degree_bound):
         raise WindowError("p^levels exceeds the degree bound")
     alg = OperatorAlgebra(p, 1, names=("t",))
     ring = alg.ring
-
-    def partial_sum(s):
-        poly = ring.zero()
-        for r in range(0, s + 1):
-            poly = poly + ring.monomial((p ** r,))
-        return poly
-
-    f_full = alg.multiplication(partial_sum(levels))
+    sums = list(itertools.accumulate(ring.monomial((p ** r,)) for r in range(levels + 1)))
     samples = [alg.monomial((a,), (b,))
                for a in (0, 1, 2)
                for b in (1, 2, 3, 4, p, min(p * p, alg.dp_cap))]
     samples.append(alg.variable())
+    tops = [min(p ** (s + 1), alg.dp_cap + 1) for s in range(levels)]
+    # operators f_0..f_R, the witnesses f_R - f_s, the samples, then each
+    # truncation's monomials t^a D^(b), a < 2, b < tops[s]
+    ops = OperatorBatch.of(alg, [
+        *(alg.multiplication(f) for f in sums),
+        *(alg.multiplication(sums[-1] - f) for f in sums[:-1]),
+        *samples,
+        *(alg.monomial((a,), (b,)) for top in tops for a in (0, 1) for b in range(top))])
+    f, w, k = levels, levels + 1, len(samples)
+    sample = 2 * levels + 1 + np.arange(k)
+    tail = sample[-1] + 1 + np.arange(2 * sum(tops))
+    tail_s = np.repeat(np.arange(levels), [2 * top for top in tops])
+    at_s, at_m = np.repeat(np.arange(levels), k), np.tile(sample, levels)
+    i, j = np.array(list(itertools.combinations(range(k), 2))).T
 
-    ads = [f_full.commutator(m) for m in samples]
-    derivation_ok = all(
-        f_full.commutator(x * y) == ads[i] * y + x * ads[j]
-        for (i, x), (j, y) in itertools.combinations(enumerate(samples), 2))
-    truncations = [alg.multiplication(partial_sum(s)) for s in range(0, levels)]
-    tail_invisible = all(
-        f_full.commutator(m) == f_s.commutator(m)
-        for s, f_s in enumerate(truncations)
-        for m in [alg.monomial((a,), (b,))
-                  for a in (0, 1)
-                  for b in range(0, min(p ** (s + 1), alg.dp_cap + 1))])
+    xy, f_m, m_f, f_t, t_f, fs_t, t_fs, fs_m, m_fs, w_m, m_w = ops.products([
+        (sample[i], sample[j]), (f, sample), (sample, f),
+        (f, tail), (tail, f), (tail_s, tail), (tail, tail_s),
+        (at_s, at_m), (at_m, at_s), (w + at_s, at_m), (at_m, w + at_s)])
+    ads = f_m - m_f
+    xy_at = ops.count + np.arange(len(i))  # xy, then ads, follow ops
+    ad_at = xy_at[-1] + 1
+    f_xy, xy_f, ad_y, x_ad = OperatorBatch.concat([ops, xy, ads]).products([
+        (f, xy_at), (xy_at, f), (ad_at + i, sample[j]), (sample[i], ad_at + j)])
+
+    derivation_ok = f_xy - xy_f == ad_y + x_ad
+    tail_invisible = f_t - t_f == fs_t - t_fs
+    witness_ok = ads.take(np.tile(np.arange(k), levels)) - (fs_m - m_fs) == w_m - m_w
     increments_ok = all(ring.monomial((p ** (s + 1),)).in_twist_subring(s + 1)
                         for s in range(0, levels))
-    witnesses = [alg.multiplication(partial_sum(levels) - partial_sum(s))
-                 for s in range(0, levels)]
-    witness_ok = all(
-        ad - f_s.commutator(m) == x_s.commutator(m)
-        for f_s, x_s in zip(truncations, witnesses)
-        for m, ad in zip(samples, ads))
 
     return {
         "prime": p,

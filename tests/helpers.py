@@ -7,7 +7,8 @@ builders the nonzero triples of FpMatrix are tested against, the
 hand-written constructions the
 shared builders replaced, the general tower limit the closed-form Tower is
 tested against, the term-by-term operator product the normal-ordering kernel
-is tested against, the per-column operator window the array window builder
+is tested against and the operator-by-operator smith-tower check its batched
+passes are tested against, the per-column operator window the array window builder
 is tested against, the per-degree tables the filtered sequence's degree
 table is tested against, the stacked commutator kernels the nested
 centralizers are tested against, the unit-span intersection and chart quotient the
@@ -741,6 +742,52 @@ def oracle_product(x, y):
                            tuple(b[i] + d[i] - j[i] for i in range(n)))
                     out[key] = (out.get(key, 0) + coeff) % p
     return DPDOperator(x.algebra, out)
+
+
+def oracle_smith_tower_check(p, levels):
+    """The four flags of `tower.smith_tower_check` (derivation_ok,
+    tail_invisible, increments_in_twist_subring, witness_ok) computed
+    operator by operator, every product and commutator through
+    `oracle_product`."""
+    alg = OperatorAlgebra(p, 1, names=("t",))
+    ring = alg.ring
+
+    def partial_sum(s):
+        poly = ring.zero()
+        for r in range(0, s + 1):
+            poly = poly + ring.monomial((p ** r,))
+        return poly
+
+    def commutator(x, y):
+        return oracle_product(x, y) - oracle_product(y, x)
+
+    f_full = alg.multiplication(partial_sum(levels))
+    samples = [alg.monomial((a,), (b,))
+               for a in (0, 1, 2)
+               for b in (1, 2, 3, 4, p, min(p * p, alg.dp_cap))]
+    samples.append(alg.variable())
+
+    ads = [commutator(f_full, m) for m in samples]
+    derivation_ok = all(
+        commutator(f_full, oracle_product(x, y))
+        == oracle_product(ads[i], y) + oracle_product(x, ads[j])
+        for (i, x), (j, y) in itertools.combinations(enumerate(samples), 2))
+    truncations = [alg.multiplication(partial_sum(s)) for s in range(0, levels)]
+    tail_invisible = all(
+        commutator(f_full, m) == commutator(f_s, m)
+        for s, f_s in enumerate(truncations)
+        for m in [alg.monomial((a,), (b,))
+                  for a in (0, 1)
+                  for b in range(0, min(p ** (s + 1), alg.dp_cap + 1))])
+    increments_ok = all(ring.monomial((p ** (s + 1),)).in_twist_subring(s + 1)
+                        for s in range(0, levels))
+    witnesses = [alg.multiplication(partial_sum(levels) - partial_sum(s))
+                 for s in range(0, levels)]
+    witness_ok = all(
+        ad - commutator(f_s, m) == commutator(x_s, m)
+        for f_s, x_s in zip(truncations, witnesses)
+        for m, ad in zip(samples, ads))
+    return derivation_ok, tail_invisible, increments_ok, witness_ok
 
 
 # The plane's middle-degree certificate and the elliptic chart window read

@@ -403,12 +403,12 @@ def test_each_operator_matrix_is_built_once_per_report(argv, golden, capsys, mon
     assert len(calls) == OPERATOR_MATRICES[golden]
 
 
-# Monomial pairs x^a D^(b) * x^c D^(d) normal-ordered per golden report (misses
-# of the per-algebra product memo; no pair repeats under another algebra of
-# the same ring either): a rise means some pair is ordered twice.  Operator
-# windows write their matrices from closed-form image terms, so only operator
-# arithmetic (smith-tower, cup-ring-map) orders pairs.
-NORMAL_ORDERINGS = {
+# Normal-ordering kernel passes (`OperatorBatch.__mul__` calls) per golden
+# report: a rise means some report multiplies operators one batch at a time.
+# Operator windows write their matrices from closed-form image terms, so only
+# operator arithmetic multiplies: smith-tower in two passes, cup-ring-map's
+# h0 ring in one.
+KERNEL_PASSES = {
     "a1_hh_p2_r3.json": 0,
     "pd_derham_p2.json": 0,
     "morita_matrix_p2_r1.json": 0,
@@ -416,26 +416,25 @@ NORMAL_ORDERINGS = {
     "p1_cover_p2_r1.json": 0,
     "elliptic_p3.json": 0,
     "proper_hh_p2.json": 0,
-    "smith_tower_p2_r2.json": 317,
-    "cup_ring_map_p3_r1.json": 12,
+    "smith_tower_p2_r2.json": 2,
+    "cup_ring_map_p3_r1.json": 1,
 }
 
 
 @pytest.mark.parametrize("argv,golden", GOLDEN_CASES,
                          ids=[g.removesuffix(".json") for _, g in GOLDEN_CASES])
 def test_each_monomial_pair_is_ordered_once_per_report(argv, golden, capsys, monkeypatch):
-    pairs = collections.Counter()
-    order_pair = dpdo._order_pair
+    passes = []
+    kernel = dpdo.OperatorBatch.__mul__
 
-    def counting(algebra, left, right):
-        pairs[(algebra.ring, left, right)] += 1
-        return order_pair(algebra, left, right)
+    def counting(left, right):
+        passes.append(left.count)
+        return kernel(left, right)
 
-    monkeypatch.setattr(dpdo, "_order_pair", counting)
+    monkeypatch.setattr(dpdo.OperatorBatch, "__mul__", counting)
     assert main([*argv, "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
-    assert set(pairs.values()) <= {1}
-    assert sum(pairs.values()) == NORMAL_ORDERINGS[golden]
+    assert len(passes) == KERNEL_PASSES[golden]
 
 
 @pytest.mark.parametrize("scenario", ["pd-derham", "a1-hh"])

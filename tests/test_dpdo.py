@@ -13,8 +13,11 @@ from helpers import (
     vectorize,
     window_basis,
 )
+from hhdx import dpdo
 from hhdx.dpdo import (
+    MAX_PRODUCT_WORK,
     OperatorAlgebra,
+    OperatorBatch,
     TruncatedOperatorModule,
     compression_action_agrees,
     matrix_realize,
@@ -452,11 +455,11 @@ def test_capacity_guard_on_products():
         _ = big * alg.monomial((0,), (1,))
 
 
-@st.composite
-def operator_pairs(draw):
-    """Two operators on 1-2 variables, polynomial or Laurent, p in {2, 3, 5},
-    with divided powers of the first variable up to the cap p^4 (so products
-    pass it) and monomial exponents next to MAX_EXPONENT (so products pass it)."""
+def _operators(draw):
+    """An algebra on 1-2 variables, polynomial or Laurent, p in {2, 3, 5}, and
+    a strategy of its operators, with divided powers of the first variable up
+    to the cap p^4 (so products pass it) and monomial exponents next to
+    MAX_EXPONENT (so products pass it)."""
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 2))
     alg = OperatorAlgebra(p, n, laurent=draw(st.booleans()))
@@ -466,8 +469,22 @@ def operator_pairs(draw):
     first_dp = st.integers(0, 3) | st.integers(p ** 4 - 2, p ** 4)
     key = st.tuples(st.tuples(*[exponent] * n),
                     st.tuples(first_dp, *[st.integers(0, 3)] * (n - 1)))
-    ops = st.dictionaries(key, st.integers(1, p - 1), max_size=3).map(alg.from_terms)
+    return alg, st.dictionaries(key, st.integers(1, p - 1), max_size=3).map(alg.from_terms)
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two operators of one algebra drawn by `_operators`."""
+    alg, ops = _operators(draw)
     return alg, draw(ops), draw(ops)
+
+
+@st.composite
+def operator_batches(draw):
+    """K = 1-8 pairs of operators of one algebra drawn by `_operators`."""
+    alg, ops = _operators(draw)
+    k = draw(st.integers(1, 8))
+    return alg, [draw(ops) for _ in range(k)], [draw(ops) for _ in range(k)]
 
 
 def _outcome(compute):
@@ -480,13 +497,85 @@ def _outcome(compute):
 @settings(max_examples=150, deadline=None)
 @given(operator_pairs())
 def test_normal_ordering_kernel_matches_oracle_product(case):
-    alg, x, y = case
+    _, x, y = case
     product = _outcome(lambda: oracle_product(x, y))
     commutator = _outcome(lambda: oracle_product(x, y) - oracle_product(y, x))
     assert _outcome(lambda: x * y) == product
     assert _outcome(lambda: x.commutator(y)) == commutator
-    if isinstance(commutator, dict):  # every pair is now read from the algebra's memo
-        ordered = {(u, v) for u, row in alg.products.items() for v in row}
-        assert ordered == {(u, v) for s, t in ((x, y), (y, x)) for u in s.terms for v in t.terms}
     assert _outcome(lambda: x * y) == product
     assert _outcome(lambda: x.commutator(y)) == commutator
+
+
+def _batch_outcome(alg, xs, ys):
+    """The products xs[k] * ys[k] as term dicts, from one kernel pass."""
+    try:
+        product = OperatorBatch.of(alg, xs) * OperatorBatch.of(alg, ys)
+    except (CapacityError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [op.terms for op in product.operators()]
+
+
+def _oracle_outcome(xs, ys):
+    """The products xs[k] * ys[k] as term dicts, one `oracle_product` at a time."""
+    try:
+        return [oracle_product(x, y).terms for x, y in zip(xs, ys)]
+    except (CapacityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_EDGE = OperatorAlgebra(3, 1, laurent=True)
+_EDGE2 = OperatorAlgebra(3, 2, laurent=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_batches())
+# the middle owner alone is refused: C(17, 16) D^(17) passes the cap 16
+@example((_LINE2, [_LINE2.variable(), _LINE2.divided_power(0, 16), _LINE2.divided_power()],
+          [_LINE2.divided_power(0, 2), _LINE2.divided_power(), _LINE2.variable(0, 3)]))
+# two refused terms: the first in right-term order (x^(MAX + 1)) is named,
+# not the first in sorted order
+@example((_EDGE, [_EDGE.variable(0, MAX_EXPONENT - 1)],
+          [_EDGE.from_terms({((2,), (0,)): 1, ((1,), (0,)): 1})]))
+# one term pair's box refuses x^(-MAX - 1) first in j order (last coordinate
+# fastest) and x^(-MAX - 2) first with the first coordinate fastest
+@example((_EDGE2, [_EDGE2.monomial((0, 0), (3, 3))],
+          [_EDGE2.monomial((1 - MAX_EXPONENT, 2 - MAX_EXPONENT), (0, 0))]))
+def test_batch_kernel_matches_oracle_product_owner_by_owner(case):
+    alg, xs, ys = case
+    assert _batch_outcome(alg, xs, ys) == _oracle_outcome(xs, ys)
+
+
+def test_batch_refuses_its_first_refused_product():
+    """A term past a cap and a term pair over MAX_PRODUCT_WORK refuse in
+    owner order, as the products one at a time would."""
+    alg = OperatorAlgebra(41, 1, laurent=True)  # dp cap 41^4 > MAX_PRODUCT_WORK
+    past = (alg.divided_power(0, alg.dp_cap), alg.divided_power())  # C(cap + 1, 1) = 1
+    wide = (alg.divided_power(0, MAX_PRODUCT_WORK), alg.variable(0, -1))  # box cap + 1
+    fine = (alg.variable(), alg.divided_power())
+    for pairs, message in [((fine, past, wide), f"exponent {alg.dp_cap + 1} exceeds"),
+                           ((fine, wide, past), "workload exceeds capacity")]:
+        xs, ys = zip(*pairs)
+        outcome = _batch_outcome(alg, xs, ys)
+        assert outcome == _oracle_outcome(xs, ys)
+        assert outcome[0] is CapacityError and message in outcome[1]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 13])
+def test_batch_kernel_in_small_chunks_matches_oracle(chunk, monkeypatch):
+    """Chunks far smaller than one owner's expansion, and than one term pair's
+    box, sum to the products, and name the term a single chunk would."""
+    monkeypatch.setattr(dpdo, "_PRODUCT_CHUNK_TERMS", chunk)
+    rng = np.random.default_rng(chunk)
+    for p, n, laurent in [(2, 1, False), (3, 2, True), (5, 1, True), (5, 2, False)]:
+        alg = OperatorAlgebra(p, n, laurent=laurent)
+        xs = [random_operator(alg, rng) for _ in range(6)]
+        ys = [random_operator(alg, rng) for _ in range(6)]
+        assert _batch_outcome(alg, xs, ys) == _oracle_outcome(xs, ys)
+    # two refused terms, x^(MAX + 2) D^(3) from the first term pair and
+    # x^MAX D^(4) from the second, in different chunks at chunk sizes up to 5:
+    # the first made is named, though x^MAX sorts first
+    xs = [_EDGE.variable(), _EDGE.from_terms({((MAX_EXPONENT - 1,), (3,)): 1})]
+    ys = [_EDGE.divided_power(0, 4), _EDGE.from_terms({((3,), (0,)): 1, ((1,), (1,)): 2})]
+    outcome = _batch_outcome(_EDGE, xs, ys)
+    assert outcome == _oracle_outcome(xs, ys)
+    assert outcome == (CapacityError, f"monomial exponent {MAX_EXPONENT + 2} exceeds capacity")

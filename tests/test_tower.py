@@ -13,7 +13,9 @@ from helpers import (
     oracle_filtered_degrees,
     oracle_limit_report,
     oracle_lucas_centralizers,
+    oracle_smith_tower_check,
 )
+from hhdx import dpdo
 from hhdx.errors import CapacityError, WindowError
 from hhdx.gfp import fitting_decomposition
 from hhdx.linalg import FpMatrix
@@ -337,6 +339,44 @@ def test_smith_tower_checks():
         assert report["witness_ok"]
         assert report["outer_certified"] is False
         assert "not decidable" in report["note"]
+
+
+@pytest.mark.parametrize("p,levels", itertools.product([2, 3, 5, 7], [1, 2, 3]))
+def test_smith_tower_flags_match_the_operator_by_operator_check(p, levels):
+    report = smith_tower_check(p, levels, p ** levels)
+    flags = ("derivation_ok", "tail_invisible", "increments_in_twist_subring", "witness_ok")
+    assert tuple(report[flag] for flag in flags) == oracle_smith_tower_check(p, levels)
+
+
+# At p = 2 and two levels the first pass makes, in order, 171 sample pairs x y,
+# 19 f m, 19 m f, then 12 each of f m, m f, f_s m and m f_s on the
+# truncations' monomials, then 38 each of f_s m, m f_s, w m and m w on the
+# samples; the second pass starts with the 171 f (x y).
+@pytest.mark.parametrize("flag,kernel_pass,owner", [
+    ("derivation_ok", 2, 0),          # f (x_0 y_0)
+    ("tail_invisible", 1, 171 + 38),  # f t^0 D^(0)
+    ("witness_ok", 1, 171 + 38 + 48 + 76),  # w_0 m_0
+])
+def test_each_smith_tower_check_fails_when_one_product_is_perturbed(
+        flag, kernel_pass, owner, monkeypatch):
+    """Adding D to one product of a pass turns its check's flag false and
+    leaves the others true."""
+    kernel = dpdo.OperatorBatch.__mul__
+    passes = []
+
+    def perturbed(left, right):
+        product = kernel(left, right)
+        passes.append(product)
+        if len(passes) != kernel_pass:
+            return product
+        extra = np.array([[owner], [0], [1], [1]])
+        return product + dpdo.OperatorBatch(product.algebra, product.count, extra)
+
+    monkeypatch.setattr(dpdo.OperatorBatch, "__mul__", perturbed)
+    report = smith_tower_check(2, 2, 4)
+    assert len(passes) == 2
+    for name in ("derivation_ok", "tail_invisible", "increments_in_twist_subring", "witness_ok"):
+        assert report[name] is (name != flag)
 
 
 def test_smith_tower_guards():
