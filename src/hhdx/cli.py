@@ -22,7 +22,6 @@ import numpy as np
 
 from .dpdo import (
     OperatorAlgebra,
-    OperatorBatch,
     compressed_degree,
     compression_action_agrees,
     matrix_realize,
@@ -190,14 +189,16 @@ def _scenario_pd_derham(args):
 
 def _scenario_morita_matrix(args):
     p, r, d = args.prime, args.depth, args.degree_bound
-    q = p ** r
     spec = args.operator
-    if spec:
-        terms = _parse_operator(spec)
-    else:
-        terms = {((1,), (0,)): 1, ((0,), (q - 1,)): 1}
     alg = OperatorAlgebra(p, 1, names=("t",))
-    op = alg.from_terms(terms)
+    op = alg.from_terms(_parse_operator(spec)) if spec else None
+    # r >= d.bit_length() gives p^r > d, which morita_compress refuses, so refuse
+    # it before p^r is formed; an operator deeper than r is matrix_realize's DepthError
+    if r >= d.bit_length() and (op is None or op.centrality_depth() <= r):
+        raise WindowError(f"degree window {d} cannot certify compression at depth {r}")
+    q = p ** r
+    if op is None:
+        op = alg.from_terms({((1,), (0,)): 1, ((0,), (q - 1,)): 1})
     config = {"prime": p, "depth": r, "degree_bound": d,
               "operator": spec or f"1,0,1;0,{q - 1},1"}
     realization = matrix_realize(op, r, degree_bound=d)
@@ -356,7 +357,7 @@ def _scenario_cup_ring_map(args):
 
     du = min(compressed_degree(p, r, d), 8)
     alg_u = OperatorAlgebra(p, 1, names=("u",))
-    powers = OperatorBatch.of(alg_u, [alg_u.monomial((k,), (0,)) for k in range(du + 1)])
+    powers = alg_u.monomials(np.arange(du + 1), np.zeros(du + 1))
     i, j = np.array([(i, j) for i in range(du + 1) for j in range(i, du + 1 - i)]).T
     in_window = len(i)
     beyond = (du + 1) * (du + 2) // 2 - in_window

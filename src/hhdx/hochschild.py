@@ -366,17 +366,17 @@ def hh_of_pair(p, r, degree_bound, dp_bound):
     require_prime(p)
     if r < 0:
         raise ValueError("r must be nonnegative")
-    q = p ** r
     du = compressed_degree(p, r, degree_bound)
+    q = p ** r
     qu = max(1, dp_bound // q)
     cx, module, report = operator_window_koszul(p, 1, du, qu)
     dim0, reps0 = cx.cohomology(0)
     names = []
     for row in reps0.a:
         op = module.operator(row)
-        ((a,), b), *rest = op.terms
+        (_, a, b, _), *rest = op.terms.T.tolist()
         name = f"t^{a * q}" if a * q > 1 else ("t" if a else "1")
-        names.append(op.render() if rest or b[0] else name)
+        names.append(op.render() if rest or b else name)
     return {
         "depth": r,
         "compressed_window": {"degree_bound": du, "dp_bound": qu},

@@ -38,7 +38,7 @@ import itertools
 
 import numpy as np
 
-from .dpdo import OperatorAlgebra, OperatorBatch, TruncatedOperatorModule, WindowIndex
+from .dpdo import DPDOperator, OperatorAlgebra, TruncatedOperatorModule, WindowIndex
 from .errors import CapacityError, WindowError
 from .gfp import fitting_decomposition, require_prime
 from .linalg import FpMatrix, Subspace, _unique, product
@@ -296,24 +296,26 @@ def smith_tower_check(p, levels, degree_bound):
     levels = int(levels)
     if levels < 1:
         raise ValueError("need at least one level")
-    if p ** levels > degree_bound:
+    # p^levels > degree_bound once levels >= degree_bound.bit_length() (p >= 2),
+    # so a deep tower is refused before p^levels is formed
+    if levels >= int(degree_bound).bit_length() or p ** levels > degree_bound:
         raise WindowError("p^levels exceeds the degree bound")
     alg = OperatorAlgebra(p, 1, names=("t",))
     ring = alg.ring
     sums = list(itertools.accumulate(ring.monomial((p ** r,)) for r in range(levels + 1)))
-    samples = [alg.monomial((a,), (b,))
-               for a in (0, 1, 2)
-               for b in (1, 2, 3, 4, p, min(p * p, alg.dp_cap))]
-    samples.append(alg.variable())
+    # the samples t^a D^(b), a < 3, b in the list, then t
+    samples = alg.monomials(np.repeat([0, 1, 2, 1], [6, 6, 6, 1]),
+                            [*[1, 2, 3, 4, p, min(p * p, alg.dp_cap)] * 3, 0])
     tops = [min(p ** (s + 1), alg.dp_cap + 1) for s in range(levels)]
     # operators f_0..f_R, the witnesses f_R - f_s, the samples, then each
     # truncation's monomials t^a D^(b), a < 2, b < tops[s]
-    ops = OperatorBatch.of(alg, [
+    ops = DPDOperator.concat([
         *(alg.multiplication(f) for f in sums),
         *(alg.multiplication(sums[-1] - f) for f in sums[:-1]),
-        *samples,
-        *(alg.monomial((a,), (b,)) for top in tops for a in (0, 1) for b in range(top))])
-    f, w, k = levels, levels + 1, len(samples)
+        samples,
+        alg.monomials(np.repeat(np.tile([0, 1], levels), np.repeat(tops, 2)),
+                      np.concatenate([np.arange(top) for top in tops for _ in (0, 1)]))])
+    f, w, k = levels, levels + 1, samples.count
     sample = 2 * levels + 1 + np.arange(k)
     tail = sample[-1] + 1 + np.arange(2 * sum(tops))
     tail_s = np.repeat(np.arange(levels), [2 * top for top in tops])
@@ -327,7 +329,7 @@ def smith_tower_check(p, levels, degree_bound):
     ads = f_m - m_f
     xy_at = ops.count + np.arange(len(i))  # xy, then ads, follow ops
     ad_at = xy_at[-1] + 1
-    f_xy, xy_f, ad_y, x_ad = OperatorBatch.concat([ops, xy, ads]).products([
+    f_xy, xy_f, ad_y, x_ad = DPDOperator.concat([ops, xy, ads]).products([
         (f, xy_at), (xy_at, f), (ad_at + i, sample[j]), (sample[i], ad_at + j)])
 
     derivation_ok = f_xy - xy_f == ad_y + x_ad

@@ -6,9 +6,10 @@ Zassenhaus one is tested against, the dense matrices, block and face-sum
 builders the nonzero triples of FpMatrix are tested against, the
 hand-written constructions the
 shared builders replaced, the general tower limit the closed-form Tower is
-tested against, the term-by-term operator product the normal-ordering kernel
-is tested against and the operator-by-operator smith-tower check its batched
-passes are tested against, the per-column operator window the array window builder
+tested against, the dict-based operator and term-by-term product the
+operator term arrays and their normal-ordering kernel are tested against and
+the operator-by-operator smith-tower check its batched passes are tested
+against, the per-column operator window the array window builder
 is tested against, the per-degree tables the filtered sequence's degree
 table is tested against, the stacked commutator kernels the nested
 centralizers are tested against, the unit-span intersection and chart quotient the
@@ -22,7 +23,7 @@ import itertools
 import numpy as np
 
 from hhdx import linalg
-from hhdx.dpdo import MAX_PRODUCT_WORK, DPDOperator, OperatorAlgebra, TruncatedOperatorModule
+from hhdx.dpdo import MAX_PRODUCT_WORK, OperatorAlgebra, TruncatedOperatorModule
 from hhdx.errors import CapacityError, WindowError
 from hhdx.gfp import binomial_mod
 from hhdx.gs import Poset, SpaceDiagram
@@ -34,6 +35,7 @@ from hhdx.linalg import (
     Subspace,
     block_matrix,
 )
+from hhdx.poly import MAX_EXPONENT, MultiPoly, power_factors, render_terms
 
 
 def staircase(p, length):
@@ -203,7 +205,7 @@ def gapped_double_complex(p, rng):
 # reduce_rows' one product, the pivot selection of quotient_reps, persistence
 # pairs, the nonzero triples of FpMatrix, and the Lucas generators of
 # tower.lucas_centralizers.  The oracle window (a tuple basis, a dict lookup
-# and one DPDOperator normal-ordered per column, with `invert_variable` for
+# and one operator normal-ordered per column, with `invert_variable` for
 # the coordinate change u = 1/x) is what TruncatedOperatorModule's exponent
 # arrays and closed-form image terms replaced.
 
@@ -325,7 +327,7 @@ def vectorize(module, op, index=None):
     position dict, if already built); WindowError off it."""
     index = index or {ab: i for i, ab in enumerate(window_basis(module))}
     vec = [0] * module.dim
-    for key, c in op.terms.items():
+    for key, c in term_dict(op).items():
         if key not in index:
             raise WindowError(f"term {key} falls outside the module window")
         vec[index[key]] = c
@@ -360,7 +362,7 @@ def invert_variable(op, target):
     """
     p = op.algebra.p
     out = target.from_terms({})
-    for ((c,), (d,)), coeff in op.terms.items():
+    for ((c,), (d,)), coeff in term_dict(op).items():
         values = [binomial_mod(-k, d, p) for k in range(d + 1)]
         # forward differences evaluated at 0
         diffs = list(values)
@@ -716,13 +718,117 @@ def oracle_limit_report(p, dims, transitions):
     }
 
 
+def term_dict(op):
+    """The terms {(a, b): c} of one operator: an OracleOperator's own, or the
+    columns of a DPDOperator batch of one."""
+    if isinstance(op, OracleOperator):
+        return op.terms
+    assert op.count == 1
+    n = op.algebra.n
+    return {(tuple(t[1:1 + n]), tuple(t[1 + n:-1])): t[-1] for t in op.terms.T.tolist()}
+
+
+class OracleOperator:
+    """The dict-based operator that DPDOperator's term arrays replaced: terms
+    maps distinct (a, b) exponent tuples to coefficients in [1, p), in
+    insertion order, each term checked on construction; products are
+    `oracle_product`, one term pair at a time."""
+
+    __slots__ = ("algebra", "terms")
+
+    def __init__(self, algebra, terms):
+        p, n = algebra.p, algebra.n
+        self.algebra, self.terms = algebra, {}
+        for (a, b), c in terms.items():
+            a, b = tuple(int(e) for e in a), tuple(int(e) for e in b)
+            if len(a) != n or len(b) != n:
+                raise ValueError(f"exponent tuples of length {n} expected")
+            c = int(c) % p
+            if not c:
+                continue
+            for e in a:
+                if abs(e) >= MAX_EXPONENT:
+                    raise CapacityError(f"monomial exponent {e} exceeds capacity")
+                if e < 0 and not algebra.laurent:
+                    raise ValueError("negative exponents need a Laurent algebra")
+            for e in b:
+                if e < 0:
+                    raise ValueError("divided-power exponents must be nonnegative")
+                if e > algebra.dp_cap:
+                    raise CapacityError(f"divided-power exponent {e} exceeds cap {algebra.dp_cap}")
+            self.terms[(a, b)] = c
+
+    def __add__(self, other):
+        if not isinstance(other, OracleOperator) or other.algebra != self.algebra:
+            raise ValueError("operators from different algebras")
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c
+        return OracleOperator(self.algebra, out)
+
+    def scale(self, c):
+        return OracleOperator(self.algebra, {key: cc * int(c) for key, cc in self.terms.items()})
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __eq__(self, other):
+        return (isinstance(other, OracleOperator) and other.algebra == self.algebra
+                and other.terms == self.terms)
+
+    def __mul__(self, other):
+        return oracle_product(self, other)
+
+    def commutator(self, other):
+        return oracle_product(self, other) - oracle_product(other, self)
+
+    def act(self, f):
+        """The action on a polynomial, term by term; terms whose coefficients
+        cancel are dropped before the polynomial is built."""
+        ring = f.ring
+        if (ring.p, ring.n, ring.names) != (self.algebra.p, self.algebra.n,
+                                            self.algebra.ring.names) or (
+                self.algebra.laurent and not ring.laurent):
+            raise ValueError("polynomial ring does not match the operator algebra")
+        p, n = ring.p, ring.n
+        out = {}
+        for (a, b), c1 in self.terms.items():
+            for m, c2 in f.terms.items():
+                coeff = c1 * c2
+                for i in range(n):
+                    coeff = coeff * binomial_mod(m[i], b[i], p) % p
+                if coeff:
+                    exps = tuple(m[i] - b[i] + a[i] for i in range(n))
+                    out[exps] = (out.get(exps, 0) + coeff) % p
+        return MultiPoly(ring, {exps: c for exps, c in out.items() if c})
+
+    def centrality_depth(self):
+        """The least r with p^r above every divided-power exponent."""
+        top = max((max(b) for _, b in self.terms), default=0)
+        return next(r for r in itertools.count() if self.algebra.p ** r > top)
+
+    def render(self):
+        if not self.terms:
+            return "0"
+        names = self.algebra.ring.names
+        support = sorted(self.terms, key=lambda ab: (sum(ab[1]), ab[1], sum(ab[0]), ab[0]),
+                         reverse=True)
+        return render_terms(
+            (self.terms[a, b],
+             power_factors(names, a) + [f"D{name}^({e})" for name, e in zip(names, b) if e])
+            for a, b in support)
+
+
 def oracle_product(x, y):
     """x * y normal-ordered pair by pair through the commutation rule, with
-    no memo, the sum validated by DPDOperator."""
+    no memo, the sum an OracleOperator (x and y either kind of operator)."""
     p, n = x.algebra.p, x.algebra.n
     out = {}
-    for (a, b), c1 in x.terms.items():
-        for (c, d), c2 in y.terms.items():
+    for (a, b), c1 in term_dict(x).items():
+        for (c, d), c2 in term_dict(y).items():
             ranges = []
             work = 1
             for i in range(n):
@@ -741,7 +847,7 @@ def oracle_product(x, y):
                     key = (tuple(a[i] + c[i] - j[i] for i in range(n)),
                            tuple(b[i] + d[i] - j[i] for i in range(n)))
                     out[key] = (out.get(key, 0) + coeff) % p
-    return DPDOperator(x.algebra, out)
+    return OracleOperator(x.algebra, out)
 
 
 def oracle_smith_tower_check(p, levels):
@@ -838,7 +944,7 @@ def oracle_chart_class(poly, offset, p, w):
 
 def commutes_with(op, f):
     """Direct check: [multiplication by f, op] = 0."""
-    return not op.algebra.multiplication(f).commutator(op).terms
+    return not op.algebra.multiplication(f).commutator(op).terms.size
 
 
 def tensor_algebra(a, b):

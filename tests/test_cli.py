@@ -5,6 +5,7 @@ import importlib.resources
 import json
 import pathlib
 import sys
+import time
 import tracemalloc
 
 import jsonschema
@@ -87,10 +88,14 @@ def test_calls_in_one_process_share_the_parser_but_not_their_arguments(capsys):
     ["--scenario", "elliptic", "--prime", "3", "--curve", "0,0,0,1"],
     ["--scenario", "morita-matrix", "--prime", "2", "--depth", "1",
      "--operator", "0,4,1"],
+    # too deep, and p^r past the degree bound: the operator's depth is named first
+    ["--scenario", "morita-matrix", "--prime", "2", "--depth", "1", "--degree-bound", "1",
+     "--operator", "0,4,1"],
     ["--scenario", "gs-point", "--prime", "2", "--algebra", "m3"],
     ["--scenario", "proper-hh", "--prime", "2", "--operator", "1,1;0"],
 ], ids=["composite-prime", "even-char-curve", "singular-curve",
-        "operator-too-deep", "unknown-algebra", "ragged-matrix"])
+        "operator-too-deep", "operator-too-deep-for-the-window", "unknown-algebra",
+        "ragged-matrix"])
 def test_invalid_configuration_exits_3(argv, capsys):
     assert main(argv) == 3
     assert "invalid configuration" in capsys.readouterr().err
@@ -112,6 +117,36 @@ def test_invalid_configuration_exits_3(argv, capsys):
 def test_window_too_small_exits_4(argv, capsys):
     assert main(argv) == 4
     assert "capacity/window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario,message", [
+    ("a1-hh", "degree window 16 holds no monomial of the depth-{} twist"),
+    ("p1-cover", "degree window 16 holds no monomial of the depth-{} twist"),
+    ("cup-ring-map", "degree window 16 holds no monomial of the depth-{} twist"),
+    ("smith-tower", "p^levels exceeds the degree bound"),
+    ("morita-matrix", "degree window 16 cannot certify compression at depth {}"),
+], ids=["a1-hh", "p1-cover", "cup-ring-map", "smith-tower", "morita-matrix"])
+@pytest.mark.parametrize("depth", [10 ** 9, 10 ** 25], ids=["1e9", "1e25"])
+def test_a_twist_past_the_window_is_refused_before_its_power(scenario, message, depth, capsys):
+    """r >= degree_bound.bit_length() gives p^r > degree_bound, which every
+    depth-r scenario refuses; each refuses it before forming p^r, which at
+    r = 10^9 would not fit in memory."""
+    start = time.perf_counter()
+    assert main(["--scenario", scenario, "--prime", "3", "--depth", str(depth)]) == 4
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"capacity/window: {message.format(depth)}\n"
+
+
+@pytest.mark.parametrize("operator,message", [
+    ("9" * 25 + ",0,1", "monomial exponent " + "9" * 25 + " exceeds capacity"),
+    ("0," + "9" * 25 + ",1", "divided-power exponent " + "9" * 25 + " exceeds cap 16"),
+    ("-" + "9" * 25 + ",0,1", "monomial exponent -" + "9" * 25 + " exceeds capacity"),
+], ids=["a-slot", "b-slot", "negative-a-slot"])
+def test_an_operator_exponent_past_int64_is_refused_by_name(operator, message, capsys):
+    """Operator terms are checked while their exponents are Python ints, so an
+    exponent past int64 is named in the refusal rather than overflowing."""
+    assert main(["--scenario", "morita-matrix", "--prime", "2", f"--operator={operator}"]) == 4
+    assert capsys.readouterr().err == f"capacity/window: {message}\n"
 
 
 def test_pd_derham_line_window_is_never_held_dense(capsys):
@@ -403,7 +438,7 @@ def test_each_operator_matrix_is_built_once_per_report(argv, golden, capsys, mon
     assert len(calls) == OPERATOR_MATRICES[golden]
 
 
-# Normal-ordering kernel passes (`OperatorBatch.__mul__` calls) per golden
+# Normal-ordering kernel passes (`DPDOperator.__mul__` calls) per golden
 # report: a rise means some report multiplies operators one batch at a time.
 # Operator windows write their matrices from closed-form image terms, so only
 # operator arithmetic multiplies: smith-tower in two passes, cup-ring-map's
@@ -425,13 +460,13 @@ KERNEL_PASSES = {
                          ids=[g.removesuffix(".json") for _, g in GOLDEN_CASES])
 def test_each_monomial_pair_is_ordered_once_per_report(argv, golden, capsys, monkeypatch):
     passes = []
-    kernel = dpdo.OperatorBatch.__mul__
+    kernel = dpdo.DPDOperator.__mul__
 
     def counting(left, right):
         passes.append(left.count)
         return kernel(left, right)
 
-    monkeypatch.setattr(dpdo.OperatorBatch, "__mul__", counting)
+    monkeypatch.setattr(dpdo.DPDOperator, "__mul__", counting)
     assert main([*argv, "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
     assert len(passes) == KERNEL_PASSES[golden]

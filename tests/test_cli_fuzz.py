@@ -20,14 +20,16 @@ specs = st.one_of(
     st.lists(st.lists(st.integers(-3, 9), min_size=1, max_size=4), min_size=1, max_size=4)
     .map(lambda rows: ";".join(",".join(map(str, row)) for row in rows)),
     st.text(alphabet="0123456789,;- x", max_size=12),
-    st.sampled_from(["", ";", ",", "1,,2", "9" * 30, "1,0," + "9" * 25]),
+    st.sampled_from(["", ";", ",", "1,,2", "9" * 30, "1,0," + "9" * 25,
+                     "1," + "9" * 25 + ",1", "9" * 25 + ",0,1"]),
 )
 
 
 @settings(deadline=None, max_examples=300)
 @given(scenario=st.sampled_from(sorted(SCENARIOS) + ["nope"]),
        prime=st.sampled_from([2, 3, 5, 7, 11, 101]) | st.sampled_from([4, 6, 9, 15, 1, 0, -3]),
-       depth=st.integers(-1, 3), degree_bound=st.integers(-2, 12), dp_cap=st.integers(-2, 12),
+       depth=st.integers(-1, 3) | st.sampled_from([40, 10 ** 9, 10 ** 25]),
+       degree_bound=st.integers(-2, 12), dp_cap=st.integers(-2, 12),
        algebra=st.sampled_from([None, "m2", "kxk", "dual", "m3", ""]),
        curve=specs, operator=specs)
 # a matrix entry past int64 once ended in an OverflowError traceback

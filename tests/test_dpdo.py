@@ -6,18 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    OracleOperator,
     commutes_with,
     invert_variable,
     oracle_operator_matrix,
     oracle_product,
+    term_dict,
     vectorize,
     window_basis,
 )
 from hhdx import dpdo
 from hhdx.dpdo import (
     MAX_PRODUCT_WORK,
+    DPDOperator,
     OperatorAlgebra,
-    OperatorBatch,
     TruncatedOperatorModule,
     compression_action_agrees,
     matrix_realize,
@@ -25,7 +27,7 @@ from hhdx.dpdo import (
 )
 from hhdx.errors import CapacityError, DepthError, WindowError
 from hhdx.gfp import binomial_mod
-from hhdx.poly import MAX_EXPONENT
+from hhdx.poly import MAX_EXPONENT, MultiPoly, PolyRing
 
 
 def random_operator(alg, rng, max_terms=4, max_a=4, max_b=4):
@@ -55,8 +57,9 @@ def test_construction_guards():
         alg.monomial((0,), (-1,))
     with pytest.raises(CapacityError):
         alg.monomial((0,), (3 ** 4 + 1,))
-    assert not alg.monomial((1,), (0,), 3).terms  # 3 = 0 mod 3
-    assert OperatorAlgebra(3, 1, laurent=True).monomial((-2,), (1,)).terms == {((-2,), (1,)): 1}
+    assert not alg.monomial((1,), (0,), 3).terms.size  # 3 = 0 mod 3
+    assert term_dict(OperatorAlgebra(3, 1, laurent=True).monomial((-2,), (1,))) == {
+        ((-2,), (1,)): 1}
 
 
 def test_divided_power_composition_rule():
@@ -235,8 +238,8 @@ def test_morita_compress_frozen():
     # a wrong corner operator fails the action certificate
     assert not compression_action_agrees(op, small.algebra.monomial((1,), (0,)), 1, 8)
     # misaligned terms act by zero on the subring
-    assert not morita_compress(alg.monomial((1,), (1,)), 1, degree_bound=8).terms
-    assert not morita_compress(alg.monomial((2,), (1,)), 1, degree_bound=8).terms
+    assert not morita_compress(alg.monomial((1,), (1,)), 1, degree_bound=8).terms.size
+    assert not morita_compress(alg.monomial((2,), (1,)), 1, degree_bound=8).terms.size
     with pytest.raises(WindowError):
         morita_compress(alg.monomial((4,), (4,)), 1, degree_bound=4)
 
@@ -309,7 +312,7 @@ def test_truncated_module_windows():
     for col, (a, b) in enumerate(window_basis(mod)):
         img = mod.operator(mat.a[:, col])
         if b[0] == 0:
-            assert not img.terms
+            assert not img.terms.size
         else:
             assert img == alg.monomial(a, (b[0] - 1,), -1)
 
@@ -364,10 +367,10 @@ def test_operator_matrix_matches_per_column_vectorize(case):
     column = {ab: k for k, ab in enumerate(window_basis(module))}
 
     def func(m):
-        (key, _), = m.terms.items()
-        k = column[key]
-        return sum((module.algebra.monomial(a[k], b[k], c[k]) for a, b, c in passes),
-                   module.algebra.from_terms({}))
+        (key, _), = term_dict(m).items()
+        k = column[key]  # the image's terms in pass order, which a sum would sort
+        return OracleOperator(module.algebra,
+                              {(tuple(a[k]), tuple(b[k])): c[k] for a, b, c in passes})
 
     try:
         want = oracle_operator_matrix(module, func, target)
@@ -449,7 +452,7 @@ def test_capacity_guard_on_products():
     alg = OperatorAlgebra(2, 1)
     big = alg.monomial((0,), (16,))
     # C(32, 16) = 0 mod 2, so the product is zero and must not raise
-    assert not (big * big).terms
+    assert not (big * big).terms.size
     with pytest.raises(CapacityError):
         # C(17, 16) = 17 = 1 mod 2: a genuinely nonzero term beyond the cap
         _ = big * alg.monomial((0,), (1,))
@@ -489,7 +492,7 @@ def operator_batches(draw):
 
 def _outcome(compute):
     try:
-        return compute().terms
+        return term_dict(compute())
     except (CapacityError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -509,10 +512,10 @@ def test_normal_ordering_kernel_matches_oracle_product(case):
 def _batch_outcome(alg, xs, ys):
     """The products xs[k] * ys[k] as term dicts, from one kernel pass."""
     try:
-        product = OperatorBatch.of(alg, xs) * OperatorBatch.of(alg, ys)
+        product = DPDOperator.concat(xs) * DPDOperator.concat(ys)
     except (CapacityError, ValueError) as exc:
         return type(exc), str(exc)
-    return [op.terms for op in product.operators()]
+    return [term_dict(product.take([k])) for k in range(product.count)]
 
 
 def _oracle_outcome(xs, ys):
@@ -558,6 +561,13 @@ def test_batch_refuses_its_first_refused_product():
         outcome = _batch_outcome(alg, xs, ys)
         assert outcome == _oracle_outcome(xs, ys)
         assert outcome[0] is CapacityError and message in outcome[1]
+    # a batch commutator refuses as [L_0, R_0], then [L_1, R_1], would: R_0 L_0
+    # passes the monomial cap before L_1 R_1 passes the divided-power cap
+    line = OperatorAlgebra(2, 1, laurent=True)
+    ls = DPDOperator.concat([line.variable(0, 1 - MAX_EXPONENT), line.divided_power(0, 16)])
+    rs = DPDOperator.concat([line.divided_power(), line.divided_power()])
+    with pytest.raises(CapacityError, match=f"^monomial exponent {-MAX_EXPONENT} exceeds"):
+        ls.commutator(rs)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 5, 13])
@@ -579,3 +589,150 @@ def test_batch_kernel_in_small_chunks_matches_oracle(chunk, monkeypatch):
     outcome = _batch_outcome(_EDGE, xs, ys)
     assert outcome == _oracle_outcome(xs, ys)
     assert outcome == (CapacityError, f"monomial exponent {MAX_EXPONENT + 2} exceeds capacity")
+
+
+@pytest.mark.parametrize("chunk", [2, 5, 16])
+def test_expand_merges_partial_sums_as_they_come(chunk, monkeypatch):
+    """With chunks far smaller than a product, no `_reduce` reads more than
+    twice the widest sum it makes plus two chunks (a merge reads the last
+    merged sum and the chunks' sums since, which pass it by at most one
+    chunk), where reducing every chunk's sum at the end reads them all; and
+    the products still match `oracle_product`."""
+    monkeypatch.setattr(dpdo, "_PRODUCT_CHUNK_TERMS", chunk)
+    reduce, calls = dpdo._reduce, []
+
+    def recording(p, terms):
+        out = reduce(p, terms)
+        calls.append((terms.shape[1], out[0].shape[1]))
+        return out
+
+    monkeypatch.setattr(dpdo, "_reduce", recording)
+    rng = np.random.default_rng(chunk)
+    alg = OperatorAlgebra(5, 1)
+    # D^(8) x^(d+8) D^(d) makes the key x^(8+d-j) D^(8+d-j) from every (d, j)
+    # with the same d - j: 72 expanded terms summed into 16
+    pairs = [(alg.divided_power(0, 8),
+              alg.from_terms({((d + 8,), (d,)): 1 for d in range(8)}))]
+    for p, n, laurent in [(2, 1, False), (3, 2, True), (5, 1, True), (7, 2, False)]:
+        alg = OperatorAlgebra(p, n, laurent=laurent)
+        pairs += [(random_operator(alg, rng, max_terms=6, max_a=6, max_b=12),
+                   random_operator(alg, rng, max_terms=6, max_a=12, max_b=6))
+                  for _ in range(8)]
+    for x, y in pairs:
+        calls.clear()
+        assert term_dict(x * y) == oracle_product(x, y).terms
+        widest = max((width for width, _ in calls), default=0)
+        assert widest <= 2 * max((width for _, width in calls), default=0) + 2 * chunk
+
+
+def test_monomials_are_one_batch_refused_as_monomial_would_be():
+    """`monomials` builds the batch of `monomial`s row by row, and refuses the
+    first row `monomial` would refuse, with its exception."""
+    alg = OperatorAlgebra(3, 2)
+    a, b = [[0, 1], [2, 0], [5, MAX_EXPONENT - 1]], [[1, 0], [0, 81], [3, 3]]
+    assert alg.monomials(a, b) == DPDOperator.concat([alg.monomial(*ab) for ab in zip(a, b)])
+    assert OperatorAlgebra(3, 1).monomials(np.arange(3), np.zeros(3)).count == 3
+    for a, b in [([[0, 0], [1, -1], [MAX_EXPONENT, 0]], [[0, 0]] * 3),
+                 ([[0, 0], [MAX_EXPONENT, 0], [1, -1]], [[0, 0]] * 3),
+                 ([[0, 0], [0, 0]], [[0, 82], [0, -1]]),
+                 ([[0, 0], [0, 0]], [[0, -1], [0, 82]]),
+                 ([[1 - MAX_EXPONENT, 0]], [[0, 0]])]:
+        with pytest.raises((CapacityError, ValueError)) as want:
+            [alg.monomial(*ab) for ab in zip(a, b)]
+        with pytest.raises(want.type, match=f"^{want.value}$"):
+            alg.monomials(a, b)
+
+
+def test_action_depth_and_rendering_take_one_operator():
+    alg = OperatorAlgebra(3, 1)
+    pair = DPDOperator.concat([alg.variable(), alg.divided_power()])
+    for method in (lambda op: op.act(alg.ring.one()), DPDOperator.centrality_depth,
+                   DPDOperator.render):
+        with pytest.raises(ValueError, match="one operator expected, not a batch of 2"):
+            method(pair)
+    assert [pair.take([k]).render() for k in range(2)] == ["x", "Dx^(1)"]
+    assert repr(pair) == "x; Dx^(1)"
+    # [x, D] = -1 and [D, x] = 1, owner by owner
+    assert pair.commutator(pair.take([1, 0])) == DPDOperator.concat([-alg.one(), alg.one()])
+    with pytest.raises(ValueError, match="operator batches of different sizes"):
+        _ = pair * alg.variable()
+
+
+@st.composite
+def oracle_cases(draw):
+    """An algebra on 1-2 variables, polynomial or Laurent, p in {2, 3, 5}; the
+    terms of two operators, coefficients in [-p, 2p] (zeros included),
+    divided powers of the first variable up to the cap p^4 and monomial
+    exponents next to MAX_EXPONENT (so products pass a cap), the first
+    operator's now and then with one term a cap or a sign refuses; a
+    polynomial or Laurent polynomial in the same variables (an action on the
+    former is refused for a Laurent algebra), with exponents next to
+    MAX_EXPONENT now and then (so an action passes it); a scalar; and an
+    operator of another algebra."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 2))
+    alg = OperatorAlgebra(p, n, laurent=draw(st.booleans()))
+    small = st.integers(-2 if alg.laurent else 0, 2)
+    edge = st.integers(MAX_EXPONENT - 2, MAX_EXPONENT - 1)
+    exponent = small | edge | (edge.map(lambda e: -e) if alg.laurent else small)
+    first_dp = st.integers(0, 3) | st.integers(p ** 4 - 2, p ** 4)
+    key = st.tuples(st.tuples(*[exponent] * n),
+                    st.tuples(first_dp, *[st.integers(0, 3)] * (n - 1)))
+    terms = st.dictionaries(key, st.integers(-p, 2 * p), max_size=3).map(lambda d: [*d.items()])
+    x, y = draw(terms), draw(terms)
+    if draw(st.booleans()):
+        slot = draw(st.integers(0, 2 * n - 1))
+        bad = draw(st.sampled_from([MAX_EXPONENT, -MAX_EXPONENT, -1]) if slot < n
+                   else st.sampled_from([-1, p ** 4 + 1]))
+        exps = [0] * (2 * n)
+        exps[slot] = bad
+        x.insert(draw(st.integers(0, len(x))), ((tuple(exps[:n]), tuple(exps[n:])), 1))
+    ring = PolyRing(p, n, laurent=draw(st.booleans()))
+    f_exponent = st.integers(-3 if ring.laurent else 0, 3) | st.just(MAX_EXPONENT - 1)
+    f = MultiPoly(ring, draw(st.dictionaries(st.tuples(*[f_exponent] * n),
+                                             st.integers(0, p - 1), max_size=3)))
+    other = OperatorAlgebra(p, n, laurent=not alg.laurent)
+    return alg, dict(x), dict(y), f, draw(st.integers(-p, 2 * p)), other.variable()
+
+
+def _result(compute):
+    """A term dict, polynomial terms or plain value, or a refusal's type and
+    message."""
+    try:
+        value = compute()
+    except (CapacityError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, (DPDOperator, OracleOperator)):
+        return term_dict(value)
+    return value.terms if isinstance(value, MultiPoly) else value
+
+
+_LINE3 = OperatorAlgebra(3, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases())
+# x^(MAX-2) and x^(MAX-1) D send x^2 to x^MAX and 2 x^MAX, which cancel mod 3:
+# the cancelled term past the cap is dropped, not refused
+@example((_LINE3, {((MAX_EXPONENT - 2,), (0,)): 1, ((MAX_EXPONENT - 1,), (1,)): 1}, {},
+          _LINE3.ring.monomial((2,)), 1, OperatorAlgebra(3, 1, laurent=True).variable()))
+def test_operators_match_the_dict_oracle(case):
+    """Construction (terms in order, or the refusal), sums, scaling, products,
+    commutators, equality, action, rendering and centrality depth agree with
+    the dict-based operator, refusals by exception type and message."""
+    alg, x_terms, y_terms, f, c, other = case
+    built = _result(lambda: list(term_dict(alg.from_terms(x_terms)).items()))
+    assert built == _result(lambda: list(OracleOperator(alg, x_terms).terms.items()))
+    if isinstance(built, tuple):
+        return
+    x, y = alg.from_terms(x_terms), alg.from_terms(y_terms)
+    oracle = OracleOperator(alg, x_terms), OracleOperator(alg, y_terms)
+    oracle_other = OracleOperator(other.algebra, term_dict(other))
+    for compute in [lambda u, v, w: u + v, lambda u, v, w: u - v, lambda u, v, w: u.scale(c),
+                    lambda u, v, w: u * v, lambda u, v, w: u.commutator(v),
+                    lambda u, v, w: u == v, lambda u, v, w: u == u + (v - v),
+                    lambda u, v, w: u.act(f), lambda u, v, w: u.render(),
+                    lambda u, v, w: u.centrality_depth(),
+                    lambda u, v, w: u + w, lambda u, v, w: u == w]:
+        assert _result(lambda: compute(x, y, other)) == _result(
+            lambda: compute(*oracle, oracle_other))

@@ -10,6 +10,7 @@ from helpers import (
     oracle_face_sum,
     oracle_operator_matrix,
     oracle_structure_window_diagram,
+    term_dict,
 )
 from hhdx.dpdo import OperatorAlgebra, TruncatedOperatorModule
 from hhdx.errors import WindowError
@@ -358,11 +359,11 @@ def test_scenario_p1_maps_match_per_column_oracle(p, du, qu):
     dims = {("U0",): m_u0.dim, ("U1",): m_u1.dim, ("U01",): m_u01.dim}
     for j, target in enumerate([m_u01, m_edge1]):
         faces = {
-            (edges[0], 0): oracle_operator_matrix(m_u0, lambda m: alg_l.from_terms(m.terms),
+            (edges[0], 0): oracle_operator_matrix(m_u0, lambda m: alg_l.from_terms(term_dict(m)),
                                                   target).a,
             (edges[0], 1): oracle_operator_matrix(m_u01, lambda m: m, target).a,
             (edges[1], 0): oracle_operator_matrix(
-                m_u1, lambda m: invert_variable(alg_lv.from_terms(m.terms), alg_l), target).a,
+                m_u1, lambda m: invert_variable(alg_lv.from_terms(term_dict(m)), alg_l), target).a,
             (edges[1], 1): oracle_operator_matrix(
                 m_u01, (lambda m: -((u_inv * m) * u_inv)) if j else (lambda m: m), target).a,
         }

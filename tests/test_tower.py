@@ -361,7 +361,7 @@ def test_each_smith_tower_check_fails_when_one_product_is_perturbed(
         flag, kernel_pass, owner, monkeypatch):
     """Adding D to one product of a pass turns its check's flag false and
     leaves the others true."""
-    kernel = dpdo.OperatorBatch.__mul__
+    kernel = dpdo.DPDOperator.__mul__
     passes = []
 
     def perturbed(left, right):
@@ -370,9 +370,9 @@ def test_each_smith_tower_check_fails_when_one_product_is_perturbed(
         if len(passes) != kernel_pass:
             return product
         extra = np.array([[owner], [0], [1], [1]])
-        return product + dpdo.OperatorBatch(product.algebra, product.count, extra)
+        return product + dpdo.DPDOperator(product.algebra, product.count, extra)
 
-    monkeypatch.setattr(dpdo.OperatorBatch, "__mul__", perturbed)
+    monkeypatch.setattr(dpdo.DPDOperator, "__mul__", perturbed)
     report = smith_tower_check(2, 2, 4)
     assert len(passes) == 2
     for name in ("derivation_ok", "tail_invisible", "increments_in_twist_subring", "witness_ok"):
