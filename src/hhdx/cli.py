@@ -196,6 +196,8 @@ def _scenario_morita_matrix(args):
     # it before p^r is formed; an operator deeper than r is matrix_realize's DepthError
     if r >= d.bit_length() and (op is None or op.centrality_depth() <= r):
         raise WindowError(f"degree window {d} cannot certify compression at depth {r}")
+    if op is None and r > 4:  # the default D^(p^r - 1) passes the cap p^4, named unformed
+        raise CapacityError(f"divided-power exponent {p}^{r} - 1 exceeds cap {alg.dp_cap}")
     q = p ** r
     if op is None:
         op = alg.from_terms({((1,), (0,)): 1, ((0,), (q - 1,)): 1})
@@ -361,8 +363,8 @@ def _scenario_cup_ring_map(args):
     i, j = np.array([(i, j) for i in range(du + 1) for j in range(i, du + 1 - i)]).T
     in_window = len(i)
     beyond = (du + 1) * (du + 2) // 2 - in_window
-    products, = powers.products([(i, j)])
-    ring_ok = products == powers.take(i + j)
+    pair = np.arange(in_window)  # u^i u^j - u^(i+j) u^0 for each pair, in one pass
+    ring_ok = not powers.combination([(i, j, 1, pair), (i + j, 0, -1, pair)], len(pair)).terms.size
     _check(assertions, "h0-ring-products-match-exponent-addition", ring_ok,
            detail=f"{in_window} products inside the window")
     flags.append(f"{beyond} products leave the degree-{du} window (not certified)")

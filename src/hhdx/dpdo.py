@@ -14,17 +14,18 @@ algebra is exact for every prime.  A `DPDOperator` holds K >= 1 operators
 as one int64 array of terms (owner, a, b, c); a single operator is a batch
 of one.  Its constructors check every term while its exponents are still
 Python ints or arrays, before any term is made.  One array kernel makes
-every product: the product of two batches is all K products L_k R_k in one
-numpy pass, each term pair expanded over its j-box and the expansion summed
-on one sort key, in chunks of bounded size.  A commutator is one pass over
-both orders; scenarios that multiply many operators batch them, and nothing
-is memoized.  The module also provides the closed-form centrality depth,
-realization of an operator as a matrix over the Frobenius-twist subring,
-compression of a twist-aligned operator to the corner copy acting on the
-subring (and the compressed degree window every depth-r scenario shares),
-operator windows held as exponent arrays whose matrices one builder writes
-from closed-form image terms (never through the product kernel), and a
-renderer for a stable operator syntax such as "2*t^3*Dt^(2) + t + 1".
+every product: `combination` sums (s L_l) R_r over rows (l, r, s, o) of one
+batch on owners o in one numpy pass, each term pair expanded over its j-box
+and the expansion summed on one sort key, in chunks of bounded size.  A
+product is one row per owner, a commutator two, and a check linear in
+products one signed sum that must vanish; nothing is memoized.  The module
+also provides the closed-form centrality depth, realization of an operator
+as a matrix over the Frobenius-twist subring, compression of a
+twist-aligned operator to the corner copy acting on the subring (and the
+compressed degree window every depth-r scenario shares), operator windows
+held as exponent arrays whose matrices one builder writes from closed-form
+image terms (never through the product kernel), and a renderer for a stable
+operator syntax such as "2*t^3*Dt^(2) + t + 1".
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .poly import MAX_EXPONENT, MultiPoly, PolyRing, power_factors, render_terms
 # multiply one-variable polynomial operators only (smith-tower, cup-ring-map),
 # whose boxes min(b, c) + 1 stay at most 2^16 since c < MAX_EXPONENT.  At the
 # edge, one process on a 2-vCPU Xeon guest: D^(1413, 1413) x^(1413, 1413) at
-# p = 41 (box 1 999 396, 490 000 terms) takes 1.9 s and 273 MB, and the
-# Laurent D^(1 999 999) x^(-1) at p = 41 (box 2 000 000) 1.1 s and 351 MB
+# p = 41 (box 1 999 396, 490 000 terms) takes 0.8 s and 138 MB, and the
+# Laurent D^(1 999 999) x^(-1) at p = 41 (box 2 000 000) 1.2 s and 348 MB
 # before its term x^(-65536) is refused.
 MAX_PRODUCT_WORK = 2_000_000
 # The rank of one operator window.  One process per report, 2-vCPU guest: the
@@ -162,39 +163,6 @@ class DPDOperator:
         terms[0] += np.repeat(offset[:-1], [batch.terms.shape[1] for batch in batches])
         return DPDOperator(batches[0].algebra, int(offset[-1]), terms)
 
-    def _starts(self, owners):
-        """The first column of each owner in `owners` (the end for count)."""
-        return np.searchsorted(self.terms[0], owners)
-
-    def take(self, owners):
-        """The batch of the operators `owners` names, in that order."""
-        owners = np.asarray(owners, dtype=np.int64)
-        start = self._starts(owners)
-        size = self._starts(owners + 1) - start
-        terms = self.terms.take(_segments(start, size), axis=1)
-        terms[0] = np.repeat(np.arange(len(owners)), size)
-        return DPDOperator(self.algebra, len(owners), terms)
-
-    def products(self, blocks):
-        """The products self[l] * self[r] over each block of operator index
-        pairs (l, r) (a scalar index broadcast), in one kernel pass: one
-        batch a block."""
-        blocks = [np.broadcast_arrays(left, right) for left, right in blocks]
-        product = (self.take(np.concatenate([left for left, _ in blocks]))
-                   * self.take(np.concatenate([right for _, right in blocks])))
-        return product.split([len(left) for left, _ in blocks])
-
-    def split(self, sizes):
-        """The batches of consecutive runs of `sizes` operators."""
-        bounds = np.cumsum([0, *sizes])
-        cut = self._starts(bounds)
-        out = []
-        for k, size in enumerate(sizes):
-            terms = self.terms[:, cut[k]:cut[k + 1]].copy()
-            terms[0] -= bounds[k]
-            out.append(DPDOperator(self.algebra, size, terms))
-        return out
-
     # -- linear structure ------------------------------------------------------
 
     def _require_same(self, other):
@@ -227,45 +195,60 @@ class DPDOperator:
 
     # -- multiplication ----------------------------------------------------------
 
-    def __mul__(self, other):
-        """Every product L_k R_k of the k-th operators of two batches, in one
-        pass: each owner's left and right terms are joined, each term pair
-        x^a D^(b) * x^c D^(d) is expanded over its j-box 0 <= j_i <= h_i,
-        h_i = b_i if c_i < 0 else min(b_i, c_i), into the terms
-        prod_i C(c_i, j_i) C(b_i+d_i-j_i, b_i-j_i) x^(a+c-j) D^(b+d-j), and
-        the expansion is reduced on one key (`_expand`).  As K single products
-        would, it refuses the first product, in owner order, with a term pair
-        whose box exceeds `MAX_PRODUCT_WORK`, or a nonzero reduced term past a
-        cap, naming the first such term in (left term, right term, j) order."""
-        self._require_same(other)
+    def combination(self, blocks, count):
+        """The batch of `count` operators whose o-th sums (s self[l]) self[r]
+        over the rows (l, r, s, o) of `blocks` (a block's entries broadcast
+        together, rows in block order), in one `_expand` pass over the rows'
+        term pairs, indexed off this batch's per-operator starts and sizes, the
+        sign folded into the left coefficient.  It refuses as its rows one at a
+        time would: the first row with a term pair whose j-box exceeds
+        `MAX_PRODUCT_WORK`, once the rows before it are expanded, or a term past
+        a cap that survives its row's product, the first in (row, left term,
+        right term, j) order."""
+        sizes = [max(map(np.size, block)) for block in blocks]
+        l, r, s, o = rows = np.empty((4, sum(sizes)), dtype=np.int64)
+        for block, end, size in zip(blocks, itertools.accumulate(sizes), sizes):
+            for row, x in zip(rows, block):  # broadcast into the block's columns
+                row[end - size:end] = x
         alg, n = self.algebra, self.algebra.n
-        owner = self.terms[0]
-        start = other._starts(owner)
-        per = other._starts(owner + 1) - start
-        left = self.terms.take(np.repeat(np.arange(len(owner)), per), axis=1)
-        right = other.terms.take(_segments(start, per), axis=1)
+        bound = np.searchsorted(self.terms[0], np.arange(self.count + 1))
+        start, size = bound[:-1], np.diff(bound)
+        l_size, r_size = size.take(l) * (s % alg.p != 0), size.take(r)  # s L is 0 if p | s
+        per = np.repeat(r_size, l_size)  # right terms for each row's left term
+        left = self.terms.take(np.repeat(_segments(start.take(l), l_size), per), axis=1)
+        right = self.terms.take(_segments(np.repeat(start.take(r), l_size), per), axis=1)
+        row = np.repeat(np.arange(len(l)), l_size * r_size)
         b, c = left[1 + n:-1], right[1:1 + n]
         hi = np.where(c < 0, b, np.minimum(b, c))
-        box = np.ones(left.shape[1], dtype=np.int64)
+        box = np.ones(len(row), dtype=np.int64)
         for h in hi:
             box = np.minimum(box * (h + 1), MAX_PRODUCT_WORK + 1)
+        pairs = left + right  # owner, a + c, b + d, coefficient
+        pairs[0] = o.take(row)
+        pairs[-1] = left[-1] * s.take(row) % alg.p * right[-1] % alg.p
         over = np.flatnonzero(box > MAX_PRODUCT_WORK)
-        if over.size:  # the products before the first one refused are checked first
-            keep = left[0] < left[0, over[0]]
-            _expand(alg, left[:, keep], right[:, keep], hi[:, keep], box[keep])
+        if over.size:  # the rows before the first one refused are checked first
+            cut = np.searchsorted(row, row[over[0]])
+            _expand(alg, *(x[..., :cut] for x in (pairs, b, c, hi, box, row)))
             raise CapacityError("normal-ordering workload exceeds capacity")
-        return DPDOperator(alg, self.count, _expand(alg, left, right, hi, box))
+        return DPDOperator(alg, count, _expand(alg, pairs, b, c, hi, box, row))
+
+    def __mul__(self, other):
+        """Every product L_k R_k of the k-th operators of two batches: one row
+        (L_k, R_k) of `combination` per owner."""
+        self._require_same(other)
+        k = np.arange(self.count)
+        return DPDOperator.concat([self, other]).combination([(k, k + k.size, 1, k)], k.size)
 
     def commutator(self, other):
-        """[L_k, R_k] owner by owner; refused as L_0 R_0, R_0 L_0, L_1 R_1, ...
-        one at a time would be, though refused terms may cancel in a
-        difference."""
+        """[L_k, R_k] owner by owner: the rows L_0 R_0, -R_0 L_0, L_1 R_1, ...
+        of one `combination`, refused as those products one at a time would
+        be, though refused terms may cancel in a difference."""
         self._require_same(other)
         k, count = np.arange(self.count), self.count
-        both = DPDOperator.concat([self, other])
-        product = (both.take(np.stack([k, k + count], axis=1).ravel())  # L_0, R_0, L_1, ...
-                   * both.take(np.stack([k + count, k], axis=1).ravel()))
-        return product.take(2 * k) - product.take(2 * k + 1)
+        left, right = np.stack([k, k + count], axis=1), np.stack([k + count, k], axis=1)
+        return DPDOperator.concat([self, other]).combination(
+            [(left.ravel(), right.ravel(), [1, -1] * count, np.repeat(k, 2))], count)
 
     # -- one operator: action, centrality, rendering --------------------------------
 
@@ -325,8 +308,9 @@ class DPDOperator:
             (c, power_factors(names, a) + [f"D{name}^({e})" for name, e in zip(names, b) if e])
             for a, b, c in terms) or "0"
 
-    def __repr__(self):
-        return "; ".join(self.take([k]).render() for k in range(self.count))
+    def __repr__(self):  # `render` reads no owner
+        return "; ".join(DPDOperator(self.algebra, 1, self.terms[:, self.terms[0] == k]).render()
+                         for k in range(self.count))
 
 
 def _check_term(algebra, a, b):
@@ -343,17 +327,19 @@ def _check_term(algebra, a, b):
             raise CapacityError(f"divided-power exponent {e} exceeds cap {algebra.dp_cap}")
 
 
-def _check_terms(algebra, a, b, order=None, where=True):
-    """`_check_term` on the first term (columns of the int64 arrays a, b) it
-    refuses among those `where` holds: first by `order`, a rank per term, if
-    given, else by column.  A mask, not a filtered copy: boolean indexing
-    took 3.7 ms on a 200 000-term window pass, the whole check 0.7 ms."""
+def _past(algebra, a, b):
+    """Which terms (columns of the int64 arrays a, b) `_check_term` refuses."""
     low = 1 - MAX_EXPONENT if algebra.laurent else 0
-    past = np.flatnonzero(where & ((a < low) | (a >= MAX_EXPONENT)
-                                   | (b < 0) | (b > algebra.dp_cap)).any(axis=0))
+    return ((a < low) | (a >= MAX_EXPONENT) | (b < 0) | (b > algebra.dp_cap)).any(axis=0)
+
+
+def _check_terms(algebra, a, b, where=True):
+    """`_check_term` on the first term (columns of the int64 arrays a, b) it
+    refuses among those `where` holds.  A mask, not a filtered copy: boolean
+    indexing took 3.7 ms on a 200 000-term window pass, the whole check 0.7 ms."""
+    past = np.flatnonzero(where & _past(algebra, a, b))
     if past.size:
-        k = past[0] if order is None else past[np.argmin(order.take(past))]
-        _check_term(algebra, a[:, k].tolist(), b[:, k].tolist())
+        _check_term(algebra, a[:, past[0]].tolist(), b[:, past[0]].tolist())
 
 
 def _segments(start, size):
@@ -391,26 +377,28 @@ def _reduce(p, terms):
 
 
 # Terms of one chunk of a product's expansion, so a product's working memory
-# does not grow with its size.  A chunk peaks at 13 MB of arrays at n = 1 (208
-# bytes a term) and 16.5 MB at n = 2 (tracemalloc).  smith-tower p = 47 r = 2
-# expands 5.6 million terms: 1.38 s and 56 MB peak RSS at 2^16, 1.33 s and
-# 99 MB at 2^18 (2-vCPU Xeon guest).
+# does not grow with its size.  A chunk peaks at 9.5 MB of arrays at n = 1 (144
+# bytes a term) and 11.5 MB at n = 2 (tracemalloc).  smith-tower p = 47 r = 2
+# expands 5.6 million terms in about 1.3 s at 2^16 and at 2^18, with 49 MB and
+# 76 MB peak RSS (2-vCPU Xeon guest).
 _PRODUCT_CHUNK_TERMS = 1 << 16
 
 
-def _expand(algebra, left, right, hi, box):
-    """The reduced product terms of the term pairs (columns of left, right,
-    owner by owner), pair k expanded over the j-box of extents hi[:, k] + 1
-    (box[k] points, last coordinate fastest), in chunks of at most
-    `_PRODUCT_CHUNK_TERMS` terms (a pair's box may straddle chunks), each
-    reduced alone.  The chunks' sums are merged into one once their width
-    passes both a chunk and the last merged sum, so merges stay amortized
-    linear and a product that hardly cancels is not held many times over.
-    Refuses a nonzero term past a cap."""
+def _expand(algebra, pairs, b, c, hi, box, row):
+    """The reduced sum of the term pairs' expansions: pair k, x^a D^(b) *
+    x^c D^(d) (column k of `pairs`: owner, a + c, b + d, coefficient; and of
+    `b` and `c`), expands over its j-box of extents hi[:, k] + 1, last
+    coordinate fastest, into prod_i C(c_i, j_i) C(b_i+d_i-j_i, b_i-j_i)
+    x^(a+c-j) D^(b+d-j), in chunks of at most `_PRODUCT_CHUNK_TERMS` terms
+    each reduced alone, their sums merged once they pass a chunk and the last
+    merged sum.  A term past a cap sums on owner -1 - row, apart from every
+    owner, and the first such sum to survive, in pair and j order, is refused."""
     p, n = algebra.p, algebra.n
     ends = np.cumsum(box)
     starts = ends - box
     total = int(ends[-1]) if len(ends) else 0
+    ac, bd = pairs[1:1 + n], pairs[1 + n:-1]  # a pair's terms have a in [ac - hi, ac]
+    risky = _past(algebra, ac - hi, bd) | _past(algebra, ac, bd)
     parts, firsts, merged = [], [], 0  # the last merged sum, if any, then the chunks' since
     for s in range(0, total, _PRODUCT_CHUNK_TERMS):
         e = min(s + _PRODUCT_CHUNK_TERMS, total)
@@ -421,16 +409,19 @@ def _expand(algebra, left, right, hi, box):
         j = np.empty((n, len(pair)), dtype=np.int64)
         for i in reversed(range(n)):
             rest, j[i] = np.divmod(rest, hi[i].take(pair) + 1)
-        x, y = left.take(pair, axis=1), right.take(pair, axis=1)
-        coeff = x[-1] * y[-1] % p
+        terms = pairs.take(pair, axis=1)
+        coeff = terms[-1]
         for i in range(n):
-            b, c, d = x[1 + n + i], y[1 + i], y[1 + n + i]
-            coeff = (coeff * binomial_array(c, j[i], p) % p
-                     * binomial_array(b + d - j[i], b - j[i], p) % p)
+            bi = b[i].take(pair)
+            coeff = (coeff * binomial_array(c[i].take(pair), j[i], p) % p
+                     * binomial_array(terms[1 + n + i] - j[i], bi - j[i], p) % p)
         nz = np.flatnonzero(coeff)
-        terms = x.take(nz, axis=1)  # owner, x^(a+c-j) D^(b+d-j), coefficient
-        terms[1:-1] += y[1:-1].take(nz, axis=1) - np.tile(j.take(nz, axis=1), (2, 1))
+        terms = terms.take(nz, axis=1)  # owner, x^(a+c-j) D^(b+d-j), coefficient
+        terms[1:-1] -= np.tile(j.take(nz, axis=1), (2, 1))
         terms[-1] = coeff.take(nz)
+        if risky[lo:up].any():
+            past = _past(algebra, terms[1:1 + n], terms[1 + n:-1])
+            terms[0] = np.where(past, -1 - row.take(pair.take(nz)), terms[0])
         terms, head = _reduce(p, terms)
         parts.append(terms)
         firsts.append(s + nz.take(head))
@@ -441,7 +432,10 @@ def _expand(algebra, left, right, hi, box):
     if not parts:
         return np.zeros((2 * n + 2, 0), dtype=np.int64)
     (terms,), (first,) = parts, firsts
-    _check_terms(algebra, terms[1:1 + n], terms[1 + n:-1], first)
+    past = np.flatnonzero(terms[0] < 0)
+    if past.size:
+        k = past[np.argmin(first.take(past))]
+        _check_term(algebra, terms[1:1 + n, k].tolist(), terms[1 + n:-1, k].tolist())
     return terms
 
 

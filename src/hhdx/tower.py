@@ -281,16 +281,14 @@ def smith_tower_check(p, levels, degree_bound):
     outer cannot be decided from finitely many levels, and the report says
     so instead of pretending.
 
-    The operator arithmetic is two batched kernel passes: the first makes
-    every product of two given operators (the sample pairs x y, f_R m and
-    m f_R for the samples m, and f_R, f_s and the witnesses against the
-    monomials they are checked on), the second the products of its results
-    (f_R (x y), (x y) f_R, ad(f_R)(x) y and x ad(f_R)(y)).  Each of (a), (b)
-    and (d) is one equality of two batches, which holds exactly when it
-    holds for every pair.  No product is refused: no divided power passes
-    p^4 (products of two samples reach 2 p^2, and f_R, f_s and the witnesses
-    are multiplications), and once t^(p^R) exists (p^R < 2^16, so
-    p^R <= 3^10) exponents stay below p^R + 5.
+    The arithmetic is two `DPDOperator.combination` passes, each check one
+    signed sum of products per owner that holds when its owners have no
+    terms: the first makes x y, ad(f_R)(m), (b) ad(f_R)(t) - ad(f_s)(t) and
+    (d) ad(f_R)(m) - ad(f_s)(m) - ad(f_R - f_s)(m), the second (a)
+    ad(f_R)(x y) - ad(f_R)(x) y - x ad(f_R)(y).  No product is refused: no
+    divided power passes p^4 (products of two samples reach 2 p^2; f_R, f_s
+    and the witnesses are multiplications), and once t^(p^R) exists
+    (p^R < 2^16, so p^R <= 3^10) exponents stay below p^R + 5.
     """
     require_prime(p)
     levels = int(levels)
@@ -322,19 +320,24 @@ def smith_tower_check(p, levels, degree_bound):
     at_s, at_m = np.repeat(np.arange(levels), k), np.tile(sample, levels)
     i, j = np.array(list(itertools.combinations(range(k), 2))).T
 
-    xy, f_m, m_f, f_t, t_f, fs_t, t_fs, fs_m, m_fs, w_m, m_w = ops.products([
-        (sample[i], sample[j]), (f, sample), (sample, f),
-        (f, tail), (tail, f), (tail_s, tail), (tail, tail_s),
-        (at_s, at_m), (at_m, at_s), (w + at_s, at_m), (at_m, w + at_s)])
-    ads = f_m - m_f
-    xy_at = ops.count + np.arange(len(i))  # xy, then ads, follow ops
-    ad_at = xy_at[-1] + 1
-    f_xy, xy_f, ad_y, x_ad = DPDOperator.concat([ops, xy, ads]).products([
-        (f, xy_at), (xy_at, f), (ad_at + i, sample[j]), (sample[i], ad_at + j)])
+    def ad(g, m, sign, owner):  # the rows of sign [g, m] on owner
+        return (g, m, sign, owner), (m, g, -sign, owner)
 
-    derivation_ok = f_xy - xy_f == ad_y + x_ad
-    tail_invisible = f_t - t_f == fs_t - t_fs
-    witness_ok = ads.take(np.tile(np.arange(k), levels)) - (fs_m - m_fs) == w_m - m_w
+    # the first pass's owners: x y, ad(f_R)(m), then the sums of (b) and (d)
+    xy, ads, tails, witnesses = np.split(np.arange(len(i) + k + len(tail) + levels * k),
+                                         np.cumsum([len(i), k, len(tail)]))
+    first = ops.combination([
+        (sample[i], sample[j], 1, xy), *ad(f, sample, 1, ads),
+        *ad(f, tail, 1, tails), *ad(tail_s, tail, -1, tails), *ad(f, at_m, 1, witnesses),
+        *ad(at_s, at_m, -1, witnesses), *ad(w + at_s, at_m, -1, witnesses)], witnesses[-1] + 1)
+    at_xy, at_ad = ops.count + xy, ops.count + ads  # the first pass's results follow ops
+    second = DPDOperator.concat([ops, first]).combination([
+        *ad(f, at_xy, 1, xy), (at_ad[i], sample[j], -1, xy), (sample[i], at_ad[j], -1, xy)],
+        len(i))
+    owner = first.terms[0]
+    derivation_ok = not second.terms.size
+    tail_invisible = not ((owner >= tails[0]) & (owner < witnesses[0])).any()
+    witness_ok = not (owner >= witnesses[0]).any()
     increments_ok = all(ring.monomial((p ** (s + 1),)).in_twist_subring(s + 1)
                         for s in range(0, levels))
 

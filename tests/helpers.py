@@ -724,8 +724,15 @@ def term_dict(op):
     if isinstance(op, OracleOperator):
         return op.terms
     assert op.count == 1
-    n = op.algebra.n
-    return {(tuple(t[1:1 + n]), tuple(t[1 + n:-1])): t[-1] for t in op.terms.T.tolist()}
+    return term_dicts(op)[0]
+
+
+def term_dicts(batch):
+    """The terms {(a, b): c} of each operator of a DPDOperator batch."""
+    n, out = batch.algebra.n, [{} for _ in range(batch.count)]
+    for k, *ab, c in batch.terms.T.tolist():
+        out[k][tuple(ab[:n]), tuple(ab[n:])] = c
+    return out
 
 
 class OracleOperator:

@@ -137,6 +137,18 @@ def test_a_twist_past_the_window_is_refused_before_its_power(scenario, message, 
     assert capsys.readouterr().err == f"capacity/window: {message.format(depth)}\n"
 
 
+def test_morita_default_operator_past_the_cap_is_refused_before_its_power(capsys):
+    """A degree bound of 10^4200 admits depth 13000, whose default operator
+    D^(3^13000 - 1) passes the divided-power cap; the refusal names the cap
+    without forming or printing the 6203-digit exponent."""
+    start = time.perf_counter()
+    assert main(["--scenario", "morita-matrix", "--prime", "3", "--depth", "13000",
+                 "--degree-bound", "1" + "0" * 4200]) == 4
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "capacity/window: divided-power exponent 3^13000 - 1 exceeds cap 81\n")
+
+
 @pytest.mark.parametrize("operator,message", [
     ("9" * 25 + ",0,1", "monomial exponent " + "9" * 25 + " exceeds capacity"),
     ("0," + "9" * 25 + ",1", "divided-power exponent " + "9" * 25 + " exceeds cap 16"),
@@ -438,7 +450,7 @@ def test_each_operator_matrix_is_built_once_per_report(argv, golden, capsys, mon
     assert len(calls) == OPERATOR_MATRICES[golden]
 
 
-# Normal-ordering kernel passes (`DPDOperator.__mul__` calls) per golden
+# Normal-ordering kernel passes (`DPDOperator.combination` calls) per golden
 # report: a rise means some report multiplies operators one batch at a time.
 # Operator windows write their matrices from closed-form image terms, so only
 # operator arithmetic multiplies: smith-tower in two passes, cup-ring-map's
@@ -460,13 +472,13 @@ KERNEL_PASSES = {
                          ids=[g.removesuffix(".json") for _, g in GOLDEN_CASES])
 def test_each_monomial_pair_is_ordered_once_per_report(argv, golden, capsys, monkeypatch):
     passes = []
-    kernel = dpdo.DPDOperator.__mul__
+    kernel = dpdo.DPDOperator.combination
 
-    def counting(left, right):
-        passes.append(left.count)
-        return kernel(left, right)
+    def counting(table, blocks, count):
+        passes.append(count)
+        return kernel(table, blocks, count)
 
-    monkeypatch.setattr(dpdo.DPDOperator, "__mul__", counting)
+    monkeypatch.setattr(dpdo.DPDOperator, "combination", counting)
     assert main([*argv, "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
     assert len(passes) == KERNEL_PASSES[golden]

@@ -12,6 +12,7 @@ from helpers import (
     oracle_operator_matrix,
     oracle_product,
     term_dict,
+    term_dicts,
     vectorize,
     window_basis,
 )
@@ -515,7 +516,7 @@ def _batch_outcome(alg, xs, ys):
         product = DPDOperator.concat(xs) * DPDOperator.concat(ys)
     except (CapacityError, ValueError) as exc:
         return type(exc), str(exc)
-    return [term_dict(product.take([k])) for k in range(product.count)]
+    return term_dicts(product)
 
 
 def _oracle_outcome(xs, ys):
@@ -625,6 +626,81 @@ def test_expand_merges_partial_sums_as_they_come(chunk, monkeypatch):
         assert widest <= 2 * max((width for _, width in calls), default=0) + 2 * chunk
 
 
+@st.composite
+def combinations(draw):
+    """A table of 1-5 operators of one algebra drawn by `_operators`, 0-8
+    rows (l, r, s, o) with signs in [-p, 2p] (zero and multiples of p among
+    them) over 1-4 owners (some left empty), now and then a row followed
+    later by its negation (so the two cancel), and a chunk size: the
+    module's, or one far smaller than a product."""
+    alg, ops = _operators(draw)
+    table = [draw(ops) for _ in range(draw(st.integers(1, 5)))]
+    count = draw(st.integers(1, 4))
+    index = st.integers(0, len(table) - 1)
+    rows = draw(st.lists(st.tuples(index, index, st.integers(-alg.p, 2 * alg.p),
+                                   st.integers(0, count - 1)), max_size=8))
+    if rows and draw(st.booleans()):
+        l, r, s, o = draw(st.sampled_from(rows))
+        rows.insert(draw(st.integers(rows.index((l, r, s, o)) + 1, len(rows))), (l, r, -s, o))
+    return alg, table, rows, count, draw(st.sampled_from([None, 1, 3, 7]))
+
+
+def _combination_outcome(table, rows, count):
+    """The sums of `combination` as term dicts, or its refusal."""
+    batch = DPDOperator.concat(table)
+    try:
+        return term_dicts(batch.combination([np.array(rows, dtype=np.int64).reshape(-1, 4).T],
+                                            count))
+    except (CapacityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_WIDE = OperatorAlgebra(41, 1, laurent=True)  # dp cap 41^4 > MAX_PRODUCT_WORK
+# x, then D^(MAX_PRODUCT_WORK) and x^(-1), whose product's one box is too wide,
+# then D^(cap) and D, whose product C(cap + 1, 1) D^(cap + 1) passes the cap
+_WIDE_TABLE = [_WIDE.variable(), _WIDE.divided_power(0, MAX_PRODUCT_WORK), _WIDE.variable(0, -1),
+               _WIDE.divided_power(0, _WIDE.dp_cap), _WIDE.divided_power()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(combinations())
+# D^(16) D = D^(17) is refused in its row though the next row cancels it
+@example((_LINE2, [_LINE2.divided_power(0, 16), _LINE2.divided_power()],
+          [(0, 1, 1, 0), (1, 0, -1, 0)], 1, None))
+# a row with a term pair over MAX_PRODUCT_WORK is refused after the rows
+# before it, and before the term past a cap of the row after it
+@example((_WIDE, _WIDE_TABLE, [(0, 4, 1, 0), (1, 2, 1, 1), (3, 4, 1, 0)], 2, None))
+@example((_WIDE, _WIDE_TABLE, [(0, 4, 1, 0), (3, 4, 1, 0), (1, 2, 1, 1)], 2, None))
+# a row whose sign p divides makes no term pair, so its wide pair is not refused
+@example((_WIDE, _WIDE_TABLE, [(1, 2, 41, 0), (3, 4, 1, 0)], 1, None))
+# two variables, Laurent, summed in chunks of one term with cancelling rows
+@example((_EDGE2, [_EDGE2.monomial((1, -1), (2, 1)), _EDGE2.monomial((-2, 3), (1, 2))],
+          [(0, 1, 1, 0), (1, 0, 2, 0), (0, 1, -1, 2), (1, 1, 1, 2)], 3, 1))
+def test_combination_matches_signed_oracle_products(case):
+    """`combination` is the sum of `oracle_product`s (s L) R owner by owner
+    (a row whose sign p divides makes no term pair, so it refuses nothing),
+    and refuses as its rows one at a time would, with their first refusal."""
+    alg, table, rows, count, chunk = case
+    oracle = [OracleOperator(alg, term_dict(op)) for op in table]
+    try:
+        sums = [OracleOperator(alg, {}) for _ in range(count)]
+        for l, r, s, o in rows:
+            sums[o] = sums[o] + oracle_product(oracle[l].scale(s), oracle[r])
+        want = [op.terms for op in sums]
+    except (CapacityError, ValueError) as exc:
+        want = type(exc), str(exc)
+    alone = [_combination_outcome(table, [(l, r, s, 0)], 1) for l, r, s, _ in rows]
+    saved = dpdo._PRODUCT_CHUNK_TERMS
+    dpdo._PRODUCT_CHUNK_TERMS = chunk or saved
+    try:
+        got = _combination_outcome(table, rows, count)
+    finally:
+        dpdo._PRODUCT_CHUNK_TERMS = saved
+    assert got == want
+    assert (got if isinstance(got, tuple) else None) == next(
+        (outcome for outcome in alone if isinstance(outcome, tuple)), None)
+
+
 def test_monomials_are_one_batch_refused_as_monomial_would_be():
     """`monomials` builds the batch of `monomial`s row by row, and refuses the
     first row `monomial` would refuse, with its exception."""
@@ -650,10 +726,10 @@ def test_action_depth_and_rendering_take_one_operator():
                    DPDOperator.render):
         with pytest.raises(ValueError, match="one operator expected, not a batch of 2"):
             method(pair)
-    assert [pair.take([k]).render() for k in range(2)] == ["x", "Dx^(1)"]
     assert repr(pair) == "x; Dx^(1)"
     # [x, D] = -1 and [D, x] = 1, owner by owner
-    assert pair.commutator(pair.take([1, 0])) == DPDOperator.concat([-alg.one(), alg.one()])
+    swapped = DPDOperator.concat([alg.divided_power(), alg.variable()])
+    assert pair.commutator(swapped) == DPDOperator.concat([-alg.one(), alg.one()])
     with pytest.raises(ValueError, match="operator batches of different sizes"):
         _ = pair * alg.variable()
 

@@ -18,9 +18,10 @@ def _reach():
 
 
 def test_reach_ladder_rows_match_in_process_reports(tmp_path, capsys):
-    """Two rungs per family at a 1 s budget, one child process each: every
+    """Two rungs per family at a 1 s budget, one child process a run: every
     row's exit code and report sha256 are those of the same report run
-    in-process, and a family stops only at a rung over budget or refused."""
+    in-process, a rung within a tenth of the budget ran three times, and a
+    family stops only at a rung over budget or refused."""
     reach = _reach()
     out = tmp_path / "bench.json"
     assert reach.main(["--label", "tiny", "--out", str(out), "--budget-s", "1",
@@ -37,6 +38,8 @@ def test_reach_ladder_rows_match_in_process_reports(tmp_path, capsys):
         assert len(rows) == 2 or rows[-1]["stop"] in ("refused", "over budget")
         for row in rows:
             assert row["wall_s"] >= 0 and row["peak_rss_mb"] > 0
+            # a rung whose first run took at most a tenth of the budget ran REPEATS times
+            assert row.get("runs", 1) == reach.REPEATS or row["wall_s"] > 0.1
             code = main(reach.rung_argv(family, row[knob]))
             report = capsys.readouterr().out
             assert row["exit"] == code

@@ -348,31 +348,34 @@ def test_smith_tower_flags_match_the_operator_by_operator_check(p, levels):
     assert tuple(report[flag] for flag in flags) == oracle_smith_tower_check(p, levels)
 
 
-# At p = 2 and two levels the first pass makes, in order, 171 sample pairs x y,
-# 19 f m, 19 m f, then 12 each of f m, m f, f_s m and m f_s on the
-# truncations' monomials, then 38 each of f_s m, m f_s, w m and m w on the
-# samples; the second pass starts with the 171 f (x y).
-@pytest.mark.parametrize("flag,kernel_pass,owner", [
-    ("derivation_ok", 2, 0),          # f (x_0 y_0)
-    ("tail_invisible", 1, 171 + 38),  # f t^0 D^(0)
-    ("witness_ok", 1, 171 + 38 + 48 + 76),  # w_0 m_0
+# At p = 2 and two levels the first pass's rows are, in order, 171 sample
+# pairs x y, 19 f m and 19 m f, then 12 each of f t, t f, f_s t and t f_s on
+# the truncations' monomials, then 38 each of f m, m f, f_s m, m f_s, w m and
+# m w on the samples; the second pass's start with the 171 f (x y).  Each
+# product dropped is nonzero: f (x_0 y_0), f t^0 D^(0) and f_0 m_0.
+@pytest.mark.parametrize("flag,kernel_pass,row", [
+    ("derivation_ok", 2, 0),
+    ("tail_invisible", 1, 171 + 38),
+    ("witness_ok", 1, 171 + 38 + 48 + 76),
 ])
 def test_each_smith_tower_check_fails_when_one_product_is_perturbed(
-        flag, kernel_pass, owner, monkeypatch):
-    """Adding D to one product of a pass turns its check's flag false and
-    leaves the others true."""
-    kernel = dpdo.DPDOperator.__mul__
+        flag, kernel_pass, row, monkeypatch):
+    """Dropping one product from one check's sum (its row's sign set to 0)
+    turns that check's flag false and leaves the others true."""
+    kernel = dpdo.DPDOperator.combination
     passes = []
 
-    def perturbed(left, right):
-        product = kernel(left, right)
-        passes.append(product)
-        if len(passes) != kernel_pass:
-            return product
-        extra = np.array([[owner], [0], [1], [1]])
-        return product + dpdo.DPDOperator(product.algebra, product.count, extra)
+    def perturbed(table, blocks, count):
+        passes.append(count)
+        if len(passes) == kernel_pass:
+            l, r, s, o = (np.concatenate(rows) for rows in zip(
+                *(np.broadcast_arrays(*block) for block in blocks)))
+            s = s.copy()
+            s[row] = 0
+            blocks = [(l, r, s, o)]
+        return kernel(table, blocks, count)
 
-    monkeypatch.setattr(dpdo.DPDOperator, "__mul__", perturbed)
+    monkeypatch.setattr(dpdo.DPDOperator, "combination", perturbed)
     report = smith_tower_check(2, 2, 4)
     assert len(passes) == 2
     for name in ("derivation_ok", "tail_invisible", "increments_in_twist_subring", "witness_ok"):
