@@ -427,7 +427,8 @@ def _expand(algebra, pairs, b, c, hi, box, row):
         firsts.append(s + nz.take(head))
         pending = sum(part.shape[1] for part in parts) - merged
         if len(parts) > 1 and (e == total or pending > max(_PRODUCT_CHUNK_TERMS, merged)):
-            terms, head = _reduce(p, np.concatenate(parts, axis=1))
+            parts = [np.concatenate(parts, axis=1)]  # free the chunks before the merge
+            terms, head = _reduce(p, parts.pop())
             parts, firsts, merged = [terms], [np.concatenate(firsts).take(head)], terms.shape[1]
     if not parts:
         return np.zeros((2 * n + 2, 0), dtype=np.int64)

@@ -7,7 +7,8 @@ Two complementary models are implemented.
   cochains are arrays indexed by j algebra slots and one module slot
   (flattened in C order), and the differential is assembled from Kronecker
   products of the action and multiplication tensors.  This is exact and
-  certified but only desk-scale (dimension <= 12, degree <= 3).  The action
+  certified but desk-scale: d^j is a dense n^(j+1) m x n^j m matrix, refused
+  past `linalg.MAX_MATRIX_ENTRIES` before it is made.  The action
   of any algebra element is `Bimodule.action`, and `cup_contract` is the one
   cup contraction, shared with the diagram cup product in `gs`.
 
@@ -35,9 +36,6 @@ from .errors import CapacityError
 from .gfp import require_prime
 from .linalg import CochainComplex, FpMatrix, Subspace, _check_capacity, face_complex
 
-MAX_ALGEBRA_DIM = 12
-MAX_BAR_DEGREE = 3
-
 
 class StructAlgebra:
     """Finite-dimensional associative unital algebra via structure constants.
@@ -56,8 +54,6 @@ class StructAlgebra:
         if t.ndim != 3 or len(set(t.shape)) != 1:
             raise ValueError("structure constants must form a cube")
         self.dim = t.shape[0]
-        if self.dim > MAX_ALGEBRA_DIM:
-            raise CapacityError(f"algebra dimension {self.dim} exceeds {MAX_ALGEBRA_DIM}")
         self.table = t
         u = np.mod(np.asarray(unit, dtype=np.int64), p)
         if u.shape != (self.dim,):
@@ -67,7 +63,8 @@ class StructAlgebra:
 
     def _check(self):
         t = self.table
-        # (e_i e_j) e_k == e_i (e_j e_k)
+        # (e_i e_j) e_k == e_i (e_j e_k), as two dense dim^4 arrays
+        _check_capacity(self.dim ** 4)
         left = np.einsum("ijm,mkl->ijkl", t, t) % self.p
         right = np.einsum("jkm,iml->ijkl", t, t) % self.p
         if not np.array_equal(left, right):
@@ -220,15 +217,13 @@ def bar_differential_matrix(bimodule, j):
     return FpMatrix(p, total)
 
 
-def bar_complex(bimodule, top=MAX_BAR_DEGREE):
+def bar_complex(bimodule, top):
     """Bar cochain complex C^0 .. C^top.
 
     Cohomology is only meaningful strictly below the top degree (the
     complex is a truncation, so the top group lacks its outgoing
     differential).
     """
-    if top > MAX_BAR_DEGREE:
-        raise CapacityError(f"bar degree {top} exceeds {MAX_BAR_DEGREE}")
     a = bimodule.algebra
     dims = {j: a.dim ** j * bimodule.dim for j in range(top + 1)}
     diffs = {j: bar_differential_matrix(bimodule, j) for j in range(top)}

@@ -24,11 +24,12 @@ off the RREF which unit vectors lie in a span, and a kernel inside one is the
 kernel of the columns it keeps.  On top sit bounded cochain complexes,
 first-quadrant double complexes (sign convention: d = d_h + (-1)^i d_v on
 column i), and the spectral sequence of the column filtration, read off the
-persistence pairs of each total differential: page dimensions and ranks of
-d_r, no representatives.  Block-structured differentials are all built by
-`block_matrix`, every simplicial cochain complex (Koszul, nerve and Cech) by
-the alternating face sum `face_sum` / `face_complex` on top of it, and every
-double complex hhdx builds by their twin `face_double_complex`.
+persistence pairs of each total differential: page dimensions are cumulative
+sums over pair lengths, d_r ranks are pair counts, no representatives.
+Block-structured differentials are all built by `block_matrix`, every
+simplicial cochain complex (Koszul, nerve and Cech) by the alternating face
+sum `face_sum` / `face_complex` on top of it, and every double complex hhdx
+builds by their twin `face_double_complex`.
 
 Each complex checks its law once, as d∘d = 0 (a double complex on its
 totalization, built with it; its laws per bidegree are tried only to name a
@@ -50,8 +51,8 @@ from .errors import CapacityError
 
 # The entries of one dense int64 array (320 MB), checked before such an array
 # is made: `FpMatrix.a`, each stack of blocks in `_rref`, the output of
-# `product`'s dense `@` and the pair arrays of its join, and
-# `bar_differential_matrix`.
+# `product`'s dense `@` and the pair arrays of its join,
+# `bar_differential_matrix` and `StructAlgebra`'s associativity check.
 # Matrices are held as nonzeros everywhere else, so their shape is not capped.
 MAX_MATRIX_ENTRIES = 40_000_000
 
@@ -698,6 +699,13 @@ class CochainComplex:
         return {m: self.cohomology(m)[0] for m in range(self.lo, self.hi + 1)}
 
 
+# Largest max_i and max_j of a double complex.  The full triangle of cells of
+# dimension 1 (d_h alternately identity and zero) is built, paged and checked in
+# 0.4-0.7 s and 40 MB RSS at extent 64, 2.2-3.3 s and 115 MB at 128 (fresh process,
+# 2-vCPU Xeon guest), mostly in pair-table eliminations.  No report comes near it.
+MAX_DOUBLE_EXTENT = 64
+
+
 class DoubleComplex:
     """First-quadrant double complex with anticommuting differentials.
 
@@ -721,10 +729,7 @@ class DoubleComplex:
         else:
             self.max_i = max(i for i, _ in self.dims)
             self.max_j = max(j for _, j in self.dims)
-        # Built, paged and convergence-checked on a 2-vCPU Xeon, a full triangle of
-        # one-dimensional cells (d_h alternately identity and zero) takes 0.08 s at
-        # extent 16, 0.47 s at 32 and 4.5 s at 64 (2145 cells), about the extent cubed.
-        if self.max_i > 64 or self.max_j > 64:
+        if self.max_i > MAX_DOUBLE_EXTENT or self.max_j > MAX_DOUBLE_EXTENT:
             raise CapacityError("double complex extent exceeds capacity")
         self.d_h = {k: m for k, m in d_h.items() if not m.is_zero()}
         self.d_v = {k: m for k, m in d_v.items() if not m.is_zero()}
@@ -844,45 +849,39 @@ class DoubleComplex:
             self._pairs[n] = rho[:-1, 1:] - rho[1:, 1:] - rho[:-1, :-1] + rho[1:, :-1]
         return self._pairs[n]
 
-    def spectral_sequence(self, max_page=None):
-        """Pages E_1 .. E_max_page of the column filtration spectral sequence.
+    def spectral_sequence(self):
+        """Pages E_1 .. E_(max_i + max_j + 2) of the column filtration spectral
+        sequence, the last one E_inf.
 
         A pair (a, b) of d^n (see `_pair_counts`) is one rank of d_(b-a) from
         (a, n - a) to (b, n + 1 - b); both ends live through page b - a and
-        are gone from page b - a + 1 on.  So dim E_r^{i,j} is dim C^{i,j} less
-        the pairs ending there that are shorter than r, and rank d_r^{i,j} is
-        m_(i+j)(i, i + r).  Each call returns new pages.
+        are gone from page b - a + 1 on.  So with out[k] the pairs of length k
+        out of (i, j) and into[k] those into it, dim E_r^{i,j} is dim C^{i,j}
+        less the cumulative sum of out + into over k < r, and rank d_r^{i,j}
+        is out[r] = m_(i+j)(i, i + r).  Each call returns new pages.
         """
         stab = self.max_i + self.max_j + 2
-        if max_page is None:
-            max_page = stab
-        pages = []
-        for r in range(1, max_page + 1):
-            dims, ranks = {}, {}
-            for (i, j), dim in sorted(self.dims.items()):
-                out = self._pair_counts(i + j)[i]
-                into = self._pair_counts(i + j - 1)[:, i]
-                left = dim - int(out[i:i + r].sum()) - int(into[max(i - r + 1, 0):i + 1].sum())
-                if left:
-                    dims[(i, j)] = left
-                if i + r <= self.max_i and out[i + r]:
-                    ranks[(i, j)] = int(out[i + r])
-            pages.append(SpectralSequencePage(r, dims, ranks))
-        return pages
+        cells = sorted(self.dims)
+        out, into = np.zeros((2, len(cells), stab + 1), dtype=np.int64)
+        for c, (i, j) in enumerate(cells):
+            out[c, :self.max_i + 1 - i] = self._pair_counts(i + j)[i, i:]
+            into[c, :i + 1] = self._pair_counts(i + j - 1)[i::-1, i]
+        dims = np.array([self.dims[cell] for cell in cells], dtype=np.int64)
+        left = dims[:, None] - np.cumsum(out + into, axis=1)  # left[:, r - 1] = dim E_r
+
+        def nonzero(column):
+            return {cell: v for cell, v in zip(cells, column.tolist()) if v}
+        return [SpectralSequencePage(r, nonzero(left[:, r - 1]), nonzero(out[:, r]))
+                for r in range(1, stab + 1)]
 
     def infinity_page(self):
-        pages = self.spectral_sequence(self.max_i + self.max_j + 2)
-        return pages[-1]
+        return self.spectral_sequence()[-1]
 
     def convergence_check(self):
         """Sum over i+j=m of dim E_inf equals dim H^m(Tot) for every m."""
-        einf = self.infinity_page()
-        tot = self.totalize()
-        table = {}
-        for m in range(0, self.max_i + self.max_j + 1):
-            lhs = sum(einf.dims.get((i, m - i), 0) for i in range(0, m + 1))
-            rhs = tot.cohomology(m)[0]
-            table[m] = (lhs, rhs)
+        einf, tot = self.infinity_page(), self.totalize()
+        table = {m: (sum(einf.dim(i, m - i) for i in range(m + 1)), tot.cohomology(m)[0])
+                 for m in range(self.max_i + self.max_j + 1)}
         return all(a == b for a, b in table.values()), table
 
 
@@ -899,5 +898,4 @@ class SpectralSequencePage:
         return self.dims.get((i, j), 0)
 
     def __repr__(self):
-        cells = {k: v for k, v in sorted(self.dims.items())}
-        return f"E_{self.r}{cells}"
+        return f"E_{self.r}{dict(sorted(self.dims.items()))}"

@@ -18,7 +18,6 @@ from __future__ import annotations
 from .errors import CapacityError
 from .gfp import require_prime
 
-MAX_VARS = 8
 MAX_EXPONENT = 2 ** 16
 
 
@@ -29,8 +28,8 @@ class PolyRing:
 
     def __init__(self, p, n, names=None, laurent=False):
         self.p = require_prime(p)
-        if not 1 <= n <= MAX_VARS:
-            raise ValueError(f"number of variables must be in [1, {MAX_VARS}]")
+        if n < 1:
+            raise ValueError("number of variables must be at least 1")
         self.n = n
         if names is None:
             names = tuple(f"x{i}" for i in range(n)) if n > 1 else ("x",)

@@ -49,6 +49,9 @@ from .poly import PolyRing
 # sets the cost; the worst case is a nilpotent Jordan block, whose chain
 # shrinks by one dimension per step.  A proper-hh report on the 256 x 256
 # Jordan block takes 2.1 s, 1.6 s of it in the chain, on a 2-vCPU Xeon guest.
+# The CLI reads the matrix from one `--operator` argument, which Linux caps at
+# 128 KiB (MAX_ARG_STRLEN): a 256 x 256 matrix of one-digit entries fits, and
+# of two-digit entries about 209 x 209.  So this cap is reached only in-process.
 MAX_TOWER_DIM = 256
 
 

@@ -1,5 +1,7 @@
 """Divided-power operators: products, actions, invariants, realizations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -624,6 +626,23 @@ def test_expand_merges_partial_sums_as_they_come(chunk, monkeypatch):
         assert term_dict(x * y) == oracle_product(x, y).terms
         widest = max((width for width, _ in calls), default=0)
         assert widest <= 2 * max((width for _, width in calls), default=0) + 2 * chunk
+
+
+def test_product_that_hardly_cancels_peaks_under_four_times_its_output():
+    """D^(600,600) x^(600,600) at p = 41 expands 601^2 terms on distinct
+    monomials; the 405^2 whose C(600, j) is nonzero mod 41 (Lucas) make the
+    output.  The last merge of `_expand` must not hold the chunks beside
+    their concatenation, which peaked at 4.6 times the output."""
+    alg = OperatorAlgebra(41, 2)
+    d, x = alg.monomial((0, 0), (600, 600)), alg.monomial((600, 600), (0, 0))
+    tracemalloc.start()
+    try:
+        out = d * x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.terms.shape == (6, 405 ** 2)
+    assert peak < 4 * out.terms.nbytes
 
 
 @st.composite

@@ -57,8 +57,6 @@ def test_struct_algebra_validation():
     bad[1, 1, 0] = 1  # x*x = 1 with no unit row: unit fails
     with pytest.raises(ValueError):
         StructAlgebra(3, bad, [1, 0])
-    with pytest.raises(CapacityError):
-        StructAlgebra.matrix_algebra(2, 4)  # dim 16 > 12
 
     # non-associative: e1*e1 = e1 with e1*e0 = 0 but unit demands e1*e0 = e1
     table = np.zeros((2, 2, 2), dtype=np.int64)
@@ -179,6 +177,15 @@ def test_bar_differential_refuses_over_capacity_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_struct_algebra_refuses_its_associativity_arrays_over_capacity(monkeypatch):
+    # M_2 has dimension 4: its associativity check makes two 4^4-entry arrays
+    monkeypatch.setattr(linalg, "MAX_MATRIX_ENTRIES", 4 ** 4 - 1)
+    with pytest.raises(CapacityError):
+        StructAlgebra.matrix_algebra(2, 2)
+    monkeypatch.setattr(linalg, "MAX_MATRIX_ENTRIES", 4 ** 4)
+    assert StructAlgebra.matrix_algebra(2, 2).dim == 4
 
 
 def test_hh_matrix_algebra_and_split():

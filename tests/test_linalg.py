@@ -670,7 +670,7 @@ def test_staircase_survives_until_page_L():
     p = 3
     for length in (2, 3, 4):
         dc = staircase(p, length)
-        pages = dc.spectral_sequence(length + 1)
+        pages = dc.spectral_sequence()[:length + 1]
         for page in pages:
             r = page.r
             if r <= length:
@@ -704,9 +704,9 @@ def test_direct_sum_adds_pages():
     a = staircase(p, 2)
     b = staircase(p, 3)
     c = direct_sum_double(p, a, b)
-    pa = a.spectral_sequence(2)[1]
-    pb = b.spectral_sequence(2)[1]
-    pc = c.spectral_sequence(2)[1]
+    pa = a.spectral_sequence()[1]
+    pb = b.spectral_sequence()[1]
+    pc = c.spectral_sequence()[1]
     cells = set(pa.dims) | set(pb.dims) | set(pc.dims)
     for cell in cells:
         assert pc.dim(*cell) == pa.dim(*cell) + pb.dim(*cell)
@@ -717,13 +717,43 @@ def test_first_page_is_vertical_cohomology():
     for _ in range(6):
         p = 3
         dc = random_double_complex(p, rng)
-        page1 = dc.spectral_sequence(1)[0]
+        page1 = dc.spectral_sequence()[0]
         for i in range(dc.max_i + 1):
             for j in range(dc.max_j + 1):
                 d_out = dc.vertical(i, j)
                 d_in = dc.vertical(i, j - 1) if j else None
                 dim, _ = cohomology_at(d_in, d_out, p, dc.dim(i, j))
                 assert page1.dim(i, j) == dim, (i, j)
+
+
+def _triangle(p, extent):
+    """Cells i + j <= extent of dimension 1; d_h is the identity out of each
+    even column into the next, where that cell exists, and d_v is zero."""
+    dims = {(i, j): 1 for i in range(extent + 1) for j in range(extent + 1 - i)}
+    one = FpMatrix(p, [[1]])
+    return dims, {(i, j): one for (i, j) in dims if i % 2 == 0 and (i + 1, j) in dims}
+
+
+def test_triangle_at_the_extent_cap_has_closed_form_pages(monkeypatch):
+    e = linalg.MAX_DOUBLE_EXTENT
+    dims, d_h = _triangle(3, e)
+    dc = DoubleComplex(3, dims, d_h, {})
+    pages = dc.spectral_sequence()
+    assert len(pages) == 2 * e + 2
+    assert pages[0].dims == dims
+    assert pages[0].ranks == {cell: 1 for cell in d_h}
+    # d_1 cancels each even column against the next; an even last cell is left
+    survivors = {(e - j, j): 1 for j in range(e + 1) if (e - j) % 2 == 0}
+    assert len(survivors) == e // 2 + 1
+    for page in pages[1:]:
+        assert page.dims == survivors and not page.ranks
+    ok, table = dc.convergence_check()
+    assert ok
+    assert table == {m: (len(survivors),) * 2 if m == e else (0, 0) for m in range(2 * e + 1)}
+    # one past the cap is refused before any total differential is assembled
+    monkeypatch.setattr(linalg, "block_matrix", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(CapacityError, match="extent"):
+        DoubleComplex(3, *_triangle(3, e + 1), {})
 
 
 # -- memoized complexes against the uncached oracles in helpers.py ----------------
@@ -874,13 +904,14 @@ def test_cached_pages_match_uncached_oracle():
     for dc in _staircases_and_random_doubles():
         stab = dc.max_i + dc.max_j + 2
         want = oracle_spectral_sequence(dc, stab + 1)
-        assert_same_pages(dc.spectral_sequence(2), want[:2])
+        assert_same_pages(dc.spectral_sequence()[:2], want[:2])
         ok, table = dc.convergence_check()
         assert ok, table
         assert_same_pages(dc.spectral_sequence(), want[:stab])
         assert_same_pages([dc.infinity_page()], want[stab - 1:stab])
-        assert_same_pages(dc.spectral_sequence(stab + 1), want)
-        assert_same_pages(dc.spectral_sequence(1), want[:1])
+        assert_same_pages(dc.spectral_sequence()[:1], want[:1])
+        # the last page is E_inf: the oracle's next page is the same
+        assert want[stab].dims == dc.infinity_page().dims and not want[stab].diffs
         # a fresh complex asked for the infinity page first agrees too
         fresh = fresh_copy(dc)
         assert_same_pages([fresh.infinity_page()], want[stab - 1:stab])
@@ -901,7 +932,7 @@ def test_mutating_a_returned_page_list_leaves_later_calls_alone():
     pages.reverse()
     pages.append(None)
     assert [repr(page) for page in dc.spectral_sequence()] == before
-    assert dc.spectral_sequence(2) is not dc.spectral_sequence(2)
+    assert dc.spectral_sequence() is not dc.spectral_sequence()
     assert repr(dc.infinity_page()) == before[-1]
 
 
@@ -920,8 +951,8 @@ def test_pages_with_missing_filtration_levels_match_oracle(p, seed):
     dc = gapped_double_complex(p, np.random.default_rng(seed))
     assert _missing_middle_level(dc)
     stab = dc.max_i + dc.max_j + 2
-    pages = dc.spectral_sequence(stab + 1)
-    assert_same_pages(pages, oracle_spectral_sequence(dc, stab + 1))
+    pages = dc.spectral_sequence()
+    assert_same_pages(pages, oracle_spectral_sequence(dc, stab))
     # E_(r+1) = H(E_r, d_r): each position loses the ranks of d_r out and in
     for page, after in zip(pages, pages[1:]):
         r = page.r
