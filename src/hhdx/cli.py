@@ -211,9 +211,7 @@ def _scenario_morita_matrix(args):
             "operator": op.render(),
             "size": realization.size,
             "entries": realization.render(),
-            "twist_variable_entries": [
-                [f.render() for f in row]
-                for row in realization.entries_in_twist_variables()],
+            "twist_variable_entries": realization.render(twist=True),
             "truncated": realization.truncated,
         },
         "compression": {

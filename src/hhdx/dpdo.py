@@ -20,7 +20,9 @@ and the expansion summed on one sort key, in chunks of bounded size.  A
 product is one row per owner, a commutator two, and a check linear in
 products one signed sum that must vanish; nothing is memoized.  The module
 also provides the closed-form centrality depth, realization of an operator
-as a matrix over the Frobenius-twist subring, compression of a
+as a matrix over the Frobenius-twist subring (one term array (row, col, e,
+c) filled by array passes over terms x chunks of basis columns, its entry
+grids rendered from it and single entries built on demand), compression of a
 twist-aligned operator to the corner copy acting on the subring (and the
 compressed degree window every depth-r scenario shares), operator windows
 held as exponent arrays whose matrices one builder writes from closed-form
@@ -376,11 +378,13 @@ def _reduce(p, terms):
     return out, head
 
 
-# Terms of one chunk of a product's expansion, so a product's working memory
-# does not grow with its size.  A chunk peaks at 9.5 MB of arrays at n = 1 (144
-# bytes a term) and 11.5 MB at n = 2 (tracemalloc).  smith-tower p = 47 r = 2
-# expands 5.6 million terms in about 1.3 s at 2^16 and at 2^18, with 49 MB and
-# 76 MB peak RSS (2-vCPU Xeon guest).
+# Terms of one chunk of a product's expansion, or of a matrix realization's
+# terms x basis columns, so working memory does not grow with either.  A product
+# chunk peaks at 9.5 MB of arrays at n = 1 (144 bytes a term) and 11.5 MB at
+# n = 2 (tracemalloc).  smith-tower p = 47 r = 2 expands 5.6 million terms in
+# about 1.3 s at 2^16 and at 2^18, with 49 MB and 76 MB peak RSS (2-vCPU Xeon
+# guest).  A 2000-term operator realizes at q = 3721 in 0.8 s and 38 MB, where
+# one pass took 1.5 s and 719 MB.
 _PRODUCT_CHUNK_TERMS = 1 << 16
 
 
@@ -446,46 +450,53 @@ def _expand(algebra, pairs, b, c, hi, box, row):
 class MatrixRealization:
     """An operator written as a matrix over the depth-r twist subring.
 
-    rows/columns are indexed by the monomial basis {x^a : 0 <= a_i < p^r}
-    of the polynomial ring over its twist subring, in lexicographic order;
-    entries are polynomials with every exponent divisible by p^r.
+    Rows and columns are indexed by the monomial basis {x^m : 0 <= m_i < q},
+    q = p^r, of the polynomial ring over its twist subring, numbered in
+    lexicographic order.  `terms` is one int64 array of rows (row, col,
+    e_1..e_n, c), a column per nonzero term c x^e of entry (row, col); every
+    e_i is divisible by q.
     """
 
-    __slots__ = ("algebra", "r", "basis", "entries", "truncated")
+    __slots__ = ("algebra", "r", "terms", "truncated")
 
-    def __init__(self, algebra, r, basis, entries, truncated):
-        self.algebra = algebra
-        self.r = r
-        self.basis = basis
-        self.entries = entries
-        self.truncated = truncated
+    def __init__(self, algebra, r, terms, truncated):
+        self.algebra, self.r, self.terms, self.truncated = algebra, r, terms, truncated
 
     @property
     def size(self):
-        return len(self.basis)
+        return self.algebra.p ** (self.r * self.algebra.n)
 
     def entry(self, row, col):
-        return self.entries[row][col]
+        """Entry (row, col) as a polynomial of the algebra's ring."""
+        cell = self.terms[:, (self.terms[0] == row) & (self.terms[1] == col)]
+        return self.algebra.ring.from_terms((tuple(e), c) for _, _, *e, c in cell.T.tolist())
 
-    def entries_in_twist_variables(self):
-        """Entries rewritten in fresh variables u_i = x_i^(p^r) (u alone for
-        one variable)."""
-        ring = self.algebra.ring
-        names = tuple(f"u{i}" for i in range(ring.n)) if ring.n > 1 else ("u",)
-        target = PolyRing(ring.p, ring.n, names=names, laurent=ring.laurent)
-        out = []
-        for row in self.entries:
-            out.append([MultiPoly(target, f.twist_root(self.r).terms) for f in row])
-        return out
-
-    def render(self):
-        return [[f.render() for f in row] for row in self.entries]
+    def render(self, twist=False):
+        """The entries as a size x size grid of strings, "0" where empty, each
+        entry's terms in descending graded-lexicographic order: c*x^e, or with
+        `twist` c*u^(e/q) in the twist variables u_i = x_i^q (u alone for one
+        variable)."""
+        ring, q = self.algebra.ring, self.algebra.p ** self.r
+        names, exps = ring.names, self.terms[2:-1]
+        if twist:
+            names = tuple(f"u{i}" for i in range(ring.n)) if ring.n > 1 else ("u",)
+            exps = exps // q
+        order = np.lexsort([*-exps[::-1], -exps.sum(axis=0), *self.terms[1::-1]])
+        terms = np.concatenate([self.terms[:2], exps, self.terms[-1:]]).take(order, axis=1)
+        grid = [["0"] * self.size for _ in range(self.size)]
+        for (row, col), cell in itertools.groupby(terms.T.tolist(), key=lambda t: t[:2]):
+            grid[row][col] = render_terms((t[-1], power_factors(names, t[2:-1])) for t in cell)
+        return grid
 
 
 def matrix_realize(op, r, degree_bound=None):
     """Realize an operator of centrality depth <= r as a matrix over the
-    twist subring.  Entries are exact unless degree_bound is given, in
-    which case they are truncated to the window and flagged."""
+    twist subring, one array pass per chunk of basis columns (one pass when
+    terms x columns <= `_PRODUCT_CHUNK_TERMS`): c x^a D^(b) sends the column
+    x^m to c C(m, b) x^(m - b + a), in row (m - b + a) mod q.  A chunk's image
+    terms are summed, an exponent past `MAX_EXPONENT` is refused (the first,
+    in column and term order, that survives its sum), and the sums are
+    truncated to total degree <= degree_bound, if given, and flagged."""
     if op.algebra.laurent:
         raise ValueError("matrix realization needs a polynomial algebra")
     if r < 0:
@@ -498,34 +509,41 @@ def matrix_realize(op, r, degree_bound=None):
     ring = op.algebra.ring
     p, n = ring.p, ring.n
     q = p ** r
-    # A rank-q realization renders q^2 entries.  One process per morita-matrix
-    # report (degree bound 2q, dp cap q - 1), 2-vCPU Xeon guest: q = 625 takes
-    # 3.4 s and 117 MB, q = 2401 41 s and 1.2 GB (a 173 MB report), and the
-    # largest accepted rank, q = 3721 (p = 61), 96 s and 2.8 GB (415 MB).
-    # Lowering the cap waits for a plan of a report's cost before it is built.
+    # A rank-q realization is one term array, built and rendered in 0.14 s at
+    # q = 2401; its report's two q^2-entry grids cost the rest.  One process per
+    # morita-matrix report (default operator, degree bound 2q), 2-vCPU Xeon guest:
+    # q = 343 takes 0.17-0.19 s and 58 MB, q = 2401 9-13 s and 1.2 GB (a 173 MB
+    # report: cli._plain walks its 11.5 million strings in about 4.5 s, and
+    # json.dumps takes 3.8 s and 0.95 GB), and the largest accepted rank, q = 3721
+    # (p = 61), 21-23 s and 2.8 GB (415 MB).  Lowering the cap waits for a plan
+    # of a report's cost before it is built.
     if q ** n > 4096:
         raise CapacityError("twist-basis rank exceeds capacity")
-    basis = sorted(itertools.product(range(q), repeat=n))
-    index = {a: i for i, a in enumerate(basis)}
-    zero = ring.zero()
-    entries = [[zero for _ in basis] for _ in basis]
-    truncated = False
-    for col, c_exps in enumerate(basis):
-        image = op.act(ring.monomial(c_exps))
-        cells = {}
-        for m, coeff in image.terms.items():
-            quot = tuple((e // q) * q for e in m)
-            res = tuple(e % q for e in m)
-            row = index[res]
-            cell = cells.setdefault(row, {})
-            cell[quot] = (cell.get(quot, 0) + coeff) % p
-        for row, terms in cells.items():
-            f = MultiPoly(ring, terms)
-            if degree_bound is not None:
-                f, dropped = f.truncate(degree_bound)
-                truncated = truncated or dropped
-            entries[row][col] = f
-    return MatrixRealization(op.algebra, r, basis, entries, truncated)
+    shape = (q,) * n
+    a, b, c = op.terms[1:1 + n], op.terms[1 + n:-1], op.terms[-1]
+    step = max(1, _PRODUCT_CHUNK_TERMS // max(1, len(c)))  # columns of one chunk
+    parts, truncated = [np.zeros((n + 3, 0), dtype=np.int64)], False
+    for first in range(0, q ** n, step):  # columns in basis order, terms in order
+        cols = np.arange(first, min(first + step, q ** n))
+        col, term = np.repeat(cols, len(c)), np.tile(np.arange(len(c)), len(cols))
+        m = np.array(np.unravel_index(col, shape))
+        coeff = c.take(term)
+        for i in range(n):
+            coeff = coeff * binomial_array(m[i], b[i].take(term), p) % p
+        nz = np.flatnonzero(coeff)
+        col, term = col.take(nz), term.take(nz)
+        image = m.take(nz, axis=1) - b.take(term, axis=1) + a.take(term, axis=1)
+        terms, head = _reduce(p, np.concatenate(
+            [[np.ravel_multi_index(image % q, shape), col], image, [coeff.take(nz)]]))
+        exps = terms[2:-1]
+        past = np.flatnonzero((exps >= MAX_EXPONENT).any(axis=0))
+        if past.size:  # the ring refuses it with MultiPoly's message
+            ring.monomial(exps[:, past[np.argmin(head.take(past))]].tolist())
+        exps -= exps % q
+        inside = exps.sum(axis=0) <= (np.inf if degree_bound is None else degree_bound)
+        parts.append(terms[:, inside])
+        truncated = truncated or not inside.all()
+    return MatrixRealization(op.algebra, r, np.concatenate(parts, axis=1), truncated)
 
 
 # -- Morita compression to the twist corner ------------------------------------------------------
@@ -593,7 +611,7 @@ def compression_action_agrees(op, compressed, r, degree_bound):
     return True
 
 
-# -- windowed operator modules ------------------------------------------------------------------------
+# -- windowed operator modules ---------------------------------------------------------------
 
 
 class WindowIndex:

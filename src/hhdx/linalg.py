@@ -867,7 +867,8 @@ class DoubleComplex:
             out[c, :self.max_i + 1 - i] = self._pair_counts(i + j)[i, i:]
             into[c, :i + 1] = self._pair_counts(i + j - 1)[i::-1, i]
         dims = np.array([self.dims[cell] for cell in cells], dtype=np.int64)
-        left = dims[:, None] - np.cumsum(out + into, axis=1)  # left[:, r - 1] = dim E_r
+        left = np.add(out, into, out=into)  # in place: two (cells x pages) arrays at most
+        np.subtract(dims[:, None], np.cumsum(left, axis=1, out=left), out=left)  # dim E_r at r - 1
 
         def nonzero(column):
             return {cell: v for cell, v in zip(cells, column.tolist()) if v}

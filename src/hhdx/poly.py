@@ -1,16 +1,11 @@
 """Sparse multivariate polynomials over F_p with optional Laurent exponents.
 
 Polynomials are immutable maps from exponent tuples to nonzero coefficients
-in [1, p).  Arithmetic is exact; truncation to a degree window is a separate
-explicit step that reports whether anything was discarded, so downstream
-homological computations can tell certified results from windowed ones.
-
-Degree windows: an ordinary polynomial is inside the window for bound D
-when every monomial has total degree <= D; a Laurent polynomial is inside
-when every single exponent satisfies |e_i| <= D.
-
-The depth-r Frobenius-twist subring F_p[x_i^(p^r)] is handled by its
-membership test and by the root map x^(p^r a) -> x^a back out of it.
+in [1, p), with exact arithmetic, evaluation at points of F_p^n and a
+deterministic rendering (`repr`).  The depth-r Frobenius-twist subring
+F_p[x_i^(p^r)] is handled by its membership test.  Degree windows and the
+twist variables of a matrix realization live on `dpdo.MatrixRealization`'s
+term array, not here.
 """
 
 from __future__ import annotations
@@ -101,10 +96,6 @@ class MultiPoly:
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), 0)
 
-    def support(self):
-        """Exponent tuples in descending graded-lexicographic order."""
-        return sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
-
     def total_degree(self):
         """Max total degree over terms; None for the zero polynomial."""
         if not self.terms:
@@ -174,24 +165,6 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items()))))
 
-    # -- degree windows ------------------------------------------------------
-
-    def _inside(self, exps, bound):
-        if self.ring.laurent:
-            return all(abs(e) <= bound for e in exps)
-        return sum(exps) <= bound
-
-    def truncate(self, bound):
-        """(polynomial inside the window, whether anything was discarded)."""
-        kept = {}
-        dropped = False
-        for e, c in self.terms.items():
-            if self._inside(e, bound):
-                kept[e] = c
-            else:
-                dropped = True
-        return MultiPoly(self.ring, kept), dropped
-
     # -- the Frobenius-twist subring ----------------------------------------------
 
     def in_twist_subring(self, r):
@@ -200,14 +173,6 @@ class MultiPoly:
             raise ValueError("r must be nonnegative")
         q = self.ring.p ** r
         return all(e % q == 0 for exps in self.terms for e in exps)
-
-    def twist_root(self, r):
-        """Preimage under r-fold Frobenius; requires twist membership."""
-        q = self.ring.p ** r
-        if not self.in_twist_subring(r):
-            raise ValueError(f"polynomial is not in the depth-{r} twist subring")
-        return MultiPoly(self.ring, {tuple(e // q for e in exps): c
-                                     for exps, c in self.terms.items()})
 
     # -- evaluation and rendering ----------------------------------------------
 
@@ -233,15 +198,11 @@ class MultiPoly:
             total = (total + v) % p
         return total
 
-    def render(self):
-        """Deterministic human-readable form, graded-lex descending."""
-        if not self.terms:
-            return "0"
-        return render_terms((self.terms[exps], power_factors(self.ring.names, exps))
-                            for exps in self.support())
-
     def __repr__(self):
-        return self.render()
+        """Terms in descending graded-lexicographic order, as "3*x^2 + x*y + 1"."""
+        support = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
+        return render_terms((self.terms[e], power_factors(self.ring.names, e))
+                            for e in support) or "0"
 
 
 def power_factors(names, exps):

@@ -7,9 +7,10 @@ builders the nonzero triples of FpMatrix are tested against, the
 hand-written constructions the
 shared builders replaced, the general tower limit the closed-form Tower is
 tested against, the dict-based operator and term-by-term product the
-operator term arrays and their normal-ordering kernel are tested against and
+operator term arrays and their normal-ordering kernel are tested against,
 the operator-by-operator smith-tower check its batched passes are tested
-against, the per-column operator window the array window builder
+against, the grid of polynomials the matrix realization's term array is
+tested against, the per-column operator window the array window builder
 is tested against, the per-degree tables the filtered sequence's degree
 table is tested against, the stacked commutator kernels the nested
 centralizers are tested against, the unit-span intersection and chart quotient the
@@ -35,7 +36,7 @@ from hhdx.linalg import (
     Subspace,
     block_matrix,
 )
-from hhdx.poly import MAX_EXPONENT, MultiPoly, power_factors, render_terms
+from hhdx.poly import MAX_EXPONENT, MultiPoly, PolyRing, power_factors, render_terms
 
 
 def staircase(p, length):
@@ -901,6 +902,43 @@ def oracle_smith_tower_check(p, levels):
         for f_s, x_s in zip(truncations, witnesses)
         for m, ad in zip(samples, ads))
     return derivation_ok, tail_invisible, increments_ok, witness_ok
+
+
+def oracle_matrix_realize(op, r, degree_bound=None):
+    """The grid realization that `MatrixRealization`'s term array replaced,
+    by dict loops: each basis column x^m's image under every term c x^a D^(b)
+    of op, c C(m, b) x^(m - b + a), is summed into one polynomial (which
+    refuses an exponent past the cap, the first of the column in term order),
+    then split into row (m - b + a) mod q and entry term x^(m - b + a - row),
+    and entries of total degree past degree_bound, if given, are dropped.
+    Returns (the q^n x q^n grid of polynomials, the same grid in the twist
+    variables u_i = x_i^q, whether any term was dropped)."""
+    ring = op.algebra.ring
+    p, n, q = ring.p, ring.n, ring.p ** r
+    twist = PolyRing(p, n, names=tuple(f"u{i}" for i in range(n)) if n > 1 else ("u",))
+    basis = sorted(itertools.product(range(q), repeat=n))
+    index = {m: k for k, m in enumerate(basis)}
+    cells = [[{} for _ in basis] for _ in basis]
+    truncated = False
+    for col, m in enumerate(basis):
+        image = {}
+        for (a, b), c in term_dict(op).items():
+            coeff = c
+            for i in range(n):
+                coeff = coeff * binomial_mod(m[i], b[i], p) % p
+            if coeff:
+                x = tuple(m[i] - b[i] + a[i] for i in range(n))
+                image[x] = (image.get(x, 0) + coeff) % p
+        for x, c in MultiPoly(ring, image).terms.items():
+            e = tuple(xi - xi % q for xi in x)
+            if degree_bound is not None and sum(e) > degree_bound:
+                truncated = True
+            else:
+                cells[index[tuple(xi % q for xi in x)]][col][e] = c
+    grid = [[MultiPoly(ring, cell) for cell in row] for row in cells]
+    twisted = [[MultiPoly(twist, {tuple(e // q for e in exps): c for exps, c in cell.items()})
+                for cell in row] for row in cells]
+    return grid, twisted, truncated
 
 
 # The plane's middle-degree certificate and the elliptic chart window read

@@ -161,6 +161,20 @@ def test_an_operator_exponent_past_int64_is_refused_by_name(operator, message, c
     assert capsys.readouterr().err == f"capacity/window: {message}\n"
 
 
+@pytest.mark.parametrize("argv,code,err", [
+    (["--prime", "2", "--depth", "1", "--degree-bound", "4", "--operator", "65535,0,1"],
+     4, "capacity/window: exponent 65536 exceeds capacity 65536\n"),
+    # t^65534 + t^65535 Dt^(1) at p = 3 sends t^2 to (1 + 2) t^65536 = 0
+    (["--prime", "3", "--depth", "1", "--operator", "65534,0,1;65535,1,1"], 0, ""),
+], ids=["refused", "cancelled"])
+def test_morita_image_exponent_past_the_cap(argv, code, err, capsys):
+    """t^65535 sends the basis column t to t^65536, one past the exponent cap,
+    and the realization refuses it by name; an image term whose coefficients
+    cancel is not refused."""
+    assert main(["--scenario", "morita-matrix", *argv]) == code
+    assert capsys.readouterr().err == err
+
+
 def test_pd_derham_line_window_is_never_held_dense(capsys):
     """The line's 2601 x 2601 matrices carry about one nonzero a column: as
     triples they take kilobytes where one dense copy took 54 MB."""

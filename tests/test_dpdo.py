@@ -1,5 +1,6 @@
 """Divided-power operators: products, actions, invariants, realizations."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from helpers import (
     OracleOperator,
     commutes_with,
     invert_variable,
+    oracle_matrix_realize,
     oracle_operator_matrix,
     oracle_product,
     term_dict,
@@ -179,10 +181,11 @@ def test_matrix_realize_frozen_examples():
     alg = OperatorAlgebra(2, 1, names=("t",))
     t = alg.variable()
     real_t = matrix_realize(t, 1)
-    assert real_t.basis == [(0,), (1,)]
+    assert real_t.size == 2
+    assert real_t.terms.tolist() == [[0, 1], [1, 0], [2, 0], [1, 1]]  # (row, col, e, c)
     assert real_t.render() == [["0", "t^2"], ["1", "0"]]
-    twisted = real_t.entries_in_twist_variables()
-    assert [[f.render() for f in row] for row in twisted] == [["0", "u"], ["1", "0"]]
+    assert real_t.render(twist=True) == [["0", "u"], ["1", "0"]]
+    assert real_t.entry(0, 1) == alg.ring.monomial((2,)) and real_t.entry(0, 0) == alg.ring.zero()
 
     d = alg.divided_power(0, 1)
     real_d = matrix_realize(d, 1)
@@ -191,6 +194,11 @@ def test_matrix_realize_frozen_examples():
 
     with pytest.raises(DepthError):
         matrix_realize(alg.divided_power(0, 2), 1)  # depth 2 at p = 2
+
+
+def entry_grid(realization):
+    size = realization.size
+    return [[realization.entry(i, j) for j in range(size)] for i in range(size)]
 
 
 def poly_matrix_product(a, b, ring):
@@ -219,7 +227,7 @@ def test_matrix_realize_is_multiplicative():
             ra = matrix_realize(a, r)
             rb = matrix_realize(b, r)
             rab = matrix_realize(a * b, r)
-            assert rab.entries == poly_matrix_product(ra.entries, rb.entries, alg.ring)
+            assert entry_grid(rab) == poly_matrix_product(entry_grid(ra), entry_grid(rb), alg.ring)
 
 
 def test_matrix_realize_truncation_flag():
@@ -229,6 +237,97 @@ def test_matrix_realize_truncation_flag():
     assert not exact.truncated
     windowed = matrix_realize(op, 1, degree_bound=2)
     assert windowed.truncated
+    # x^4 + x^5 D^(1) at p = 3 sends x^2 to (1 + 2) x^6 = 0: the window is
+    # applied to the sums, so the cancelled x^6 past degree 3 flags nothing
+    op = OperatorAlgebra(3, 1).from_terms({((4,), (0,)): 1, ((5,), (1,)): 1})
+    real = matrix_realize(op, 1, degree_bound=3)
+    assert not real.truncated
+    assert real.render() == [["0", "0", "0"], ["x^3", "0", "0"], ["0", "2*x^3", "0"]]
+    assert matrix_realize(op, 1, degree_bound=2).truncated
+
+
+# (p, n, r) with q^n <= 81 basis columns: the oracle builds q^2n polynomials
+_REALIZABLE = [(p, n, r) for p in (2, 3, 5, 7) for n in (1, 2) for r in (0, 1, 2)
+               if p ** (r * n) <= 81]
+
+
+@st.composite
+def realizations(draw):
+    """(op, r, degree_bound): an operator of centrality depth <= r and a degree
+    window or None; or c x^a D^(b) + c' x^(a+k) D^(b+k) with a = b + 1 mod q,
+    whose images of the last basis column x^(q-1) cancel at x^(q-1-b+a), a
+    multiple of q of larger degree than every other image, with the window just
+    below it, so only a window applied before summing would flag anything."""
+    p, n, r = draw(st.sampled_from(_REALIZABLE))
+    q = p ** r
+    alg = OperatorAlgebra(p, n)
+
+    def exps(hi):
+        return draw(st.tuples(*[st.integers(0, hi)] * n))
+
+    if q > 1 and draw(st.booleans()):
+        b, top = zip(*map(sorted, zip(exps(q - 1), exps(q - 1))))
+        if b != top:  # C(q-1, top) is a unit: q-1 has every base-p digit p-1
+            a = tuple(bi + 1 + q * j for bi, j in zip(b, exps(1)))
+            c = draw(st.integers(1, p - 1))
+            here, there = (math.prod(binomial_mod(q - 1, e, p) for e in x) for x in (b, top))
+            partner = tuple(ai + ti - bi for ai, ti, bi in zip(a, top, b))
+            op = alg.from_terms({(a, b): c, (partner, top): -c * here * pow(there, -1, p)})
+            return op, r, sum(q - 1 - bi + ai for ai, bi in zip(a, b)) - 1
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        terms[exps(2 * q + 1), exps(q - 1)] = draw(st.integers(1, p - 1))
+    return alg.from_terms(terms), r, draw(st.none() | st.integers(0, 3 * q + 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(realizations())
+@example((OperatorAlgebra(3, 1).from_terms({((4,), (0,)): 1, ((5,), (1,)): 1}), 1, 3))
+@example((OperatorAlgebra(2, 2).from_terms({((3, 1), (1, 0)): 1, ((0, 0), (0, 1)): 1}), 2, 5))
+def test_matrix_realize_matches_the_grid_oracle(case):
+    """Both rendered grids, the truncation flag and every entry agree with the
+    dict-loop grid of `oracle_matrix_realize`."""
+    op, r, bound = case
+    got = matrix_realize(op, r, degree_bound=bound)
+    grid, twisted, truncated = oracle_matrix_realize(op, r, bound)
+    assert got.size == len(grid)
+    assert got.truncated == truncated
+    assert got.render() == [[repr(f) for f in row] for row in grid]
+    assert got.render(twist=True) == [[repr(f) for f in row] for row in twisted]
+    assert entry_grid(got) == grid
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_matrix_realize_in_small_chunks_matches_the_grid_oracle(chunk, monkeypatch):
+    """Chunks of a term or a few basis columns sum, truncate and refuse as one
+    pass does: a refusal names the first column's surviving term past the cap,
+    as the oracle's does."""
+    monkeypatch.setattr(dpdo, "_PRODUCT_CHUNK_TERMS", chunk)
+    rng = np.random.default_rng(chunk)
+
+    def realized(op, r, bound):
+        real = matrix_realize(op, r, degree_bound=bound)
+        return real.render() + real.render(twist=True), real.truncated
+
+    def oracle(op, r, bound):
+        grid, twisted, truncated = oracle_matrix_realize(op, r, bound)
+        return [[repr(f) for f in row] for row in grid + twisted], truncated
+
+    def outcome(realize, *case):
+        try:
+            return realize(*case)
+        except CapacityError as err:
+            return str(err)
+
+    for p, n, r in _REALIZABLE:
+        q = p ** r
+        for top in (2 * q + 1, MAX_EXPONENT - 1):  # small terms, and terms at the cap
+            op = OperatorAlgebra(p, n).from_terms({
+                (tuple((top - rng.integers(0, 2 * q + 2, n)).tolist()),
+                 tuple(rng.integers(0, q, n).tolist())): int(rng.integers(1, p))
+                for _ in range(4)})
+            case = op, r, int(rng.integers(0, 3 * q + 3))
+            assert outcome(realized, *case) == outcome(oracle, *case)
 
 
 def test_morita_compress_frozen():

@@ -756,6 +756,23 @@ def test_triangle_at_the_extent_cap_has_closed_form_pages(monkeypatch):
         DoubleComplex(3, *_triangle(3, e + 1), {})
 
 
+def test_pages_at_the_extent_cap_hold_under_three_page_tables():
+    """With its pair tables filled, a spectral_sequence call keeps dim E_r and
+    the ranks in two (cells x pages) int64 arrays, summed in place."""
+    e = linalg.MAX_DOUBLE_EXTENT
+    dims, d_h = _triangle(3, e)
+    dc = DoubleComplex(3, dims, d_h, {})
+    pages = dc.spectral_sequence()  # fills the pair tables
+    tracemalloc.start()
+    try:
+        again = dc.spectral_sequence()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [page.dims for page in again] == [page.dims for page in pages]
+    assert peak < 3 * len(dims) * (len(pages) + 1) * 8
+
+
 # -- memoized complexes against the uncached oracles in helpers.py ----------------
 
 
