@@ -34,6 +34,7 @@ diagram's algebra and module restrictions are each validated as a
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -316,19 +317,24 @@ class GSComplex:
     C^(i,j) = direct sum over length-i chains sigma of the Hochschild
     j-cochains of A(max sigma) with values in M(min sigma) (the bimodule
     pulled back along the chain's restriction), for j up to `MAX_BAR`.
-    `face_double_complex` builds it from the nerve chains: each chain's
-    vertical map is its bar differential, its k-th face `_face_matrix`.
+    `face_double_complex` builds it from the nerve chains on the first read of
+    `double` (so a diagram whose double complex fails its d∘d check raises
+    there, and cochains and cups never build it): each chain's vertical map is
+    its bar differential, its k-th face `_face_matrix`.
     """
 
     def __init__(self, diagram):
         self.diagram = diagram
         self.p = diagram.p
-        cells = diagram.poset.nerve_cells()
-        self.chains = dict(enumerate(cells))
-        self.max_i = len(cells) - 1
+        self.chains = dict(enumerate(diagram.poset.nerve_cells()))
+        self.max_i = len(self.chains) - 1
         self.max_j = MAX_BAR
+
+    @functools.cached_property
+    def double(self):
+        cells = list(self.chains.values())
         pulled = {sigma: self._pullback_bimodule(sigma) for level in cells for sigma in level}
-        self.double = face_double_complex(
+        return face_double_complex(
             self.p, cells, MAX_BAR + 1, self.block_dim,
             lambda s, j: bar_differential_matrix(pulled[s], j), self._face_matrix)
 

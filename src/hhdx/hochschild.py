@@ -5,10 +5,11 @@ Two complementary models are implemented.
 * The bar model: for a finite-dimensional associative algebra given by
   structure constants and a bimodule given by action matrices, the degree-j
   cochains are arrays indexed by j algebra slots and one module slot
-  (flattened in C order), and the differential is assembled from Kronecker
-  products of the action and multiplication tensors.  This is exact and
-  certified but desk-scale: d^j is a dense n^(j+1) m x n^j m matrix, refused
-  past `linalg.MAX_MATRIX_ENTRIES` before it is made.  The action
+  (flattened in C order), and d^j is written as its nonzeros by index
+  arithmetic: each term's action or multiplication tensor nonzeros, repeated
+  over the slots it leaves alone.  Their count, n^j (nnz L + nnz R) +
+  j n^(j-1) m nnz(table), is refused past `linalg.MAX_MATRIX_ENTRIES` before
+  any is made.  The action
   of any algebra element is `Bimodule.action`, and `cup_contract` is the one
   cup contraction, shared with the diagram cup product in `gs`.
 
@@ -184,37 +185,32 @@ class Bimodule:
 
 
 def bar_differential_matrix(bimodule, j):
-    """Matrix of d : C^j -> C^(j+1) on C-order flattened cochains.
+    """Matrix of d : C^j -> C^(j+1) on C-order flattened cochains, as triples.
 
     C^j(A, M) = maps A^(x)j -> M stored as arrays of shape (n,)*j + (m,),
-    index ((i_1..i_j), t).
+    index ((i_1..i_j), t) at I m + t.  (d phi)(a_0..a_j) = a_0 phi(a_1..a_j)
+    + sum_k (-1)^k phi(.., a_(k-1) a_k, ..) + (-1)^(j+1) phi(a_0..a_(j-1)) a_j;
+    each term's triples are the nonzeros of its action or multiplication
+    tensor repeated over the slots it leaves alone.
     """
     a = bimodule.algebra
-    p = a.p
-    n = a.dim
-    m = bimodule.dim
-    rows = n ** (j + 1) * m
-    cols = n ** j * m
-    _check_capacity(rows * cols)
-    eye_front = np.eye(n ** j, dtype=np.int64)
-    # insertion of a_0 through the left action
-    stack_l = np.concatenate(bimodule.left, axis=0)  # ((i0, t), s)
-    term0 = np.kron(eye_front, stack_l)
-    # rows of term0 are ordered ((i_1..i_j), i_0, t) but we need
-    # (i_0, (i_1..i_j), t): permute the row blocks
-    term0 = term0.reshape(n ** j, n, m, cols).transpose(1, 0, 2, 3).reshape(rows, cols)
-    total = term0 % p
-    # interior multiplications
-    mul = a.table.reshape(n * n, n)
-    for i in range(1, j + 1):
-        mat = np.kron(np.kron(np.eye(n ** (i - 1), dtype=np.int64), mul),
-                      np.eye(n ** (j - i) * m, dtype=np.int64))
-        total = (total + (-1) ** i * mat) % p
-    # appending a_(j+1) through the right action
-    stack_r = np.concatenate(bimodule.right, axis=0)  # ((i_last, t), s)
-    last = np.kron(eye_front, stack_r)
-    total = (total + (-1) ** (j + 1) * last) % p
-    return FpMatrix(p, total)
+    n, m, nj = a.dim, bimodule.dim, a.dim ** j
+    left, right, mul = (np.nonzero(x) for x in (bimodule.left, bimodule.right, a.table))
+    _check_capacity(nj * (left[0].size + right[0].size)
+                    + j * n ** max(j - 1, 0) * m * mul[0].size, "bar differential")
+    front = np.arange(nj)[:, None]  # (a_1..a_j) for a_0's action, (a_0..a_(j-1)) for a_j's
+    (i, t, s), (r, u, w) = left, right
+    terms = [((i * nj + front) * m + t, front * m + s, np.tile(bimodule.left[left], nj)),
+             ((front * n + r) * m + u, front * m + w,
+              np.tile((-1) ** (j + 1) * bimodule.right[right], nj))]
+    x, y, z = (c[:, None] for c in mul)  # e_x e_y has an e_z term
+    for k in range(1, j + 1):  # a_(k-1) a_k, between a block P < n^(k-1) and Q < n^(j-k) m
+        back = np.arange(n ** (j - k) * m)
+        pre = np.arange(n ** (k - 1))[:, None, None]
+        terms.append((((pre * n + x) * n + y) * back.size + back, (pre * n + z) * back.size + back,
+                      np.tile(np.repeat((-1) ** k * a.table[mul], back.size), pre.size)))
+    row, col, val = (np.concatenate([c.ravel() for c in part]) for part in zip(*terms))
+    return FpMatrix.from_triples(a.p, (n * nj * m, nj * m), row, col, val)
 
 
 def bar_complex(bimodule, top):

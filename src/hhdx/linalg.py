@@ -51,15 +51,15 @@ from .errors import CapacityError
 
 # The entries of one dense int64 array (320 MB), checked before such an array
 # is made: `FpMatrix.a`, each stack of blocks in `_rref`, the output of
-# `product`'s dense `@` and the pair arrays of its join,
-# `bar_differential_matrix` and `StructAlgebra`'s associativity check.
+# `product`'s dense `@` and the pair arrays of its join, and `StructAlgebra`'s
+# associativity check; and the predicted triples of `bar_differential_matrix`.
 # Matrices are held as nonzeros everywhere else, so their shape is not capped.
 MAX_MATRIX_ENTRIES = 40_000_000
 
 
-def _check_capacity(entries):
+def _check_capacity(entries, what="dense array"):
     if entries > MAX_MATRIX_ENTRIES:
-        raise CapacityError(f"dense array of {entries} entries exceeds capacity")
+        raise CapacityError(f"{what} of {entries} entries exceeds capacity")
 
 
 # On a 2-vCPU Xeon with numpy 2.4, below 512 entries fixed per-call costs rule,

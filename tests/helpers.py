@@ -9,6 +9,7 @@ shared builders replaced, the general tower limit the closed-form Tower is
 tested against, the dict-based operator and term-by-term product the
 operator term arrays and their normal-ordering kernel are tested against,
 the operator-by-operator smith-tower check its batched passes are tested
+against, the Kronecker-product bar differential its triples are tested
 against, the grid of polynomials the matrix realization's term array is
 tested against, the per-column operator window the array window builder
 is tested against, the per-degree tables the filtered sequence's degree
@@ -648,6 +649,45 @@ def oracle_koszul_commutator_complex(p, dim, matrices):
                     blocks.append(((tgt[tuple(sorted(s + (i,)))], col), sign * mats[i]))
         diffs[j] = block_matrix(p, [dim] * len(tgt), [dim] * len(subsets[j]), blocks)
     return CochainComplex(p, dims, diffs)
+
+
+# The bar differential as it was built before it was written as triples: a
+# dense matrix summed from Kronecker products of the action matrices, the
+# multiplication table and identities.
+
+
+def oracle_bar_differential_matrix(bimodule, j):
+    """Matrix of d : C^j -> C^(j+1) on C-order flattened cochains.
+
+    C^j(A, M) = maps A^(x)j -> M stored as arrays of shape (n,)*j + (m,),
+    index ((i_1..i_j), t).
+    """
+    a = bimodule.algebra
+    p = a.p
+    n = a.dim
+    m = bimodule.dim
+    rows = n ** (j + 1) * m
+    cols = n ** j * m
+    linalg._check_capacity(rows * cols)
+    eye_front = np.eye(n ** j, dtype=np.int64)
+    # insertion of a_0 through the left action
+    stack_l = np.concatenate(bimodule.left, axis=0)  # ((i0, t), s)
+    term0 = np.kron(eye_front, stack_l)
+    # rows of term0 are ordered ((i_1..i_j), i_0, t) but we need
+    # (i_0, (i_1..i_j), t): permute the row blocks
+    term0 = term0.reshape(n ** j, n, m, cols).transpose(1, 0, 2, 3).reshape(rows, cols)
+    total = term0 % p
+    # interior multiplications
+    mul = a.table.reshape(n * n, n)
+    for i in range(1, j + 1):
+        mat = np.kron(np.kron(np.eye(n ** (i - 1), dtype=np.int64), mul),
+                      np.eye(n ** (j - i) * m, dtype=np.int64))
+        total = (total + (-1) ** i * mat) % p
+    # appending a_(j+1) through the right action
+    stack_r = np.concatenate(bimodule.right, axis=0)  # ((i_last, t), s)
+    last = np.kron(eye_front, stack_r)
+    total = (total + (-1) ** (j + 1) * last) % p
+    return FpMatrix(p, total)
 
 
 def oracle_structure_window_diagram(p, du):

@@ -285,6 +285,19 @@ def test_cup_leibniz_randomized(build):
                 assert _leibniz_defect(gs, i1, j1, alpha, i2, j2, beta) == 0
 
 
+def test_double_complex_read_after_cups_holds_the_matrices_of_one_read_at_once():
+    diagram = _evaluation_diagram(3)
+    eager, lazy = GSComplex(diagram), GSComplex(diagram)
+    want = eager.double
+    rng = np.random.default_rng(3)
+    for (i1, j1), (i2, j2) in [((0, 0), (1, 1)), ((0, 1), (0, 1)), ((1, 1), (0, 0))]:
+        lazy.cup(i1, j1, lazy.random_cochain(i1, j1, rng), i2, j2,
+                 lazy.random_cochain(i2, j2, rng))
+    assert "double" not in vars(lazy)  # cups and cochains build no double complex
+    got = lazy.double
+    assert (got.dims, got.d_h, got.d_v) == (want.dims, want.d_h, want.d_v)
+
+
 def test_cup_unit_and_point_agreement():
     algebra = StructAlgebra.matrix_algebra(3, 2)
     bim = Bimodule.regular(algebra)

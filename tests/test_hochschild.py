@@ -11,13 +11,16 @@ from helpers import (
     joins,
     matrix_polynomial,
     mul_vec,
+    oracle_bar_differential_matrix,
     oracle_koszul_commutator_complex,
     oracle_middle_window_vanishes,
     tensor_algebra,
 )
+from test_gs import _evaluation_diagram
 from hhdx import linalg
 from hhdx.cli import _make_algebra
 from hhdx.errors import CapacityError, WindowError
+from hhdx.gs import GSComplex
 from hhdx.hochschild import (
     Bimodule,
     StructAlgebra,
@@ -162,21 +165,48 @@ def test_bar_differential_squares_to_zero():
                 StructAlgebra.truncated_polynomial(3, 3),
                 StructAlgebra.product_of_copies(5, 2)):
         bim = Bimodule.regular(alg)
-        bar_complex(bim, 3)  # dature checked at construction
+        bar_complex(bim, 3)  # d∘d checked at construction
+
+
+def _bar_bimodules(p):
+    """Regular bimodules of M_2(F_p), F_p^k (k <= 4) and F_p[x]/(x^k) (k <= 5),
+    and the bimodules the evaluation diagram pulls back along its chains."""
+    algebras = st.one_of(
+        st.just(StructAlgebra.matrix_algebra(p, 2)),
+        st.integers(min_value=1, max_value=4).map(
+            lambda k: StructAlgebra.product_of_copies(p, k)),
+        st.integers(min_value=1, max_value=5).map(
+            lambda k: StructAlgebra.truncated_polynomial(p, k)))
+    gs = GSComplex(_evaluation_diagram(p))
+    pulled = [gs._pullback_bimodule(s) for level in gs.chains.values() for s in level]
+    return st.one_of(algebras.map(Bimodule.regular), st.sampled_from(pulled))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_bar_differential_triples_match_the_kronecker_oracle(data):
+    bim = data.draw(st.sampled_from([2, 3, 5, 7]).flatmap(_bar_bimodules))
+    j = data.draw(st.integers(min_value=0, max_value=3))
+    assert bar_differential_matrix(bim, j) == oracle_bar_differential_matrix(bim, j)
 
 
 def test_bar_differential_refuses_over_capacity_before_allocating(monkeypatch):
     bim = Bimodule.regular(StructAlgebra.truncated_polynomial(2, 12))
-    # d : C^1 -> C^2 is a (12^2 * 12) x (12 * 12) matrix, one entry too many
-    monkeypatch.setattr(linalg, "MAX_MATRIX_ENTRIES", 12 ** 3 * 12 ** 2 - 1)
+    # d : C^1 -> C^2 writes 12 (78 + 78) action triples and 12 * 78 product
+    # triples (the table has 78 nonzeros): one entry over capacity refuses it
+    monkeypatch.setattr(linalg, "MAX_MATRIX_ENTRIES", 12 * (78 + 78) + 12 * 78 - 1)
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="bar differential of 2808 entries"):
             bar_differential_matrix(bim, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    monkeypatch.setattr(linalg, "MAX_MATRIX_ENTRIES", 12 * (78 + 78) + 12 * 78)
+    got = bar_differential_matrix(bim, 1)
+    monkeypatch.undo()
+    assert got == oracle_bar_differential_matrix(bim, 1)
 
 
 def test_struct_algebra_refuses_its_associativity_arrays_over_capacity(monkeypatch):
