@@ -67,6 +67,11 @@ FAMILIES = {
     "smith-tower r=2": (lambda p: ["--scenario", "smith-tower", "--prime", str(p),
                                    "--depth", "2", "--degree-bound", str(p * p)],
                         "p", [5, 7, 13, 23, 31, 47, 61, 79, 89, 97]),
+    # three levels at the least degree bound p^3, by prime; at p = 41, p^3
+    # passes MAX_EXPONENT = 2^16
+    "smith-tower r=3": (lambda p: ["--scenario", "smith-tower", "--prime", str(p),
+                                   "--depth", "3", "--degree-bound", str(p ** 3)],
+                        "p", [5, 7, 13, 23, 31, 37]),
 }
 
 

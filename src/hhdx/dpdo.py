@@ -15,8 +15,9 @@ as one int64 array of terms (owner, a, b, c); a single operator is a batch
 of one.  Its constructors check every term while its exponents are still
 Python ints or arrays, before any term is made.  One array kernel makes
 every product: `combination` sums (s L_l) R_r over rows (l, r, s, o) of one
-batch on owners o in one numpy pass, each term pair expanded over its j-box
-and the expansion summed on one sort key, in chunks of bounded size.  A
+batch on owners o in one numpy pass, each term pair expanded over the j of
+its j-box with C(c, j) != 0 mod p alone (Lucas) and the expansion summed on
+one sort key, in chunks of bounded size.  A
 product is one row per owner, a commutator two, and a check linear in
 products one signed sum that must vanish; nothing is memoized.  The module
 also provides the closed-form centrality depth, realization of an operator
@@ -39,16 +40,16 @@ import numpy as np
 
 from . import linalg
 from .errors import CapacityError, DepthError, WindowError
-from .gfp import binomial_array, binomial_mod, require_prime
+from .gfp import binomial_array, binomial_mod, digit_binomials, lucas_support, require_prime
 from .poly import MAX_EXPONENT, MultiPoly, PolyRing, power_factors, render_terms
 
-# The j-box of one term pair of a product.  No CLI input reaches it: reports
-# multiply one-variable polynomial operators only (smith-tower, cup-ring-map),
-# whose boxes min(b, c) + 1 stay at most 2^16 since c < MAX_EXPONENT.  At the
-# edge, one process on a 2-vCPU Xeon guest: D^(1413, 1413) x^(1413, 1413) at
-# p = 41 (box 1 999 396, 490 000 terms) takes 0.8 s and 138 MB, and the
-# Laurent D^(1 999 999) x^(-1) at p = 41 (box 2 000 000) 1.2 s and 348 MB
-# before its term x^(-65536) is refused.
+# The j-box of one term pair of a product (its Lucas support alone is expanded).
+# No CLI input reaches it: reports multiply one-variable polynomial operators
+# only (smith-tower, cup-ring-map), whose boxes min(b, c) + 1 stay at most 2^16
+# since c < MAX_EXPONENT.  At the edge, one process on a 2-vCPU Xeon guest:
+# D^(1413, 1413) x^(1413, 1413) at p = 41 (box 1 999 396, support 490 000) takes
+# 0.26 s and 115 MB, and the Laurent D^(1 999 999) x^(-1) at p = 41 (box and
+# support 2 000 000) 0.7 s and 307 MB before its term x^(-65536) is refused.
 MAX_PRODUCT_WORK = 2_000_000
 # The rank of one operator window.  One process per report, 2-vCPU guest: the
 # edge pd-derham p = 5, N = 446 (447^2 = 199 809) takes 0.44 s and 115 MB, and
@@ -207,7 +208,7 @@ class DPDOperator:
         `MAX_PRODUCT_WORK`, once the rows before it are expanded, or a term past
         a cap that survives its row's product, the first in (row, left term,
         right term, j) order."""
-        sizes = [max(map(np.size, block)) for block in blocks]
+        sizes = [np.broadcast(*block).size for block in blocks]
         l, r, s, o = rows = np.empty((4, sum(sizes)), dtype=np.int64)
         for block, end, size in zip(blocks, itertools.accumulate(sizes), sizes):
             for row, x in zip(rows, block):  # broadcast into the block's columns
@@ -217,23 +218,20 @@ class DPDOperator:
         start, size = bound[:-1], np.diff(bound)
         l_size, r_size = size.take(l) * (s % alg.p != 0), size.take(r)  # s L is 0 if p | s
         per = np.repeat(r_size, l_size)  # right terms for each row's left term
-        left = self.terms.take(np.repeat(_segments(start.take(l), l_size), per), axis=1)
-        right = self.terms.take(_segments(np.repeat(start.take(r), l_size), per), axis=1)
+        left = np.repeat(_segments(start.take(l), l_size), per)  # each pair's two terms
+        right = _segments(np.repeat(start.take(r), l_size), per)
         row = np.repeat(np.arange(len(l)), l_size * r_size)
-        b, c = left[1 + n:-1], right[1:1 + n]
-        hi = np.where(c < 0, b, np.minimum(b, c))
         box = np.ones(len(row), dtype=np.int64)
-        for h in hi:
-            box = np.minimum(box * (h + 1), MAX_PRODUCT_WORK + 1)
-        pairs = left + right  # owner, a + c, b + d, coefficient
-        pairs[0] = o.take(row)
-        pairs[-1] = left[-1] * s.take(row) % alg.p * right[-1] % alg.p
+        for b, c in zip(self.terms[1 + n:-1], self.terms[1:1 + n]):
+            b, c = b.take(left), c.take(right)
+            box = np.minimum(box * (np.where(c < 0, b, np.minimum(b, c)) + 1), MAX_PRODUCT_WORK + 1)
         over = np.flatnonzero(box > MAX_PRODUCT_WORK)
+        del box, b, c  # `_expand` holds a pair's indices only
         if over.size:  # the rows before the first one refused are checked first
             cut = np.searchsorted(row, row[over[0]])
-            _expand(alg, *(x[..., :cut] for x in (pairs, b, c, hi, box, row)))
+            _expand(self, left[:cut], right[:cut], row[:cut], s, o)
             raise CapacityError("normal-ordering workload exceeds capacity")
-        return DPDOperator(alg, count, _expand(alg, pairs, b, c, hi, box, row))
+        return DPDOperator(alg, count, _expand(self, left, right, row, s, o))
 
     def __mul__(self, other):
         """Every product L_k R_k of the k-th operators of two batches: one row
@@ -378,64 +376,74 @@ def _reduce(p, terms):
     return out, head
 
 
-# Terms of one chunk of a product's expansion, or of a matrix realization's
-# terms x basis columns, so working memory does not grow with either.  A product
-# chunk peaks at 9.5 MB of arrays at n = 1 (144 bytes a term) and 11.5 MB at
-# n = 2 (tracemalloc).  smith-tower p = 47 r = 2 expands 5.6 million terms in
-# about 1.3 s at 2^16 and at 2^18, with 49 MB and 76 MB peak RSS (2-vCPU Xeon
-# guest).  A 2000-term operator realizes at q = 3721 in 0.8 s and 38 MB, where
-# one pass took 1.5 s and 719 MB.
+# Terms of one chunk of a product's expansion (and term pairs of one chunk of
+# pairs), or of a matrix realization's terms x basis columns, so working memory
+# does not grow with either.  A product chunk peaks at 9.5 MB of arrays at n = 1
+# (144 bytes a term) and 11.5 MB at n = 2 (tracemalloc).  smith-tower p = 37
+# r = 3 expands 2.07 million terms in about 0.8 s at 2^16 and 0.9 s at 2^18,
+# with 205 MB and 260 MB peak RSS (2-vCPU Xeon guest).  A 2000-term operator
+# realizes at q = 3721 in 0.8 s and 38 MB, where one pass took 1.5 s and 719 MB.
 _PRODUCT_CHUNK_TERMS = 1 << 16
 
 
-def _expand(algebra, pairs, b, c, hi, box, row):
-    """The reduced sum of the term pairs' expansions: pair k, x^a D^(b) *
-    x^c D^(d) (column k of `pairs`: owner, a + c, b + d, coefficient; and of
-    `b` and `c`), expands over its j-box of extents hi[:, k] + 1, last
-    coordinate fastest, into prod_i C(c_i, j_i) C(b_i+d_i-j_i, b_i-j_i)
-    x^(a+c-j) D^(b+d-j), in chunks of at most `_PRODUCT_CHUNK_TERMS` terms
-    each reduced alone, their sums merged once they pass a chunk and the last
+def _expand(batch, left, right, row, sign, owner):
+    """The reduced sum of the term pairs' expansions: pair k, sign[row_k]
+    x^a D^(b) * x^c D^(d) (terms left_k and right_k of `batch`) on owner
+    owner[row_k], expands into prod_i C(c_i, j_i) C(b_i+d_i-j_i, b_i-j_i)
+    x^(a+c-j) D^(b+d-j) over the j in its j-box with C(c, j) != 0 mod p
+    (`gfp.lucas_support`), j ascending and the last coordinate fastest, pairs
+    and then their terms in chunks of at most `_PRODUCT_CHUNK_TERMS`, each
+    reduced alone, their sums merged once they pass a chunk and the last
     merged sum.  A term past a cap sums on owner -1 - row, apart from every
     owner, and the first such sum to survive, in pair and j order, is refused."""
-    p, n = algebra.p, algebra.n
-    ends = np.cumsum(box)
-    starts = ends - box
-    total = int(ends[-1]) if len(ends) else 0
-    ac, bd = pairs[1:1 + n], pairs[1 + n:-1]  # a pair's terms have a in [ac - hi, ac]
-    risky = _past(algebra, ac - hi, bd) | _past(algebra, ac, bd)
-    parts, firsts, merged = [], [], 0  # the last merged sum, if any, then the chunks' since
-    for s in range(0, total, _PRODUCT_CHUNK_TERMS):
-        e = min(s + _PRODUCT_CHUNK_TERMS, total)
-        lo, up = np.searchsorted(ends, [s, e - 1], side="right") + (0, 1)  # pairs in [s, e)
-        pair = np.repeat(np.arange(lo, up),
-                         np.minimum(ends[lo:up], e) - np.maximum(starts[lo:up], s))
-        rest = np.arange(s, e) - starts.take(pair)
-        j = np.empty((n, len(pair)), dtype=np.int64)
-        for i in reversed(range(n)):
-            rest, j[i] = np.divmod(rest, hi[i].take(pair) + 1)
-        terms = pairs.take(pair, axis=1)
-        coeff = terms[-1]
-        for i in range(n):
-            bi = b[i].take(pair)
-            coeff = (coeff * binomial_array(c[i].take(pair), j[i], p) % p
-                     * binomial_array(terms[1 + n + i] - j[i], bi - j[i], p) % p)
-        nz = np.flatnonzero(coeff)
-        terms = terms.take(nz, axis=1)  # owner, x^(a+c-j) D^(b+d-j), coefficient
-        terms[1:-1] -= np.tile(j.take(nz, axis=1), (2, 1))
-        terms[-1] = coeff.take(nz)
-        if risky[lo:up].any():
-            past = _past(algebra, terms[1:1 + n], terms[1 + n:-1])
-            terms[0] = np.where(past, -1 - row.take(pair.take(nz)), terms[0])
-        terms, head = _reduce(p, terms)
-        parts.append(terms)
-        firsts.append(s + nz.take(head))
-        pending = sum(part.shape[1] for part in parts) - merged
-        if len(parts) > 1 and (e == total or pending > max(_PRODUCT_CHUNK_TERMS, merged)):
-            parts = [np.concatenate(parts, axis=1)]  # free the chunks before the merge
-            terms, head = _reduce(p, parts.pop())
-            parts, firsts, merged = [terms], [np.concatenate(firsts).take(head)], terms.shape[1]
-    if not parts:
+    algebra, p, n = batch.algebra, batch.algebra.p, batch.algebra.n
+    if not len(row):
         return np.zeros((2 * n + 2, 0), dtype=np.int64)
+    base, _, cols, values, counts = digit_binomials(p)
+    parts, firsts, merged, pending, done = [], [], 0, 0, 0  # the last merged sum, then chunks
+    for offset in range(0, len(row), _PRODUCT_CHUNK_TERMS):
+        k = slice(offset, offset + _PRODUCT_CHUNK_TERMS)
+        l, r = batch.terms.take(left[k], axis=1), batch.terms.take(right[k], axis=1)
+        b, c, pairs = l[1 + n:-1], r[1:1 + n], l + r  # pairs: row, a + c, b + d, coefficient
+        pairs[0], pairs[-1] = row[k], l[-1] * sign.take(row[k]) % p * r[-1] % p
+        rows, size = lucas_support(c, np.where(c < 0, b, np.minimum(b, c)), p)  # j-box ends
+        ends = np.cumsum(count := size.prod(axis=0))
+        total = int(ends[-1])
+        for s in range(0, total, _PRODUCT_CHUNK_TERMS):
+            e = min(s + _PRODUCT_CHUNK_TERMS, total)
+            lo, up = np.searchsorted(ends, [s, e - 1], side="right") + (0, 1)  # pairs in [s, e)
+            begin = ends[lo:up] - count[lo:up]
+            each = np.minimum(ends[lo:up], e) - np.maximum(begin, s)  # of the chunk's terms
+            pair = np.repeat(np.arange(lo, up), each)
+            rest = np.arange(s, e) - np.repeat(begin, each)
+            terms = pairs.take(pair, axis=1)
+            coeff = terms[-1]
+            for i in reversed(range(n)):
+                rest, rank = np.divmod(rest, size[i].take(pair)) if i else (None, rest)
+                for t, at in enumerate(rows):  # rank's digits in the radix of the rows' sizes
+                    at = at[i].take(pair)
+                    rank, d = (np.divmod(rank, counts.take(at + base)) if t < len(rows) - 1
+                               else (0, rank))
+                    j = cols.take(at + d) if not t else j + cols.take(at + d) * base ** t
+                    coeff = coeff * values.take(at + d) % p  # C(c_i, j_i), digit by digit
+                terms[[1 + i, 1 + n + i]] -= j  # x^(a+c-j) D^(b+d-j)
+                coeff = coeff * binomial_array(terms[1 + n + i], b[i].take(pair) - j, p) % p
+            nz = np.flatnonzero(coeff)
+            terms = terms.take(nz, axis=1)
+            terms[-1] = coeff.take(nz)
+            past = _past(algebra, terms[1:1 + n], terms[1 + n:-1])
+            terms[0] = np.where(past, -1 - terms[0], owner.take(terms[0]))
+            terms, head = _reduce(p, terms)
+            parts.append(terms)
+            firsts.append(done + s + nz.take(head))
+            pending += terms.shape[1]
+            last = e == total and k.stop >= len(row)
+            if len(parts) > 1 and (last or pending > max(_PRODUCT_CHUNK_TERMS, merged)):
+                parts = [np.concatenate(parts, axis=1)]  # free the chunks before the merge
+                terms, head = _reduce(p, parts.pop())
+                parts, firsts = [terms], [np.concatenate(firsts).take(head)]
+                merged, pending = terms.shape[1], 0
+        done += total
     (terms,), (first,) = parts, firsts
     past = np.flatnonzero(terms[0] < 0)
     if past.size:

@@ -10,6 +10,7 @@ passed as that FpMatrix.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -59,31 +60,36 @@ def binomial_mod(m, q, p):
     return (-base) % p if q % 2 else base
 
 
-_DIGIT_BINOMIALS = {}  # p -> (B, the flat B x B table of C(i, k) mod p for 0 <= i, k < B)
-
-
-def _digit_binomials(p):
-    """The largest power B of p with B^2 <= 2^12 and its table of C(i, k) mod p
-    for base-B digits i, k: Lucas over base-p digits, grouped B at a time."""
-    if p not in _DIGIT_BINOMIALS:
-        base = p
-        while (base * p) ** 2 <= 1 << 12:
-            base *= p
-        digits = np.array([[math.comb(i, k) % p for k in range(p)] for i in range(p)])
-        i, k = np.divmod(np.arange(base * base), base)
-        table = np.ones(base * base, dtype=np.int64)
-        while k.any():
-            table = table * digits[i % p, k % p] % p
-            i, k = i // p, k // p
-        _DIGIT_BINOMIALS[p] = base, table
-    return _DIGIT_BINOMIALS[p]
+@functools.cache
+def digit_binomials(p):
+    """The largest power B of p with B^2 <= 2^12, its table of C(i, k) mod p for
+    base-B digits i, k (Lucas over base-p digits, grouped B at a time), and
+    per row, flat 2B x (B + 1), the k < B with C(i, k) != 0 (row i) or with
+    (-1)^k C(i + k, k) != 0 (row B + i: no base-p carry), ascending, with
+    their values and counts[r * (B + 1) + h], how many of row r's are < h.
+    B is odd for odd p, so the sign (-1)^j of a number is its digits'."""
+    base = p
+    while (base * p) ** 2 <= 1 << 12:
+        base *= p
+    digits = np.array([[math.comb(i, k) % p for k in range(p)] for i in range(p)])
+    (i, k), square, power = np.indices((base, base)), np.ones((base, base), dtype=np.int64), 1
+    while power < base:
+        square, power = square * digits[i // power % p, k // power % p] % p, power * p
+    carry_free = np.where(i + k < base, square[(i + k) % base, k] * (-1) ** k % p, 0)
+    rows = np.pad(np.concatenate([square, carry_free]), ((0, 0), (0, 1)))
+    cols = np.argsort(rows == 0, axis=1, kind="stable")
+    return (base, square.ravel(), cols.ravel(), np.take_along_axis(rows, cols, 1).ravel(),
+            (np.cumsum(rows != 0, axis=1) - (rows != 0)).ravel())
 
 
 def binomial_array(m, q, p):
-    """`binomial_mod` elementwise over broadcast integer arrays: Lucas digit by
-    digit (base-p digits read B = p^k at a time, see `_digit_binomials`),
-    C(-n, q) = (-1)^q C(n + q - 1, q), and 0 for q < 0."""
-    base, table = _digit_binomials(p)
+    """`binomial_mod` elementwise over broadcast integer arrays: one table look-up
+    when 0 <= m, q < B (see `digit_binomials`), else Lucas digit by digit, B at
+    a time, C(-n, q) = (-1)^q C(n + q - 1, q), and 0 for q < 0."""
+    base, table = digit_binomials(p)[:2]
+    m, q = np.asarray(m), np.asarray(q)
+    if m.size and q.size and min(m.min(), q.min()) >= 0 and max(m.max(), q.max()) < base:
+        return table.take(m * base + q)
     top, low = np.where(m < 0, q - m - 1, m), np.maximum(q, 0)
     out = np.where(q < 0, 0, np.where((m < 0) & (q % 2 == 1), p - 1, 1))
     while low.any():
@@ -91,6 +97,22 @@ def binomial_array(m, q, p):
         low, k = np.divmod(low, base)
         out = out * table.take(i * base + k) % p
     return out
+
+
+def lucas_support(c, hi, p):
+    """The j <= hi with C(c, j) != 0 mod p, elementwise over int64 arrays c
+    and hi >= 0: per base-B digit of hi's largest, lowest first, each c's
+    support row in `digit_binomials` (for c < 0 the carry-free row of
+    -1 - c's, as C(c, j) = (-1)^j C(j - c - 1, j)); and how many j there are."""
+    base, _, _, _, counts = digit_binomials(p)
+    digits, kummer, top = np.where(c < 0, -1 - c, c), (c < 0) * (base * (base + 1)), hi
+    rows, size, whole = [], 1, 1
+    while not rows or top.any():
+        (digits, digit), (top, h) = np.divmod(digits, base), np.divmod(top, base)
+        rows.append(digit * (base + 1) + kummer)
+        below, upto = counts.take(rows[-1] + h), counts.take(rows[-1] + h + 1)
+        size, whole = below * whole + (upto > below) * size, whole * counts.take(rows[-1] + base)
+    return rows, size
 
 
 def fitting_decomposition(f):

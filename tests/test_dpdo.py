@@ -31,7 +31,7 @@ from hhdx.dpdo import (
     morita_compress,
 )
 from hhdx.errors import CapacityError, DepthError, WindowError
-from hhdx.gfp import binomial_mod
+from hhdx.gfp import binomial_mod, digit_binomials
 from hhdx.poly import MAX_EXPONENT, MultiPoly, PolyRing
 
 
@@ -609,6 +609,50 @@ def test_normal_ordering_kernel_matches_oracle_product(case):
     assert _outcome(lambda: x.commutator(y)) == commutator
     assert _outcome(lambda: x * y) == product
     assert _outcome(lambda: x.commutator(y)) == commutator
+
+
+@st.composite
+def digit_edge_pairs(draw):
+    """Two operators of one algebra, p in {2, 3, 5, 7}, on 1-2 variables,
+    polynomial or Laurent, of one or two terms, whose first coordinate sits at
+    the digit edges of `gfp.lucas_support`: the right factor's x exponent c at
+    p^k, p^k +- 1 or B +- 1 (B of `gfp.digit_binomials`), negated now and
+    then in a Laurent algebra, and the left factor's divided power b just
+    below, at or above |c|, up to the cap p^4; the second coordinate small,
+    so that the oracle's walk of the whole j-box stays short."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 2))
+    alg = OperatorAlgebra(p, n, laurent=draw(st.booleans()))
+    base = digit_binomials(p)[0]
+    edges = sorted({e for k in range(8) for e in (p ** k - 1, p ** k, p ** k + 1) if e <= p * base}
+                   | {base - 1, base + 1})
+    small = st.integers(-2 if alg.laurent else 0, 2)
+    edge = st.sampled_from(edges)
+    c = edge | edge.map(lambda e: -e) if alg.laurent else edge
+
+    def side(left):  # one or two terms, the edge exponent e as b on the left, as c on the right
+        terms = {}
+        for a, e in draw(st.lists(st.tuples(small, c), min_size=1, max_size=2)):
+            first = (((a,), (min(max(abs(e) + draw(st.integers(-2, 2)), 0), alg.dp_cap),)) if left
+                     else ((e,), (draw(st.integers(0, 2)),)))
+            rest = [((draw(small),), (draw(st.integers(0, 3)),)) for _ in range(n - 1)]
+            key = tuple(tuple(x for part in parts for x in part) for parts in zip(first, *rest))
+            terms[key] = draw(st.integers(1, p - 1))
+        return alg.from_terms(terms)
+
+    return alg, side(True), side(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digit_edge_pairs())
+def test_kernel_matches_oracle_product_at_digit_edges(case):
+    """Products and commutators, refusals included, match `oracle_product`
+    where the Lucas supports the kernel walks cross digit blocks, meet hi, or
+    come from Kummer's carry-free rows of a negative exponent."""
+    _, x, y = case
+    assert _outcome(lambda: x * y) == _outcome(lambda: oracle_product(x, y))
+    assert _outcome(lambda: x.commutator(y)) == _outcome(
+        lambda: oracle_product(x, y) - oracle_product(y, x))
 
 
 def _batch_outcome(alg, xs, ys):

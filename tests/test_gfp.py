@@ -12,8 +12,10 @@ from hhdx.gfp import (
     PRIMES,
     binomial_array,
     binomial_mod,
+    digit_binomials,
     fitting_decomposition,
     lucas_binomial,
+    lucas_support,
     require_prime,
 )
 from hhdx.linalg import FpMatrix, Subspace
@@ -65,6 +67,56 @@ def test_binomial_array_matches_binomial_mod(p):
     assert np.array_equal(binomial_array(m[:, :1], q[0], p), want)  # broadcast
     assert all(binomial_array(int(x), int(y), p) == w  # scalars
                for x, y, w in zip(m.ravel()[::37], q.ravel()[::37], want.ravel()[::37]))
+
+
+def _block_edges(p):
+    """0, 1, 2 and the edges of the base-B digit blocks of `binomial_array`:
+    B - 1, B, B + 1 and B^2 - 1, B^2, B^2 + 1."""
+    base = digit_binomials(p)[0]
+    return [0, 1, 2, base - 1, base, base + 1, base ** 2 - 1, base ** 2, base ** 2 + 1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 61, 67, 97])
+def test_binomial_array_at_block_edges(p):
+    """`binomial_array` against `binomial_mod` where its digit blocks meet: m
+    and q at the block edges, q past m and past B, m negative; every pair in
+    one block (its one-look-up path) and the edges mixed, broadcast; 0-d
+    scalars; empty arrays."""
+    base, edges = digit_binomials(p)[0], _block_edges(p)
+    oracle = np.vectorize(lambda x, y: binomial_mod(int(x), int(y), p))
+    m = np.array(edges + [-e for e in edges if e])
+    q = np.array(edges + [-1])
+    i, k = np.indices((base, base))
+    for top, low in [(m[:, None], q), (i, k), (i[:, :1], k[0]), (m[:, None, None], k[:2])]:
+        assert np.array_equal(binomial_array(top, low, p), oracle(top, low))
+    for x, y in [(base - 1, base - 1), (base - 1, base), (base, 1), (-base - 1, base + 1)]:
+        for top, low in [(x, y), (np.int64(x), np.int64(y)), (np.array(x), np.array(y))]:
+            assert binomial_array(top, low, p) == binomial_mod(x, y, p)
+    empty = np.zeros(0, dtype=np.int64)
+    assert binomial_array(empty, empty, p).shape == (0,)
+    assert binomial_array(empty, base - 1, p).shape == (0,)
+    assert binomial_array(np.zeros((2, 0), dtype=np.int64), q[:, None, None], p).shape == (
+        len(q), 2, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 97])
+def test_lucas_support_counts_the_nonzero_binomials(p):
+    """`lucas_support` counts the j <= hi with C(c, j) != 0 mod p, for c at
+    p^k, p^k +- 1 and the block edges, of either sign, and hi on both sides
+    of |c|: no more (the rows' whole supports past hi) and no fewer (a
+    carry-free digit dropped), with one row array per base-B digit of hi's
+    largest."""
+    base = digit_binomials(p)[0]
+    edges = sorted({e for k in range(4) for e in (p ** k - 1, p ** k, p ** k + 1) if e <= p * base}
+                   | set(_block_edges(p)[:6]) | {p * base - 1, p * base, p * base + 1})
+    c, hi = np.broadcast_arrays(np.array(edges + [-e for e in edges if e])[:, None],
+                                np.array(edges))
+    rows, size = lucas_support(c, hi, p)
+    want = [[np.count_nonzero(binomial_array(x, np.arange(h + 1), p)) for x, h in zip(*row)]
+            for row in zip(c, hi)]
+    assert size.tolist() == want
+    assert base ** (len(rows) - 1) <= max(hi.max(), 1) < base ** len(rows)
+    assert all(row.shape == c.shape for row in rows)
 
 
 @settings(deadline=None)
