@@ -4,7 +4,8 @@ Each family walks a fixed ladder of growing windows.  Every rung runs in a
 child process of its own, one at a time; the child imports hhdx from the
 given source tree, runs `hhdx.cli.main([... , "--json"])` in-process and
 records the report's wall time (interpreter start-up excluded), the
-process's peak RSS (`ru_maxrss`), the exit code and the sha256 of stdout.
+process's peak RSS (`ru_maxrss`), the exit code and the sha256 of stdout,
+hashed as it is written.
 A rung whose first run finishes within a tenth of the time budget runs
 three times, in three children, and records the median wall time and the
 largest RSS: one run of a fast rung carries the host's run-to-run spread.
@@ -63,6 +64,11 @@ FAMILIES = {
     "morita-matrix p=7": (lambda r: ["--scenario", "morita-matrix", "--prime", "7",
                                      "--depth", str(r), "--degree-bound", str(2 * 7 ** r)],
                           "depth", [1, 2, 3, 4]),
+    # two levels at degree bound 2p^2, by prime; at p = 67, q = 4489 passes
+    # matrix_realize's rank cap q^n <= 4096
+    "morita-matrix r=2": (lambda p: ["--scenario", "morita-matrix", "--prime", str(p),
+                                     "--depth", "2", "--degree-bound", str(2 * p * p)],
+                          "p", [7, 13, 31, 47, 61, 67]),
     # two levels at the least degree bound p^2, by prime
     "smith-tower r=2": (lambda p: ["--scenario", "smith-tower", "--prime", str(p),
                                    "--depth", "2", "--degree-bound", str(p * p)],
@@ -81,12 +87,24 @@ def rung_argv(family, size):
     return [*argv(size), "--json"]
 
 
+class _Sha256Writer:
+    """A text stream that keeps only the sha256 of the UTF-8 text written to
+    it, so a report is never held whole to be hashed."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text):
+        self.sha256.update(text.encode())
+        return len(text)
+
+
 def child(src, argv):
     """Run one report in this process and print its measurements as JSON."""
     sys.path.insert(0, src)
     from hhdx.cli import main
 
-    out = io.StringIO()
+    out = _Sha256Writer()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
@@ -95,7 +113,7 @@ def child(src, argv):
         "exit": code,
         "wall_s": round(wall, 4),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "sha256": out.sha256.hexdigest(),
     }))
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -49,21 +50,6 @@ from .tower import (
 
 SCHEMA_ID = "hhdx-report/1"
 CUP_SEED = 20260816
-
-
-def _plain(value):
-    """Recursively force reports down to JSON scalars with string keys."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if value is None or isinstance(value, str):
-        return value
-    raise TypeError(f"report value {value!r} is not JSON-ready")
 
 
 def _check(assertions, name, condition, detail=None):
@@ -248,8 +234,7 @@ def _scenario_gs_point(args):
         "hochschild_dims": {m: hh[m][0] for m in sorted(hh)},
         "total_dims": total_dims,
         "bar_matrices_match": bar_match,
-        "spectral_convergence": {"agree": agree,
-                                 "table": {m: list(v) for m, v in table.items()}},
+        "spectral_convergence": {"agree": agree, "table": table},
     }
     assertions = []
     _check(assertions, "diagram-verticals-are-bar-differentials", bar_match)
@@ -406,7 +391,7 @@ SCENARIOS = {
 
 
 def build_report(scenario, config, results, assertions, flags):
-    return _plain({
+    return {
         "schema": SCHEMA_ID,
         "scenario": scenario,
         "config": config,
@@ -414,11 +399,17 @@ def build_report(scenario, config, results, assertions, flags):
         "assertions": assertions,
         "truncation_flags": list(flags),
         "ok": all(entry["status"] == "pass" for entry in assertions),
-    })
+    }
 
 
-def render_json(report):
-    return json.dumps(report, indent=2, sort_keys=True)
+def render_json(report, out):
+    """Write the report to out as it is encoded, 4096 encoder chunks a write:
+    no string of the whole report is built, and an unbuffered stream is not
+    written once a chunk.  Int keys sort as ints, as strings only below 10."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+    while block := "".join(itertools.islice(chunks, 4096)):
+        out.write(block)
+    out.write("\n")
 
 
 def render_text(report):
@@ -480,7 +471,10 @@ def main(argv=None):
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 3
     report = build_report(args.scenario, config, results, assertions, flags)
-    print(render_json(report) if args.json else render_text(report))
+    if args.json:
+        render_json(report, sys.stdout)
+    else:
+        print(render_text(report))
     return 0
 
 

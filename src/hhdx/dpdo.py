@@ -518,13 +518,13 @@ def matrix_realize(op, r, degree_bound=None):
     p, n = ring.p, ring.n
     q = p ** r
     # A rank-q realization is one term array, built and rendered in 0.14 s at
-    # q = 2401; its report's two q^2-entry grids cost the rest.  One process per
-    # morita-matrix report (default operator, degree bound 2q), 2-vCPU Xeon guest:
-    # q = 343 takes 0.17-0.19 s and 58 MB, q = 2401 9-13 s and 1.2 GB (a 173 MB
-    # report: cli._plain walks its 11.5 million strings in about 4.5 s, and
-    # json.dumps takes 3.8 s and 0.95 GB), and the largest accepted rank, q = 3721
-    # (p = 61), 21-23 s and 2.8 GB (415 MB).  Lowering the cap waits for a plan
-    # of a report's cost before it is built.
+    # q = 2401; encoding its report's two q^2-entry grids costs the rest.  One
+    # process per morita-matrix --json report (default operator, degree bound
+    # 2q), 2-vCPU Xeon guest: q = 2401 takes 2.9-4.4 s and 124 MB (173 MB of
+    # JSON), and the largest accepted rank, q = 3721 (p = 61), 6.1-7.5 s and
+    # 248 MB (415 MB).  A 1024-term operator at q = 3721 (3.8 million image
+    # terms) takes 23 s and 1.2 GB, 16.6 s of it rendering grids.  Replacing
+    # the cap waits for a plan of a report's cost before it is built.
     if q ** n > 4096:
         raise CapacityError("twist-basis rank exceeds capacity")
     shape = (q,) * n

@@ -136,7 +136,7 @@ def proper_tower_report(p, matrix):
         "certified_lim1_dim": report["certified_lim1_dim"],
         "semisimple_dim": semi.dim,
         "nilpotent_dim": n - semi.dim,
-        "agree": holds and report["stable_image"] == semi,
+        "agree": bool(holds and report["stable_image"] == semi),
     }
 
 

@@ -189,6 +189,38 @@ def test_pd_derham_line_window_is_never_held_dense(capsys):
     assert peak < 30 << 20
 
 
+class _CountingSink:
+    """A text stream that keeps only how many characters and writes reached it."""
+
+    def __init__(self):
+        self.chars = self.writes = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        self.writes += 1
+        return len(text)
+
+
+def test_json_report_is_written_in_blocks_without_being_held_whole(monkeypatch):
+    """morita-matrix depth 3 writes about 3.5 million characters of grids,
+    and the traced peak stays below that, which a copy of the report or one
+    string of its JSON would pass alone.  Its 237 478 encoder chunks reach the
+    stream in blocks: a write per chunk is a system call each on an
+    unbuffered stdout."""
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["--scenario", "morita-matrix", "--prime", "7", "--depth", "3",
+                     "--degree-bound", "686", "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 3_000_000
+    assert peak < sink.chars
+    assert sink.writes < 1000
+
+
 def test_even_prime_skips_elliptic_part_of_cup_report(capsys):
     assert main(["--scenario", "cup-ring-map", "--prime", "2", "--depth", "1",
                  "--json"]) == 0

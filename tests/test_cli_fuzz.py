@@ -5,6 +5,7 @@ a traceback."""
 
 import contextlib
 import io
+import json
 import time
 
 from hypothesis import example, given, settings
@@ -53,3 +54,6 @@ def test_every_input_ends_in_a_documented_exit_code(scenario, prime, depth, degr
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == bool(out.getvalue()), argv
+    if code == 0:  # JSON-ready values only, and keys that sort as strings
+        assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2,
+                                            sort_keys=True) + "\n", argv
