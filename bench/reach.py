@@ -2,10 +2,11 @@
 
 Each family walks a fixed ladder of growing windows.  Every rung runs in a
 child process of its own, one at a time; the child imports hhdx from the
-given source tree, runs `hhdx.cli.main([... , "--json"])` in-process and
-records the report's wall time (interpreter start-up excluded), the
-process's peak RSS (`ru_maxrss`), the exit code and the sha256 of stdout,
-hashed as it is written.
+given source tree, runs `hhdx.cli.main` in-process on the rung's arguments
+(each family says whether they ask for `--json`) and records the report's
+wall time (interpreter start-up excluded), the process's peak RSS
+(`ru_maxrss`), the exit code and the sha256 of stdout, hashed as it is
+written.
 A rung whose first run finishes within a tenth of the time budget runs
 three times, in three children, and records the median wall time and the
 largest RSS: one run of a fast rung carries the host's run-to-run spread.
@@ -44,7 +45,14 @@ REPEATS = 3  # runs of a rung that finishes within a tenth of the time budget
 
 def _window(*fixed):
     """The rungs of a window family: degree bound and dp cap both the size."""
-    return lambda size: [*fixed, "--degree-bound", str(size), "--dp-cap", str(size)]
+    return lambda size: [*fixed, "--degree-bound", str(size), "--dp-cap", str(size), "--json"]
+
+
+def _morita(p, mode):
+    """The rungs of a morita-matrix p family by depth r, at the least degree
+    bound 2p^r that certifies the compression."""
+    return lambda r: ["--scenario", "morita-matrix", "--prime", str(p), "--depth", str(r),
+                      "--degree-bound", str(2 * p ** r), *mode]
 
 
 # family -> (the CLI arguments of its rung of a size, the name a row records
@@ -60,23 +68,20 @@ FAMILIES = {
                       [25, 50, 100, 200, 300, 384, 400, 446, 447]),
     "a1-hh p=7 r=3": (_window("--scenario", "a1-hh", "--prime", "7", "--depth", "3"), "window",
                       [343, 344, 400, 446, 447]),
-    # depth r, at the least degree bound that certifies the compression
-    "morita-matrix p=7": (lambda r: ["--scenario", "morita-matrix", "--prime", "7",
-                                     "--depth", str(r), "--degree-bound", str(2 * 7 ** r)],
-                          "depth", [1, 2, 3, 4]),
+    "morita-matrix p=7": (_morita(7, ["--json"]), "depth", [1, 2, 3, 4]),
+    # the same reports as text, which prints no entry grid
+    "morita-matrix p=7 text": (_morita(7, []), "depth", [1, 2, 3, 4]),
     # two levels at degree bound 2p^2, by prime; at p = 67, q = 4489 passes
     # matrix_realize's rank cap q^n <= 4096
-    "morita-matrix r=2": (lambda p: ["--scenario", "morita-matrix", "--prime", str(p),
-                                     "--depth", "2", "--degree-bound", str(2 * p * p)],
-                          "p", [7, 13, 31, 47, 61, 67]),
+    "morita-matrix r=2": (lambda p: _morita(p, ["--json"])(2), "p", [7, 13, 31, 47, 61, 67]),
     # two levels at the least degree bound p^2, by prime
     "smith-tower r=2": (lambda p: ["--scenario", "smith-tower", "--prime", str(p),
-                                   "--depth", "2", "--degree-bound", str(p * p)],
+                                   "--depth", "2", "--degree-bound", str(p * p), "--json"],
                         "p", [5, 7, 13, 23, 31, 47, 61, 79, 89, 97]),
     # three levels at the least degree bound p^3, by prime; at p = 41, p^3
     # passes MAX_EXPONENT = 2^16
     "smith-tower r=3": (lambda p: ["--scenario", "smith-tower", "--prime", str(p),
-                                   "--depth", "3", "--degree-bound", str(p ** 3)],
+                                   "--depth", "3", "--degree-bound", str(p ** 3), "--json"],
                         "p", [5, 7, 13, 23, 31, 37]),
 }
 
@@ -84,7 +89,7 @@ FAMILIES = {
 def rung_argv(family, size):
     """The CLI arguments of one rung, as its family sets them for its size."""
     argv, _, _ = FAMILIES[family]
-    return [*argv(size), "--json"]
+    return argv(size)
 
 
 class _Sha256Writer:

@@ -179,7 +179,7 @@ def _scenario_morita_matrix(args):
     alg = OperatorAlgebra(p, 1, names=("t",))
     op = alg.from_terms(_parse_operator(spec)) if spec else None
     # r >= d.bit_length() gives p^r > d, which morita_compress refuses, so refuse
-    # it before p^r is formed; an operator deeper than r is matrix_realize's DepthError
+    # it before p^r is formed; an operator deeper than r is matrix_realize's ValueError
     if r >= d.bit_length() and (op is None or op.centrality_depth() <= r):
         raise WindowError(f"degree window {d} cannot certify compression at depth {r}")
     if op is None and r > 4:  # the default D^(p^r - 1) passes the cap p^4, named unformed
@@ -196,8 +196,6 @@ def _scenario_morita_matrix(args):
         "realization": {
             "operator": op.render(),
             "size": realization.size,
-            "entries": realization.render(),
-            "twist_variable_entries": realization.render(twist=True),
             "truncated": realization.truncated,
         },
         "compression": {
@@ -213,6 +211,9 @@ def _scenario_morita_matrix(args):
     flags = []
     if realization.truncated:
         flags.append(f"matrix entries truncated to degree {d}")
+    if args.json:  # text mode prints no grid, so it renders none
+        results["realization"].update(entries=realization.render(),
+                                      twist_variable_entries=realization.render(twist=True))
     return config, results, assertions, flags
 
 

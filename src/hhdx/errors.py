@@ -7,7 +7,3 @@ class CapacityError(RuntimeError):
 
 class WindowError(RuntimeError):
     """A truncation window is too small to certify the requested result."""
-
-
-class DepthError(ValueError):
-    """An operator is not central over the requested Frobenius-twist depth."""

@@ -192,7 +192,10 @@ def _rref(a, p):
 
 
 def _rref_dense(a, p):
-    """`_rref` of a fresh reduced int64 array, eliminated in place; pivots an int64 array."""
+    """`_rref` of a fresh reduced int64 array, eliminated in place; pivots an
+    int64 array.  Kept beside `_rref_stack`: report-stream's 390 whole matrices
+    a pass (seed 1, at most 1024 entries) take 13.0 ms here and 39.1 ms as
+    one-block stacks, 2-vCPU Xeon, on a 0.25 s pass."""
     nrows, ncols = a.shape
     pivots = np.empty(min(nrows, ncols), dtype=np.int64)
     r = 0
@@ -595,7 +598,10 @@ def face_sum(p, lower, upper, dim, face):
 
 def face_complex(p, cells, dim, face):
     """Cochain complex over the cell lists cells[0], cells[1], ... whose
-    differentials are the alternating face sums (no cells: zero in degree 0)."""
+    differentials are the alternating face sums (no cells: zero in degree 0).
+    Kept beside `face_double_complex`: totalizing a one-row double complex
+    drops trailing degrees of dimension 0 and took window-ladder from 0.065
+    to 0.069 s CPU a pass (median of 6 processes, 2-vCPU Xeon)."""
     cells = cells or [[]]
     dims = {q: sum(dim(s) for s in level) for q, level in enumerate(cells)}
     diffs = {q: face_sum(p, cells[q], cells[q + 1], dim, face)
@@ -605,21 +611,22 @@ def face_complex(p, cells, dim, face):
 
 def face_double_complex(p, cells, rows, dim, vertical, face):
     """Double complex of rows 0 .. rows - 1 over the cell lists cells[0], ...:
-    cell s has size dim(s, j) in row j, column i is the direct sum over cells[i]
-    of vertical(s, j), row j the face sum of face(s, k, j).  The two commute;
-    `from_commuting` flips column i by (-1)^i."""
+    cell s has size dim(s, j) in row j, column i is (-1)^i times the direct sum
+    over cells[i] of vertical(s, j), row j the face sum of face(s, k, j).  The
+    unflipped verticals commute with the face sums; flipped, they anticommute."""
     dims, d_h, d_v = {}, {}, {}
     for i, level in enumerate(cells):
         for j in range(rows):
             sizes = [dim(s, j) for s in level]
             dims[(i, j)] = sum(sizes)
             if j + 1 < rows:
-                d_v[(i, j)] = block_matrix(p, [dim(s, j + 1) for s in level], sizes,
-                                           {(k, k): vertical(s, j) for k, s in enumerate(level)})
+                column = block_matrix(p, [dim(s, j + 1) for s in level], sizes,
+                                      {(k, k): vertical(s, j) for k, s in enumerate(level)})
+                d_v[(i, j)] = column.scale(-1) if i % 2 else column
             if i + 1 < len(cells):
                 d_h[(i, j)] = face_sum(p, level, cells[i + 1], lambda s: dim(s, j),
                                        lambda s, k: face(s, k, j))
-    return DoubleComplex.from_commuting(p, dims, d_h, d_v)
+    return DoubleComplex(p, dims, d_h, d_v)
 
 
 def _kernel_space(d, p, dim):
@@ -711,9 +718,9 @@ class DoubleComplex:
 
     dims maps (i, j) to a dimension.  d_h[(i, j)] : C^{i,j} -> C^{i+1,j} and
     d_v[(i, j)] : C^{i,j} -> C^{i,j+1} must satisfy d_h^2 = 0, d_v^2 = 0 and
-    d_h d_v + d_v d_h = 0, checked as d∘d = 0 on the totalization.  Build from
-    commuting differentials with `from_commuting`, which flips d_v by (-1)^i
-    on column i.
+    d_h d_v + d_v d_h = 0, checked as d∘d = 0 on the totalization.
+    `face_double_complex` builds one from commuting differentials, flipping
+    d_v by (-1)^i on column i.
     """
 
     def __init__(self, p, dims, d_h, d_v):
@@ -777,14 +784,6 @@ class DoubleComplex:
         if m is None:
             m = FpMatrix.zeros(self.p, self.dim(i, j + 1), self.dim(i, j))
         return m
-
-    @classmethod
-    def from_commuting(cls, p, dims, d_h, d_v):
-        """Build from commuting d_h, d_v by flipping d_v to (-1)^i d_v."""
-        flipped = {}
-        for (i, j), m in d_v.items():
-            flipped[(i, j)] = m.scale(-1) if i % 2 else m
-        return cls(p, dims, d_h, flipped)
 
     # -- totalization ------------------------------------------------------
 

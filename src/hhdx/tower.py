@@ -38,7 +38,7 @@ import itertools
 
 import numpy as np
 
-from .dpdo import DPDOperator, OperatorAlgebra, TruncatedOperatorModule, WindowIndex
+from .dpdo import DPDOperator, OperatorAlgebra, TruncatedOperatorModule
 from .errors import CapacityError, WindowError
 from .gfp import fitting_decomposition, require_prime
 from .linalg import FpMatrix, Subspace, _unique, product
@@ -388,12 +388,12 @@ def lucas_centralizers(p, levels, degree_bound, dp_bound):
     for q in (p ** k for k in range(max(levels, window_digits))):
         basis = spaces[-1].basis
         keep = _unique(basis.col)
-        # the enlarged codomain only locates terms, so it is a WindowIndex,
-        # which builds no exponent arrays and skips `MAX_WINDOW_RANK`.  From
+        # the enlarged codomain only locates terms, so its exponent arrays are
+        # never read, never built and never capped by `MAX_WINDOW_RANK`.  From
         # filtered_hh_sequence, which requires p^levels - 1 <= dp_bound, every
         # q is at most dp_bound, so its rank stays under twice the capped
         # domain's
-        target = WindowIndex(alg, degree_bound, dp_bound + q)
+        target = TruncatedOperatorModule(alg, degree_bound, dp_bound + q)
         g = dom.commutator_matrix(alg.divided_power(0, q), target=target, cols=keep)
         inner = product(g, basis.take(slice(None), keep).transpose(), p).kernel_basis()
         spaces.append(Subspace._from_rref(p, dom.dim, product(inner, basis, p)))

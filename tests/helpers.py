@@ -60,7 +60,12 @@ def staircase(p, length):
     one = FpMatrix(p, [[1]])
     d_h = {(k, L - 1 - k): one for k in range(L)}
     d_v = {(k, L - 1 - k): one for k in range(1, L)}
-    return DoubleComplex.from_commuting(p, dims, d_h, d_v)
+    return DoubleComplex(p, dims, d_h, column_flipped(d_v))
+
+
+def column_flipped(d_v):
+    """Commuting verticals made to anticommute: column i times (-1)^i."""
+    return {(i, j): m.scale(-1) if i % 2 else m for (i, j), m in d_v.items()}
 
 
 def matrix_polynomial(m, coeffs, p):
@@ -123,7 +128,7 @@ def tensor_double(p, cx, cy):
             if j < cy.hi:
                 d_v[(i, j)] = FpMatrix(p, np.kron(np.eye(cx.dims[i], dtype=np.int64),
                                                   cy.differential(j).a))
-    return DoubleComplex.from_commuting(p, dims, d_h, d_v)
+    return DoubleComplex(p, dims, d_h, column_flipped(d_v))
 
 
 def direct_sum_double(p, first, second):

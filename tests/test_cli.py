@@ -238,6 +238,22 @@ def test_morita_scenario_accepts_custom_operator(capsys):
     assert report["ok"] is True
 
 
+def test_text_mode_renders_no_realization_grid(capsys, monkeypatch):
+    """Text mode prints no grid, so a morita-matrix report renders none; its
+    text is the summary of the JSON report, grids and all."""
+    argv = ["--scenario", "morita-matrix", "--prime", "7", "--depth", "2", "--degree-bound", "98"]
+    assert main([*argv, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+
+    def render(self, twist=False):
+        raise AssertionError("text mode rendered a realization grid")
+
+    monkeypatch.setattr(dpdo.MatrixRealization, "render", render)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cli.render_text(report) + "\n"
+    assert len(report["results"]["realization"]["entries"]) == 49
+
+
 def test_schema_rejects_tampered_report():
     report = json.loads((GOLDEN / "elliptic_p3.json").read_text())
     report["assertions"][0]["status"] = "maybe"

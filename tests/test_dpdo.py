@@ -30,8 +30,9 @@ from hhdx.dpdo import (
     matrix_realize,
     morita_compress,
 )
-from hhdx.errors import CapacityError, DepthError, WindowError
+from hhdx.errors import CapacityError, WindowError
 from hhdx.gfp import binomial_mod, digit_binomials
+from hhdx.linalg import FpMatrix
 from hhdx.poly import MAX_EXPONENT, MultiPoly, PolyRing
 
 
@@ -192,7 +193,7 @@ def test_matrix_realize_frozen_examples():
     assert real_d.render() == [["0", "1"], ["0", "0"]]
     assert not real_d.truncated
 
-    with pytest.raises(DepthError):
+    with pytest.raises(ValueError, match="centrality depth"):
         matrix_realize(alg.divided_power(0, 2), 1)  # depth 2 at p = 2
 
 
@@ -440,6 +441,34 @@ def test_truncated_module_laurent_window():
     assert got == oracle_operator_matrix(mod, alg.variable(0, power=-1).commutator, wide)
     with pytest.raises(WindowError):
         mod.commutator_matrix(alg.variable(0, power=-1))
+
+
+def test_window_past_the_rank_cap_builds_arrays_only_as_a_domain():
+    """A window past `MAX_WINDOW_RANK` builds its exponent arrays on first
+    read.  As the target of a map it only locates terms, so it builds none and
+    is not refused; as a domain it is refused at `commutator_matrix`, before
+    its arrays exist."""
+    alg = OperatorAlgebra(7, 1, names=("t",))
+    big = TruncatedOperatorModule(alg, 447, 447)
+    assert big.dim == 448 ** 2 > dpdo.MAX_WINDOW_RANK
+    small, g = TruncatedOperatorModule(alg, 20, 20), alg.divided_power(0, 7)
+    arrays = 2 * big.dim * 8  # bytes of a and b
+    tracemalloc.start()
+    try:
+        into_big = small.commutator_matrix(g, target=big)
+        target_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(CapacityError, match=f"operator window of rank {big.dim} exceeds"):
+            big.commutator_matrix(alg.variable())
+        domain_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target_peak < arrays / 10 and domain_peak < arrays / 10
+    # the same map into a window under the cap, its rows renumbered into big's
+    into = small.commutator_matrix(g, target=TruncatedOperatorModule(alg, 20, 27))
+    a, b = np.divmod(into.row, 28)
+    assert into_big.shape == (big.dim, small.dim) and not into_big.is_zero()
+    assert into_big == FpMatrix.from_triples(7, into_big.shape, a * 448 + b, into.col, into.val)
 
 
 @st.composite

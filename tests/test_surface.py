@@ -15,8 +15,7 @@ A cache hit makes no call event, so every cache hhdx binds is emptied first.
 Every name a module in src/hhdx or tests/ imports is used in that module.
 
 Every double complex src/hhdx builds comes from `linalg.face_double_complex`:
-it alone calls `DoubleComplex.from_commuting`, and that alone constructs a
-`DoubleComplex`.
+it alone constructs a `DoubleComplex`.
 
 A failed certificate is a named failing assertion in a schema-valid report,
 so src/hhdx raises AssertionError once: for a constant tower that does not
@@ -306,19 +305,18 @@ def test_only_the_face_double_complex_builds_a_double_complex():
     sites = collections.defaultdict(list)
     for path in sorted(SRC.glob("*.py")):
         for owner, callee in _calls(ast.parse(path.read_text())):
-            if callee in ("DoubleComplex", "from_commuting"):
+            if callee == "DoubleComplex":
                 sites[callee].append(f"{path.name}:{owner}")
-    assert sites == {"DoubleComplex": ["linalg.py:DoubleComplex.from_commuting"],
-                     "from_commuting": ["linalg.py:face_double_complex"]}
+    assert sites == {"DoubleComplex": ["linalg.py:face_double_complex"]}
     assert _calls(ast.parse(
         "class DoubleComplex:\n"
         "    @classmethod\n"
-        "    def from_commuting(cls):\n"
+        "    def make(cls):\n"
         "        return cls()\n"
         "def build():\n"
-        "    return DoubleComplex.from_commuting()\n"
-        "DoubleComplex()\n")) == [("DoubleComplex.from_commuting", "DoubleComplex"),
-                                  ("build", "from_commuting"), ("<module>", "DoubleComplex")]
+        "    return DoubleComplex.make()\n"
+        "DoubleComplex()\n")) == [("DoubleComplex.make", "DoubleComplex"),
+                                  ("build", "make"), ("<module>", "DoubleComplex")]
 
 
 _GOLDENS_THEN_MODULES = """
