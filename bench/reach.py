@@ -68,6 +68,11 @@ FAMILIES = {
                       [25, 50, 100, 200, 300, 384, 400, 446, 447]),
     "a1-hh p=7 r=3": (_window("--scenario", "a1-hh", "--prime", "7", "--depth", "3"), "window",
                       [343, 344, 400, 446, 447]),
+    # to MAX_EXPONENT = 2^16 at dp cap 2, the rank 3 (N + 1) under
+    # MAX_WINDOW_RANK; at N = 65536 the window's own basis holds x^65536
+    "pd-derham p=7 dp=2": (lambda n: ["--scenario", "pd-derham", "--prime", "7",
+                                      "--degree-bound", str(n), "--dp-cap", "2", "--json"],
+                           "N", [1000, 16384, 65534, 65535, 65536]),
     "morita-matrix p=7": (_morita(7, ["--json"]), "depth", [1, 2, 3, 4]),
     # the same reports as text, which prints no entry grid
     "morita-matrix p=7 text": (_morita(7, []), "depth", [1, 2, 3, 4]),

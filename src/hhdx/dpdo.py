@@ -17,9 +17,11 @@ Python ints or arrays, before any term is made.  One array kernel makes
 every product: `combination` sums (s L_l) R_r over rows (l, r, s, o) of one
 batch on owners o in one numpy pass, each term pair expanded over the j of
 its j-box with C(c, j) != 0 mod p alone (Lucas) and the expansion summed on
-one sort key, in chunks of bounded size.  A
-product is one row per owner, a commutator two, and a check linear in
-products one signed sum that must vanish; nothing is memoized.  The module
+one sort key, in chunks of bounded size.  A product is one row per owner, a
+commutator two, and a check linear in products one signed sum that must
+vanish; nothing is memoized.  Products, commutators and window maps refuse a
+j-box past `MAX_PRODUCT_WORK` before expanding anything, and a term past a cap
+only when their result holds it.  The module
 also provides the closed-form centrality depth, realization of an operator
 as a matrix over the Frobenius-twist subring (one term array (row, col, e,
 c) filled by array passes over terms x chunks of basis columns, its entry
@@ -203,11 +205,9 @@ class DPDOperator:
         over the rows (l, r, s, o) of `blocks` (a block's entries broadcast
         together, rows in block order), in one `_expand` pass over the rows'
         term pairs, indexed off this batch's per-operator starts and sizes, the
-        sign folded into the left coefficient.  It refuses as its rows one at a
-        time would: the first row with a term pair whose j-box exceeds
-        `MAX_PRODUCT_WORK`, once the rows before it are expanded, or a term past
-        a cap that survives its row's product, the first in (row, left term,
-        right term, j) order."""
+        sign folded into the left coefficient; a j-box past `MAX_PRODUCT_WORK`
+        is refused before any row is expanded, a term past a cap only if a sum
+        holds it."""
         sizes = [np.broadcast(*block).size for block in blocks]
         l, r, s, o = rows = np.empty((4, sum(sizes)), dtype=np.int64)
         for block, end, size in zip(blocks, itertools.accumulate(sizes), sizes):
@@ -225,25 +225,22 @@ class DPDOperator:
         for b, c in zip(self.terms[1 + n:-1], self.terms[1:1 + n]):
             b, c = b.take(left), c.take(right)
             box = np.minimum(box * (np.where(c < 0, b, np.minimum(b, c)) + 1), MAX_PRODUCT_WORK + 1)
-        over = np.flatnonzero(box > MAX_PRODUCT_WORK)
-        del box, b, c  # `_expand` holds a pair's indices only
-        if over.size:  # the rows before the first one refused are checked first
-            cut = np.searchsorted(row, row[over[0]])
-            _expand(self, left[:cut], right[:cut], row[:cut], s, o)
+        if (box > MAX_PRODUCT_WORK).any():
             raise CapacityError("normal-ordering workload exceeds capacity")
+        del box, b, c  # `_expand` holds a pair's indices only
         return DPDOperator(alg, count, _expand(self, left, right, row, s, o))
 
     def __mul__(self, other):
         """Every product L_k R_k of the k-th operators of two batches: one row
-        (L_k, R_k) of `combination` per owner."""
+        (L_k, R_k) of `combination` per owner, refused under its rule."""
         self._require_same(other)
         k = np.arange(self.count)
         return DPDOperator.concat([self, other]).combination([(k, k + k.size, 1, k)], k.size)
 
     def commutator(self, other):
         """[L_k, R_k] owner by owner: the rows L_0 R_0, -R_0 L_0, L_1 R_1, ...
-        of one `combination`, refused as those products one at a time would
-        be, though refused terms may cancel in a difference."""
+        of one `combination`, refused only for a term the difference holds:
+        [D, D^(16)] = 0 at p = 2, though D D^(16) alone is refused."""
         self._require_same(other)
         k, count = np.arange(self.count), self.count
         left, right = np.stack([k, k + count], axis=1), np.stack([k + count, k], axis=1)
@@ -331,17 +328,13 @@ def _check_term(algebra, a, b):
             raise CapacityError(f"divided-power exponent {e} exceeds cap {algebra.dp_cap}")
 
 
-def _past(algebra, a, b):
-    """Which terms (columns of the int64 arrays a, b) `_check_term` refuses."""
-    low = 1 - MAX_EXPONENT if algebra.laurent else 0
-    return ((a < low) | (a >= MAX_EXPONENT) | (b < 0) | (b > algebra.dp_cap)).any(axis=0)
-
-
 def _check_terms(algebra, a, b, where=True):
     """`_check_term` on the first term (columns of the int64 arrays a, b) it
     refuses among those `where` holds.  A mask, not a filtered copy: boolean
     indexing took 3.7 ms on a 200 000-term window pass, the whole check 0.7 ms."""
-    past = np.flatnonzero(where & _past(algebra, a, b))
+    low = 1 - MAX_EXPONENT if algebra.laurent else 0
+    past = ((a < low) | (a >= MAX_EXPONENT) | (b < 0) | (b > algebra.dp_cap)).any(axis=0)
+    past = np.flatnonzero(where & past)
     if past.size:
         _check_term(algebra, a[:, past[0]].tolist(), b[:, past[0]].tolist())
 
@@ -398,18 +391,18 @@ def _expand(batch, left, right, row, sign, owner):
     (`gfp.lucas_support`), j ascending and the last coordinate fastest, pairs
     and then their terms in chunks of at most `_PRODUCT_CHUNK_TERMS`, each
     reduced alone, their sums merged once they pass a chunk and the last
-    merged sum.  A term past a cap sums on owner -1 - row, apart from every
-    owner, and the first such sum to survive, in pair and j order, is refused."""
+    merged sum.  A term past a cap is summed like any other; once the sum is
+    whole, its first such term in (owner, a, b) order is refused."""
     algebra, p, n = batch.algebra, batch.algebra.p, batch.algebra.n
     if not len(row):
         return np.zeros((2 * n + 2, 0), dtype=np.int64)
     base, _, cols, values, counts = digit_binomials(p)
-    parts, firsts, merged, pending, done = [], [], 0, 0, 0  # the last merged sum, then chunks
+    parts, merged, pending = [], 0, 0  # the last merged sum, then chunks
     for offset in range(0, len(row), _PRODUCT_CHUNK_TERMS):
         k = slice(offset, offset + _PRODUCT_CHUNK_TERMS)
         l, r = batch.terms.take(left[k], axis=1), batch.terms.take(right[k], axis=1)
-        b, c, pairs = l[1 + n:-1], r[1:1 + n], l + r  # pairs: row, a + c, b + d, coefficient
-        pairs[0], pairs[-1] = row[k], l[-1] * sign.take(row[k]) % p * r[-1] % p
+        b, c, pairs = l[1 + n:-1], r[1:1 + n], l + r  # pairs: owner, a + c, b + d, coefficient
+        pairs[0], pairs[-1] = owner.take(row[k]), l[-1] * sign.take(row[k]) % p * r[-1] % p
         rows, size = lucas_support(c, np.where(c < 0, b, np.minimum(b, c)), p)  # j-box ends
         ends = np.cumsum(count := size.prod(axis=0))
         total = int(ends[-1])
@@ -435,24 +428,15 @@ def _expand(batch, left, right, row, sign, owner):
             nz = np.flatnonzero(coeff)
             terms = terms.take(nz, axis=1)
             terms[-1] = coeff.take(nz)
-            past = _past(algebra, terms[1:1 + n], terms[1 + n:-1])
-            terms[0] = np.where(past, -1 - terms[0], owner.take(terms[0]))
-            terms, head = _reduce(p, terms)
-            parts.append(terms)
-            firsts.append(done + s + nz.take(head))
+            parts.append(terms := _reduce(p, terms)[0])  # the unreduced chunk is freed
             pending += terms.shape[1]
             last = e == total and k.stop >= len(row)
             if len(parts) > 1 and (last or pending > max(_PRODUCT_CHUNK_TERMS, merged)):
                 parts = [np.concatenate(parts, axis=1)]  # free the chunks before the merge
-                terms, head = _reduce(p, parts.pop())
-                parts, firsts = [terms], [np.concatenate(firsts).take(head)]
-                merged, pending = terms.shape[1], 0
-        done += total
-    (terms,), (first,) = parts, firsts
-    past = np.flatnonzero(terms[0] < 0)
-    if past.size:
-        k = past[np.argmin(first.take(past))]
-        _check_term(algebra, terms[1:1 + n, k].tolist(), terms[1 + n:-1, k].tolist())
+                parts = [_reduce(p, parts.pop())[0]]
+                merged, pending = parts[0].shape[1], 0
+    (terms,) = parts
+    _check_terms(algebra, terms[1:1 + n], terms[1 + n:-1])
     return terms
 
 
@@ -709,7 +693,8 @@ class TruncatedOperatorModule:
         L = prod_i C(a_i, j_i) C(b_i+e_i-j_i, e_i-j_i) from g x^a D^(b) and
         R = prod_i C(c_i, j_i) C(b_i+e_i-j_i, b_i-j_i) from x^a D^(b) g, each
         factor evaluated once on its coordinate's range and gathered.  A term
-        past the caps is refused where L or R is nonzero.  Kept beside
+        past the caps is refused only where k (L - R) is nonzero mod p, as
+        `DPDOperator.commutator` refuses it.  Kept beside
         `DPDOperator.combination`, which makes equal matrices slower, 2-vCPU
         Xeon: window-ladder's 37 calls a pass in 17.6 ms against 15.9 here, and
         pd-derham p = 7, N = 446's 3 in 0.227 s against 0.029 s."""
@@ -731,7 +716,7 @@ class TruncatedOperatorModule:
                             * binomial_array(top, e[i] - j[i], p)[at_b[i]] % p)
                     right = right * binomial_array(top, b_range - j[i], p)[at_b[i]] % p
                 a, b = own_a + c - j, own_b + e - j
-                _check_terms(self.algebra, a.T, b.T, where=(left != 0) | (right != 0))
+                _check_terms(self.algebra, a.T, b.T, where=(left - right) % p != 0)
                 yield a, b, k * (left - right)
 
         return self.operator_matrix(images(), target, cols)

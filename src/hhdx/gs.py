@@ -465,10 +465,11 @@ def gs_for_subalgebra_scenario(p, r=1, degree_bound=16, dp_bound=8):
     du = compressed_degree(p, r, degree_bound)
     qu = max(1, dp_bound // p ** r)
     flags = []
-    # p1 reports with the caps lifted (p = 2, one process on a 2-vCPU guest,
-    # interpreter start included): (du, qu) = (8, 4) 0.39 s, 32 MB; (16, 8)
-    # 0.50 s, 32 MB; (32, 16) 0.71 s, 38 MB, where dp_cap = 16 binds next.  Cost
-    # does not bind here; the caps stay because report bytes and pinned digests do.
+    # p1 reports with the caps lifted, one process on a 2-vCPU guest: p = 2 (du, qu)
+    # = (8, 4) 0.39 s, 32 MB; (32, 16) 0.71 s, 38 MB.  p = 7, r = 0, mostly
+    # `_rref_stack`: (16, 8) 0.05 s, 32 MB; (64, 32) 3.1 s, 136 MB; (128, 64) 52 s,
+    # 815 MB; (256, 128) exit 4 after 1.8 GB.  The caps stay because window-ladder's
+    # p1-cover reports and perfbench/digests.json pin them.
     if du > 8:
         du = 8
         flags.append("degree_window_capped")

@@ -784,8 +784,8 @@ def term_dicts(batch):
 class OracleOperator:
     """The dict-based operator that DPDOperator's term arrays replaced: terms
     maps distinct (a, b) exponent tuples to coefficients in [1, p), in
-    insertion order, each term checked on construction; products are
-    `oracle_product`, one term pair at a time."""
+    insertion order, each term checked on construction; products and
+    commutators are `oracle_combination`s."""
 
     __slots__ = ("algebra", "terms")
 
@@ -836,7 +836,7 @@ class OracleOperator:
         return oracle_product(self, other)
 
     def commutator(self, other):
-        return oracle_product(self, other) - oracle_product(other, self)
+        return oracle_commutator(self, other)
 
     def act(self, f):
         """The action on a polynomial, term by term; terms whose coefficients
@@ -875,32 +875,58 @@ class OracleOperator:
             for a, b in support)
 
 
-def oracle_product(x, y):
-    """x * y normal-ordered pair by pair through the commutation rule, with
-    no memo, the sum an OracleOperator (x and y either kind of operator)."""
-    p, n = x.algebra.p, x.algebra.n
-    out = {}
-    for (a, b), c1 in term_dict(x).items():
-        for (c, d), c2 in term_dict(y).items():
-            ranges = []
-            work = 1
+def _oracle_box(b, c):
+    """The j ranges of a term pair x^a D^(b) * x^c D^(d): j_i <= b_i, and
+    j_i <= c_i too when c_i >= 0."""
+    return [range((bi if ci < 0 else min(bi, ci)) + 1) for bi, ci in zip(b, c)]
+
+
+def oracle_sums(algebra, table, rows, count):
+    """The sums of (s L_l) R_r over the rows (l, r, s, o) on each owner
+    o < count (the table's operators either kind), normal-ordered pair by
+    pair through the commutation rule with no memo, as unconstrained dicts
+    {(a, b): c}, c in [0, p) and terms past a cap kept; every term pair's
+    j-box (rows whose sign p divides make none) is checked first."""
+    p, n = algebra.p, algebra.n
+    pairs = [(o, s * c1 * c2, ab, cd)
+             for l, r, s, o in rows if s % p
+             for ab, c1 in term_dict(table[l]).items()
+             for cd, c2 in term_dict(table[r]).items()]
+    for _, _, (_, b), (c, _) in pairs:
+        if np.prod([len(js) for js in _oracle_box(b, c)]) > MAX_PRODUCT_WORK:
+            raise CapacityError("normal-ordering workload exceeds capacity")
+    sums = [{} for _ in range(count)]
+    for o, c12, (a, b), (c, d) in pairs:
+        for j in itertools.product(*_oracle_box(b, c)):
+            coeff = c12
             for i in range(n):
-                hi = b[i] if c[i] < 0 else min(b[i], c[i])
-                ranges.append(range(hi + 1))
-                work *= hi + 1
-            if work > MAX_PRODUCT_WORK:
-                raise CapacityError("normal-ordering workload exceeds capacity")
-            for j in itertools.product(*ranges):
-                coeff = c1 * c2
-                for i in range(n):
-                    coeff = (coeff
-                             * binomial_mod(c[i], j[i], p)
-                             * binomial_mod(b[i] + d[i] - j[i], b[i] - j[i], p)) % p
-                if coeff:
-                    key = (tuple(a[i] + c[i] - j[i] for i in range(n)),
-                           tuple(b[i] + d[i] - j[i] for i in range(n)))
-                    out[key] = (out.get(key, 0) + coeff) % p
-    return OracleOperator(x.algebra, out)
+                coeff = (coeff
+                         * binomial_mod(c[i], j[i], p)
+                         * binomial_mod(b[i] + d[i] - j[i], b[i] - j[i], p)) % p
+            if coeff:
+                key = (tuple(a[i] + c[i] - j[i] for i in range(n)),
+                       tuple(b[i] + d[i] - j[i] for i in range(n)))
+                sums[o][key] = (sums[o].get(key, 0) + coeff) % p
+    return sums
+
+
+def oracle_combination(algebra, table, rows, count):
+    """The `oracle_sums` as OracleOperators, under `DPDOperator.combination`'s
+    refusal rule written plainly: past the j-box check, the first term past a
+    cap that a sum holds is refused, owners in order and each owner's terms
+    in sorted (a, b) order."""
+    return [OracleOperator(algebra, dict(sorted(terms.items())))
+            for terms in oracle_sums(algebra, table, rows, count)]
+
+
+def oracle_product(x, y):
+    """x * y as one `oracle_combination` row."""
+    return oracle_combination(x.algebra, [x, y], [(0, 1, 1, 0)], 1)[0]
+
+
+def oracle_commutator(x, y):
+    """[x, y] as one `oracle_combination` sum of the rows x y and -y x."""
+    return oracle_combination(x.algebra, [x, y], [(0, 1, 1, 0), (1, 0, -1, 0)], 1)[0]
 
 
 def oracle_smith_tower_check(p, levels):

@@ -119,6 +119,26 @@ def test_window_too_small_exits_4(argv, capsys):
     assert "capacity/window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prime,dp_cap", [(5, 0), (7, 2)])
+def test_pd_derham_reports_at_the_exponent_edge(prime, dp_cap, capsys):
+    """At degree bound MAX_EXPONENT - 1 the window's basis is within the caps,
+    and [x, x^(MAX - 1)] = 0: the commutator matrices' products pass
+    x^MAX_EXPONENT, but no result holds it, so the report is made."""
+    argv = ["--scenario", "pd-derham", "--prime", str(prime),
+            "--degree-bound", str(poly.MAX_EXPONENT - 1), "--dp-cap", str(dp_cap)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_pd_derham_past_the_exponent_edge_exits_4(capsys):
+    """One degree further the window's own basis holds x^MAX_EXPONENT."""
+    argv = ["--scenario", "pd-derham", "--prime", "7",
+            "--degree-bound", str(poly.MAX_EXPONENT), "--dp-cap", "2"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.strip().endswith(
+        f"monomial exponent {poly.MAX_EXPONENT} exceeds capacity")
+
+
 @pytest.mark.parametrize("scenario,message", [
     ("a1-hh", "degree window 16 holds no monomial of the depth-{} twist"),
     ("p1-cover", "degree window 16 holds no monomial of the depth-{} twist"),

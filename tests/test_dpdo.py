@@ -12,9 +12,12 @@ from helpers import (
     OracleOperator,
     commutes_with,
     invert_variable,
+    oracle_combination,
+    oracle_commutator,
     oracle_matrix_realize,
     oracle_operator_matrix,
     oracle_product,
+    oracle_sums,
     term_dict,
     term_dicts,
     vectorize,
@@ -562,7 +565,7 @@ _LINE2 = OperatorAlgebra(2, 1)
 
 @settings(max_examples=150, deadline=None)
 @given(commutator_windows())
-# [D, D^(16)] = 0, yet D * D^(16) = 17 D^(17) alone passes the cap: refused
+# [D, D^(16)] = 0, though D * D^(16) = 17 D^(17) alone passes the cap
 @example((TruncatedOperatorModule(_LINE2, 0, 16), _LINE2.divided_power(0, 1), None))
 @example((TruncatedOperatorModule(_LINE2, 0, 15), _LINE2.divided_power(0, 1), None))
 def test_commutator_matrix_matches_per_column_oracle(case):
@@ -579,14 +582,112 @@ def test_commutator_matrix_matches_per_column_oracle(case):
         assert module.commutator_matrix(g, target) == want
 
 
+@st.composite
+def edge_windows(draw):
+    """A one-variable window at an edge, up to four of its basis columns (its
+    first and last ones likely), a monomial g = k x^c D^(e) and a target:
+    either monomial exponents up to MAX_EXPONENT - 1 with divided powers
+    below 3 (0 on a Laurent window, so the rank stays under
+    MAX_WINDOW_RANK), or divided powers up to the cap p^4 with monomial
+    exponents below 4; c in {-1, 0, 1, 2} (c >= 0 on polynomial windows) and
+    e in {0, 1, 2, p, p^2}, or p^4 at the divided-power edge, so images pass a
+    cap both where L - R vanishes mod p and where it does not; the target the
+    window or a narrower one."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    alg = OperatorAlgebra(p, 1, laurent=draw(st.booleans()))
+    monomial_edge = draw(st.booleans())
+    if monomial_edge:
+        hi = MAX_EXPONENT - 1 - draw(st.integers(0, 2))
+        dp = draw(st.integers(0, 0 if alg.laurent else 2))
+    else:
+        hi, dp = draw(st.integers(0, 3)), alg.dp_cap - draw(st.integers(0, 2))
+    module = TruncatedOperatorModule(alg, hi, dp)
+    index = st.integers(0, 3) | st.integers(module.dim - 4, module.dim - 1) | st.integers(
+        0, module.dim - 1)
+    cols = sorted({min(max(k, 0), module.dim - 1) for k in draw(st.lists(index, min_size=1,
+                                                                          max_size=4))})
+    c = draw(st.sampled_from([-1, 0, 1, 2] if alg.laurent else [0, 1, 2]))
+    e = draw(st.sampled_from([0, 1, 2, p, p * p] + ([] if monomial_edge else [alg.dp_cap])))
+    g = alg.monomial((c,), (e,), draw(st.integers(1, p - 1)))
+    target = draw(st.none() | st.just(TruncatedOperatorModule(alg, max(hi - 1, 0), dp)))
+    return module, cols, g, target
+
+
+def _refusal(alg, a, b):
+    """The message `_check_term` refuses the term x^a D^(b) with, if any."""
+    try:
+        dpdo._check_term(alg, a, b)
+    except CapacityError as exc:
+        return str(exc)
+
+
+def _column_commutators(module, cols, g, target):
+    """The matrix of [g, -] on the columns `cols`, one `DPDOperator.commutator`
+    a column; or CapacityError with the refusal of every term past a cap that
+    a refused column's commutator holds (by `oracle_sums`), or WindowError if
+    an image leaves the target."""
+    alg, target = module.algebra, target or module
+    refused, triples = [], []
+    for k, col in enumerate(cols):
+        basis = alg.monomial(module.a[col], module.b[col])
+        try:
+            image = g.commutator(basis)
+        except CapacityError:
+            (held,) = oracle_sums(alg, [g, basis], [(0, 1, 1, 0), (1, 0, -1, 0)], 1)
+            refused += filter(None, (_refusal(alg, a, b) for (a, b), c in held.items() if c))
+            continue
+        row = target._locate(image.terms[1:2].T, image.terms[2:3].T)
+        triples.append((row, np.full_like(row, k), image.terms[-1]))
+    if refused:
+        return CapacityError, refused
+    row, col, val = (np.concatenate(x) for x in zip(*triples))
+    if (row < 0).any():
+        return WindowError, None
+    return FpMatrix.from_triples(alg.p, (target.dim, len(cols)), row, col, val)
+
+
+_LINE5 = OperatorAlgebra(5, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_windows())
+# [D, D^(16)] = 0 at p = 2: no column is refused
+@example((TruncatedOperatorModule(_LINE2, 0, 16), [16], _LINE2.divided_power(), None))
+# [x, x^(MAX - 1)] = 0 at p = 5, pd-derham's window at degree bound MAX - 1
+@example((TruncatedOperatorModule(_LINE5, MAX_EXPONENT - 1, 0), [MAX_EXPONENT - 1],
+          _LINE5.variable(), None))
+# [x, x^(MAX - 1) D] = -x^(MAX - 1): in the window, though both products pass the cap
+@example((TruncatedOperatorModule(_LINE2, MAX_EXPONENT - 1, 1), [2 * MAX_EXPONENT - 1],
+          _LINE2.variable(), None))
+# [x, D^(16)] = D^(15) at p = 2, and [x, x D^(16)] = x D^(15)
+@example((TruncatedOperatorModule(_LINE2, 1, 16), [16, 33], _LINE2.variable(), None))
+def test_commutator_matrix_refuses_as_the_column_commutators(case):
+    """`commutator_matrix` equals `DPDOperator.commutator` column by column at
+    the monomial and divided-power caps, refusals included: CapacityError
+    exactly when some column's commutator holds a term past a cap, naming one
+    of those terms; else WindowError exactly when an image leaves the
+    target."""
+    module, cols, g, target = case
+    want = _column_commutators(module, cols, g, target)
+    if isinstance(want, FpMatrix):
+        assert module.commutator_matrix(g, target, cols) == want
+        return
+    kind, messages = want
+    with pytest.raises(kind) as got:
+        module.commutator_matrix(g, target, cols)
+    assert messages is None or str(got.value) in messages
+
+
 def test_capacity_guard_on_products():
     alg = OperatorAlgebra(2, 1)
     big = alg.monomial((0,), (16,))
     # C(32, 16) = 0 mod 2, so the product is zero and must not raise
     assert not (big * big).terms.size
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="^divided-power exponent 17 exceeds cap 16$"):
         # C(17, 16) = 17 = 1 mod 2: a genuinely nonzero term beyond the cap
-        _ = big * alg.monomial((0,), (1,))
+        _ = alg.divided_power() * big
+    # [D, D^(16)] = 0: D D^(16) and D^(16) D both hold 17 D^(17), and cancel
+    assert not alg.divided_power().commutator(big).terms.size
 
 
 def _operators(draw):
@@ -631,9 +732,11 @@ def _outcome(compute):
 @settings(max_examples=150, deadline=None)
 @given(operator_pairs())
 def test_normal_ordering_kernel_matches_oracle_product(case):
+    """Products and commutators, refusals included, match the oracle: a
+    commutator refuses a term past a cap only if the difference holds it."""
     _, x, y = case
     product = _outcome(lambda: oracle_product(x, y))
-    commutator = _outcome(lambda: oracle_product(x, y) - oracle_product(y, x))
+    commutator = _outcome(lambda: oracle_commutator(x, y))
     assert _outcome(lambda: x * y) == product
     assert _outcome(lambda: x.commutator(y)) == commutator
     assert _outcome(lambda: x * y) == product
@@ -676,12 +779,12 @@ def digit_edge_pairs(draw):
 @given(digit_edge_pairs())
 def test_kernel_matches_oracle_product_at_digit_edges(case):
     """Products and commutators, refusals included, match `oracle_product`
-    where the Lucas supports the kernel walks cross digit blocks, meet hi, or
-    come from Kummer's carry-free rows of a negative exponent."""
+    and `oracle_commutator` where the Lucas supports the kernel walks cross
+    digit blocks, meet hi, or come from Kummer's carry-free rows of a negative
+    exponent."""
     _, x, y = case
     assert _outcome(lambda: x * y) == _outcome(lambda: oracle_product(x, y))
-    assert _outcome(lambda: x.commutator(y)) == _outcome(
-        lambda: oracle_product(x, y) - oracle_product(y, x))
+    assert _outcome(lambda: x.commutator(y)) == _outcome(lambda: oracle_commutator(x, y))
 
 
 def _batch_outcome(alg, xs, ys):
@@ -694,9 +797,12 @@ def _batch_outcome(alg, xs, ys):
 
 
 def _oracle_outcome(xs, ys):
-    """The products xs[k] * ys[k] as term dicts, one `oracle_product` at a time."""
+    """The products xs[k] * ys[k] as term dicts, one `oracle_combination` row
+    (xs[k], ys[k]) on owner k, or its refusal."""
+    k = len(xs)
     try:
-        return [oracle_product(x, y).terms for x, y in zip(xs, ys)]
+        return [op.terms for op in oracle_combination(
+            xs[0].algebra, [*xs, *ys], [(i, k + i, 1, i) for i in range(k)], k)]
     except (CapacityError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -710,12 +816,13 @@ _EDGE2 = OperatorAlgebra(3, 2, laurent=True)
 # the middle owner alone is refused: C(17, 16) D^(17) passes the cap 16
 @example((_LINE2, [_LINE2.variable(), _LINE2.divided_power(0, 16), _LINE2.divided_power()],
           [_LINE2.divided_power(0, 2), _LINE2.divided_power(), _LINE2.variable(0, 3)]))
-# two refused terms: the first in right-term order (x^(MAX + 1)) is named,
-# not the first in sorted order
+# two refused terms: the first in sorted order (x^MAX) is named, not the
+# first in right-term order (x^(MAX + 1))
 @example((_EDGE, [_EDGE.variable(0, MAX_EXPONENT - 1)],
           [_EDGE.from_terms({((2,), (0,)): 1, ((1,), (0,)): 1})]))
-# one term pair's box refuses x^(-MAX - 1) first in j order (last coordinate
-# fastest) and x^(-MAX - 2) first with the first coordinate fastest
+# one term pair's box makes x^(-MAX - 1) first in j order (last coordinate
+# fastest) and x^(-MAX - 2) first with the first coordinate fastest; the
+# latter sorts first and is named
 @example((_EDGE2, [_EDGE2.monomial((0, 0), (3, 3))],
           [_EDGE2.monomial((1 - MAX_EXPONENT, 2 - MAX_EXPONENT), (0, 0))]))
 def test_batch_kernel_matches_oracle_product_owner_by_owner(case):
@@ -724,20 +831,23 @@ def test_batch_kernel_matches_oracle_product_owner_by_owner(case):
 
 
 def test_batch_refuses_its_first_refused_product():
-    """A term past a cap and a term pair over MAX_PRODUCT_WORK refuse in
-    owner order, as the products one at a time would."""
+    """A term pair over MAX_PRODUCT_WORK is refused before any term past a
+    cap, whatever the owners' order; terms past a cap are refused in owner
+    order, and only where the owner's sum holds them."""
     alg = OperatorAlgebra(41, 1, laurent=True)  # dp cap 41^4 > MAX_PRODUCT_WORK
     past = (alg.divided_power(0, alg.dp_cap), alg.divided_power())  # C(cap + 1, 1) = 1
     wide = (alg.divided_power(0, MAX_PRODUCT_WORK), alg.variable(0, -1))  # box cap + 1
     fine = (alg.variable(), alg.divided_power())
-    for pairs, message in [((fine, past, wide), f"exponent {alg.dp_cap + 1} exceeds"),
+    for pairs, message in [((fine, past, past), f"exponent {alg.dp_cap + 1} exceeds"),
+                           ((fine, past, wide), "workload exceeds capacity"),
                            ((fine, wide, past), "workload exceeds capacity")]:
         xs, ys = zip(*pairs)
         outcome = _batch_outcome(alg, xs, ys)
         assert outcome == _oracle_outcome(xs, ys)
         assert outcome[0] is CapacityError and message in outcome[1]
-    # a batch commutator refuses as [L_0, R_0], then [L_1, R_1], would: R_0 L_0
-    # passes the monomial cap before L_1 R_1 passes the divided-power cap
+    # a batch commutator refuses owner by owner what each sum holds: [L_0, R_0]
+    # = x^(-MAX) passes the monomial cap, while the two D^(17) of [L_1, R_1]
+    # cancel
     line = OperatorAlgebra(2, 1, laurent=True)
     ls = DPDOperator.concat([line.variable(0, 1 - MAX_EXPONENT), line.divided_power(0, 16)])
     rs = DPDOperator.concat([line.divided_power(), line.divided_power()])
@@ -758,12 +868,12 @@ def test_batch_kernel_in_small_chunks_matches_oracle(chunk, monkeypatch):
         assert _batch_outcome(alg, xs, ys) == _oracle_outcome(xs, ys)
     # two refused terms, x^(MAX + 2) D^(3) from the first term pair and
     # x^MAX D^(4) from the second, in different chunks at chunk sizes up to 5:
-    # the first made is named, though x^MAX sorts first
+    # x^MAX sorts first and is named, though x^(MAX + 2) is made first
     xs = [_EDGE.variable(), _EDGE.from_terms({((MAX_EXPONENT - 1,), (3,)): 1})]
     ys = [_EDGE.divided_power(0, 4), _EDGE.from_terms({((3,), (0,)): 1, ((1,), (1,)): 2})]
     outcome = _batch_outcome(_EDGE, xs, ys)
     assert outcome == _oracle_outcome(xs, ys)
-    assert outcome == (CapacityError, f"monomial exponent {MAX_EXPONENT + 2} exceeds capacity")
+    assert outcome == (CapacityError, f"monomial exponent {MAX_EXPONENT} exceeds capacity")
 
 
 @pytest.mark.parametrize("chunk", [2, 5, 16])
@@ -855,11 +965,11 @@ _WIDE_TABLE = [_WIDE.variable(), _WIDE.divided_power(0, MAX_PRODUCT_WORK), _WIDE
 
 @settings(max_examples=150, deadline=None)
 @given(combinations())
-# D^(16) D = D^(17) is refused in its row though the next row cancels it
+# D^(16) D = D^(17) passes the cap, but the next row cancels it: not refused
 @example((_LINE2, [_LINE2.divided_power(0, 16), _LINE2.divided_power()],
           [(0, 1, 1, 0), (1, 0, -1, 0)], 1, None))
-# a row with a term pair over MAX_PRODUCT_WORK is refused after the rows
-# before it, and before the term past a cap of the row after it
+# a term pair over MAX_PRODUCT_WORK is refused before the term past a cap
+# that a row before it or after it leaves in the sum
 @example((_WIDE, _WIDE_TABLE, [(0, 4, 1, 0), (1, 2, 1, 1), (3, 4, 1, 0)], 2, None))
 @example((_WIDE, _WIDE_TABLE, [(0, 4, 1, 0), (3, 4, 1, 0), (1, 2, 1, 1)], 2, None))
 # a row whose sign p divides makes no term pair, so its wide pair is not refused
@@ -868,19 +978,15 @@ _WIDE_TABLE = [_WIDE.variable(), _WIDE.divided_power(0, MAX_PRODUCT_WORK), _WIDE
 @example((_EDGE2, [_EDGE2.monomial((1, -1), (2, 1)), _EDGE2.monomial((-2, 3), (1, 2))],
           [(0, 1, 1, 0), (1, 0, 2, 0), (0, 1, -1, 2), (1, 1, 1, 2)], 3, 1))
 def test_combination_matches_signed_oracle_products(case):
-    """`combination` is the sum of `oracle_product`s (s L) R owner by owner
+    """`combination` is `oracle_combination`: the sums (s L) R owner by owner
     (a row whose sign p divides makes no term pair, so it refuses nothing),
-    and refuses as its rows one at a time would, with their first refusal."""
+    a term pair over MAX_PRODUCT_WORK refused before anything else, and then
+    the first term past a cap that a sum holds, in (owner, a, b) order."""
     alg, table, rows, count, chunk = case
-    oracle = [OracleOperator(alg, term_dict(op)) for op in table]
     try:
-        sums = [OracleOperator(alg, {}) for _ in range(count)]
-        for l, r, s, o in rows:
-            sums[o] = sums[o] + oracle_product(oracle[l].scale(s), oracle[r])
-        want = [op.terms for op in sums]
+        want = [op.terms for op in oracle_combination(alg, table, rows, count)]
     except (CapacityError, ValueError) as exc:
         want = type(exc), str(exc)
-    alone = [_combination_outcome(table, [(l, r, s, 0)], 1) for l, r, s, _ in rows]
     saved = dpdo._PRODUCT_CHUNK_TERMS
     dpdo._PRODUCT_CHUNK_TERMS = chunk or saved
     try:
@@ -888,8 +994,21 @@ def test_combination_matches_signed_oracle_products(case):
     finally:
         dpdo._PRODUCT_CHUNK_TERMS = saved
     assert got == want
-    assert (got if isinstance(got, tuple) else None) == next(
-        (outcome for outcome in alone if isinstance(outcome, tuple)), None)
+
+
+def test_combination_refuses_a_wide_pair_before_it_expands_anything(monkeypatch):
+    """A row whose sum holds D^(cap + 1), then a row whose term pair's j-box
+    exceeds MAX_PRODUCT_WORK: the box is refused and `_expand` never runs.
+    The first row alone is refused for its term, through `_expand`."""
+    calls, expand = [], dpdo._expand
+    monkeypatch.setattr(dpdo, "_expand", lambda *args: calls.append(args) or expand(*args))
+    batch = DPDOperator.concat(_WIDE_TABLE)
+    with pytest.raises(CapacityError, match="^normal-ordering workload exceeds capacity$"):
+        batch.combination([np.array([(3, 4, 1, 0), (1, 2, 1, 1)]).T], 2)
+    assert not calls
+    with pytest.raises(CapacityError, match=f"^divided-power exponent {_WIDE.dp_cap + 1} "):
+        batch.combination([np.array([(3, 4, 1, 0)]).T], 1)
+    assert len(calls) == 1
 
 
 def test_monomials_are_one_batch_refused_as_monomial_would_be():
