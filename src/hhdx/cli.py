@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -34,10 +33,9 @@ from .gs import GSComplex, GSDiagram, Poset, gs_for_subalgebra_scenario
 from .hochschild import (
     Bimodule,
     StructAlgebra,
-    bar_differential_matrix,
+    bar_complex,
     cup_product,
     hh_of_pair,
-    hochschild_cohomology,
     operator_window_koszul,
 )
 from .tower import (
@@ -224,15 +222,16 @@ def _scenario_gs_point(args):
     bimodule = Bimodule.regular(algebra)
     gs = _point_complex(bimodule)
     config = {"prime": p, "algebra": name}
-    bar_match = all(
-        gs.double.vertical(0, j) == bar_differential_matrix(bimodule, j)
-        for j in range(0, 2))
-    hh = hochschild_cohomology(bimodule, 2)
+    bar = bar_complex(bimodule, 3)  # HH^0 .. HH^2, each below its truncation edge
+    hh = bar.betti()
+    bar_match = all(gs.double.vertical(0, j) == bar.diffs[j] for j in range(0, 2))
+    # H(Tot) by its quotients, which eliminate the images, not by ranks: the
+    # ranks are the kernels that hh and the spectral pages read too
     total = gs.double.totalize()
     total_dims = {m: total.cohomology(m)[0] for m in range(0, 3)}
     agree, table = gs.double.convergence_check()
     results = {
-        "hochschild_dims": {m: hh[m][0] for m in sorted(hh)},
+        "hochschild_dims": {m: hh[m] for m in range(0, 3)},
         "total_dims": total_dims,
         "bar_matrices_match": bar_match,
         "spectral_convergence": {"agree": agree, "table": table},
@@ -240,7 +239,7 @@ def _scenario_gs_point(args):
     assertions = []
     _check(assertions, "diagram-verticals-are-bar-differentials", bar_match)
     _check(assertions, "total-cohomology-equals-hochschild-below-bar-edge",
-           all(total_dims[m] == hh[m][0] for m in range(0, 2)))
+           all(total_dims[m] == hh[m] for m in range(0, 2)))
     _check(assertions, "spectral-sequence-converges", agree)
     flags = ["degree-2 total cohomology sits at the bar truncation edge; "
              "only degrees 0 and 1 are certified against the full complex"]
@@ -403,14 +402,105 @@ def build_report(scenario, config, results, assertions, flags):
     }
 
 
+# Characters one write of `render_json` holds at most.
+JSON_PIECE = 1 << 16
+_INF = float("inf")
+
+
+def _scalar(o):
+    """The JSON text of a str, None, bool, int or float, as json writes it (int
+    and float subclasses as their values, nan and +-inf as NaN and +-Infinity);
+    None for anything else."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        return "-Infinity" if o == -_INF else float.__repr__(o)
+    return None
+
+
 def render_json(report, out):
-    """Write the report to out as it is encoded, 4096 encoder chunks a write:
-    no string of the whole report is built, and an unbuffered stream is not
-    written once a chunk.  Int keys sort as ints, as strings only below 10."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
-    while block := "".join(itertools.islice(chunks, 4096)):
-        out.write(block)
-    out.write("\n")
+    """Write the report to out, then "\n", exactly as
+    `json.JSONEncoder(indent=2, sort_keys=True)` encodes it: keys sorted on
+    their original values (so int keys sort as ints), strings through
+    `encode_basestring_ascii`, and a TypeError wherever json raises one.
+    json's indenting encoder is pure Python, a generator step per token;
+    here a list of scalars (an entry grid's row, say) is one `str.join`.
+    The text reaches out in pieces of at most `JSON_PIECE` characters, so no
+    string of the whole report is built and an unbuffered stream is not
+    written once a token."""
+    buf, size = [], 0
+
+    def put(text):
+        nonlocal size
+        buf.append(text)
+        size += len(text)
+        if size >= JSON_PIECE:
+            text = "".join(buf)
+            cut = len(text) - len(text) % JSON_PIECE
+            for k in range(0, cut, JSON_PIECE):
+                out.write(text[k:k + JSON_PIECE])
+            buf[:], size = [text[cut:]], len(text) - cut
+
+    def write(o, indent):
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return put("[]")
+            inner = indent + "  "
+            sep = ",\n" + inner
+            # all strings, as in an entry grid's row: one pass in C (morita-matrix
+            # p = 7 depth 4 reports in 1.2 s, 1.6 s through `_scalar`, 2-vCPU Xeon)
+            texts = None
+            if isinstance(o[0], str):
+                try:
+                    texts = list(map(encode_basestring_ascii, o))
+                except TypeError:  # an item that is not a string
+                    pass
+            texts = texts or [_scalar(v) for v in o]
+            if None not in texts:
+                return put("[\n" + inner + sep.join(texts) + "\n" + indent + "]")
+            lead = "[\n" + inner
+            for v, text in zip(o, texts):
+                put(lead + (text or ""))
+                if text is None:
+                    write(v, inner)
+                lead = sep
+            return put("\n" + indent + "]")
+        if isinstance(o, dict):
+            if not o:
+                return put("{}")
+            inner = indent + "  "
+            lead = "{\n" + inner
+            for key, v in sorted(o.items()):
+                name = key if isinstance(key, str) else _scalar(key)
+                if name is None:
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                text = _scalar(v)
+                put(lead + encode_basestring_ascii(name) + ": " + (text or ""))
+                if text is None:
+                    write(v, inner)
+                lead = ",\n" + inner
+            return put("\n" + indent + "}")
+        text = _scalar(o)
+        if text is None:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        put(text)
+
+    write(report, "")
+    put("\n")
+    out.write("".join(buf))
 
 
 def render_text(report):

@@ -339,12 +339,18 @@ class GSComplex:
             lambda s, j: bar_differential_matrix(pulled[s], j), self._face_matrix)
 
     def _pullback_bimodule(self, sigma):
+        """M(min sigma) over A(max sigma), a acting as rho(a) for the chain's
+        restriction rho.  Its laws are not checked again, since they follow
+        from checks already made, each law checked once: `GSDiagram` checked
+        every strict pair's rho as a unital, multiplicative algebra map,
+        `SpaceDiagram` added the identities, and M(min sigma) was checked
+        when it was built.  So a -> L(rho(a)) and a -> R(rho(a)) are unital
+        and multiplicative, and they commute as L and R do."""
         top, bottom = sigma[-1], sigma[0]
-        a_top = self.diagram.algebras[top]
         m_bot = self.diagram.bimodules[bottom]
         rho = self.diagram.restr_alg[(top, bottom)]
-        return Bimodule(a_top, m_bot.action(rho.T, "left"), m_bot.action(rho.T, "right"),
-                        product=m_bot.product)
+        return Bimodule._wrap(self.diagram.algebras[top], m_bot.action(rho.T, "left"),
+                              m_bot.action(rho.T, "right"), product=m_bot.product)
 
     def block_dim(self, sigma, j):
         return (self.diagram.algebras[sigma[-1]].dim ** j

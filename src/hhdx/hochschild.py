@@ -147,6 +147,15 @@ class Bimodule:
             self.product = prod
         self._check()
 
+    @classmethod
+    def _wrap(cls, algebra, left, right, product=None):
+        """Wrap reduced action matrices whose laws are known to hold (no copy,
+        no check)."""
+        out = cls.__new__(cls)
+        out.algebra, out.dim, out.left, out.right, out.product = (
+            algebra, left.shape[-1], left, right, product)
+        return out
+
     def action(self, coords, side):
         """Matrix by which the algebra element with the given coordinates acts
         on the "left" or the "right": sum_k coords[k] L_k (or R_k).  A stack

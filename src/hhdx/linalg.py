@@ -35,8 +35,12 @@ Each complex checks its law once, as d∘d = 0 (a double complex on its
 totalization, built with it; its laws per bidegree are tried only to name a
 failure), and memoizes what it eliminates: a CochainComplex its kernels,
 images and cohomology, a DoubleComplex its total differentials, totalization
-and one persistence-pair table per total degree.  The memo lives on the
-object (nothing is shared between complexes, so nothing outlives a report).
+and one persistence-pair table per total degree.  Dimensions come from ranks:
+rank d^m is dim C^m less dim ker d^m, read off the memoized kernel, so Betti
+numbers take one elimination per differential and no image; images and
+representatives are eliminated only where a report reads them.  The memo
+lives on the object (nothing is shared between complexes, so nothing
+outlives a report).
 A complex's matrices must not be mutated after construction, and a complex
 is not shared between threads.
 """
@@ -702,8 +706,16 @@ class CochainComplex:
             self._cohomology[m] = (reps.dim, reps.basis)
         return self._cohomology[m]
 
+    def rank(self, m):
+        """rank d^m: dim C^m less dim ker d^m, read off the memoized kernel; 0
+        where there is no differential (m outside [lo, hi))."""
+        return self.dims[m] - self.kernel(m).dim if m in self.diffs else 0
+
     def betti(self):
-        return {m: self.cohomology(m)[0] for m in range(self.lo, self.hi + 1)}
+        """{m: dim H^m} as dim C^m - rank d^m - rank d^(m-1), for m in [lo, hi]:
+        one kernel elimination per differential, no image eliminated."""
+        return {m: self.dims[m] - self.rank(m) - self.rank(m - 1)
+                for m in range(self.lo, self.hi + 1)}
 
 
 # Largest max_i and max_j of a double complex.  The full triangle of cells of
@@ -878,7 +890,19 @@ class DoubleComplex:
         return self.spectral_sequence()[-1]
 
     def convergence_check(self):
-        """Sum over i+j=m of dim E_inf equals dim H^m(Tot) for every m."""
+        """Sum over i+j=m of dim E_inf equals dim H^m(Tot) for every m.
+
+        The two sides must come from different eliminations.  Every pair of
+        d^n leaves both its ends out of E_inf, and the pairs of d^n number
+        rank d^n, read off the kernel of the total differential
+        (`_pair_counts`).  So the sum over i+j=m of dim E_inf telescopes to
+        dim T^m - rank d^m - rank d^(m-1): that is the totalization's
+        `betti()`, from the same kernels, and comparing with it would hold
+        by construction.  dim H^m(Tot) is therefore `cohomology(m)`, whose
+        quotient eliminates the image of d^(m-1) (the transpose of d^(m-1))
+        on its own; that image elimination is this certificate's independent
+        half and must stay.
+        """
         einf, tot = self.infinity_page(), self.totalize()
         table = {m: (sum(einf.dim(i, m - i) for i in range(m + 1)), tot.cohomology(m)[0])
                  for m in range(self.max_i + self.max_j + 1)}

@@ -3,6 +3,8 @@ its cup product, and the windowed operator scenarios."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     invert_variable,
@@ -226,6 +228,86 @@ def test_diagram_validation_rejects_broken_maps():
                   one, {**one, ("U", "W"): [[0]]})
     GSDiagram(p, chain, {e: field for e in "UVW"},
               {e: Bimodule.regular(field) for e in "UVW"}, one, one)
+
+
+def _two_point_maps(p, restr_alg, restr_mod, top=None, bottom=None):
+    """A GSDiagram on V < U with the given restriction matrices; by default
+    k[x]/(x^2) over U and k over V, each its own regular bimodule."""
+    top = top or Bimodule.regular(StructAlgebra.truncated_polynomial(p, 2))
+    bottom = bottom or Bimodule.regular(StructAlgebra(p, [[[1]]], [1]))
+    return GSDiagram(p, Poset(["V", "U"], [("V", "U")]),
+                     {"U": top.algebra, "V": bottom.algebra}, {"U": top, "V": bottom},
+                     {("U", "V"): restr_alg}, {("U", "V"): restr_mod})
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_diagram_rejects_a_restriction_that_breaks_the_unit(p):
+    with pytest.raises(ValueError, match=r"\('U', 'V'\): restriction does not preserve the unit"):
+        _two_point_maps(p, [[0, 1]], [[1, 0]])  # 1 -> 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_diagram_rejects_a_restriction_that_is_not_multiplicative(p):
+    # 1 -> 1 and x -> 1, so x^2 = 0 would go to 0 while x times x goes to 1
+    with pytest.raises(ValueError, match=r"\('U', 'V'\): restriction is not multiplicative"):
+        _two_point_maps(p, [[1, 1]], [[1, 0]])
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_diagram_rejects_a_module_map_that_breaks_an_action(side):
+    # evaluation at x = 0 with the module map a + b x -> b: x acts by zero on
+    # k, yet x . 1 = x maps to 1.  The other side of k[x]/(x^2) acts through
+    # its constant term alone, so only `side` breaks
+    p = 3
+    top = Bimodule.regular(StructAlgebra.truncated_polynomial(p, 2))
+    eye = np.eye(2, dtype=np.int64)
+    scalars = np.stack([eye, 0 * eye])  # 1 acts as the identity, x as zero
+    top = Bimodule(top.algebra, *((top.left, scalars) if side == "left" else (scalars, top.right)))
+    with pytest.raises(ValueError, match=rf"\('U', 'V'\): module map breaks the {side} action"):
+        _two_point_maps(p, [[1, 0]], [[0, 1]], top=top)
+
+
+def test_diagram_rejects_a_module_map_that_is_not_multiplicative():
+    # over k everywhere: k[x]/(x^2) as a bimodule with its product, onto k by
+    # (a + b x) -> a + b, which respects the scalar actions but sends x^2 = 0
+    # to 0 and x times x to 1
+    p = 3
+    field = StructAlgebra(p, [[[1]]], [1])
+    eye = np.eye(2, dtype=np.int64)[None]
+    top = Bimodule(field, eye, eye, product=StructAlgebra.truncated_polynomial(p, 2).table)
+    with pytest.raises(ValueError, match=r"\('U', 'V'\): module map is not multiplicative"):
+        _two_point_maps(p, [[1]], [[1, 1]], top=top)
+
+
+def _acceptance_diagrams(p):
+    """The diagrams the evaluation tests and the acceptance criteria build
+    complexes of: the evaluation of k[x]/(x^2) at 0, the point and the chain
+    a < b under constant bimodules, and a constant three-element chain."""
+    chain = Poset(["W", "V", "U"], [("W", "V"), ("V", "U")])
+    return [_evaluation_diagram(p),
+            *(GSDiagram.constant(Poset(["pt"], []), Bimodule.regular(algebra))
+              for algebra in (StructAlgebra.matrix_algebra(p, 2),
+                              StructAlgebra.product_of_copies(p, 2),
+                              StructAlgebra.truncated_polynomial(p, 2))),
+            GSDiagram.constant(Poset(["a", "b"], [("a", "b")]),
+                               Bimodule.regular(StructAlgebra.product_of_copies(p, 2))),
+            GSDiagram.constant(chain, Bimodule.regular(StructAlgebra.truncated_polynomial(p, 3)))]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 5))
+def test_every_pullback_passes_the_bimodule_laws_it_skips(p, which):
+    """`_pullback_bimodule` checks no law; `Bimodule._check`, the oracle,
+    passes on every pullback along every chain of these diagrams."""
+    gs = GSComplex(_acceptance_diagrams(p)[which])
+    for level in gs.chains.values():
+        for sigma in level:
+            pulled = gs._pullback_bimodule(sigma)
+            pulled._check()
+            checked = Bimodule(pulled.algebra, pulled.left, pulled.right, pulled.product)
+            assert pulled.dim == checked.dim
+            assert np.array_equal(pulled.left, checked.left)
+            assert np.array_equal(pulled.right, checked.right)
 
 
 # -- cup products -------------------------------------------------------------

@@ -546,6 +546,43 @@ def test_circle_cochain_complex():
         assert Subspace(p, 3, reps0).contains([1, 1, 1])
 
 
+def _random_shifted_complex(p, rng):
+    """A complex on degrees lo .. lo + n, lo in 0..3 and n in 0..4, whose dimensions may be
+    0 and whose differentials may be omitted, zero or of any rank: d^m is a
+    random map after rows that kill the image of d^(m-1), so d∘d = 0."""
+    lo, n = int(rng.integers(0, 4)), int(rng.integers(0, 5))
+    dims = {lo + i: int(rng.integers(0, 6)) for i in range(n + 1)}
+    diffs, prev = {}, None
+    for m in range(lo, lo + n):
+        kind = rng.random()
+        if kind < 0.1:  # omitted: the complex fills in a zero matrix
+            prev = None
+            continue
+        if kind < 0.2:
+            d = np.zeros((dims[m + 1], dims[m]), dtype=np.int64)
+        else:
+            killing = (np.eye(dims[m], dtype=np.int64) if prev is None
+                       else oracle_kernel_basis(FpMatrix(p, prev.T)))
+            full = prev is not None and rng.random() < 0.7  # low rank first leaves room
+            width = killing.shape[0] if full else int(rng.integers(killing.shape[0] + 1))
+            d = rng.integers(0, p, size=(dims[m + 1], width)) @ killing[:width]
+        diffs[m] = FpMatrix(p, d)
+        prev = diffs[m].a
+    return CochainComplex(p, dims, diffs)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 10 ** 6))
+def test_betti_from_ranks_matches_the_oracle_cohomology(p, seed):
+    cx = _random_shifted_complex(p, np.random.default_rng(seed))
+    want = {m: oracle_cohomology(cx.diffs.get(m - 1), cx.diffs.get(m), p, cx.dims[m])[2][0]
+            for m in range(cx.lo, cx.hi + 1)}
+    assert cx.betti() == want
+    for m in range(cx.lo - 1, cx.hi + 2):
+        d = cx.diffs.get(m)
+        assert cx.rank(m) == (0 if d is None else len(oracle_rref(d.a, p)[1]))
+
+
 def test_cochain_complex_rejects_bad_differential():
     p = 3
     d0 = FpMatrix(p, [[1, 0], [0, 1]])
