@@ -340,6 +340,11 @@ def _scenario_cup_ring_map(args):
            all(entry["equal"] for entry in pair_reports))
     _check(assertions, "cup-unit-two-sided", unit_ok)
 
+    # The ring check stops at u^8, a window `perfbench/digests.json` pins
+    # (report-stream's widths reach 11), not a cost: it makes one product per
+    # pair i + j <= du.  With the 8 lifted in a scratch copy, p = 2 r = 1, one
+    # process each, 2-vCPU Xeon: du = 8 0.03 s and 37 MB, du = 512 0.16 s and
+    # 78 MB, du = 2048 1.75 s and 383 MB, du = 4096 5.9 s and 1344 MB.
     du = min(compressed_degree(p, r, d), 8)
     alg_u = OperatorAlgebra(p, 1, names=("u",))
     powers = alg_u.monomials(np.arange(du + 1), np.zeros(du + 1))
@@ -402,7 +407,12 @@ def build_report(scenario, config, results, assertions, flags):
     }
 
 
-# Characters one write of `render_json` holds at most.
+# Characters one write of `render_json` holds at most.  morita-matrix p = 7
+# depth 4 --json (173 MB of JSON to /dev/null, one process each, 2-vCPU Xeon)
+# took 1.4-1.6 s in pieces of 256, 1.05-1.2 s in pieces of 4096 and 65536 at
+# 119.6 MB peak RSS, 1.5-1.7 s in pieces of 1 MiB, and 2.0 s and 183 MB in
+# pieces of 16 MiB: smaller pieces pay for writes, larger ones for joining and
+# slicing the buffer.
 JSON_PIECE = 1 << 16
 _INF = float("inf")
 

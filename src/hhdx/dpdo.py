@@ -218,8 +218,8 @@ class DPDOperator:
         start, size = bound[:-1], np.diff(bound)
         l_size, r_size = size.take(l) * (s % alg.p != 0), size.take(r)  # s L is 0 if p | s
         per = np.repeat(r_size, l_size)  # right terms for each row's left term
-        left = np.repeat(_segments(start.take(l), l_size), per)  # each pair's two terms
-        right = _segments(np.repeat(start.take(r), l_size), per)
+        left = np.repeat(linalg._segments(start.take(l), l_size), per)  # each pair's two terms
+        right = linalg._segments(np.repeat(start.take(r), l_size), per)
         row = np.repeat(np.arange(len(l)), l_size * r_size)
         box = np.ones(len(row), dtype=np.int64)
         for b, c in zip(self.terms[1 + n:-1], self.terms[1:1 + n]):
@@ -337,11 +337,6 @@ def _check_terms(algebra, a, b, where=True):
     past = np.flatnonzero(where & past)
     if past.size:
         _check_term(algebra, a[:, past[0]].tolist(), b[:, past[0]].tolist())
-
-
-def _segments(start, size):
-    """The concatenated ranges [start_k, start_k + size_k)."""
-    return np.repeat(start - (np.cumsum(size) - size), size) + np.arange(size.sum())
 
 
 def _reduce(p, terms):
@@ -504,7 +499,6 @@ def matrix_realize(op, r, degree_bound=None):
             f"map at depth {r}")
     ring = op.algebra.ring
     p, n = ring.p, ring.n
-    q = p ** r
     # A rank-q realization is one term array, built and rendered in 0.14 s at
     # q = 2401; encoding its report's two q^2-entry grids costs the rest.  One
     # process per morita-matrix --json report (default operator, degree bound
@@ -512,9 +506,12 @@ def matrix_realize(op, r, degree_bound=None):
     # JSON), and the largest accepted rank, q = 3721 (p = 61), 6.1-7.5 s and
     # 248 MB (415 MB).  A 1024-term operator at q = 3721 (3.8 million image
     # terms) takes 23 s and 1.2 GB, 16.6 s of it rendering grids.  Replacing
-    # the cap waits for a plan of a report's cost before it is built.
-    if q ** n > 4096:
+    # the cap waits for a plan of a report's cost before it is built.  q^n =
+    # p^(r n) > 4096 once r n >= 4096.bit_length() = 13 (p >= 2), so a deep
+    # twist is refused before p^r is formed: at r = 10^12 it would not fit in memory.
+    if r * n >= 13 or p ** (r * n) > 4096:
         raise CapacityError("twist-basis rank exceeds capacity")
+    q = p ** r
     shape = (q,) * n
     a, b, c = op.terms[1:1 + n], op.terms[1 + n:-1], op.terms[-1]
     step = max(1, _PRODUCT_CHUNK_TERMS // max(1, len(c)))  # columns of one chunk
@@ -563,6 +560,12 @@ def morita_compress(op, r, degree_bound):
     if r < 0:
         raise ValueError("r must be nonnegative")
     p = op.algebra.p
+    # q = p^r past the int64 term arrays is past any window: r >= 63 gives it
+    # (p >= 2), so such a depth is refused before q is formed (at r = 10^12 q
+    # would not fit in memory); below, the refusal names the window it needs
+    top = np.iinfo(np.int64).max
+    if r >= top.bit_length() or p ** r > top:
+        raise WindowError(f"degree window {degree_bound} cannot certify compression at depth {r}")
     q = p ** r
     _, a, b, _ = op.terms
     terms = op.terms[:, (a % q == 0) & (b % q == 0)]
@@ -591,10 +594,11 @@ def compressed_degree(p, r, degree_bound):
 
 def compression_action_agrees(op, compressed, r, degree_bound):
     """Whether op and its compression act alike on every subring monomial
-    x^(p^r k) = u^k inside the degree window."""
+    x^(p^r k) = u^k inside the degree window (`compressed_degree`, which
+    refuses p^r > degree_bound before p^r is formed)."""
+    hi = compressed_degree(op.algebra.p, r, degree_bound)
     q = op.algebra.p ** r
-    lo = -(degree_bound // q) if op.algebra.laurent else 0
-    hi = degree_bound // q
+    lo = -hi if op.algebra.laurent else 0
     for k in range(lo, hi + 1):
         big = op.act(op.algebra.ring.monomial((q * k,)))
         small = compressed.act(compressed.algebra.ring.monomial((k,)))

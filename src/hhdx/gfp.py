@@ -17,6 +17,11 @@ import numpy as np
 
 from . import linalg
 
+# The primes hhdx accepts; every test, golden and benchmark case lies in this
+# range.  No cost binds it: with it raised to 257 in a scratch copy, the report
+# whose work grows fastest in p, smith-tower r = 2 at degree bound p^2, took
+# 0.13 s and 70 MB at p = 97, 0.60 s and 136 MB at 199 and 0.91 s and 187 MB at
+# 251 (one process each, 2-vCPU Xeon); past 256, p^2 passes poly.MAX_EXPONENT.
 MAX_PRIME = 97
 
 PRIMES = tuple(
@@ -51,6 +56,9 @@ def binomial_mod(m, q, p):
     """C(m, q) mod p for any integer m and q >= 0.
 
     Negative upper argument follows C(-n, q) = (-1)^q C(n + q - 1, q).
+    Kept beside `binomial_array`: for one scalar this takes 0.3-1.2 us and
+    that 7.6-44 us (p in {2, 7, 97}, 2-vCPU Xeon), and `DPDOperator.act`
+    makes 452 such calls a report-stream sequence.
     """
     if q < 0:
         return 0

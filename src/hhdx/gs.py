@@ -43,7 +43,7 @@ from .dpdo import OperatorAlgebra, TruncatedOperatorModule, compressed_degree
 from .errors import CapacityError, WindowError
 from .gfp import binomial_array, require_prime
 from .hochschild import Bimodule, bar_differential_matrix, cup_contract
-from .linalg import Subspace, face_complex, face_double_complex
+from .linalg import FpMatrix, Subspace, face_complex, face_double_complex
 
 
 class Poset:
@@ -394,9 +394,9 @@ class GSComplex:
         Returns {(i+1, j): ..., (i, j+1): ...} using the double complex's
         sign convention (the vertical part carries (-1)^i).
         """
-        vec = self.pack(i, cochain)
+        vec = FpMatrix(self.p, self.pack(i, cochain)[:, None])  # one column
         parts = (((i + 1, j), self.double.horizontal), ((i, j + 1), self.double.vertical))
-        return {(a, b): self.unpack(a, b, part(i, j) @ vec)
+        return {(a, b): self.unpack(a, b, (part(i, j) @ vec).a[:, 0])
                 for (a, b), part in parts if (a, b) in self.double.dims}
 
     def cup(self, i1, j1, alpha, i2, j2, beta):

@@ -267,19 +267,18 @@ def cup_product(bimodule, i, phi, j, psi):
 def koszul_commutator_complex(p, dim, matrices):
     """Complex M (x) Lambda^*(k^n) with d(m e_S) = sum +- K_i m e_(S u i).
 
-    matrices are pairwise commuting endomorphisms of F_p^dim.  Basis of
-    degree j: (subset S of size j, module index), subsets in lexicographic
-    order, module index minor.  The subsets are the cells of a face complex
-    whose k-th face of S u i drops i = (S u i)[k], so the face sign (-1)^k is
-    the Koszul sign (-1)^#{x in S : x < i}.
+    matrices are pairwise commuting FpMatrix endomorphisms of F_p^dim.
+    Basis of degree j: (subset S of size j, module index), subsets in
+    lexicographic order, module index minor.  The subsets are the cells of a
+    face complex whose k-th face of S u i drops i = (S u i)[k], so the face
+    sign (-1)^k is the Koszul sign (-1)^#{x in S : x < i}.
     """
     n = len(matrices)
-    mats = [mat if isinstance(mat, FpMatrix) else FpMatrix(p, mat) for mat in matrices]
-    if any(mat.shape != (dim, dim) for mat in mats):
+    if any(mat.shape != (dim, dim) for mat in matrices):
         raise ValueError(f"commutator complex needs {dim} x {dim} matrices")
     cells = [list(itertools.combinations(range(n), j)) for j in range(n + 1)]
     try:  # d∘d on degree 0 is the commutator [K_i, K_j] on each pair {i, j}
-        return face_complex(p, cells, lambda s: dim, lambda s, k: mats[s[k]])
+        return face_complex(p, cells, lambda s: dim, lambda s, k: matrices[s[k]])
     except ValueError as err:
         raise ValueError("commutator complex needs commuting endomorphisms") from err
 

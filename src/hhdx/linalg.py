@@ -1,35 +1,35 @@
 """Exact linear algebra over F_p.
 
-A matrix is stored as its nonzeros only (row, column and value triples, values
-reduced to [1, p), sorted row-major) with a shape, from the builders through
-elimination to the cohomology representatives; a dense int64 array, the only
-thing `MAX_MATRIX_ENTRIES` caps, is made per stack of blocks and on demand
-(`.a`).  Elimination gives the canonical RREF (first nonzero pivot,
-row-major), so every kernel basis and cohomology representative is
-deterministic.  `_rref` eliminates a small or dense matrix whole
-(`_rref_dense`) and splits any other into the connected components of its
-nonzero pattern: a one-column component is a unit row and a one-row component
-its row over its leading value, with no elimination.  Every other component
-is a block: the blocks' rows and columns, taken in block order, give one
-block-diagonal submatrix, whose blocks are padded with zeros into a few
-(B, H, W) stacks that `_rref_stack` eliminates one column step at a time for
-all their blocks together.  `product` multiplies from the nonzeros.
+A matrix has one form, the FpMatrix: its nonzeros only (row, column and value
+triples, values reduced to [1, p), sorted row-major) with a shape, from the
+builders, which take no other form, through elimination to the cohomology
+representatives; a dense int64 array, the only thing `MAX_MATRIX_ENTRIES`
+caps, is made per stack of blocks and on demand (`.a`).  Elimination gives the
+canonical RREF (first nonzero pivot, row-major), so every kernel basis and
+cohomology representative is deterministic.  `_rref` eliminates a small or
+dense matrix whole (`_rref_dense`) and splits any other into the connected
+components of its nonzero pattern: a one-column component is a unit row and a
+one-row component its row over its leading value, with no elimination.  Every
+other component is a block: the blocks' rows and columns, taken in block
+order, give one block-diagonal submatrix, whose blocks are padded with zeros
+into a few (B, H, W) stacks that `_rref_stack` eliminates one column step at a
+time for all their blocks together.  `product` multiplies from the nonzeros,
+and it is the one multiplication: `@`, `power` and every reduction call it.
 Pivots are ascending int64 arrays wherever they are made or read, and whether
 an index is a pivot is looked up in a count mask over [0, n) (`np.bincount`),
-never hashed.  A kernel basis is read
-off one elimination, a quotient transversal off the pivots with none, and a
-reduction modulo a subspace is one product with its RREF basis.  A coordinate
-subspace (a span of unit vectors) stays an index set: `contains_units` reads
-off the RREF which unit vectors lie in a span, and a kernel inside one is the
-kernel of the columns it keeps.  On top sit bounded cochain complexes,
-first-quadrant double complexes (sign convention: d = d_h + (-1)^i d_v on
-column i), and the spectral sequence of the column filtration, read off the
-persistence pairs of each total differential: page dimensions are cumulative
-sums over pair lengths, d_r ranks are pair counts, no representatives.
-Block-structured differentials are all built by `block_matrix`, every
-simplicial cochain complex (Koszul, nerve and Cech) by the alternating face
-sum `face_sum` / `face_complex` on top of it, and every double complex hhdx
-builds by their twin `face_double_complex`.
+never hashed.  A kernel basis is read off one elimination, a quotient
+transversal off the pivots with none, and a reduction modulo a subspace is one
+product with its RREF basis.  A coordinate subspace (a span of unit vectors)
+stays an index set: `contains_units` reads off the RREF which unit vectors lie
+in a span, and a kernel inside one is the kernel of the columns it keeps.  On
+top sit bounded cochain complexes, first-quadrant double complexes (sign
+convention: d = d_h + (-1)^i d_v on column i), and the spectral sequence of
+the column filtration, read off the persistence pairs of each total
+differential: page dimensions are cumulative sums over pair lengths, d_r ranks
+are pair counts, no representatives.  Block-structured differentials are all
+built by `block_matrix`, every simplicial cochain complex (Koszul, nerve and
+Cech) by the alternating face sum `face_sum` / `face_complex` on top of it,
+and every double complex hhdx builds by their twin `face_double_complex`.
 
 Each complex checks its law once, as d∘d = 0 (a double complex on its
 totalization, built with it; its laws per bidegree are tried only to name a
@@ -248,12 +248,17 @@ def _rref_stack(stack, p):
         top[live] += 1
 
 
+def _segments(start, size):
+    """The concatenated ranges [start_k, start_k + size_k)."""
+    return np.repeat(start - (np.cumsum(size) - size), size) + np.arange(size.sum())
+
+
 def product(x, y, p):
     """x @ y mod p for FpMatrix x and y, refused over capacity before a dense
-    array is made.  Each nonzero x[i, k] meets the nonzeros of row k of y (a
-    join on k) and the products add into (i, j); numpy's dense `@` serves where
-    it is cheaper or the join would hold more pairs than the product has
-    entries."""
+    array is made; the one multiplication of FpMatrix (`@` and `power` call
+    it).  Each nonzero x[i, k] meets the nonzeros of row k of y (a join on k)
+    and the products add into (i, j); numpy's dense `@` serves where it is
+    cheaper or the join would hold more pairs than the product has entries."""
     m, n = x.rows, y.cols
     work = m * x.cols * n
     if work >= _JOIN_FIXED_WORK:
@@ -263,8 +268,7 @@ def product(x, y, p):
         if work >= _JOIN_FIXED_WORK + _JOIN_PAIR_WORK * pairs and pairs <= m * n:
             _check_capacity(pairs)
             xt = np.repeat(np.arange(x.val.size), reps)
-            yt = np.arange(pairs) + np.repeat((np.cumsum(counts) - counts)[x.col]
-                                              - np.cumsum(reps) + reps, reps)
+            yt = _segments((np.cumsum(counts) - counts)[x.col], reps)
             return FpMatrix.from_triples(p, (m, n), x.row[xt], y.col[yt],
                                           x.val[xt] * y.val[yt])
     _check_capacity(m * n)
@@ -305,6 +309,11 @@ class FpMatrix:
             dense = np.zeros(shape, dtype=np.int64)
             np.add.at(dense, (row, col), val)
             return cls(p, dense)
+        # Kept beside `dpdo._reduce`, which sorts and sums operator terms alike:
+        # run through this sort in a scratch prototype, `_reduce` took 38.7 ->
+        # 57.1 us at 600 triples, 545 -> 543 us at 5 000, 6.09 -> 8.51 ms at
+        # 50 000 and 63.9 -> 77.0 ms at 400 000 (2-vCPU Xeon), so folding the
+        # two would slow window-ladder.
         key = row * shape[1] + col
         if key.size > 1 and not (key[1:] > key[:-1]).all():  # not sorted and distinct
             order = np.argsort(key, kind="stable")
@@ -342,18 +351,16 @@ class FpMatrix:
         return self.a if dtype is None else self.a.astype(dtype)
 
     def __matmul__(self, other):
-        if isinstance(other, FpMatrix):
-            if self.p != other.p:
-                raise ValueError("modulus mismatch")
-            if self.cols != other.rows:
-                raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-            return product(self, other, self.p)
-        v = np.mod(np.asarray(other, dtype=np.int64), self.p)
-        if v.shape[:1] != (self.cols,):
-            raise ValueError(f"shape mismatch {self.shape} @ {v.shape}")
-        out = np.zeros((self.rows,) + v.shape[1:], dtype=np.int64)
-        np.add.at(out, self.row, self.val.reshape((-1,) + (1,) * (v.ndim - 1)) * v[self.col])
-        return np.mod(out, self.p, out=out)
+        """`product` with an FpMatrix over the same prime.  Anything else is a
+        TypeError, not NotImplemented, on which numpy would multiply the
+        `__array__` view without reducing mod p."""
+        if not isinstance(other, FpMatrix):
+            raise TypeError(f"FpMatrix @ {type(other).__name__}: multiply FpMatrix only")
+        if self.p != other.p:
+            raise ValueError("modulus mismatch")
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        return product(self, other, self.p)
 
     def __add__(self, other):
         if self.shape != other.shape:
@@ -390,17 +397,18 @@ class FpMatrix:
         return FpMatrix._wrap(self.p, (rows.size, cols.size), row[keep], col[keep], self.val[keep])
 
     def power(self, k):
-        """The k-th power of a square matrix, by repeated squaring."""
+        """The k-th power of a square matrix, by repeated squaring with `product`."""
         if self.rows != self.cols or k < 0:
             raise ValueError("powers need a square matrix and k >= 0")
-        out, base = np.eye(self.rows, dtype=np.int64), self.a
+        eye = np.arange(self.rows)
+        out, base = FpMatrix._wrap(self.p, self.shape, eye, eye, np.ones_like(eye)), self
         while k:
             if k & 1:
-                out = (out @ base) % self.p
+                out = product(out, base, self.p)
             k >>= 1
             if k:
-                base = (base @ base) % self.p
-        return FpMatrix(self.p, out)
+                base = product(base, base, self.p)
+        return out
 
     def __eq__(self, other):
         return (
@@ -454,9 +462,6 @@ class Subspace:
     def __init__(self, p, n, rows=None):
         self.p = p
         self.n = n
-        if not isinstance(rows, FpMatrix):
-            rows = np.asarray([] if rows is None else rows, dtype=np.int64)
-            rows = FpMatrix(p, rows.reshape(-1, n)) if rows.size else None
         if rows is not None and rows.rows * rows.cols:
             self.basis, self.pivots = _rref(rows, p)
         else:  # no rows, or rows of length 0
@@ -467,10 +472,9 @@ class Subspace:
         """Wrap rows already in RREF (no elimination); pivots are the leading
         nonzeros."""
         out = cls.__new__(cls)
-        out.p, out.n = p, n
-        out.basis = rows if isinstance(rows, FpMatrix) else FpMatrix(p, rows)
-        first = np.searchsorted(out.basis.row, np.arange(out.basis.rows))  # leading entries
-        out.pivots = out.basis.col[first]
+        out.p, out.n, out.basis = p, n, rows
+        first = np.searchsorted(rows.row, np.arange(rows.rows))  # leading entries
+        out.pivots = rows.col[first]
         return out
 
     @classmethod
@@ -489,13 +493,12 @@ class Subspace:
         return self.basis.rows
 
     def reduce(self, v):
-        """Canonical representative of the vector v modulo this subspace: v less
-        its coordinates at the pivots times the RREF basis."""
-        v = np.mod(np.asarray(v, dtype=np.int64), self.p)
-        return np.mod(v - self.basis.transpose() @ v[self.pivots], self.p)
+        """`reduce_rows` of the vector v as one row, as an int64 array."""
+        return self.reduce_rows(FpMatrix(self.p, v)).a[0]
 
     def reduce_rows(self, mat):
-        """`reduce` of each row of the FpMatrix mat, as an FpMatrix."""
+        """Canonical representative of each row of the FpMatrix mat modulo this
+        subspace: the row less its coordinates at the pivots times the RREF basis."""
         return mat - product(mat.take(slice(None), self.pivots), self.basis, self.p)
 
     def contains(self, v):
@@ -521,9 +524,7 @@ class Subspace:
         """Coordinates of v in the RREF basis rows (its entries at the
         pivots); None if not contained."""
         v = np.mod(np.asarray(v, dtype=np.int64), self.p)
-        if self.reduce(v).any():
-            return None
-        return v[self.pivots]
+        return None if self.reduce(v).any() else v[self.pivots]
 
     def sum(self, other):
         if self.n != other.n:
@@ -564,15 +565,16 @@ class Subspace:
 def block_matrix(p, row_dims, col_dims, blocks):
     """Block matrix with the given row and column block sizes.
 
-    blocks maps (row block, col block) to an FpMatrix or an int array, or is
-    an iterable of such pairs; contributions to one block add, absent blocks
-    are zero, and the sum is reduced mod p once.
+    blocks maps (row block, col block) to an FpMatrix over F_p, or is an
+    iterable of such pairs; contributions to one block add, absent blocks are
+    zero, and the sum is reduced mod p once.
     """
     row_off = np.concatenate([[0], np.cumsum(row_dims, dtype=np.int64)])
     col_off = np.concatenate([[0], np.cumsum(col_dims, dtype=np.int64)])
     triples = [(np.zeros(0, dtype=np.int64),) * 3]
     for (r, c), block in (blocks.items() if isinstance(blocks, dict) else blocks):
-        block = block if isinstance(block, FpMatrix) else FpMatrix(p, block)
+        if block.p != p:
+            raise ValueError("modulus mismatch")
         expected = (int(row_off[r + 1] - row_off[r]), int(col_off[c + 1] - col_off[c]))
         if block.shape != expected:
             raise ValueError(f"block {(r, c)} has shape {block.shape}, expected {expected}")
@@ -594,7 +596,7 @@ def face_sum(p, lower, upper, dim, face):
         for k in range(len(sigma)):
             tau = sigma[:k] + sigma[k + 1:]
             if tau in col:
-                block = face(sigma, k)
+                block = face(sigma, k)  # the nerve, Cech and GS faces are int arrays
                 block = block if isinstance(block, FpMatrix) else FpMatrix(p, block)
                 blocks.append(((row, col[tau]), block.scale(-1) if k % 2 else block))
     return block_matrix(p, [dim(s) for s in upper], [dim(t) for t in lower], blocks)

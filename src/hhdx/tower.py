@@ -46,12 +46,15 @@ from .poly import PolyRing
 
 # Largest dim F a tower accepts.  The image chain stops at its first repeat,
 # after at most dim + 1 eliminations whatever the number of levels, so dim F
-# sets the cost; the worst case is a nilpotent Jordan block, whose chain
-# shrinks by one dimension per step.  A proper-hh report on the 256 x 256
-# Jordan block takes 2.1 s, 1.6 s of it in the chain, on a 2-vCPU Xeon guest.
-# The CLI reads the matrix from one `--operator` argument, which Linux caps at
-# 128 KiB (MAX_ARG_STRLEN): a 256 x 256 matrix of one-digit entries fits, and
-# of two-digit entries about 209 x 209.  So this cap is reached only in-process.
+# sets the cost; the worst case is a nilpotent F, whose chain shrinks by one
+# dimension per step.  proper-hh reports at dim 256, 2-vCPU Xeon guest:
+# the Jordan block takes 0.09 s in-process; a dense strictly upper-triangular
+# F over F_97 takes 12.5 s in-process, 10 s of it in the chain's 229 dense
+# eliminations, and 8.3 s through the CLI with one-digit entries.  The CLI
+# reads the matrix from one `--operator` argument, which Linux caps at 128 KiB
+# (MAX_ARG_STRLEN): a 256 x 256 matrix of one-digit entries fits, and of
+# two-digit entries about 209 x 209.  So this cap is reached with two-digit
+# entries only in-process.
 MAX_TOWER_DIM = 256
 
 
@@ -61,7 +64,9 @@ class Tower:
     def __init__(self, p, matrix, levels):
         require_prime(p)
         self.p = p
-        self.f = matrix if isinstance(matrix, FpMatrix) and matrix.p == p else FpMatrix(p, matrix)
+        self.f = matrix if isinstance(matrix, FpMatrix) else FpMatrix(p, matrix)  # 1 x 1 towers: lists
+        if self.f.p != p:
+            raise ValueError("modulus mismatch")
         if self.f.rows != self.f.cols:
             raise ValueError("a tower needs a square transition")
         if self.f.rows > MAX_TOWER_DIM:
@@ -434,7 +439,10 @@ def filtered_hh_sequence(p, levels, degree_bound, dp_bound):
     levels = int(levels)
     if levels < 1:
         raise ValueError("need at least one level")
-    if p ** levels - 1 > dp_bound:
+    # p^levels - 1 > dp_bound once levels >= (dp_bound + 1).bit_length() (p >= 2),
+    # so a deep level is refused before p^levels is formed: at 10^12 levels it
+    # would not fit in memory
+    if levels >= (int(dp_bound) + 1).bit_length() or p ** levels - 1 > dp_bound:
         raise WindowError("divided-power window too small for the deepest level")
     if p ** levels > degree_bound:
         raise WindowError("degree window too small for the deepest level")

@@ -68,6 +68,12 @@ def column_flipped(d_v):
     return {(i, j): m.scale(-1) if i % 2 else m for (i, j), m in d_v.items()}
 
 
+def apply(m, v):
+    """m v for an FpMatrix m and an int vector v, as an int64 vector: one
+    product with v as a column."""
+    return (m @ FpMatrix(m.p, np.reshape(v, (-1, 1)))).a[:, 0]
+
+
 def matrix_polynomial(m, coeffs, p):
     """coeffs[k] * m^k summed, mod p (polynomials in m commute with m)."""
     n = m.shape[0]
@@ -303,7 +309,7 @@ def oracle_quotient_reps(space, sub):
     by `oracle_reduce`, then eliminated again."""
     reduced = [oracle_reduce(sub, row) for row in space.basis.a]
     reduced = np.array(reduced, dtype=np.int64).reshape(space.dim, space.n)
-    return Subspace(space.p, space.n, reduced)
+    return Subspace(space.p, space.n, FpMatrix(space.p, reduced))
 
 
 def oracle_intersect(space, other):
@@ -313,7 +319,7 @@ def oracle_intersect(space, other):
         return Subspace(space.p, space.n)
     stacked = np.concatenate([space.basis.a, -other.basis.a])
     x = oracle_kernel_basis(FpMatrix(space.p, stacked.T))[:, :space.dim]
-    return Subspace(space.p, space.n, (x @ space.basis.a) % space.p)
+    return Subspace(space.p, space.n, FpMatrix(space.p, x @ space.basis.a))
 
 
 def oracle_express(space, v):
@@ -460,7 +466,8 @@ def oracle_centralizer(p, degree_bound, dp_bound, q_top):
         target = TruncatedOperatorModule(alg, degree_bound, dp_bound + q)
         stacked.append(oracle_operator_matrix(dom, alg.divided_power(0, q).commutator,
                                               target).a)
-    return Subspace(p, dom.dim, oracle_kernel_basis(FpMatrix(p, np.concatenate(stacked))))
+    kernel = oracle_kernel_basis(FpMatrix(p, np.concatenate(stacked)))
+    return Subspace(p, dom.dim, FpMatrix(p, kernel))
 
 
 def oracle_lucas_centralizers(p, levels, degree_bound, dp_bound, dp_cap=None):
@@ -536,15 +543,15 @@ def oracle_kernel_basis(m):
         basis[k, c] = 1
         for r, pc in enumerate(pivots):
             basis[k, pc] = (-int(red[r, c])) % m.p
-    return Subspace(m.p, m.cols, basis).basis.a
+    return Subspace(m.p, m.cols, FpMatrix(m.p, basis)).basis.a
 
 
 def oracle_cohomology(d_in, d_out, p, dim):
     """(kernel, image, (dim, reps)) of ker(d_out)/im(d_in), uncached."""
     if d_out is None:
-        kernel = Subspace(p, dim, np.eye(dim, dtype=np.int64))
+        kernel = Subspace(p, dim, FpMatrix(p, np.eye(dim, dtype=np.int64)))
     else:
-        kernel = Subspace(p, dim, oracle_kernel_basis(d_out))
+        kernel = Subspace(p, dim, FpMatrix(p, oracle_kernel_basis(d_out)))
     image = Subspace(p, dim) if d_in is None else Subspace(p, dim, d_in.image_basis())
     reps = oracle_quotient_reps(kernel, image)
     return kernel, image, (reps.dim, reps.basis)
@@ -583,7 +590,7 @@ def oracle_spectral_sequence(dc, max_page):
             ker = np.eye(len(cols), dtype=np.int64)
         lift = np.zeros((ker.shape[0], total), dtype=np.int64)
         lift[:, cols] = ker
-        return Subspace(p, total, lift)
+        return Subspace(p, total, FpMatrix(p, lift))
 
     pages = []
     positions = [(i, j) for i in range(dc.max_i + 1) for j in range(dc.max_j + 1)]
@@ -597,7 +604,7 @@ def oracle_spectral_sequence(dc, max_page):
             prev = approx_cycles(n - 1, i - r + 1, r - 1) if n >= 1 else None
             if prev is not None and prev.dim and total:
                 bound = (prev.basis.a @ dc.total_differential(n - 1).a.T) % p
-                den = den.sum(Subspace(p, total, bound))
+                den = den.sum(Subspace(p, total, FpMatrix(p, bound)))
             denoms[(i, j)] = den
             rep = Subspace(p, total, den.reduce_rows(num.basis))
             reps[(i, j)] = rep
@@ -651,7 +658,8 @@ def oracle_koszul_commutator_complex(p, dim, matrices):
             for i in range(n):
                 if i not in s:
                     sign = (-1) ** sum(x < i for x in s)
-                    blocks.append(((tgt[tuple(sorted(s + (i,)))], col), sign * mats[i]))
+                    block = FpMatrix(p, sign * mats[i])
+                    blocks.append(((tgt[tuple(sorted(s + (i,)))], col), block))
         diffs[j] = block_matrix(p, [dim] * len(tgt), [dim] * len(subsets[j]), blocks)
     return CochainComplex(p, dims, diffs)
 
@@ -727,19 +735,19 @@ def oracle_limit_report(p, dims, transitions):
         composite = FpMatrix(p, np.eye(dims[s], dtype=np.int64))
         for k in range(s - 1, r - 1, -1):
             composite = fs[k] @ composite
-        return Subspace(p, dims[r], composite.transpose().a)
+        return Subspace(p, dims[r], composite.transpose())
 
     blocks = {}
     for r, f in enumerate(fs):
-        blocks[(r, r)] = np.eye(dims[r], dtype=np.int64)
-        blocks[(r, r + 1)] = -f.a
+        blocks[(r, r)] = FpMatrix(p, np.eye(dims[r], dtype=np.int64))
+        blocks[(r, r + 1)] = -f
     phi = block_matrix(p, dims[:-1], dims, blocks)
     rank = phi.rank()
     raw_lim, raw_lim1 = phi.cols - rank, phi.rows - rank
     assert raw_lim - raw_lim1 == dims[-1], "Euler identity fails for the resolution"
     kernel = phi.kernel_basis().a
     stable = image_at(0, top)
-    assert Subspace(p, dims[0], kernel[:, :dims[0]]) == stable, \
+    assert Subspace(p, dims[0], FpMatrix(p, kernel[:, :dims[0]])) == stable, \
         "kernel projection differs from the stable image"
 
     levels = []

@@ -1,6 +1,10 @@
 """Divided-power operators: products, actions, invariants, realizations."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -348,6 +352,44 @@ def test_morita_compress_frozen():
     assert not morita_compress(alg.monomial((2,), (1,)), 1, degree_bound=8).terms.size
     with pytest.raises(WindowError):
         morita_compress(alg.monomial((4,), (4,)), 1, degree_bound=4)
+
+
+# Each depth-r function at p = 2, r = 10^12, in a child process whose address
+# space is capped at 1.5 GiB: a p^r formed before its bound check would raise
+# MemoryError there after about 11 s, not take the machine's memory.
+_DEEP_TWISTS = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+sys.path.insert(0, sys.argv[1])
+from hhdx.dpdo import OperatorAlgebra, compression_action_agrees, matrix_realize, morita_compress
+from hhdx.tower import filtered_hh_sequence
+one, r = OperatorAlgebra(2, 1).monomial((0,), (0,)), 10 ** 12
+for call in (lambda: filtered_hh_sequence(2, r, 100, 100), lambda: matrix_realize(one, r, 100),
+             lambda: morita_compress(one, r, 100),
+             lambda: compression_action_agrees(one, one, r, 100)):
+    start = time.perf_counter()
+    try:
+        call()
+    except Exception as err:
+        print(f"{time.perf_counter() - start:.3f} {type(err).__name__}: {err}")
+"""
+
+
+def test_a_huge_twist_depth_is_refused_before_its_power():
+    """filtered_hh_sequence, matrix_realize, morita_compress and
+    compression_action_agrees each refuse r = 10^12 with the message of
+    their first bound, in under 1 s, before p^r is formed."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run([sys.executable, "-c", _DEEP_TWISTS, src], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert run.returncode == 0, run.stderr
+    lines = [line.split(" ", 1) for line in run.stdout.splitlines()]
+    assert [message for _, message in lines] == [
+        "WindowError: divided-power window too small for the deepest level",
+        "CapacityError: twist-basis rank exceeds capacity",
+        "WindowError: degree window 100 cannot certify compression at depth 1000000000000",
+        "WindowError: degree window 100 holds no monomial of the depth-1000000000000 twist"]
+    assert all(float(seconds) < 1 for seconds, _ in lines)
 
 
 def test_morita_compress_products():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    apply,
     joins,
     matrix_polynomial,
     mul_vec,
@@ -33,7 +34,7 @@ from hhdx.hochschild import (
     koszul_commutator_complex,
     operator_window_koszul,
 )
-from hhdx.linalg import Subspace
+from hhdx.linalg import FpMatrix, Subspace
 
 
 def test_struct_algebra_constructions():
@@ -291,21 +292,21 @@ def test_cup_product_leibniz():
         for _ in range(12):
             phi = rng.integers(0, p, size=n * m)       # degree 1
             psi = rng.integers(0, p, size=n * m)       # degree 1
-            lhs = d2 @ cup_product(bim, 1, phi, 1, psi)
-            rhs = (cup_product(bim, 2, d1 @ phi, 1, psi)
-                   + (-1) ** 1 * cup_product(bim, 1, phi, 2, d1 @ psi)) % p
+            lhs = apply(d2, cup_product(bim, 1, phi, 1, psi))
+            rhs = (cup_product(bim, 2, apply(d1, phi), 1, psi)
+                   + (-1) ** 1 * cup_product(bim, 1, phi, 2, apply(d1, psi))) % p
             assert np.array_equal(lhs, rhs % p)
             chi = rng.integers(0, p, size=m)           # degree 0
-            lhs0 = d1 @ cup_product(bim, 0, chi, 1, psi)
-            rhs0 = (cup_product(bim, 1, d0 @ chi, 1, psi)
-                    + cup_product(bim, 0, chi, 2, d1 @ psi)) % p
+            lhs0 = apply(d1, cup_product(bim, 0, chi, 1, psi))
+            rhs0 = (cup_product(bim, 1, apply(d0, chi), 1, psi)
+                    + cup_product(bim, 0, chi, 2, apply(d1, psi))) % p
             assert np.array_equal(lhs0, rhs0 % p)
 
 
 def test_koszul_commutator_complex_validation():
     p = 3
-    a = np.array([[0, 1], [0, 0]])
-    b = np.array([[0, 0], [1, 0]])
+    a = FpMatrix(p, [[0, 1], [0, 0]])
+    b = FpMatrix(p, [[0, 0], [1, 0]])
     with pytest.raises(ValueError):
         koszul_commutator_complex(p, 2, [a, b])  # do not commute
     cx = koszul_commutator_complex(p, 2, [a, a])
@@ -317,14 +318,15 @@ def test_koszul_commutator_complex_validation_past_the_join_threshold():
     up, down, up2 = (np.eye(n, k=k, dtype=np.int64) for k in (1, -1, 2))
     assert joins(up, down) and joins(up, up2)
     with pytest.raises(ValueError, match="commutator complex needs commuting endomorphisms"):
-        koszul_commutator_complex(p, n, [up, down])
-    cx = koszul_commutator_complex(p, n, [up, up2])
+        koszul_commutator_complex(p, n, [FpMatrix(p, up), FpMatrix(p, down)])
+    cx = koszul_commutator_complex(p, n, [FpMatrix(p, up), FpMatrix(p, up2)])
     assert cx.dims == {0: n, 1: 2 * n, 2: n}
 
 
 def test_koszul_commutator_complex_reports_a_wrong_shape_as_such():
     with pytest.raises(ValueError, match="needs 2 x 2 matrices"):
-        koszul_commutator_complex(3, 2, [np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)])
+        koszul_commutator_complex(3, 2, [FpMatrix(3, np.eye(2, dtype=np.int64)),
+                                         FpMatrix(3, np.eye(3, dtype=np.int64))])
 
 
 @settings(max_examples=60, deadline=None)
@@ -341,7 +343,7 @@ def test_koszul_complex_matches_per_subset_sign_loop(data):
     mats = [matrix_polynomial(base, data.draw(st.lists(
                 st.integers(min_value=0, max_value=p - 1), min_size=1, max_size=3)), p)
             for _ in range(n)]
-    got = koszul_commutator_complex(p, size, mats)
+    got = koszul_commutator_complex(p, size, [FpMatrix(p, mat) for mat in mats])
     want = oracle_koszul_commutator_complex(p, size, mats)
     assert got.dims == want.dims
     for j in range(n):

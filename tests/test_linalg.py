@@ -78,8 +78,7 @@ def test_rank_nullity_random():
             rank, ker, img = m.rank(), m.kernel_basis(), m.image_basis()
             assert rank + ker.shape[0] == cols
             assert img.shape[0] == rank
-            for v in ker.a:
-                assert not (m @ v).any()
+            assert (m @ ker.transpose()).is_zero()
             # image rows really are hit by columns
             img_space = Subspace(p, rows, img)
             for c in m.a.T:
@@ -112,14 +111,73 @@ def test_power_matches_numpy_matrix_power():
         FpMatrix(3, [[1]]).power(-1)
 
 
+def _dense_power(m, k, p):
+    """m^k mod p by k dense multiplications."""
+    out = np.eye(len(m), dtype=np.int64)
+    for _ in range(k):
+        out = out @ m % p
+    return out
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([2, 3, 5, 97]), st.sampled_from([0, 1, 2, 3, 4, 7, 40, 64]),
+       st.sampled_from(["random", "nilpotent", "idempotent", "jordan"]), st.integers(0, 20),
+       st.integers(0, 10 ** 6))
+def test_power_matches_the_dense_oracle(p, n, kind, k, seed):
+    """Random, nilpotent (strictly upper triangular, and the Jordan block,
+    whose squares `product` forms by its join past n = 34) and idempotent
+    ([[I, X], [0, 0]] under a permutation) matrices, k = 0 and 0 x 0
+    included."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        m = rng.integers(0, p, size=(n, n))
+    elif kind == "nilpotent":
+        m = np.triu(rng.integers(0, p, size=(n, n)), 1)
+    elif kind == "jordan":
+        m = np.eye(n, k=1, dtype=np.int64)
+    else:
+        r = int(rng.integers(0, n + 1))
+        m = np.zeros((n, n), dtype=np.int64)
+        m[:r, :r] = np.eye(r, dtype=np.int64)
+        m[:r, r:] = rng.integers(0, p, size=(r, n - r))
+        order = rng.permutation(n)
+        m = m[order][:, order]
+        assert np.array_equal(m @ m % p, m % p)
+    got = FpMatrix(p, m).power(k)
+    assert_canonical(got)
+    assert got.shape == (n, n) and np.array_equal(got.a, _dense_power(m % p, k, p))
+
+
+def test_matmul_takes_fp_matrices_only():
+    """An array, a list or a scalar on the right is a TypeError: FpMatrix
+    does not hand it to numpy, which would multiply its dense view without
+    reducing mod p."""
+    m = FpMatrix(5, [[1, 2], [3, 4]])
+    for other in (np.array([6, 7]), np.eye(2, dtype=np.int64), [[1], [1]], 3):
+        with pytest.raises(TypeError, match="multiply FpMatrix only"):
+            m @ other
+
+
+def test_builders_refuse_a_matrix_over_another_prime():
+    """A block or face over F_7 in an F_5 builder is refused, as `@` refuses
+    it, not read as its residues mod 5."""
+    seven = FpMatrix(7, [[6]])
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        block_matrix(5, [1], [1], {(0, 0): seven})
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        face_sum(5, [(0,), (1,)], [(0, 1)], lambda s: 1, lambda s, k: seven)
+    assert face_sum(5, [(0,), (1,)], [(0, 1)], lambda s: 1, lambda s, k: [[6]]).a.tolist() \
+        == [[4, 1]]
+
+
 def test_block_matrix_places_adds_and_reduces_blocks():
     p = 5
     a = FpMatrix(p, [[1, 2], [3, 4]])
-    # block (0, 1) gets two contributions, block (1, 0) a negative int array,
+    # block (0, 1) gets two contributions, block (1, 0) a negative entry,
     # blocks (0, 0) and (1, 1) none
-    m = block_matrix(p, [2, 1], [1, 2], [((0, 1), a), ((0, 1), a), ((1, 0), [[-1]])])
+    m = block_matrix(p, [2, 1], [1, 2], [((0, 1), a), ((0, 1), a), ((1, 0), FpMatrix(p, [[-1]]))])
     assert m.a.tolist() == [[0, 2, 4], [0, 1, 3], [4, 0, 0]]
-    assert block_matrix(p, [2], [2], {(0, 0): -a.a}) == -a
+    assert block_matrix(p, [2], [2], {(0, 0): -a}) == -a
     assert block_matrix(p, [], [3], {}).shape == (0, 3)
     with pytest.raises(ValueError):
         block_matrix(p, [1, 2], [2], {(0, 0): a})
@@ -398,7 +456,7 @@ def test_block_matrix_matches_dense_oracle(p, seed):
     for _ in range(int(rng.integers(0, 8))):  # keys may repeat: contributions add
         r, c = int(rng.integers(row_dims.size)), int(rng.integers(col_dims.size))
         block = random_sparse(p, rng, row_dims[r], col_dims[c])
-        blocks.append(((r, c), FpMatrix(p, block) if rng.random() < 0.5 else block))
+        blocks.append(((r, c), FpMatrix(p, block)))
     got = block_matrix(p, row_dims, col_dims, blocks)
     assert_canonical(got)
     assert np.array_equal(got.a, oracle_block_matrix(p, row_dims, col_dims, blocks).a)
@@ -458,7 +516,7 @@ def test_face_double_complex_columns_are_block_diagonal_and_flipped(p):
     size = {(s, j): int(rng.integers(1, 4)) for level in cells for s in level for j in (0, 1)}
     maps = {s: random_sparse(p, rng, size[s, 1], size[s, 0]) for level in cells for s in level}
     dc = face_double_complex(
-        p, cells, 2, lambda s, j: size[s, j], lambda s, j: maps[s],
+        p, cells, 2, lambda s, j: size[s, j], lambda s, j: FpMatrix(p, maps[s]),
         lambda s, k, j: np.zeros((size[s, j], size[s[:k] + s[k + 1:], j]), dtype=np.int64))
     for i, level in enumerate(cells):
         want = np.zeros((sum(size[s, 1] for s in level), sum(size[s, 0] for s in level)),
@@ -487,8 +545,8 @@ def test_nonzero_product_matches_dense(p, seed):
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.integers(0, 10 ** 6))
 def test_subspace_dimension_formula(p, n, seed):
     rng = np.random.default_rng(seed)
-    u = Subspace(p, n, rng.integers(0, p, size=(rng.integers(0, n + 1), n)))
-    v = Subspace(p, n, rng.integers(0, p, size=(rng.integers(0, n + 1), n)))
+    u = Subspace(p, n, FpMatrix(p, rng.integers(0, p, size=(rng.integers(0, n + 1), n))))
+    v = Subspace(p, n, FpMatrix(p, rng.integers(0, p, size=(rng.integers(0, n + 1), n))))
     s = u.sum(v)
     i = u.intersect(v)
     assert s.dim + i.dim == u.dim + v.dim
@@ -507,7 +565,7 @@ def test_intersect_matches_the_two_elimination_oracle(data):
     a = rng.integers(0, p, size=(rng.integers(0, n + 1), n))
     shared = rng.integers(0, p, size=(rng.integers(0, 3), a.shape[0])) @ a
     b = np.concatenate([shared, rng.integers(0, p, size=(rng.integers(0, n + 1), n))])
-    u, v = Subspace(p, n, a), Subspace(p, n, b)
+    u, v = Subspace(p, n, FpMatrix(p, a)), Subspace(p, n, FpMatrix(p, b))
     got = u.intersect(v)
     assert_canonical(got.basis)
     assert got == oracle_intersect(u, v) == v.intersect(u)
@@ -515,7 +573,7 @@ def test_intersect_matches_the_two_elimination_oracle(data):
 
 def test_subspace_reduce_express():
     p = 5
-    u = Subspace(p, 4, [[1, 2, 0, 0], [0, 0, 1, 3]])
+    u = Subspace(p, 4, FpMatrix(p, [[1, 2, 0, 0], [0, 0, 1, 3]]))
     assert u.dim == 2
     v = np.array([2, 4, 3, 9]) % p
     assert u.contains(v)
@@ -531,7 +589,7 @@ def test_subspace_reduce_express():
     r2 = u.reduce(w)
     assert np.array_equal(u.reduce(r2), r2)
     # rows of length 0 (a map out of the zero space) span the zero subspace
-    assert Subspace(p, 0, np.zeros((3, 0), dtype=np.int64)).dim == 0
+    assert Subspace(p, 0, FpMatrix(p, np.zeros((3, 0), dtype=np.int64))).dim == 0
 
 
 def test_circle_cochain_complex():
@@ -838,7 +896,7 @@ def test_batched_unit_vector_test_equals_per_vector_contains(p, n, seed):
     heads = rng.integers(0, n, size=rng.integers(0, n + 1))
     tails = eye[heads] + np.triu(rng.integers(0, p, size=(n, n)), 1)[heads]
     noise = rng.integers(0, p, size=(rng.integers(0, n), n))
-    space = Subspace(p, n, np.vstack([units, tails, noise]))
+    space = Subspace(p, n, FpMatrix(p, np.vstack([units, tails, noise])))
     for k in range(n):
         assert space.contains_units([k]) == space.contains(eye[k])
     ks = sorted(set(rng.integers(0, n, size=rng.integers(0, n + 1)).tolist()))
@@ -850,7 +908,7 @@ def test_batched_unit_vector_test_equals_per_vector_contains(p, n, seed):
         assert space.contains_units(np.array(indices, dtype=np.int64)) is want
     full = Subspace.full(p, n)
     assert full.contains_units(range(n)) and not full.contains_units([-1])
-    other = Subspace(p, n, rng.integers(0, p, size=(rng.integers(0, n + 1), n)))
+    other = Subspace(p, n, FpMatrix(p, rng.integers(0, p, size=(rng.integers(0, n + 1), n))))
     assert space.contains_space(other) == all(space.contains(row) for row in other.basis.a)
 
 
@@ -858,7 +916,7 @@ def test_batched_unit_vector_test_equals_per_vector_contains(p, n, seed):
 @given(st.sampled_from([2, 3, 5]), st.integers(0, 7), st.integers(0, 10 ** 6))
 def test_reduce_and_express_match_per_vector_pivot_loop(p, n, seed):
     rng = np.random.default_rng(seed)
-    space = Subspace(p, n, rng.integers(0, p, size=(rng.integers(0, n + 1), n)))
+    space = Subspace(p, n, FpMatrix(p, rng.integers(0, p, size=(rng.integers(0, n + 1), n))))
     inside = rng.integers(-p, 2 * p, size=space.dim) @ space.basis.a
     for v in (rng.integers(-p, 2 * p, size=n), inside):
         got = space.reduce(v)
@@ -868,8 +926,9 @@ def test_reduce_and_express_match_per_vector_pivot_loop(p, n, seed):
         assert want is None or np.array_equal(got, want)
     assert space.express(inside) is not None
     # a wide sparse space and a batch of rows that `product` reduces by its join
-    wide = Subspace(p, 400, np.eye(400, dtype=np.int64)[rng.choice(400, 100, replace=False)]
-                    + rng.integers(0, p, size=(100, 400)) * (rng.random((100, 400)) < 0.005))
+    rows = (np.eye(400, dtype=np.int64)[rng.choice(400, 100, replace=False)]
+            + rng.integers(0, p, size=(100, 400)) * (rng.random((100, 400)) < 0.005))
+    wide = Subspace(p, 400, FpMatrix(p, rows))
     batch = rng.integers(-p, 2 * p, size=(12, 400)) * (rng.random((12, 400)) < 0.05)
     assert joins(np.mod(batch[:, wide.pivots], p), wide.basis.a)
     got = wide.reduce_rows(FpMatrix(p, batch))
@@ -888,13 +947,13 @@ def test_quotient_reps_match_reduce_then_eliminate(p, n, seed, outer, inner):
         k, n = n + 1, 100 * (n + 1)
         rows = np.eye(n, dtype=np.int64)[rng.choice(n, size=k)]
         tails = rng.integers(0, p, size=rows.shape) * (rng.random(rows.shape) < 0.01)
-        space = Subspace(p, n, rows + tails)
+        space = Subspace(p, n, FpMatrix(p, rows + tails))
     else:
-        space = Subspace(p, n, rng.integers(0, p, size=(rng.integers(0, n + 1), n)))
+        space = Subspace(p, n, FpMatrix(p, rng.integers(0, p, size=(rng.integers(0, n + 1), n))))
     combos = {"random": rng.integers(0, p, size=(rng.integers(0, space.dim + 1), space.dim)),
               "zero": np.zeros((0, space.dim), dtype=np.int64),
               "all": np.eye(space.dim, dtype=np.int64)}[inner]
-    sub = Subspace(p, n, combos @ space.basis.a)
+    sub = Subspace(p, n, FpMatrix(p, combos @ space.basis.a))
     got, want = space.quotient_reps(sub), oracle_quotient_reps(space, sub)
     assert got == want
     assert_pivots(got.pivots, want.pivots)
@@ -908,12 +967,12 @@ def test_units_equal_eliminated_unit_rows(p, n, seed):
     rng = np.random.default_rng(seed)
     indices = sorted(rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist())
     units = Subspace.units(p, n, indices)
-    want = Subspace(p, n, np.eye(n, dtype=np.int64)[indices])
+    want = Subspace(p, n, FpMatrix(p, np.eye(n, dtype=np.int64)[indices]))
     assert units == want
     assert_pivots(units.pivots, want.pivots)
     assert_pivots(Subspace(p, n).pivots, [])
     assert_pivots(want.pivots, indices)
-    full = Subspace(p, n, np.eye(n, dtype=np.int64))
+    full = Subspace(p, n, FpMatrix(p, np.eye(n, dtype=np.int64)))
     assert Subspace.full(p, n) == full
     assert_pivots(Subspace.full(p, n).pivots, full.pivots)
     assert_pivots(full.pivots, np.arange(n))

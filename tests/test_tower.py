@@ -81,6 +81,14 @@ def test_tower_validation():
         Tower(2, np.zeros((MAX_TOWER_DIM + 1,) * 2, dtype=np.int64), 2)
 
 
+def test_tower_refuses_a_matrix_over_another_prime():
+    """An F_7 matrix is refused by an F_5 tower, as `@` refuses it, not read
+    as its residues mod 5; an int array is reduced mod p."""
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        Tower(5, FpMatrix(7, [[6]]), 2)
+    assert Tower(5, [[6]], 2).f == FpMatrix(5, [[1]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_tower_internal_identities_hold_on_random_towers(data):
