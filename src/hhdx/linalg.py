@@ -7,14 +7,18 @@ representatives; a dense int64 array, the only thing `MAX_MATRIX_ENTRIES`
 caps, is made per stack of blocks and on demand (`.a`).  Elimination gives the
 canonical RREF (first nonzero pivot, row-major), so every kernel basis and
 cohomology representative is deterministic.  `_rref` eliminates a small or
-dense matrix whole (`_rref_dense`) and splits any other into the connected
-components of its nonzero pattern: a one-column component is a unit row and a
-one-row component its row over its leading value, with no elimination.  Every
-other component is a block: the blocks' rows and columns, taken in block
-order, give one block-diagonal submatrix, whose blocks are padded with zeros
-into a few (B, H, W) stacks that `_rref_stack` eliminates one column step at a
-time for all their blocks together.  `product` multiplies from the nonzeros,
-and it is the one multiplication: `@`, `power` and every reduction call it.
+dense matrix whole (`_rref_dense`).  Any other it first peels of its unit
+rows: a row whose one nonzero is at column j puts e_j in the row space, so
+e_j is the RREF row of pivot j and column j is cleared from every row, round
+by round until a round clears under 1 / `_PEEL_STOP` of what is left.  What
+is left it splits into the connected components of its nonzero pattern: a
+one-column component is a unit row and a one-row component its row over its
+leading value, with no elimination.  Every other component is a block: the
+blocks' rows and columns, taken in block order, give one block-diagonal
+submatrix, whose blocks are padded with zeros into a few (B, H, W) stacks
+that `_rref_stack` eliminates one column step at a time for all their blocks
+together.  `product` multiplies from the nonzeros, and it is the one
+multiplication: `@`, `power` and every reduction call it.
 Pivots are ascending int64 arrays wherever they are made or read, and whether
 an index is a pivot is looked up in a count mask over [0, n) (`np.bincount`),
 never hashed.  A kernel basis is read off one elimination, a quotient
@@ -85,6 +89,18 @@ _SPLIT_MIN_ENTRIES, _SPLIT_MAX_DENSITY = 512, 16
 # p1-cover's and gs-point's 45 split matrices took 36-39 ms under every bound
 # from 2 to 8 times (29 to 37 stacks), 41 ms at 1.5 times (57 stacks).
 _STACK_PAD, _STACK_SMALL = 4, 4096
+# `_rref`'s unit-row peel ends with a round that clears under 1 / `_PEEL_STOP`
+# of the nonzeros left.  A round is linear in the nonzeros left, so the rounds
+# together cost at most about `_PEEL_STOP` times the nonzeros.  Rounds (share
+# cleared) on p1-cover p = 7 at (du, qu) = (8, 4): d^0's kernel 0.956, 0.8;
+# d^1's image 0.594, 0.382, 0.398, 0.294, 0.039; d^0's image 0.079 and d^1's
+# kernel 0.094, one round each; the image bases and row head 1.0.  A 7000 x
+# 7000 bidiagonal stops after one round and is refused over capacity in
+# 4.4-6.9 ms; without the rule it peels one row a round and reports rank 7000
+# after 0.57-0.59 s.  One in-process window-ladder pass (seed 1, best of 15,
+# three runs, 2-vCPU Xeon) took 53.7-54.1 ms at 1 / 4, 54.1-55.4 at 1 / 8 and
+# 54.4-54.9 at 1 / 16, against 60.4-61.2 ms with no peel.
+_PEEL_STOP = 8
 _JOIN_FIXED_WORK, _JOIN_PAIR_WORK = 37_500, 50
 
 
@@ -128,9 +144,20 @@ def _rref(a, p):
     columns as an ascending int64 array).
 
     The RREF is canonical, so a small or dense matrix is eliminated whole,
-    and any other is assembled per connected component of its nonzero
-    pattern: all one-column components at once give unit rows, all one-row
-    ones their rows over their leading values, and every other is a block.
+    and any other is first peeled of its unit rows, round by round: a row
+    whose one nonzero is at column j puts e_j in the row space, and a vector
+    of the row space with one nonzero is a multiple of the RREF row whose
+    pivot is there (RREF rows vanish at each other's pivots), so e_j is the
+    RREF row of pivot j and column j is cleared from every row.  A round that
+    clears under 1 / `_PEEL_STOP` of the nonzeros left is the last.  A round
+    finds the rows with one nonzero from each nonzero's neighbours in the
+    row-major triples, so it is linear in the nonzeros left, and the peel
+    costs at most about `_PEEL_STOP` times the nonzeros.  What is left
+    is assembled per connected component of its nonzero pattern, a graph on
+    the rows and columns left (none where the peel took every row): all
+    one-column components at once give unit rows (a stopped peel can leave
+    them), all one-row ones their rows over their leading values, and every
+    other is a block.
     The blocks' rows and columns, tallest block first (then widest), give
     one block-diagonal submatrix; zero padding leaves a block's RREF
     unchanged, so its blocks are padded into stacks, each within the padding
@@ -141,25 +168,41 @@ def _rref(a, p):
     if nrows * ncols < _SPLIT_MIN_ENTRIES or a.val.size * _SPLIT_MAX_DENSITY > nrows * ncols:
         red, pivots = _rref_dense(a.a, p)  # small or dense: eliminated whole
         return FpMatrix(p, red), pivots
-    label = _components(a.row, a.col + nrows, nrows + ncols)
-    node = np.concatenate([_unique(a.row), nrows + _unique(a.col)])  # rows, then columns
-    is_col = node >= nrows
-    height = np.bincount(label[node[~is_col]], minlength=nrows + ncols)  # rows a component has
-    width = np.bincount(label[node[is_col]], minlength=nrows + ncols)  # columns it has
-    single = node[is_col & (width[label[node]] == 1)] - nrows
-    at = label[a.row]  # the component of each nonzero
+    is_unit = np.zeros(ncols, dtype=bool)  # the columns j whose e_j is an RREF row
+    while a.val.size:
+        starts = np.ones(a.row.size + 1, dtype=bool)  # nonzero k starts its row
+        starts[1:-1] = a.row[1:] != a.row[:-1]  # (the triples are row-major)
+        alone = starts[:-1] & starts[1:]  # alone in its row
+        is_unit[a.col[alone]] = True
+        keep = ~is_unit[a.col]
+        cleared = a.val.size - np.count_nonzero(keep)
+        a = FpMatrix._wrap(p, a.shape, a.row[keep], a.col[keep], a.val[keep])
+        if cleared * _PEEL_STOP < a.val.size + cleared:
+            break
+    # the graph's nodes are the rows, then the columns, that the peel left
+    # nonzero, so labelling is linear in what is left, not in the shape
+    left_rows, left_cols = _unique(a.row), _unique(a.col)
+    node = np.concatenate([left_rows, nrows + left_cols])
+    nleft = left_rows.size
+    row_node = np.searchsorted(left_rows, a.row)
+    label = _components(row_node, nleft + np.searchsorted(left_cols, a.col), node.size)
+    height = np.bincount(label[:nleft], minlength=node.size)  # rows a component has
+    width = np.bincount(label[nleft:], minlength=node.size)  # columns it has
+    is_unit[left_cols[width[label[nleft:]] == 1]] = True  # one-column components
+    unit = np.flatnonzero(is_unit)
+    at = label[row_node]  # the component of each nonzero
     one = np.flatnonzero((height[at] == 1) & (width[at] > 1))
     head = one[np.searchsorted(a.row[one], a.row[one])]  # the first nonzero of its row
     inverse = _inverses(p)
     # (pivot of its row, column, value) of every RREF entry
-    pieces = [(single, single, np.ones(single.size, dtype=np.int64)),
+    pieces = [(unit, unit, np.ones(unit.size, dtype=np.int64)),
               (a.col[head], a.col[one], a.val[one] * inverse[a.val[head]] % p)]
     # every other component is a block; blocks go tallest first (then widest)
     # and are cut into stacks, each the longest run that stays within the
     # padding bound (a block alone always does)
     block = (height > 1) & (width > 1)
     labels = np.flatnonzero(block)  # the blocks' labels, ascending
-    node = node[block[label[node]]]  # their rows, then columns
+    node, lab = node[block[label]], label[block[label]]  # their rows, then columns
     if labels.size:  # `take` makes arrays over all rows and columns: not without blocks
         order = np.lexsort((-width[labels], -height[labels]))
         h, w = height[labels][order], width[labels][order]
@@ -171,7 +214,6 @@ def _rref(a, p):
                     & (padded <= MAX_MATRIX_ENTRIES))
             cuts.append(s + max(int(np.argmin(np.append(fits, False))), 1))  # first misfit
         # m is block-diagonal in that order: block k from row rs[k], column cs[k]
-        lab = label[node]
         node = node[np.lexsort((lab, -width[lab], -height[lab]))]
         cols = node[node >= nrows] - nrows
         m = a.take(node[node < nrows], cols)
@@ -199,7 +241,15 @@ def _rref_dense(a, p):
     """`_rref` of a fresh reduced int64 array, eliminated in place; pivots an
     int64 array.  Kept beside `_rref_stack`: report-stream's 390 whole matrices
     a pass (seed 1, at most 1024 entries) take 13.0 ms here and 39.1 ms as
-    one-block stacks, 2-vCPU Xeon, on a 0.25 s pass."""
+    one-block stacks, 2-vCPU Xeon, on a 0.25 s pass.
+
+    Measured and not taken: updating only the columns right of the pivot and
+    reducing only the pivot column until the end.  It took a 256 x 256
+    elimination at p = 97 from 113-142 to 24-32 ms and proper-hh on a dense
+    strictly upper-triangular 256 x 256 F (p = 97, entries 1-9) from 6.0-6.3
+    to 2.6-3.2 s in-process, but report-stream's `report_ref_s.p50` read
+    +6.2 % and +6.9 % in two calibrated seed-3 runs (0.909 -> 0.965 ms,
+    0.912 -> 0.975 ms), where its many small whole matrices are eliminated."""
     nrows, ncols = a.shape
     pivots = np.empty(min(nrows, ncols), dtype=np.int64)
     r = 0

@@ -277,6 +277,77 @@ def planted_blocks(p, rng):
     return a[rng.permutation(nrows)][:, rng.permutation(ncols)]
 
 
+def peeled_cascades(p, rng):
+    """A matrix whose unit rows `linalg._rref` peels, with the rows the peel
+    leaves, as indices into it: bidiagonal cascades (row 0 is [c_0], row i
+    [c_(i-1), c_i]) of lengths 1-6, each peeled one row a round to the end;
+    one long cascade of 20-39 rows, which the stop rule halts after round
+    7, once the short ones are gone; a row [c_6 of the long one, z] that the
+    last round leaves as a one-column component; 1-3 rows that clearing
+    empties ([c_i, c_i] of two cascades longer than i); and 0-3 full blocks
+    of 2-4 rows and 3-5 columns, each with a unit row on one of its columns
+    half the time.  Enough length-6 cascades that every round up to the
+    sixth clears at least 1 / `linalg._PEEL_STOP` of what is left; padded
+    with zero rows and columns past `linalg._SPLIT_MIN_ENTRIES` and
+    `linalg._SPLIT_MAX_DENSITY`, then rows and columns shuffled."""
+    stop = linalg._PEEL_STOP
+    rows, cols, vals = [], [], []
+    nrows = ncols = 0
+
+    def put(row, col):
+        rows.append(row)
+        cols.append(col)
+        vals.append(int(rng.integers(1, p)))
+
+    blocks = []
+    for _ in range(int(rng.integers(0, 4))):
+        h, w = int(rng.integers(2, 5)), int(rng.integers(3, 6))
+        for i, j in itertools.product(range(h), range(w)):
+            put(nrows + i, ncols + j)
+        blocks.append((nrows, h, ncols, w))
+        nrows, ncols = nrows + h, ncols + w
+    kept = [r for r0, h, _, _ in blocks for r in range(r0, r0 + h)]
+    for _, _, c0, w in blocks:  # unit rows on block columns
+        if rng.random() < 0.5:
+            put(nrows, c0 + int(rng.integers(w)))
+            nrows += 1
+    long = int(rng.integers(20, 40))
+    # entries of the blocks and their unit rows, the long cascade, the late
+    # row and at most 3 emptied rows; round 1, the tightest, clears 2 of each
+    # length-6 cascade's 11 and 2 of these (a shorter cascade clears 2 of at
+    # most 9)
+    entries = len(rows) + (2 * long - 1) + 2 + 6
+    six = -(-(entries - 2 * stop) // (2 * stop - 11)) + int(rng.integers(0, 4))
+    lengths = [long] + [6] * six + [int(k) for k in rng.integers(1, 6, size=rng.integers(3, 12))]
+    cascades = []
+    for k in lengths:
+        r0, c0 = nrows, ncols
+        for i in range(k):
+            put(r0 + i, c0 + i)
+            if i:
+                put(r0 + i, c0 + i - 1)
+        cascades.append((r0, c0, k))
+        nrows, ncols = nrows + k, ncols + k
+    r0, c0, _ = cascades[0]
+    kept += list(range(r0 + 7, r0 + long)) + [nrows]
+    put(nrows, c0 + 6)  # the late row: [z] once round 7 clears c_6
+    put(nrows, ncols)
+    nrows, ncols = nrows + 1, ncols + 1
+    for _ in range(int(rng.integers(1, 4))):  # rows that clearing empties
+        i = int(rng.integers(0, 6))
+        longer = [c for _, c, k in cascades[1:] if k > i]
+        for c in rng.choice(longer, size=2, replace=False):
+            put(nrows, int(c) + i)
+        nrows += 1
+    nrows += int(rng.integers(0, 8))
+    ncols = max(ncols + int(rng.integers(0, 8)),
+                -(-max(linalg._SPLIT_MIN_ENTRIES, linalg._SPLIT_MAX_DENSITY * len(rows)) // nrows))
+    a = np.zeros((nrows, ncols), dtype=np.int64)
+    a[rows, cols] = vals
+    row_order, col_order = rng.permutation(nrows), rng.permutation(ncols)
+    return a[row_order][:, col_order], np.flatnonzero(np.isin(row_order, kept))
+
+
 def joins(x, y):
     """Whether `linalg.product` multiplies the reduced arrays x and y from their
     nonzeros rather than with numpy's `@`."""

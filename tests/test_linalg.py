@@ -30,6 +30,7 @@ from helpers import (
     oracle_reduce,
     oracle_rref,
     oracle_spectral_sequence,
+    peeled_cascades,
     planted_blocks,
     random_complex,
     random_double_complex,
@@ -271,6 +272,31 @@ def test_block_split_matches_whole_elimination(p, seed):
         assert all(rows > 1 and cols > 1 and (rows, cols) != a.shape for rows, cols in extents)
         own = sum(rows * cols for rows, cols in extents)
         assert stack.size <= max(linalg._STACK_PAD * own, linalg._STACK_SMALL) or len(stack) == 1
+    want_rows, want_pivots = oracle_rref(a, p)
+    assert_pivots(pivots, want_pivots)
+    assert_canonical(rows)
+    assert rows.shape == want_rows.shape and np.array_equal(rows.a, want_rows)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3, 5, 7, 97]), st.integers(0, 10 ** 6))
+def test_peeled_unit_rows_match_whole_elimination(p, seed):
+    """The unit-row peel before the block split, against the whole
+    elimination: short cascades peel to the end, so none of their rows is
+    labelled or stacked; the long one stops at the 1 / `_PEEL_STOP` rule
+    with what it has left labelled, beside the one-column component that
+    rule leaves; unit rows on block columns, rows that clearing empties and
+    entries that are 0 mod p (from the raw triples) give the same RREF."""
+    rng = np.random.default_rng(seed)
+    a, kept = peeled_cascades(p, rng)
+    m = FpMatrix.from_triples(p, a.shape, *raw_triples(p, a, rng))
+    assert np.array_equal(m.a, a % p)
+    with mock.patch.object(linalg, "_components", wraps=linalg._components) as labels, \
+            mock.patch.object(linalg, "_rref_dense", wraps=linalg._rref_dense) as dense:
+        rows, pivots = linalg._rref(m, p)
+    assert labels.call_count == 1 and dense.call_count == 0
+    # the rows left are labelled, numbered in order
+    assert np.array_equal(np.unique(labels.call_args.args[0]), np.arange(kept.size))
     want_rows, want_pivots = oracle_rref(a, p)
     assert_pivots(pivots, want_pivots)
     assert_canonical(rows)
