@@ -28,7 +28,7 @@ from .dpdo import (
     morita_compress,
 )
 from .errors import CapacityError, WindowError
-from .gfp import require_prime
+from .gfp import power_exceeds, require_prime
 from .gs import GSComplex, GSDiagram, Poset, gs_for_subalgebra_scenario
 from .hochschild import (
     Bimodule,
@@ -177,10 +177,12 @@ def _scenario_morita_matrix(args):
     alg = OperatorAlgebra(p, 1, names=("t",))
     op = alg.from_terms(_parse_operator(spec)) if spec else None
     # r >= d.bit_length() gives p^r > d, which morita_compress refuses, so refuse
-    # it before p^r is formed; an operator deeper than r is matrix_realize's ValueError
+    # it before p^r is formed; an operator deeper than r is matrix_realize's ValueError.
+    # This is not power_exceeds(p, r, d): while r < d.bit_length() it lets a p^r > d
+    # (or a d < 0) through, for a refusal after it to name (the cap, or matrix_realize's).
     if r >= d.bit_length() and (op is None or op.centrality_depth() <= r):
         raise WindowError(f"degree window {d} cannot certify compression at depth {r}")
-    if op is None and r > 4:  # the default D^(p^r - 1) passes the cap p^4, named unformed
+    if op is None and power_exceeds(p, r, alg.dp_cap + 1):  # the default D^(p^r - 1)
         raise CapacityError(f"divided-power exponent {p}^{r} - 1 exceeds cap {alg.dp_cap}")
     q = p ** r
     if op is None:

@@ -19,7 +19,9 @@ batch on owners o in one numpy pass, each term pair expanded over the j of
 its j-box with C(c, j) != 0 mod p alone (Lucas) and the expansion summed on
 one sort key, in chunks of bounded size.  A product is one row per owner, a
 commutator two, and a check linear in products one signed sum that must
-vanish; nothing is memoized.  Products, commutators and window maps refuse a
+vanish; nothing is memoized, and no batch is added or negated alone.
+Equality compares two batches' terms in canonical (owner, a, b) order.
+Products, commutators and window maps refuse a
 j-box past `MAX_PRODUCT_WORK` before expanding anything, and a term past a cap
 only when their result holds it.  The module
 also provides the closed-form centrality depth, realization of an operator
@@ -42,7 +44,8 @@ import numpy as np
 
 from . import linalg
 from .errors import CapacityError, WindowError
-from .gfp import binomial_array, binomial_mod, digit_binomials, lucas_support, require_prime
+from .gfp import (binomial_array, binomial_mod, digit_binomials, lucas_support, power_exceeds,
+                  require_prime)
 from .poly import MAX_EXPONENT, MultiPoly, PolyRing, power_factors, render_terms
 
 # The j-box of one term pair of a product (its Lucas support alone is expanded).
@@ -150,10 +153,10 @@ class DPDOperator:
     terms c x^a D^(b), held as one int64 array `terms` of 2n + 2 rows (owner,
     a_1..a_n, b_1..b_n, c), a column per term with c in [1, p), columns
     grouped by owner 0..K-1.  A single operator is a batch of one.
-    `from_terms` keeps its terms' order; products and sums return columns
-    sorted by (owner, a, b).  Products, sums and equality act owner by owner,
-    so an equality of two batches is the conjunction of K operator
-    equalities; `act`, `centrality_depth` and `render` take a batch of one."""
+    `from_terms` keeps its terms' order; products return columns sorted by
+    (owner, a, b).  Products, scaling and equality act owner by owner, so an
+    equality of two batches is the conjunction of K operator equalities;
+    `act`, `centrality_depth` and `render` take a batch of one."""
 
     __slots__ = ("algebra", "count", "terms")
 
@@ -176,27 +179,17 @@ class DPDOperator:
         if other.count != self.count:
             raise ValueError("operator batches of different sizes")
 
-    def __add__(self, other):
-        self._require_same(other)
-        terms, _ = _reduce(self.algebra.p, np.concatenate([self.terms, other.terms], axis=1))
-        return DPDOperator(self.algebra, self.count, terms)
-
     def scale(self, c):
         p = self.algebra.p
         terms = self.terms.copy()
         terms[-1] = terms[-1] * (int(c) % p) % p
         return DPDOperator(self.algebra, self.count, terms[:, terms[-1] != 0])
 
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + -other
-
     def __eq__(self, other):
         return (isinstance(other, DPDOperator)
                 and (other.algebra, other.count) == (self.algebra, self.count)
-                and not (self - other).terms.size)
+                and np.array_equal(_reduce(self.algebra.p, self.terms)[0],
+                                   _reduce(self.algebra.p, other.terms)[0]))
 
     # -- multiplication ----------------------------------------------------------
 
@@ -506,10 +499,8 @@ def matrix_realize(op, r, degree_bound=None):
     # JSON), and the largest accepted rank, q = 3721 (p = 61), 6.1-7.5 s and
     # 248 MB (415 MB).  A 1024-term operator at q = 3721 (3.8 million image
     # terms) takes 23 s and 1.2 GB, 16.6 s of it rendering grids.  Replacing
-    # the cap waits for a plan of a report's cost before it is built.  q^n =
-    # p^(r n) > 4096 once r n >= 4096.bit_length() = 13 (p >= 2), so a deep
-    # twist is refused before p^r is formed: at r = 10^12 it would not fit in memory.
-    if r * n >= 13 or p ** (r * n) > 4096:
+    # the cap waits for a plan of a report's cost before it is built.
+    if power_exceeds(p, r * n, 4096):
         raise CapacityError("twist-basis rank exceeds capacity")
     q = p ** r
     shape = (q,) * n
@@ -560,11 +551,9 @@ def morita_compress(op, r, degree_bound):
     if r < 0:
         raise ValueError("r must be nonnegative")
     p = op.algebra.p
-    # q = p^r past the int64 term arrays is past any window: r >= 63 gives it
-    # (p >= 2), so such a depth is refused before q is formed (at r = 10^12 q
-    # would not fit in memory); below, the refusal names the window it needs
-    top = np.iinfo(np.int64).max
-    if r >= top.bit_length() or p ** r > top:
+    # q = p^r past the int64 term arrays is past any window; below, the
+    # refusal names the window it needs
+    if power_exceeds(p, r, np.iinfo(np.int64).max):
         raise WindowError(f"degree window {degree_bound} cannot certify compression at depth {r}")
     q = p ** r
     _, a, b, _ = op.terms
@@ -581,15 +570,12 @@ def morita_compress(op, r, degree_bound):
 
 def compressed_degree(p, r, degree_bound):
     """The degree window degree_bound // p^r in the compressed variable
-    u = x^(p^r); WindowError when it holds no monomial u^k with k >= 1.  For
-    p >= 2, r >= degree_bound.bit_length() gives p^r > degree_bound, so such a
-    depth is refused before p^r is formed: at r = 10^9, p^r alone would not
-    fit in memory."""
-    du = 0 if r >= int(degree_bound).bit_length() else degree_bound // p ** r
-    if du < 1:
+    u = x^(p^r); WindowError when it holds no monomial u^k with k >= 1, that
+    is when p^r > degree_bound (`power_exceeds`)."""
+    if power_exceeds(p, r, degree_bound):
         raise WindowError(
             f"degree window {degree_bound} holds no monomial of the depth-{r} twist")
-    return du
+    return degree_bound // p ** r
 
 
 def compression_action_agrees(op, compressed, r, degree_bound):

@@ -36,6 +36,13 @@ def require_prime(p):
     return p
 
 
+def power_exceeds(p, r, bound):
+    """Whether p^r > bound, for p >= 2 and r >= 0.  Once r >= bound's bit length,
+    p^r >= 2^r > bound, so a deep r is decided before p^r is formed: at
+    r = 10^12, p^r alone would not fit in memory."""
+    return r >= int(bound).bit_length() or p ** r > bound
+
+
 def lucas_binomial(m, q, p):
     """C(m, q) mod p for m, q >= 0 via the base-p digit product rule."""
     require_prime(p)

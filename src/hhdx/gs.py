@@ -472,10 +472,11 @@ def gs_for_subalgebra_scenario(p, r=1, degree_bound=16, dp_bound=8):
     qu = max(1, dp_bound // p ** r)
     flags = []
     # p1 reports with the caps lifted, one process on a 2-vCPU guest: p = 2 (du, qu)
-    # = (8, 4) 0.39 s, 32 MB; (32, 16) 0.71 s, 38 MB.  p = 7, r = 0, mostly
-    # `_rref_stack`: (16, 8) 0.05 s, 32 MB; (64, 32) 3.1 s, 136 MB; (128, 64) 52 s,
-    # 815 MB; (256, 128) exit 4 after 1.8 GB.  The caps stay because window-ladder's
-    # p1-cover reports and perfbench/digests.json pin them.
+    # = (8, 4) 0.39 s, 32 MB; (32, 16) 0.71 s, 38 MB.  p = 7, r = 0, after the
+    # unit-row peel: (16, 8) 0.20-0.26 s, 33 MB (0.02-0.03 s in-process);
+    # (64, 32) 2.2-2.3 s, 136 MB, 1.8 s of it `_rref_stack`.  Before the peel:
+    # (128, 64) 52 s, 815 MB; (256, 128) exit 4 after 1.8 GB.  The caps stay because
+    # window-ladder's p1-cover reports and perfbench/digests.json pin them.
     if du > 8:
         du = 8
         flags.append("degree_window_capped")

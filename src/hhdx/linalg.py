@@ -397,13 +397,10 @@ class FpMatrix:
         out[self.row, self.col] = self.val
         return out
 
-    def __array__(self, dtype=None, copy=None):
-        return self.a if dtype is None else self.a.astype(dtype)
-
     def __matmul__(self, other):
         """`product` with an FpMatrix over the same prime.  Anything else is a
-        TypeError, not NotImplemented, on which numpy would multiply the
-        `__array__` view without reducing mod p."""
+        TypeError that names it, not NotImplemented, which would hand the
+        product to the right operand (numpy's, for an array)."""
         if not isinstance(other, FpMatrix):
             raise TypeError(f"FpMatrix @ {type(other).__name__}: multiply FpMatrix only")
         if self.p != other.p:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .dpdo import DPDOperator, OperatorAlgebra, TruncatedOperatorModule
 from .errors import CapacityError, WindowError
-from .gfp import fitting_decomposition, require_prime
+from .gfp import fitting_decomposition, power_exceeds, require_prime
 from .linalg import FpMatrix, Subspace, _unique, product
 from .poly import PolyRing
 
@@ -302,9 +302,7 @@ def smith_tower_check(p, levels, degree_bound):
     levels = int(levels)
     if levels < 1:
         raise ValueError("need at least one level")
-    # p^levels > degree_bound once levels >= degree_bound.bit_length() (p >= 2),
-    # so a deep tower is refused before p^levels is formed
-    if levels >= int(degree_bound).bit_length() or p ** levels > degree_bound:
+    if power_exceeds(p, levels, degree_bound):
         raise WindowError("p^levels exceeds the degree bound")
     alg = OperatorAlgebra(p, 1, names=("t",))
     ring = alg.ring
@@ -439,12 +437,9 @@ def filtered_hh_sequence(p, levels, degree_bound, dp_bound):
     levels = int(levels)
     if levels < 1:
         raise ValueError("need at least one level")
-    # p^levels - 1 > dp_bound once levels >= (dp_bound + 1).bit_length() (p >= 2),
-    # so a deep level is refused before p^levels is formed: at 10^12 levels it
-    # would not fit in memory
-    if levels >= (int(dp_bound) + 1).bit_length() or p ** levels - 1 > dp_bound:
+    if power_exceeds(p, levels, int(dp_bound) + 1):  # p^levels - 1 > dp_bound
         raise WindowError("divided-power window too small for the deepest level")
-    if p ** levels > degree_bound:
+    if power_exceeds(p, levels, degree_bound):
         raise WindowError("degree window too small for the deepest level")
     d_bound = int(degree_bound)
     q_bound = int(dp_bound)

@@ -445,7 +445,7 @@ def invert_variable(op, target):
     t_b the b-th forward difference at 0 of k |-> C(-k, d).
     """
     p = op.algebra.p
-    out = target.from_terms({})
+    out = {}
     for ((c,), (d,)), coeff in term_dict(op).items():
         values = [binomial_mod(-k, d, p) for k in range(d + 1)]
         # forward differences evaluated at 0
@@ -455,10 +455,9 @@ def invert_variable(op, target):
             table.append(diffs[0])
             diffs = [(diffs[i + 1] - diffs[i]) % p for i in range(len(diffs) - 1)]
         for b in range(d + 1):
-            t_b = (table[b] * coeff) % p
-            if t_b:
-                out = out + target.monomial((b + d - c,), (b,), t_b)
-    return out
+            key = ((b + d - c,), (b,))
+            out[key] = out.get(key, 0) + table[b] * coeff
+    return target.from_terms(out)
 
 
 class DenseMatrix:

@@ -1,10 +1,11 @@
 """Prime validation, binomial coefficients mod p, Fitting decomposition."""
 
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhdx.gfp import (
@@ -16,6 +17,7 @@ from hhdx.gfp import (
     fitting_decomposition,
     lucas_binomial,
     lucas_support,
+    power_exceeds,
     require_prime,
 )
 from hhdx.linalg import FpMatrix, Subspace
@@ -125,6 +127,31 @@ def test_pascal_rule(p, m, q):
     lhs = binomial_mod(m, q + 1, p)
     rhs = (binomial_mod(m - 1, q + 1, p) + binomial_mod(m - 1, q, p)) % p
     assert lhs == rhs
+
+
+@st.composite
+def power_bounds(draw):
+    """A prime of hhdx, 0 <= r <= 300 and 0 <= bound < 2^300, the bound now and
+    then within 2 of p^r (so both sides of p^r > bound are drawn)."""
+    p, r = draw(st.sampled_from(PRIMES)), draw(st.integers(0, 300))
+    near = st.integers(-2, 2).map(lambda d: min(max(p ** r + d, 0), 2 ** 300 - 1))
+    return p, r, draw(st.integers(0, 2 ** 300 - 1) | near)
+
+
+@settings(deadline=None)
+@given(power_bounds())
+@example((2, 8, 255)).via("r at bound's bit length")
+@example((2, 8, 256)).via("r one below it, p^r equal to bound")
+@example((97, 0, 0)).via("p^0 = 1 > 0")
+def test_power_exceeds_matches_the_power(case):
+    p, r, bound = case
+    assert power_exceeds(p, r, bound) == (p ** r > bound)
+
+
+def test_power_exceeds_decides_a_deep_power_without_forming_it():
+    start = time.perf_counter()
+    assert power_exceeds(2, 10 ** 12, 2 ** 300 - 1)
+    assert time.perf_counter() - start < 1e-3
 
 
 def test_binomial_edge_cases():

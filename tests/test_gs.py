@@ -460,7 +460,7 @@ def test_scenario_p1_maps_match_per_column_oracle(p, du, qu):
             (edges[1], 0): oracle_operator_matrix(
                 m_u1, lambda m: invert_variable(alg_lv.from_terms(term_dict(m)), alg_l), target).a,
             (edges[1], 1): oracle_operator_matrix(
-                m_u01, (lambda m: -((u_inv * m) * u_inv)) if j else (lambda m: m), target).a,
+                m_u01, (lambda m: (u_inv * m * u_inv).scale(-1)) if j else (lambda m: m), target).a,
         }
         want = oracle_face_sum(p, vertices, edges, lambda s: dims.get(s, target.dim),
                                lambda s, k: faces[s, k])

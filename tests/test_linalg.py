@@ -151,8 +151,7 @@ def test_power_matches_the_dense_oracle(p, n, kind, k, seed):
 
 def test_matmul_takes_fp_matrices_only():
     """An array, a list or a scalar on the right is a TypeError: FpMatrix
-    does not hand it to numpy, which would multiply its dense view without
-    reducing mod p."""
+    does not hand it to numpy, which has no view of it to multiply."""
     m = FpMatrix(5, [[1, 2], [3, 4]])
     for other in (np.array([6, 7]), np.eye(2, dtype=np.int64), [[1], [1]], 3):
         with pytest.raises(TypeError, match="multiply FpMatrix only"):
@@ -468,7 +467,6 @@ def test_matrix_arithmetic_matches_dense_oracle(p, seed):
                       (fx @ fz, dx @ dz), (product(fx, fz, p), dx @ dz)]:
         assert_canonical(got)
         assert got.shape == want.a.shape and np.array_equal(got.a, want.a)
-        assert np.array_equal(np.asarray(got), want.a)
     assert (fx - fx).is_zero() and fx.transpose().transpose() == fx
 
 
@@ -502,10 +500,10 @@ def test_face_sum_matches_dense_oracle(p, length, seed):
         for k in range(len(sigma)):
             tau = sigma[:k] + sigma[k + 1:]
             face = random_sparse(p, rng, dims[sigma], dims.get(tau, 0))
-            faces[(sigma, k)] = FpMatrix(p, face) if rng.random() < 0.5 else face
-    got = face_sum(p, lower, upper, dims.get, lambda s, k: faces[(s, k)])
+            faces[(sigma, k)] = FpMatrix(p, face) if rng.random() < 0.5 else face, face
+    got = face_sum(p, lower, upper, dims.get, lambda s, k: faces[(s, k)][0])
     assert_canonical(got)
-    want = oracle_face_sum(p, lower, upper, dims.get, lambda s, k: np.asarray(faces[(s, k)]))
+    want = oracle_face_sum(p, lower, upper, dims.get, lambda s, k: faces[(s, k)][1])
     assert np.array_equal(got.a, want.a)
 
 
@@ -905,7 +903,7 @@ def test_kernel_basis_matches_column_loop(p, rows, cols, seed):
         m = FpMatrix(p, a)
         ker = m.kernel_basis()
         assert_canonical(ker)
-        assert np.array_equal(ker, oracle_kernel_basis(m))
+        assert np.array_equal(ker.a, oracle_kernel_basis(m))
         assert Subspace._from_rref(p, m.cols, ker) == Subspace(p, m.cols, ker)
         img = m.image_basis()
         assert Subspace._from_rref(p, m.rows, img) == Subspace(p, m.rows, img)

@@ -9,7 +9,9 @@ or a function that shares a method's name no longer hides it.  That guard
 matches names, not definitions: two methods of one name are one name to it.
 So a second guard runs the nine goldens, the acceptance criteria and the tiny
 benchmark workloads under `sys.setprofile` and requires every function
-src/hhdx defines to run there (dunders and the `LAYERS` entry points aside).
+src/hhdx defines to run there (the `LAYERS` entry points aside).  Operators
+are dunders, which no name reference reaches, so the same run is the guard on
+them: every dunder src/hhdx defines but `__repr__` must run there too.
 A cache hit makes no call event, so every cache hhdx binds is emptied first.
 
 Every name a module in src/hhdx or tests/ imports is used in that module.
@@ -37,6 +39,7 @@ import subprocess
 import sys
 import types
 
+import pytest
 import test_acceptance
 from hhdx.cli import main
 from test_cli import GOLDEN_CASES
@@ -129,9 +132,9 @@ def test_every_src_function_is_reached_outside_unit_tests():
 
 
 def _defined(trees):
-    """(path, first line, qualname) of every non-dunder function the module
-    trees define; the first line is a decorated function's first decorator's,
-    as on its code object."""
+    """(path, first line, qualname) of every function the module trees
+    define; the first line is a decorated function's first decorator's, as
+    on its code object."""
     out = []
 
     def walk(node, path, prefix):
@@ -139,9 +142,8 @@ def _defined(trees):
             if isinstance(child, ast.ClassDef):
                 walk(child, path, f"{prefix}{child.name}.")
             elif isinstance(child, ast.FunctionDef):
-                if not (child.name.startswith("__") and child.name.endswith("__")):
-                    line = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                    out.append((path, line, f"{prefix}{child.name}"))
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out.append((path, line, f"{prefix}{child.name}"))
                 walk(child, path, f"{prefix}{child.name}.<locals>.")
             else:
                 walk(child, path, prefix)
@@ -175,7 +177,11 @@ def _profiled(modules, run):
     return ran
 
 
-def test_every_src_function_runs_outside_unit_tests():
+@pytest.fixture(scope="module")
+def unran():
+    """(qualname, "file:line qualname") of every function src/hhdx defines
+    that the goldens, the acceptance criteria and the tiny workloads do not
+    run."""
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -198,11 +204,28 @@ def test_every_src_function_runs_outside_unit_tests():
     assert goldens == [0] * len(GOLDEN_CASES)
     assert all(rc == expect for rc, expect in cases)
     ran = {(pathlib.Path(path).resolve(), line) for path, line in ran}
-    traced = _layer_entry_points()
     trees = {path.resolve(): ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    unran = [f"{path.name}:{line} {name}" for path, line, name in _defined(trees)
-             if (path, line) not in ran and name not in traced]
-    assert not unran, f"defined but run only by unit tests: {unran}"
+    return [(name, f"{path.name}:{line} {name}") for path, line, name in _defined(trees)
+            if (path, line) not in ran]
+
+
+def _is_dunder(qualname):
+    name = qualname.rpartition(".")[2]
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_src_function_runs_outside_unit_tests(unran):
+    traced = _layer_entry_points()
+    functions = [where for name, where in unran if not _is_dunder(name) and name not in traced]
+    assert not functions, f"defined but run only by unit tests: {functions}"
+
+
+def test_every_src_dunder_but_repr_runs_outside_unit_tests(unran):
+    """An operator such as `+` or `__array__` is reached by no name, so it
+    must run in the same pass; `__repr__` serves debugging alone."""
+    dunders = [where for name, where in unran
+               if _is_dunder(name) and not name.endswith(".__repr__")]
+    assert not dunders, f"dunders run only by unit tests: {dunders}"
 
 
 def test_a_cached_function_runs_in_the_profile_only_when_called():
