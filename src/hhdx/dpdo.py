@@ -21,18 +21,19 @@ one sort key, in chunks of bounded size.  A product is one row per owner, a
 commutator two, and a check linear in products one signed sum that must
 vanish; nothing is memoized, and no batch is added or negated alone.
 Equality compares two batches' terms in canonical (owner, a, b) order.
-Products, commutators and window maps refuse a
-j-box past `MAX_PRODUCT_WORK` before expanding anything, and a term past a cap
-only when their result holds it.  The module
-also provides the closed-form centrality depth, realization of an operator
-as a matrix over the Frobenius-twist subring (one term array (row, col, e,
-c) filled by array passes over terms x chunks of basis columns, its entry
-grids rendered from it and single entries built on demand), compression of a
-twist-aligned operator to the corner copy acting on the subring (and the
-compressed degree window every depth-r scenario shares), operator windows
-whose exponent arrays are built on first read and whose matrices one builder
-writes from closed-form image terms (never through the product kernel), and
-a renderer for a stable operator syntax such as "2*t^3*Dt^(2) + t + 1".
+Products, commutators and window maps refuse a j-box past `MAX_PRODUCT_WORK`
+before expanding anything, and a term past a cap only when their result
+holds it.  The module also provides the closed-form centrality depth,
+realization of a one-variable operator as a matrix over the Frobenius-twist
+subring (one term array (row, col, e, c) filled by array passes over terms x
+chunks of basis columns, its entry grids rendered from it with each entry's
+terms sorted by descending degree, and single entries built on demand),
+compression of a twist-aligned operator to the corner copy acting on the
+subring (and the compressed degree window every depth-r scenario shares),
+operator windows whose exponent arrays are built on first read and whose
+matrices one builder writes from closed-form image terms (never through the
+product kernel), and a renderer for a stable operator syntax such as
+"2*t^3*Dt^(2) + t + 1".
 """
 
 from __future__ import annotations
@@ -432,13 +433,12 @@ def _expand(batch, left, right, row, sign, owner):
 
 
 class MatrixRealization:
-    """An operator written as a matrix over the depth-r twist subring.
+    """A one-variable operator as a matrix over the depth-r twist subring.
 
-    Rows and columns are indexed by the monomial basis {x^m : 0 <= m_i < q},
-    q = p^r, of the polynomial ring over its twist subring, numbered in
-    lexicographic order.  `terms` is one int64 array of rows (row, col,
-    e_1..e_n, c), a column per nonzero term c x^e of entry (row, col); every
-    e_i is divisible by q.
+    Rows and columns are indexed by the monomial basis {x^m : 0 <= m < q},
+    q = p^r, of the polynomial ring over its twist subring.  `terms` is one
+    int64 array of rows (row, col, e, c), a column per nonzero term c x^e of
+    entry (row, col); every e is divisible by q.
     """
 
     __slots__ = ("algebra", "r", "terms", "truncated")
@@ -448,41 +448,38 @@ class MatrixRealization:
 
     @property
     def size(self):
-        return self.algebra.p ** (self.r * self.algebra.n)
+        return self.algebra.p ** self.r
 
     def entry(self, row, col):
         """Entry (row, col) as a polynomial of the algebra's ring."""
-        cell = self.terms[:, (self.terms[0] == row) & (self.terms[1] == col)]
-        return self.algebra.ring.from_terms((tuple(e), c) for _, _, *e, c in cell.T.tolist())
+        _, _, e, c = self.terms[:, (self.terms[0] == row) & (self.terms[1] == col)].tolist()
+        return self.algebra.ring.from_terms(((k,), v) for k, v in zip(e, c))
 
     def render(self, twist=False):
         """The entries as a size x size grid of strings, "0" where empty, each
-        entry's terms in descending graded-lexicographic order: c*x^e, or with
-        `twist` c*u^(e/q) in the twist variables u_i = x_i^q (u alone for one
-        variable)."""
-        ring, q = self.algebra.ring, self.algebra.p ** self.r
-        names, exps = ring.names, self.terms[2:-1]
-        if twist:
-            names = tuple(f"u{i}" for i in range(ring.n)) if ring.n > 1 else ("u",)
-            exps = exps // q
-        order = np.lexsort([*-exps[::-1], -exps.sum(axis=0), *self.terms[1::-1]])
-        terms = np.concatenate([self.terms[:2], exps, self.terms[-1:]]).take(order, axis=1)
+        entry's terms sorted by descending degree: c*x^e, or with `twist`
+        c*u^(e/q) in the twist variable u = x^q."""
+        row, col, e, c = self.terms
+        names, e = (("u",), e // self.size) if twist else (self.algebra.ring.names, e)
+        terms = np.stack([row, col, e, c]).take(np.lexsort([-e, col, row]), axis=1)
         grid = [["0"] * self.size for _ in range(self.size)]
-        for (row, col), cell in itertools.groupby(terms.T.tolist(), key=lambda t: t[:2]):
-            grid[row][col] = render_terms((t[-1], power_factors(names, t[2:-1])) for t in cell)
+        for (i, j), cell in itertools.groupby(terms.T.tolist(), key=lambda t: t[:2]):
+            grid[i][j] = render_terms((c, power_factors(names, (e,))) for _, _, e, c in cell)
         return grid
 
 
 def matrix_realize(op, r, degree_bound=None):
-    """Realize an operator of centrality depth <= r as a matrix over the
-    twist subring, one array pass per chunk of basis columns (one pass when
-    terms x columns <= `_PRODUCT_CHUNK_TERMS`): c x^a D^(b) sends the column
-    x^m to c C(m, b) x^(m - b + a), in row (m - b + a) mod q.  A chunk's image
-    terms are summed, an exponent past `MAX_EXPONENT` is refused (the first,
-    in column and term order, that survives its sum), and the sums are
-    truncated to total degree <= degree_bound, if given, and flagged."""
+    """Realize a one-variable operator of centrality depth <= r over the twist
+    subring, one array pass per chunk of basis columns (one pass when terms x
+    columns <= `_PRODUCT_CHUNK_TERMS`): c x^a D^(b) sends the column x^m to
+    c C(m, b) x^(m - b + a), in row (m - b + a) mod q.  A chunk's image terms
+    are summed, an exponent past `MAX_EXPONENT` is refused (the first, in
+    column and term order, that survives its sum), and the sums are truncated
+    to degree <= degree_bound, if given, and flagged."""
     if op.algebra.laurent:
         raise ValueError("matrix realization needs a polynomial algebra")
+    if op.algebra.n != 1:
+        raise ValueError("matrix realization is defined for one-variable operators")
     if r < 0:
         raise ValueError("r must be nonnegative")
     depth = op.centrality_depth()
@@ -490,8 +487,7 @@ def matrix_realize(op, r, degree_bound=None):
         raise ValueError(
             f"operator has centrality depth {depth}, not a twist-subring-linear "
             f"map at depth {r}")
-    ring = op.algebra.ring
-    p, n = ring.p, ring.n
+    p = op.algebra.p
     # A rank-q realization is one term array, built and rendered in 0.14 s at
     # q = 2401; encoding its report's two q^2-entry grids costs the rest.  One
     # process per morita-matrix --json report (default operator, degree bound
@@ -500,31 +496,26 @@ def matrix_realize(op, r, degree_bound=None):
     # 248 MB (415 MB).  A 1024-term operator at q = 3721 (3.8 million image
     # terms) takes 23 s and 1.2 GB, 16.6 s of it rendering grids.  Replacing
     # the cap waits for a plan of a report's cost before it is built.
-    if power_exceeds(p, r * n, 4096):
+    if power_exceeds(p, r, 4096):
         raise CapacityError("twist-basis rank exceeds capacity")
     q = p ** r
-    shape = (q,) * n
-    a, b, c = op.terms[1:1 + n], op.terms[1 + n:-1], op.terms[-1]
+    _, a, b, c = op.terms
     step = max(1, _PRODUCT_CHUNK_TERMS // max(1, len(c)))  # columns of one chunk
-    parts, truncated = [np.zeros((n + 3, 0), dtype=np.int64)], False
-    for first in range(0, q ** n, step):  # columns in basis order, terms in order
-        cols = np.arange(first, min(first + step, q ** n))
-        col, term = np.repeat(cols, len(c)), np.tile(np.arange(len(c)), len(cols))
-        m = np.array(np.unravel_index(col, shape))
-        coeff = c.take(term)
-        for i in range(n):
-            coeff = coeff * binomial_array(m[i], b[i].take(term), p) % p
+    parts, truncated = [np.zeros((4, 0), dtype=np.int64)], False
+    for first in range(0, q, step):  # columns in basis order, terms in order
+        cols = np.arange(first, min(first + step, q))
+        m, term = np.repeat(cols, len(c)), np.tile(np.arange(len(c)), len(cols))
+        coeff = c.take(term) * binomial_array(m, b.take(term), p) % p
         nz = np.flatnonzero(coeff)
-        col, term = col.take(nz), term.take(nz)
-        image = m.take(nz, axis=1) - b.take(term, axis=1) + a.take(term, axis=1)
-        terms, head = _reduce(p, np.concatenate(
-            [[np.ravel_multi_index(image % q, shape), col], image, [coeff.take(nz)]]))
-        exps = terms[2:-1]
-        past = np.flatnonzero((exps >= MAX_EXPONENT).any(axis=0))
+        m, term = m.take(nz), term.take(nz)
+        image = m - b.take(term) + a.take(term)
+        terms, head = _reduce(p, np.stack([image % q, m, image, coeff.take(nz)]))
+        e = terms[2]
+        past = np.flatnonzero(e >= MAX_EXPONENT)
         if past.size:  # the ring refuses it with MultiPoly's message
-            ring.monomial(exps[:, past[np.argmin(head.take(past))]].tolist())
-        exps -= exps % q
-        inside = exps.sum(axis=0) <= (np.inf if degree_bound is None else degree_bound)
+            op.algebra.ring.monomial((int(e[past[np.argmin(head.take(past))]]),))
+        e -= e % q
+        inside = e <= (np.inf if degree_bound is None else degree_bound)
         parts.append(terms[:, inside])
         truncated = truncated or not inside.all()
     return MatrixRealization(op.algebra, r, np.concatenate(parts, axis=1), truncated)

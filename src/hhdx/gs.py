@@ -445,7 +445,7 @@ def _surjective_onto_window(p, image_matrix, target_module, a_lo, a_hi, b_max):
     return space.contains_units(np.flatnonzero((a_lo <= a) & (a <= a_hi) & (b <= b_max)))
 
 
-def gs_for_subalgebra_scenario(p, r=1, degree_bound=16, dp_bound=8):
+def gs_for_subalgebra_scenario(p, r, degree_bound, dp_bound):
     """Diagram double complex of depth-r operator windows, Koszul columns, on
     the projective line glued from two charts along u -> 1/u.
 

@@ -4,7 +4,7 @@ Polynomials are immutable maps from exponent tuples to nonzero coefficients
 in [1, p), with exact arithmetic, evaluation at points of F_p^n and a
 deterministic rendering (`repr`).  The depth-r Frobenius-twist subring
 F_p[x_i^(p^r)] is handled by its membership test.  Degree windows and the
-twist variables of a matrix realization live on `dpdo.MatrixRealization`'s
+twist variable of a matrix realization live on `dpdo.MatrixRealization`'s
 term array, not here.
 """
 
@@ -127,8 +127,6 @@ class MultiPoly:
         return MultiPoly(self.ring, {e: cc * c for e, cc in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         self._require_same_ring(other)
         # At the cap, 2000 x 2000 one-variable terms at p = 97 take 3.2-3.4 s
         # and 32 MB (2-vCPU Xeon); no report multiplies past the Hasse power's
@@ -142,8 +140,6 @@ class MultiPoly:
                 e = tuple(e1[k] + e2[k] for k in range(n))
                 out[e] = (out.get(e, 0) + c1 * c2) % self.ring.p
         return MultiPoly(self.ring, out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:

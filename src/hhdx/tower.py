@@ -90,20 +90,13 @@ class Tower:
         return chain
 
     def limit_report(self):
-        """Raw limits in closed form plus the certified stable image.
-
-        `image_dims` lists dim im F^k for k = 0..levels; the images past the
-        first repeat all equal it, so they are read off without elimination.
-        """
+        """Raw limits in closed form plus the stable image, certified when the
+        image chain repeats below the top level."""
         chain = self.image_chain()
         stable = chain[-1]
-        stabilized_at = len(chain) - 1
-        certified = stabilized_at < self.top
+        certified = len(chain) <= self.top
         return {
             "raw": {"lim_dim": self.f.rows, "lim1_dim": 0},
-            "image_dims": ([space.dim for space in chain]
-                           + [stable.dim] * (self.top - stabilized_at)),
-            "stabilized_at": stabilized_at,
             "stable_image": stable,
             "certified": certified,
             "certified_lim_dim": stable.dim if certified else None,

@@ -47,17 +47,19 @@ def test_zero_tower_raw_vs_certified():
 
 
 def test_identity_tower_certifies_full_space():
-    report = Tower(3, np.eye(2, dtype=np.int64), 3).limit_report()
+    tower = Tower(3, np.eye(2, dtype=np.int64), 3)
+    report = tower.limit_report()
     assert report["certified"] and report["certified_lim_dim"] == 2
-    assert report["stabilized_at"] == 0 and report["image_dims"] == [2, 2, 2, 2]
+    assert [s.dim for s in tower.image_chain()] == [2]
 
 
 def test_top_level_never_certifies_itself():
     """The nilpotent 2 x 2 block reaches its limit 0 at level 2: a window of
     two levels shows no repeat, three levels confirm it."""
     nilpotent = [[0, 1], [0, 0]]
-    report = Tower(2, nilpotent, 2).limit_report()
-    assert report["image_dims"] == [2, 1, 0] and report["stabilized_at"] == 2
+    tower = Tower(2, nilpotent, 2)
+    report = tower.limit_report()
+    assert [s.dim for s in tower.image_chain()] == [2, 1, 0]
     assert not report["certified"] and report["certified_lim_dim"] is None
     report = Tower(2, nilpotent, 3).limit_report()
     assert report["certified"] and report["certified_lim_dim"] == 0
@@ -116,19 +118,21 @@ def test_tower_internal_identities_hold_on_random_towers(data):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_tower_matches_oracle_on_random_square_maps(data):
-    """The image chain with closed-form raw limits against the resolution
-    and composite eliminations of the general oracle."""
+    """The image chain, up to its first repeat, with closed-form raw limits
+    against the resolution and composite eliminations of the general oracle."""
     p = data.draw(st.sampled_from([2, 3, 5]))
     n = data.draw(st.integers(min_value=0, max_value=5))
     levels = data.draw(st.integers(min_value=1, max_value=6))
     entries = data.draw(st.lists(st.integers(min_value=0, max_value=p - 1),
                                  min_size=n * n, max_size=n * n))
     f = np.array(entries, dtype=np.int64).reshape(n, n)
-    got = Tower(p, f, levels).limit_report()
+    tower = Tower(p, f, levels)
+    got = tower.limit_report()
     want = oracle_limit_report(p, [n] * (levels + 1), [f] * levels)
+    bottom = want["levels"][0]
     assert got["raw"] == {k: want["raw"][k] for k in ("lim_dim", "lim1_dim")}
-    assert got["image_dims"] == want["levels"][0]["image_dims"]
-    assert got["stabilized_at"] == want["levels"][0]["stabilized_at"]
+    assert ([s.dim for s in tower.image_chain()]
+            == bottom["image_dims"][:bottom["stabilized_at"] + 1])
     assert got["certified"] == want["certified"]
     assert got["certified_lim_dim"] == want["certified_lim_dim"]
     assert got["certified_lim1_dim"] == want["certified_lim1_dim"]
